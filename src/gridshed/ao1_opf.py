@@ -21,7 +21,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .grid_model import GridCase
-from .power_equations import InputVector, State, SwitchVector, jacobians, network, objective_E
+from .power_equations import (InputVector, State, SwitchVector, demand_draw, jacobians, network,
+                              objective_E, outflow)
 
 TOL_FEAS = 1e-8
 TOL_KKT = 1e-6
@@ -53,14 +54,9 @@ class _Problem:
         self.upper = np.concatenate([net.x_upper[self.free], net.u_upper])
         self.n = self.lower.size
         self.nx_free = self.free.size
-        # supply offset: S = Gu u - y^2 d, with Gu the generator selector
-        self.s_fixed = np.zeros(nx)
-        y2 = y.y * y.y
-        self.s_fixed[2 * net.dem_pos] -= y2 * net.pd
-        self.s_fixed[2 * net.dem_pos + 1] -= y2 * net.qd
-        self.Gu = np.zeros((nx, 2 * net.n_gen))
-        self.Gu[2 * net.gen_pos, 0::2] = np.eye(net.n_gen)
-        self.Gu[2 * net.gen_pos + 1, 1::2] = np.eye(net.n_gen)
+        # columns of z within the (x, u, y) derivative layout
+        self.cols = np.concatenate([self.free, nx + np.arange(2 * net.n_gen)])
+        self.draw = demand_draw(net, y)
 
     def split(self, z):
         net = self.net
@@ -70,29 +66,18 @@ class _Problem:
         x[self.free] = z[: self.nx_free]
         return State.from_vector(x), InputVector.from_vector(z[self.nx_free:])
 
+    def residual(self, z):
+        """Balance residual P - S, evaluated as (P - generation) + demand draw."""
+        state, u = self.split(z)
+        return outflow(self.net, state) - self.net.gen_sel @ u.as_vector() + self.draw
+
     def residual_jacobian(self, z):
         state, u = self.split(z)
-        dP_dx, dE, _ = jacobians(self.case, state, u, self.y)
-        th = state.theta[:, None] - state.theta[None, :]
-        net = self.net
-        P = np.empty(2 * net.n_bus)
-        c, s = np.cos(th), np.sin(th)
-        P[0::2] = state.v * ((net.G * c + net.B * s) @ state.v)
-        P[1::2] = state.v * ((net.G * s - net.B * c) @ state.v)
-        F = P - self.Gu @ u.as_vector() - self.s_fixed
-        J = np.hstack([dP_dx[:, self.free], -self.Gu])
-        grad_E = np.concatenate([dE[self.free], dE[2 * net.n_bus: 2 * net.n_bus + 2 * net.n_gen]])
-        return F, J, grad_E, state, u
-
-    def residual_only(self, z):
-        state, u = self.split(z)
-        net = self.net
-        th = state.theta[:, None] - state.theta[None, :]
-        c, s = np.cos(th), np.sin(th)
-        P = np.empty(2 * net.n_bus)
-        P[0::2] = state.v * ((net.G * c + net.B * s) @ state.v)
-        P[1::2] = state.v * ((net.G * s - net.B * c) @ state.v)
-        return P - self.Gu @ u.as_vector() - self.s_fixed
+        _, dE, dC = jacobians(self.case, state, u, self.y)
+        # take() keeps J C-contiguous; a fancy-indexed column slice comes out
+        # Fortran-ordered and changes the BLAS rounding downstream
+        J = dC[: 2 * self.net.n_bus].take(self.cols, axis=1)
+        return self.residual(z), J, dE[self.cols], state, u
 
 
 def _estimate_duals(prob, z, F, J, grad_E, atol=1e-7):
@@ -170,7 +155,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
     feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
     if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
-        E = _objective(prob, state, u)
+        E = objective_E(case, state, u, y_fixed)
         return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp),
                          E, "converged", 0)
 
@@ -244,7 +229,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
             a = alpha
             while a > 1e-12:
                 z_try = z + a * dz
-                F_try = prob.residual_only(z_try)
+                F_try = prob.residual(z_try)
                 theta_try = float(np.abs(F_try).sum())
                 if theta_try <= (1.0 - 1e-4 * a) * theta + 1e-16 or barrier(z_try, F_try) <= b_old - 1e-4 * a:
                     accepted = True
@@ -271,7 +256,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
 
         # restoration: bounded least squares on the balance residuals
         res = least_squares(
-            prob.residual_only, best[1], jac=_ls_jac(prob),
+            prob.residual, best[1], jac=lambda zz: prob.residual_jacobian(zz)[1],
             bounds=(prob.lower, prob.upper),
             method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400,
         )
@@ -295,17 +280,6 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
             status = "converged"
 
-    E = _objective(prob, state, u)
+    E = objective_E(case, state, u, y_fixed)
     return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp),
                      E, status, iters_done)
-
-
-def _ls_jac(prob):
-    def jac(z):
-        F, J, *_ = prob.residual_jacobian(z)
-        return J
-    return jac
-
-
-def _objective(prob, state, u):
-    return float(objective_E(prob.case, state, u, prob.y))

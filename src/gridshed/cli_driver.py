@@ -36,6 +36,7 @@ from .power_equations import (
     InputVector,
     State,
     SwitchVector,
+    constraint_row,
     constraints_C,
     hessian_Q,
     jacobians,
@@ -178,7 +179,8 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     if ao1.status != "converged" or float(resid[worst]) > FEAS_TOL:
         raise DriverError(
             "final switch set admits no feasible operating point "
-            f"(continuous stage {ao1.status}, worst violation {float(resid[worst]):.3e} at row {worst})",
+            f"(continuous stage {ao1.status}, worst violation {float(resid[worst]):.3e} "
+            f"in {constraint_row(work, worst)}, row {worst})",
             "infeasible",
             best,
         )

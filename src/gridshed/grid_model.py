@@ -272,9 +272,12 @@ def _parse_matrix_rows(name, lines, start_idx):
             if not chunk:
                 continue
             try:
-                rows.append(([float(t) for t in chunk.split()], lines[i - 1][0]))
+                row = [float(t) for t in chunk.split()]
             except ValueError:
                 raise MalformedRowError(f"bad numeric row in {name}", lines[i - 1][0])
+            if not all(map(math.isfinite, row)):
+                raise MalformedRowError(f"non-finite value in {name}", lines[i - 1][0])
+            rows.append((row, lines[i - 1][0]))
         if done:
             return rows, i
     raise MalformedRowError(f"unterminated matrix {name}", lines[start_idx - 1][0])

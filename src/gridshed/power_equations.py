@@ -10,6 +10,14 @@ Layout conventions, frozen because dual variables index into them:
   P - S (2N), S - P (2N), x_lo - x (2N), x - x_hi (2N),
   u_lo - u (2G), u - u_hi (2G)
 * combined derivative column order: x, then u, then y (one column per demand)
+
+``constraint_row`` names a row of C by this order.
+
+``outflow`` is the one place the angle-difference trig is taken: it returns
+the stacked bus outflow P and, on request, dP/dx in the interleaved layout
+above, and every evaluation routine here and in the continuous stage goes
+through it.  ``line_flow`` is a separate per-branch evaluation, kept as the
+reference that the tests compare ``node_outflow`` against.
 """
 
 from __future__ import annotations
@@ -22,6 +30,21 @@ import numpy as np
 from .grid_model import AdmittanceMatrix, GridCase, build_admittance
 
 Y_BOX_TOL = 1e-9
+
+
+def constraint_row(case: GridCase, row: int) -> str:
+    """Name row of the constraint stack C by family and bus (or generator bus) id."""
+    nx, nu = 2 * len(case.buses), 2 * len(case.generators)
+    if not 0 <= row < 4 * nx + 2 * nu:
+        raise IndexError(f"constraint row {row} out of range")
+    if row < 4 * nx:
+        block, k = divmod(row, nx)
+        part = ("active", "reactive") if block < 2 else ("v", "theta")
+        family = ("balance P-S", "balance S-P", "lower bound", "upper bound")[block]
+        return f"{part[k % 2]} {family} at bus {case.buses[k // 2].id}"
+    block, k = divmod(row - 4 * nx, nu)
+    return (f"{('pg', 'qg')[k % 2]} {('lower', 'upper')[block]} bound "
+            f"at generator bus {case.generators[k // 2].bus}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +122,13 @@ class Network:
     B: np.ndarray
     slack: int                 # bus position of the slack
     slack_v: float
-    gen_pos: np.ndarray        # bus position of each generator
     dem_pos: np.ndarray        # bus position of each demand
     pd: np.ndarray
     qd: np.ndarray
     rank: np.ndarray
     dem_pg_col: np.ndarray     # pg column in u per demand, -1 when no generator there
+    gen_sel: np.ndarray        # (2N, 2G) 0/1 generator selector: generation per bus is
+                               # gen_sel @ u, so it is also d(supply)/du
     x_lower: np.ndarray
     x_upper: np.ndarray
     u_lower: np.ndarray
@@ -129,6 +153,9 @@ def network(case: GridCase) -> Network:
     dem_pos = np.array([index[d.bus] for d in case.demands], dtype=int)
     pg_col = {g.bus: 2 * j for j, g in enumerate(case.generators)}
     dem_pg_col = np.array([pg_col.get(d.bus, -1) for d in case.demands], dtype=int)
+    gen_sel = np.zeros((2 * n, 2 * ngen))
+    gen_sel[2 * gen_pos, 0::2] = np.eye(ngen)
+    gen_sel[2 * gen_pos + 1, 1::2] = np.eye(ngen)
     x_lower = np.empty(2 * n)
     x_upper = np.empty(2 * n)
     x_lower[0::2] = [b.v_min for b in case.buses]
@@ -149,12 +176,12 @@ def network(case: GridCase) -> Network:
         B=admittance.B,
         slack=index[case.slack_bus.id],
         slack_v=case.slack_voltage(),
-        gen_pos=gen_pos,
         dem_pos=dem_pos,
         pd=np.array([d.pd for d in case.demands]),
         qd=np.array([d.qd for d in case.demands]),
         rank=np.array([d.rank for d in case.demands]),
         dem_pg_col=dem_pg_col,
+        gen_sel=gen_sel,
         x_lower=x_lower,
         x_upper=x_upper,
         u_lower=u_lower,
@@ -186,56 +213,79 @@ def line_flow(case: GridCase, state: State, k: int, l: int) -> tuple[float, floa
     return float(p), float(q)
 
 
-def _trig_parts(net: Network, state: State):
+def outflow(grid: Network | AdmittanceMatrix, state: State, jacobian: bool = False):
+    """Stacked (active, reactive) outflow per bus over the admittance grid.G, grid.B.
+
+    Row sums of the trig-weighted Laplacian.  With jacobian=True, returns
+    (P, dP/dx) with interleaved rows and columns, shape (2N, 2N).
+    """
+    v = state.v
     th = state.theta[:, None] - state.theta[None, :]
     c, s = np.cos(th), np.sin(th)
-    A1 = net.G * c + net.B * s
-    A2 = net.G * s - net.B * c
-    return A1, A2
+    A1 = grid.G * c + grid.B * s
+    A2 = grid.G * s - grid.B * c
+    a1v = A1 @ v
+    a2v = A2 @ v
+    p = v * a1v
+    q = v * a2v
+    n = v.size
+    P = np.empty(2 * n)
+    P[0::2] = p
+    P[1::2] = q
+    if not jacobian:
+        return P
+    dP_dv = v[:, None] * A1
+    np.fill_diagonal(dP_dv, a1v + v * np.diag(grid.G))
+    dP_dth = v[:, None] * v[None, :] * A2
+    np.fill_diagonal(dP_dth, -q - v * v * np.diag(grid.B))
+    dQ_dv = v[:, None] * A2
+    np.fill_diagonal(dQ_dv, a2v - v * np.diag(grid.B))
+    dQ_dth = -v[:, None] * v[None, :] * A1
+    np.fill_diagonal(dQ_dth, p - v * v * np.diag(grid.G))
+    dP_dx = np.empty((2 * n, 2 * n))
+    dP_dx[0::2, 0::2] = dP_dv
+    dP_dx[0::2, 1::2] = dP_dth
+    dP_dx[1::2, 0::2] = dQ_dv
+    dP_dx[1::2, 1::2] = dQ_dth
+    return P, dP_dx
 
 
 def node_outflow(case: GridCase, admittance: AdmittanceMatrix, state: State) -> np.ndarray:
     """Stacked (active, reactive) outflow per bus: row sums of the trig-weighted Laplacian."""
-    th = state.theta[:, None] - state.theta[None, :]
-    c, s = np.cos(th), np.sin(th)
-    v = state.v
-    p = v * ((admittance.G * c + admittance.B * s) @ v)
-    q = v * ((admittance.G * s - admittance.B * c) @ v)
-    out = np.empty(2 * v.size)
-    out[0::2] = p
-    out[1::2] = q
+    return outflow(admittance, state)
+
+
+def demand_draw(net: Network, y: SwitchVector) -> np.ndarray:
+    """Stacked y^2-scaled demand per bus."""
+    out = np.zeros(2 * net.n_bus)
+    y2 = y.y * y.y
+    out[2 * net.dem_pos] = y2 * net.pd
+    out[2 * net.dem_pos + 1] = y2 * net.qd
     return out
 
 
 def supply(case: GridCase, input: InputVector, y: SwitchVector) -> np.ndarray:
     """Stacked injections: generation minus y^2-scaled demand."""
     net = network(case)
-    out = np.zeros(2 * net.n_bus)
-    out[2 * net.gen_pos] += input.pg
-    out[2 * net.gen_pos + 1] += input.qg
-    y2 = y.y * y.y
-    out[2 * net.dem_pos] -= y2 * net.pd
-    out[2 * net.dem_pos + 1] -= y2 * net.qd
-    return out
+    return net.gen_sel @ input.as_vector() - demand_draw(net, y)
 
 
-def _active_outflow(net: Network, state: State) -> np.ndarray:
-    A1, _ = _trig_parts(net, state)
-    return state.v * (A1 @ state.v)
+def _delivery(net: Network, P: np.ndarray, input: InputVector) -> np.ndarray:
+    """pg - P_act per demand; demand buses without a generator take pg = 0."""
+    pg_at_dem = np.where(net.dem_pg_col >= 0, input.pg[net.dem_pg_col // 2], 0.0)
+    return pg_at_dem - P[2 * net.dem_pos]
 
 
 def objective_E(case: GridCase, state: State, input: InputVector, y: SwitchVector) -> float:
     """Weighted delivery objective; demand buses without a generator take pg = 0."""
     net = network(case)
-    p_act = _active_outflow(net, state)[net.dem_pos]
-    pg_at_dem = np.where(net.dem_pg_col >= 0, input.pg[net.dem_pg_col // 2], 0.0)
-    return float(np.sum(y.y * net.rank * (pg_at_dem - p_act)))
+    return float(np.sum(y.y * net.rank * _delivery(net, outflow(net, state), input)))
 
 
 def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVector) -> np.ndarray:
     """Inequality stack, feasible iff every entry is <= 0."""
     net = network(case)
-    P = node_outflow(case, AdmittanceMatrix(G=net.G, B=net.B), state)
+    P = outflow(net, state)
     S = supply(case, input, y)
     x = state.as_vector()
     u = input.as_vector()
@@ -249,31 +299,6 @@ def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVec
     ])
 
 
-def _outflow_jacobian(net: Network, state: State) -> np.ndarray:
-    """d(node_outflow)/dx with interleaved rows and columns, shape (2N, 2N)."""
-    v = state.v
-    A1, A2 = _trig_parts(net, state)
-    a1v = A1 @ v
-    a2v = A2 @ v
-    p = v * a1v
-    q = v * a2v
-    dP_dv = v[:, None] * A1
-    np.fill_diagonal(dP_dv, a1v + v * np.diag(net.G))
-    dP_dth = v[:, None] * v[None, :] * A2
-    np.fill_diagonal(dP_dth, -q - v * v * np.diag(net.B))
-    dQ_dv = v[:, None] * A2
-    np.fill_diagonal(dQ_dv, a2v - v * np.diag(net.B))
-    dQ_dth = -v[:, None] * v[None, :] * A1
-    np.fill_diagonal(dQ_dth, p - v * v * np.diag(net.G))
-    n = net.n_bus
-    out = np.empty((2 * n, 2 * n))
-    out[0::2, 0::2] = dP_dv
-    out[0::2, 1::2] = dP_dth
-    out[1::2, 0::2] = dQ_dv
-    out[1::2, 1::2] = dQ_dth
-    return out
-
-
 def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector):
     """Analytic first derivatives.
 
@@ -283,7 +308,7 @@ def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector)
     net = network(case)
     n, ngen, ndem = net.n_bus, net.n_gen, net.n_dem
     nx, nu = 2 * n, 2 * ngen
-    dP_dx = _outflow_jacobian(net, state)
+    P, dP_dx = outflow(net, state, jacobian=True)
 
     # objective: E = sum_D y r (pg - P_act); P_act rows are the even rows of dP_dx
     w_dem = y.y * net.rank
@@ -293,14 +318,9 @@ def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector)
     dE_u = np.zeros(nu)
     np.add.at(dE_u, net.dem_pg_col[has_gen], w_dem[has_gen])
     dE[nx:nx + nu] = dE_u
-    p_act = _active_outflow(net, state)[net.dem_pos]
-    pg_at_dem = np.where(has_gen, input.pg[net.dem_pg_col // 2], 0.0)
-    dE[nx + nu:] = net.rank * (pg_at_dem - p_act)
+    dE[nx + nu:] = net.rank * _delivery(net, P, input)
 
-    # supply derivatives: d(S)/du is a selector, d(S)/dy = -2y (pd, qd) per demand bus
-    dS_du = np.zeros((nx, nu))
-    dS_du[2 * net.gen_pos, 0::2] = np.eye(ngen)
-    dS_du[2 * net.gen_pos + 1, 1::2] = np.eye(ngen)
+    # d(S)/du is the generator selector, d(S)/dy = -2y (pd, qd) per demand bus
     dS_dy = np.zeros((nx, ndem))
     dS_dy[2 * net.dem_pos, np.arange(ndem)] = -2.0 * y.y * net.pd
     dS_dy[2 * net.dem_pos + 1, np.arange(ndem)] = -2.0 * y.y * net.qd
@@ -308,7 +328,7 @@ def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector)
     dC = np.zeros((net.n_c_rows, net.n_cols))
     r = 0
     dC[r:r + nx, :nx] = dP_dx
-    dC[r:r + nx, nx:nx + nu] = -dS_du
+    dC[r:r + nx, nx:nx + nu] = -net.gen_sel
     dC[r:r + nx, nx + nu:] = -dS_dy
     r += nx
     dC[r:r + nx] = -dC[:nx]

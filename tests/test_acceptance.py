@@ -63,6 +63,17 @@ def test_criterion_1_stressed_variants_reach_complementarity(stressed_solutions)
     print("criterion 1 PASS: " + "; ".join(parts))
 
 
+@pytest.mark.parametrize("tag, objective, off", [
+    ("mixed", 8.438118, 4),
+    ("relaxed-one", 8.438118, 4),
+    ("relaxed-two", 7.952956, 7),
+])
+def test_stressed_outcomes_are_pinned(stressed_solutions, tag, objective, off):
+    res = stressed_solutions[tag][0]
+    assert abs(res.objective - objective) <= 1e-6
+    assert int(np.sum(res.switches.y < 0.5)) == off
+
+
 def test_criterion_2_reported_solutions_are_consistent(stressed_solutions, stressed30,
                                                        case30, tmp_path):
     net = network(stressed30)

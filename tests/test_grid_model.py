@@ -99,6 +99,22 @@ def test_parse_malformed_row_reports_line():
     assert exc.value.line_no is not None
 
 
+@pytest.mark.parametrize("table, row, col, value", [
+    ("mpc.branch", 0, 2, "nan"),  # r of branch 1-2
+    ("mpc.bus", 1, 11, "nan"),    # Vmax of bus 2
+    ("mpc.gen", 0, 8, "inf"),     # Pmax of the bus-1 generator
+])
+def test_parse_rejects_non_finite_values(case5_text, table, row, col, value):
+    lines = case5_text.splitlines()
+    at = lines.index(f"{table} = [") + 1 + row
+    tokens = lines[at].split()
+    tokens[col] = value
+    lines[at] = "\t".join(tokens)
+    with pytest.raises(CaseError) as exc:
+        parse_case("\n".join(lines))
+    assert exc.value.line_no == at + 1
+
+
 def test_case_validation_rejects_bad_structures():
     buses = (Bus(id=1, v_min=0.9, v_max=1.1, is_slack=True), Bus(id=2, v_min=0.9, v_max=1.1))
     branch = Branch(from_bus=1, to_bus=2, g=1.0, b=-5.0)

@@ -15,6 +15,7 @@ from gridshed.power_equations import (
     InputVector,
     State,
     SwitchVector,
+    constraint_row,
     constraints_C,
     flat_state,
     grad_phi,
@@ -211,6 +212,16 @@ def test_constraint_active_at_bound(case5):
     C2 = constraints_C(case5, state, u2, SwitchVector(np.zeros(3)))
     # row 48 starts u - u_hi; generator 1 pg sits first and 2.1 is its cap
     assert C2[48] == 0.0
+
+
+def test_constraint_rows_named_by_family_and_bus(case5):
+    net = network(case5)
+    labels = [constraint_row(case5, r) for r in range(net.n_c_rows)]
+    assert len(set(labels)) == net.n_c_rows
+    assert labels[2] == "active balance P-S at bus 2"
+    assert labels[48] == "pg upper bound at generator bus 1"
+    with pytest.raises(IndexError):
+        constraint_row(case5, net.n_c_rows)
 
 
 def central_diff(f, z, h=1e-6):
