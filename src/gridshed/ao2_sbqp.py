@@ -8,6 +8,7 @@ vector once phi(y) = sum y(1 - y) is inside tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class PenaltySchedule:
     eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("rho0", "beta", "rho_max", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.rho0 > 0.0:
             raise ValueError("rho0 must be positive")
         if not self.beta > 1.0:
@@ -73,9 +77,9 @@ class Ao2Variant:
                  incumbent
 
     full_rows swaps the three aggregate feasibility rows for the full
-    linearized constraint block (workable on small cases only).  single_shot
-    applies to relaxed-one: take each subproblem solution as-is instead of
-    blending it through the line search.
+    linearized constraint block.  single_shot applies to relaxed-one: take
+    each subproblem solution as-is instead of blending it through the line
+    search.
     """
 
     tag: str = "mixed"
@@ -202,25 +206,24 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
         ])
         A = np.vstack([-net.pd, -net.qd, net.qd])
 
-    n = net.n_dem
     w = net.rank * net.pd
     if variant.tag == "mixed":
-        Q = hessian_Q(case, state, inputs, switches, duals)
-        top = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).max())
+        q = hessian_Q(case, state, inputs, switches, duals)
+        top = float(q.max())
         floor = CURVATURE_FLOOR * max(1.0, abs(top))
         if top > -floor:
-            # the served-demand curvature is non-concave here; push the
-            # spectrum strictly below zero before handing it to the QP
-            Q = Q - (top + floor) * np.eye(n)
+            # the served-demand curvature is non-concave here; push every
+            # curvature strictly below zero before handing it to the QP
+            q = q - (top + floor)
         g = dE[nxu:] - rho * grad_phi(anchor)
     elif variant.tag == "relaxed-one":
-        Q = np.diag(2.0 * w) + 2.0 * rho * np.eye(n)
+        q = 2.0 * w + 2.0 * rho
         g = 2.0 * w * y_lin - rho * grad_phi(y_lin)
     else:
-        Q = np.diag(2.0 * w)
+        q = 2.0 * w
         g = 2.0 * w * y_lin - rho * grad_phi(anchor)
 
-    return QpProblem(Q=Q, g_lin=g, A=A, b=b, lower=-y_lin, upper=1.0 - y_lin)
+    return QpProblem(q=q, g_lin=g, A=A, b=b, lower=-y_lin, upper=1.0 - y_lin)
 
 
 def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
@@ -315,11 +318,9 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     state, inputs, switches = start
     net = network(case)
     y_lin = switches.y
-    mode = "concave" if variant.tag == "mixed" else "stationary-point"
     w = net.rank * net.pd
 
     base = build_subproblem(case, start, duals, 0.0, variant, switches)
-    q_model, g_model = (base.Q, base.g_lin) if variant.tag == "mixed" else (None, None)
 
     def row_feasible(y):
         slack = base.b + base.A @ (y - y_lin)
@@ -328,14 +329,14 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     def solve_sub(rho, anchor, warm):
         prob = build_subproblem(case, start, duals, rho, variant, anchor)
         warm_step = None if warm is None else warm - y_lin
-        sol = solve_qp(prob, mode=mode, start=warm_step)
-        if mode == "stationary-point" and warm_step is not None:
+        sol = solve_qp(prob, start=warm_step)
+        if variant.tag != "mixed" and warm_step is not None:
             # a stationary solve from the incumbent can sit in a fractional
             # basin the penalty cannot tilt; a second start from the all-off
             # corner reaches repacked configurations, keep the better value
-            alt = solve_qp(prob, mode=mode, start=prob.lower)
+            alt = solve_qp(prob, start=prob.lower)
             def val(s):
-                return 0.5 * float(s.primal @ prob.Q @ s.primal) + float(prob.g_lin @ s.primal)
+                return 0.5 * float(s.primal * prob.q @ s.primal) + float(prob.g_lin @ s.primal)
             if sol.status != "infeasible" and alt.status != "infeasible" and val(alt) > val(sol) + 1e-12:
                 sol = alt
         return y_lin + sol.primal, sol.status
@@ -344,7 +345,7 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
         # quadratic model value minus the exact penalty, kept as a diagnostic
         if variant.tag == "mixed":
             d = y - y_lin
-            return 0.5 * float(d @ q_model @ d) + float(g_model @ d) - rho * phi(y)
+            return 0.5 * float(d * base.q @ d) + float(base.g_lin @ d) - rho * phi(y)
         return float(w @ (y * y)) - rho * phi(y)
 
     y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of,

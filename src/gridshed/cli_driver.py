@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -77,6 +78,8 @@ class SolverConfig:
     scenario: ScenarioConfig | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.outer_eps):
+            raise ValueError("outer_eps must be finite")
         if self.outer_eps <= 0.0:
             raise ValueError("outer_eps must be positive")
         if self.outer_max_iters < 1:
@@ -468,7 +471,7 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
             _, dE2, dC2 = jacobians(case, state, u, SwitchVector(yy))
             return (dE2 - duals @ dC2)[nx + nu:]
 
-        Qd = hessian_Q(case, state, u, y, duals)
+        Qd = np.diag(hessian_Q(case, state, u, y, duals))
         worst["switch-curvature"] = max(worst["switch-curvature"], _rel_err(Qd, _central(grad_l0_y, y.y.copy())))
 
     checks = [

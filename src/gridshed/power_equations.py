@@ -345,7 +345,8 @@ def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector)
 
 def hessian_Q(case: GridCase, state: State, input: InputVector, y: SwitchVector,
               duals: np.ndarray) -> np.ndarray:
-    """y-Hessian of E - duals @ C; diagonal since only the y^2 demand terms curve."""
+    """Diagonal of the y-Hessian of E - duals @ C, which is diagonal since only
+    the y^2 demand terms curve."""
     net = network(case)
     duals = np.asarray(duals, dtype=float)
     if duals.shape != (net.n_c_rows,):
@@ -353,7 +354,7 @@ def hessian_Q(case: GridCase, state: State, input: InputVector, y: SwitchVector,
     nx = 2 * net.n_bus
     lam_p = duals[2 * net.dem_pos] - duals[nx + 2 * net.dem_pos]
     lam_q = duals[2 * net.dem_pos + 1] - duals[nx + 2 * net.dem_pos + 1]
-    return np.diag(-2.0 * (lam_p * net.pd + lam_q * net.qd))
+    return -2.0 * (lam_p * net.pd + lam_q * net.qd)
 
 
 def phi(y: np.ndarray) -> float:

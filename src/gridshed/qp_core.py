@@ -1,16 +1,24 @@
-"""Dense QP engine for the switch subproblems.
+"""Diagonal QP kernel for the switch subproblems.
 
-Problems are maximizations of 0.5 d'Qd + g'd over { b + A d >= 0 } within a
-box. Two modes:
+Problems are maximizations of 0.5 z'diag(q)z + g'z over { b + A z >= 0 }
+within a box, with q the curvature vector and A a few dense rows.  One
+kernel does the row work: coordinate ascent on the row multipliers lam, the
+primal being the closed-form clip z = clip((s + A'lam) / h) for fixed lam, as
+in separable QP with few linear rows (Brucker 1984).  ``solve_qp`` picks the
+method from q:
 
-* ``concave``: primal active-set method on the equivalent convex minimum.
-  Q must be negative semi-definite (callers regularize first). Infeasible
-  starts are handled by an exact-penalty elastic phase that adds slack
-  variables only on the rows violated at the start.
-* ``stationary-point``: projected gradient ascent with an Armijo line
-  search, for indefinite or convex Q. Returns a KKT point, no global claim.
+* max(q) < 0: the exact maximizer.  The kernel runs with h = -q and s = g,
+  then one KKT solve on the free coordinates and the active rows restores
+  the precision the clip loses on small curvatures.
+* otherwise: projected Barzilai-Borwein ascent from the start, each
+  projection being the kernel with h = 1, plus endpoint probes that leave
+  faces where positive curvature makes a box endpoint strictly better.
+  Returns a KKT point, no global claim.
 
-Multiplier sign convention (maximization): Q d + g + A' lam + mu - gam = 0
+When the kernel does not converge, a projected-gradient phase one on the
+squared row violation decides whether the rows are infeasible.
+
+Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
 """
 
@@ -20,15 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_FEAS = 1e-9
 TOL_STAT = 1e-8
-STEP_ZERO = 1e-11
 SLACK_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
-    Q: np.ndarray
+    q: np.ndarray
     g_lin: np.ndarray
     A: np.ndarray
     b: np.ndarray
@@ -36,11 +42,11 @@ class QpProblem:
     upper: np.ndarray
 
     def __post_init__(self):
-        for name in ("Q", "g_lin", "A", "b", "lower", "upper"):
+        for name in ("q", "g_lin", "A", "b", "lower", "upper"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.g_lin.size
-        if self.Q.shape != (n, n):
-            raise ValueError("Q shape does not match g_lin")
+        if self.q.shape != (n,):
+            raise ValueError("q must be a vector the size of g_lin")
         if self.A.size == 0:
             object.__setattr__(self, "A", np.zeros((0, n)))
             object.__setattr__(self, "b", np.zeros(0))
@@ -67,7 +73,7 @@ class QpSolution:
 
 
 def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
-    stat = problem.Q @ z + problem.g_lin + problem.A.T @ lam + mu - gam
+    stat = problem.q * z + problem.g_lin + problem.A.T @ lam + mu - gam
     slack_a = problem.b + problem.A @ z
     feas = max(
         0.0,
@@ -84,88 +90,6 @@ def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
         float(np.max(np.abs(gam * (problem.upper - z)))),
     )
     return max(float(np.max(np.abs(stat))), feas, comp)
-
-
-def _active_set_min(G, c, R, d, z0, cap):
-    """min 0.5 z'Gz + c'z s.t. R z >= d, from the feasible point z0.
-
-    G must be positive definite. Returns (z, sigma, status, last working set).
-    Ties in both the drop rule and the blocking rule go to the lowest row
-    index, which keeps runs reproducible.
-    """
-    z = z0.copy()
-    m = R.shape[0]
-    # seed the working set with an independent subset of the active rows;
-    # dependent seeds make the KKT system singular and the duals unusable
-    work: list[int] = []
-    basis: list[np.ndarray] = []
-    for i in range(m):
-        if abs(R[i] @ z - d[i]) > 1e-12:
-            continue
-        row = R[i]
-        if basis:
-            bt = np.array(basis).T
-            coef = np.linalg.lstsq(bt, row, rcond=None)[0]
-            resid = row - bt @ coef
-        else:
-            resid = row
-        if np.linalg.norm(resid) > 1e-10 * max(1.0, float(np.linalg.norm(row))):
-            work.append(i)
-            basis.append(row)
-    sigma = np.zeros(m)
-    status = "max-iterations"
-    for _ in range(cap):
-        Rw = R[work]
-        k = len(work)
-        kkt = np.zeros((G.shape[0] + k, G.shape[0] + k))
-        kkt[: G.shape[0], : G.shape[0]] = G
-        if k:
-            kkt[: G.shape[0], G.shape[0]:] = -Rw.T
-            kkt[G.shape[0]:, : G.shape[0]] = Rw
-        rhs = np.concatenate([-(G @ z + c), np.zeros(k)])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        p, sig_w = sol[: G.shape[0]], sol[G.shape[0]:]
-        sigma = np.zeros(m)
-        sigma[work] = sig_w
-        if np.max(np.abs(p), initial=0.0) <= STEP_ZERO:
-            if k == 0 or sig_w.min() >= -TOL_FEAS:
-                status = "optimal"
-                break
-            drop = work[int(np.argmin(sig_w))]
-            work.remove(drop)
-            continue
-        alpha, blocker = 1.0, None
-        for i in range(m):
-            if i in work:
-                continue
-            den = R[i] @ p
-            if den < -1e-12:
-                ratio = (d[i] - R[i] @ z) / den
-                if ratio < alpha - 1e-12:
-                    alpha, blocker = max(ratio, 0.0), i
-        z = z + alpha * p
-        if blocker is not None:
-            work.append(blocker)
-            work.sort()
-    return z, sigma, status
-
-
-def _regularized(Q):
-    G = -0.5 * (Q + Q.T)
-    evmin = float(np.linalg.eigvalsh(G).min()) if G.size else 0.0
-    if evmin < 1e-10:
-        G = G + (1e-10 - evmin) * np.eye(G.shape[0])
-    return G
-
-
-def _stack_rows(A, lower, upper, b):
-    n = lower.size
-    R = np.vstack([A, np.eye(n), -np.eye(n)])
-    d = np.concatenate([-b, lower, -upper])
-    return R, d
 
 
 def _phase_one(problem: QpProblem, z0: np.ndarray):
@@ -197,106 +121,105 @@ def _phase_one(problem: QpProblem, z0: np.ndarray):
     return z, bool(viol.max(initial=0.0) <= SLACK_TOL)
 
 
-def _solve_concave(problem: QpProblem, start) -> QpSolution:
-    n = problem.dim
-    m = problem.A.shape[0]
-    G = _regularized(problem.Q)
-    c = -problem.g_lin
-    z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
-    cap = 50 * max(n, 1)
-    if m and float(np.min(problem.b + problem.A @ z0)) < -TOL_FEAS:
-        z0, feasible = _phase_one(problem, z0)
-        if not feasible:
-            lam, mu, gam = np.zeros(m), np.zeros(n), np.zeros(n)
-            return QpSolution(z0, lam, mu, gam, "infeasible",
-                              kkt_residual(problem, z0, lam, mu, gam))
-    R, d = _stack_rows(problem.A, problem.lower, problem.upper, problem.b)
-    z, sigma, status = _active_set_min(G, c, R, d, z0, cap)
-    lam = sigma[:m]
-    mu = sigma[m:m + n]
-    gam = sigma[m + n:]
-    return QpSolution(z, lam, mu, gam, status, kkt_residual(problem, z, lam, mu, gam))
+def _infeasible(problem: QpProblem, z: np.ndarray) -> QpSolution:
+    lam, mu, gam = np.zeros(problem.A.shape[0]), np.zeros(problem.dim), np.zeros(problem.dim)
+    return QpSolution(z, lam, mu, gam, "infeasible", kkt_residual(problem, z, lam, mu, gam))
 
 
-def _project_rows_dual(problem: QpProblem, point: np.ndarray):
-    """Projection via coordinate ascent on the row multipliers.
+def _bound_duals(problem: QpProblem, h, shifted):
+    """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam."""
+    return (np.maximum(0.0, h * problem.lower - shifted),
+            np.maximum(0.0, shifted - h * problem.upper))
 
-    The projection's dual has one variable per row; for fixed multipliers the
-    primal is the box clip of point + A'lam, and the slack of row i is
-    nondecreasing in lam_i, so each coordinate update is a scalar root find.
-    Returns (z, lam, mu, gam, converged).
+
+def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray):
+    """Maximizer of s'z - 0.5 z'diag(h)z, h > 0, over the box and the rows.
+
+    The dual has one variable per row; for fixed multipliers the primal is
+    the box clip of (s + A'lam) / h, and the slack of row i is nondecreasing
+    in lam_i, so each coordinate update is a scalar root find.  Returns
+    (z, lam, mu, gam, converged).
     """
-    A, b = problem.A, problem.b
-    m = A.shape[0]
-    lam = np.zeros(m)
-    scale = max(1.0, float(np.max(np.abs(point))))
+    A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
+    lam = np.zeros(A.shape[0])
+    scale = max(1.0, float(np.max(np.abs(s / h), initial=0.0)))
     tol = 1e-11 * scale
 
     def slack(i, lam_i, base):
-        z = np.clip(base + lam_i * A[i], problem.lower, problem.upper)
+        z = np.clip((base + lam_i * A[i]) / h, lower, upper)
         return float(b[i] + A[i] @ z)
 
-    converged = False
+    def root(i, base):
+        # smallest lam_i >= 0 meeting row i; None when no multiplier does
+        if slack(i, 0.0, base) >= 0.0:
+            return 0.0
+        hi = 1.0
+        for _ in range(80):
+            if slack(i, hi, base) >= 0.0:
+                break
+            hi *= 4.0
+        else:
+            return None
+        lo = 0.0
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break  # adjacent floats: no later step can move either end
+            if slack(i, mid, base) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def finish(converged):
+        shifted = s + A.T @ lam
+        return (np.clip(shifted / h, lower, upper), lam, *_bound_duals(problem, h, shifted),
+                converged)
+
     for _ in range(200):
         moved = 0.0
-        for i in range(m):
-            base = point + A.T @ lam - lam[i] * A[i]
-            if slack(i, 0.0, base) >= 0.0:
-                new = 0.0
-            else:
-                hi = 1.0
-                for _ in range(80):
-                    if slack(i, hi, base) >= 0.0:
-                        break
-                    hi *= 4.0
-                else:
-                    return np.clip(base, problem.lower, problem.upper), lam, np.zeros(problem.dim), np.zeros(problem.dim), False
-                lo = 0.0
-                for _ in range(120):
-                    mid = 0.5 * (lo + hi)
-                    if slack(i, mid, base) >= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                new = hi
+        for i in range(A.shape[0]):
+            new = root(i, s + A.T @ lam - lam[i] * A[i])
+            if new is None:
+                return finish(False)
             moved = max(moved, abs(new - lam[i]))
             lam[i] = new
-        shifted = point + A.T @ lam
-        z = np.clip(shifted, problem.lower, problem.upper)
-        resid = b + A @ z
+        resid = b + A @ np.clip((s + A.T @ lam) / h, lower, upper)
         # every positive-multiplier row must be active; the product form
         # lam*resid has an ulp floor of lam*eps*scale and cannot certify
         if float(np.max(-resid, initial=0.0)) <= tol and bool(np.all((lam <= 0.0) | (np.abs(resid) <= tol))):
-            converged = True
-            break
+            return finish(True)
         if moved <= 1e-16 * scale:
             break
-    shifted = point + A.T @ lam
-    z = np.clip(shifted, problem.lower, problem.upper)
-    mu = np.maximum(0.0, problem.lower - shifted)
-    gam = np.maximum(0.0, shifted - problem.upper)
-    return z, lam, mu, gam, converged
+    return finish(False)
 
 
-def project(problem: QpProblem, point: np.ndarray):
-    """Euclidean projection onto the feasible set; returns (point, duals of the projection)."""
-    n = problem.dim
-    m = problem.A.shape[0]
-    w = np.clip(point, problem.lower, problem.upper)
-    # the box clip is the projection whenever it already satisfies the rows
-    if m == 0 or float(np.min(problem.b + problem.A @ w)) >= -1e-12:
-        mu = np.maximum(0.0, problem.lower - point)
-        gam = np.maximum(0.0, point - problem.upper)
-        return w, np.zeros(m), mu, gam, True
-    z, lam, mu, gam, ok = _project_rows_dual(problem, point)
-    if ok:
-        return z, lam, mu, gam, True
-    sub = QpProblem(
-        Q=-np.eye(n), g_lin=point, A=problem.A, b=problem.b,
-        lower=problem.lower, upper=problem.upper,
-    )
-    sol = _solve_concave(sub, w)
-    return sol.primal, sol.dual_ineq, sol.dual_lower, sol.dual_upper, sol.status == "optimal"
+def _solve_exact(problem: QpProblem) -> QpSolution:
+    q, g, A = problem.q, problem.g_lin, problem.A
+    z, lam, mu, gam, converged = _dual_clip(problem, -q, g)
+    if not converged and not _phase_one(problem, z)[1]:
+        return _infeasible(problem, z)
+    best = (z, lam, mu, gam, kkt_residual(problem, z, lam, mu, gam))
+    # the clip fixes each free coordinate only as well as lam is known, so a
+    # curvature near 1e-5 leaves a residual near 1e-9; one KKT solve on the
+    # free coordinates and the active rows recovers full precision
+    free, rows = (z > problem.lower) & (z < problem.upper), lam > 0.0
+    A_rf = A[np.ix_(rows, free)]
+    kkt = np.block([[np.diag(q[free]), A_rf.T], [A_rf, np.zeros((A_rf.shape[0],) * 2)]])
+    rhs = np.concatenate([-g[free], -(problem.b[rows] + A[rows][:, ~free] @ z[~free])])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full(rhs.size, np.nan)  # fails the acceptance test below
+    zp, lp = z.copy(), lam.copy()
+    zp[free], lp[rows] = np.split(sol, [int(free.sum())])
+    if np.all((zp >= problem.lower) & (zp <= problem.upper)) and np.all(lp >= 0.0):
+        mp, gp = _bound_duals(problem, -q, g + A.T @ lp)
+        res = kkt_residual(problem, zp, lp, mp, gp)
+        if res <= best[4]:
+            best = (zp, lp, mp, gp, res)
+    z, lam, mu, gam, res = best
+    return QpSolution(z, lam, mu, gam, "optimal" if res <= TOL_STAT else "max-iterations", res)
 
 
 def _endpoint_probe(problem, z, value, feasible_cap):
@@ -327,15 +250,14 @@ def _endpoint_probe(problem, z, value, feasible_cap):
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     n = problem.dim
+    unit = np.ones(n)
     z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
-    z, *_, ok = project(problem, z0)
-    if not ok:
-        zero = np.zeros
-        return QpSolution(z, zero(problem.A.shape[0]), zero(n), zero(n), "infeasible",
-                          kkt_residual(problem, z, zero(problem.A.shape[0]), zero(n), zero(n)))
+    z, *_, ok = _dual_clip(problem, unit, z0)
+    if not ok and not _phase_one(problem, z0)[1]:
+        return _infeasible(problem, z)
 
     def value(w):
-        return 0.5 * w @ problem.Q @ w + problem.g_lin @ w
+        return 0.5 * w * problem.q @ w + problem.g_lin @ w
 
     def feasible_cap(zc, d):
         # largest step along d keeping the box and the A rows satisfied
@@ -352,7 +274,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
                 cap = min(cap, float(np.min(slack[push] / rate[push])))
         return max(cap, 0.0)
 
-    t0 = 1.0 / max(float(np.linalg.norm(problem.Q, 2)), 1e-6)
+    t0 = 1.0 / max(float(np.max(np.abs(problem.q))), 1e-6)
     cap = 50 * max(n, 1)
     status = "max-iterations"
     lam = np.zeros(problem.A.shape[0])
@@ -362,7 +284,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     span = max(float(np.max(problem.upper - problem.lower, initial=0.0)), 1.0)
     z_prev = grad_prev = None
     for _ in range(cap):
-        grad = problem.Q @ z + problem.g_lin
+        grad = problem.q * z + problem.g_lin
         if z_prev is not None:
             # Barzilai-Borwein step, safeguarded around the Lipschitz step
             dz, dg = z - z_prev, grad - grad_prev
@@ -374,7 +296,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         gnorm = float(np.max(np.abs(grad), initial=0.0))
         step = t if gnorm <= 1e-300 else min(t, 10.0 * span / gnorm)
         z_prev, grad_prev = z, grad
-        w, plam, pmu, pgam, ok = project(problem, z + step * grad)
+        w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad)
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
         if kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT:
@@ -385,17 +307,6 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
             z = probe
             z_prev = grad_prev = None
             continue
-        # Newton polish on the free face when the objective is concave there
-        free = (z > problem.lower + 1e-9) & (z < problem.upper - 1e-9)
-        if np.any(free):
-            Qff = problem.Q[np.ix_(free, free)]
-            if float(np.linalg.eigvalsh(Qff).max()) < -1e-12:
-                d = np.zeros(n)
-                d[free] = np.linalg.solve(Qff, -grad[free])
-                alpha = min(1.0, feasible_cap(z, d))
-                if alpha > 0 and value(z + alpha * d) > value(z) + 1e-15:
-                    z = z + alpha * d
-                    continue
         # exact line search on the first segment of the projection arc
         p = w - z
         if np.max(np.abs(p), initial=0.0) <= 1e-14:
@@ -406,15 +317,14 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
                 continue
             status = "optimal" if kkt_residual(problem, z, lam, mu, gam) <= 1e-6 else status
             break
-        den = p @ problem.Q @ p
+        den = p * problem.q @ p
         alpha = 1.0 if den >= -1e-14 else min(1.0, (grad @ p) / -den)
         z = z + alpha * p
     return QpSolution(z, lam, mu, gam, status, kkt_residual(problem, z, lam, mu, gam))
 
 
-def solve_qp(problem: QpProblem, mode: str = "concave", start: np.ndarray | None = None) -> QpSolution:
-    if mode == "concave":
-        return _solve_concave(problem, start)
-    if mode == "stationary-point":
-        return _solve_stationary(problem, start)
-    raise ValueError(f"unknown mode {mode!r}")
+def solve_qp(problem: QpProblem, start: np.ndarray | None = None) -> QpSolution:
+    """Exact maximizer when every curvature is negative, else a KKT point reached from start."""
+    if float(np.max(problem.q)) < 0.0:
+        return _solve_exact(problem)
+    return _solve_stationary(problem, start)

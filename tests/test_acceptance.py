@@ -186,9 +186,9 @@ def _battery_instance(seed, n, schedule):
         g = pull.copy()
         if anchor is not None:
             g = g - rho * grad_phi(anchor)
-        prob = QpProblem(Q=np.diag(curvature), g_lin=g, A=np.zeros((0, n)),
+        prob = QpProblem(q=curvature, g_lin=g, A=np.zeros((0, n)),
                          b=np.zeros(0), lower=np.zeros(n), upper=np.ones(n))
-        sol = solve_qp(prob, mode="concave", start=warm)
+        sol = solve_qp(prob, start=warm)
         return sol.primal, sol.status
 
     y, trace = penalty_loop(solve_sub, schedule)

@@ -4,13 +4,50 @@ refactor that drops such an import breaks the traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from gridshed import ao2_sbqp
+from gridshed.ao1_opf import solve_ao1
+from gridshed.ao2_sbqp import Ao2Variant
+from gridshed.grid_model import ScenarioConfig, apply_scenario
+from gridshed.power_equations import SwitchVector
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_tracer_boundaries_resolve_to_callables():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_boundaries_resolve_to_callables():
+    tracer = _load_tracer()
     missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracer.BOUNDARIES
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one"])
+def test_traced_qp_spans_carry_a_status(case5, tag):
+    # the tracer reads QpSolution.status off every solve_qp result; mixed
+    # takes the exact solve and relaxed-one the stationary ascent
+    case = apply_scenario(case5, ScenarioConfig(
+        shift_mode="multiplicative", pd_shift=1.0, qd_shift=1.0,
+        pg_upper_scale=0.5, qg_bound_scale=0.5,
+        rank_seed=2, demand_set_mode="loaded-buses",
+    ))
+    ones = SwitchVector(np.ones(len(case.demands)))
+    ao1 = solve_ao1(case, ones)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.call = 0
+        ao2_sbqp.run_ao2(case, (ao1.state, ao1.input, ones), ao1.duals, None, Ao2Variant(tag=tag))
+    finally:
+        tracer.uninstall()
+    qp = [span[6] for span in tracer.spans if span[3] == "qp_core.solve_qp"]
+    assert qp
+    assert all(attrs is not None and "status" in attrs for attrs in qp)

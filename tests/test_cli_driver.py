@@ -94,6 +94,9 @@ def test_config_variant_override_wins():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(outer_eps=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(outer_eps=bad)
     with pytest.raises(ValueError):
         SolverConfig(outer_max_iters=0)
 
@@ -331,3 +334,15 @@ def test_cli_bad_config_key_exits_two(case5_path, tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["rho_max = nan", "rho_max = inf", "outer_eps = nan"])
+def test_cli_non_finite_config_value_exits_two(case5_path, tmp_path, capsys, line):
+    # rho_max = nan used to pass validation and leave the penalty loop
+    # without an exit
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text(line + "\n")
+    rc = main(["solve", "--case", str(case5_path), "--config", str(cfgfile),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
