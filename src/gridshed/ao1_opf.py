@@ -4,8 +4,16 @@ Power balance P(x) = S(u, y) is handled as an equality system; voltage,
 angle, and injection limits as box bounds with a log barrier. The slack
 bus entries of x are eliminated from the decision vector. The method is a
 primal-dual interior point with Gauss-Newton curvature on the balance
-residuals; it falls back to a bounded least-squares restoration when the
-Newton iteration stalls, which also decides infeasibility.
+residuals.
+
+When the Newton iteration stalls, infeasibility is decided one of two ways.
+If ``active_capacity_screen`` fires (every branch conductance is
+non-negative, so network losses are too, and the switched-in active demand
+exceeds total active capacity by more than the balance tolerance summed over
+the buses), no point can balance and the stall point is returned as
+"infeasible" at once. Otherwise a bounded least-squares restoration on the
+balance residuals runs from the best point seen; it is the only judge of
+infeasibility caused by reactive or voltage limits or by losses.
 
 E is affine in the balance residuals, so every feasible point is optimal
 and the equality duals at an interior solution are -y_k r_k on the active
@@ -21,8 +29,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .grid_model import GridCase
-from .power_equations import (InputVector, State, SwitchVector, demand_draw, jacobians, network,
-                              objective_E, outflow)
+from .power_equations import (InputVector, Network, State, SwitchVector, demand_draw, jacobians,
+                              network, objective_E, outflow)
 
 TOL_FEAS = 1e-8
 TOL_KKT = 1e-6
@@ -38,6 +46,22 @@ class Ao1Result:
     objective: float
     status: str
     iterations: int = 0
+
+
+def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
+    """True when the active-power shortfall alone proves that no point balances.
+
+    Without shunts the summed active outflow is the sum over branches of
+    g |V_k - V_l|^2, which is non-negative when no off-diagonal of G is
+    positive (every branch g >= 0).  The summed active residual is then at
+    least sum y^2 pd - sum pg_max, and past n_bus * TOL_FEAS some bus misses
+    the balance tolerance at every point inside the bounds.
+    """
+    off_diagonal = net.G[~np.eye(net.n_bus, dtype=bool)]
+    if not np.all(off_diagonal <= 0.0):
+        return False
+    shortfall = float((y.y * y.y) @ net.pd) - float(net.u_upper[0::2].sum())
+    return shortfall > net.n_bus * TOL_FEAS
 
 
 class _Problem:
@@ -185,7 +209,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
             iters_done = it
             break
 
-        # stall: hand the point to the bounded restoration solver
+        # stall: hand the point to the infeasibility certificate below
         stalled = False
         if it >= 30 and len(history) > 15:
             if history[-1] > 0.99 * history[-16] and history[-1] > TOL_FEAS:
@@ -254,13 +278,16 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
                 continue
             stalled = True
 
-        # restoration: bounded least squares on the balance residuals
-        res = least_squares(
-            prob.residual, best[1], jac=lambda zz: prob.residual_jacobian(zz)[1],
-            bounds=(prob.lower, prob.upper),
-            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400,
-        )
-        z = res.x
+        # the screen proves infeasibility outright, so the stall point stands;
+        # otherwise restoration: bounded least squares on the balance residuals
+        if active_capacity_screen(net, y_fixed):
+            z = best[1]
+        else:
+            z = least_squares(
+                prob.residual, best[1], jac=lambda zz: prob.residual_jacobian(zz)[1],
+                bounds=(prob.lower, prob.upper),
+                method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400,
+            ).x
         F, J, grad_E, state, u = prob.residual_jacobian(z)
         nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
         feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao1_opf import solve_ao1
+from .ao1_opf import active_capacity_screen, solve_ao1
 from .ao2_sbqp import VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, run_ao2
 from .grid_model import (
     Branch,
@@ -195,6 +195,7 @@ class OracleEntry:
     switches: tuple[int, ...]
     feasible: bool
     objective: float
+    screened: bool     # infeasible by the active-capacity screen, without a solve
 
 
 def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[OracleEntry]:
@@ -202,8 +203,10 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
 
     Returns every configuration with its served-priority objective, feasible
     entries first, best objective first; ties break on the switch pattern so
-    the order is reproducible.  Refuses cases with more than ORACLE_CAP
-    switchable demands.
+    the order is reproducible.  A configuration that the active-capacity
+    screen proves infeasible is labelled without a solve, since the
+    continuous stage could not converge on it.  Refuses cases with more than
+    ORACLE_CAP switchable demands.
     """
     cfg = SolverConfig() if cfg is None else cfg
     work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
@@ -216,15 +219,19 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     for code in range(2 ** net.n_dem):
         bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
         y = SwitchVector(bits)
-        res = solve_ao1(work, y)
-        feasible = res.status == "converged" and float(
-            np.max(constraints_C(work, res.state, res.input, y), initial=0.0)
-        ) <= FEAS_TOL
+        screened = active_capacity_screen(net, y)
+        feasible = False
+        if not screened:
+            res = solve_ao1(work, y)
+            feasible = res.status == "converged" and float(
+                np.max(constraints_C(work, res.state, res.input, y), initial=0.0)
+            ) <= FEAS_TOL
         entries.append(
             OracleEntry(
                 switches=tuple(int(b) for b in bits),
                 feasible=bool(feasible),
                 objective=float(np.sum(bits * net.rank * net.pd)),
+                screened=screened,
             )
         )
     entries.sort(key=lambda e: (not e.feasible, -e.objective, e.switches))
@@ -607,7 +614,9 @@ def _cmd_oracle(args) -> int:
     path = out / "oracle.csv"
     path.write_bytes(("\n".join(lines) + "\n").encode())
     feasible = [e for e in entries if e.feasible]
-    print(f"{len(entries)} configurations, {len(feasible)} feasible")
+    screened = sum(e.screened for e in entries)
+    print(f"{len(entries)} configurations, {len(feasible)} feasible, "
+          f"{screened} infeasible by the active-capacity screen")
     for e in feasible[:5]:
         print(f"  y={''.join(str(b) for b in e.switches)}  objective {e.objective:.6f}")
     print(f"wrote {path}")

@@ -60,6 +60,12 @@ class ScenarioError(CaseError):
     """Scenario transform produced an invalid case."""
 
 
+def _require_finite(owner: str, record, *fields: str) -> None:
+    for name in fields:
+        if not math.isfinite(getattr(record, name)):
+            raise CaseError(f"{owner}: {name} must be finite")
+
+
 @dataclass(frozen=True)
 class Bus:
     id: int
@@ -70,6 +76,7 @@ class Bus:
     is_slack: bool = False
 
     def __post_init__(self):
+        _require_finite(f"bus {self.id}", self, "v_min", "v_max", "theta_min", "theta_max")
         if not self.v_min > 0:
             raise CaseError(f"bus {self.id}: v_min must be positive")
         if self.v_min > self.v_max:
@@ -102,6 +109,7 @@ class Branch:
                 raise CaseError(f"branch {self.from_bus}-{self.to_bus}: zero admittance")
             object.__setattr__(self, "r", self.g / mag2)
             object.__setattr__(self, "x", -self.b / mag2)
+        _require_finite(f"branch {self.from_bus}-{self.to_bus}", self, "g", "b", "r", "x")
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,7 @@ class Generator:
     qg_max: float
 
     def __post_init__(self):
+        _require_finite(f"generator at bus {self.bus}", self, "pg_min", "pg_max", "qg_min", "qg_max")
         if self.pg_min > self.pg_max or self.qg_min > self.qg_max:
             raise CaseError(f"generator at bus {self.bus}: empty bound interval")
 

@@ -1,10 +1,11 @@
+import dataclasses
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from gridshed.ao1_opf import solve_ao1
-from gridshed.grid_model import ScenarioConfig, apply_scenario, parse_case
+from gridshed.grid_model import Branch, ScenarioConfig, apply_scenario, parse_case
 from gridshed.power_equations import SwitchVector, network
 
 
@@ -48,3 +49,25 @@ def stressed30_start(stressed30):
     y = SwitchVector(np.ones(network(stressed30).n_dem))
     res = solve_ao1(stressed30, y)
     return res, (res.state, res.input, y)
+
+
+@pytest.fixture(scope="session")
+def shortfall5_case(case5):
+    """case5 under the criterion-3 scenario: any two demands fit, all three do not."""
+    return apply_scenario(case5, ScenarioConfig(
+        shift_mode="multiplicative", pd_shift=1.0, qd_shift=1.0,
+        pg_upper_scale=0.5, qg_bound_scale=0.5,
+        rank_seed=2, demand_set_mode="loaded-buses",
+    ))
+
+
+@pytest.fixture(scope="session")
+def negative_g5(shortfall5_case):
+    """The shortfall case with its first branch rebuilt at conductance -g.
+
+    Network losses can be negative there, so the active-capacity screen never
+    fires and an AO1 stall at all-ones goes to the scipy restoration.
+    """
+    first, *rest = shortfall5_case.branches
+    flipped = Branch(from_bus=first.from_bus, to_bus=first.to_bus, g=-first.g, b=first.b)
+    return dataclasses.replace(shortfall5_case, branches=(flipped, *rest))

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gridshed.ao1_opf import solve_ao1
+from gridshed import ao1_opf
+from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
+from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle
 from gridshed.power_equations import SwitchVector, constraints_C, hessian_Q, network
 
 
@@ -64,7 +68,7 @@ def test_mismatch_case_cannot_balance(stressed30):
     y = SwitchVector(np.ones(30))
     r = solve_ao1(stressed30, y)
     assert r.status == "infeasible"
-    # the restoration point parks active injections at their ceilings
+    # the interior-point stall point parks active injections at their ceilings
     caps = np.array([g.pg_max for g in stressed30.generators])
     assert np.max(caps - r.input.pg) <= 1e-3
 
@@ -75,3 +79,70 @@ def test_adequate_30_bus_full_delivery(case30):
     assert r.status == "converged"
     total = sum(d.pd for d in case30.demands)
     assert r.objective == pytest.approx(total, abs=1e-6)
+
+
+# -- active-capacity screen ----------------------------------------------------
+
+@pytest.fixture
+def restorations(monkeypatch):
+    """Count scipy restoration calls made by solve_ao1."""
+    calls = []
+    original = ao1_opf.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ao1_opf, "least_squares", counting)
+    return calls
+
+
+def test_screened_stall_skips_restoration(stressed30, monkeypatch):
+    # sum pd = 4.392 p.u. against sum pg_max = 2.345 p.u. with every branch
+    # g >= 0: the screen certifies the stall without scipy
+    def refuse(*args, **kwargs):
+        raise AssertionError("restoration ran on a screened stall")
+
+    monkeypatch.setattr(ao1_opf, "least_squares", refuse)
+    r = solve_ao1(stressed30, SwitchVector(np.ones(30)))
+    assert r.status == "infeasible"
+    assert r.duals.shape == (network(stressed30).n_c_rows,)
+
+
+def test_negative_conductance_is_never_screened(negative_g5, restorations):
+    ones = SwitchVector(np.ones(3))
+    assert not active_capacity_screen(network(negative_g5), ones)
+    r = solve_ao1(negative_g5, ones)
+    assert r.status == "infeasible"
+    assert len(restorations) == 1
+
+
+@pytest.mark.parametrize("side, fires", [(-1.0, False), (1.0, True)])
+def test_screen_margin_is_n_bus_times_tol(shortfall5_case, restorations, side, fires):
+    # move the first demand so that sum pd sits 1e-3 of the margin either
+    # side of sum pg_max + n_bus * TOL_FEAS; losses keep both infeasible
+    net = network(shortfall5_case)
+    margin = net.n_bus * TOL_FEAS
+    target = float(net.u_upper[0::2].sum()) + margin * (1.0 + 1e-3 * side)
+    first, *rest = shortfall5_case.demands
+    first = dataclasses.replace(first, pd=target - sum(d.pd for d in rest))
+    case = dataclasses.replace(shortfall5_case, demands=(first, *rest))
+    ones = SwitchVector(np.ones(3))
+    assert active_capacity_screen(network(case), ones) is fires
+    r = solve_ao1(case, ones)
+    assert r.status == "infeasible"
+    assert len(restorations) == (0 if fires else 1)
+
+
+def test_oracle_labels_match_direct_solves(shortfall5_case):
+    # a screened configuration is labelled without a solve; the label must
+    # be the one a solve plus the constraint check gives
+    entries = enumerate_oracle(shortfall5_case, SolverConfig())
+    assert len(entries) == 8
+    assert [e.switches for e in entries if e.screened] == [(1, 1, 1)]
+    for e in entries:
+        y = SwitchVector(np.array(e.switches, dtype=float))
+        r = solve_ao1(shortfall5_case, y)
+        feasible = r.status == "converged" and float(
+            np.max(constraints_C(shortfall5_case, r.state, r.input, y), initial=0.0)) <= FEAS_TOL
+        assert e.feasible == feasible, e.switches

@@ -51,3 +51,19 @@ def test_traced_qp_spans_carry_a_status(case5, tag):
     qp = [span[6] for span in tracer.spans if span[3] == "qp_core.solve_qp"]
     assert qp
     assert all(attrs is not None and "status" in attrs for attrs in qp)
+
+
+def test_traced_restore_span_carries_nfev(negative_g5):
+    # no pinned benchmark call reaches the scipy restoration any more (the
+    # active-capacity screen certifies those stalls), so the restore span,
+    # which reads out.nfev, is checked here on a case the screen cannot take
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.call = 0
+        solve_ao1(negative_g5, SwitchVector(np.ones(len(negative_g5.demands))))
+    finally:
+        tracer.uninstall()
+    restore = [span[6] for span in tracer.spans if span[3] == "ao1_opf.restore"]
+    assert restore
+    assert all(isinstance(attrs["nfev"], int) for attrs in restore)

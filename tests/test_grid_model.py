@@ -115,6 +115,25 @@ def test_parse_rejects_non_finite_values(case5_text, table, row, col, value):
     assert exc.value.line_no == at + 1
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Generator(bus=1, pg_min=0.0, pg_max=NAN, qg_min=-1.0, qg_max=1.0),
+    lambda: Generator(bus=1, pg_min=0.0, pg_max=INF, qg_min=-1.0, qg_max=1.0),
+    lambda: Bus(id=1, v_min=0.9, v_max=NAN),
+    lambda: Bus(id=1, v_min=0.9, v_max=1.1, theta_min=NAN),
+    lambda: Branch(from_bus=1, to_bus=2, g=NAN, b=-5.0),
+    lambda: Branch(from_bus=1, to_bus=2, g=1.0, b=-5.0, r=NAN, x=0.2),
+], ids=["gen-pg_max-nan", "gen-pg_max-inf", "bus-v_max-nan", "bus-theta_min-nan",
+        "branch-g-nan", "branch-r-nan"])
+def test_constructors_reject_non_finite_values(build):
+    # a nan compares False both ways, so it would pass every ordering check
+    # and silently switch off the active-capacity screen
+    with pytest.raises(CaseError, match="must be finite"):
+        build()
+
+
 def test_case_validation_rejects_bad_structures():
     buses = (Bus(id=1, v_min=0.9, v_max=1.1, is_slack=True), Bus(id=2, v_min=0.9, v_max=1.1))
     branch = Branch(from_bus=1, to_bus=2, g=1.0, b=-5.0)
