@@ -67,11 +67,9 @@ def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
 class _Problem:
     """Fixed-y evaluation helpers over the reduced vector z = [x_free, u]."""
 
-    def __init__(self, case: GridCase, y: SwitchVector):
-        self.case = case
-        self.net = network(case)
+    def __init__(self, net: Network, y: SwitchVector):
+        self.net = net
         self.y = y
-        net = self.net
         nx = 2 * net.n_bus
         self.free = np.array([i for i in range(nx) if i not in (2 * net.slack, 2 * net.slack + 1)])
         self.lower = np.concatenate([net.x_lower[self.free], net.u_lower])
@@ -96,12 +94,15 @@ class _Problem:
         return outflow(self.net, state) - self.net.gen_sel @ u.as_vector() + self.draw
 
     def residual_jacobian(self, z):
+        """(F, J, grad E, state, input) at z; F is bitwise ``residual(z)``, formed
+        from the outflow that the derivative pass already evaluated."""
         state, u = self.split(z)
-        _, dE, dC = jacobians(self.case, state, u, self.y)
+        P, dE, dC = jacobians(self.net, state, u, self.y)
         # take() keeps J C-contiguous; a fancy-indexed column slice comes out
         # Fortran-ordered and changes the BLAS rounding downstream
         J = dC[: 2 * self.net.n_bus].take(self.cols, axis=1)
-        return self.residual(z), J, dE[self.cols], state, u
+        F = P - self.net.gen_sel @ u.as_vector() + self.draw
+        return F, J, dE[self.cols], state, u
 
 
 def _estimate_duals(prob, z, F, J, grad_E, atol=1e-7):
@@ -158,7 +159,7 @@ def _kkt_max(prob, F, grad_E, J, nu, zl, zu, z):
 
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
-    prob = _Problem(case, y_fixed)
+    prob = _Problem(network(case), y_fixed)
     net = prob.net
     n, m = prob.n, 2 * net.n_bus
     span = prob.upper - prob.lower
@@ -179,7 +180,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
     feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
     if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
-        E = objective_E(case, state, u, y_fixed)
+        E = objective_E(net, state, u, y_fixed)
         return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp),
                          E, "converged", 0)
 
@@ -307,6 +308,6 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
             status = "converged"
 
-    E = objective_E(case, state, u, y_fixed)
+    E = objective_E(net, state, u, y_fixed)
     return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp),
                      E, status, iters_done)

@@ -189,7 +189,7 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
     nxu = 2 * net.n_bus + 2 * net.n_gen
 
     if variant.full_rows or variant.tag == "mixed":
-        _, dE, dC = jacobians(case, state, inputs, switches)
+        _, dE, dC = jacobians(net, state, inputs, switches)
 
     if variant.full_rows:
         rows_y = dC[:, nxu:]
@@ -208,7 +208,7 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
 
     w = net.rank * net.pd
     if variant.tag == "mixed":
-        q = hessian_Q(case, state, inputs, switches, duals)
+        q = hessian_Q(net, state, inputs, switches, duals)
         top = float(q.max())
         floor = CURVATURE_FLOOR * max(1.0, abs(top))
         if top > -floor:

@@ -134,10 +134,11 @@ class DemandSpec:
     rank: float = 1.0
 
     def __post_init__(self):
+        _require_finite(f"demand at bus {self.bus}", self, "pd", "qd", "rank")
         if not self.rank > 0:
             raise CaseError(f"demand at bus {self.bus}: rank must be positive")
-        if self.pd < 0 or not math.isfinite(self.pd) or not math.isfinite(self.qd):
-            raise CaseError(f"demand at bus {self.bus}: bad pd/qd")
+        if self.pd < 0:
+            raise CaseError(f"demand at bus {self.bus}: pd must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -297,6 +298,14 @@ def _require(row, line_no, name, n_cols):
         raise MalformedRowError(f"{name} row needs at least {n_cols} columns, got {len(row)}", line_no)
 
 
+def _from_row(line_no, build, *args, **fields):
+    """build(*args, **fields), with a CaseError re-raised at the source row's line."""
+    try:
+        return build(*args, **fields)
+    except CaseError as exc:
+        raise MalformedRowError(str(exc), line_no) from exc
+
+
 def parse_case(text: str) -> GridCase:
     """Parse case text into a validated GridCase (all quantities p.u.)."""
     lines = list(enumerate(text.splitlines(), start=1))
@@ -328,6 +337,8 @@ def parse_case(text: str) -> GridCase:
                     base_mva = float(value)
                 except ValueError:
                     raise MalformedRowError("baseMVA is not numeric", line_no)
+                if not (math.isfinite(base_mva) and base_mva > 0):
+                    raise MalformedRowError("baseMVA must be finite and positive", line_no)
     if "bus" not in tables:
         raise MalformedRowError("missing bus table", None)
 
@@ -336,7 +347,8 @@ def parse_case(text: str) -> GridCase:
     for row, ln in tables["bus"]:
         _require(row, ln, "bus", BUS_VMIN + 1)
         buses.append(
-            Bus(
+            _from_row(
+                ln, Bus,
                 id=int(row[BUS_ID]),
                 v_min=row[BUS_VMIN],
                 v_max=row[BUS_VMAX],
@@ -359,7 +371,7 @@ def parse_case(text: str) -> GridCase:
         den = r * r + x * x
         if den == 0.0:
             raise ZeroImpedanceError(f"branch {f}-{t} has zero impedance", ln)
-        branches.append(Branch(from_bus=f, to_bus=t, g=r / den, b=-x / den, r=r, x=x))
+        branches.append(_from_row(ln, Branch, from_bus=f, to_bus=t, g=r / den, b=-x / den, r=r, x=x))
 
     gens = []
     for row, ln in tables.get("gen", []):
@@ -368,7 +380,8 @@ def parse_case(text: str) -> GridCase:
         if bus not in bus_ids:
             raise UnknownBusError(f"generator references unknown bus {bus}", ln)
         gens.append(
-            Generator(
+            _from_row(
+                ln, Generator,
                 bus=bus,
                 pg_min=row[GEN_PMIN] / base_mva,
                 pg_max=row[GEN_PMAX] / base_mva,
@@ -377,72 +390,67 @@ def parse_case(text: str) -> GridCase:
             )
         )
 
-    ranks: dict[int, float] = {}
+    # every value below keeps its source line, so a record it makes invalid
+    # is reported at that line
+    ranks: dict[int, tuple[float, int]] = {}
     for row, ln in tables.get("demand_rank", []):
         _require(row, ln, "demand_rank", 2)
         bus = int(row[0])
         if bus not in bus_ids:
             raise UnknownBusError(f"demand_rank references unknown bus {bus}", ln)
-        ranks[bus] = row[1]
+        ranks[bus] = (row[1], ln)
 
     # optional exact per-unit tables written by serialize_case; they win over
     # the MVA-scaled columns, which round-trip only approximately
-    demand_pu: dict[int, tuple[float, float]] = {}
+    demand_pu: dict[int, tuple[float, float, int]] = {}
     for row, ln in tables.get("demand_pu", []):
         _require(row, ln, "demand_pu", 3)
         bus = int(row[0])
         if bus not in bus_ids:
             raise UnknownBusError(f"demand_pu references unknown bus {bus}", ln)
-        demand_pu[bus] = (row[1], row[2])
-    gen_pu: dict[int, tuple[float, float, float, float]] = {}
+        demand_pu[bus] = (row[1], row[2], ln)
+    gen_pu: dict[int, tuple[list[float], int]] = {}
     for row, ln in tables.get("gen_pu", []):
         _require(row, ln, "gen_pu", 5)
         bus = int(row[0])
         if bus not in bus_ids:
             raise UnknownBusError(f"gen_pu references unknown bus {bus}", ln)
-        gen_pu[bus] = (row[1], row[2], row[3], row[4])
-    theta_bounds: dict[int, tuple[float, float]] = {}
+        gen_pu[bus] = (row[1:5], ln)
+    theta_bounds: dict[int, tuple[float, float, int]] = {}
     for row, ln in tables.get("theta_bound", []):
         _require(row, ln, "theta_bound", 3)
         bus = int(row[0])
         if bus not in bus_ids:
             raise UnknownBusError(f"theta_bound references unknown bus {bus}", ln)
-        theta_bounds[bus] = (row[1], row[2])
-    branch_pu: dict[tuple[int, int], tuple[float, float]] = {}
+        theta_bounds[bus] = (row[1], row[2], ln)
+    branch_pu: dict[tuple[int, int], tuple[float, float, int]] = {}
     for row, ln in tables.get("branch_pu", []):
         _require(row, ln, "branch_pu", 4)
-        branch_pu[(int(row[0]), int(row[1]))] = (row[2], row[3])
-    if branch_pu:
-        branches = [
-            replace(br, g=branch_pu[(br.from_bus, br.to_bus)][0],
-                    b=branch_pu[(br.from_bus, br.to_bus)][1])
-            if (br.from_bus, br.to_bus) in branch_pu
-            else br
-            for br in branches
-        ]
+        branch_pu[(int(row[0]), int(row[1]))] = (row[2], row[3], ln)
 
-    if theta_bounds:
-        buses = [
-            replace(b, theta_min=theta_bounds[b.id][0], theta_max=theta_bounds[b.id][1])
-            if b.id in theta_bounds
-            else b
-            for b in buses
-        ]
-    if gen_pu:
-        gens = [
-            Generator(bus=g.bus, pg_min=gen_pu[g.bus][0], pg_max=gen_pu[g.bus][1],
-                      qg_min=gen_pu[g.bus][2], qg_max=gen_pu[g.bus][3])
-            if g.bus in gen_pu
-            else g
-            for g in gens
-        ]
+    for k, br in enumerate(branches):
+        if (br.from_bus, br.to_bus) in branch_pu:
+            g, b, ln = branch_pu[(br.from_bus, br.to_bus)]
+            branches[k] = _from_row(ln, replace, br, g=g, b=b)
+    for k, node in enumerate(buses):
+        if node.id in theta_bounds:
+            lo, hi, ln = theta_bounds[node.id]
+            buses[k] = _from_row(ln, replace, node, theta_min=lo, theta_max=hi)
+    for k, gen in enumerate(gens):
+        if gen.bus in gen_pu:
+            (pg_min, pg_max, qg_min, qg_max), ln = gen_pu[gen.bus]
+            gens[k] = _from_row(ln, Generator, bus=gen.bus, pg_min=pg_min, pg_max=pg_max,
+                                qg_min=qg_min, qg_max=qg_max)
 
     demands = []
     for row, ln in tables["bus"]:
         bus = int(row[BUS_ID])
-        pd, qd = demand_pu.get(bus, (row[BUS_PD] / base_mva, row[BUS_QD] / base_mva))
+        pd, qd, pd_ln = demand_pu.get(bus, (row[BUS_PD] / base_mva, row[BUS_QD] / base_mva, ln))
         if pd != 0.0 or qd != 0.0 or bus in ranks or bus in demand_pu:
-            demands.append(DemandSpec(bus=bus, pd=pd, qd=qd, rank=ranks.get(bus, 1.0)))
+            demand = _from_row(pd_ln, DemandSpec, bus=bus, pd=pd, qd=qd)
+            if bus in ranks:
+                demand = _from_row(ranks[bus][1], replace, demand, rank=ranks[bus][0])
+            demands.append(demand)
 
     try:
         return GridCase(

@@ -13,11 +13,19 @@ Layout conventions, frozen because dual variables index into them:
 
 ``constraint_row`` names a row of C by this order.
 
+Entry points (``network``, ``constraints_C``, ``constraint_row``,
+``flat_state``, ``line_flow``) take a ``GridCase``.  The kernels
+(``outflow``, ``supply``, ``objective_E``, ``jacobians``, ``hessian_Q``) take
+the ``Network`` that their caller resolved once with ``network(case)``, so a
+solver loop does not hash the case on every evaluation.
+
 ``outflow`` is the one place the angle-difference trig is taken: it returns
 the stacked bus outflow P and, on request, dP/dx in the interleaved layout
 above, and every evaluation routine here and in the continuous stage goes
-through it.  ``line_flow`` is a separate per-branch evaluation, kept as the
-reference that the tests compare ``node_outflow`` against.
+through it.  ``jacobians`` returns P together with the derivatives, so a
+caller that needs both takes the trig once; dP/dx is the leading block
+``dC[:2N, :2N]``.  ``line_flow`` is a separate per-branch evaluation, kept as
+the reference that the tests compare ``outflow`` against.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid_model import AdmittanceMatrix, GridCase, build_admittance
+from .grid_model import GridCase, build_admittance
 
 Y_BOX_TOL = 1e-9
 
@@ -213,8 +221,8 @@ def line_flow(case: GridCase, state: State, k: int, l: int) -> tuple[float, floa
     return float(p), float(q)
 
 
-def outflow(grid: Network | AdmittanceMatrix, state: State, jacobian: bool = False):
-    """Stacked (active, reactive) outflow per bus over the admittance grid.G, grid.B.
+def outflow(net: Network, state: State, jacobian: bool = False):
+    """Stacked (active, reactive) outflow per bus over the admittance net.G, net.B.
 
     Row sums of the trig-weighted Laplacian.  With jacobian=True, returns
     (P, dP/dx) with interleaved rows and columns, shape (2N, 2N).
@@ -222,8 +230,8 @@ def outflow(grid: Network | AdmittanceMatrix, state: State, jacobian: bool = Fal
     v = state.v
     th = state.theta[:, None] - state.theta[None, :]
     c, s = np.cos(th), np.sin(th)
-    A1 = grid.G * c + grid.B * s
-    A2 = grid.G * s - grid.B * c
+    A1 = net.G * c + net.B * s
+    A2 = net.G * s - net.B * c
     a1v = A1 @ v
     a2v = A2 @ v
     p = v * a1v
@@ -235,24 +243,19 @@ def outflow(grid: Network | AdmittanceMatrix, state: State, jacobian: bool = Fal
     if not jacobian:
         return P
     dP_dv = v[:, None] * A1
-    np.fill_diagonal(dP_dv, a1v + v * np.diag(grid.G))
+    np.fill_diagonal(dP_dv, a1v + v * np.diag(net.G))
     dP_dth = v[:, None] * v[None, :] * A2
-    np.fill_diagonal(dP_dth, -q - v * v * np.diag(grid.B))
+    np.fill_diagonal(dP_dth, -q - v * v * np.diag(net.B))
     dQ_dv = v[:, None] * A2
-    np.fill_diagonal(dQ_dv, a2v - v * np.diag(grid.B))
+    np.fill_diagonal(dQ_dv, a2v - v * np.diag(net.B))
     dQ_dth = -v[:, None] * v[None, :] * A1
-    np.fill_diagonal(dQ_dth, p - v * v * np.diag(grid.G))
+    np.fill_diagonal(dQ_dth, p - v * v * np.diag(net.G))
     dP_dx = np.empty((2 * n, 2 * n))
     dP_dx[0::2, 0::2] = dP_dv
     dP_dx[0::2, 1::2] = dP_dth
     dP_dx[1::2, 0::2] = dQ_dv
     dP_dx[1::2, 1::2] = dQ_dth
     return P, dP_dx
-
-
-def node_outflow(case: GridCase, admittance: AdmittanceMatrix, state: State) -> np.ndarray:
-    """Stacked (active, reactive) outflow per bus: row sums of the trig-weighted Laplacian."""
-    return outflow(admittance, state)
 
 
 def demand_draw(net: Network, y: SwitchVector) -> np.ndarray:
@@ -264,9 +267,8 @@ def demand_draw(net: Network, y: SwitchVector) -> np.ndarray:
     return out
 
 
-def supply(case: GridCase, input: InputVector, y: SwitchVector) -> np.ndarray:
+def supply(net: Network, input: InputVector, y: SwitchVector) -> np.ndarray:
     """Stacked injections: generation minus y^2-scaled demand."""
-    net = network(case)
     return net.gen_sel @ input.as_vector() - demand_draw(net, y)
 
 
@@ -276,9 +278,8 @@ def _delivery(net: Network, P: np.ndarray, input: InputVector) -> np.ndarray:
     return pg_at_dem - P[2 * net.dem_pos]
 
 
-def objective_E(case: GridCase, state: State, input: InputVector, y: SwitchVector) -> float:
+def objective_E(net: Network, state: State, input: InputVector, y: SwitchVector) -> float:
     """Weighted delivery objective; demand buses without a generator take pg = 0."""
-    net = network(case)
     return float(np.sum(y.y * net.rank * _delivery(net, outflow(net, state), input)))
 
 
@@ -286,7 +287,7 @@ def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVec
     """Inequality stack, feasible iff every entry is <= 0."""
     net = network(case)
     P = outflow(net, state)
-    S = supply(case, input, y)
+    S = supply(net, input, y)
     x = state.as_vector()
     u = input.as_vector()
     return np.concatenate([
@@ -299,13 +300,13 @@ def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVec
     ])
 
 
-def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector):
-    """Analytic first derivatives.
+def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
+    """Outflow and analytic first derivatives from one trig evaluation.
 
-    Returns (dP_dx, dE, dC): the outflow Jacobian (2N x 2N), the objective
-    gradient over (x, u, y), and the constraint Jacobian over (x, u, y).
+    Returns (P, dE, dC): the stacked outflow (2N), the objective gradient over
+    (x, u, y), and the constraint Jacobian over (x, u, y), whose leading block
+    dC[:2N, :2N] is dP/dx.
     """
-    net = network(case)
     n, ngen, ndem = net.n_bus, net.n_gen, net.n_dem
     nx, nu = 2 * n, 2 * ngen
     P, dP_dx = outflow(net, state, jacobian=True)
@@ -340,14 +341,13 @@ def jacobians(case: GridCase, state: State, input: InputVector, y: SwitchVector)
     dC[r:r + nu, nx:nx + nu] = -np.eye(nu)
     r += nu
     dC[r:r + nu, nx:nx + nu] = np.eye(nu)
-    return dP_dx, dE, dC
+    return P, dE, dC
 
 
-def hessian_Q(case: GridCase, state: State, input: InputVector, y: SwitchVector,
+def hessian_Q(net: Network, state: State, input: InputVector, y: SwitchVector,
               duals: np.ndarray) -> np.ndarray:
     """Diagonal of the y-Hessian of E - duals @ C, which is diagonal since only
     the y^2 demand terms curve."""
-    net = network(case)
     duals = np.asarray(duals, dtype=float)
     if duals.shape != (net.n_c_rows,):
         raise ValueError(f"duals must have length {net.n_c_rows}")

@@ -12,7 +12,9 @@ method from q:
   the precision the clip loses on small curvatures.
 * otherwise: projected Barzilai-Borwein ascent from the start, each
   projection being the kernel with h = 1, plus endpoint probes that leave
-  faces where positive curvature makes a box endpoint strictly better.
+  faces where positive curvature makes a box endpoint strictly better.  A
+  probe moves one coordinate k to a box end, so its step cap is closed form:
+  the least slack_i / (-A[i, k] dk) over the rows it pushes, and at most 1.
   Returns a KKT point, no global claim.
 
 When the kernel does not converge, a projected-gradient phase one on the
@@ -222,7 +224,7 @@ def _solve_exact(problem: QpProblem) -> QpSolution:
     return QpSolution(z, lam, mu, gam, "optimal" if res <= TOL_STAT else "max-iterations", res)
 
 
-def _endpoint_probe(problem, z, value, feasible_cap):
+def _endpoint_probe(problem, z, value):
     """One coordinate pushed toward a box endpoint when that strictly improves.
 
     First-order points of an indefinite objective can sit inside a face where
@@ -231,18 +233,21 @@ def _endpoint_probe(problem, z, value, feasible_cap):
     """
     base = value(z)
     margin = 1e-10 * max(1.0, abs(base))
+    slack = problem.b + problem.A @ z
     n = problem.dim
     for k in range(n):
         for target in (problem.lower[k], problem.upper[k]):
             dk = target - z[k]
             if abs(dk) <= 1e-12:
                 continue
-            d = np.zeros(n)
-            d[k] = dk
-            a = feasible_cap(z, d)
+            rate = -problem.A[:, k] * dk
+            push = rate > 1e-14
+            a = float(np.min(slack[push] / rate[push], initial=1.0))
             if a <= 1e-12:
                 continue
-            cand = z + min(1.0, a) * d
+            d = np.zeros(n)
+            d[k] = dk
+            cand = z + a * d
             if value(cand) > base + margin:
                 return cand
     return None
@@ -258,21 +263,6 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
 
     def value(w):
         return 0.5 * w * problem.q @ w + problem.g_lin @ w
-
-    def feasible_cap(zc, d):
-        # largest step along d keeping the box and the A rows satisfied
-        cap = 1.0
-        for lo_gap, step in ((zc - problem.lower, -d), (problem.upper - zc, d)):
-            push = step > 1e-14
-            if np.any(push):
-                cap = min(cap, float(np.min(lo_gap[push] / step[push])))
-        if problem.A.shape[0]:
-            slack = problem.b + problem.A @ zc
-            rate = -(problem.A @ d)
-            push = rate > 1e-14
-            if np.any(push):
-                cap = min(cap, float(np.min(slack[push] / rate[push])))
-        return max(cap, 0.0)
 
     t0 = 1.0 / max(float(np.max(np.abs(problem.q))), 1e-6)
     cap = 50 * max(n, 1)
@@ -300,7 +290,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
         if kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT:
-            probe = _endpoint_probe(problem, z, value, feasible_cap)
+            probe = _endpoint_probe(problem, z, value)
             if probe is None:
                 status = "optimal"
                 break
@@ -310,7 +300,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         # exact line search on the first segment of the projection arc
         p = w - z
         if np.max(np.abs(p), initial=0.0) <= 1e-14:
-            probe = _endpoint_probe(problem, z, value, feasible_cap)
+            probe = _endpoint_probe(problem, z, value)
             if probe is not None:
                 z = probe
                 z_prev = grad_prev = None

@@ -6,7 +6,8 @@ import pytest
 from gridshed import ao1_opf
 from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
 from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle
-from gridshed.power_equations import SwitchVector, constraints_C, hessian_Q, network
+from gridshed.power_equations import (SwitchVector, constraints_C, hessian_Q, jacobians, network,
+                                      outflow)
 
 
 def test_all_switches_open_is_trivial(case5):
@@ -59,7 +60,7 @@ def test_balance_duals_take_analytic_values(case5):
     nu_q = r.duals[2 * net.dem_pos + 1] - r.duals[nx + 2 * net.dem_pos + 1]
     np.testing.assert_allclose(nu_p, -yv * net.rank, atol=1e-6)
     np.testing.assert_allclose(nu_q, 0.0, atol=1e-6)
-    q = hessian_Q(case5, r.state, r.input, SwitchVector(yv), r.duals)
+    q = hessian_Q(net, r.state, r.input, SwitchVector(yv), r.duals)
     np.testing.assert_allclose(q, 2.0 * yv * net.rank * net.pd, atol=1e-5)
     assert q.min() >= -1e-8
 
@@ -146,3 +147,18 @@ def test_oracle_labels_match_direct_solves(shortfall5_case):
         feasible = r.status == "converged" and float(
             np.max(constraints_C(shortfall5_case, r.state, r.input, y), initial=0.0)) <= FEAS_TOL
         assert e.feasible == feasible, e.switches
+
+
+@pytest.mark.parametrize("fixture", ["stressed30", "case5"])
+def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
+    # the Newton residual comes from the derivative pass's outflow; it must be
+    # the very bits the line search evaluates, or accepted steps could differ
+    case = request.getfixturevalue(fixture)
+    net = network(case)
+    prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.7)))
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        z = prob.lower + rng.uniform(0.1, 0.9, prob.n) * (prob.upper - prob.lower)
+        assert np.array_equal(prob.residual_jacobian(z)[0], prob.residual(z))
+        state, u = prob.split(z)
+        assert np.array_equal(jacobians(net, state, u, prob.y)[0], outflow(net, state))

@@ -123,7 +123,7 @@ def test_mixed_zero_penalty_linear_term_is_objective_gradient(stressed30, stress
     res, start = stressed30_start
     net = network(stressed30)
     prob = build_subproblem(stressed30, start, res.duals, 0.0, Ao2Variant(tag="mixed"))
-    _, dE, _ = jacobians(stressed30, *start)
+    _, dE, _ = jacobians(net, *start)
     nxu = 2 * net.n_bus + 2 * net.n_gen
     np.testing.assert_array_equal(prob.g_lin, dE[nxu:])
 
@@ -169,7 +169,7 @@ def test_full_rows_drop_constant_columns(stressed30, stressed30_start):
     assert prob.A.shape[1] == net.n_dem
     # every surviving row actually involves a switch
     assert np.abs(prob.A).max(axis=1).min() > 1e-12
-    _, _, dC = jacobians(stressed30, *start)
+    _, _, dC = jacobians(net, *start)
     nxu = 2 * net.n_bus + 2 * net.n_gen
     keep = np.abs(dC[:, nxu:]).max(axis=1) > 1e-12
     assert prob.A.shape[0] == int(keep.sum())

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gridshed.cli_driver import main
 from gridshed.grid_model import (
     Branch,
     Bus,
@@ -12,6 +13,7 @@ from gridshed.grid_model import (
     Generator,
     GridCase,
     MalformedRowError,
+    ParseError,
     ScenarioConfig,
     ScenarioError,
     UnknownBusError,
@@ -115,6 +117,36 @@ def test_parse_rejects_non_finite_values(case5_text, table, row, col, value):
     assert exc.value.line_no == at + 1
 
 
+@pytest.mark.parametrize("table, row, col, value", [
+    ("mpc.baseMVA", None, None, "0"),
+    ("mpc.baseMVA", None, None, "-100"),
+    ("mpc.baseMVA", None, None, "inf"),
+    ("mpc.baseMVA", None, None, "nan"),
+    ("mpc.bus", 1, 12, "1.2"),    # Vmin of bus 2 above its Vmax 1.1
+    ("mpc.bus", 1, 12, "0"),      # Vmin of bus 2 at zero
+    ("mpc.bus", 1, 2, "-300"),    # negative Pd at bus 2
+    ("mpc.gen", 0, 9, "300"),     # Pmin of the bus-1 generator above its Pmax 210
+], ids=["baseMVA-0", "baseMVA-negative", "baseMVA-inf", "baseMVA-nan", "bus-vmin-above-vmax",
+        "bus-vmin-zero", "bus-negative-pd", "gen-pmin-above-pmax"])
+def test_parse_reports_invalid_records_at_their_line(case5_text, tmp_path, table, row, col, value):
+    lines = case5_text.splitlines()
+    if row is None:
+        at = next(k for k, ln in enumerate(lines) if ln.startswith(f"{table} ="))
+        lines[at] = f"{table} = {value};"
+    else:
+        at = lines.index(f"{table} = [") + 1 + row
+        tokens = lines[at].split()
+        tokens[col] = value
+        lines[at] = "\t".join(tokens)
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert exc.value.line_no == at + 1
+    path = tmp_path / "bad.m"
+    path.write_text(text)
+    assert main(["solve", "--case", str(path), "--out-dir", str(tmp_path)]) == 2
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -125,8 +157,9 @@ NAN, INF = float("nan"), float("inf")
     lambda: Bus(id=1, v_min=0.9, v_max=1.1, theta_min=NAN),
     lambda: Branch(from_bus=1, to_bus=2, g=NAN, b=-5.0),
     lambda: Branch(from_bus=1, to_bus=2, g=1.0, b=-5.0, r=NAN, x=0.2),
+    lambda: DemandSpec(bus=2, pd=0.5, qd=0.1, rank=INF),
 ], ids=["gen-pg_max-nan", "gen-pg_max-inf", "bus-v_max-nan", "bus-theta_min-nan",
-        "branch-g-nan", "branch-r-nan"])
+        "branch-g-nan", "branch-r-nan", "demand-rank-inf"])
 def test_constructors_reject_non_finite_values(build):
     # a nan compares False both ways, so it would pass every ordering check
     # and silently switch off the active-capacity screen

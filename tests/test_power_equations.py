@@ -9,7 +9,6 @@ from gridshed.grid_model import (
     DemandSpec,
     Generator,
     GridCase,
-    build_admittance,
 )
 from gridshed.power_equations import (
     InputVector,
@@ -23,8 +22,8 @@ from gridshed.power_equations import (
     jacobians,
     line_flow,
     network,
-    node_outflow,
     objective_E,
+    outflow,
     phi,
     supply,
 )
@@ -89,20 +88,20 @@ def test_line_flow_rejects_non_branch(case5):
 
 
 def test_node_outflow_zero_at_flat_start(case30):
-    P = node_outflow(case30, build_admittance(case30), flat_state(case30))
+    P = outflow(network(case30), flat_state(case30))
     np.testing.assert_allclose(P, 0.0, atol=1e-12)
 
 
 def test_node_outflow_equals_neighbor_sums(case5):
     rng = np.random.default_rng(3)
-    Y = build_admittance(case5)
+    net = network(case5)
     neighbors = {b.id: [] for b in case5.buses}
     for br in case5.branches:
         neighbors[br.from_bus].append(br.to_bus)
         neighbors[br.to_bus].append(br.from_bus)
     for _ in range(10):
         state = State(v=rng.uniform(0.9, 1.1, 5), theta=rng.uniform(-0.4, 0.4, 5))
-        P = node_outflow(case5, Y, state)
+        P = outflow(net, state)
         for i, bus in enumerate(case5.bus_ids):
             p_sum = sum(line_flow(case5, state, bus, l)[0] for l in neighbors[bus])
             q_sum = sum(line_flow(case5, state, bus, l)[1] for l in neighbors[bus])
@@ -122,17 +121,17 @@ def test_lossless_network_conserves_active_power():
         generators=(Generator(bus=1, pg_min=0.0, pg_max=2.0, qg_min=-1.0, qg_max=1.0),),
         demands=(DemandSpec(bus=3, pd=0.4, qd=0.1),),
     )
-    Y = build_admittance(case)
+    net = network(case)
     rng = np.random.default_rng(11)
     for _ in range(25):
         state = State(v=rng.uniform(0.9, 1.1, 4), theta=rng.uniform(-0.6, 0.6, 4))
-        P = node_outflow(case, Y, state)
+        P = outflow(net, state)
         assert abs(P[0::2].sum()) <= 1e-10
 
 
 def test_supply_pure_generation_when_y_zero(case5):
     u = InputVector(pg=np.array([1.0, 0.5, 0.25, 0.75]), qg=np.array([0.1, 0.2, 0.3, 0.4]))
-    S = supply(case5, u, SwitchVector(np.zeros(3)))
+    S = supply(network(case5), u, SwitchVector(np.zeros(3)))
     # gens sit at buses 1, 3, 4, 5
     np.testing.assert_allclose(S[0::2], [1.0, 0.0, 0.5, 0.25, 0.75])
     np.testing.assert_allclose(S[1::2], [0.1, 0.0, 0.2, 0.3, 0.4])
@@ -140,7 +139,7 @@ def test_supply_pure_generation_when_y_zero(case5):
 
 def test_supply_pure_demand_bus(case5):
     u = InputVector(pg=np.zeros(4), qg=np.zeros(4))
-    S = supply(case5, u, SwitchVector(np.array([1.0, 0.0, 0.0])))
+    S = supply(network(case5), u, SwitchVector(np.array([1.0, 0.0, 0.0])))
     # bus 2 carries demand but no generator
     assert S[2] == pytest.approx(-3.0)
     assert S[3] == pytest.approx(-0.9861)
@@ -148,8 +147,9 @@ def test_supply_pure_demand_bus(case5):
 
 def test_supply_scales_demand_by_y_squared(case5):
     u = InputVector(pg=np.zeros(4), qg=np.zeros(4))
-    S_half = supply(case5, u, SwitchVector(np.array([0.5, 0.0, 0.0])))
-    S_full = supply(case5, u, SwitchVector(np.array([1.0, 0.0, 0.0])))
+    net = network(case5)
+    S_half = supply(net, u, SwitchVector(np.array([0.5, 0.0, 0.0])))
+    S_full = supply(net, u, SwitchVector(np.array([1.0, 0.0, 0.0])))
     assert S_half[2] == pytest.approx(0.25 * S_full[2])
     assert S_half[3] == pytest.approx(0.25 * S_full[3])
 
@@ -172,14 +172,14 @@ def test_vector_round_trips():
 def test_objective_zero_when_y_zero(case5):
     state = flat_state(case5)
     u = InputVector(pg=np.ones(4), qg=np.zeros(4))
-    assert objective_E(case5, state, u, SwitchVector(np.zeros(3))) == 0.0
+    assert objective_E(network(case5), state, u, SwitchVector(np.zeros(3))) == 0.0
 
 
 def test_objective_at_balanced_point(case5):
     state = State(v=BAL_V, theta=BAL_TH)
     u = InputVector(pg=BAL_PG, qg=BAL_QG)
     y = SwitchVector(BAL_Y)
-    E = objective_E(case5, state, u, y)
+    E = objective_E(network(case5), state, u, y)
     expected = float(np.sum(BAL_Y**3 * np.array([3.0, 3.0, 4.0])))
     assert E == pytest.approx(expected, abs=1e-12)
     # balance rows of C vanish at this point
@@ -195,7 +195,7 @@ def test_constraint_stack_dimension_and_order(case5):
     C = constraints_C(case5, state, u, y)
     assert C.shape == (8 * 5 + 4 * 4,)
     # flat start carries no flow, so the active balance rows equal the supply
-    S = supply(case5, u, y)
+    S = supply(net, u, y)
     np.testing.assert_allclose(C[:10], -S, atol=1e-14)
     np.testing.assert_allclose(C[10:20], S, atol=1e-14)
     assert C[:10].max() > 0  # demand exceeds zero flow: infeasible point
@@ -247,18 +247,19 @@ def split_z(net, z):
 def test_derivatives_match_finite_differences(fixture, request):
     case = request.getfixturevalue(fixture)
     net = network(case)
-    Y = build_admittance(case)
+    nx = 2 * net.n_bus
     rng = np.random.default_rng(42)
     for _ in range(5):
         state, u, y = random_point(case, rng)
         z = np.concatenate([state.as_vector(), u.as_vector(), y.y])
-        dP_dx, dE, dC = jacobians(case, state, u, y)
+        _, dE, dC = jacobians(net, state, u, y)
+        dP_dx = dC[:nx, :nx]
 
-        fd_P = central_diff(lambda x: node_outflow(case, Y, State.from_vector(x)), state.as_vector())
+        fd_P = central_diff(lambda x: outflow(net, State.from_vector(x)), state.as_vector())
         scale = np.maximum(1.0, np.abs(fd_P))
         assert np.max(np.abs(dP_dx - fd_P) / scale) <= 1e-6
 
-        fd_E = central_diff(lambda zz: objective_E(case, *split_z(net, zz)), z)
+        fd_E = central_diff(lambda zz: objective_E(net, *split_z(net, zz)), z)
         scale = np.maximum(1.0, np.abs(fd_E))
         assert np.max(np.abs(dE - fd_E) / scale) <= 1e-6
 
@@ -270,8 +271,8 @@ def test_derivatives_match_finite_differences(fixture, request):
 def test_bound_rows_have_zero_y_columns(case5):
     rng = np.random.default_rng(1)
     state, u, y = random_point(case5, rng)
-    _, _, dC = jacobians(case5, state, u, y)
     net = network(case5)
+    _, _, dC = jacobians(net, state, u, y)
     y_cols = dC[:, 2 * net.n_bus + 2 * net.n_gen:]
     assert np.all(y_cols[4 * net.n_bus:] == 0.0)
 
@@ -288,7 +289,8 @@ def test_flat_lossless_voltage_block_is_zero():
     )
     state = flat_state(case)
     u = InputVector(pg=np.array([0.0]), qg=np.array([0.0]))
-    dP_dx, _, _ = jacobians(case, state, u, SwitchVector(np.ones(1)))
+    _, _, dC = jacobians(network(case), state, u, SwitchVector(np.ones(1)))
+    dP_dx = dC[:6, :6]  # the leading 2N x 2N block, N = 3
     np.testing.assert_array_equal(dP_dx[0::2, 0::2], 0.0)
 
 
@@ -296,7 +298,7 @@ def test_hessian_zero_for_zero_duals(case5):
     rng = np.random.default_rng(2)
     state, u, y = random_point(case5, rng)
     net = network(case5)
-    q = hessian_Q(case5, state, u, y, np.zeros(net.n_c_rows))
+    q = hessian_Q(net, state, u, y, np.zeros(net.n_c_rows))
     assert q.shape == (net.n_dem,)
     np.testing.assert_array_equal(q, 0.0)
 
@@ -308,7 +310,7 @@ def test_hessian_single_dual(case5):
     duals = np.zeros(net.n_c_rows)
     # demand index 0 lives at bus 2 (bus position 1): its active balance row is 2
     duals[2] = 1.7
-    q = hessian_Q(case5, state, u, y, duals)
+    q = hessian_Q(net, state, u, y, duals)
     assert q[0] == pytest.approx(-2.0 * 1.7 * 3.0)
     assert np.count_nonzero(q) == 1
 
@@ -320,11 +322,11 @@ def test_hessian_matches_finite_difference(case5):
     duals = rng.uniform(-1.0, 1.0, net.n_c_rows)
 
     def grad_L0_y(yy):
-        _, dE, dC = jacobians(case5, state, u, SwitchVector(yy))
+        _, dE, dC = jacobians(net, state, u, SwitchVector(yy))
         g = dE - duals @ dC
         return g[2 * net.n_bus + 2 * net.n_gen:]
 
-    q = hessian_Q(case5, state, u, y, duals)
+    q = hessian_Q(net, state, u, y, duals)
     fd = central_diff(grad_L0_y, y.y.copy())
     # the full difference matrix against diag(q) also checks that the
     # off-diagonal curvature is zero

@@ -167,6 +167,22 @@ def test_convex_row_multiplier_active():
     assert_kkt(problem, sol)
 
 
+def test_endpoint_probe_cut_short_by_a_row():
+    # from the corner 0 only positive curvature can improve; the probe pushes
+    # d_0 toward its upper end 1, and the row d_0 + 0.5 d_1 <= 0.7 stops it
+    # at 0.7, where stationarity 0.5 * 0.7 - 0.1 - lam = 0 gives lam = 0.25
+    problem = QpProblem(
+        q=np.array([0.5, 0.5]), g_lin=np.array([-0.1, -0.8]),
+        A=np.array([[-1.0, -0.5]]), b=np.array([0.7]),
+        lower=np.zeros(2), upper=np.ones(2),
+    )
+    sol = solve_qp(problem, start=np.zeros(2))
+    assert sol.primal.tolist() == [0.7, 0.0]
+    assert sol.status == "optimal"
+    assert float(problem.b[0] + problem.A[0] @ sol.primal) == 0.0
+    assert sol.dual_ineq[0] == pytest.approx(0.25, abs=1e-12)
+
+
 def test_stationary_mode_indefinite():
     problem = box_problem([1.0, -1.0], [0.05, 0.4])
     sol = solve_qp(problem, start=np.array([0.3, 0.9]))

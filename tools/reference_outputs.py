@@ -1,0 +1,81 @@
+"""Write the deterministic outputs of a fixed set of gridshed commands.
+
+    python3 tools/reference_outputs.py OUT_DIR
+
+Runs, in this process and against ./src:
+
+* ``solve`` on stressed case30 (``scenario = stress``), adequate case30 and
+  the criterion-3 case5 shortfall config, once per variant;
+* ``oracle`` on that case5 config;
+* ``check`` on case30.
+
+Each command writes its files (``result.kv``, ``trace.csv``, ``oracle.csv``)
+under OUT_DIR/<name>/, with ``report.kv`` dropped since it holds wall-clock
+times, plus ``stdout.txt``: the exit code, standard output without the
+``wrote ...`` lines (they name OUT_DIR) and standard error.  Every file is
+byte-stable, so ``diff -r`` between the OUT_DIRs of two checkouts shows any
+change of result, and two runs of one checkout give an empty diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from gridshed.cli_driver import main as gridshed  # noqa: E402
+
+CASES = ROOT / "src" / "gridshed" / "cases"
+VARIANTS = ("mixed", "relaxed-one", "relaxed-two")
+# name: (case file, config text); shortfall5 is the criterion-3 scenario
+INSTANCES = {
+    "stressed30": ("case30.m", "scenario = stress\n"),
+    "adequate30": ("case30.m", ""),
+    "shortfall5": ("case5.m", (
+        "scenario.shift_mode = multiplicative\n"
+        "scenario.pd_shift = 1.0\n"
+        "scenario.qd_shift = 1.0\n"
+        "scenario.pg_upper_scale = 0.5\n"
+        "scenario.qg_bound_scale = 0.5\n"
+        "scenario.rank_seed = 2\n"
+        "scenario.demand_set_mode = loaded-buses\n"
+    )),
+}
+
+
+def _run(target: Path, argv: list[str]) -> None:
+    target.mkdir(parents=True, exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = gridshed(argv)
+    (target / "report.kv").unlink(missing_ok=True)
+    kept = [ln for ln in stdout.getvalue().splitlines(keepends=True) if not ln.startswith("wrote ")]
+    (target / "stdout.txt").write_text(f"exit {code}\n" + "".join(kept) + stderr.getvalue())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/reference_outputs.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    configs = out / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    for name, (case, text) in INSTANCES.items():
+        (configs / f"{name}.kv").write_text(text)
+        for tag in VARIANTS:
+            target = out / f"solve-{name}-{tag}"
+            _run(target, ["solve", "--case", str(CASES / case), "--config", str(configs / f"{name}.kv"),
+                          "--variant", tag, "--out-dir", str(target)])
+    target = out / "oracle-shortfall5"
+    _run(target, ["oracle", "--case", str(CASES / "case5.m"),
+                  "--config", str(configs / "shortfall5.kv"), "--out-dir", str(target)])
+    _run(out / "check-case30", ["check", "--case", str(CASES / "case30.m")])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
