@@ -1,7 +1,15 @@
 """gridshed: optimal demand shut-off for islanded AC microgrids."""
 
-from .ao1_opf import Ao1Result, solve_ao1
-from .ao2_sbqp import (
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# every dense solve here is small (130 x 130 on case30), and a second thread
+# buys nothing and slows each solve many times over on a loaded host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from .ao1_opf import Ao1Result, solve_ao1  # noqa: E402
+from .ao2_sbqp import (  # noqa: E402
     Ao2Error,
     Ao2Variant,
     PenaltySchedule,
@@ -9,7 +17,7 @@ from .ao2_sbqp import (
     SbqpTraceRow,
     run_ao2,
 )
-from .cli_driver import (
+from .cli_driver import (  # noqa: E402
     DriverError,
     OracleEntry,
     SolveResult,
@@ -20,7 +28,7 @@ from .cli_driver import (
     run_ao_sbqp,
     self_check,
 )
-from .grid_model import (
+from .grid_model import (  # noqa: E402
     AdmittanceMatrix,
     Branch,
     Bus,
@@ -36,7 +44,7 @@ from .grid_model import (
     parse_case,
     serialize_case,
 )
-from .power_equations import (
+from .power_equations import (  # noqa: E402
     InputVector,
     State,
     SwitchVector,
@@ -46,7 +54,7 @@ from .power_equations import (
     objective_E,
     phi,
 )
-from .qp_core import QpProblem, QpSolution, solve_qp
+from .qp_core import QpProblem, QpSolution, solve_qp  # noqa: E402
 
 __version__ = "0.1.0"
 

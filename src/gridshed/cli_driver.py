@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -148,6 +149,7 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     y_solved = y
     outer = 0
     converged = False
+    rejected: Counter = Counter()   # switch set -> AO1 solves that came back infeasible
 
     for _ in range(cfg.outer_max_iters):
         tick = time.perf_counter()
@@ -155,6 +157,8 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
         t_ao1 += time.perf_counter() - tick
         outer += 1
         y_solved = y
+        if ao1.status == "infeasible":
+            rejected[tuple(y.y.tolist())] += 1
         xu = np.concatenate([ao1.state.as_vector(), ao1.input.as_vector()])
         if prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
             converged = True
@@ -173,9 +177,13 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
 
     best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
     if not converged:
-        raise DriverError(
-            f"operating point still moving after {outer} outer iterations", "no-convergence", best
-        )
+        message = f"operating point still moving after {outer} outer iterations"
+        for switches, count in rejected.most_common(1):
+            if count >= 2:
+                off = [str(d.bus) for d, on in zip(work.demands, switches) if on == 0.0]
+                message += (f"; the switch set with demands off at buses {', '.join(off) or 'none'}"
+                            f" was solved infeasible {count} times")
+        raise DriverError(message, "no-convergence", best)
     resid = constraints_C(work, ao1.state, ao1.input, y_solved)
     worst = int(np.argmax(resid))
     if ao1.status != "converged" or float(resid[worst]) > FEAS_TOL:

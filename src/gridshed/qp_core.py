@@ -4,8 +4,25 @@ Problems are maximizations of 0.5 z'diag(q)z + g'z over { b + A z >= 0 }
 within a box, with q the curvature vector and A a few dense rows.  One
 kernel does the row work: coordinate ascent on the row multipliers lam, the
 primal being the closed-form clip z = clip((s + A'lam) / h) for fixed lam, as
-in separable QP with few linear rows (Brucker 1984).  ``solve_qp`` picks the
-method from q:
+in separable QP with few linear rows (Brucker 1984).
+
+Each coordinate update is the smallest lam_i >= 0 that meets row i.  The
+slack b_i + A[i] clip((base + lam A[i]) / h) is piecewise linear in lam,
+with kinks where a coordinate reaches a box end, so the root lies on the
+segment between two consecutive kinks (breakpoint search, Kiwiel 2008).  One
+vectorised pass evaluates the slack at every positive kink and picks the
+first that meets the row; the float itself is decided by the scalar slack
+alone.  Every step of that slack is a rounded monotone operation summed in
+a fixed order, so it does not decrease as lam grows even in floating point,
+and the first float at which it turns nonnegative is unique.  The search
+gallops from the linear estimate on the segment by 1, 4, 16... ulps to a
+bracket and bisects it to adjacent floats.  That float is what a plain
+doubling-and-bisection search finds, with two edge cases: no multiplier
+beyond ROOT_CAP = 4**79 is tried (the row is then unreachable), and a root
+below about 2**-68 comes out as the exact first float, which a bisection
+capped at 120 halvings of [0, 1] cannot resolve.
+
+``solve_qp`` picks the method from q:
 
 * max(q) < 0: the exact maximizer.  The kernel runs with h = -q and s = g,
   then one KKT solve on the free coordinates and the active rows restores
@@ -15,7 +32,10 @@ method from q:
   faces where positive curvature makes a box endpoint strictly better.  A
   probe moves one coordinate k to a box end, so its step cap is closed form:
   the least slack_i / (-A[i, k] dk) over the rows it pushes, and at most 1.
-  Returns a KKT point, no global claim.
+  All 2n caps come from one (rows x 2n) array, and the closed-form gain
+  t (q_k z_k + g_k) + t^2 q_k / 2 of the step t screens out every move that
+  gains less than half the acceptance margin; the rest are confirmed in
+  order by the objective itself.  Returns a KKT point, no global claim.
 
 When the kernel does not converge, a projected-gradient phase one on the
 squared row violation decides whether the rows are infeasible.
@@ -32,6 +52,8 @@ import numpy as np
 
 TOL_STAT = 1e-8
 SLACK_TOL = 1e-7
+# the last multiplier a row may need: 4**79 was the doubling search's last probe
+ROOT_CAP = 4.0 ** 79
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +156,76 @@ def _bound_duals(problem: QpProblem, h, shifted):
             np.maximum(0.0, shifted - h * problem.upper))
 
 
+def _float_index(x: float) -> int:
+    """Position of x among the nonnegative floats in increasing order; negative below 0."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _float_at(n: int) -> float:
+    """The nonnegative float at position n >= 0, the inverse of _float_index."""
+    return float(np.int64(n).view(np.float64))
+
+
+def _row_root(problem: QpProblem, i: int, h: np.ndarray, base: np.ndarray):
+    """Smallest float lam > 0 at which row i of the clip (base + lam A[i]) / h
+    has slack >= 0; 0.0 when lam = 0 meets the row, None when ROOT_CAP does not.
+
+    The computed slack is nondecreasing in lam, so that float is unique.  One
+    vectorised pass over the kinks picks the segment that holds it; the
+    scalar slack alone decides the float.
+    """
+    a, b_i, lower, upper = problem.A[i], problem.b[i], problem.lower, problem.upper
+
+    def slack(lam):
+        z = np.clip((base + lam * a) / h, lower, upper)
+        return float(b_i + a @ z)
+
+    s0 = slack(0.0)
+    if s0 >= 0.0:
+        return 0.0
+    nz = a != 0.0
+    kinks = np.concatenate([(h * lower - base)[nz] / a[nz], (h * upper - base)[nz] / a[nz]])
+    lams = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < ROOT_CAP)]), [ROOT_CAP]])
+    s = b_i + np.clip((base + lams[:, None] * a) / h, lower, upper) @ a
+    s[0] = s0
+    meets = np.flatnonzero(s >= 0.0)
+    k = int(meets[0]) if meets.size else lams.size - 1
+    guess = lams[k]
+    if s[k] > s[k - 1]:
+        guess = lams[k - 1] + (lams[k] - lams[k - 1]) * (-s[k - 1] / (s[k] - s[k - 1]))
+    # gallop from the linear estimate by 1, 4, 16... ulps to a bracket
+    # [lo, hi] of float indices with slack(lo) < 0 <= slack(hi)
+    top = _float_index(ROOT_CAP)
+    x = min(max(_float_index(guess), 1), top)
+    step = 1
+    if slack(_float_at(x)) >= 0.0:
+        lo, hi = 0, x
+        while x - step > 0:
+            if slack(_float_at(x - step)) < 0.0:
+                lo = x - step
+                break
+            hi = x - step
+            step *= 4
+    else:
+        lo, hi = x, top
+        while x + step < top:
+            if slack(_float_at(x + step)) >= 0.0:
+                hi = x + step
+                break
+            lo = x + step
+            step *= 4
+        else:
+            if slack(ROOT_CAP) < 0.0:
+                return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if slack(_float_at(mid)) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
+
+
 def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray):
     """Maximizer of s'z - 0.5 z'diag(h)z, h > 0, over the box and the rows.
 
@@ -147,32 +239,6 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray):
     scale = max(1.0, float(np.max(np.abs(s / h), initial=0.0)))
     tol = 1e-11 * scale
 
-    def slack(i, lam_i, base):
-        z = np.clip((base + lam_i * A[i]) / h, lower, upper)
-        return float(b[i] + A[i] @ z)
-
-    def root(i, base):
-        # smallest lam_i >= 0 meeting row i; None when no multiplier does
-        if slack(i, 0.0, base) >= 0.0:
-            return 0.0
-        hi = 1.0
-        for _ in range(80):
-            if slack(i, hi, base) >= 0.0:
-                break
-            hi *= 4.0
-        else:
-            return None
-        lo = 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break  # adjacent floats: no later step can move either end
-            if slack(i, mid, base) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
     def finish(converged):
         shifted = s + A.T @ lam
         return (np.clip(shifted / h, lower, upper), lam, *_bound_duals(problem, h, shifted),
@@ -181,7 +247,7 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray):
     for _ in range(200):
         moved = 0.0
         for i in range(A.shape[0]):
-            new = root(i, s + A.T @ lam - lam[i] * A[i])
+            new = _row_root(problem, i, h, s + A.T @ lam - lam[i] * A[i])
             if new is None:
                 return finish(False)
             moved = max(moved, abs(new - lam[i]))
@@ -235,21 +301,20 @@ def _endpoint_probe(problem, z, value):
     margin = 1e-10 * max(1.0, abs(base))
     slack = problem.b + problem.A @ z
     n = problem.dim
-    for k in range(n):
-        for target in (problem.lower[k], problem.upper[k]):
-            dk = target - z[k]
-            if abs(dk) <= 1e-12:
-                continue
-            rate = -problem.A[:, k] * dk
-            push = rate > 1e-14
-            a = float(np.min(slack[push] / rate[push], initial=1.0))
-            if a <= 1e-12:
-                continue
-            d = np.zeros(n)
-            d[k] = dk
-            cand = z + a * d
-            if value(cand) > base + margin:
-                return cand
+    # candidate 2k + e moves coordinate k to its lower (e = 0) or upper end
+    cols = np.repeat(np.arange(n), 2)
+    dk = np.column_stack([problem.lower - z, problem.upper - z]).ravel()
+    rate = -problem.A[:, cols] * dk
+    caps = np.min(np.divide(slack[:, None], rate, out=np.ones_like(rate), where=rate > 1e-14),
+                  axis=0, initial=1.0)
+    t = caps * dk
+    gain = t * (problem.q[cols] * z[cols] + problem.g_lin[cols]) + 0.5 * t * t * problem.q[cols]
+    for j in np.flatnonzero((np.abs(dk) > 1e-12) & (caps > 1e-12) & (gain > 0.5 * margin)):
+        d = np.zeros(n)
+        d[cols[j]] = dk[j]
+        cand = z + caps[j] * d
+        if value(cand) > base + margin:
+            return cand
     return None
 
 

@@ -1,12 +1,19 @@
-import dataclasses
-from importlib import resources
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads: the KKT systems are small, and a
+# second thread only slows them under load.  A caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from gridshed.ao1_opf import solve_ao1
-from gridshed.grid_model import Branch, ScenarioConfig, apply_scenario, parse_case
-from gridshed.power_equations import SwitchVector, network
+import dataclasses  # noqa: E402
+from importlib import resources  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gridshed.ao1_opf import solve_ao1  # noqa: E402
+from gridshed.grid_model import Branch, ScenarioConfig, apply_scenario, parse_case  # noqa: E402
+from gridshed.power_equations import SwitchVector, network  # noqa: E402
 
 
 def _case_text(name):

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import gridshed
+from gridshed import cli_driver
 from gridshed.ao2_sbqp import PenaltySchedule
 from gridshed.cli_driver import (
     DriverError,
@@ -18,7 +26,7 @@ from gridshed.cli_driver import (
     self_check,
 )
 from gridshed.grid_model import ScenarioConfig, parse_case
-from gridshed.power_equations import network
+from gridshed.power_equations import SwitchVector, network
 
 
 @pytest.fixture(scope="session")
@@ -136,6 +144,57 @@ def test_outer_cap_raises_with_best_iterate(case30):
     assert err.best is not None
     assert err.best.outer_iterations == 1
     assert set(np.unique(err.best.switches.y)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("infeasible, proposals, tail", [
+    # (1, 0, 1) is solved at outers 2, 4 and 5
+    ({(1, 1, 1), (1, 0, 1)}, [(1, 0, 1), (1, 1, 0), (1, 0, 1), (1, 0, 1), (1, 1, 1), (1, 1, 1)],
+     "; the switch set with demands off at buses 3 was solved infeasible 3 times"),
+    ({(1, 1, 1)}, [(0, 1, 1), (1, 1, 1), (0, 1, 1), (1, 1, 1), (0, 0, 1), (1, 1, 1)],
+     "; the switch set with demands off at buses none was solved infeasible 3 times"),
+    # (1, 0, 0) comes back but is not infeasible: nothing to name
+    ({(1, 1, 1), (0, 1, 1), (1, 1, 0)}, [(0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1)],
+     ""),
+], ids=["repeated-set", "all-on-repeated", "no-repeat"])
+def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypatch,
+                                                     infeasible, proposals, tail):
+    # both stages faked: AO1 returns a point that never repeats, so the outer
+    # loop runs to its cap, with the status its switch set is given
+    solves = []
+
+    def solve_ao1(case, y, warm=None):
+        solves.append(tuple(int(v) for v in y.y))
+        point = SimpleNamespace(as_vector=lambda k=len(solves): np.array([float(k)]))
+        status = "infeasible" if solves[-1] in infeasible else "max-iterations"
+        return SimpleNamespace(state=point, input=point, duals=None, status=status)
+
+    moves = iter(proposals)
+
+    def run_ao2(case, start, duals, schedule, variant):
+        return SwitchVector(np.array(next(moves), dtype=float)), None
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", solve_ao1)
+    monkeypatch.setattr(cli_driver, "run_ao2", run_ao2)
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case5, SolverConfig(scenario=shortfall5, outer_max_iters=6))
+    assert str(info.value) == "operating point still moving after 6 outer iterations" + tail
+    assert info.value.kind == "no-convergence"
+    assert len(solves) == 6
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(gridshed.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, gridshed; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == [expected, expected]
 
 
 # -- enumeration oracle -------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridshed.qp_core import QpProblem, kkt_residual, solve_qp
+from gridshed.qp_core import QpProblem, _endpoint_probe, _row_root, kkt_residual, solve_qp
 
 # optima of the three seeded problems below, from scipy.optimize.minimize
 # (method="trust-constr", gtol = xtol = barrier_tol = 1e-16, initial barrier
@@ -213,3 +215,182 @@ def test_problem_validation():
         # a dense curvature matrix is not accepted, even a diagonal one
         QpProblem(q=-np.eye(2), g_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
                   lower=np.zeros(2), upper=np.ones(2))
+
+
+# -- row roots and endpoint probes against the loops they replaced -------------
+
+def reference_root(problem, i, h, base):
+    """Row root by doubling and bisection, as the kernel found it before the
+    breakpoint search: the reference the exact root is held to."""
+    A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
+
+    def slack(i, lam_i, base):
+        z = np.clip((base + lam_i * A[i]) / h, lower, upper)
+        return float(b[i] + A[i] @ z)
+
+    if slack(i, 0.0, base) >= 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(80):
+        if slack(i, hi, base) >= 0.0:
+            break
+        hi *= 4.0
+    else:
+        return None
+    lo = 0.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if slack(i, mid, base) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_probe(problem, z, value):
+    """The endpoint probe as one Python loop over the 2n candidate moves."""
+    base = value(z)
+    margin = 1e-10 * max(1.0, abs(base))
+    slack = problem.b + problem.A @ z
+    n = problem.dim
+    for k in range(n):
+        for target in (problem.lower[k], problem.upper[k]):
+            dk = target - z[k]
+            if abs(dk) <= 1e-12:
+                continue
+            rate = -problem.A[:, k] * dk
+            push = rate > 1e-14
+            a = float(np.min(slack[push] / rate[push], initial=1.0))
+            if a <= 1e-12:
+                continue
+            d = np.zeros(n)
+            d[k] = dk
+            cand = z + a * d
+            if value(cand) > base + margin:
+                return cand
+    return None
+
+
+def row_problem(a, b_i, lower=0.0, upper=1.0):
+    n = len(a)
+    return QpProblem(q=-np.ones(n), g_lin=np.zeros(n), A=np.array([a], dtype=float),
+                     b=np.array([b_i], dtype=float), lower=np.broadcast_to(lower, n),
+                     upper=np.broadcast_to(upper, n))
+
+
+def check_root(problem, h, base):
+    """_row_root is the first float with slack >= 0, and equals the reference
+    wherever the reference bisection reached adjacent floats."""
+    h, base = np.asarray(h, dtype=float), np.asarray(base, dtype=float)
+
+    def slack(lam):
+        a = problem.A[0]
+        return float(problem.b[0] + a @ np.clip((base + lam * a) / h, problem.lower, problem.upper))
+
+    def first(lam):
+        return lam == 0.0 or slack(np.nextafter(lam, 0.0)) < 0.0
+
+    root, ref = _row_root(problem, 0, h, base), reference_root(problem, 0, h, base)
+    if ref is None:
+        assert root is None
+        return None
+    assert root is not None and slack(root) >= 0.0 and first(root)
+    if first(ref):
+        assert root.hex() == ref.hex()
+    else:
+        # 120 halvings of [0, 1] stop above a root this small
+        assert root < 2.0**-68 and root < ref
+    return root
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_row_root_matches_bisection(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    if rng.random() < 0.5:
+        # halves and small integers put roots on kinks and slack on flat zeros
+        a = rng.integers(-2, 3, n) / 2.0
+        base = rng.integers(-6, 7, n) / 2.0
+        h = rng.choice([0.5, 1.0, 2.0], n)
+        lower, upper = np.zeros(n), rng.integers(1, 3, n).astype(float)
+        b_i = rng.integers(-8, 3) / 2.0
+    else:
+        a = rng.normal(size=n) * (rng.random(n) < 0.75)
+        base = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+        h = 10.0 ** rng.uniform(-3, 3, n)
+        lower = -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+        upper = lower + rng.uniform(0.1, 3.0, n)
+        b_i = 3.0 * float(rng.normal())
+    check_root(row_problem(a, b_i, lower, upper), h, base)
+
+
+@pytest.mark.parametrize("a, b_i, base, h, expected", [
+    # slack lam - 0.5 until d_0 leaves its lower end at lam = 0.5: root on a kink
+    ([1.0, 1.0], -0.5, [-0.5, 0.0], [1.0, 1.0], 0.5),
+    # zero entries never move; d_3 reaches 0 at lam = 1, then 2 lam - 2.5 = 0
+    ([0.0, 2.0, 0.0, -1.0], -1.5, [5.0, -1.0, -3.0, 1.0], [1.0, 2.0, 1.0, 1.0], 1.25),
+    # slack reaches 0 at lam = 1 and stays 0 until d_1 moves at lam = 2
+    ([1.0, 1.0], -1.0, [0.0, -2.0], [1.0, 1.0], 1.0),
+    # the row needs more than the box gives
+    ([1.0], -2.0, [0.0], [1.0], None),
+    ([0.0, 0.0], -1.0, [0.3, 0.7], [1.0, 1.0], None),
+], ids=["on-kink", "zero-entries", "flat-zero", "unreachable", "zero-row"])
+def test_row_root_fixed_cases(a, b_i, base, h, expected):
+    assert check_root(row_problem(a, b_i), h, base) == expected
+
+
+def test_row_root_cap():
+    # the last multiplier tried is 4**79: a root between 4**79 and 4**80 is
+    # out of reach, one just below 4**79 is found
+    problem = row_problem([1.0], -1.0, upper=1e60)
+    assert 4.0**79 < 1e48 < 4.0**80
+    assert check_root(problem, [1.0], [-1e48]) is None
+    root = check_root(problem, [1.0], [-3e47])
+    assert 3e47 < root < 4.0**79
+
+
+def test_row_root_below_the_bisection_cap():
+    # slack -1e-25 + lam: the root is the float 1e-25 itself, where the
+    # reference stops on a multiple of 2**-120 above it
+    problem = row_problem([1.0], -1e-25)
+    assert check_root(problem, [1.0], [0.0]) == 1e-25
+    assert reference_root(problem, 0, np.ones(1), np.zeros(1)) > 1e-25
+
+
+def probe_value(problem):
+    def value(w):
+        return 0.5 * w * problem.q @ w + problem.g_lin @ w
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_endpoint_probe_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+    lower = -rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.3)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    z = rng.uniform(lower, upper)
+    ends = rng.random(n)
+    z = np.where(ends < 0.2, lower, np.where(ends > 0.8, upper, z))
+    A = -np.abs(rng.normal(size=(m, n))) * (rng.random((m, n)) < 0.8)
+    problem = QpProblem(q=rng.normal(size=n), g_lin=0.5 * rng.normal(size=n), A=A,
+                        b=-(A @ z) + rng.uniform(-0.1, 1.0, m), lower=lower, upper=upper)
+    value = probe_value(problem)
+    got, ref = _endpoint_probe(problem, z, value), reference_probe(problem, z, value)
+    assert (got is None and ref is None) or np.array_equal(got, ref)
+
+
+def test_endpoint_probe_screen_and_order():
+    # |value| < 1, so the margin is 1e-10.  Moving d_0 down gains 0.9e-10:
+    # through the screen (> margin / 2), refused by the confirmation.  Moving
+    # d_1 up gains 1.1e-10 and is taken before d_2's larger gain of 2e-10.
+    problem = box_problem([0.0, 0.0, 0.0], [-1.8e-10, 2.2e-10, 4e-10])
+    z = np.array([0.5, 0.5, 0.5])
+    value = probe_value(problem)
+    got = _endpoint_probe(problem, z, value)
+    assert got.tolist() == [0.5, 1.0, 0.5]
+    assert np.array_equal(got, reference_probe(problem, z, value))
