@@ -48,6 +48,7 @@ from .power_equations import (  # noqa: E402
     InputVector,
     State,
     SwitchVector,
+    constraint_jacobian,
     constraints_C,
     jacobians,
     network,
@@ -86,6 +87,7 @@ __all__ = [
     "SwitchVector",
     "apply_scenario",
     "build_admittance",
+    "constraint_jacobian",
     "constraints_C",
     "emit_outputs",
     "enumerate_oracle",

@@ -19,6 +19,18 @@ E is affine in the balance residuals, so every feasible point is optimal
 and the equality duals at an interior solution are -y_k r_k on the active
 demand rows. The solver still earns its keep: it must find a balanced
 point inside the bounds, or certify there is none.
+
+A Newton iteration does only the work it uses. One ``jacobians`` pass gives
+the residual, the balance Jacobian J = [dP/dx on the free state columns |
+-gen_sel] and the gradient dE on the z columns; the stacked constraint
+Jacobian is never built. Evaluations copy v, theta and the injections out of
+z into one State and one InputVector per solve, and the result's own pair is
+built once, at return. The Newton matrix is refilled in one buffer per
+solve. Stationarity and complementarity are computed in the loop only once
+max|F| passes TOL_FEAS, since there they feed only the convergence test;
+every exit that reports them recomputes them. None of this moves a float:
+J stays C-contiguous and keeps the -0.0 entries of -gen_sel, so every
+product rounds as it did when J was sliced from the stacked Jacobian.
 """
 
 from __future__ import annotations
@@ -57,15 +69,20 @@ def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
     least sum y^2 pd - sum pg_max, and past n_bus * TOL_FEAS some bus misses
     the balance tolerance at every point inside the bounds.
     """
-    off_diagonal = net.G[~np.eye(net.n_bus, dtype=bool)]
-    if not np.all(off_diagonal <= 0.0):
+    if not net.branch_g_nonneg:
         return False
     shortfall = float((y.y * y.y) @ net.pd) - float(net.u_upper[0::2].sum())
     return shortfall > net.n_bus * TOL_FEAS
 
 
 class _Problem:
-    """Fixed-y evaluation helpers over the reduced vector z = [x_free, u]."""
+    """Fixed-y evaluation helpers over the reduced vector z = [x_free, u].
+
+    An evaluation copies v and theta (the derivative pass also the
+    injections) out of z into one State and one InputVector that the problem
+    owns, whose slack entries stay put, so the loop builds no objects;
+    ``split`` makes the caller's own pair.
+    """
 
     def __init__(self, net: Network, y: SwitchVector):
         self.net = net
@@ -79,6 +96,15 @@ class _Problem:
         # columns of z within the (x, u, y) derivative layout
         self.cols = np.concatenate([self.free, nx + np.arange(2 * net.n_gen)])
         self.draw = demand_draw(net, y)
+        # the u columns of the balance Jacobian: -d(generation)/du, -0.0 included
+        self.neg_gen_sel = -net.gen_sel
+        self.free_bus = self.free[0::2] // 2
+        v = np.empty(net.n_bus)
+        theta = np.empty(net.n_bus)
+        v[net.slack] = net.slack_v
+        theta[net.slack] = 0.0
+        self.point = State(v=v, theta=theta)
+        self.inputs = InputVector(pg=np.empty(net.n_gen), qg=np.empty(net.n_gen))
 
     def split(self, z):
         net = self.net
@@ -88,21 +114,31 @@ class _Problem:
         x[self.free] = z[: self.nx_free]
         return State.from_vector(x), InputVector.from_vector(z[self.nx_free:])
 
+    def _load(self, z):
+        """Copy v and theta out of z into self.point; returns u, a view of z."""
+        nxf = self.nx_free
+        self.point.v[self.free_bus] = z[0:nxf:2]
+        self.point.theta[self.free_bus] = z[1:nxf:2]
+        return z[nxf:]
+
     def residual(self, z):
         """Balance residual P - S, evaluated as (P - generation) + demand draw."""
-        state, u = self.split(z)
-        return outflow(self.net, state) - self.net.gen_sel @ u.as_vector() + self.draw
+        u = self._load(z)
+        return outflow(self.net, self.point) - self.net.gen_sel @ u + self.draw
 
     def residual_jacobian(self, z):
-        """(F, J, grad E, state, input) at z; F is bitwise ``residual(z)``, formed
-        from the outflow that the derivative pass already evaluated."""
-        state, u = self.split(z)
-        P, dE, dC = jacobians(self.net, state, u, self.y)
-        # take() keeps J C-contiguous; a fancy-indexed column slice comes out
+        """(F, J, grad E) at z; F is bitwise ``residual(z)``, formed from the
+        outflow that the derivative pass already evaluated."""
+        u = self._load(z)
+        self.inputs.pg[:] = u[0::2]
+        self.inputs.qg[:] = u[1::2]
+        P, dP_dx, dE = jacobians(self.net, self.point, self.inputs, self.y)
+        # J = [dP/dx_free | -gen_sel]; take() and concatenate keep it
+        # C-contiguous, while a fancy-indexed column slice comes out
         # Fortran-ordered and changes the BLAS rounding downstream
-        J = dC[: 2 * self.net.n_bus].take(self.cols, axis=1)
-        F = P - self.net.gen_sel @ u.as_vector() + self.draw
-        return F, J, dE[self.cols], state, u
+        J = np.concatenate([dP_dx.take(self.free, axis=1), self.neg_gen_sel], axis=1)
+        F = P - self.net.gen_sel @ u + self.draw
+        return F, J, dE[self.cols]
 
 
 def _estimate_duals(prob, z, F, J, grad_E, atol=1e-7):
@@ -149,13 +185,28 @@ def _pack_duals(prob, nu, zl, zu):
     ])
 
 
-def _kkt_max(prob, F, grad_E, J, nu, zl, zu, z):
+def _optimality(prob, grad_E, J, nu, zl, zu, z):
+    """Max-norm stationarity and complementarity residuals."""
     r_stat = -grad_E + J.T @ nu - zl + zu
     comp = max(
         float(np.max(np.abs(zl * (z - prob.lower)), initial=0.0)),
         float(np.max(np.abs(zu * (prob.upper - z)), initial=0.0)),
     )
-    return float(np.max(np.abs(F))), float(np.max(np.abs(r_stat))), comp
+    return float(np.max(np.abs(r_stat))), comp
+
+
+def _kkt_max(prob, F, grad_E, J, nu, zl, zu, z):
+    return (float(np.max(np.abs(F))), *_optimality(prob, grad_E, J, nu, zl, zu, z))
+
+
+def _converged(feas, stat, comp) -> bool:
+    return feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT
+
+
+def _result(prob, z, nu, zl, zu, kkt_residual, status, iterations) -> Ao1Result:
+    state, u = prob.split(z)
+    E = objective_E(prob.net, state, u, prob.y)
+    return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), kkt_residual, E, status, iterations)
 
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
@@ -176,20 +227,18 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     z = np.clip(z, prob.lower, prob.upper)
 
     # a warm point may already satisfy the KKT system; check before iterating
-    F, J, grad_E, state, u = prob.residual_jacobian(z)
+    F, J, grad_E = prob.residual_jacobian(z)
     nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
     feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
-    if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
-        E = objective_E(net, state, u, y_fixed)
-        return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp),
-                         E, "converged", 0)
+    if _converged(feas, stat, comp):
+        return _result(prob, z, nu, zl, zu, max(feas, stat, comp), "converged", 0)
 
     delta = np.minimum(1e-3 * np.maximum(1.0, span), 0.25 * span)
     z = np.clip(z, prob.lower + delta, prob.upper - delta)
     mu = 0.1
     zl = mu / (z - prob.lower)
     zu = mu / (prob.upper - z)
-    F, J, grad_E, state, u = prob.residual_jacobian(z)
+    F, J, grad_E = prob.residual_jacobian(z)
 
     theta = float(np.abs(F).sum())
     best = (theta, z.copy())
@@ -197,18 +246,32 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     status = "max-iterations"
     iters_done = MAX_ITERS
 
-    def barrier(zv, Fv):
-        return (float(np.abs(Fv).sum())
-                - mu * float(np.sum(np.log(zv - prob.lower)))
-                - mu * float(np.sum(np.log(prob.upper - zv))))
+    # the Newton matrix is rebuilt in place; its lower-right block stays zero
+    kkt = np.zeros((n + m, n + m))
+    reg = 1e-8 * np.eye(n)
+    diag = np.arange(n)
+    # the fraction-to-boundary rule still lets gaps shrink geometrically;
+    # accepted points keep this floor so the barrier terms stay finite
+    gap = 1e-12 * np.maximum(1.0, span)
+    z_min, z_max = prob.lower + gap, prob.upper - gap
+
+    def barrier(theta_v, zv):
+        """Line-search merit at zv, where theta_v = |F(zv)|_1."""
+        return (theta_v
+                - mu * float(np.log(zv - prob.lower).sum())
+                - mu * float(np.log(prob.upper - zv).sum()))
 
     for it in range(MAX_ITERS):
         grad_f = -grad_E
-        feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
-        if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
-            status = "converged"
-            iters_done = it
-            break
+        # stationarity and complementarity only matter once the point
+        # balances; every exit that reports them recomputes them
+        feas = float(np.abs(F).max())
+        if feas <= TOL_FEAS:
+            stat, comp = _optimality(prob, grad_E, J, nu, zl, zu, z)
+            if _converged(feas, stat, comp):
+                status = "converged"
+                iters_done = it
+                break
 
         # stall: hand the point to the infeasibility certificate below
         stalled = False
@@ -217,14 +280,14 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
                 stalled = True
 
         if not stalled:
-            H = J.T @ J + 1e-8 * np.eye(n)
-            sig = zl / (z - prob.lower) + zu / (prob.upper - z)
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = H + np.diag(sig)
+            lo, hi = z - prob.lower, prob.upper - z
+            sig = zl / lo + zu / hi
+            np.add(J.T @ J, reg, out=kkt[:n, :n])
+            kkt[diag, diag] += sig
             kkt[:n, n:] = J.T
             kkt[n:, :n] = J
             rhs = np.concatenate([
-                -(grad_f + J.T @ nu) + mu / (z - prob.lower) - mu / (prob.upper - z),
+                -(grad_f + J.T @ nu) + mu / lo - mu / hi,
                 -F,
             ])
             try:
@@ -232,44 +295,40 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
             except np.linalg.LinAlgError:
                 sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
             dz, dnu = sol[:n], sol[n:]
-            dzl = (mu - (z - prob.lower) * zl) / (z - prob.lower) - zl * dz / (z - prob.lower)
-            dzu = (mu - (prob.upper - z) * zu) / (prob.upper - z) + zu * dz / (prob.upper - z)
+            dzl = (mu - lo * zl) / lo - zl * dz / lo
+            dzu = (mu - hi * zu) / hi + zu * dz / hi
 
             tau = 0.995
             alpha = 1.0
             neg = dz < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(tau * (z - prob.lower)[neg] / -dz[neg])))
+            if neg.any():
+                alpha = min(alpha, float((tau * lo[neg] / -dz[neg]).min()))
             pos = dz > 0
-            if np.any(pos):
-                alpha = min(alpha, float(np.min(tau * (prob.upper - z)[pos] / dz[pos])))
+            if pos.any():
+                alpha = min(alpha, float((tau * hi[pos] / dz[pos]).min()))
             alpha_d = 1.0
             for dual, step in ((zl, dzl), (zu, dzu)):
                 neg = step < 0
-                if np.any(neg):
-                    alpha_d = min(alpha_d, float(np.min(tau * dual[neg] / -step[neg])))
+                if neg.any():
+                    alpha_d = min(alpha_d, float((tau * dual[neg] / -step[neg]).min()))
 
-            b_old = barrier(z, F)
+            b_old = barrier(theta, z)
             accepted = False
             a = alpha
             while a > 1e-12:
                 z_try = z + a * dz
                 F_try = prob.residual(z_try)
                 theta_try = float(np.abs(F_try).sum())
-                if theta_try <= (1.0 - 1e-4 * a) * theta + 1e-16 or barrier(z_try, F_try) <= b_old - 1e-4 * a:
+                if theta_try <= (1.0 - 1e-4 * a) * theta + 1e-16 or barrier(theta_try, z_try) <= b_old - 1e-4 * a:
                     accepted = True
                     break
                 a *= 0.5
             if accepted:
-                z = z + a * dz
-                # the fraction-to-boundary rule still lets gaps shrink
-                # geometrically; floor them so the barrier terms stay finite
-                gap = 1e-12 * np.maximum(1.0, span)
-                z = np.clip(z, prob.lower + gap, prob.upper - gap)
+                z = np.clip(z + a * dz, z_min, z_max)
                 nu = nu + a * dnu
                 zl = np.maximum(zl + alpha_d * dzl, 1e-16)
                 zu = np.maximum(zu + alpha_d * dzu, 1e-16)
-                F, J, grad_E, state, u = prob.residual_jacobian(z)
+                F, J, grad_E = prob.residual_jacobian(z)
                 theta = float(np.abs(F).sum())
                 history.append(theta)
                 if theta < best[0]:
@@ -289,10 +348,10 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
                 bounds=(prob.lower, prob.upper),
                 method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400,
             ).x
-        F, J, grad_E, state, u = prob.residual_jacobian(z)
+        F, J, grad_E = prob.residual_jacobian(z)
         nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
         feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
-        if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
+        if _converged(feas, stat, comp):
             status = "converged"
         else:
             status = "infeasible" if feas > TOL_FEAS else "max-iterations"
@@ -305,9 +364,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         # cap reached without a restoration pass: classify by best residual
         nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
         feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
-        if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
+        if _converged(feas, stat, comp):
             status = "converged"
 
-    E = objective_E(net, state, u, y_fixed)
-    return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp),
-                     E, status, iters_done)
+    return _result(prob, z, nu, zl, zu, max(feas, stat, comp), status, iters_done)

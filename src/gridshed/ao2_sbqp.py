@@ -18,6 +18,7 @@ from .power_equations import (
     InputVector,
     State,
     SwitchVector,
+    constraint_jacobian,
     constraints_C,
     grad_phi,
     hessian_Q,
@@ -189,10 +190,10 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
     nxu = 2 * net.n_bus + 2 * net.n_gen
 
     if variant.full_rows or variant.tag == "mixed":
-        _, dE, dC = jacobians(net, state, inputs, switches)
+        _, dP_dx, dE = jacobians(net, state, inputs, switches)
 
     if variant.full_rows:
-        rows_y = dC[:, nxu:]
+        rows_y = constraint_jacobian(net, dP_dx, switches)[:, nxu:]
         keep = np.abs(rows_y).max(axis=1) > ZERO_ROW_TOL
         A = -rows_y[keep]
         b = -constraints_C(case, state, inputs, switches)[keep]

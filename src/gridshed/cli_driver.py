@@ -28,6 +28,7 @@ from .grid_model import (
     GridCase,
     ScenarioConfig,
     apply_scenario,
+    config_value,
     parse_case,
     parse_kv_config,
     scenario_from_mapping,
@@ -37,6 +38,7 @@ from .power_equations import (
     InputVector,
     State,
     SwitchVector,
+    constraint_jacobian,
     constraint_row,
     constraints_C,
     hessian_Q,
@@ -470,9 +472,10 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
 
     for _ in range(points):
         state, u, y = _interior_point(net, rng)
-        _, dE, dC = jacobians(net, state, u, y)
+        _, dP_dx, dE = jacobians(net, state, u, y)
+        dC = constraint_jacobian(net, dP_dx, y)
         fd_p = _central(lambda xv: outflow(net, State.from_vector(xv)), state.as_vector())
-        worst["outflow-jacobian"] = max(worst["outflow-jacobian"], _rel_err(dC[:nx, :nx], fd_p))
+        worst["outflow-jacobian"] = max(worst["outflow-jacobian"], _rel_err(dP_dx, fd_p))
         z0 = np.concatenate([state.as_vector(), u.as_vector(), y.y])
         fd_e = _central(lambda z: objective_E(net, *split(z)), z0)
         worst["objective-gradient"] = max(worst["objective-gradient"], _rel_err(dE, fd_e))
@@ -481,8 +484,9 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
         duals = rng.uniform(-1.0, 1.0, net.n_c_rows)
 
         def grad_l0_y(yy):
-            _, dE2, dC2 = jacobians(net, state, u, SwitchVector(yy))
-            return (dE2 - duals @ dC2)[nx + nu:]
+            y2 = SwitchVector(yy)
+            _, dP_dx2, dE2 = jacobians(net, state, u, y2)
+            return (dE2 - duals @ constraint_jacobian(net, dP_dx2, y2))[nx + nu:]
 
         Qd = np.diag(hessian_Q(net, state, u, y, duals))
         worst["switch-curvature"] = max(worst["switch-curvature"], _rel_err(Qd, _central(grad_l0_y, y.y.copy())))
@@ -534,11 +538,17 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    def number(key, default):
+        return config_value(mapping, key, default, float, "a number")
+
+    def integer(key, default):
+        return config_value(mapping, key, default, int, "an integer")
+
     schedule = PenaltySchedule(
-        rho0=float(mapping.get("rho0", 1.0)),
-        beta=float(mapping.get("beta", 10.0)),
-        rho_max=float(mapping.get("rho_max", 1e12)),
-        eps=float(mapping.get("eps", 1e-6)),
+        rho0=number("rho0", 1.0),
+        beta=number("beta", 10.0),
+        rho_max=number("rho_max", 1e12),
+        eps=number("eps", 1e-6),
     )
     tag = variant if variant is not None else mapping.get("variant", "mixed")
     var = Ao2Variant(
@@ -547,22 +557,23 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
         single_shot=_parse_bool("single_shot", mapping.get("single_shot", "false")),
     )
     explicit_seed = seed is not None or "seed" in mapping
-    run_seed = seed if seed is not None else int(mapping.get("seed", 2025))
+    config_seed = integer("seed", 2025)
+    run_seed = seed if seed is not None else config_seed
 
     mode = mapping.get("scenario", "stress" if scen_over else "none")
     if mode not in ("none", "stress"):
         raise ValueError(f"scenario: expected none or stress, got {mode!r}")
     scenario = None
     if mode == "stress":
-        scenario = scenario_from_mapping(scen_over)
+        scenario = scenario_from_mapping(scen_over, prefix="scenario.")
         if explicit_seed and "rank_seed" not in scen_over:
             scenario = replace(scenario, rank_seed=run_seed)
 
     return SolverConfig(
         schedule=schedule,
         variant=var,
-        outer_eps=float(mapping.get("outer_eps", 1e-6)),
-        outer_max_iters=int(mapping.get("outer_max_iters", 20)),
+        outer_eps=number("outer_eps", 1e-6),
+        outer_max_iters=integer("outer_max_iters", 20),
         seed=run_seed,
         scenario=scenario,
     )

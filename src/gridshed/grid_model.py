@@ -603,34 +603,57 @@ def apply_scenario(case: GridCase, cfg: ScenarioConfig) -> GridCase:
 
 
 def parse_kv_config(text: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    """Parse a flat ``key = value`` config file; '#' starts a comment.
+
+    A key given twice is an error naming both lines, not a silent override.
+    """
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise CaseError(f"config line {line_no}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise CaseError(f"config line {line_no}: {key} already set on line {seen[key]}")
+        seen[key] = line_no
+        out[key] = value
     return out
 
 
+def config_value(mapping: dict[str, str], key: str, default, conv, expected: str, name: str | None = None):
+    """conv(mapping[key]), or default when the key is absent.
+
+    A value that conv rejects raises a CaseError naming the key (as ``name``
+    when given) and the expected type.
+    """
+    if key not in mapping:
+        return default
+    try:
+        return conv(mapping[key])
+    except ValueError:
+        raise CaseError(f"{name or key}: expected {expected}, got {mapping[key]!r}") from None
+
+
+# key: (converter, expected type as named in errors)
 _SCENARIO_FIELDS = {
-    "pd_shift": float,
-    "qd_shift": float,
-    "shift_mode": str,
-    "qg_bound_scale": float,
-    "pg_upper_scale": float,
-    "rank_levels": int,
-    "rank_seed": lambda s: None if s.lower() == "none" else int(s),
-    "demand_set_mode": str,
+    "pd_shift": (float, "a number"),
+    "qd_shift": (float, "a number"),
+    "shift_mode": (str, "text"),
+    "qg_bound_scale": (float, "a number"),
+    "pg_upper_scale": (float, "a number"),
+    "rank_levels": (int, "an integer"),
+    "rank_seed": (lambda s: None if s.lower() == "none" else int(s), "an integer or none"),
+    "demand_set_mode": (str, "text"),
 }
 
 
-def scenario_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
+def scenario_from_mapping(mapping: dict[str, str], prefix: str = "") -> ScenarioConfig:
+    """ScenarioConfig from text values; errors name each key as prefix + key."""
     kwargs = {}
-    for key, conv in _SCENARIO_FIELDS.items():
+    for key, (conv, expected) in _SCENARIO_FIELDS.items():
         if key in mapping:
-            kwargs[key] = conv(mapping[key])
+            kwargs[key] = config_value(mapping, key, None, conv, expected, prefix + key)
     return ScenarioConfig(**kwargs)

@@ -15,17 +15,24 @@ Layout conventions, frozen because dual variables index into them:
 
 Entry points (``network``, ``constraints_C``, ``constraint_row``,
 ``flat_state``, ``line_flow``) take a ``GridCase``.  The kernels
-(``outflow``, ``supply``, ``objective_E``, ``jacobians``, ``hessian_Q``) take
-the ``Network`` that their caller resolved once with ``network(case)``, so a
-solver loop does not hash the case on every evaluation.
+(``outflow``, ``supply``, ``objective_E``, ``jacobians``,
+``constraint_jacobian``, ``hessian_Q``) take the ``Network`` that their
+caller resolved once with ``network(case)``, so a solver loop does not hash
+the case on every evaluation.  ``network`` also records, once per case,
+whether every branch conductance is non-negative (``branch_g_nonneg``).
 
 ``outflow`` is the one place the angle-difference trig is taken: it returns
 the stacked bus outflow P and, on request, dP/dx in the interleaved layout
 above, and every evaluation routine here and in the continuous stage goes
-through it.  ``jacobians`` returns P together with the derivatives, so a
-caller that needs both takes the trig once; dP/dx is the leading block
-``dC[:2N, :2N]``.  ``line_flow`` is a separate per-branch evaluation, kept as
-the reference that the tests compare ``outflow`` against.
+through it.  ``jacobians`` returns (P, dP_dx, dE), so a caller that needs
+the outflow and its derivatives takes the trig once.  The derivatives come
+shaped for their consumer: the continuous stage's Newton matrix is
+dP/dx on the free state columns next to the constant -gen_sel block, and the
+mixed switch subproblem reads only dE.  ``constraint_jacobian`` stacks dP_dx
+into the full (8N + 4G)-row derivative of C, whose leading block
+``dC[:2N, :2N]`` is dP/dx; only the self-check, the full-rows switch
+subproblem and the tests need it.  ``line_flow`` is a separate per-branch
+evaluation, kept as the reference that the tests compare ``outflow`` against.
 """
 
 from __future__ import annotations
@@ -141,6 +148,7 @@ class Network:
     x_upper: np.ndarray
     u_lower: np.ndarray
     u_upper: np.ndarray
+    branch_g_nonneg: bool      # no off-diagonal of G is positive (every branch g >= 0)
 
     @property
     def n_c_rows(self) -> int:
@@ -194,6 +202,7 @@ def network(case: GridCase) -> Network:
         x_upper=x_upper,
         u_lower=u_lower,
         u_upper=u_upper,
+        branch_g_nonneg=bool(np.all(admittance.G[~np.eye(n, dtype=bool)] <= 0.0)),
     )
 
 
@@ -242,14 +251,16 @@ def outflow(net: Network, state: State, jacobian: bool = False):
     P[1::2] = q
     if not jacobian:
         return P
+    g_kk, b_kk = net.G.diagonal(), net.B.diagonal()
     dP_dv = v[:, None] * A1
-    np.fill_diagonal(dP_dv, a1v + v * np.diag(net.G))
-    dP_dth = v[:, None] * v[None, :] * A2
-    np.fill_diagonal(dP_dth, -q - v * v * np.diag(net.B))
+    np.fill_diagonal(dP_dv, a1v + v * g_kk)
+    vv = v[:, None] * v[None, :]
+    dP_dth = vv * A2
+    np.fill_diagonal(dP_dth, -q - v * v * b_kk)
     dQ_dv = v[:, None] * A2
-    np.fill_diagonal(dQ_dv, a2v - v * np.diag(net.B))
-    dQ_dth = -v[:, None] * v[None, :] * A1
-    np.fill_diagonal(dQ_dth, p - v * v * np.diag(net.G))
+    np.fill_diagonal(dQ_dv, a2v - v * b_kk)
+    dQ_dth = -vv * A1           # (-v_k) v_l = -(v_k v_l) exactly
+    np.fill_diagonal(dQ_dth, p - v * v * g_kk)
     dP_dx = np.empty((2 * n, 2 * n))
     dP_dx[0::2, 0::2] = dP_dv
     dP_dx[0::2, 1::2] = dP_dth
@@ -303,23 +314,28 @@ def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVec
 def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     """Outflow and analytic first derivatives from one trig evaluation.
 
-    Returns (P, dE, dC): the stacked outflow (2N), the objective gradient over
-    (x, u, y), and the constraint Jacobian over (x, u, y), whose leading block
-    dC[:2N, :2N] is dP/dx.
+    Returns (P, dP_dx, dE): the stacked outflow (2N), its derivative over x
+    (2N x 2N, interleaved as in ``outflow``), and the objective gradient over
+    (x, u, y).  ``constraint_jacobian`` stacks dP_dx into the derivative of C.
     """
-    n, ngen, ndem = net.n_bus, net.n_gen, net.n_dem
-    nx, nu = 2 * n, 2 * ngen
+    nx, nu = 2 * net.n_bus, 2 * net.n_gen
     P, dP_dx = outflow(net, state, jacobian=True)
 
     # objective: E = sum_D y r (pg - P_act); P_act rows are the even rows of dP_dx
     w_dem = y.y * net.rank
-    dE = np.zeros(net.n_cols)
+    dE = np.empty(net.n_cols)
     dE[:nx] = -(w_dem[:, None] * dP_dx[2 * net.dem_pos, :]).sum(axis=0)
     has_gen = net.dem_pg_col >= 0
-    dE_u = np.zeros(nu)
-    np.add.at(dE_u, net.dem_pg_col[has_gen], w_dem[has_gen])
-    dE[nx:nx + nu] = dE_u
+    dE[nx:nx + nu] = np.bincount(net.dem_pg_col[has_gen], weights=w_dem[has_gen], minlength=nu)
     dE[nx + nu:] = net.rank * _delivery(net, P, input)
+    return P, dP_dx, dE
+
+
+def constraint_jacobian(net: Network, dP_dx: np.ndarray, y: SwitchVector) -> np.ndarray:
+    """Derivative of the constraint stack C over (x, u, y), (8N + 4G) x (2N + 2G + D),
+    from the dP_dx that ``jacobians`` returned at the same point."""
+    n, ngen, ndem = net.n_bus, net.n_gen, net.n_dem
+    nx, nu = 2 * n, 2 * ngen
 
     # d(S)/du is the generator selector, d(S)/dy = -2y (pd, qd) per demand bus
     dS_dy = np.zeros((nx, ndem))
@@ -341,7 +357,7 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     dC[r:r + nu, nx:nx + nu] = -np.eye(nu)
     r += nu
     dC[r:r + nu, nx:nx + nu] = np.eye(nu)
-    return P, dE, dC
+    return dC
 
 
 def hessian_Q(net: Network, state: State, input: InputVector, y: SwitchVector,

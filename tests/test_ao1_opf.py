@@ -162,3 +162,14 @@ def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
         assert np.array_equal(prob.residual_jacobian(z)[0], prob.residual(z))
         state, u = prob.split(z)
         assert np.array_equal(jacobians(net, state, u, prob.y)[0], outflow(net, state))
+
+
+@pytest.mark.parametrize("yv", [(1.0, 1.0, 1.0), (0.3, 0.9, 0.5), (1.0, 0.0, 1.0)])
+def test_converged_result_reports_the_final_kkt_residual(case5, yv):
+    # the loop computes stationarity and complementarity only once the point
+    # balances; the reported residual must still be the final point's, not a
+    # value left over from the rejected start
+    r = solve_ao1(case5, SwitchVector(np.array(yv)))
+    assert r.status == "converged"
+    assert r.iterations > 0
+    assert 0.0 <= r.kkt_residual <= ao1_opf.TOL_KKT

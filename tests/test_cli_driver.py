@@ -405,3 +405,22 @@ def test_cli_non_finite_config_value_exits_two(case5_path, tmp_path, capsys, lin
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rho0 = abc\n", "rho0: expected a number, got 'abc'"),
+    ("outer_max_iters = 2.5\n", "outer_max_iters: expected an integer, got '2.5'"),
+    ("seed = x\n", "seed: expected an integer, got 'x'"),
+    ("scenario.pd_shift = abc\n", "scenario.pd_shift: expected a number, got 'abc'"),
+    ("scenario.rank_seed = 1.5\n", "scenario.rank_seed: expected an integer or none, got '1.5'"),
+    ("rho0 = 1.0\n# comment\nbeta = 5\nrho0 = 2.0\n", "config line 4: rho0 already set on line 1"),
+], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate"])
+def test_cli_bad_config_value_names_its_key(case5_path, tmp_path, capsys, text, message):
+    # a bare "could not convert string to float" used to leave the key unnamed,
+    # and a repeated key used to let the later value win silently
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text(text)
+    rc = main(["solve", "--case", str(case5_path), "--config", str(cfgfile),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

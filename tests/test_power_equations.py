@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshed import ao1_opf
 from gridshed.grid_model import (
     Branch,
     Bus,
@@ -14,6 +15,7 @@ from gridshed.power_equations import (
     InputVector,
     State,
     SwitchVector,
+    constraint_jacobian,
     constraint_row,
     constraints_C,
     flat_state,
@@ -247,13 +249,12 @@ def split_z(net, z):
 def test_derivatives_match_finite_differences(fixture, request):
     case = request.getfixturevalue(fixture)
     net = network(case)
-    nx = 2 * net.n_bus
     rng = np.random.default_rng(42)
     for _ in range(5):
         state, u, y = random_point(case, rng)
         z = np.concatenate([state.as_vector(), u.as_vector(), y.y])
-        _, dE, dC = jacobians(net, state, u, y)
-        dP_dx = dC[:nx, :nx]
+        _, dP_dx, dE = jacobians(net, state, u, y)
+        dC = constraint_jacobian(net, dP_dx, y)
 
         fd_P = central_diff(lambda x: outflow(net, State.from_vector(x)), state.as_vector())
         scale = np.maximum(1.0, np.abs(fd_P))
@@ -268,11 +269,115 @@ def test_derivatives_match_finite_differences(fixture, request):
         assert np.max(np.abs(dC - fd_C) / scale) <= 1e-6
 
 
+def reference_jacobians(net, state, u, y):
+    """(P, dE, dC) as ``jacobians`` computed them when it returned the stacked
+    constraint Jacobian dC, outflow derivative included; kept verbatim as the
+    reference that the split must reproduce bit for bit."""
+    v = state.v
+    th = state.theta[:, None] - state.theta[None, :]
+    c, s = np.cos(th), np.sin(th)
+    A1 = net.G * c + net.B * s
+    A2 = net.G * s - net.B * c
+    a1v = A1 @ v
+    a2v = A2 @ v
+    p = v * a1v
+    q = v * a2v
+    n = v.size
+    P = np.empty(2 * n)
+    P[0::2] = p
+    P[1::2] = q
+    dP_dv = v[:, None] * A1
+    np.fill_diagonal(dP_dv, a1v + v * np.diag(net.G))
+    dP_dth = v[:, None] * v[None, :] * A2
+    np.fill_diagonal(dP_dth, -q - v * v * np.diag(net.B))
+    dQ_dv = v[:, None] * A2
+    np.fill_diagonal(dQ_dv, a2v - v * np.diag(net.B))
+    dQ_dth = -v[:, None] * v[None, :] * A1
+    np.fill_diagonal(dQ_dth, p - v * v * np.diag(net.G))
+    dP_dx = np.empty((2 * n, 2 * n))
+    dP_dx[0::2, 0::2] = dP_dv
+    dP_dx[0::2, 1::2] = dP_dth
+    dP_dx[1::2, 0::2] = dQ_dv
+    dP_dx[1::2, 1::2] = dQ_dth
+
+    ngen, ndem = net.n_gen, net.n_dem
+    nx, nu = 2 * n, 2 * ngen
+    w_dem = y.y * net.rank
+    dE = np.zeros(net.n_cols)
+    dE[:nx] = -(w_dem[:, None] * dP_dx[2 * net.dem_pos, :]).sum(axis=0)
+    has_gen = net.dem_pg_col >= 0
+    dE_u = np.zeros(nu)
+    np.add.at(dE_u, net.dem_pg_col[has_gen], w_dem[has_gen])
+    dE[nx:nx + nu] = dE_u
+    pg_at_dem = np.where(net.dem_pg_col >= 0, u.pg[net.dem_pg_col // 2], 0.0)
+    dE[nx + nu:] = net.rank * (pg_at_dem - P[2 * net.dem_pos])
+
+    dS_dy = np.zeros((nx, ndem))
+    dS_dy[2 * net.dem_pos, np.arange(ndem)] = -2.0 * y.y * net.pd
+    dS_dy[2 * net.dem_pos + 1, np.arange(ndem)] = -2.0 * y.y * net.qd
+    dC = np.zeros((net.n_c_rows, net.n_cols))
+    r = 0
+    dC[r:r + nx, :nx] = dP_dx
+    dC[r:r + nx, nx:nx + nu] = -net.gen_sel
+    dC[r:r + nx, nx + nu:] = -dS_dy
+    r += nx
+    dC[r:r + nx] = -dC[:nx]
+    r += nx
+    dC[r:r + nx, :nx] = -np.eye(nx)
+    r += nx
+    dC[r:r + nx, :nx] = np.eye(nx)
+    r += nx
+    dC[r:r + nu, nx:nx + nu] = -np.eye(nu)
+    r += nu
+    dC[r:r + nu, nx:nx + nu] = np.eye(nu)
+    return P, dE, dC
+
+
+@pytest.mark.parametrize("fixture", ["case5", "case30"])
+def test_split_derivatives_match_the_stacked_reference(fixture, request):
+    case = request.getfixturevalue(fixture)
+    net = network(case)
+    nx = 2 * net.n_bus
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        state, u, y = random_point(case, rng)
+        P, dP_dx, dE = jacobians(net, state, u, y)
+        dC = constraint_jacobian(net, dP_dx, y)
+        ref_P, ref_dE, ref_dC = reference_jacobians(net, state, u, y)
+        assert np.array_equal(dC, ref_dC)
+        # bytes too, so the -0.0 entries of the -gen_sel block keep their sign
+        assert dC.tobytes() == ref_dC.tobytes()
+        assert P.tobytes() == ref_P.tobytes()
+        assert dP_dx.tobytes() == ref_dC[:nx, :nx].tobytes()
+        assert dE.tobytes() == ref_dE.tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["case5", "case30"])
+def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
+    # AO1 forms J = [dP/dx_free | -gen_sel] and grad E = dE[cols] without the
+    # stacked Jacobian; both must be the bits the stack gave, and J must stay
+    # C-contiguous, since J.T @ J rounds differently on a Fortran-ordered J
+    case = request.getfixturevalue(fixture)
+    net = network(case)
+    prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.6)))
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        z = prob.lower + rng.uniform(0.1, 0.9, prob.n) * (prob.upper - prob.lower)
+        _, J, grad_E = prob.residual_jacobian(z)
+        state, u = prob.split(z)
+        _, ref_dE, ref_dC = reference_jacobians(net, state, u, prob.y)
+        ref_J = ref_dC[: 2 * net.n_bus].take(prob.cols, axis=1)
+        assert J.flags.c_contiguous
+        assert J.shape == ref_J.shape
+        assert J.tobytes() == ref_J.tobytes()
+        assert grad_E.tobytes() == ref_dE[prob.cols].tobytes()
+
+
 def test_bound_rows_have_zero_y_columns(case5):
     rng = np.random.default_rng(1)
     state, u, y = random_point(case5, rng)
     net = network(case5)
-    _, _, dC = jacobians(net, state, u, y)
+    dC = constraint_jacobian(net, jacobians(net, state, u, y)[1], y)
     y_cols = dC[:, 2 * net.n_bus + 2 * net.n_gen:]
     assert np.all(y_cols[4 * net.n_bus:] == 0.0)
 
@@ -289,7 +394,8 @@ def test_flat_lossless_voltage_block_is_zero():
     )
     state = flat_state(case)
     u = InputVector(pg=np.array([0.0]), qg=np.array([0.0]))
-    _, _, dC = jacobians(network(case), state, u, SwitchVector(np.ones(1)))
+    net, ones = network(case), SwitchVector(np.ones(1))
+    dC = constraint_jacobian(net, jacobians(net, state, u, ones)[1], ones)
     dP_dx = dC[:6, :6]  # the leading 2N x 2N block, N = 3
     np.testing.assert_array_equal(dP_dx[0::2, 0::2], 0.0)
 
@@ -322,7 +428,9 @@ def test_hessian_matches_finite_difference(case5):
     duals = rng.uniform(-1.0, 1.0, net.n_c_rows)
 
     def grad_L0_y(yy):
-        _, dE, dC = jacobians(net, state, u, SwitchVector(yy))
+        y2 = SwitchVector(yy)
+        _, dP_dx, dE = jacobians(net, state, u, y2)
+        dC = constraint_jacobian(net, dP_dx, y2)
         g = dE - duals @ dC
         return g[2 * net.n_bus + 2 * net.n_gen:]
 

@@ -1,0 +1,156 @@
+"""Digest every distinct call of a benchmark workload, for bit-identity checks.
+
+    python3 tools/workload_digests.py OUT.json --workload oracle5 --seeds 1-10
+
+Builds the calls of ``bench/workloads.py`` for each seed (the module is
+imported, never changed), runs each distinct call once, in first-seen order,
+in this process and against ./src, and writes one JSON document: the
+workload, the seeds, the BLAS thread settings, and per distinct call its
+parameters, the seeds whose call lists hold it, and a SHA-256 digest.
+
+The digest covers the bytes of everything the call returns:
+
+* an answer: the switch set, the objective, the state (v, theta) and input
+  (pg, qg) arrays and every AO2 trace row, plus, on oracle5, every
+  enumerated entry; a bare AO2 call (switch30) gives its switch set and
+  trace, and its AO1 start from set-up is digested too;
+* a failure: the error type and text, and the best iterate (a
+  ``DriverError``'s partial result, or an ``Ao2Error``'s trace and switches).
+
+No wall-clock value enters the file, so two checkouts that compute the same
+bits write the same file and ``cmp`` or ``diff`` shows any change.  Digests
+depend on the BLAS thread count, which is recorded so that files taken at
+different counts are not compared by mistake.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gridshed  # noqa: E402,F401  (first: it pins the BLAS threads before numpy loads)
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from gridshed.ao2_sbqp import Ao2Error  # noqa: E402
+from gridshed.cli_driver import DriverError  # noqa: E402
+
+
+class _Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def text(self, value) -> None:
+        data = str(value).encode()
+        self._h.update(len(data).to_bytes(8, "little") + data)
+
+    def floats(self, values) -> None:
+        self.text(np.ascontiguousarray(values, dtype=float).tobytes().hex())
+
+    def trace(self, trace) -> None:
+        for row in trace.rows:
+            self.floats(row.y)
+            self.floats([row.iteration, row.phi, row.rho, row.alpha, row.psi])
+            self.text(row.status)
+            self.text(row.kind)
+
+    def result(self, res) -> None:
+        """A run_ao_sbqp result, wall-clock timings left out."""
+        self.floats(res.switches.y)
+        self.floats([res.objective, res.supplied_active, res.supplied_reactive, res.outer_iterations])
+        for values in (res.state.v, res.state.theta, res.input.pg, res.input.qg):
+            self.floats(values)
+        for trace in res.ao2_traces:
+            self.trace(trace)
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def call_digest(call: dict, inst, answer) -> str:
+    d = _Digest()
+    if call["kind"] == "switch":
+        (state, inputs, ones), duals = inst.start
+        for values in (state.v, state.theta, inputs.pg, inputs.qg, ones.y, duals):
+            d.floats(values)
+    if isinstance(answer, (DriverError, Ao2Error)):
+        d.text(type(answer).__name__)
+        d.text(answer)
+        if isinstance(answer, DriverError):
+            d.text(answer.kind)
+            if answer.best is not None:
+                d.result(answer.best)
+        else:
+            d.trace(answer.trace)
+            d.floats(answer.y)
+        return d.hexdigest()
+    if call["kind"] == "oracle-solve":
+        entries, answer = answer
+        for e in entries:
+            d.floats([*e.switches, e.feasible, e.objective, e.screened])
+    if call["kind"] == "switch":
+        switches, trace = answer
+        d.floats(switches.y)
+        d.trace(trace)
+    else:
+        d.result(answer)
+    return d.hexdigest()
+
+
+def _seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    parser.add_argument("--seeds", default="1-10", help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
+    args = parser.parse_args(argv)
+
+    seen: dict[str, dict] = {}
+    for seed in _seeds(args.seeds):
+        calls = workloads.call_list(args.workload, seed)
+        built = None
+        for call in calls:
+            key = json.dumps(call, sort_keys=True)
+            if key in seen:
+                if seed not in seen[key]["seeds"]:
+                    seen[key]["seeds"].append(seed)
+                continue
+            if built is None:
+                built = workloads.build(calls)
+            inst = built[workloads.instance_key(call)]
+            answer = workloads.run(call, inst)
+            error = "" if not isinstance(answer, (DriverError, Ao2Error)) else f"{type(answer).__name__}: {answer}"
+            seen[key] = {"call": call, "seeds": [seed], "error": error,
+                         "digest": call_digest(call, inst, answer)}
+    doc = {
+        "workload": args.workload,
+        "seeds": _seeds(args.seeds),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "distinct_calls": len(seen),
+        "failed_calls": sum(1 for entry in seen.values() if entry["error"]),
+        "calls": list(seen.values()),
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"{args.workload}: {len(seen)} distinct calls, {doc['failed_calls']} failed, "
+          f"OPENBLAS_NUM_THREADS={doc['OPENBLAS_NUM_THREADS']}, wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
