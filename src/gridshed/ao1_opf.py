@@ -13,7 +13,10 @@ exceeds total active capacity by more than the balance tolerance summed over
 the buses), no point can balance and the stall point is returned as
 "infeasible" at once. Otherwise a bounded least-squares restoration on the
 balance residuals runs from the best point seen; it is the only judge of
-infeasibility caused by reactive or voltage limits or by losses.
+infeasibility caused by reactive or voltage limits or by losses. It is the
+module's only use of scipy, and ``least_squares`` loads scipy.optimize at its
+first call, so a process whose stalls the screen always certifies never
+imports it.
 
 E is affine in the balance residuals, so every feasible point is optimal
 and the equality duals at an interior solution are -y_k r_k on the active
@@ -38,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .grid_model import GridCase
 from .power_equations import (InputVector, Network, State, SwitchVector, demand_draw, jacobians,
@@ -47,6 +49,12 @@ from .power_equations import (InputVector, Network, State, SwitchVector, demand_
 TOL_FEAS = 1e-8
 TOL_KKT = 1e-6
 MAX_ITERS = 200
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported at the first restoration."""
+    from scipy.optimize import least_squares as fit
+    return fit(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,6 +84,10 @@ class SolverConfig:
             raise ValueError("outer_eps must be finite")
         if self.outer_eps <= 0.0:
             raise ValueError("outer_eps must be positive")
+        for name in ("outer_max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.outer_max_iters < 1:
             raise ValueError("outer_max_iters must be at least 1")
 

@@ -193,6 +193,14 @@ class GridCase:
                 raise CaseError(f"demand at bus {d.bus}: unknown bus reference")
         if not self.base_mva > 0:
             raise CaseError("base_mva must be positive")
+        # the dataclass hash of the fields, computed once: network() looks the
+        # case up by hash on every call.  Every field is an int, float, bool or
+        # tuple of them, so the value is the same in every process.
+        object.__setattr__(self, "_hash", hash(
+            (self.buses, self.branches, self.generators, self.demands, self.base_mva)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def bus_ids(self) -> tuple[int, ...]:

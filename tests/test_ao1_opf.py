@@ -1,8 +1,15 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridshed
 from gridshed import ao1_opf
 from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
 from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle
@@ -133,6 +140,70 @@ def test_screen_margin_is_n_bus_times_tol(shortfall5_case, restorations, side, f
     r = solve_ao1(case, ones)
     assert r.status == "infeasible"
     assert len(restorations) == (0 if fires else 1)
+
+
+# -- scipy is loaded at the first restoration, not at import -------------------
+
+_CASES = textwrap.dedent("""
+    import dataclasses, json, sys
+    from importlib import resources
+    import numpy as np
+    from gridshed import (Ao2Variant, Branch, ScenarioConfig, SolverConfig, SwitchVector,
+                          apply_scenario, enumerate_oracle, parse_case, run_ao_sbqp,
+                          self_check, solve_ao1)
+
+    def case(name):
+        return parse_case(resources.files("gridshed").joinpath(f"cases/{name}.m").read_text())
+
+    case5, case30 = case("case5"), case("case30")
+    shortfall = ScenarioConfig(shift_mode="multiplicative", pd_shift=1.0, qd_shift=1.0,
+                               pg_upper_scale=0.5, qg_bound_scale=0.5,
+                               rank_seed=2, demand_set_mode="loaded-buses")
+    loaded = ["scipy.optimize" in sys.modules]
+""")
+
+
+def _scipy_loaded(body: str) -> list[bool]:
+    """Run body after _CASES in a fresh interpreter; returns its `loaded` list.
+
+    A fresh process, since other tests load scipy into this one.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(gridshed.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    script = _CASES + textwrap.dedent(body) + "print(json.dumps(loaded))\n"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_screened_solves_never_import_scipy():
+    # criterion 1 (every variant), criterion 3 (oracle and solve) and the
+    # self-check: every stall is screened, so no restoration runs
+    loaded = _scipy_loaded("""
+        for tag in ("mixed", "relaxed-one", "relaxed-two"):
+            run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag=tag), scenario=ScenarioConfig()))
+        cfg = SolverConfig(scenario=shortfall)
+        enumerate_oracle(case5, cfg)
+        run_ao_sbqp(case5, cfg)
+        self_check(case30)
+        loaded.append("scipy.optimize" in sys.modules)
+    """)
+    assert loaded == [False, False]
+
+
+def test_unscreened_stall_imports_scipy():
+    # the negative_g5 fixture's case: negative losses are possible, so the
+    # all-ones stall goes to the restoration, which loads scipy.optimize
+    loaded = _scipy_loaded("""
+        work = apply_scenario(case5, shortfall)
+        first, *rest = work.branches
+        flipped = Branch(from_bus=first.from_bus, to_bus=first.to_bus, g=-first.g, b=first.b)
+        work = dataclasses.replace(work, branches=(flipped, *rest))
+        assert solve_ao1(work, SwitchVector(np.ones(3))).status == "infeasible"
+        loaded.append("scipy.optimize" in sys.modules)
+    """)
+    assert loaded == [False, True]
 
 
 def test_oracle_labels_match_direct_solves(shortfall5_case):

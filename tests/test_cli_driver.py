@@ -109,6 +109,14 @@ def test_solver_config_validation():
         SolverConfig(outer_max_iters=0)
 
 
+@pytest.mark.parametrize("field", ["outer_max_iters", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+def test_solver_config_integer_fields_reject_non_int(field, bad):
+    # caught at construction, not as a bare TypeError from range() or SeedSequence
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SolverConfig(**{field: bad})
+
+
 # -- the alternation driver ---------------------------------------------------
 
 def test_adequate_case_serves_everything(case5):

@@ -10,6 +10,7 @@ from gridshed.grid_model import (
     DemandSpec,
     Generator,
     GridCase,
+    parse_case,
 )
 from gridshed.power_equations import (
     InputVector,
@@ -58,6 +59,25 @@ def random_point(case, rng):
     u = InputVector.from_vector(span_l + rng.uniform(0.1, 0.9, 2 * net.n_gen) * (span_u - span_l))
     y = SwitchVector(rng.uniform(0.05, 0.95, net.n_dem))
     return state, u, y
+
+
+def test_network_lookup_does_not_rehash_the_case(case30_text, monkeypatch):
+    case = parse_case(case30_text)
+    twin = parse_case(case30_text)
+    assert twin is not case and twin == case
+    net = network(case)
+    calls = []
+    original = Bus.__hash__
+
+    def counting(self):
+        calls.append(self.id)
+        return original(self)
+
+    monkeypatch.setattr(Bus, "__hash__", counting)
+    # equal cases still share one cache entry, and the lookups hash no bus
+    assert network(twin) is net
+    assert network(case) is net
+    assert calls == []
 
 
 def test_line_flow_zero_at_flat_start(case5):

@@ -1,0 +1,140 @@
+"""Count the AO1 restorations that each distinct call of a benchmark workload runs.
+
+    python3 tools/restore_census.py --workload shed30 --seeds 1-10
+
+Builds the calls of ``bench/workloads.py`` for each seed (the module is
+imported, never changed), runs each distinct call once, in first-seen order,
+in this process and against ./src, and wraps ``gridshed.ao1_opf.least_squares``
+(the bounded least-squares restoration that a stall the active-capacity screen
+cannot certify runs) from outside the package.  scipy.optimize is imported
+before the first call, so no restoration's time includes the import.
+
+One line per distinct call: the seed and index where it first appears, its
+variant, its restoration calls, their function evaluations, the smallest and
+largest end max|F| (the balance residual each restoration stopped at), their
+seconds, and the call's outcome (answered, or the error's first clause).
+Restorations during a seed's set-up (switch30 builds its AO1 starts there)
+get a line of their own.  Totals follow: restorations, how many stopped at
+the evaluation cap (scipy status 0) and how many ended balanced (end max|F|
+at most ``TOL_FEAS``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gridshed  # noqa: E402,F401  (first: it pins the BLAS threads before numpy loads)
+import numpy as np  # noqa: E402
+import scipy.optimize  # noqa: E402,F401  (loaded here so no restoration is timed with it)
+
+import workloads  # noqa: E402
+from gridshed import ao1_opf  # noqa: E402
+from gridshed.ao2_sbqp import Ao2Error  # noqa: E402
+from gridshed.cli_driver import DriverError  # noqa: E402
+from workload_digests import _seeds  # noqa: E402
+
+
+class Census:
+    """Wraps ao1_opf.least_squares; keeps (nfev, status, end max|F|, seconds) per restoration."""
+
+    def __init__(self):
+        self.runs: list[tuple[int, int, float, float]] = []
+        self._original = ao1_opf.least_squares
+
+    def install(self):
+        def counted(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = self._original(*args, **kwargs)
+            self.runs.append((int(out.nfev), int(out.status), float(np.max(np.abs(out.fun))),
+                              time.perf_counter() - t0))
+            return out
+
+        ao1_opf.least_squares = counted
+
+    def uninstall(self):
+        ao1_opf.least_squares = self._original
+
+    def take(self) -> list[tuple[int, int, float, float]]:
+        runs, self.runs = self.runs, []
+        return runs
+
+
+def _outcome(answer) -> str:
+    if isinstance(answer, (DriverError, Ao2Error)):
+        return f"{type(answer).__name__}: {re.split(r'[;:(]', str(answer))[0].strip()}"
+    return "answered"
+
+
+def _line(label: str, variant: str, runs, outcome: str) -> str:
+    if runs:
+        ends = [r[2] for r in runs]
+        spread = f"{min(ends):>9.2e} {max(ends):>9.2e}"
+    else:
+        spread = f"{'-':>9} {'-':>9}"
+    return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} {spread} "
+            f"{sum(r[3] for r in runs):>9.3f}  {outcome}")
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    parser.add_argument("--seeds", default="1-10", help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
+    args = parser.parse_args(argv)
+
+    census = Census()
+    census.install()
+    seen: set[str] = set()
+    every: list[tuple[int, int, float, float]] = []
+    outcomes: list[str] = []
+    print(f"{'call':<14} {'variant':<11} {'rest.':>5} {'nfev':>6} {'min|F|':>9} {'max|F|':>9} "
+          f"{'restore_s':>9}  outcome")
+    try:
+        for seed in _seeds(args.seeds):
+            calls = workloads.call_list(args.workload, seed)
+            built = None
+            for k, call in enumerate(calls):
+                key = json.dumps(call, sort_keys=True)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if built is None:
+                    built = workloads.build(calls)
+                    runs = census.take()
+                    if runs:
+                        every += runs
+                        print(_line(f"seed {seed} setup", "", runs, ""))
+                answer = workloads.run(call, built[workloads.instance_key(call)])
+                runs = census.take()
+                every += runs
+                outcomes.append(_outcome(answer))
+                print(_line(f"seed {seed} call {k}", call["variant"], runs, outcomes[-1]), flush=True)
+    finally:
+        census.uninstall()
+
+    failed = sum(o != "answered" for o in outcomes)
+    print(f"{args.workload} seeds {args.seeds}: {len(outcomes)} distinct calls, {failed} failed")
+    if not every:
+        print("no restoration ran")
+        return 0
+    ends = [r[2] for r in every]
+    seconds = [r[3] for r in every]
+    print(f"restorations {len(every)}, {sum(r[0] for r in every)} evaluations, "
+          f"{sum(r[1] == 0 for r in every)} at the evaluation cap, "
+          f"{sum(e <= ao1_opf.TOL_FEAS for e in ends)} balanced (end max|F| <= {ao1_opf.TOL_FEAS:g})")
+    print(f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(seconds):.3f} s in all, "
+          f"median {statistics.median(seconds):.3f} s per restoration")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
