@@ -11,12 +11,14 @@ If ``active_capacity_screen`` fires (every branch conductance is
 non-negative, so network losses are too, and the switched-in active demand
 exceeds total active capacity by more than the balance tolerance summed over
 the buses), no point can balance and the stall point is returned as
-"infeasible" at once. Otherwise a bounded least-squares restoration on the
-balance residuals runs from the best point seen; it is the only judge of
-infeasibility caused by reactive or voltage limits or by losses. It is the
-module's only use of scipy, and ``least_squares`` loads scipy.optimize at its
-first call, so a process whose stalls the screen always certifies never
-imports it.
+"infeasible" at once, with certificate "screen". Otherwise ``least_squares``
+fits the balance residuals over the bounds from the best point seen: a
+projected Levenberg-Marquardt method (More 1978) on 0.5 |F|^2. A fit that
+ends stationary with max|F| above TOL_FEAS is the "restoration" certificate
+of an "infeasible" verdict; one that runs out of iterations proves nothing
+and is reported as "max-iterations". The fit judges infeasibility caused by
+reactive or voltage limits or by losses, and the module needs nothing
+beyond numpy.
 
 E is affine in the balance residuals, so every feasible point is optimal
 and the equality duals at an interior solution are -y_k r_k on the active
@@ -49,12 +51,8 @@ from .power_equations import (InputVector, Network, State, SwitchVector, demand_
 TOL_FEAS = 1e-8
 TOL_KKT = 1e-6
 MAX_ITERS = 200
-
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported at the first restoration."""
-    from scipy.optimize import least_squares as fit
-    return fit(*args, **kwargs)
+FIT_MAX_ITERS = 200
+FIT_LAMBDA_MAX = 1e16
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +64,7 @@ class Ao1Result:
     objective: float
     status: str
     iterations: int = 0
+    certificate: str = ""   # what proves an "infeasible" status: "screen" or "restoration"
 
 
 def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
@@ -149,6 +148,68 @@ class _Problem:
         return F, J, dE[self.cols]
 
 
+@dataclass(frozen=True, eq=False)
+class FitResult:
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    status: str     # "balanced", "stationary" or "cap"
+
+
+def least_squares(prob: _Problem, z0) -> FitResult:
+    """Projected Levenberg-Marquardt fit of 0.5 |F|^2 over [prob.lower, prob.upper].
+
+    A coordinate held at a bound by a gradient pointing out of the box is
+    fixed; the rest take the damped Gauss-Newton step with damping
+    lam * diag(Jf'Jf), clipped back into the box.  lam grows fourfold on a
+    rejected step and shrinks threefold on an accepted one.  Each point costs
+    one ``residual_jacobian`` evaluation.  Ends "balanced" at max|F| <=
+    TOL_FEAS, "stationary" when the projected gradient, the relative
+    decrease or the largest lam leaves nothing to gain, and "cap" after
+    FIT_MAX_ITERS steps.
+    """
+    lower, upper = prob.lower, prob.upper
+    z = np.clip(z0, lower, upper)
+    F, J, _ = prob.residual_jacobian(z)
+    nfev = 1
+    f = 0.5 * float(F @ F)
+    lam = 1e-3
+    for _ in range(FIT_MAX_ITERS):
+        if float(np.abs(F).max()) <= TOL_FEAS:
+            return FitResult(z, F, nfev, "balanced")
+        g = J.T @ F
+        free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
+        if float(np.abs(g[free]).max(initial=0.0)) <= 1e-12 * max(1.0, f):
+            return FitResult(z, F, nfev, "stationary")
+        Jf = J[:, free]
+        H = Jf.T @ Jf
+        d = np.diag(H).copy()
+        np.maximum(d, 1e-12 * max(float(d.max()), 1e-300), out=d)
+        rhs = -g[free]
+        while True:
+            M = H + lam * np.diag(d)
+            step = np.zeros_like(z)
+            try:
+                step[free] = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                step[free] = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            z_try = np.clip(z + step, lower, upper)
+            F_try, J_try, _ = prob.residual_jacobian(z_try)
+            nfev += 1
+            f_try = 0.5 * float(F_try @ F_try)
+            if f_try < f:
+                break
+            lam *= 4.0
+            if lam > FIT_LAMBDA_MAX:
+                return FitResult(z, F, nfev, "stationary")
+        decrease = f - f_try
+        z, F, J, f = z_try, F_try, J_try, f_try
+        lam /= 3.0
+        if decrease <= 1e-14 * (f + decrease):
+            return FitResult(z, F, nfev, "stationary")
+    return FitResult(z, F, nfev, "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap")
+
+
 def _estimate_duals(prob, z, F, J, grad_E, atol=1e-7):
     """Least-squares multipliers with bound duals only on the active set."""
     grad_f = -grad_E
@@ -211,10 +272,11 @@ def _converged(feas, stat, comp) -> bool:
     return feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT
 
 
-def _result(prob, z, nu, zl, zu, kkt_residual, status, iterations) -> Ao1Result:
+def _result(prob, z, nu, zl, zu, kkt_residual, status, iterations, certificate="") -> Ao1Result:
     state, u = prob.split(z)
     E = objective_E(prob.net, state, u, prob.y)
-    return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), kkt_residual, E, status, iterations)
+    return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), kkt_residual, E, status, iterations,
+                     certificate)
 
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
@@ -252,6 +314,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     best = (theta, z.copy())
     history = [theta]
     status = "max-iterations"
+    certificate = ""
     iters_done = MAX_ITERS
 
     # the Newton matrix is rebuilt in place; its lower-right block stays zero
@@ -347,22 +410,21 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
             stalled = True
 
         # the screen proves infeasibility outright, so the stall point stands;
-        # otherwise restoration: bounded least squares on the balance residuals
+        # otherwise restoration: bounded least squares on the balance
+        # residuals, whose stationary end above TOL_FEAS is the certificate
         if active_capacity_screen(net, y_fixed):
-            z = best[1]
+            z, certificate = best[1], "screen"
         else:
-            z = least_squares(
-                prob.residual, best[1], jac=lambda zz: prob.residual_jacobian(zz)[1],
-                bounds=(prob.lower, prob.upper),
-                method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=400,
-            ).x
+            fit = least_squares(prob, best[1])
+            z, certificate = fit.x, ("restoration" if fit.status == "stationary" else "")
         F, J, grad_E = prob.residual_jacobian(z)
         nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
         feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)
         if _converged(feas, stat, comp):
             status = "converged"
         else:
-            status = "infeasible" if feas > TOL_FEAS else "max-iterations"
+            # a capped fit is no proof: it reports "max-iterations"
+            status = "infeasible" if feas > TOL_FEAS and certificate else "max-iterations"
         iters_done = it + 1
         break
     else:
@@ -375,4 +437,5 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         if _converged(feas, stat, comp):
             status = "converged"
 
-    return _result(prob, z, nu, zl, zu, max(feas, stat, comp), status, iters_done)
+    return _result(prob, z, nu, zl, zu, max(feas, stat, comp), status, iters_done,
+                   certificate if status == "infeasible" else "")

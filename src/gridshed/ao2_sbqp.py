@@ -4,6 +4,12 @@ The continuous stage hands over an operating point plus constraint duals;
 this module builds small quadratic subproblems in the switch step, drives
 them under a growing complementarity penalty, and returns a binary switch
 vector once phi(y) = sum y(1 - y) is inside tolerance.
+
+Switch sets that the continuous stage proved infeasible can be passed in as
+cuts.  Each adds the canonical no-good row of Balas & Jeroslow (1972),
+sum_{y*=1} (1 - y) + sum_{y*=0} y >= 1, over the live demands (those with
+nonzero pd or qd): flipping a zero-load demand changes nothing physical, so
+it must not meet the cut.
 """
 
 from __future__ import annotations
@@ -171,8 +177,13 @@ def step_length(y_hat, direction, anchor) -> tuple[float, str]:
     return alpha, kind
 
 
+def live_demands(net) -> np.ndarray:
+    """Mask of the demands that draw power: (pd, qd) != (0, 0)."""
+    return (net.pd != 0.0) | (net.qd != 0.0)
+
+
 def build_subproblem(case: GridCase, lin_point, duals, rho: float,
-                     variant: Ao2Variant, phi_anchor=None) -> QpProblem:
+                     variant: Ao2Variant, phi_anchor=None, cuts=()) -> QpProblem:
     """Quadratic switching subproblem around a continuous-stage point.
 
     The decision variable is the step d = y - y_lin from the linearization
@@ -180,7 +191,10 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
     gradient lands directly in the linear term.  Default constraint rows keep
     the served demand inside what the current active dispatch and the
     reactive capability range admit; variant.full_rows uses the full
-    linearized feasibility block instead (constant rows dropped).
+    linearized feasibility block instead (constant rows dropped).  Each
+    rejected switch set y* in cuts adds the row sum_live |y - y*| >= 1, which
+    is linear over the unit box: coefficient 1 - 2 y* on a live demand, 0 on
+    a zero-load one.
     """
     state, inputs, switches = lin_point
     net = network(case)
@@ -206,6 +220,11 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
             served_q - float(net.u_lower[1::2].sum()),
         ])
         A = np.vstack([-net.pd, -net.qd, net.qd])
+    if len(cuts):
+        stars = np.array([_switch_array(c) for c in cuts], dtype=float)
+        live = live_demands(net)
+        A = np.vstack([A, (1.0 - 2.0 * stars) * live])
+        b = np.concatenate([b, np.abs(y_lin - stars) @ live - 1.0])
 
     w = net.rank * net.pd
     if variant.tag == "mixed":
@@ -305,14 +324,15 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
 
 
 def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = None,
-            variant: Ao2Variant | None = None):
+            variant: Ao2Variant | None = None, cuts=()):
     """One switching stage around the given continuous operating point.
 
     start is the (State, InputVector, SwitchVector) triple from the
     continuous stage and duals its constraint multipliers.  Returns
     (SwitchVector, SbqpTrace); coordinates within twice schedule.eps of an
     endpoint are snapped exactly to it, which the exit tolerance guarantees
-    covers every coordinate.
+    covers every coordinate.  cuts holds switch sets to exclude, one no-good
+    row each in every subproblem.
     """
     schedule = PenaltySchedule() if schedule is None else schedule
     variant = Ao2Variant() if variant is None else variant
@@ -321,14 +341,14 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     y_lin = switches.y
     w = net.rank * net.pd
 
-    base = build_subproblem(case, start, duals, 0.0, variant, switches)
+    base = build_subproblem(case, start, duals, 0.0, variant, switches, cuts)
 
     def row_feasible(y):
         slack = base.b + base.A @ (y - y_lin)
         return float(np.min(slack, initial=0.0)) >= -1e-9
 
     def solve_sub(rho, anchor, warm):
-        prob = build_subproblem(case, start, duals, rho, variant, anchor)
+        prob = build_subproblem(case, start, duals, rho, variant, anchor, cuts)
         warm_step = None if warm is None else warm - y_lin
         sol = solve_qp(prob, start=warm_step)
         if variant.tag != "mixed" and warm_step is not None:

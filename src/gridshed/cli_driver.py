@@ -14,14 +14,14 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ao1_opf import active_capacity_screen, solve_ao1
-from .ao2_sbqp import VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, run_ao2
+from .ao2_sbqp import (VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, live_demands,
+                       run_ao2)
 from .grid_model import (
     Branch,
     CaseError,
@@ -140,6 +140,11 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     service.  A continuous solve that cannot close its residuals mid-run is
     tolerated (its iterate and duals still steer the switching stage); only
     the final solve at the settled binary switches must converge feasibly.
+
+    Switch sets that a continuous solve proved infeasible are remembered by
+    their live demands.  When the switching stage proposes one of them again,
+    it is re-run with every remembered set as a no-good cut; a run that never
+    re-proposes a rejected set is untouched.
     """
     cfg = SolverConfig() if cfg is None else cfg
     work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
@@ -155,7 +160,9 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     y_solved = y
     outer = 0
     converged = False
-    rejected: Counter = Counter()   # switch set -> AO1 solves that came back infeasible
+    live = live_demands(net)
+    rejected: dict = {}     # live switch pattern -> a switch set AO1 proved infeasible
+    cuts: tuple = ()
 
     for _ in range(cfg.outer_max_iters):
         tick = time.perf_counter()
@@ -164,7 +171,7 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
         outer += 1
         y_solved = y
         if ao1.status == "infeasible":
-            rejected[tuple(y.y.tolist())] += 1
+            rejected.setdefault(tuple(y.y[live].tolist()), y.y)
         xu = np.concatenate([ao1.state.as_vector(), ao1.input.as_vector()])
         if prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
             converged = True
@@ -173,7 +180,11 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
         warm = (ao1.state, ao1.input)
         tick = time.perf_counter()
         try:
-            y, trace = run_ao2(work, (ao1.state, ao1.input, y), ao1.duals, cfg.schedule, cfg.variant)
+            start = (ao1.state, ao1.input, y)
+            y, trace = run_ao2(work, start, ao1.duals, cfg.schedule, cfg.variant)
+            if tuple(y.y[live].tolist()) in rejected:
+                cuts = tuple(rejected.values())
+                y, trace = run_ao2(work, start, ao1.duals, cfg.schedule, cfg.variant, cuts=cuts)
         except Ao2Error as exc:
             t_ao2 += time.perf_counter() - tick
             best = _package(work, ao1, y_solved, traces + [exc.trace], outer, t_ao1, t_ao2, t0)
@@ -184,18 +195,17 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
     if not converged:
         message = f"operating point still moving after {outer} outer iterations"
-        for switches, count in rejected.most_common(1):
-            if count >= 2:
-                off = [str(d.bus) for d, on in zip(work.demands, switches) if on == 0.0]
-                message += (f"; the switch set with demands off at buses {', '.join(off) or 'none'}"
-                            f" was solved infeasible {count} times")
+        if cuts:
+            sets = "set" if len(cuts) == 1 else "sets"
+            message += f"; the switching stage last ran with {len(cuts)} infeasible switch {sets} cut"
         raise DriverError(message, "no-convergence", best)
     resid = constraints_C(work, ao1.state, ao1.input, y_solved)
     worst = int(np.argmax(resid))
     if ao1.status != "converged" or float(resid[worst]) > FEAS_TOL:
+        verdict = f"{ao1.status} by {ao1.certificate}" if ao1.certificate else ao1.status
         raise DriverError(
             "final switch set admits no feasible operating point "
-            f"(continuous stage {ao1.status}, worst violation {float(resid[worst]):.3e} "
+            f"(continuous stage {verdict}, worst violation {float(resid[worst]):.3e} "
             f"in {constraint_row(work, worst)}, row {worst})",
             "infeasible",
             best,
@@ -534,6 +544,7 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
     """Build a SolverConfig from flat key = value text.
 
     scenario.* keys configure the stress transform and imply scenario = stress;
+    with an explicit scenario = none they are an error, not silently dropped;
     an explicit seed (flag or config key) also drives the scenario rank draw
     unless scenario.rank_seed pins it, so one --seed flag controls the run.
     """
@@ -567,6 +578,9 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
     mode = mapping.get("scenario", "stress" if scen_over else "none")
     if mode not in ("none", "stress"):
         raise ValueError(f"scenario: expected none or stress, got {mode!r}")
+    if mode == "none" and scen_over:
+        keys = ", ".join(sorted(f"scenario.{k}" for k in scen_over))
+        raise ValueError(f"scenario = none leaves these keys unused: {keys}")
     scenario = None
     if mode == "stress":
         scenario = scenario_from_mapping(scen_over, prefix="scenario.")

@@ -142,7 +142,7 @@ def test_screen_margin_is_n_bus_times_tol(shortfall5_case, restorations, side, f
     assert len(restorations) == (0 if fires else 1)
 
 
-# -- scipy is loaded at the first restoration, not at import -------------------
+# -- no scipy anywhere in the solver ---------------------------------------------
 
 _CASES = textwrap.dedent("""
     import dataclasses, json, sys
@@ -178,8 +178,9 @@ def _scipy_loaded(body: str) -> list[bool]:
 
 
 def test_screened_solves_never_import_scipy():
-    # criterion 1 (every variant), criterion 3 (oracle and solve) and the
-    # self-check: every stall is screened, so no restoration runs
+    # criterion 1 (every variant), criterion 3 (oracle and solve), the
+    # self-check, and a stall the screen cannot take (the negative_g5
+    # fixture's case, which runs the restoration): none loads scipy.optimize
     loaded = _scipy_loaded("""
         for tag in ("mixed", "relaxed-one", "relaxed-two"):
             run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag=tag), scenario=ScenarioConfig()))
@@ -187,15 +188,6 @@ def test_screened_solves_never_import_scipy():
         enumerate_oracle(case5, cfg)
         run_ao_sbqp(case5, cfg)
         self_check(case30)
-        loaded.append("scipy.optimize" in sys.modules)
-    """)
-    assert loaded == [False, False]
-
-
-def test_unscreened_stall_imports_scipy():
-    # the negative_g5 fixture's case: negative losses are possible, so the
-    # all-ones stall goes to the restoration, which loads scipy.optimize
-    loaded = _scipy_loaded("""
         work = apply_scenario(case5, shortfall)
         first, *rest = work.branches
         flipped = Branch(from_bus=first.from_bus, to_bus=first.to_bus, g=-first.g, b=first.b)
@@ -203,7 +195,7 @@ def test_unscreened_stall_imports_scipy():
         assert solve_ao1(work, SwitchVector(np.ones(3))).status == "infeasible"
         loaded.append("scipy.optimize" in sys.modules)
     """)
-    assert loaded == [False, True]
+    assert loaded == [False, False]
 
 
 def test_oracle_labels_match_direct_solves(shortfall5_case):
@@ -244,3 +236,68 @@ def test_converged_result_reports_the_final_kkt_residual(case5, yv):
     assert r.status == "converged"
     assert r.iterations > 0
     assert 0.0 <= r.kkt_residual <= ao1_opf.TOL_KKT
+
+
+# -- the restoration fit --------------------------------------------------------
+
+def test_unscreened_stall_ends_stationary_and_infeasible(negative_g5, monkeypatch):
+    fits = []
+    fit = ao1_opf.least_squares
+
+    def recording(prob, z0):
+        fits.append(fit(prob, z0))
+        return fits[-1]
+
+    monkeypatch.setattr(ao1_opf, "least_squares", recording)
+    r = solve_ao1(negative_g5, SwitchVector(np.ones(3)))
+    assert [f.status for f in fits] == ["stationary"]
+    assert float(np.max(np.abs(fits[0].fun))) > TOL_FEAS
+    assert r.status == "infeasible"
+    assert r.certificate == "restoration"
+
+
+def test_capped_fit_is_no_proof(negative_g5, monkeypatch):
+    # one fit iteration cannot reach stationarity: the verdict must say so
+    monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", 1)
+    r = solve_ao1(negative_g5, SwitchVector(np.ones(3)))
+    assert (r.status, r.certificate) == ("max-iterations", "")
+
+
+def test_screened_stall_carries_the_screen_certificate(stressed30):
+    r = solve_ao1(stressed30, SwitchVector(np.ones(30)))
+    assert (r.status, r.certificate) == ("infeasible", "screen")
+
+
+def test_converged_solve_has_no_certificate(case5):
+    assert solve_ao1(case5, SwitchVector(np.ones(3))).certificate == ""
+
+
+def test_fit_returns_at_once_from_a_balanced_start(case5):
+    y = SwitchVector(np.ones(3))
+    r = solve_ao1(case5, y)
+    prob = ao1_opf._Problem(network(case5), y)
+    z = np.concatenate([r.state.as_vector()[prob.free], r.input.as_vector()])
+    out = ao1_opf.least_squares(prob, z)
+    assert (out.status, out.nfev) == ("balanced", 1)
+    assert np.array_equal(out.x, z)
+    assert float(np.max(np.abs(out.fun))) <= TOL_FEAS
+
+
+@pytest.mark.parametrize("start", ["middle", "lower", "upper"])
+def test_fit_keeps_every_point_inside_the_bounds(negative_g5, start):
+    prob = ao1_opf._Problem(network(negative_g5), SwitchVector(np.ones(3)))
+    seen = []
+    evaluate = prob.residual_jacobian
+
+    def recording(z):
+        seen.append(z.copy())
+        return evaluate(z)
+
+    prob.residual_jacobian = recording
+    z0 = {"middle": 0.5 * (prob.lower + prob.upper), "lower": prob.lower - 1.0,
+          "upper": prob.upper + 1.0}[start]
+    out = ao1_opf.least_squares(prob, z0)
+    assert out.nfev == len(seen) > 1
+    for z in seen + [out.x]:
+        assert np.all(z >= prob.lower) and np.all(z <= prob.upper)
+    assert out.status == "stationary"

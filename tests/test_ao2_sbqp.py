@@ -11,6 +11,7 @@ from gridshed.ao2_sbqp import (
     Ao2Variant,
     PenaltySchedule,
     build_subproblem,
+    live_demands,
     penalty_loop,
     run_ao2,
     snap_binary,
@@ -324,3 +325,64 @@ def test_blend_never_leaves_the_rows(stressed30, stressed30_start):
         for row in trace.rows:
             slack = base.b[:1] + base.A[:1] @ (row.y - start[2].y)
             assert slack.min() >= -1e-8, (tag, row.iteration)
+
+
+# -- no-good cuts ---------------------------------------------------------------
+
+def _fractional_start(start, seed=3):
+    state, inputs, ones = start
+    y_lin = np.random.default_rng(seed).uniform(0.1, 0.9, ones.y.size)
+    return state, inputs, SwitchVector(y_lin)
+
+
+def test_cut_row_excludes_the_rejected_set(stressed30, stressed30_start):
+    res, start = stressed30_start
+    net = network(stressed30)
+    lin = _fractional_start(start)
+    y_lin = lin[2].y
+    star = (np.arange(net.n_dem) % 3 == 0).astype(float)
+    prob = build_subproblem(stressed30, lin, res.duals, 1.0, Ao2Variant(tag="relaxed-two"),
+                            cuts=(star,))
+    assert prob.A.shape == (4, net.n_dem)
+
+    def cut_slack(y):
+        return float(prob.b[3] + prob.A[3] @ (y - y_lin))
+
+    assert cut_slack(star) == pytest.approx(-1.0, abs=1e-12)
+    live = np.flatnonzero(live_demands(net))
+    for k in live:
+        flipped = star.copy()
+        flipped[k] = 1.0 - flipped[k]
+        assert cut_slack(flipped) == pytest.approx(0.0, abs=1e-12)
+    # the three aggregate rows are the ones built without cuts
+    plain = build_subproblem(stressed30, lin, res.duals, 1.0, Ao2Variant(tag="relaxed-two"))
+    np.testing.assert_array_equal(prob.A[:3], plain.A)
+    np.testing.assert_array_equal(prob.b[:3], plain.b)
+
+
+def test_cut_gives_zero_load_demands_zero_coefficients(stressed30, stressed30_start):
+    res, start = stressed30_start
+    net = network(stressed30)
+    live = live_demands(net)
+    assert int((~live).sum()) == 10
+    star = np.ones(net.n_dem)
+    prob = build_subproblem(stressed30, start, res.duals, 0.0, Ao2Variant(tag="mixed"),
+                            cuts=(star, np.zeros(net.n_dem)))
+    assert prob.A.shape == (5, net.n_dem)
+    for row in prob.A[3:]:
+        assert np.all(row[~live] == 0.0)
+        assert np.all(np.abs(row[live]) == 1.0)
+    # flipping only zero-load demands still violates the cut
+    ghost = star.copy()
+    ghost[~live] = 0.0
+    assert float(prob.b[3] + prob.A[3] @ (ghost - start[2].y)) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_run_ao2_never_returns_a_cut_set(tag, stressed30, stressed30_start):
+    res, start = stressed30_start
+    live = live_demands(network(stressed30))
+    y0, _ = run_ao2(stressed30, start, res.duals, None, Ao2Variant(tag=tag))
+    y1, _ = run_ao2(stressed30, start, res.duals, None, Ao2Variant(tag=tag), cuts=(y0.y,))
+    assert set(np.unique(y1.y)) <= {0.0, 1.0}
+    assert np.any(y1.y[live] != y0.y[live])

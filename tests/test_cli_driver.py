@@ -9,7 +9,7 @@ import pytest
 
 import gridshed
 from gridshed import cli_driver
-from gridshed.ao2_sbqp import PenaltySchedule
+from gridshed.ao2_sbqp import Ao2Variant, PenaltySchedule, live_demands
 from gridshed.cli_driver import (
     DriverError,
     SolverConfig,
@@ -94,6 +94,14 @@ def test_config_explicit_seed_drives_rank_draw():
     assert pinned.scenario.rank_seed == 4
 
 
+def test_config_scenario_none_rejects_scenario_keys():
+    # scenario = none used to drop every scenario.* key without a word
+    with pytest.raises(ValueError, match="scenario = none leaves these keys unused: "
+                                         "scenario.pd_shift, scenario.rank_seed"):
+        config_from_mapping({"scenario": "none", "scenario.rank_seed": "3",
+                             "scenario.pd_shift": "3.0"})
+
+
 def test_config_variant_override_wins():
     cfg = config_from_mapping({"variant": "mixed"}, variant="relaxed-two")
     assert cfg.variant.tag == "relaxed-two"
@@ -154,21 +162,26 @@ def test_outer_cap_raises_with_best_iterate(case30):
     assert set(np.unique(err.best.switches.y)) <= {0.0, 1.0}
 
 
-@pytest.mark.parametrize("infeasible, proposals, tail", [
-    # (1, 0, 1) is solved at outers 2, 4 and 5
-    ({(1, 1, 1), (1, 0, 1)}, [(1, 0, 1), (1, 1, 0), (1, 0, 1), (1, 0, 1), (1, 1, 1), (1, 1, 1)],
-     "; the switch set with demands off at buses 3 was solved infeasible 3 times"),
-    ({(1, 1, 1)}, [(0, 1, 1), (1, 1, 1), (0, 1, 1), (1, 1, 1), (0, 0, 1), (1, 1, 1)],
-     "; the switch set with demands off at buses none was solved infeasible 3 times"),
-    # (1, 0, 0) comes back but is not infeasible: nothing to name
+@pytest.mark.parametrize("infeasible, proposals, cut_calls, tail", [
+    # outers 3 and 4 re-propose (1, 0, 1) and (1, 1, 1): each switching stage
+    # is re-run with both rejected sets cut
+    ({(1, 1, 1), (1, 0, 1)},
+     [(1, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0), (0, 1, 1), (1, 1, 0)],
+     [3, 5], "; the switching stage last ran with 2 infeasible switch sets cut"),
+    ({(1, 1, 1)}, [(0, 1, 1), (1, 1, 1), (0, 0, 1), (0, 1, 1), (0, 0, 1), (0, 1, 1), (0, 0, 1)],
+     [2], "; the switching stage last ran with 1 infeasible switch set cut"),
+    # (1, 0, 0) comes back but is not infeasible: nothing is cut
     ({(1, 1, 1), (0, 1, 1), (1, 1, 0)}, [(0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1)],
-     ""),
+     [], ""),
 ], ids=["repeated-set", "all-on-repeated", "no-repeat"])
 def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypatch,
-                                                     infeasible, proposals, tail):
+                                                     infeasible, proposals, cut_calls, tail):
     # both stages faked: AO1 returns a point that never repeats, so the outer
-    # loop runs to its cap, with the status its switch set is given
+    # loop runs to its cap, with the status its switch set is given.  A
+    # proposal AO1 already rejected sends the switching stage back with every
+    # rejected set as a cut, so no rejected set is solved twice
     solves = []
+    ao2_cuts = []
 
     def solve_ao1(case, y, warm=None):
         solves.append(tuple(int(v) for v in y.y))
@@ -178,7 +191,8 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
 
     moves = iter(proposals)
 
-    def run_ao2(case, start, duals, schedule, variant):
+    def run_ao2(case, start, duals, schedule, variant, cuts=()):
+        ao2_cuts.append((len(solves), sorted(tuple(int(v) for v in c) for c in cuts)))
         return SwitchVector(np.array(next(moves), dtype=float)), None
 
     monkeypatch.setattr(cli_driver, "solve_ao1", solve_ao1)
@@ -188,6 +202,56 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
     assert str(info.value) == "operating point still moving after 6 outer iterations" + tail
     assert info.value.kind == "no-convergence"
     assert len(solves) == 6
+    assert next(moves, None) is None
+    assert [k for k, (_, cuts) in enumerate(ao2_cuts) if cuts] == cut_calls
+    for k in cut_calls:
+        n_solved, cuts = ao2_cuts[k]
+        assert cuts == sorted(set(solves[:n_solved]) & infeasible)
+    rejected = [y for y in solves if y in infeasible]
+    assert len(rejected) == len(set(rejected))
+
+
+def test_final_infeasible_set_names_its_certificate(case5, shortfall5, monkeypatch):
+    # AO1 faked to return the screened all-ones stall point every time: the
+    # loop settles on it and the final check names how it was proved
+    work = cli_driver.apply_scenario(case5, shortfall5)
+    stall = cli_driver.solve_ao1(work, SwitchVector(np.ones(3)))
+    assert (stall.status, stall.certificate) == ("infeasible", "screen")
+    monkeypatch.setattr(cli_driver, "solve_ao1", lambda case, y, warm=None: stall)
+    monkeypatch.setattr(cli_driver, "run_ao2",
+                        lambda case, start, duals, schedule, variant, cuts=(): (start[2], None))
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case5, SolverConfig(scenario=shortfall5))
+    assert info.value.kind == "infeasible"
+    assert "(continuous stage infeasible by screen, worst violation" in str(info.value)
+
+
+def test_rejected_draw_is_answered_without_re_solving_it(case30, monkeypatch):
+    # the shed30 draw (seed 5, call 8) whose switching stage re-proposes a
+    # set AO1 rejected: it used to re-solve that set until the outer cap
+    scenario = ScenarioConfig(pd_shift=2.80500292374538, rank_seed=48647418)
+    live = live_demands(network(cli_driver.apply_scenario(case30, scenario)))
+    solved = []
+    cut_runs = []
+    solve, switch = cli_driver.solve_ao1, cli_driver.run_ao2
+
+    def recording_ao1(case, y, warm=None):
+        res = solve(case, y, warm=warm)
+        solved.append((tuple(y.y[live]), res.status))
+        return res
+
+    def recording_ao2(*args, **kwargs):
+        cut_runs.append(len(kwargs.get("cuts", ())))
+        return switch(*args, **kwargs)
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", recording_ao1)
+    monkeypatch.setattr(cli_driver, "run_ao2", recording_ao2)
+    res = run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag="relaxed-two"), scenario=scenario))
+    assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
+    assert any(cut_runs)
+    rejected = [key for key, status in solved if status == "infeasible"]
+    assert rejected
+    assert all(sum(key == r for key, _ in solved) == 1 for r in rejected)
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -422,10 +486,12 @@ def test_cli_non_finite_config_value_exits_two(case5_path, tmp_path, capsys, lin
     ("scenario.pd_shift = abc\n", "scenario.pd_shift: expected a number, got 'abc'"),
     ("scenario.rank_seed = 1.5\n", "scenario.rank_seed: expected an integer or none, got '1.5'"),
     ("rho0 = 1.0\n# comment\nbeta = 5\nrho0 = 2.0\n", "config line 4: rho0 already set on line 1"),
-], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate"])
+    ("scenario = none\nscenario.pd_shift = 3.0\n", "scenario = none leaves these keys unused: scenario.pd_shift"),
+], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate", "scenario-none"])
 def test_cli_bad_config_value_names_its_key(case5_path, tmp_path, capsys, text, message):
     # a bare "could not convert string to float" used to leave the key unnamed,
-    # and a repeated key used to let the later value win silently
+    # a repeated key used to let the later value win silently, and
+    # scenario = none used to drop the scenario.* keys without a word
     cfgfile = tmp_path / "cfg.kv"
     cfgfile.write_text(text)
     rc = main(["solve", "--case", str(case5_path), "--config", str(cfgfile),

@@ -6,17 +6,17 @@ Builds the calls of ``bench/workloads.py`` for each seed (the module is
 imported, never changed), runs each distinct call once, in first-seen order,
 in this process and against ./src, and wraps ``gridshed.ao1_opf.least_squares``
 (the bounded least-squares restoration that a stall the active-capacity screen
-cannot certify runs) from outside the package.  scipy.optimize is imported
-before the first call, so no restoration's time includes the import.
+cannot certify runs) from outside the package.
 
 One line per distinct call: the seed and index where it first appears, its
-variant, its restoration calls, their function evaluations, the smallest and
+variant, its restoration calls, their function evaluations, how many ended
+balanced, stationary and at the fit's iteration cap, the smallest and
 largest end max|F| (the balance residual each restoration stopped at), their
-seconds, and the call's outcome (answered, or the error's first clause).
-Restorations during a seed's set-up (switch30 builds its AO1 starts there)
-get a line of their own.  Totals follow: restorations, how many stopped at
-the evaluation cap (scipy status 0) and how many ended balanced (end max|F|
-at most ``TOL_FEAS``).
+seconds, the slowest one in ms, and the call's outcome (answered, or the
+error's first clause).  Restorations during a seed's set-up (switch30 builds
+its AO1 starts there) get a line of their own.  Totals follow: restorations
+by exit (balanced means end max|F| at most ``TOL_FEAS``), the time spent, and
+how many took longer than SLOW_MS.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gridshed  # noqa: E402,F401  (first: it pins the BLAS threads before numpy loads)
 import numpy as np  # noqa: E402
-import scipy.optimize  # noqa: E402,F401  (loaded here so no restoration is timed with it)
 
 import workloads  # noqa: E402
 from gridshed import ao1_opf  # noqa: E402
@@ -43,19 +42,22 @@ from gridshed.ao2_sbqp import Ao2Error  # noqa: E402
 from gridshed.cli_driver import DriverError  # noqa: E402
 from workload_digests import _seeds  # noqa: E402
 
+EXITS = ("balanced", "stationary", "cap")
+SLOW_MS = 50.0
+
 
 class Census:
-    """Wraps ao1_opf.least_squares; keeps (nfev, status, end max|F|, seconds) per restoration."""
+    """Wraps ao1_opf.least_squares; keeps (nfev, exit, end max|F|, seconds) per restoration."""
 
     def __init__(self):
-        self.runs: list[tuple[int, int, float, float]] = []
+        self.runs: list[tuple[int, str, float, float]] = []
         self._original = ao1_opf.least_squares
 
     def install(self):
         def counted(*args, **kwargs):
             t0 = time.perf_counter()
             out = self._original(*args, **kwargs)
-            self.runs.append((int(out.nfev), int(out.status), float(np.max(np.abs(out.fun))),
+            self.runs.append((int(out.nfev), out.status, float(np.max(np.abs(out.fun))),
                               time.perf_counter() - t0))
             return out
 
@@ -64,7 +66,7 @@ class Census:
     def uninstall(self):
         ao1_opf.least_squares = self._original
 
-    def take(self) -> list[tuple[int, int, float, float]]:
+    def take(self) -> list[tuple[int, str, float, float]]:
         runs, self.runs = self.runs, []
         return runs
 
@@ -75,14 +77,21 @@ def _outcome(answer) -> str:
     return "answered"
 
 
+def _exits(runs) -> str:
+    """Restorations per exit, in EXITS order: balanced/stationary/cap."""
+    return "/".join(str(sum(r[1] == e for r in runs)) for e in EXITS)
+
+
 def _line(label: str, variant: str, runs, outcome: str) -> str:
     if runs:
         ends = [r[2] for r in runs]
         spread = f"{min(ends):>9.2e} {max(ends):>9.2e}"
+        slowest = f"{1e3 * max(r[3] for r in runs):>7.1f}"
     else:
         spread = f"{'-':>9} {'-':>9}"
-    return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} {spread} "
-            f"{sum(r[3] for r in runs):>9.3f}  {outcome}")
+        slowest = f"{'-':>7}"
+    return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} "
+            f"{_exits(runs):>8} {spread} {sum(r[3] for r in runs):>9.3f} {slowest}  {outcome}")
 
 
 def main(argv: list[str]) -> int:
@@ -94,10 +103,10 @@ def main(argv: list[str]) -> int:
     census = Census()
     census.install()
     seen: set[str] = set()
-    every: list[tuple[int, int, float, float]] = []
+    every: list[tuple[int, str, float, float]] = []
     outcomes: list[str] = []
-    print(f"{'call':<14} {'variant':<11} {'rest.':>5} {'nfev':>6} {'min|F|':>9} {'max|F|':>9} "
-          f"{'restore_s':>9}  outcome")
+    print(f"{'call':<14} {'variant':<11} {'rest.':>5} {'nfev':>6} {'b/s/cap':>8} {'min|F|':>9} "
+          f"{'max|F|':>9} {'restore_s':>9} {'max_ms':>7}  outcome")
     try:
         for seed in _seeds(args.seeds):
             calls = workloads.call_list(args.workload, seed)
@@ -128,11 +137,11 @@ def main(argv: list[str]) -> int:
         return 0
     ends = [r[2] for r in every]
     seconds = [r[3] for r in every]
-    print(f"restorations {len(every)}, {sum(r[0] for r in every)} evaluations, "
-          f"{sum(r[1] == 0 for r in every)} at the evaluation cap, "
-          f"{sum(e <= ao1_opf.TOL_FEAS for e in ends)} balanced (end max|F| <= {ao1_opf.TOL_FEAS:g})")
+    exits = ", ".join(f"{sum(r[1] == e for r in every)} {e}" for e in EXITS)
+    print(f"restorations {len(every)}, {sum(r[0] for r in every)} evaluations; exits: {exits}")
     print(f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(seconds):.3f} s in all, "
-          f"median {statistics.median(seconds):.3f} s per restoration")
+          f"median {1e3 * statistics.median(seconds):.1f} ms, slowest {1e3 * max(seconds):.1f} ms; "
+          f"{sum(t > SLOW_MS / 1e3 for t in seconds)} took longer than {SLOW_MS:g} ms")
     return 0
 
 
