@@ -6,6 +6,13 @@ bus entries of x are eliminated from the decision vector. The method is a
 primal-dual interior point with Gauss-Newton curvature on the balance
 residuals.
 
+The stall rule depends on ``active_capacity_screen``, which is evaluated
+once, before the first Newton step. On a screened set no point balances, and
+the iterate serves AO2 only as a linearisation point. So the first accepted
+step whose theta = |F|_1 falls by less than 1% is the stall. On any other set,
+slow progress and infeasibility look the same early on. There the stall
+needs 30 iterations and a fall of under 1% over the last 15 accepted steps.
+
 When the Newton iteration stalls, infeasibility is decided one of two ways.
 If ``active_capacity_screen`` fires (every branch conductance is
 non-negative, so network losses are too, and the switched-in active demand
@@ -313,6 +320,10 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     theta = float(np.abs(F).sum())
     best = (theta, z.copy())
     history = [theta]
+    # a screened set has no balanced point, so the first flat step ends the
+    # search; elsewhere slow progress and infeasibility look alike at first
+    screened = active_capacity_screen(net, y_fixed)
+    floor, window = (0, 1) if screened else (30, 15)
     status = "max-iterations"
     certificate = ""
     iters_done = MAX_ITERS
@@ -346,8 +357,8 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
 
         # stall: hand the point to the infeasibility certificate below
         stalled = False
-        if it >= 30 and len(history) > 15:
-            if history[-1] > 0.99 * history[-16] and history[-1] > TOL_FEAS:
+        if it >= floor and len(history) > window:
+            if history[-1] > 0.99 * history[-1 - window] and history[-1] > TOL_FEAS:
                 stalled = True
 
         if not stalled:
@@ -412,7 +423,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         # the screen proves infeasibility outright, so the stall point stands;
         # otherwise restoration: bounded least squares on the balance
         # residuals, whose stationary end above TOL_FEAS is the certificate
-        if active_capacity_screen(net, y_fixed):
+        if screened:
             z, certificate = best[1], "screen"
         else:
             fit = least_squares(prob, best[1])
@@ -428,9 +439,6 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         iters_done = it + 1
         break
     else:
-        iters_done = MAX_ITERS
-
-    if status == "max-iterations":
         # cap reached without a restoration pass: classify by best residual
         nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
         feas, stat, comp = _kkt_max(prob, F, grad_E, J, nu, zl, zu, z)

@@ -254,18 +254,42 @@ def test_unscreened_stall_ends_stationary_and_infeasible(negative_g5, monkeypatc
     assert float(np.max(np.abs(fits[0].fun))) > TOL_FEAS
     assert r.status == "infeasible"
     assert r.certificate == "restoration"
+    # unscreened, slow progress and infeasibility look alike: the floor holds
+    assert r.iterations >= 31
 
 
 def test_capped_fit_is_no_proof(negative_g5, monkeypatch):
     # one fit iteration cannot reach stationarity: the verdict must say so
     monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", 1)
+    estimates = []
+    estimate = ao1_opf._estimate_duals
+
+    def counting(*args, **kwargs):
+        estimates.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(ao1_opf, "_estimate_duals", counting)
     r = solve_ao1(negative_g5, SwitchVector(np.ones(3)))
     assert (r.status, r.certificate) == ("max-iterations", "")
+    # one at the start, one at the stall; the capped fit is classified once
+    assert len(estimates) == 2
 
 
 def test_screened_stall_carries_the_screen_certificate(stressed30):
     r = solve_ao1(stressed30, SwitchVector(np.ones(30)))
     assert (r.status, r.certificate) == ("infeasible", "screen")
+
+
+@pytest.mark.parametrize("fixture, n_dem", [("stressed30", 30), ("shortfall5_case", 3)])
+def test_screened_stall_stops_at_the_first_flat_step(fixture, n_dem, request):
+    # the screen proves there is no balanced point, so the stall rule needs
+    # no iteration floor: the first step that cuts |F|_1 by under 1% ends it
+    case = request.getfixturevalue(fixture)
+    y = SwitchVector(np.ones(n_dem))
+    assert active_capacity_screen(network(case), y)
+    r = solve_ao1(case, y)
+    assert (r.status, r.certificate) == ("infeasible", "screen")
+    assert r.iterations <= 8
 
 
 def test_converged_solve_has_no_certificate(case5):

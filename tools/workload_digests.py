@@ -21,6 +21,17 @@ No wall-clock value enters the file, so two checkouts that compute the same
 bits write the same file and ``cmp`` or ``diff`` shows any change.  Digests
 depend on the BLAS thread count, which is recorded so that files taken at
 different counts are not compared by mistake.
+
+With ``--outcomes`` each call gets a readable one-line outcome in place of its
+digest, led by the seed and call index where it first appears:
+
+* an answer: the switch set as a 0/1 string and ``repr`` of the served
+  objective sum(y * rank * pd), as ``bench/workloads.py`` checks it, plus on
+  oracle5 the enumerated switch sets labelled feasible and infeasible;
+* a failure: the error type and, for a ``DriverError``, its kind.
+
+So when a change moves float bits, ``cmp`` on two outcome files shows whether
+it also moved an answer, and ``diff`` names each call that moved.
 """
 
 from __future__ import annotations
@@ -105,6 +116,31 @@ def call_digest(call: dict, inst, answer) -> str:
     return d.hexdigest()
 
 
+def _bits(values) -> str:
+    return "".join(str(int(v)) for v in values)
+
+
+def call_outcome(call: dict, inst, answer) -> str:
+    if isinstance(answer, DriverError):
+        return f"failed {type(answer).__name__} kind={answer.kind}"
+    if isinstance(answer, Ao2Error):
+        return f"failed {type(answer).__name__}"
+    outcome = workloads.check(call, inst, answer)
+    entries = None
+    if call["kind"] == "oracle-solve":
+        entries, answer = answer
+    switches = answer[0] if call["kind"] == "switch" else answer.switches
+    text = f"answered switches={_bits(switches.y)} objective={outcome.objective!r}"
+    if not outcome.check_ok:
+        text += f" check failed: {outcome.error}"
+    if entries is not None:
+        labels = {True: [], False: []}
+        for e in sorted(entries, key=lambda e: e.switches):
+            labels[e.feasible].append(_bits(e.switches))
+        text += f" feasible={','.join(labels[True])} infeasible={','.join(labels[False])}"
+    return text
+
+
 def _seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
@@ -118,13 +154,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("out", help="JSON file to write")
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", default="1-10", help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
+    parser.add_argument("--outcomes", action="store_true",
+                        help="write each call's switch set and objective, or its error, in place of a digest")
     args = parser.parse_args(argv)
 
     seen: dict[str, dict] = {}
     for seed in _seeds(args.seeds):
         calls = workloads.call_list(args.workload, seed)
         built = None
-        for call in calls:
+        for index, call in enumerate(calls):
             key = json.dumps(call, sort_keys=True)
             if key in seen:
                 if seed not in seen[key]["seeds"]:
@@ -135,8 +173,12 @@ def main(argv: list[str]) -> int:
             inst = built[workloads.instance_key(call)]
             answer = workloads.run(call, inst)
             error = "" if not isinstance(answer, (DriverError, Ao2Error)) else f"{type(answer).__name__}: {answer}"
-            seen[key] = {"call": call, "seeds": [seed], "error": error,
-                         "digest": call_digest(call, inst, answer)}
+            seen[key] = {"call": call, "seeds": [seed], "error": error}
+            if args.outcomes:
+                seen[key]["outcome"] = (f"seed {seed} call {index} {call['variant']}: "
+                                        f"{call_outcome(call, inst, answer)}")
+            else:
+                seen[key]["digest"] = call_digest(call, inst, answer)
     doc = {
         "workload": args.workload,
         "seeds": _seeds(args.seeds),
