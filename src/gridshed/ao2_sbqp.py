@@ -3,7 +3,10 @@
 The continuous stage hands over an operating point plus constraint duals;
 this module builds small quadratic subproblems in the switch step, drives
 them under a growing complementarity penalty, and returns a binary switch
-vector once phi(y) = sum y(1 - y) is inside tolerance.
+vector once phi(y) = sum y(1 - y) is inside tolerance.  Every subproblem has
+the same rows: three aggregate capacity rows (served active demand within
+the active dispatch, served reactive demand within the reactive capability
+range) plus one cut per rejected switch set.
 
 Switch sets that the continuous stage proved infeasible can be passed in as
 cuts.  Each adds the canonical no-good row of Balas & Jeroslow (1972),
@@ -24,8 +27,7 @@ from .power_equations import (
     InputVector,
     State,
     SwitchVector,
-    constraint_jacobian,
-    constraints_C,
+    constraints_C,  # not called here; bench/tracer.py wraps ao2_sbqp.constraints_C
     grad_phi,
     hessian_Q,
     jacobians,
@@ -37,7 +39,6 @@ from .qp_core import QpProblem, solve_qp
 VARIANT_TAGS = ("mixed", "relaxed-one", "relaxed-two")
 CURVATURE_FLOOR = 1e-6
 DEGENERATE_DEN = 1e-12
-ZERO_ROW_TOL = 1e-12
 
 
 class Ao2Error(RuntimeError):
@@ -83,19 +84,18 @@ class Ao2Variant:
     relaxed-two  quadratic rank objective with the penalty linearized at the
                  incumbent
 
-    full_rows swaps the three aggregate feasibility rows for the full
-    linearized constraint block.  single_shot applies to relaxed-one: take
-    each subproblem solution as-is instead of blending it through the line
-    search.
+    single_shot applies to relaxed-one: take each subproblem solution as-is
+    instead of blending it through the line search.
     """
 
     tag: str = "mixed"
-    full_rows: bool = False
     single_shot: bool = False
 
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}")
+        if not isinstance(self.single_shot, bool):
+            raise ValueError(f"single_shot must be a bool, got {self.single_shot!r}")
         if self.single_shot and self.tag != "relaxed-one":
             raise ValueError("single_shot applies to relaxed-one only")
 
@@ -188,38 +188,26 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
 
     The decision variable is the step d = y - y_lin from the linearization
     switches, so the unit box becomes [-y_lin, 1 - y_lin] and the penalty
-    gradient lands directly in the linear term.  Default constraint rows keep
+    gradient lands directly in the linear term.  Three aggregate rows keep
     the served demand inside what the current active dispatch and the
-    reactive capability range admit; variant.full_rows uses the full
-    linearized feasibility block instead (constant rows dropped).  Each
-    rejected switch set y* in cuts adds the row sum_live |y - y*| >= 1, which
-    is linear over the unit box: coefficient 1 - 2 y* on a live demand, 0 on
-    a zero-load one.
+    reactive capability range admit.  Each rejected switch set y* in cuts
+    adds the row sum_live |y - y*| >= 1, which is linear over the unit box:
+    coefficient 1 - 2 y* on a live demand, 0 on a zero-load one.
     """
     state, inputs, switches = lin_point
     net = network(case)
     y_lin = switches.y
     anchor = y_lin if phi_anchor is None else _switch_array(phi_anchor)
     rho = float(rho)
-    nxu = 2 * net.n_bus + 2 * net.n_gen
 
-    if variant.full_rows or variant.tag == "mixed":
-        _, dP_dx, dE = jacobians(net, state, inputs, switches)
-
-    if variant.full_rows:
-        rows_y = constraint_jacobian(net, dP_dx, switches)[:, nxu:]
-        keep = np.abs(rows_y).max(axis=1) > ZERO_ROW_TOL
-        A = -rows_y[keep]
-        b = -constraints_C(case, state, inputs, switches)[keep]
-    else:
-        served_p = float(y_lin @ net.pd)
-        served_q = float(y_lin @ net.qd)
-        b = np.array([
-            float(inputs.pg.sum()) - served_p,
-            float(net.u_upper[1::2].sum()) - served_q,
-            served_q - float(net.u_lower[1::2].sum()),
-        ])
-        A = np.vstack([-net.pd, -net.qd, net.qd])
+    served_p = float(y_lin @ net.pd)
+    served_q = float(y_lin @ net.qd)
+    b = np.array([
+        float(inputs.pg.sum()) - served_p,
+        float(net.u_upper[1::2].sum()) - served_q,
+        served_q - float(net.u_lower[1::2].sum()),
+    ])
+    A = np.vstack([-net.pd, -net.qd, net.qd])
     if len(cuts):
         stars = np.array([_switch_array(c) for c in cuts], dtype=float)
         live = live_demands(net)
@@ -228,6 +216,7 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
 
     w = net.rank * net.pd
     if variant.tag == "mixed":
+        _, _, dE = jacobians(net, state, inputs, switches)
         q = hessian_Q(net, state, inputs, switches, duals)
         top = float(q.max())
         floor = CURVATURE_FLOOR * max(1.0, abs(top))
@@ -235,7 +224,7 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
             # the served-demand curvature is non-concave here; push every
             # curvature strictly below zero before handing it to the QP
             q = q - (top + floor)
-        g = dE[nxu:] - rho * grad_phi(anchor)
+        g = dE[2 * net.n_bus + 2 * net.n_gen:] - rho * grad_phi(anchor)
     elif variant.tag == "relaxed-one":
         q = 2.0 * w + 2.0 * rho
         g = 2.0 * w * y_lin - rho * grad_phi(y_lin)

@@ -51,7 +51,7 @@ from .power_equations import (
 
 FEAS_TOL = 1e-6
 ORACLE_CAP = 20
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class DriverError(RuntimeError):
@@ -272,7 +272,6 @@ def result_document(result: SolveResult, config: SolverConfig | None = None) -> 
     doc: dict = {"format": FORMAT_VERSION}
     if config is not None:
         doc["variant"] = config.variant.tag
-        doc["full_rows"] = config.variant.full_rows
         doc["single_shot"] = config.variant.single_shot
         doc["seed"] = config.seed
     doc["outer_iterations"] = result.outer_iterations
@@ -292,7 +291,6 @@ def result_document(result: SolveResult, config: SolverConfig | None = None) -> 
 _RESULT_SCHEMA = {
     "format": "int",
     "variant": "str",
-    "full_rows": "bool",
     "single_shot": "bool",
     "seed": "int",
     "outer_iterations": "int",
@@ -528,7 +526,7 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
 # -- config files and the command line ----------------------------------------
 
 _CONFIG_KEYS = {
-    "variant", "full_rows", "single_shot", "rho0", "beta", "rho_max", "eps",
+    "variant", "single_shot", "rho0", "beta", "rho_max", "eps",
     "outer_eps", "outer_max_iters", "seed", "scenario",
 }
 
@@ -566,11 +564,7 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
         eps=number("eps", 1e-6),
     )
     tag = variant if variant is not None else mapping.get("variant", "mixed")
-    var = Ao2Variant(
-        tag=tag,
-        full_rows=_parse_bool("full_rows", mapping.get("full_rows", "false")),
-        single_shot=_parse_bool("single_shot", mapping.get("single_shot", "false")),
-    )
+    var = Ao2Variant(tag=tag, single_shot=_parse_bool("single_shot", mapping.get("single_shot", "false")))
     explicit_seed = seed is not None or "seed" in mapping
     config_seed = integer("seed", 2025)
     run_seed = seed if seed is not None else config_seed

@@ -30,8 +30,8 @@ shaped for their consumer: the continuous stage's Newton matrix is
 dP/dx on the free state columns next to the constant -gen_sel block, and the
 mixed switch subproblem reads only dE.  ``constraint_jacobian`` stacks dP_dx
 into the full (8N + 4G)-row derivative of C, whose leading block
-``dC[:2N, :2N]`` is dP/dx; only the self-check, the full-rows switch
-subproblem and the tests need it.  ``line_flow`` is a separate per-branch
+``dC[:2N, :2N]`` is dP/dx; only the self-check and the tests need it, and
+no solver stage builds it.  ``line_flow`` is a separate per-branch
 evaluation, kept as the reference that the tests compare ``outflow`` against.
 """
 
@@ -333,7 +333,10 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
 
 def constraint_jacobian(net: Network, dP_dx: np.ndarray, y: SwitchVector) -> np.ndarray:
     """Derivative of the constraint stack C over (x, u, y), (8N + 4G) x (2N + 2G + D),
-    from the dP_dx that ``jacobians`` returned at the same point."""
+    from the dP_dx that ``jacobians`` returned at the same point.
+
+    Its callers are ``cli_driver.self_check`` and the tests; both solver
+    stages work from dP_dx and dE directly."""
     n, ngen, ndem = net.n_bus, net.n_gen, net.n_dem
     nx, nu = 2 * n, 2 * ngen
 

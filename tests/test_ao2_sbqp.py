@@ -19,7 +19,6 @@ from gridshed.ao2_sbqp import (
 )
 from gridshed.power_equations import (
     SwitchVector,
-    constraint_jacobian,
     grad_phi,
     jacobians,
     network,
@@ -52,6 +51,15 @@ def test_variant_validation():
     with pytest.raises(ValueError):
         Ao2Variant(tag="mixed", single_shot=True)
     Ao2Variant(tag="relaxed-one", single_shot=True)
+
+
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one"])
+@pytest.mark.parametrize("value", ["false", 0, 1])
+def test_variant_rejects_non_bool_single_shot(tag, value):
+    # a truthy string used to switch single-shot on, and on mixed a "false"
+    # string raised the unrelated relaxed-one-only error
+    with pytest.raises(ValueError, match="single_shot must be a bool"):
+        Ao2Variant(tag=tag, single_shot=value)
 
 
 def test_snap_binary_only_touches_near_endpoints():
@@ -160,23 +168,6 @@ def test_relaxed_two_linearizes_at_the_anchor(stressed30, stressed30_start):
     w = net.rank * net.pd
     np.testing.assert_allclose(prob.g_lin, 2.0 * w - 2.0 * grad_phi(anchor), atol=1e-12)
     np.testing.assert_array_equal(prob.q, 2.0 * w)
-
-
-def test_full_rows_drop_constant_columns(stressed30, stressed30_start):
-    res, start = stressed30_start
-    net = network(stressed30)
-    prob = build_subproblem(stressed30, start, res.duals, 1.0,
-                            Ao2Variant(tag="relaxed-two", full_rows=True))
-    assert prob.A.shape[0] > 3
-    assert prob.A.shape[1] == net.n_dem
-    # every surviving row actually involves a switch
-    assert np.abs(prob.A).max(axis=1).min() > 1e-12
-    _, dP_dx, _ = jacobians(net, *start)
-    dC = constraint_jacobian(net, dP_dx, start[2])
-    nxu = 2 * net.n_bus + 2 * net.n_gen
-    keep = np.abs(dC[:, nxu:]).max(axis=1) > 1e-12
-    assert prob.A.shape[0] == int(keep.sum())
-    np.testing.assert_array_equal(prob.A, -dC[keep][:, nxu:])
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)

@@ -45,7 +45,7 @@ def test_config_defaults():
     cfg = config_from_mapping({})
     assert cfg.schedule == PenaltySchedule()
     assert cfg.variant.tag == "mixed"
-    assert not cfg.variant.full_rows
+    assert not cfg.variant.single_shot
     assert cfg.outer_eps == 1e-6
     assert cfg.outer_max_iters == 20
     assert cfg.seed == 2025
@@ -54,12 +54,12 @@ def test_config_defaults():
 
 def test_config_reads_every_key():
     cfg = config_from_mapping({
-        "variant": "relaxed-one", "full_rows": "true", "single_shot": "true",
+        "variant": "relaxed-one", "single_shot": "true",
         "rho0": "0.5", "beta": "4.0", "rho_max": "1e8", "eps": "1e-7",
         "outer_eps": "1e-5", "outer_max_iters": "7", "seed": "99",
     })
     assert cfg.variant.tag == "relaxed-one"
-    assert cfg.variant.full_rows and cfg.variant.single_shot
+    assert cfg.variant.single_shot
     assert cfg.schedule == PenaltySchedule(rho0=0.5, beta=4.0, rho_max=1e8, eps=1e-7)
     assert cfg.outer_eps == 1e-5
     assert cfg.outer_max_iters == 7
@@ -72,8 +72,8 @@ def test_config_rejects_unknown_key():
 
 
 def test_config_rejects_bad_bool():
-    with pytest.raises(ValueError, match="full_rows"):
-        config_from_mapping({"full_rows": "yes"})
+    with pytest.raises(ValueError, match="single_shot"):
+        config_from_mapping({"single_shot": "yes"})
 
 
 def test_config_scenario_keys_imply_stress():
@@ -313,6 +313,8 @@ def solved5(case5):
 def test_result_document_round_trip_kv(solved5):
     res, cfg = solved5
     doc = result_document(res, cfg)
+    assert doc["format"] == 2
+    assert "full_rows" not in doc
     parsed = parse_result_document(render_result_document(doc, "kv"))
     assert set(parsed) == set(doc)
     for key, value in doc.items():
@@ -487,7 +489,9 @@ def test_cli_non_finite_config_value_exits_two(case5_path, tmp_path, capsys, lin
     ("scenario.rank_seed = 1.5\n", "scenario.rank_seed: expected an integer or none, got '1.5'"),
     ("rho0 = 1.0\n# comment\nbeta = 5\nrho0 = 2.0\n", "config line 4: rho0 already set on line 1"),
     ("scenario = none\nscenario.pd_shift = 3.0\n", "scenario = none leaves these keys unused: scenario.pd_shift"),
-], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate", "scenario-none"])
+    ("full_rows = true\n", "unknown config keys: full_rows"),
+], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate", "scenario-none",
+        "removed-key"])
 def test_cli_bad_config_value_names_its_key(case5_path, tmp_path, capsys, text, message):
     # a bare "could not convert string to float" used to leave the key unnamed,
     # a repeated key used to let the later value win silently, and

@@ -5,7 +5,8 @@
 Runs, in this process and against ./src:
 
 * ``solve`` on stressed case30 (``scenario = stress``), adequate case30 and
-  the criterion-3 case5 shortfall config, once per variant;
+  the criterion-3 case5 shortfall config, once per variant, and once more on
+  stressed case30 with relaxed-one and ``single_shot = true``;
 * ``oracle`` on that case5 config;
 * ``check`` on case30.
 
@@ -57,6 +58,12 @@ def _run(target: Path, argv: list[str]) -> None:
     (target / "stdout.txt").write_text(f"exit {code}\n" + "".join(kept) + stderr.getvalue())
 
 
+def _solve(out: Path, name: str, case: str, config: Path, tag: str) -> None:
+    target = out / f"solve-{name}"
+    _run(target, ["solve", "--case", str(CASES / case), "--config", str(config),
+                  "--variant", tag, "--out-dir", str(target)])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/reference_outputs.py OUT_DIR", file=sys.stderr)
@@ -67,9 +74,10 @@ def main(argv: list[str]) -> int:
     for name, (case, text) in INSTANCES.items():
         (configs / f"{name}.kv").write_text(text)
         for tag in VARIANTS:
-            target = out / f"solve-{name}-{tag}"
-            _run(target, ["solve", "--case", str(CASES / case), "--config", str(configs / f"{name}.kv"),
-                          "--variant", tag, "--out-dir", str(target)])
+            _solve(out, f"{name}-{tag}", case, configs / f"{name}.kv", tag)
+    single_shot = configs / "stressed30-single-shot.kv"
+    single_shot.write_text(INSTANCES["stressed30"][1] + "single_shot = true\n")
+    _solve(out, "stressed30-relaxed-one-single-shot", "case30.m", single_shot, "relaxed-one")
     target = out / "oracle-shortfall5"
     _run(target, ["oracle", "--case", str(CASES / "case5.m"),
                   "--config", str(configs / "shortfall5.kv"), "--out-dir", str(target)])
