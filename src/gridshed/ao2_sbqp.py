@@ -182,23 +182,13 @@ def live_demands(net) -> np.ndarray:
     return (net.pd != 0.0) | (net.qd != 0.0)
 
 
-def build_subproblem(case: GridCase, lin_point, duals, rho: float,
-                     variant: Ao2Variant, phi_anchor=None, cuts=()) -> QpProblem:
-    """Quadratic switching subproblem around a continuous-stage point.
-
-    The decision variable is the step d = y - y_lin from the linearization
-    switches, so the unit box becomes [-y_lin, 1 - y_lin] and the penalty
-    gradient lands directly in the linear term.  Three aggregate rows keep
-    the served demand inside what the current active dispatch and the
-    reactive capability range admit.  Each rejected switch set y* in cuts
-    adds the row sum_live |y - y*| >= 1, which is linear over the unit box:
-    coefficient 1 - 2 y* on a live demand, 0 on a zero-load one.
-    """
+def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) -> dict:
+    """The parts of every subproblem around lin_point that do not depend on
+    rho or the anchor: the box, the rows, the curvature (relaxed-one adds
+    2 rho to it) and the linear term before the penalty gradient."""
     state, inputs, switches = lin_point
     net = network(case)
     y_lin = switches.y
-    anchor = y_lin if phi_anchor is None else _switch_array(phi_anchor)
-    rho = float(rho)
 
     served_p = float(y_lin @ net.pd)
     served_q = float(y_lin @ net.qd)
@@ -214,7 +204,6 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
         A = np.vstack([A, (1.0 - 2.0 * stars) * live])
         b = np.concatenate([b, np.abs(y_lin - stars) @ live - 1.0])
 
-    w = net.rank * net.pd
     if variant.tag == "mixed":
         _, _, dE = jacobians(net, state, inputs, switches)
         q = hessian_Q(net, state, inputs, switches, duals)
@@ -224,15 +213,46 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
             # the served-demand curvature is non-concave here; push every
             # curvature strictly below zero before handing it to the QP
             q = q - (top + floor)
-        g = dE[2 * net.n_bus + 2 * net.n_gen:] - rho * grad_phi(anchor)
-    elif variant.tag == "relaxed-one":
-        q = 2.0 * w + 2.0 * rho
-        g = 2.0 * w * y_lin - rho * grad_phi(y_lin)
+        g0 = dE[2 * net.n_bus + 2 * net.n_gen:]
     else:
-        q = 2.0 * w
-        g = 2.0 * w * y_lin - rho * grad_phi(anchor)
+        q = 2.0 * (net.rank * net.pd)
+        g0 = q * y_lin
+    return {"y_lin": y_lin, "lower": -y_lin, "upper": 1.0 - y_lin, "A": A, "b": b, "q": q, "g0": g0}
 
-    return QpProblem(q=q, g_lin=g, A=A, b=b, lower=-y_lin, upper=1.0 - y_lin)
+
+def build_subproblem(case: GridCase, lin_point, duals, rho: float,
+                     variant: Ao2Variant, phi_anchor=None, cuts=(), parts=None) -> QpProblem:
+    """Quadratic switching subproblem around a continuous-stage point.
+
+    The decision variable is the step d = y - y_lin from the linearization
+    switches, so the unit box becomes [-y_lin, 1 - y_lin] and the penalty
+    gradient lands directly in the linear term.  Three aggregate rows keep
+    the served demand inside what the current active dispatch and the
+    reactive capability range admit.  Each rejected switch set y* in cuts
+    adds the row sum_live |y - y*| >= 1, which is linear over the unit box:
+    coefficient 1 - 2 y* on a live demand, 0 on a zero-load one.
+
+    Only the linear term, and relaxed-one's curvature, depend on rho and the
+    anchor.  A caller that builds many subproblems around one (lin_point,
+    duals, variant, cuts) passes the same dict as parts to each: the first
+    call fills it with the other pieces and later calls reuse them, so the
+    Jacobian and the dual Hessian are evaluated once.
+    """
+    if parts is None:
+        parts = {}
+    if not parts:
+        parts.update(_fixed_parts(case, lin_point, duals, variant, cuts))
+    y_lin = parts["y_lin"]
+    anchor = y_lin if phi_anchor is None else _switch_array(phi_anchor)
+    rho = float(rho)
+    q = parts["q"]
+    if variant.tag == "relaxed-one":
+        # the exact penalty expanded around y_lin: its gradient there and curvature 2 rho
+        q = q + 2.0 * rho
+        anchor = y_lin
+    g = parts["g0"] - rho * grad_phi(anchor)
+    return QpProblem(q=q, g_lin=g, A=parts["A"], b=parts["b"], lower=parts["lower"],
+                     upper=parts["upper"])
 
 
 def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
@@ -330,14 +350,15 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     y_lin = switches.y
     w = net.rank * net.pd
 
-    base = build_subproblem(case, start, duals, 0.0, variant, switches, cuts)
+    parts = {}
+    base = build_subproblem(case, start, duals, 0.0, variant, switches, cuts, parts)
 
     def row_feasible(y):
         slack = base.b + base.A @ (y - y_lin)
         return float(np.min(slack, initial=0.0)) >= -1e-9
 
     def solve_sub(rho, anchor, warm):
-        prob = build_subproblem(case, start, duals, rho, variant, anchor, cuts)
+        prob = build_subproblem(case, start, duals, rho, variant, anchor, cuts, parts)
         warm_step = None if warm is None else warm - y_lin
         sol = solve_qp(prob, start=warm_step)
         if variant.tag != "mixed" and warm_step is not None:

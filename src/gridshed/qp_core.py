@@ -40,12 +40,26 @@ capped at 120 halvings of [0, 1] cannot resolve.
 When the kernel does not converge, a projected-gradient phase one on the
 squared row violation decides whether the rows are infeasible.
 
+The problems are tiny (at most a few dozen coordinates and a handful of
+rows), so numpy's per-call Python dispatch, not the arithmetic, sets the cost
+of each step.  The kernel therefore calls the ndarray methods (``x.max()``,
+``x.clip(lo, hi)``, ``m.all()``, ``m.nonzero()``) in place of the module
+functions ``np.max``, ``np.clip``, ``np.all`` and ``np.flatnonzero``: both
+run the same ufunc reduction or ufunc on the same operands, so every float
+is the same, and the method skips the dispatch wrapper.  The float index of
+the root search reads the same 8 bytes through ``struct`` instead of two
+numpy scalar views.  What does not change within a solve is computed once:
+``_Rows`` holds h * lower, h * upper and each row's nonzero entries for
+every kernel run under one curvature h, and ``_probe_moves`` the parts of
+the endpoint moves that do not depend on the point.
+
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,19 +115,19 @@ def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
     slack_a = problem.b + problem.A @ z
     feas = max(
         0.0,
-        float(np.max(-slack_a)) if slack_a.size else 0.0,
-        float(np.max(problem.lower - z)),
-        float(np.max(z - problem.upper)),
+        float((-slack_a).max()) if slack_a.size else 0.0,
+        float((problem.lower - z).max()),
+        float((z - problem.upper).max()),
     )
     comp = 0.0
     if slack_a.size:
-        comp = float(np.max(np.abs(lam * slack_a)))
+        comp = float(np.abs(lam * slack_a).max())
     comp = max(
         comp,
-        float(np.max(np.abs(mu * (z - problem.lower)))),
-        float(np.max(np.abs(gam * (problem.upper - z)))),
+        float(np.abs(mu * (z - problem.lower)).max()),
+        float(np.abs(gam * (problem.upper - z)).max()),
     )
-    return max(float(np.max(np.abs(stat))), feas, comp)
+    return max(float(np.abs(stat).max()), feas, comp)
 
 
 def _phase_one(problem: QpProblem, z0: np.ndarray):
@@ -150,45 +164,64 @@ def _infeasible(problem: QpProblem, z: np.ndarray) -> QpSolution:
     return QpSolution(z, lam, mu, gam, "infeasible", kkt_residual(problem, z, lam, mu, gam))
 
 
-def _bound_duals(problem: QpProblem, h, shifted):
-    """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam."""
-    return (np.maximum(0.0, h * problem.lower - shifted),
-            np.maximum(0.0, shifted - h * problem.upper))
+class _Rows:
+    """The rows of one problem under one curvature h > 0, with what every
+    kernel run and row root reuses: the box scaled by h (the values of
+    s + A'lam at which a coordinate reaches a box end) and, per row, the mask
+    of its nonzero entries, the scaled lower then upper ends at those
+    positions, and the entries themselves repeated to match."""
+
+    def __init__(self, problem: QpProblem, h: np.ndarray):
+        self.h_lower, self.h_upper = h * problem.lower, h * problem.upper
+        self.support = []
+        for a in problem.A:
+            nz = a != 0.0
+            self.support.append((nz, np.concatenate([self.h_lower[nz], self.h_upper[nz]]),
+                                 np.concatenate([a[nz], a[nz]])))
+
+    def bound_duals(self, shifted):
+        """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam."""
+        return np.maximum(0.0, self.h_lower - shifted), np.maximum(0.0, shifted - self.h_upper)
+
+
+_F64, _I64 = struct.Struct("d"), struct.Struct("q")
 
 
 def _float_index(x: float) -> int:
     """Position of x among the nonnegative floats in increasing order; negative below 0."""
-    return int(np.float64(x).view(np.int64))
+    return _I64.unpack(_F64.pack(x))[0]
 
 
 def _float_at(n: int) -> float:
     """The nonnegative float at position n >= 0, the inverse of _float_index."""
-    return float(np.int64(n).view(np.float64))
+    return _F64.unpack(_I64.pack(n))[0]
 
 
-def _row_root(problem: QpProblem, i: int, h: np.ndarray, base: np.ndarray):
+def _row_root(problem: QpProblem, i: int, h: np.ndarray, base: np.ndarray, rows: _Rows | None = None):
     """Smallest float lam > 0 at which row i of the clip (base + lam A[i]) / h
     has slack >= 0; 0.0 when lam = 0 meets the row, None when ROOT_CAP does not.
 
     The computed slack is nondecreasing in lam, so that float is unique.  One
     vectorised pass over the kinks picks the segment that holds it; the
-    scalar slack alone decides the float.
+    scalar slack alone decides the float.  rows is _Rows(problem, h), when
+    the caller has it.
     """
     a, b_i, lower, upper = problem.A[i], problem.b[i], problem.lower, problem.upper
 
     def slack(lam):
-        z = np.clip((base + lam * a) / h, lower, upper)
+        z = ((base + lam * a) / h).clip(lower, upper)
         return float(b_i + a @ z)
 
     s0 = slack(0.0)
     if s0 >= 0.0:
         return 0.0
-    nz = a != 0.0
-    kinks = np.concatenate([(h * lower - base)[nz] / a[nz], (h * upper - base)[nz] / a[nz]])
+    nz, ends, a2 = (_Rows(problem, h) if rows is None else rows).support[i]
+    base_nz = base[nz]
+    kinks = (ends - np.concatenate([base_nz, base_nz])) / a2
     lams = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < ROOT_CAP)]), [ROOT_CAP]])
-    s = b_i + np.clip((base + lams[:, None] * a) / h, lower, upper) @ a
+    s = b_i + ((base + lams[:, None] * a) / h).clip(lower, upper) @ a
     s[0] = s0
-    meets = np.flatnonzero(s >= 0.0)
+    meets = (s >= 0.0).nonzero()[0]
     k = int(meets[0]) if meets.size else lams.size - 1
     guess = lams[k]
     if s[k] > s[k - 1]:
@@ -226,36 +259,37 @@ def _row_root(problem: QpProblem, i: int, h: np.ndarray, base: np.ndarray):
     return _float_at(hi)
 
 
-def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray):
+def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, rows: _Rows | None = None):
     """Maximizer of s'z - 0.5 z'diag(h)z, h > 0, over the box and the rows.
 
     The dual has one variable per row; for fixed multipliers the primal is
     the box clip of (s + A'lam) / h, and the slack of row i is nondecreasing
-    in lam_i, so each coordinate update is a scalar root find.  Returns
-    (z, lam, mu, gam, converged).
+    in lam_i, so each coordinate update is a scalar root find.  rows is
+    _Rows(problem, h), when the caller has it.  Returns (z, lam, mu, gam,
+    converged).
     """
     A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
+    rows = _Rows(problem, h) if rows is None else rows
     lam = np.zeros(A.shape[0])
-    scale = max(1.0, float(np.max(np.abs(s / h), initial=0.0)))
+    scale = max(1.0, float(np.abs(s / h).max(initial=0.0)))
     tol = 1e-11 * scale
 
     def finish(converged):
         shifted = s + A.T @ lam
-        return (np.clip(shifted / h, lower, upper), lam, *_bound_duals(problem, h, shifted),
-                converged)
+        return ((shifted / h).clip(lower, upper), lam, *rows.bound_duals(shifted), converged)
 
     for _ in range(200):
         moved = 0.0
         for i in range(A.shape[0]):
-            new = _row_root(problem, i, h, s + A.T @ lam - lam[i] * A[i])
+            new = _row_root(problem, i, h, s + A.T @ lam - lam[i] * A[i], rows)
             if new is None:
                 return finish(False)
             moved = max(moved, abs(new - lam[i]))
             lam[i] = new
-        resid = b + A @ np.clip((s + A.T @ lam) / h, lower, upper)
+        resid = b + A @ ((s + A.T @ lam) / h).clip(lower, upper)
         # every positive-multiplier row must be active; the product form
         # lam*resid has an ulp floor of lam*eps*scale and cannot certify
-        if float(np.max(-resid, initial=0.0)) <= tol and bool(np.all((lam <= 0.0) | (np.abs(resid) <= tol))):
+        if float((-resid).max(initial=0.0)) <= tol and bool(((lam <= 0.0) | (np.abs(resid) <= tol)).all()):
             return finish(True)
         if moved <= 1e-16 * scale:
             break
@@ -264,7 +298,8 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray):
 
 def _solve_exact(problem: QpProblem) -> QpSolution:
     q, g, A = problem.q, problem.g_lin, problem.A
-    z, lam, mu, gam, converged = _dual_clip(problem, -q, g)
+    kernel = _Rows(problem, -q)
+    z, lam, mu, gam, converged = _dual_clip(problem, -q, g, kernel)
     if not converged and not _phase_one(problem, z)[1]:
         return _infeasible(problem, z)
     best = (z, lam, mu, gam, kkt_residual(problem, z, lam, mu, gam))
@@ -282,7 +317,7 @@ def _solve_exact(problem: QpProblem) -> QpSolution:
     zp, lp = z.copy(), lam.copy()
     zp[free], lp[rows] = np.split(sol, [int(free.sum())])
     if np.all((zp >= problem.lower) & (zp <= problem.upper)) and np.all(lp >= 0.0):
-        mp, gp = _bound_duals(problem, -q, g + A.T @ lp)
+        mp, gp = kernel.bound_duals(g + A.T @ lp)
         res = kkt_residual(problem, zp, lp, mp, gp)
         if res <= best[4]:
             best = (zp, lp, mp, gp, res)
@@ -290,26 +325,34 @@ def _solve_exact(problem: QpProblem) -> QpSolution:
     return QpSolution(z, lam, mu, gam, "optimal" if res <= TOL_STAT else "max-iterations", res)
 
 
-def _endpoint_probe(problem, z, value):
+def _probe_moves(problem: QpProblem):
+    """The parts of the 2n endpoint moves that do not depend on the point:
+    move 2k + e takes coordinate k to its lower (e = 0) or upper end, and this
+    is (cols, q[cols], g_lin[cols], -A[:, cols]) with cols[2k + e] = k."""
+    cols = np.repeat(np.arange(problem.dim), 2)
+    return cols, problem.q[cols], problem.g_lin[cols], -problem.A[:, cols]
+
+
+def _endpoint_probe(problem, z, value, moves=None):
     """One coordinate pushed toward a box endpoint when that strictly improves.
 
     First-order points of an indefinite objective can sit inside a face where
     positive curvature along a coordinate makes an endpoint strictly better;
     the probe finds the first such move (lowest coordinate, lower end first).
+    moves is _probe_moves(problem), when the caller has it.
     """
     base = value(z)
     margin = 1e-10 * max(1.0, abs(base))
     slack = problem.b + problem.A @ z
     n = problem.dim
-    # candidate 2k + e moves coordinate k to its lower (e = 0) or upper end
-    cols = np.repeat(np.arange(n), 2)
-    dk = np.column_stack([problem.lower - z, problem.upper - z]).ravel()
-    rate = -problem.A[:, cols] * dk
-    caps = np.min(np.divide(slack[:, None], rate, out=np.ones_like(rate), where=rate > 1e-14),
-                  axis=0, initial=1.0)
+    cols, q_cols, g_cols, neg_a = _probe_moves(problem) if moves is None else moves
+    dk = np.stack([problem.lower - z, problem.upper - z], axis=1).ravel()
+    rate = neg_a * dk
+    caps = np.divide(slack[:, None], rate, out=np.ones(rate.shape), where=rate > 1e-14).min(
+        axis=0, initial=1.0)
     t = caps * dk
-    gain = t * (problem.q[cols] * z[cols] + problem.g_lin[cols]) + 0.5 * t * t * problem.q[cols]
-    for j in np.flatnonzero((np.abs(dk) > 1e-12) & (caps > 1e-12) & (gain > 0.5 * margin)):
+    gain = t * (q_cols * z[cols] + g_cols) + 0.5 * t * t * q_cols
+    for j in ((np.abs(dk) > 1e-12) & (caps > 1e-12) & (gain > 0.5 * margin)).nonzero()[0]:
         d = np.zeros(n)
         d[cols[j]] = dk[j]
         cand = z + caps[j] * d
@@ -321,22 +364,23 @@ def _endpoint_probe(problem, z, value):
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     n = problem.dim
     unit = np.ones(n)
+    rows, moves = _Rows(problem, unit), _probe_moves(problem)
     z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
-    z, *_, ok = _dual_clip(problem, unit, z0)
+    z, *_, ok = _dual_clip(problem, unit, z0, rows)
     if not ok and not _phase_one(problem, z0)[1]:
         return _infeasible(problem, z)
 
     def value(w):
         return 0.5 * w * problem.q @ w + problem.g_lin @ w
 
-    t0 = 1.0 / max(float(np.max(np.abs(problem.q))), 1e-6)
+    t0 = 1.0 / max(float(np.abs(problem.q).max()), 1e-6)
     cap = 50 * max(n, 1)
     status = "max-iterations"
     lam = np.zeros(problem.A.shape[0])
     mu = np.zeros(n)
     gam = np.zeros(n)
     t = t0
-    span = max(float(np.max(problem.upper - problem.lower, initial=0.0)), 1.0)
+    span = max(float((problem.upper - problem.lower).max(initial=0.0)), 1.0)
     z_prev = grad_prev = None
     for _ in range(cap):
         grad = problem.q * z + problem.g_lin
@@ -348,14 +392,14 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
                 t = min(max(float(dz @ dz) / den, 1e-3 * t0), 1e4 * t0)
         # keep the pre-projection point within a few box spans so the
         # projection stays in the regime where it is machine-precise
-        gnorm = float(np.max(np.abs(grad), initial=0.0))
+        gnorm = float(np.abs(grad).max(initial=0.0))
         step = t if gnorm <= 1e-300 else min(t, 10.0 * span / gnorm)
         z_prev, grad_prev = z, grad
-        w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad)
+        w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad, rows)
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
         if kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT:
-            probe = _endpoint_probe(problem, z, value)
+            probe = _endpoint_probe(problem, z, value, moves)
             if probe is None:
                 status = "optimal"
                 break
@@ -364,8 +408,8 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
             continue
         # exact line search on the first segment of the projection arc
         p = w - z
-        if np.max(np.abs(p), initial=0.0) <= 1e-14:
-            probe = _endpoint_probe(problem, z, value)
+        if np.abs(p).max(initial=0.0) <= 1e-14:
+            probe = _endpoint_probe(problem, z, value, moves)
             if probe is not None:
                 z = probe
                 z_prev = grad_prev = None
@@ -380,6 +424,6 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
 
 def solve_qp(problem: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """Exact maximizer when every curvature is negative, else a KKT point reached from start."""
-    if float(np.max(problem.q)) < 0.0:
+    if float(problem.q.max()) < 0.0:
         return _solve_exact(problem)
     return _solve_stationary(problem, start)

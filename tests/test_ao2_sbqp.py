@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshed import ao2_sbqp
 from gridshed.ao1_opf import solve_ao1
 from gridshed.ao2_sbqp import (
     Ao2Error,
@@ -377,3 +378,37 @@ def test_run_ao2_never_returns_a_cut_set(tag, stressed30, stressed30_start):
     y1, _ = run_ao2(stressed30, start, res.duals, None, Ao2Variant(tag=tag), cuts=(y0.y,))
     assert set(np.unique(y1.y)) <= {0.0, 1.0}
     assert np.any(y1.y[live] != y0.y[live])
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_parts_built_once_give_the_problems_a_fresh_build_gives(tag, stressed30, stressed30_start,
+                                                                 monkeypatch):
+    # run_ao2 builds the rho-independent parts once; every problem it hands
+    # the QP must be, bit for bit, what a fresh build_subproblem call makes
+    res, start = stressed30_start
+    variant = Ao2Variant(tag=tag)
+    built, solved = {}, []
+
+    def spy_build(case, lin_point, duals, rho, variant, phi_anchor=None, cuts=(), parts=None):
+        prob = build_subproblem(case, lin_point, duals, rho, variant, phi_anchor, cuts, parts)
+        built[id(prob)] = (prob, rho, phi_anchor)
+        return prob
+
+    def spy_solve(problem, start=None):
+        solved.append(problem)
+        return solve_qp(problem, start=start)
+
+    monkeypatch.setattr(ao2_sbqp, "build_subproblem", spy_build)
+    monkeypatch.setattr(ao2_sbqp, "solve_qp", spy_solve)
+    y0, _ = run_ao2(stressed30, start, res.duals, None, variant)
+    for cuts in ((), (y0.y,)):
+        built.clear()
+        solved.clear()
+        run_ao2(stressed30, start, res.duals, None, variant, cuts=cuts)
+        assert solved
+        for prob in solved:
+            _, rho, anchor = built[id(prob)]
+            fresh = build_subproblem(stressed30, start, res.duals, rho, variant, anchor, cuts)
+            for name in ("q", "g_lin", "A", "b", "lower", "upper"):
+                got, want = getattr(prob, name), getattr(fresh, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, rho)

@@ -443,6 +443,17 @@ def test_cli_check_passes(case5_path):
     assert main(["check", "--case", str(case5_path)]) == 0
 
 
+def test_python_m_gridshed_runs_the_command_without_warnings(case5_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(gridshed.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-m", "gridshed", "check", "--case", str(case5_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert "PASS" in out.stdout and "FAIL" not in out.stdout
+
+
 def test_cli_scenario_prints_modified_case(case30_path, capsys):
     assert main(["scenario", "--case", str(case30_path)]) == 0
     text = capsys.readouterr().out

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshed.qp_core import QpProblem, _endpoint_probe, _row_root, kkt_residual, solve_qp
+from gridshed.qp_core import (
+    ROOT_CAP, QpProblem, _dual_clip, _endpoint_probe, _row_root, kkt_residual, solve_qp,
+)
 
 # optima of the three seeded problems below, from scipy.optimize.minimize
 # (method="trust-constr", gtol = xtol = barrier_tol = 1e-16, initial barrier
@@ -249,6 +251,94 @@ def reference_root(problem, i, h, base):
     return hi
 
 
+def frozen_dual_clip(problem, h, s):
+    """The dual clip kernel as it stood with numpy's function forms, numpy
+    scalar views for the float index and no hoisted constants: the reference
+    the kernel is held to bit for bit."""
+    A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
+
+    def float_index(x):
+        return int(np.float64(x).view(np.int64))
+
+    def float_at(n):
+        return float(np.int64(n).view(np.float64))
+
+    def row_root(i, base):
+        a, b_i = A[i], b[i]
+
+        def slack(lam):
+            z = np.clip((base + lam * a) / h, lower, upper)
+            return float(b_i + a @ z)
+
+        s0 = slack(0.0)
+        if s0 >= 0.0:
+            return 0.0
+        nz = a != 0.0
+        kinks = np.concatenate([(h * lower - base)[nz] / a[nz], (h * upper - base)[nz] / a[nz]])
+        lams = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < ROOT_CAP)]), [ROOT_CAP]])
+        s = b_i + np.clip((base + lams[:, None] * a) / h, lower, upper) @ a
+        s[0] = s0
+        meets = np.flatnonzero(s >= 0.0)
+        k = int(meets[0]) if meets.size else lams.size - 1
+        guess = lams[k]
+        if s[k] > s[k - 1]:
+            guess = lams[k - 1] + (lams[k] - lams[k - 1]) * (-s[k - 1] / (s[k] - s[k - 1]))
+        top = float_index(ROOT_CAP)
+        x = min(max(float_index(guess), 1), top)
+        step = 1
+        if slack(float_at(x)) >= 0.0:
+            lo, hi = 0, x
+            while x - step > 0:
+                if slack(float_at(x - step)) < 0.0:
+                    lo = x - step
+                    break
+                hi = x - step
+                step *= 4
+        else:
+            lo, hi = x, top
+            while x + step < top:
+                if slack(float_at(x + step)) >= 0.0:
+                    hi = x + step
+                    break
+                lo = x + step
+                step *= 4
+            else:
+                if slack(ROOT_CAP) < 0.0:
+                    return None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if slack(float_at(mid)) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return float_at(hi)
+
+    lam = np.zeros(A.shape[0])
+    scale = max(1.0, float(np.max(np.abs(s / h), initial=0.0)))
+    tol = 1e-11 * scale
+
+    def finish(converged):
+        shifted = s + A.T @ lam
+        return (np.clip(shifted / h, lower, upper), lam,
+                np.maximum(0.0, h * lower - shifted), np.maximum(0.0, shifted - h * upper),
+                converged)
+
+    for _ in range(200):
+        moved = 0.0
+        for i in range(A.shape[0]):
+            new = row_root(i, s + A.T @ lam - lam[i] * A[i])
+            if new is None:
+                return finish(False)
+            moved = max(moved, abs(new - lam[i]))
+            lam[i] = new
+        resid = b + A @ np.clip((s + A.T @ lam) / h, lower, upper)
+        if float(np.max(-resid, initial=0.0)) <= tol and bool(np.all((lam <= 0.0) | (np.abs(resid) <= tol))):
+            return finish(True)
+        if moved <= 1e-16 * scale:
+            break
+    return finish(False)
+
+
 def reference_probe(problem, z, value):
     """The endpoint probe as one Python loop over the 2n candidate moves."""
     base = value(z)
@@ -394,3 +484,24 @@ def test_endpoint_probe_screen_and_order():
     got = _endpoint_probe(problem, z, value)
     assert got.tolist() == [0.5, 1.0, 0.5]
     assert np.array_equal(got, reference_probe(problem, z, value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_clip_matches_frozen_kernel(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(0, 6))
+    lower = -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+    upper = lower + rng.uniform(0.1, 3.0, n)
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.75)
+    # rows through a point of the box, shifted so that some bind, some are
+    # slack and a few cannot be met at all
+    b = -(A @ rng.uniform(lower, upper)) + rng.uniform(-1.0, 0.5, m)
+    problem = QpProblem(q=-np.ones(n), g_lin=np.zeros(n), A=A, b=b, lower=lower, upper=upper)
+    h = np.ones(n) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 3, n)
+    s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+    *got, got_ok = _dual_clip(problem, h, s)
+    *ref, ref_ok = frozen_dual_clip(problem, h, s)
+    assert got_ok == ref_ok
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()

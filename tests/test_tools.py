@@ -6,15 +6,22 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "workload_digests.py"
 
 
-def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, monkeypatch):
+@pytest.fixture()
+def tool(monkeypatch):
     # the tool puts ./src and ./bench on sys.path when it loads; undo that after the test
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("workload_digests", DIGESTS)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, tool):
     out = tmp_path / "oracle5.json"
     assert tool.main([str(out), "--workload", "oracle5", "--seeds", "1", "--outcomes"]) == 0
     doc = json.loads(out.read_text())
@@ -35,3 +42,33 @@ def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, monkeypa
         # the oracle labels split all eight switch sets between them
         labelled = [s for key in ("feasible", "infeasible") for s in fields[key].split(",") if s]
         assert sorted(labelled) == every_set
+
+
+def test_compare_names_each_call_that_differs(tmp_path, tool, capsys):
+    base = tmp_path / "base.json"
+    args = ["--workload", "switch30", "--seeds", "1"]
+    assert tool.main([str(base), *args]) == 0
+    # the same checkout computes the same bits
+    assert tool.main([str(tmp_path / "again.json"), *args, "--compare", str(base)]) == 0
+    assert "0 of" in capsys.readouterr().out
+
+    doc = json.loads(base.read_text())
+    entry = doc["calls"][1]
+    entry["digest"] = "0" * 64
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(doc))
+    assert tool.main([str(tmp_path / "b.json"), *args, "--compare", str(moved)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"seed 1 call 1 {entry['call']['variant']}: digest differs" in lines
+    assert lines[-1].startswith("1 of ")
+
+    # another workload, seed set or BLAS thread count, or outcomes in place of
+    # digests: nothing is comparable, and no call runs
+    for key, value in [("workload", "oracle5"), ("seeds", [1, 2]), ("OPENBLAS_NUM_THREADS", "4")]:
+        other = tmp_path / f"other-{key}.json"
+        other.write_text(json.dumps({**doc, key: value}))
+        assert tool.main([str(tmp_path / "c.json"), *args, "--compare", str(other)]) == 2
+        assert key in capsys.readouterr().out
+    assert tool.main([str(tmp_path / "c.json"), *args, "--outcomes", "--compare", str(base)]) == 2
+    assert "no outcome" in capsys.readouterr().out
+    assert not (tmp_path / "c.json").exists()

@@ -32,6 +32,14 @@ digest, led by the seed and call index where it first appears:
 
 So when a change moves float bits, ``cmp`` on two outcome files shows whether
 it also moved an answer, and ``diff`` names each call that moved.
+
+With ``--compare BASE.json`` (a file this tool wrote, say in the parent
+checkout) the run is checked against BASE after OUT is written: each call
+whose digest, or outcome, differs is printed by the seed and call index where
+it first appears and its variant, and the exit status is 1 if any differs,
+0 if none does.  A BASE taken for another workload, other seeds or other BLAS
+thread settings, or one holding outcomes where this run writes digests or
+the other way round, cannot be compared: that exits 2 before any call runs.
 """
 
 from __future__ import annotations
@@ -156,9 +164,29 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seeds", default="1-10", help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
     parser.add_argument("--outcomes", action="store_true",
                         help="write each call's switch set and objective, or its error, in place of a digest")
+    parser.add_argument("--compare", metavar="BASE.json",
+                        help="name each call that differs from BASE's; exit 1 if any does")
     args = parser.parse_args(argv)
+    field = "outcome" if args.outcomes else "digest"
+    settings = {
+        "workload": args.workload,
+        "seeds": _seeds(args.seeds),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+    base = None
+    if args.compare:
+        base = json.loads(Path(args.compare).read_text())
+        mismatch = [f"{k} {base.get(k)!r}, here {v!r}" for k, v in settings.items() if base.get(k) != v]
+        if any(field not in entry for entry in base.get("calls", [])):
+            mismatch.append(f"its calls hold no {field}")
+        if mismatch:
+            print(f"cannot compare with {args.compare}: " + "; ".join(mismatch))
+            return 2
 
     seen: dict[str, dict] = {}
+    first: dict[str, str] = {}      # call key -> "seed S call I VARIANT" where it first appears
     for seed in _seeds(args.seeds):
         calls = workloads.call_list(args.workload, seed)
         built = None
@@ -174,16 +202,14 @@ def main(argv: list[str]) -> int:
             answer = workloads.run(call, inst)
             error = "" if not isinstance(answer, (DriverError, Ao2Error)) else f"{type(answer).__name__}: {answer}"
             seen[key] = {"call": call, "seeds": [seed], "error": error}
+            first[key] = f"seed {seed} call {index} {call['variant']}"
             if args.outcomes:
                 seen[key]["outcome"] = (f"seed {seed} call {index} {call['variant']}: "
                                         f"{call_outcome(call, inst, answer)}")
             else:
                 seen[key]["digest"] = call_digest(call, inst, answer)
     doc = {
-        "workload": args.workload,
-        "seeds": _seeds(args.seeds),
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        **settings,
         "distinct_calls": len(seen),
         "failed_calls": sum(1 for entry in seen.values() if entry["error"]),
         "calls": list(seen.values()),
@@ -191,7 +217,20 @@ def main(argv: list[str]) -> int:
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{args.workload}: {len(seen)} distinct calls, {doc['failed_calls']} failed, "
           f"OPENBLAS_NUM_THREADS={doc['OPENBLAS_NUM_THREADS']}, wrote {args.out}")
-    return 0
+    if base is None:
+        return 0
+    old = {json.dumps(entry["call"], sort_keys=True): entry for entry in base["calls"]}
+    differ = 0
+    for key, entry in seen.items():
+        was = old.pop(key, None)
+        if was is None or was[field] != entry[field]:
+            differ += 1
+            print(f"{first[key]}: {field} differs" if was else f"{first[key]}: not in {args.compare}")
+    for entry in old.values():
+        differ += 1
+        print(f"seeds {entry['seeds']} {entry['call']['variant']}: only in {args.compare}")
+    print(f"{differ} of {len(seen)} distinct calls differ from {args.compare}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
