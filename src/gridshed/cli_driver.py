@@ -525,16 +525,30 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
 
 # -- config files and the command line ----------------------------------------
 
-_CONFIG_KEYS = {
-    "variant", "single_shot", "rho0", "beta", "rho_max", "eps",
-    "outer_eps", "outer_max_iters", "seed", "scenario",
+def _one_of(**values):
+    """Converter that maps each allowed text to its value and rejects any other."""
+    def convert(text: str):
+        if text not in values:
+            raise ValueError(text)
+        return values[text]
+    return convert
+
+
+# config key: (record, field, converter, expected type as named in errors); a
+# key left out keeps the record's default.  scenario is read into the solver
+# record as its mode and replaced there by the ScenarioConfig it selects
+_CONFIG_FIELDS = {
+    "variant": ("variant", "tag", str, "text"),
+    "single_shot": ("variant", "single_shot", _one_of(true=True, false=False), "true or false"),
+    "rho0": ("schedule", "rho0", float, "a number"),
+    "beta": ("schedule", "beta", float, "a number"),
+    "rho_max": ("schedule", "rho_max", float, "a number"),
+    "eps": ("schedule", "eps", float, "a number"),
+    "outer_eps": ("solver", "outer_eps", float, "a number"),
+    "outer_max_iters": ("solver", "outer_max_iters", int, "an integer"),
+    "seed": ("solver", "seed", int, "an integer"),
+    "scenario": ("solver", "scenario", _one_of(none="none", stress="stress"), "none or stress"),
 }
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    if value not in ("true", "false"):
-        raise ValueError(f"{key}: expected true or false, got {value!r}")
-    return value == "true"
 
 
 def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
@@ -547,53 +561,40 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
     unless scenario.rank_seed pins it, so one --seed flag controls the run.
     """
     scen_over = {k.split(".", 1)[1]: v for k, v in mapping.items() if k.startswith("scenario.")}
-    unknown = set(mapping) - _CONFIG_KEYS - {f"scenario.{k}" for k in scen_over}
+    unknown = set(mapping) - set(_CONFIG_FIELDS) - {f"scenario.{k}" for k in scen_over}
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    records: dict[str, dict] = {"variant": {}, "schedule": {}, "solver": {}}
+    for key, (record, name, conv, expected) in _CONFIG_FIELDS.items():
+        if key in mapping:
+            records[record][name] = config_value(mapping, key, None, conv, expected)
+    if variant is not None:
+        records["variant"]["tag"] = variant
+    solver = records["solver"]
+    if seed is not None:
+        solver["seed"] = seed
 
-    def number(key, default):
-        return config_value(mapping, key, default, float, "a number")
-
-    def integer(key, default):
-        return config_value(mapping, key, default, int, "an integer")
-
-    schedule = PenaltySchedule(
-        rho0=number("rho0", 1.0),
-        beta=number("beta", 10.0),
-        rho_max=number("rho_max", 1e12),
-        eps=number("eps", 1e-6),
-    )
-    tag = variant if variant is not None else mapping.get("variant", "mixed")
-    var = Ao2Variant(tag=tag, single_shot=_parse_bool("single_shot", mapping.get("single_shot", "false")))
-    explicit_seed = seed is not None or "seed" in mapping
-    config_seed = integer("seed", 2025)
-    run_seed = seed if seed is not None else config_seed
-
-    mode = mapping.get("scenario", "stress" if scen_over else "none")
-    if mode not in ("none", "stress"):
-        raise ValueError(f"scenario: expected none or stress, got {mode!r}")
+    mode = solver.pop("scenario", "stress" if scen_over else "none")
     if mode == "none" and scen_over:
         keys = ", ".join(sorted(f"scenario.{k}" for k in scen_over))
         raise ValueError(f"scenario = none leaves these keys unused: {keys}")
-    scenario = None
     if mode == "stress":
-        scenario = scenario_from_mapping(scen_over, prefix="scenario.")
-        if explicit_seed and "rank_seed" not in scen_over:
-            scenario = replace(scenario, rank_seed=run_seed)
+        solver["scenario"] = scenario_from_mapping(scen_over, prefix="scenario.")
+        if "seed" in solver and "rank_seed" not in scen_over:
+            solver["scenario"] = replace(solver["scenario"], rank_seed=solver["seed"])
 
     return SolverConfig(
-        schedule=schedule,
-        variant=var,
-        outer_eps=number("outer_eps", 1e-6),
-        outer_max_iters=integer("outer_max_iters", 20),
-        seed=run_seed,
-        scenario=scenario,
+        schedule=PenaltySchedule(**records["schedule"]),
+        variant=Ao2Variant(**records["variant"]),
+        **solver,
     )
 
 
-def _load(args) -> tuple[GridCase, SolverConfig]:
+def _load(args, stress: bool = False) -> tuple[GridCase, SolverConfig]:
     case = parse_case(Path(args.case).read_text())
     mapping = parse_kv_config(Path(args.config).read_text()) if args.config else {}
+    if stress:
+        mapping["scenario"] = "stress"
     cfg = config_from_mapping(mapping, variant=getattr(args, "variant", None), seed=args.seed)
     return case, cfg
 
@@ -660,11 +661,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    case, cfg = _load(args)
-    scenario = cfg.scenario
-    if scenario is None:
-        scenario = ScenarioConfig(rank_seed=cfg.seed)
-    sys.stdout.write(serialize_case(apply_scenario(case, scenario)))
+    # the stress transform by the rule solve uses: only an explicit --seed or
+    # seed key moves the rank draw off ScenarioConfig's pinned rank_seed
+    case, cfg = _load(args, stress=True)
+    sys.stdout.write(serialize_case(apply_scenario(case, cfg.scenario)))
     return 0
 
 

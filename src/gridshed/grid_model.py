@@ -1,11 +1,22 @@
 """Grid case model: file parsing, admittance construction, scenario transforms.
 
 The case format is a plain-text subset of the MATPOWER layout: the
-``baseMVA`` scalar plus the ``bus``, ``gen`` and ``branch`` matrices, read at
-their standard column positions (documented in the README). Unknown columns
-are ignored. Demands and generator limits are normalized to per unit at
-parse time; branch series impedance r + jx is converted to the series
-admittance g = r/(r^2+x^2), b = -x/(r^2+x^2).
+``baseMVA`` scalar plus up to eight tables, read at their standard column
+positions (documented in the README). Unknown columns are ignored. Each row
+has a key in its leading columns:
+
+    bus          bus id                  gen       generator bus
+    branch       unordered bus pair      gen_pu    generator bus
+    demand_rank  bus id                  demand_pu bus id
+    theta_bound  bus id                  branch_pu unordered bus pair
+
+Each key appears once in its table, and one bus row is the slack. The
+rows of the other seven tables name buses the case has; a ``gen_pu`` row
+must name a generator and a ``branch_pu`` row a branch, in either bus
+order. A row that breaks a rule, or makes its record invalid, fails at its
+own line. Demands and generator limits are normalized to per unit at parse
+time; branch series impedance r + jx is converted to the series admittance
+g = r/(r^2+x^2), b = -x/(r^2+x^2).
 """
 
 from __future__ import annotations
@@ -18,11 +29,12 @@ import numpy as np
 
 DEFAULT_THETA_BOUND = math.pi / 2.0
 
-# column positions in the source tables (0-based)
-BUS_ID, BUS_TYPE, BUS_PD, BUS_QD = 0, 1, 2, 3
+# column positions in the source tables (0-based); the key of every row is
+# in column 0, or in columns 0 and 1 for a bus pair
+BUS_TYPE, BUS_PD, BUS_QD = 1, 2, 3
 BUS_VMAX, BUS_VMIN = 11, 12
-GEN_BUS, GEN_QMAX, GEN_QMIN, GEN_PMAX, GEN_PMIN = 0, 3, 4, 8, 9
-BR_FROM, BR_TO, BR_R, BR_X = 0, 1, 2, 3
+GEN_QMAX, GEN_QMIN, GEN_PMAX, GEN_PMIN = 3, 4, 8, 9
+BR_R, BR_X = 2, 3
 SLACK_TYPE = 3
 
 
@@ -45,7 +57,7 @@ class MalformedRowError(ParseError):
 
 
 class UnknownBusError(ParseError):
-    pass
+    """A row names a bus, generator or branch the case lacks."""
 
 
 class DuplicateBranchError(ParseError):
@@ -301,9 +313,32 @@ def _parse_matrix_rows(name, lines, start_idx):
     raise MalformedRowError(f"unterminated matrix {name}", lines[start_idx - 1][0])
 
 
-def _require(row, line_no, name, n_cols):
-    if len(row) < n_cols:
-        raise MalformedRowError(f"{name} row needs at least {n_cols} columns, got {len(row)}", line_no)
+def _keyed_rows(tables, name, n_cols, buses, known=None, pair=False):
+    """The rows of table ``name`` as {key: (row, line)}, in file order.
+
+    The key is the bus id in column 0, or with ``pair`` the unordered pair of
+    bus ids in columns 0 and 1.  Raised at the row's line: a row shorter than
+    n_cols, a key an earlier row has, a bus id not in ``buses`` (None for the
+    bus table itself) and a key not in ``known`` when that is given.
+    """
+    rows = {}
+    for row, ln in tables.get(name, []):
+        if len(row) < n_cols:
+            raise MalformedRowError(f"{name} row needs at least {n_cols} columns, got {len(row)}", ln)
+        ids = (int(row[0]), int(row[1])) if pair else (int(row[0]),)
+        key = frozenset(ids) if pair else ids[0]
+        if key in rows:
+            error = DuplicateBranchError if pair else MalformedRowError
+            raise error(f"duplicate {name} row {'-'.join(map(str, ids))}, "
+                        f"the first is on line {rows[key][1]}", ln)
+        for bus in ids:
+            if buses is not None and bus not in buses:
+                raise UnknownBusError(f"{name} references unknown bus {bus}", ln)
+        if known is not None and key not in known:
+            raise UnknownBusError(f"{name} row {'-'.join(map(str, ids))} names no "
+                                  f"{'branch' if pair else 'generator'}", ln)
+        rows[key] = (row, ln)
+    return rows
 
 
 def _from_row(line_no, build, *args, **fields):
@@ -332,12 +367,10 @@ def parse_case(text: str) -> GridCase:
         name, rest = m.group(1), m.group(2).strip()
         if rest.startswith("["):
             rest = rest[1:].strip()
-            rows = []
             if rest:
                 # rows may start on the assignment line itself
                 lines.insert(i, (line_no, rest))
-            rows, i = _parse_matrix_rows(name, lines, i)
-            tables[name] = rows
+            tables[name], i = _parse_matrix_rows(name, lines, i)
         else:
             value = rest.rstrip(";").strip()
             if name == "baseMVA":
@@ -349,116 +382,64 @@ def parse_case(text: str) -> GridCase:
                     raise MalformedRowError("baseMVA must be finite and positive", line_no)
     if "bus" not in tables:
         raise MalformedRowError("missing bus table", None)
+    bus_rows = _keyed_rows(tables, "bus", BUS_VMIN + 1, None)
+    gen_rows = _keyed_rows(tables, "gen", GEN_PMIN + 1, bus_rows)
+    branch_rows = _keyed_rows(tables, "branch", BR_X + 1, bus_rows, pair=True)
+    # the override tables: each row changes the record with its key, and a
+    # record it makes invalid is reported at the row's line.  demand_pu,
+    # gen_pu and branch_pu hold the exact per-unit values serialize_case
+    # writes; they win over the MVA-scaled columns, which round-trip only
+    # approximately
+    ranks = _keyed_rows(tables, "demand_rank", 2, bus_rows)
+    demand_pu = _keyed_rows(tables, "demand_pu", 3, bus_rows)
+    gen_pu = _keyed_rows(tables, "gen_pu", 5, bus_rows, gen_rows)
+    theta_bounds = _keyed_rows(tables, "theta_bound", 3, bus_rows)
+    branch_pu = _keyed_rows(tables, "branch_pu", 4, bus_rows, branch_rows, pair=True)
 
-    buses = []
-    bus_ids = set()
-    for row, ln in tables["bus"]:
-        _require(row, ln, "bus", BUS_VMIN + 1)
-        buses.append(
-            _from_row(
-                ln, Bus,
-                id=int(row[BUS_ID]),
-                v_min=row[BUS_VMIN],
-                v_max=row[BUS_VMAX],
-                is_slack=int(row[BUS_TYPE]) == SLACK_TYPE,
-            )
-        )
-        bus_ids.add(int(row[BUS_ID]))
+    slack_lines = [ln for row, ln in bus_rows.values() if int(row[BUS_TYPE]) == SLACK_TYPE]
+    if len(slack_lines) > 1:
+        raise MalformedRowError(f"second slack bus row, the first is on line {slack_lines[0]}",
+                                slack_lines[1])
+    buses, demands = [], []
+    for bus, (row, ln) in bus_rows.items():
+        node = _from_row(ln, Bus, id=bus, v_min=row[BUS_VMIN], v_max=row[BUS_VMAX],
+                         is_slack=int(row[BUS_TYPE]) == SLACK_TYPE)
+        if bus in theta_bounds:
+            (_, lo, hi, *_), t_ln = theta_bounds[bus]
+            node = _from_row(t_ln, replace, node, theta_min=lo, theta_max=hi)
+        buses.append(node)
+        pd, qd, pu_ln = row[BUS_PD] / base_mva, row[BUS_QD] / base_mva, ln
+        if bus in demand_pu:
+            (_, pd, qd, *_), pu_ln = demand_pu[bus]
+        if pd != 0.0 or qd != 0.0 or bus in ranks or bus in demand_pu:
+            demand = _from_row(pu_ln, DemandSpec, bus=bus, pd=pd, qd=qd)
+            if bus in ranks:
+                (_, rank, *_), r_ln = ranks[bus]
+                demand = _from_row(r_ln, replace, demand, rank=rank)
+            demands.append(demand)
 
     branches = []
-    seen = set()
-    for row, ln in tables.get("branch", []):
-        _require(row, ln, "branch", BR_X + 1)
-        f, t = int(row[BR_FROM]), int(row[BR_TO])
-        if f not in bus_ids or t not in bus_ids:
-            raise UnknownBusError(f"branch references unknown bus {f if f not in bus_ids else t}", ln)
-        if frozenset((f, t)) in seen:
-            raise DuplicateBranchError(f"duplicate branch {f}-{t}", ln)
-        seen.add(frozenset((f, t)))
-        r, x = row[BR_R], row[BR_X]
+    for pair, (row, ln) in branch_rows.items():
+        f, t, r, x = int(row[0]), int(row[1]), row[BR_R], row[BR_X]
         den = r * r + x * x
         if den == 0.0:
             raise ZeroImpedanceError(f"branch {f}-{t} has zero impedance", ln)
-        branches.append(_from_row(ln, Branch, from_bus=f, to_bus=t, g=r / den, b=-x / den, r=r, x=x))
+        branch = _from_row(ln, Branch, from_bus=f, to_bus=t, g=r / den, b=-x / den, r=r, x=x)
+        if pair in branch_pu:
+            (_, _, g, b, *_), pu_ln = branch_pu[pair]
+            branch = _from_row(pu_ln, replace, branch, g=g, b=b)
+        branches.append(branch)
 
     gens = []
-    for row, ln in tables.get("gen", []):
-        _require(row, ln, "gen", GEN_PMIN + 1)
-        bus = int(row[GEN_BUS])
-        if bus not in bus_ids:
-            raise UnknownBusError(f"generator references unknown bus {bus}", ln)
-        gens.append(
-            _from_row(
-                ln, Generator,
-                bus=bus,
-                pg_min=row[GEN_PMIN] / base_mva,
-                pg_max=row[GEN_PMAX] / base_mva,
-                qg_min=row[GEN_QMIN] / base_mva,
-                qg_max=row[GEN_QMAX] / base_mva,
-            )
-        )
-
-    # every value below keeps its source line, so a record it makes invalid
-    # is reported at that line
-    ranks: dict[int, tuple[float, int]] = {}
-    for row, ln in tables.get("demand_rank", []):
-        _require(row, ln, "demand_rank", 2)
-        bus = int(row[0])
-        if bus not in bus_ids:
-            raise UnknownBusError(f"demand_rank references unknown bus {bus}", ln)
-        ranks[bus] = (row[1], ln)
-
-    # optional exact per-unit tables written by serialize_case; they win over
-    # the MVA-scaled columns, which round-trip only approximately
-    demand_pu: dict[int, tuple[float, float, int]] = {}
-    for row, ln in tables.get("demand_pu", []):
-        _require(row, ln, "demand_pu", 3)
-        bus = int(row[0])
-        if bus not in bus_ids:
-            raise UnknownBusError(f"demand_pu references unknown bus {bus}", ln)
-        demand_pu[bus] = (row[1], row[2], ln)
-    gen_pu: dict[int, tuple[list[float], int]] = {}
-    for row, ln in tables.get("gen_pu", []):
-        _require(row, ln, "gen_pu", 5)
-        bus = int(row[0])
-        if bus not in bus_ids:
-            raise UnknownBusError(f"gen_pu references unknown bus {bus}", ln)
-        gen_pu[bus] = (row[1:5], ln)
-    theta_bounds: dict[int, tuple[float, float, int]] = {}
-    for row, ln in tables.get("theta_bound", []):
-        _require(row, ln, "theta_bound", 3)
-        bus = int(row[0])
-        if bus not in bus_ids:
-            raise UnknownBusError(f"theta_bound references unknown bus {bus}", ln)
-        theta_bounds[bus] = (row[1], row[2], ln)
-    branch_pu: dict[tuple[int, int], tuple[float, float, int]] = {}
-    for row, ln in tables.get("branch_pu", []):
-        _require(row, ln, "branch_pu", 4)
-        branch_pu[(int(row[0]), int(row[1]))] = (row[2], row[3], ln)
-
-    for k, br in enumerate(branches):
-        if (br.from_bus, br.to_bus) in branch_pu:
-            g, b, ln = branch_pu[(br.from_bus, br.to_bus)]
-            branches[k] = _from_row(ln, replace, br, g=g, b=b)
-    for k, node in enumerate(buses):
-        if node.id in theta_bounds:
-            lo, hi, ln = theta_bounds[node.id]
-            buses[k] = _from_row(ln, replace, node, theta_min=lo, theta_max=hi)
-    for k, gen in enumerate(gens):
-        if gen.bus in gen_pu:
-            (pg_min, pg_max, qg_min, qg_max), ln = gen_pu[gen.bus]
-            gens[k] = _from_row(ln, Generator, bus=gen.bus, pg_min=pg_min, pg_max=pg_max,
-                                qg_min=qg_min, qg_max=qg_max)
-
-    demands = []
-    for row, ln in tables["bus"]:
-        bus = int(row[BUS_ID])
-        pd, qd, pd_ln = demand_pu.get(bus, (row[BUS_PD] / base_mva, row[BUS_QD] / base_mva, ln))
-        if pd != 0.0 or qd != 0.0 or bus in ranks or bus in demand_pu:
-            demand = _from_row(pd_ln, DemandSpec, bus=bus, pd=pd, qd=qd)
-            if bus in ranks:
-                demand = _from_row(ranks[bus][1], replace, demand, rank=ranks[bus][0])
-            demands.append(demand)
+    for bus, (row, ln) in gen_rows.items():
+        gen = _from_row(ln, Generator, bus=bus,
+                        pg_min=row[GEN_PMIN] / base_mva, pg_max=row[GEN_PMAX] / base_mva,
+                        qg_min=row[GEN_QMIN] / base_mva, qg_max=row[GEN_QMAX] / base_mva)
+        if bus in gen_pu:
+            (_, pg_min, pg_max, qg_min, qg_max, *_), pu_ln = gen_pu[bus]
+            gen = _from_row(pu_ln, Generator, bus=bus, pg_min=pg_min, pg_max=pg_max,
+                            qg_min=qg_min, qg_max=qg_max)
+        gens.append(gen)
 
     try:
         return GridCase(

@@ -25,7 +25,7 @@ from gridshed.cli_driver import (
     run_ao_sbqp,
     self_check,
 )
-from gridshed.grid_model import ScenarioConfig, parse_case
+from gridshed.grid_model import ScenarioConfig, apply_scenario, parse_case, serialize_case
 from gridshed.power_equations import SwitchVector, network
 
 
@@ -463,6 +463,22 @@ def test_cli_scenario_prints_modified_case(case30_path, capsys):
     pd_before = sum(d.pd for d in case30.demands)
     pd_after = sum(d.pd for d in modified.demands)
     assert pd_after == pytest.approx(pd_before + 2.5)
+
+
+def test_cli_scenario_prints_the_instance_solve_uses(case30_path, case30, capsys):
+    # without a seed it used to draw ranks with the run seed 2025, not the
+    # pinned rank_seed of the stressed case that solve runs
+    assert main(["scenario", "--case", str(case30_path)]) == 0
+    assert capsys.readouterr().out == serialize_case(apply_scenario(case30, ScenarioConfig()))
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_scenario_explicit_seed_moves_the_rank_draw(case30_path, case30, tmp_path, capsys, how):
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text("seed = 11\n")
+    seed = ["--seed", "11"] if how == "flag" else ["--config", str(cfgfile)]
+    assert main(["scenario", "--case", str(case30_path), *seed]) == 0
+    assert capsys.readouterr().out == serialize_case(apply_scenario(case30, ScenarioConfig(rank_seed=11)))
 
 
 def test_cli_missing_case_exits_two(tmp_path, capsys):

@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridshed.cli_driver import main
 from gridshed.grid_model import (
+    DEFAULT_THETA_BOUND,
     Branch,
     Bus,
     CaseError,
@@ -145,6 +148,134 @@ def test_parse_reports_invalid_records_at_their_line(case5_text, tmp_path, table
     path = tmp_path / "bad.m"
     path.write_text(text)
     assert main(["solve", "--case", str(path), "--out-dir", str(tmp_path)]) == 2
+
+
+CASE_TABLES = ("bus", "gen", "branch", "demand_rank", "demand_pu", "gen_pu", "theta_bound", "branch_pu")
+
+
+def _rows(lines, table):
+    """Indices into lines of the rows of ``mpc.<table> = [ ... ];``."""
+    start = lines.index(f"mpc.{table} = [") + 1
+    return range(start, lines.index("];", start))
+
+
+@pytest.fixture()
+def case5_lines(case5):
+    """case5 as serialize_case writes it, with bus 3 given angle bounds so
+    that all eight tables are present."""
+    buses = tuple(dataclasses.replace(b, theta_min=-1.0, theta_max=0.5) if b.id == 3 else b
+                  for b in case5.buses)
+    return serialize_case(dataclasses.replace(case5, buses=buses)).splitlines()
+
+
+@pytest.mark.parametrize("table", CASE_TABLES)
+def test_parse_repeated_row_fails_at_its_line(case5_lines, table):
+    # a repeated bus or gen row used to fail with no line, and a repeated
+    # demand_rank or theta_bound row silently replaced the earlier one
+    lines = case5_lines
+    first = _rows(lines, table)[-1]
+    lines.insert(first + 1, lines[first])
+    expected = DuplicateBranchError if table.startswith("branch") else MalformedRowError
+    with pytest.raises(expected, match=f"duplicate {table} row .*, the first is on line {first + 1}$") as exc:
+        parse_case("\n".join(lines))
+    assert exc.value.line_no == first + 2
+
+
+def test_parse_second_slack_row_fails_at_its_line(case5_lines):
+    lines = case5_lines
+    at = _rows(lines, "bus")[2]
+    tokens = lines[at].split()
+    tokens[1] = "3"
+    lines[at] = "\t".join(tokens)
+    with pytest.raises(MalformedRowError, match="second slack bus row, the first is on line 7") as exc:
+        parse_case("\n".join(lines))
+    assert exc.value.line_no == at + 1
+
+
+@pytest.mark.parametrize("table, row, message", [
+    ("gen_pu", "2\t0\t1\t-1\t1;", "gen_pu row 2 names no generator"),
+    ("branch_pu", "2\t4\t1\t-5;", "branch_pu row 2-4 names no branch"),
+    ("branch_pu", "1\t99\t1\t-5;", "branch_pu references unknown bus 99"),
+], ids=["gen_pu-no-generator", "branch_pu-no-branch", "branch_pu-unknown-bus"])
+def test_parse_override_row_must_name_a_record(case5_lines, table, row, message):
+    # each of these rows used to be dropped without a word
+    lines = case5_lines
+    at = _rows(lines, table)[-1] + 1
+    lines.insert(at, "\t" + row)
+    with pytest.raises(UnknownBusError, match=message) as exc:
+        parse_case("\n".join(lines))
+    assert exc.value.line_no == at + 1
+
+
+def test_parse_branch_pu_row_applies_in_either_order(case5_lines):
+    lines = case5_lines
+    at = _rows(lines, "branch_pu")[0]
+    assert lines[at].split()[:2] == ["1", "2"]
+    lines[at] = "\t2\t1\t7.5\t-20;"
+    branch = parse_case("\n".join(lines)).branches[0]
+    assert (branch.from_bus, branch.to_bus, branch.g, branch.b) == (1, 2, 7.5, -20.0)
+
+
+def _random_case(rng) -> GridCase:
+    """A small valid case: 2-8 buses with gapped ids, a random spanning tree
+    of branches plus a few more, 1-3 generators, random loads and ranks, and
+    non-default angle bounds on at least one bus."""
+    n = int(rng.integers(2, 9))
+    ids = [int(v) for v in np.cumsum(rng.integers(2, 40, n))]
+    slack = rng.integers(n)
+    bounded = rng.random(n) < 0.4
+    bounded[rng.integers(n)] = True
+    buses = []
+    for k, bus in enumerate(ids):
+        v_min = rng.uniform(0.8, 1.0)
+        lo, hi = (-rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)) if bounded[k] else \
+            (-DEFAULT_THETA_BOUND, DEFAULT_THETA_BOUND)
+        buses.append(Bus(id=bus, v_min=v_min, v_max=v_min + rng.uniform(0.0, 0.3),
+                         theta_min=lo, theta_max=hi, is_slack=bool(k == slack)))
+    pairs = {frozenset((ids[k], ids[rng.integers(k)])) for k in range(1, n)}
+    for _ in range(rng.integers(0, 4)):
+        pairs.add(frozenset(int(v) for v in rng.choice(ids, 2, replace=False)))
+    branches = []
+    for pair in sorted(pairs, key=sorted):
+        f, t = rng.permutation(sorted(pair))
+        branches.append(Branch(from_bus=int(f), to_bus=int(t), g=rng.uniform(0.0, 20.0),
+                               b=-rng.uniform(0.1, 50.0)))
+    generators = []
+    for bus in rng.choice(ids, int(rng.integers(1, min(3, n) + 1)), replace=False):
+        pg_min, qg_min = rng.uniform(0.0, 1.0), -rng.uniform(0.0, 3.0)
+        generators.append(Generator(bus=int(bus), pg_min=pg_min, pg_max=pg_min + rng.uniform(0.0, 4.0),
+                                    qg_min=qg_min, qg_max=qg_min + rng.uniform(0.0, 6.0)))
+    demands = []
+    for bus in rng.choice(ids, int(rng.integers(1, n + 1)), replace=False):
+        loaded = rng.random() < 0.8
+        demands.append(DemandSpec(bus=int(bus), pd=rng.uniform(0.0, 3.0) if loaded else 0.0,
+                                  qd=rng.uniform(-0.5, 1.5) if loaded else 0.0,
+                                  rank=rng.uniform(0.1, 5.0)))
+    return GridCase(buses=tuple(buses), branches=tuple(branches), generators=tuple(generators),
+                    demands=tuple(demands), base_mva=rng.uniform(10.0, 1000.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_serialize_round_trips_random_cases(seed):
+    case = _random_case(np.random.default_rng(seed))
+    text = serialize_case(case)
+    parsed = parse_case(text)
+    assert parsed == case
+    assert serialize_case(parsed) == text
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_repeated_row_of_any_table_fails_at_its_line(seed):
+    rng = np.random.default_rng(seed)
+    lines = serialize_case(_random_case(rng)).splitlines()
+    for table in CASE_TABLES:
+        rows = _rows(lines, table)
+        at = rows[rng.integers(len(rows))]
+        with pytest.raises(ParseError) as exc:
+            parse_case("\n".join(lines[:at + 1] + [lines[at]] + lines[at + 1:]))
+        assert exc.value.line_no == at + 2, table
 
 
 NAN, INF = float("nan"), float("inf")

@@ -8,7 +8,9 @@ Runs, in this process and against ./src:
   the criterion-3 case5 shortfall config, once per variant, and once more on
   stressed case30 with relaxed-one and ``single_shot = true``;
 * ``oracle`` on that case5 config;
-* ``check`` on case30.
+* ``check`` on case30;
+* ``scenario`` with the stressed30 and shortfall5 configs, whose standard
+  output is the ``serialize_case`` text of the case each ``solve`` runs.
 
 Each command writes its files (``result.kv``, ``trace.csv``, ``oracle.csv``)
 under OUT_DIR/<name>/, with ``report.kv`` dropped since it holds wall-clock
@@ -82,6 +84,10 @@ def main(argv: list[str]) -> int:
     _run(target, ["oracle", "--case", str(CASES / "case5.m"),
                   "--config", str(configs / "shortfall5.kv"), "--out-dir", str(target)])
     _run(out / "check-case30", ["check", "--case", str(CASES / "case30.m")])
+    for name in ("stressed30", "shortfall5"):
+        case, _ = INSTANCES[name]
+        _run(out / f"scenario-{name}", ["scenario", "--case", str(CASES / case),
+                                        "--config", str(configs / f"{name}.kv")])
     return 0
 
 
