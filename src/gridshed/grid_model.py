@@ -313,19 +313,28 @@ def _parse_matrix_rows(name, lines, start_idx):
     raise MalformedRowError(f"unterminated matrix {name}", lines[start_idx - 1][0])
 
 
+def _whole(name, what, value, line_no) -> int:
+    """A table entry that must be an integer, such as a bus id; a fractional
+    value fails at line_no rather than being truncated onto another record."""
+    if not value.is_integer():
+        raise MalformedRowError(f"{name} row has non-integer {what} {value:g}", line_no)
+    return int(value)
+
+
 def _keyed_rows(tables, name, n_cols, buses, known=None, pair=False):
     """The rows of table ``name`` as {key: (row, line)}, in file order.
 
     The key is the bus id in column 0, or with ``pair`` the unordered pair of
     bus ids in columns 0 and 1.  Raised at the row's line: a row shorter than
-    n_cols, a key an earlier row has, a bus id not in ``buses`` (None for the
-    bus table itself) and a key not in ``known`` when that is given.
+    n_cols, a bus id that is not an integer, a key an earlier row has, a bus
+    id not in ``buses`` (None for the bus table itself) and a key not in
+    ``known`` when that is given.
     """
     rows = {}
     for row, ln in tables.get(name, []):
         if len(row) < n_cols:
             raise MalformedRowError(f"{name} row needs at least {n_cols} columns, got {len(row)}", ln)
-        ids = (int(row[0]), int(row[1])) if pair else (int(row[0]),)
+        ids = tuple(_whole(name, "bus id", v, ln) for v in row[:2 if pair else 1])
         key = frozenset(ids) if pair else ids[0]
         if key in rows:
             error = DuplicateBranchError if pair else MalformedRowError
@@ -354,6 +363,7 @@ def parse_case(text: str) -> GridCase:
     lines = list(enumerate(text.splitlines(), start=1))
     base_mva = 100.0
     tables: dict[str, list] = {}
+    starts: dict[str, int] = {}     # table name -> line of its "name = [" opener
     i = 0
     while i < len(lines):
         line_no, raw = lines[i]
@@ -366,6 +376,10 @@ def parse_case(text: str) -> GridCase:
             continue
         name, rest = m.group(1), m.group(2).strip()
         if rest.startswith("["):
+            if name in starts:
+                raise MalformedRowError(
+                    f"second {name} table, the first starts on line {starts[name]}", line_no)
+            starts[name] = line_no
             rest = rest[1:].strip()
             if rest:
                 # rows may start on the assignment line itself
@@ -396,14 +410,15 @@ def parse_case(text: str) -> GridCase:
     theta_bounds = _keyed_rows(tables, "theta_bound", 3, bus_rows)
     branch_pu = _keyed_rows(tables, "branch_pu", 4, bus_rows, branch_rows, pair=True)
 
-    slack_lines = [ln for row, ln in bus_rows.values() if int(row[BUS_TYPE]) == SLACK_TYPE]
+    slack_lines = [ln for row, ln in bus_rows.values()
+                   if _whole("bus", "type", row[BUS_TYPE], ln) == SLACK_TYPE]
     if len(slack_lines) > 1:
         raise MalformedRowError(f"second slack bus row, the first is on line {slack_lines[0]}",
                                 slack_lines[1])
     buses, demands = [], []
     for bus, (row, ln) in bus_rows.items():
         node = _from_row(ln, Bus, id=bus, v_min=row[BUS_VMIN], v_max=row[BUS_VMAX],
-                         is_slack=int(row[BUS_TYPE]) == SLACK_TYPE)
+                         is_slack=row[BUS_TYPE] == SLACK_TYPE)
         if bus in theta_bounds:
             (_, lo, hi, *_), t_ln = theta_bounds[bus]
             node = _from_row(t_ln, replace, node, theta_min=lo, theta_max=hi)

@@ -26,7 +26,7 @@ the stacked bus outflow P and, on request, dP/dx in the interleaved layout
 above, and every evaluation routine here and in the continuous stage goes
 through it.  ``jacobians`` returns (P, dP_dx, dE), so a caller that needs
 the outflow and its derivatives takes the trig once.  The derivatives come
-shaped for their consumer: the continuous stage's Newton matrix is
+shaped for their consumer: the continuous stage's fit Jacobian is
 dP/dx on the free state columns next to the constant -gen_sel block, and the
 mixed switch subproblem reads only dE.  ``constraint_jacobian`` stacks dP_dx
 into the full (8N + 4G)-row derivative of C, whose leading block

@@ -73,9 +73,9 @@ def negative_g5(shortfall5_case):
     """The shortfall case with its first branch rebuilt at conductance -g.
 
     Network losses can be negative there, so the active-capacity screen never
-    fires and an AO1 stall at all-ones goes to the restoration fit, which
-    ends stationary with the balance residual above TOL_FEAS: an
-    "infeasible" verdict with certificate "restoration".
+    fires, and AO1's fit at all-ones ends stationary with the balance
+    residual above TOL_FEAS: an "infeasible" verdict with certificate
+    "restoration".
     """
     first, *rest = shortfall5_case.branches
     flipped = Branch(from_bus=first.from_bus, to_bus=first.to_bus, g=-first.g, b=first.b)

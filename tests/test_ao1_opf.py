@@ -76,7 +76,7 @@ def test_mismatch_case_cannot_balance(stressed30):
     y = SwitchVector(np.ones(30))
     r = solve_ao1(stressed30, y)
     assert r.status == "infeasible"
-    # the interior-point stall point parks active injections at their ceilings
+    # the fit's stationary point parks active injections at their ceilings
     caps = np.array([g.pg_max for g in stressed30.generators])
     assert np.max(caps - r.input.pg) <= 1e-3
 
@@ -93,7 +93,7 @@ def test_adequate_30_bus_full_delivery(case30):
 
 @pytest.fixture
 def restorations(monkeypatch):
-    """Count scipy restoration calls made by solve_ao1."""
+    """Count the least-squares fits that solve_ao1 runs."""
     calls = []
     original = ao1_opf.least_squares
 
@@ -105,18 +105,6 @@ def restorations(monkeypatch):
     return calls
 
 
-def test_screened_stall_skips_restoration(stressed30, monkeypatch):
-    # sum pd = 4.392 p.u. against sum pg_max = 2.345 p.u. with every branch
-    # g >= 0: the screen certifies the stall without scipy
-    def refuse(*args, **kwargs):
-        raise AssertionError("restoration ran on a screened stall")
-
-    monkeypatch.setattr(ao1_opf, "least_squares", refuse)
-    r = solve_ao1(stressed30, SwitchVector(np.ones(30)))
-    assert r.status == "infeasible"
-    assert r.duals.shape == (network(stressed30).n_c_rows,)
-
-
 def test_negative_conductance_is_never_screened(negative_g5, restorations):
     ones = SwitchVector(np.ones(3))
     assert not active_capacity_screen(network(negative_g5), ones)
@@ -126,7 +114,7 @@ def test_negative_conductance_is_never_screened(negative_g5, restorations):
 
 
 @pytest.mark.parametrize("side, fires", [(-1.0, False), (1.0, True)])
-def test_screen_margin_is_n_bus_times_tol(shortfall5_case, restorations, side, fires):
+def test_screen_margin_is_n_bus_times_tol(shortfall5_case, side, fires):
     # move the first demand so that sum pd sits 1e-3 of the margin either
     # side of sum pg_max + n_bus * TOL_FEAS; losses keep both infeasible
     net = network(shortfall5_case)
@@ -138,8 +126,7 @@ def test_screen_margin_is_n_bus_times_tol(shortfall5_case, restorations, side, f
     ones = SwitchVector(np.ones(3))
     assert active_capacity_screen(network(case), ones) is fires
     r = solve_ao1(case, ones)
-    assert r.status == "infeasible"
-    assert len(restorations) == (0 if fires else 1)
+    assert (r.status, r.certificate) == ("infeasible", "screen" if fires else "restoration")
 
 
 # -- no scipy anywhere in the solver ---------------------------------------------
@@ -179,8 +166,8 @@ def _scipy_loaded(body: str) -> list[bool]:
 
 def test_screened_solves_never_import_scipy():
     # criterion 1 (every variant), criterion 3 (oracle and solve), the
-    # self-check, and a stall the screen cannot take (the negative_g5
-    # fixture's case, which runs the restoration): none loads scipy.optimize
+    # self-check, and a set the screen cannot take (the negative_g5
+    # fixture's case, certified by the fit): none loads scipy.optimize
     loaded = _scipy_loaded("""
         for tag in ("mixed", "relaxed-one", "relaxed-two"):
             run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag=tag), scenario=ScenarioConfig()))
@@ -214,31 +201,30 @@ def test_oracle_labels_match_direct_solves(shortfall5_case):
 
 @pytest.mark.parametrize("fixture", ["stressed30", "case5"])
 def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
-    # the Newton residual comes from the derivative pass's outflow; it must be
-    # the very bits the line search evaluates, or accepted steps could differ
+    # the fit's residual is formed from the derivative pass's outflow, which
+    # must be the very bits that outflow itself gives
     case = request.getfixturevalue(fixture)
     net = network(case)
     prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.7)))
     rng = np.random.default_rng(8)
     for _ in range(3):
         z = prob.lower + rng.uniform(0.1, 0.9, prob.n) * (prob.upper - prob.lower)
-        assert np.array_equal(prob.residual_jacobian(z)[0], prob.residual(z))
         state, u = prob.split(z)
+        residual = outflow(net, state) - net.gen_sel @ u.as_vector() + prob.draw
+        assert np.array_equal(prob.residual_jacobian(z)[0], residual)
         assert np.array_equal(jacobians(net, state, u, prob.y)[0], outflow(net, state))
 
 
 @pytest.mark.parametrize("yv", [(1.0, 1.0, 1.0), (0.3, 0.9, 0.5), (1.0, 0.0, 1.0)])
 def test_converged_result_reports_the_final_kkt_residual(case5, yv):
-    # the loop computes stationarity and complementarity only once the point
-    # balances; the reported residual must still be the final point's, not a
-    # value left over from the rejected start
+    # the reported residual is the end point's, not the start's
     r = solve_ao1(case5, SwitchVector(np.array(yv)))
     assert r.status == "converged"
     assert r.iterations > 0
     assert 0.0 <= r.kkt_residual <= ao1_opf.TOL_KKT
 
 
-# -- the restoration fit --------------------------------------------------------
+# -- the least-squares fit and how its end maps to a status ------------------------
 
 def test_unscreened_stall_ends_stationary_and_infeasible(negative_g5, monkeypatch):
     fits = []
@@ -254,8 +240,6 @@ def test_unscreened_stall_ends_stationary_and_infeasible(negative_g5, monkeypatc
     assert float(np.max(np.abs(fits[0].fun))) > TOL_FEAS
     assert r.status == "infeasible"
     assert r.certificate == "restoration"
-    # unscreened, slow progress and infeasibility look alike: the floor holds
-    assert r.iterations >= 31
 
 
 def test_capped_fit_is_no_proof(negative_g5, monkeypatch):
@@ -271,8 +255,8 @@ def test_capped_fit_is_no_proof(negative_g5, monkeypatch):
     monkeypatch.setattr(ao1_opf, "_estimate_duals", counting)
     r = solve_ao1(negative_g5, SwitchVector(np.ones(3)))
     assert (r.status, r.certificate) == ("max-iterations", "")
-    # one at the start, one at the stall; the capped fit is classified once
-    assert len(estimates) == 2
+    # the capped fit is classified once, at its end point
+    assert len(estimates) == 1
 
 
 def test_screened_stall_carries_the_screen_certificate(stressed30):
@@ -280,16 +264,44 @@ def test_screened_stall_carries_the_screen_certificate(stressed30):
     assert (r.status, r.certificate) == ("infeasible", "screen")
 
 
-@pytest.mark.parametrize("fixture, n_dem", [("stressed30", 30), ("shortfall5_case", 3)])
-def test_screened_stall_stops_at_the_first_flat_step(fixture, n_dem, request):
-    # the screen proves there is no balanced point, so the stall rule needs
-    # no iteration floor: the first step that cuts |F|_1 by under 1% ends it
+@pytest.mark.parametrize("fixture, cap, fit_end, status, certificate", [
+    ("case5", None, "balanced", "converged", ""),
+    ("stressed30", None, "stationary", "infeasible", "screen"),
+    ("stressed30", 1, "cap", "infeasible", "screen"),
+    ("negative_g5", None, "stationary", "infeasible", "restoration"),
+    ("negative_g5", 1, "cap", "max-iterations", ""),
+])
+def test_fit_end_sets_the_status(fixture, cap, fit_end, status, certificate, request, monkeypatch):
+    # one fit per solve; the screen proves a screened set infeasible however
+    # the fit ends, while elsewhere only a stationary end is proof
     case = request.getfixturevalue(fixture)
-    y = SwitchVector(np.ones(n_dem))
-    assert active_capacity_screen(network(case), y)
-    r = solve_ao1(case, y)
-    assert (r.status, r.certificate) == ("infeasible", "screen")
-    assert r.iterations <= 8
+    if cap is not None:
+        monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", cap)
+    fits = []
+    fit = ao1_opf.least_squares
+
+    def recording(prob, z0):
+        fits.append(fit(prob, z0))
+        return fits[-1]
+
+    monkeypatch.setattr(ao1_opf, "least_squares", recording)
+    r = solve_ao1(case, SwitchVector(np.ones(len(case.demands))))
+    assert [f.status for f in fits] == [fit_end]
+    assert (r.status, r.certificate) == (status, certificate)
+    assert r.iterations == fits[0].nfev - 1
+
+
+def test_balanced_warm_start_returns_after_one_evaluation(case5, monkeypatch):
+    y = SwitchVector(np.ones(3))
+    first = solve_ao1(case5, y)
+    passes = []
+    evaluate = ao1_opf.jacobians
+    monkeypatch.setattr(ao1_opf, "jacobians", lambda *args: passes.append(1) or evaluate(*args))
+    again = solve_ao1(case5, y, warm=(first.state, first.input))
+    # the dual estimate and the KKT check reuse the fit's one evaluation
+    assert (again.status, again.iterations, len(passes)) == ("converged", 0, 1)
+    assert np.array_equal(again.state.as_vector(), first.state.as_vector())
+    assert np.array_equal(again.input.as_vector(), first.input.as_vector())
 
 
 def test_converged_solve_has_no_certificate(case5):

@@ -54,9 +54,9 @@ def test_traced_qp_spans_carry_a_status(case5, tag):
 
 
 def test_traced_restore_span_carries_nfev(negative_g5):
-    # no pinned benchmark call reaches the scipy restoration any more (the
-    # active-capacity screen certifies those stalls), so the restore span,
-    # which reads out.nfev, is checked here on a case the screen cannot take
+    # the restore span wraps ao1_opf.least_squares, the fit that every AO1
+    # solve runs, and reads out.nfev; checked here on a case the screen
+    # cannot take, where the fit's stationary end is the certificate
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:

@@ -212,7 +212,7 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
 
 
 def test_final_infeasible_set_names_its_certificate(case5, shortfall5, monkeypatch):
-    # AO1 faked to return the screened all-ones stall point every time: the
+    # AO1 faked to return the screened all-ones end point every time: the
     # loop settles on it and the final check names how it was proved
     work = cli_driver.apply_scenario(case5, shortfall5)
     stall = cli_driver.solve_ao1(work, SwitchVector(np.ones(3)))

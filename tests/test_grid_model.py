@@ -192,6 +192,39 @@ def test_parse_second_slack_row_fails_at_its_line(case5_lines):
     assert exc.value.line_no == at + 1
 
 
+@pytest.mark.parametrize("table", CASE_TABLES)
+def test_parse_second_table_block_fails_at_its_line(case5_lines, table):
+    # a second "mpc.<table> = [" block used to replace the first without a word
+    lines = case5_lines
+    rows = _rows(lines, table)
+    opener = rows[0]    # the 1-based line of "mpc.<table> = [", just above the first row
+    block = lines[rows[0] - 1:rows[-1] + 2]
+    lines += block
+    with pytest.raises(MalformedRowError,
+                       match=f"second {table} table, the first starts on line {opener}$") as exc:
+        parse_case("\n".join(lines))
+    assert exc.value.line_no == len(lines) - len(block) + 1
+
+
+@pytest.mark.parametrize("table, col, what", [
+    *((table, 0, "bus id") for table in CASE_TABLES),
+    ("branch", 1, "bus id"),
+    ("branch_pu", 1, "bus id"),
+    ("bus", 1, "type"),
+])
+def test_parse_non_integer_id_fails_at_its_line(case5_lines, table, col, what):
+    # int() used to truncate the value, so a bus 2.5 landed on bus 2
+    lines = case5_lines
+    at = _rows(lines, table)[-1]
+    tokens = lines[at].split()
+    tokens[col] = f"{float(tokens[col]) + 0.5:g}"
+    lines[at] = "\t".join(tokens)
+    with pytest.raises(MalformedRowError,
+                       match=f"{table} row has non-integer {what} {tokens[col]}$") as exc:
+        parse_case("\n".join(lines))
+    assert exc.value.line_no == at + 1
+
+
 @pytest.mark.parametrize("table, row, message", [
     ("gen_pu", "2\t0\t1\t-1\t1;", "gen_pu row 2 names no generator"),
     ("branch_pu", "2\t4\t1\t-5;", "branch_pu row 2-4 names no branch"),

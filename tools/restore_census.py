@@ -1,22 +1,22 @@
-"""Count the AO1 restorations that each distinct call of a benchmark workload runs.
+"""Count the AO1 fits that each distinct call of a benchmark workload runs.
 
     python3 tools/restore_census.py --workload shed30 --seeds 1-10
 
 Builds the calls of ``bench/workloads.py`` for each seed (the module is
 imported, never changed), runs each distinct call once, in first-seen order,
 in this process and against ./src, and wraps ``gridshed.ao1_opf.least_squares``
-(the bounded least-squares restoration that a stall the active-capacity screen
-cannot certify runs) from outside the package.
+(the bounded least-squares fit that every AO1 solve runs once) from outside
+the package.
 
 One line per distinct call: the seed and index where it first appears, its
-variant, its restoration calls, their function evaluations, how many ended
-balanced, stationary and at the fit's iteration cap, the smallest and
-largest end max|F| (the balance residual each restoration stopped at), their
-seconds, the slowest one in ms, and the call's outcome (answered, or the
-error's first clause).  Restorations during a seed's set-up (switch30 builds
-its AO1 starts there) get a line of their own.  Totals follow: restorations
-by exit (balanced means end max|F| at most ``TOL_FEAS``), the time spent, and
-how many took longer than SLOW_MS.
+variant, its AO1 fits, their function evaluations, how many ended balanced,
+stationary and at the fit's iteration cap, the smallest and largest end
+max|F| (the balance residual each fit stopped at), their seconds, the
+slowest one in ms, and the call's outcome (answered, or the error's first
+clause).  Fits during a seed's set-up (switch30 builds its AO1 starts there)
+get a line of their own.  Totals follow: fits by exit (balanced means end
+max|F| at most ``TOL_FEAS``), the time spent, and how many took longer than
+SLOW_MS.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ SLOW_MS = 50.0
 
 
 class Census:
-    """Wraps ao1_opf.least_squares; keeps (nfev, exit, end max|F|, seconds) per restoration."""
+    """Wraps ao1_opf.least_squares; keeps (nfev, exit, end max|F|, seconds) per fit."""
 
     def __init__(self):
         self.runs: list[tuple[int, str, float, float]] = []
@@ -78,7 +78,7 @@ def _outcome(answer) -> str:
 
 
 def _exits(runs) -> str:
-    """Restorations per exit, in EXITS order: balanced/stationary/cap."""
+    """Fits per exit, in EXITS order: balanced/stationary/cap."""
     return "/".join(str(sum(r[1] == e for r in runs)) for e in EXITS)
 
 
@@ -105,8 +105,8 @@ def main(argv: list[str]) -> int:
     seen: set[str] = set()
     every: list[tuple[int, str, float, float]] = []
     outcomes: list[str] = []
-    print(f"{'call':<14} {'variant':<11} {'rest.':>5} {'nfev':>6} {'b/s/cap':>8} {'min|F|':>9} "
-          f"{'max|F|':>9} {'restore_s':>9} {'max_ms':>7}  outcome")
+    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'b/s/cap':>8} {'min|F|':>9} "
+          f"{'max|F|':>9} {'fit_s':>9} {'max_ms':>7}  outcome")
     try:
         for seed in _seeds(args.seeds):
             calls = workloads.call_list(args.workload, seed)
@@ -133,12 +133,12 @@ def main(argv: list[str]) -> int:
     failed = sum(o != "answered" for o in outcomes)
     print(f"{args.workload} seeds {args.seeds}: {len(outcomes)} distinct calls, {failed} failed")
     if not every:
-        print("no restoration ran")
+        print("no AO1 fit ran")
         return 0
     ends = [r[2] for r in every]
     seconds = [r[3] for r in every]
     exits = ", ".join(f"{sum(r[1] == e for r in every)} {e}" for e in EXITS)
-    print(f"restorations {len(every)}, {sum(r[0] for r in every)} evaluations; exits: {exits}")
+    print(f"AO1 fits {len(every)}, {sum(r[0] for r in every)} evaluations; exits: {exits}")
     print(f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(seconds):.3f} s in all, "
           f"median {1e3 * statistics.median(seconds):.1f} ms, slowest {1e3 * max(seconds):.1f} ms; "
           f"{sum(t > SLOW_MS / 1e3 for t in seconds)} took longer than {SLOW_MS:g} ms")
