@@ -5,8 +5,8 @@ injection limits are box bounds. The slack bus entries of x are eliminated
 from the decision vector z = [x_free, u].
 
 E is affine in the balance residuals, so every feasible point is optimal and
-the equality duals at a balanced point are -y_k r_k on the active demand
-rows. The stage therefore only has to find a balanced point inside the
+the equality multipliers are -y_k r_k on the active demand rows at every
+point. The stage therefore only has to find a balanced point inside the
 bounds, or show that there is none. ``least_squares`` does both: a projected
 Levenberg-Marquardt fit (More 1978) of 0.5 |F|^2 over the bounds, started
 from the warm point or the flat point, clipped into the box. How the fit
@@ -29,10 +29,10 @@ ends the fit at its first evaluation.
 
 Each point of the fit costs one ``jacobians`` pass. It gives the residual,
 the balance Jacobian J = [dP/dx on the free state columns | -gen_sel] and dE
-on the z columns, and the dual estimate at the end reuses the fit's last
-pass. J stays C-contiguous and keeps the -0.0 entries of -gen_sel, so every
-product rounds as it did when J was sliced from the stacked constraint
-Jacobian.
+on the z columns; the KKT check max|J' nu - dE| reuses the fit's last pass
+with the closed-form nu. J stays C-contiguous and keeps the -0.0 entries of
+-gen_sel, so every product rounds as it did when J was sliced from the
+stacked constraint Jacobian.
 """
 
 from __future__ import annotations
@@ -90,10 +90,9 @@ class _Problem:
         self.net = net
         self.y = y
         nx = 2 * net.n_bus
-        self.free = np.array([i for i in range(nx) if i not in (2 * net.slack, 2 * net.slack + 1)])
+        self.free = np.delete(np.arange(nx), (2 * net.slack, 2 * net.slack + 1))
         self.lower = np.concatenate([net.x_lower[self.free], net.u_lower])
         self.upper = np.concatenate([net.x_upper[self.free], net.u_upper])
-        self.n = self.lower.size
         self.nx_free = self.free.size
         # columns of z within the (x, u, y) derivative layout
         self.cols = np.concatenate([self.free, nx + np.arange(2 * net.n_gen)])
@@ -200,58 +199,24 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     return FitResult(z, F, J, gE, nfev, status)
 
 
-def _estimate_duals(prob, z, F, J, grad_E, atol=1e-7):
-    """Least-squares multipliers with bound duals only on the active set."""
-    grad_f = -grad_E
-    act_lo = np.where(z - prob.lower <= atol * np.maximum(1.0, np.abs(prob.lower)))[0]
-    act_hi = np.where(prob.upper - z <= atol * np.maximum(1.0, np.abs(prob.upper)))[0]
-    cols = [J.T]
-    n = prob.n
-    if act_lo.size:
-        E_lo = np.zeros((n, act_lo.size))
-        E_lo[act_lo, np.arange(act_lo.size)] = -1.0
-        cols.append(E_lo)
-    if act_hi.size:
-        E_hi = np.zeros((n, act_hi.size))
-        E_hi[act_hi, np.arange(act_hi.size)] = 1.0
-        cols.append(E_hi)
-    M = np.hstack(cols)
-    sol = np.linalg.lstsq(M, -grad_f, rcond=None)[0]
-    m = F.size
-    nu = sol[:m]
-    zl = np.zeros(n)
-    zu = np.zeros(n)
-    zl[act_lo] = np.maximum(sol[m:m + act_lo.size], 0.0)
-    zu[act_hi] = np.maximum(sol[m + act_lo.size:], 0.0)
-    return nu, zl, zu
-
-
-def _pack_duals(prob, nu, zl, zu):
-    """Spread internal multipliers over the full constraint stack."""
+def _balance_duals(prob) -> np.ndarray:
+    """-y r on each demand's active row, 0 elsewhere: pg - P_act = y^2 pd - F_act
+    on a demand bus, so grad E = J' nu at every point, balanced or not.  Demand
+    buses are unique, so each row takes one demand."""
     net = prob.net
-    nx, nu_dim = 2 * net.n_bus, 2 * net.n_gen
-    zl_x = np.zeros(nx)
-    zu_x = np.zeros(nx)
-    zl_x[prob.free] = zl[: prob.nx_free]
-    zu_x[prob.free] = zu[: prob.nx_free]
-    return np.concatenate([
-        np.maximum(nu, 0.0),
-        np.maximum(-nu, 0.0),
-        zl_x,
-        zu_x,
-        zl[prob.nx_free:],
-        zu[prob.nx_free:],
-    ])
+    nu = np.zeros(2 * net.n_bus)
+    nu[2 * net.dem_pos] = -prob.y.y * net.rank
+    return nu
 
 
-def _optimality(prob, grad_E, J, nu, zl, zu, z):
-    """Max-norm stationarity and complementarity residuals."""
-    r_stat = -grad_E + J.T @ nu - zl + zu
-    comp = max(
-        float(np.max(np.abs(zl * (z - prob.lower)), initial=0.0)),
-        float(np.max(np.abs(zu * (prob.upper - z)), initial=0.0)),
-    )
-    return float(np.max(np.abs(r_stat))), comp
+def _pack_duals(prob, nu):
+    """Spread the balance multipliers over the full constraint stack; every
+    bound multiplier is 0."""
+    nx = nu.size
+    duals = np.zeros(prob.net.n_c_rows)
+    duals[:nx] = np.maximum(nu, 0.0)
+    duals[nx:2 * nx] = np.maximum(-nu, 0.0)
+    return duals
 
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
@@ -269,11 +234,10 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         z0 = np.concatenate([x0[prob.free], 0.5 * (net.u_lower + net.u_upper)])
 
     fit = least_squares(prob, z0)
-    z, F, J, grad_E = fit.x, fit.fun, fit.jac, fit.grad_E
-    nu, zl, zu = _estimate_duals(prob, z, F, J, grad_E)
-    feas = float(np.abs(F).max())
-    stat, comp = _optimality(prob, grad_E, J, nu, zl, zu, z)
-    if feas <= TOL_FEAS and stat <= TOL_KKT and comp <= TOL_KKT:
+    nu = _balance_duals(prob)
+    feas = float(np.abs(fit.fun).max())
+    stat = float(np.abs(fit.jac.T @ nu - fit.grad_E).max())
+    if feas <= TOL_FEAS and stat <= TOL_KKT:
         status, certificate = "converged", ""
     elif active_capacity_screen(net, y_fixed):
         status, certificate = "infeasible", "screen"
@@ -282,7 +246,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     else:
         # a capped fit is no proof
         status, certificate = "max-iterations", ""
-    state, u = prob.split(z)
+    state, u = prob.split(fit.x)
     E = objective_E(net, state, u, y_fixed)
-    return Ao1Result(state, u, _pack_duals(prob, nu, zl, zu), max(feas, stat, comp), E, status,
-                     fit.nfev - 1, certificate)
+    return Ao1Result(state, u, _pack_duals(prob, nu), max(feas, stat), E, status, fit.nfev - 1,
+                     certificate)

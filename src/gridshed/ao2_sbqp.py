@@ -1,12 +1,13 @@
 """Sequential Boolean QP over the demand switches.
 
-The continuous stage hands over an operating point plus constraint duals;
-this module builds small quadratic subproblems in the switch step, drives
-them under a growing complementarity penalty, and returns a binary switch
-vector once phi(y) = sum y(1 - y) is inside tolerance.  Every subproblem has
-the same rows: three aggregate capacity rows (served active demand within
-the active dispatch, served reactive demand within the reactive capability
-range) plus one cut per rejected switch set.
+The continuous stage hands over an operating point plus its closed-form
+balance multipliers (-y r on each demand's active row); this module builds
+small quadratic subproblems in the switch step, drives them under a growing
+complementarity penalty, and returns a binary switch vector once
+phi(y) = sum y(1 - y) is inside tolerance.  Every subproblem has the same
+rows: three aggregate capacity rows (served active demand within the active
+dispatch, served reactive demand within the reactive capability range) plus
+one cut per rejected switch set.
 
 Switch sets that the continuous stage proved infeasible can be passed in as
 cuts.  Each adds the canonical no-good row of Balas & Jeroslow (1972),
@@ -78,8 +79,8 @@ class Ao2Variant:
     """Subproblem family for the switching stage.
 
     mixed        second-order model of the served-demand objective, curvature
-                 taken from the continuous-stage duals, penalty linearized at
-                 the incumbent
+                 2 y r pd from the continuous-stage multipliers, penalty
+                 linearized at the incumbent
     relaxed-one  quadratic rank objective with the penalty kept exact
     relaxed-two  quadratic rank objective with the penalty linearized at the
                  incumbent

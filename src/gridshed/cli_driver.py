@@ -138,8 +138,9 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
 
     The switch set starts at all-ones so an adequate case exits with full
     service.  A continuous solve that cannot close its residuals mid-run is
-    tolerated (its iterate and duals still steer the switching stage); only
-    the final solve at the settled binary switches must converge feasibly.
+    tolerated (its iterate and its balance multipliers, which take their
+    closed form at every point, still steer the switching stage); only the
+    final solve at the settled binary switches must converge feasibly.
 
     Switch sets that a continuous solve proved infeasible are remembered by
     their live demands.  When the switching stage proposes one of them again,

@@ -51,7 +51,8 @@ def stressed30_start(stressed30):
     """Continuous stage at full service on the stressed case.
 
     Generation parks at its caps because demand exceeds capacity; the result
-    still carries a usable iterate and duals for the switching stage.
+    still carries a usable iterate, and its balance multipliers are the
+    closed form -y r at any fit end, so the switching stage can use both.
     """
     y = SwitchVector(np.ones(network(stressed30).n_dem))
     res = solve_ao1(stressed30, y)

@@ -208,7 +208,7 @@ def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
     prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.7)))
     rng = np.random.default_rng(8)
     for _ in range(3):
-        z = prob.lower + rng.uniform(0.1, 0.9, prob.n) * (prob.upper - prob.lower)
+        z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
         state, u = prob.split(z)
         residual = outflow(net, state) - net.gen_sel @ u.as_vector() + prob.draw
         assert np.array_equal(prob.residual_jacobian(z)[0], residual)
@@ -242,21 +242,12 @@ def test_unscreened_stall_ends_stationary_and_infeasible(negative_g5, monkeypatc
     assert r.certificate == "restoration"
 
 
-def test_capped_fit_is_no_proof(negative_g5, monkeypatch):
+def test_capped_fit_is_no_proof(negative_g5, restorations, monkeypatch):
     # one fit iteration cannot reach stationarity: the verdict must say so
     monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", 1)
-    estimates = []
-    estimate = ao1_opf._estimate_duals
-
-    def counting(*args, **kwargs):
-        estimates.append(1)
-        return estimate(*args, **kwargs)
-
-    monkeypatch.setattr(ao1_opf, "_estimate_duals", counting)
     r = solve_ao1(negative_g5, SwitchVector(np.ones(3)))
+    assert len(restorations) == 1
     assert (r.status, r.certificate) == ("max-iterations", "")
-    # the capped fit is classified once, at its end point
-    assert len(estimates) == 1
 
 
 def test_screened_stall_carries_the_screen_certificate(stressed30):
@@ -298,7 +289,7 @@ def test_balanced_warm_start_returns_after_one_evaluation(case5, monkeypatch):
     evaluate = ao1_opf.jacobians
     monkeypatch.setattr(ao1_opf, "jacobians", lambda *args: passes.append(1) or evaluate(*args))
     again = solve_ao1(case5, y, warm=(first.state, first.input))
-    # the dual estimate and the KKT check reuse the fit's one evaluation
+    # the KKT check reuses the fit's one evaluation
     assert (again.status, again.iterations, len(passes)) == ("converged", 0, 1)
     assert np.array_equal(again.state.as_vector(), first.state.as_vector())
     assert np.array_equal(again.input.as_vector(), first.input.as_vector())
@@ -337,3 +328,64 @@ def test_fit_keeps_every_point_inside_the_bounds(negative_g5, start):
     for z in seen + [out.x]:
         assert np.all(z >= prob.lower) and np.all(z <= prob.upper)
     assert out.status == "stationary"
+
+
+# -- closed-form balance multipliers ---------------------------------------------
+
+@pytest.mark.parametrize("fixture, yv, cap, status", [
+    ("case5", (1.0, 0.7, 0.4), None, "converged"),
+    ("case5", (1.0, 0.0, 1.0), None, "converged"),
+    ("stressed30", None, None, "infeasible"),
+    ("negative_g5", None, 1, "max-iterations"),
+])
+def test_duals_are_the_closed_form_at_every_end(fixture, yv, cap, status, request, monkeypatch):
+    # however the fit ends, the hand-off carries nu = -y r on the active demand
+    # rows and nothing else, so the mixed curvature is 2 y r pd exactly
+    case = request.getfixturevalue(fixture)
+    if cap is not None:
+        monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", cap)
+    net = network(case)
+    y = SwitchVector(np.ones(net.n_dem) if yv is None else np.array(yv))
+    r = solve_ao1(case, y)
+    assert r.status == status
+    nx = 2 * net.n_bus
+    expected = np.zeros(net.n_c_rows)
+    expected[nx + 2 * net.dem_pos] = y.y * net.rank
+    assert np.array_equal(r.duals, expected)
+    q = hessian_Q(net, r.state, r.input, y, r.duals)
+    assert np.array_equal(q, 2.0 * y.y * net.rank * net.pd)
+
+
+@pytest.mark.parametrize("fixture", ["case5", "stressed30"])
+def test_balance_duals_are_stationary_off_balance(fixture, request):
+    # grad E = J' nu holds at every point of the box, not only balanced ones
+    case = request.getfixturevalue(fixture)
+    net = network(case)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        prob = ao1_opf._Problem(net, SwitchVector(rng.uniform(0.0, 1.0, net.n_dem)))
+        z = prob.lower + rng.uniform(0.0, 1.0, prob.lower.size) * (prob.upper - prob.lower)
+        F, J, grad_E = prob.residual_jacobian(z)
+        assert float(np.abs(F).max()) > TOL_FEAS
+        assert float(np.abs(J.T @ ao1_opf._balance_duals(prob) - grad_E).max()) <= 1e-10
+
+
+def test_converged_solve_runs_no_lstsq(case30, monkeypatch):
+    # the multipliers come in closed form; lstsq is only the fit's fallback
+    # for a singular damped system
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    r = solve_ao1(case30, SwitchVector(np.ones(20)))
+    assert r.status == "converged"
+    assert calls == []
+
+
+@pytest.mark.parametrize("fixture", ["case5", "case30"])
+def test_free_columns_skip_the_slack(fixture, request):
+    net = network(request.getfixturevalue(fixture))
+    free = ao1_opf._Problem(net, SwitchVector(np.ones(net.n_dem))).free
+    nx = 2 * net.n_bus
+    listed = np.array([i for i in range(nx) if i not in (2 * net.slack, 2 * net.slack + 1)])
+    assert free.dtype == listed.dtype
+    assert np.array_equal(free, listed)

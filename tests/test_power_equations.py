@@ -382,7 +382,7 @@ def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
     prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.6)))
     rng = np.random.default_rng(23)
     for _ in range(3):
-        z = prob.lower + rng.uniform(0.1, 0.9, prob.n) * (prob.upper - prob.lower)
+        z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
         _, J, grad_E = prob.residual_jacobian(z)
         state, u = prob.split(z)
         _, ref_dE, ref_dC = reference_jacobians(net, state, u, prob.y)
