@@ -27,12 +27,13 @@ A screened set still gets the whole fit, since the switching stage's active
 row reads the sum of pg at the point the fit ends at. A balanced warm start
 ends the fit at its first evaluation.
 
-Each point of the fit costs one ``jacobians`` pass. It gives the residual,
-the balance Jacobian J = [dP/dx on the free state columns | -gen_sel] and dE
-on the z columns; the KKT check max|J' nu - dE| reuses the fit's last pass
-with the closed-form nu. J stays C-contiguous and keeps the -0.0 entries of
--gen_sel, so every product rounds as it did when J was sliced from the
-stacked constraint Jacobian.
+Each point of the fit costs one ``outflow_terms`` pass over the branch
+edges. It gives the residual and the derivative values, which are scattered
+straight into the C-contiguous balance Jacobian J = [dP/dx on the free state
+columns | -gen_sel] at indices that ``network`` builds once per case; J keeps
+the -0.0 entries of -gen_sel. The fit forms no objective gradient. The KKT
+check max|J' nu - grad E| takes the closed-form nu and forms grad E once,
+from the fit's last J.
 """
 
 from __future__ import annotations
@@ -42,8 +43,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_model import GridCase
-from .power_equations import (InputVector, Network, State, SwitchVector, demand_draw, jacobians,
-                              network, objective_E)
+from .power_equations import (
+    InputVector,
+    Network,
+    State,
+    SwitchVector,
+    demand_draw,
+    jacobians,  # not called here; bench/tracer.py wraps ao1_opf.jacobians
+    network,
+    objective_E,
+    objective_gradient,
+    outflow_terms,
+)
 
 TOL_FEAS = 1e-8
 TOL_KKT = 1e-6
@@ -94,11 +105,10 @@ class _Problem:
         self.lower = np.concatenate([net.x_lower[self.free], net.u_lower])
         self.upper = np.concatenate([net.x_upper[self.free], net.u_upper])
         self.nx_free = self.free.size
-        # columns of z within the (x, u, y) derivative layout
-        self.cols = np.concatenate([self.free, nx + np.arange(2 * net.n_gen)])
         self.draw = demand_draw(net, y)
-        # the u columns of the balance Jacobian: -d(generation)/du, -0.0 included
-        self.neg_gen_sel = -net.gen_sel
+        # J with its dP/dx_free columns zero and its u columns -gen_sel, the
+        # -d(generation)/du, -0.0 entries included
+        self.jac_base = np.concatenate([np.zeros((nx, self.nx_free)), -net.gen_sel], axis=1)
         self.free_bus = self.free[0::2] // 2
         v = np.empty(net.n_bus)
         theta = np.empty(net.n_bus)
@@ -116,21 +126,21 @@ class _Problem:
         return State.from_vector(x), InputVector.from_vector(z[self.nx_free:])
 
     def residual_jacobian(self, z):
-        """(F, J, grad E) at z, where F = P - S is the balance residual, formed
-        as (P - generation) + demand draw from the derivative pass's outflow."""
+        """(F, J) at z: the balance residual F = P - S, formed as
+        (P - generation) + demand draw, and J = [dP/dx_free | -gen_sel], with
+        the derivative values scattered straight into a C-contiguous J."""
+        net = self.net
         nxf = self.nx_free
         self.point.v[self.free_bus] = z[0:nxf:2]
         self.point.theta[self.free_bus] = z[1:nxf:2]
         u = z[nxf:]
         self.inputs.pg[:] = u[0::2]
         self.inputs.qg[:] = u[1::2]
-        P, dP_dx, dE = jacobians(self.net, self.point, self.inputs, self.y)
-        # J = [dP/dx_free | -gen_sel]; take() and concatenate keep it
-        # C-contiguous, while a fancy-indexed column slice comes out
-        # Fortran-ordered and changes the BLAS rounding downstream
-        J = np.concatenate([dP_dx.take(self.free, axis=1), self.neg_gen_sel], axis=1)
-        F = P - self.net.gen_sel @ u + self.draw
-        return F, J, dE[self.cols]
+        P, values = outflow_terms(net, self.point)
+        J = self.jac_base.copy()
+        J.ravel()[net.fit_index] = values[net.fit_pick]
+        F = P - net.gen_sel @ u + self.draw
+        return F, J
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +148,6 @@ class FitResult:
     x: np.ndarray
     fun: np.ndarray
     jac: np.ndarray
-    grad_E: np.ndarray  # dE on the z columns at x
     nfev: int
     status: str     # "balanced", "stationary" or "cap"
 
@@ -158,17 +167,17 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     """
     lower, upper = prob.lower, prob.upper
     z = np.clip(z0, lower, upper)
-    F, J, gE = prob.residual_jacobian(z)
+    F, J = prob.residual_jacobian(z)
     nfev = 1
     f = 0.5 * float(F @ F)
     lam = 1e-3
     for _ in range(FIT_MAX_ITERS):
         if float(np.abs(F).max()) <= TOL_FEAS:
-            return FitResult(z, F, J, gE, nfev, "balanced")
+            return FitResult(z, F, J, nfev, "balanced")
         g = J.T @ F
         free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
         if float(np.abs(g[free]).max(initial=0.0)) <= 1e-12 * max(1.0, f):
-            return FitResult(z, F, J, gE, nfev, "stationary")
+            return FitResult(z, F, J, nfev, "stationary")
         Jf = J[:, free]
         H = Jf.T @ Jf
         d = np.diag(H).copy()
@@ -182,21 +191,21 @@ def least_squares(prob: _Problem, z0) -> FitResult:
             except np.linalg.LinAlgError:
                 step[free] = np.linalg.lstsq(M, rhs, rcond=None)[0]
             z_try = np.clip(z + step, lower, upper)
-            F_try, J_try, gE_try = prob.residual_jacobian(z_try)
+            F_try, J_try = prob.residual_jacobian(z_try)
             nfev += 1
             f_try = 0.5 * float(F_try @ F_try)
             if f_try < f:
                 break
             lam *= 4.0
             if lam > FIT_LAMBDA_MAX:
-                return FitResult(z, F, J, gE, nfev, "stationary")
+                return FitResult(z, F, J, nfev, "stationary")
         decrease = f - f_try
-        z, F, J, gE, f = z_try, F_try, J_try, gE_try, f_try
+        z, F, J, f = z_try, F_try, J_try, f_try
         lam /= 3.0
         if decrease <= 1e-14 * (f + decrease):
-            return FitResult(z, F, J, gE, nfev, "stationary")
+            return FitResult(z, F, J, nfev, "stationary")
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"
-    return FitResult(z, F, J, gE, nfev, status)
+    return FitResult(z, F, J, nfev, status)
 
 
 def _balance_duals(prob) -> np.ndarray:
@@ -207,6 +216,11 @@ def _balance_duals(prob) -> np.ndarray:
     nu = np.zeros(2 * net.n_bus)
     nu[2 * net.dem_pos] = -prob.y.y * net.rank
     return nu
+
+
+def _grad_E(prob, J) -> np.ndarray:
+    """grad E on the z columns from the fit Jacobian J, by the formula of ``jacobians``."""
+    return objective_gradient(prob.net, prob.y, J[2 * prob.net.dem_pos, :prob.nx_free])
 
 
 def _pack_duals(prob, nu):
@@ -236,7 +250,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     fit = least_squares(prob, z0)
     nu = _balance_duals(prob)
     feas = float(np.abs(fit.fun).max())
-    stat = float(np.abs(fit.jac.T @ nu - fit.grad_E).max())
+    stat = float(np.abs(fit.jac.T @ nu - _grad_E(prob, fit.jac)).max())
     if feas <= TOL_FEAS and stat <= TOL_KKT:
         status, certificate = "converged", ""
     elif active_capacity_screen(net, y_fixed):

@@ -30,9 +30,11 @@ from .power_equations import (
     SwitchVector,
     constraints_C,  # not called here; bench/tracer.py wraps ao2_sbqp.constraints_C
     grad_phi,
+    _delivery,
     hessian_Q,
-    jacobians,
+    jacobians,  # not called here; bench/tracer.py wraps ao2_sbqp.jacobians
     network,
+    outflow,
     phi,
 )
 from .qp_core import QpProblem, solve_qp
@@ -206,7 +208,6 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
         b = np.concatenate([b, np.abs(y_lin - stars) @ live - 1.0])
 
     if variant.tag == "mixed":
-        _, _, dE = jacobians(net, state, inputs, switches)
         q = hessian_Q(net, state, inputs, switches, duals)
         top = float(q.max())
         floor = CURVATURE_FLOOR * max(1.0, abs(top))
@@ -214,7 +215,8 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
             # the served-demand curvature is non-concave here; push every
             # curvature strictly below zero before handing it to the QP
             q = q - (top + floor)
-        g0 = dE[2 * net.n_bus + 2 * net.n_gen:]
+        # E's y-gradient, rank (pg - P_act): the outflow alone, no derivative
+        g0 = net.rank * _delivery(net, outflow(net, state), inputs)
     else:
         q = 2.0 * (net.rank * net.pd)
         g0 = q * y_lin
@@ -237,7 +239,7 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
     anchor.  A caller that builds many subproblems around one (lin_point,
     duals, variant, cuts) passes the same dict as parts to each: the first
     call fills it with the other pieces and later calls reuse them, so the
-    Jacobian and the dual Hessian are evaluated once.
+    outflow and the dual Hessian are evaluated once.
     """
     if parts is None:
         parts = {}

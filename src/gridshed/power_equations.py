@@ -15,24 +15,32 @@ Layout conventions, frozen because dual variables index into them:
 
 Entry points (``network``, ``constraints_C``, ``constraint_row``,
 ``flat_state``, ``line_flow``) take a ``GridCase``.  The kernels
-(``outflow``, ``supply``, ``objective_E``, ``jacobians``,
+(``outflow_terms``, ``outflow``, ``supply``, ``objective_E``, ``jacobians``,
 ``constraint_jacobian``, ``hessian_Q``) take the ``Network`` that their
 caller resolved once with ``network(case)``, so a solver loop does not hash
 the case on every evaluation.  ``network`` also records, once per case,
 whether every branch conductance is non-negative (``branch_g_nonneg``).
 
-``outflow`` is the one place the angle-difference trig is taken: it returns
-the stacked bus outflow P and, on request, dP/dx in the interleaved layout
-above, and every evaluation routine here and in the continuous stage goes
-through it.  ``jacobians`` returns (P, dP_dx, dE), so a caller that needs
-the outflow and its derivatives takes the trig once.  The derivatives come
-shaped for their consumer: the continuous stage's fit Jacobian is
-dP/dx on the free state columns next to the constant -gen_sel block, and the
-mixed switch subproblem reads only dE.  ``constraint_jacobian`` stacks dP_dx
-into the full (8N + 4G)-row derivative of C, whose leading block
-``dC[:2N, :2N]`` is dP/dx; only the self-check and the tests need it, and
-no solver stage builds it.  ``line_flow`` is a separate per-branch
-evaluation, kept as the reference that the tests compare ``outflow`` against.
+The power flow is evaluated over the branch list, not over the dense
+admittance matrix.  ``network`` records two directed edges (k, l) per
+branch, with the admittance off-diagonals G_kl = -g and B_kl = -b, plus the
+diagonals, and the flat indices at which the derivative values land.
+``outflow_terms`` is the one place the angle-difference trig is taken, once
+per edge: it returns the stacked bus outflow P, each bus summing its edge
+terms in edge order, and the entries of dP/dx on the edges and the
+diagonal as one flat array.  ``outflow`` scatters them into the dense,
+interleaved 2N x 2N dP/dx,
+and every evaluation routine here goes through it; the continuous stage
+scatters the same values straight into its fit Jacobian, the dP/dx columns off
+the slack next to the constant -gen_sel block.  ``jacobians`` returns (P,
+dP_dx, dE), so a caller that needs the outflow and its derivatives takes
+the trig once; ``objective_gradient`` is its formula for dE over the state
+and input columns, which the continuous stage applies to its own Jacobian.
+``constraint_jacobian`` stacks dP_dx into the full (8N + 4G)-row derivative
+of C, whose leading block ``dC[:2N, :2N]`` is dP/dx; only the self-check and
+the tests need it, and no solver stage builds it.  ``line_flow`` is a
+separate per-branch evaluation, kept as the reference that the tests compare
+``outflow`` against.
 """
 
 from __future__ import annotations
@@ -42,7 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid_model import GridCase, build_admittance
+from .grid_model import (
+    GridCase,
+    build_admittance,  # not called here; bench/tracer.py wraps power_equations.build_admittance
+)
 
 Y_BOX_TOL = 1e-9
 
@@ -133,8 +144,16 @@ class Network:
     n_bus: int
     n_gen: int
     n_dem: int
-    G: np.ndarray
-    B: np.ndarray
+    edge_from: np.ndarray      # bus position k of each directed edge (k, l): two per
+    edge_to: np.ndarray        # branch, (from, to) then (to, from), in branch order
+    edge_G: np.ndarray         # admittance off-diagonals G_kl = -g, B_kl = -b per edge
+    edge_B: np.ndarray
+    diag_G: np.ndarray         # admittance diagonals G_kk, B_kk: the g, b of the
+    diag_B: np.ndarray         # branches at bus k, summed in branch order
+    jac_index: np.ndarray      # flat index in the (2N, 2N) dP/dx of each value that
+                               # outflow_terms forms
+    fit_pick: np.ndarray       # the values off the slack columns, and their flat index in
+    fit_index: np.ndarray      # the continuous stage's fit Jacobian [dP/dx_free | -gen_sel]
     slack: int                 # bus position of the slack
     slack_v: float
     dem_pos: np.ndarray        # bus position of each demand
@@ -148,7 +167,7 @@ class Network:
     x_upper: np.ndarray
     u_lower: np.ndarray
     u_upper: np.ndarray
-    branch_g_nonneg: bool      # no off-diagonal of G is positive (every branch g >= 0)
+    branch_g_nonneg: bool      # every branch g >= 0
 
     @property
     def n_c_rows(self) -> int:
@@ -161,10 +180,10 @@ class Network:
 
 @lru_cache(maxsize=32)
 def network(case: GridCase) -> Network:
-    admittance = build_admittance(case)
     index = {b.id: i for i, b in enumerate(case.buses)}
     n = len(case.buses)
     ngen = len(case.generators)
+    slack = index[case.slack_bus.id]
     gen_pos = np.array([index[g.bus] for g in case.generators], dtype=int)
     dem_pos = np.array([index[d.bus] for d in case.demands], dtype=int)
     pg_col = {g.bus: 2 * j for j, g in enumerate(case.generators)}
@@ -172,6 +191,30 @@ def network(case: GridCase) -> Network:
     gen_sel = np.zeros((2 * n, 2 * ngen))
     gen_sel[2 * gen_pos, 0::2] = np.eye(ngen)
     gen_sel[2 * gen_pos + 1, 1::2] = np.eye(ngen)
+
+    # two directed edges per branch, (from, to) then (to, from); GridCase
+    # rejects self loops and repeated pairs, so each edge is one off-diagonal
+    # of the admittance matrix
+    ks, ls, gs, bs = [], [], [], []
+    for br in case.branches:
+        k, l = index[br.from_bus], index[br.to_bus]
+        ks += (k, l)
+        ls += (l, k)
+        gs += (br.g, br.g)
+        bs += (br.b, br.b)
+    m = len(ks)
+    buses = list(range(n))
+    kl = np.array([ks + buses, ls + buses], dtype=int)
+    gb = np.array([gs, bs], dtype=float)
+    # outflow_terms forms dP/dv, dP/dtheta, dQ/dv and dQ/dtheta, each over the
+    # edges (k, l) and then over the diagonals (k, k): rows 2k + (0, 0, 1, 1),
+    # columns 2l + (0, 1, 0, 1); the fit Jacobian drops the slack's columns
+    rows = (2 * kl[0] + np.array([[0], [0], [1], [1]])).ravel()
+    cols = (2 * kl[1] + np.array([[0], [1], [0], [1]])).ravel()
+    fit_pick = np.flatnonzero(cols // 2 != slack)
+    fit_cols = cols[fit_pick]
+    fit_cols -= 2 * (fit_cols > 2 * slack)
+
     x_lower = np.empty(2 * n)
     x_upper = np.empty(2 * n)
     x_lower[0::2] = [b.v_min for b in case.buses]
@@ -188,9 +231,16 @@ def network(case: GridCase) -> Network:
         n_bus=n,
         n_gen=ngen,
         n_dem=len(case.demands),
-        G=admittance.G,
-        B=admittance.B,
-        slack=index[case.slack_bus.id],
+        edge_from=kl[0, :m],
+        edge_to=kl[1, :m],
+        edge_G=-gb[0],
+        edge_B=-gb[1],
+        diag_G=np.bincount(kl[0, :m], weights=gb[0], minlength=n),
+        diag_B=np.bincount(kl[0, :m], weights=gb[1], minlength=n),
+        jac_index=rows * (2 * n) + cols,
+        fit_pick=fit_pick,
+        fit_index=rows[fit_pick] * (2 * n - 2 + 2 * ngen) + fit_cols,
+        slack=slack,
         slack_v=case.slack_voltage(),
         dem_pos=dem_pos,
         pd=np.array([d.pd for d in case.demands]),
@@ -202,7 +252,7 @@ def network(case: GridCase) -> Network:
         x_upper=x_upper,
         u_lower=u_lower,
         u_upper=u_upper,
-        branch_g_nonneg=bool(np.all(admittance.G[~np.eye(n, dtype=bool)] <= 0.0)),
+        branch_g_nonneg=all(br.g >= 0.0 for br in case.branches),
     )
 
 
@@ -230,42 +280,59 @@ def line_flow(case: GridCase, state: State, k: int, l: int) -> tuple[float, floa
     return float(p), float(q)
 
 
-def outflow(net: Network, state: State, jacobian: bool = False):
-    """Stacked (active, reactive) outflow per bus over the admittance net.G, net.B.
+def outflow_terms(net: Network, state: State, derivatives: bool = True):
+    """(P, values): the stacked outflow and the entries of dP/dx in the order
+    that ``net.jac_index`` places them (None unless derivatives), from one trig
+    evaluation over the edges.
 
-    Row sums of the trig-weighted Laplacian.  With jacobian=True, returns
-    (P, dP/dx) with interleaved rows and columns, shape (2N, 2N).
-    """
+    P_k = v_k (G_kk v_k + sum over edges (k, l) of (G_kl cos + B_kl sin) v_l),
+    and Q_k likewise with (G_kl sin - B_kl cos) and -B_kk; each bus sums its
+    edge terms in edge order."""
+    n, m = net.n_bus, net.edge_from.size
     v = state.v
-    th = state.theta[:, None] - state.theta[None, :]
+    k, l = net.edge_from, net.edge_to
+    th = state.theta[k] - state.theta[l]
     c, s = np.cos(th), np.sin(th)
-    A1 = net.G * c + net.B * s
-    A2 = net.G * s - net.B * c
-    a1v = A1 @ v
-    a2v = A2 @ v
+    a1 = net.edge_G * c + net.edge_B * s
+    a2 = net.edge_G * s - net.edge_B * c
+    vl = v[l]
+    a1v = np.bincount(k, weights=a1 * vl, minlength=n) + net.diag_G * v
+    a2v = np.bincount(k, weights=a2 * vl, minlength=n) - net.diag_B * v
     p = v * a1v
     q = v * a2v
-    n = v.size
     P = np.empty(2 * n)
     P[0::2] = p
     P[1::2] = q
+    if not derivatives:
+        return P, None
+
+    vk = v[k]
+    vv = vk * vl
+    vsq = v * v
+    values = np.empty((4, m + n))
+    dP_dv, dP_dth, dQ_dv, dQ_dth = values
+    np.multiply(vk, a1, out=dP_dv[:m])
+    np.add(a1v, v * net.diag_G, out=dP_dv[m:])
+    np.multiply(vv, a2, out=dP_dth[:m])
+    np.subtract(-q, vsq * net.diag_B, out=dP_dth[m:])
+    np.multiply(vk, a2, out=dQ_dv[:m])
+    np.subtract(a2v, v * net.diag_B, out=dQ_dv[m:])
+    np.multiply(-vv, a1, out=dQ_dth[:m])
+    np.subtract(p, vsq * net.diag_G, out=dQ_dth[m:])
+    return P, values.ravel()
+
+
+def outflow(net: Network, state: State, jacobian: bool = False):
+    """Stacked (active, reactive) outflow per bus, summed over the branch edges.
+
+    With jacobian=True, returns (P, dP/dx) with interleaved rows and columns,
+    shape (2N, 2N); the entries off the edges and the diagonal are zero.
+    """
+    P, values = outflow_terms(net, state, jacobian)
     if not jacobian:
         return P
-    g_kk, b_kk = net.G.diagonal(), net.B.diagonal()
-    dP_dv = v[:, None] * A1
-    np.fill_diagonal(dP_dv, a1v + v * g_kk)
-    vv = v[:, None] * v[None, :]
-    dP_dth = vv * A2
-    np.fill_diagonal(dP_dth, -q - v * v * b_kk)
-    dQ_dv = v[:, None] * A2
-    np.fill_diagonal(dQ_dv, a2v - v * b_kk)
-    dQ_dth = -vv * A1           # (-v_k) v_l = -(v_k v_l) exactly
-    np.fill_diagonal(dQ_dth, p - v * v * g_kk)
-    dP_dx = np.empty((2 * n, 2 * n))
-    dP_dx[0::2, 0::2] = dP_dv
-    dP_dx[0::2, 1::2] = dP_dth
-    dP_dx[1::2, 0::2] = dQ_dv
-    dP_dx[1::2, 1::2] = dQ_dth
+    dP_dx = np.zeros((2 * net.n_bus, 2 * net.n_bus))
+    dP_dx.ravel()[net.jac_index] = values
     return P, dP_dx
 
 
@@ -311,6 +378,21 @@ def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVec
     ])
 
 
+def objective_gradient(net: Network, y: SwitchVector, dP_act: np.ndarray) -> np.ndarray:
+    """Objective gradient over the state columns of dP_act, then over u.
+
+    dP_act holds the demand buses' active-outflow rows of dP/dx (rows
+    2 * dem_pos), on whichever state columns the caller keeps.  E = sum_D y r
+    (pg - P_act), so those rows weigh in at -y r and each demand bus's pg
+    column takes its y r."""
+    w_dem = y.y * net.rank
+    has_gen = net.dem_pg_col >= 0
+    return np.concatenate([
+        -(w_dem[:, None] * dP_act).sum(axis=0),
+        np.bincount(net.dem_pg_col[has_gen], weights=w_dem[has_gen], minlength=2 * net.n_gen),
+    ])
+
+
 def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     """Outflow and analytic first derivatives from one trig evaluation.
 
@@ -318,16 +400,9 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     (2N x 2N, interleaved as in ``outflow``), and the objective gradient over
     (x, u, y).  ``constraint_jacobian`` stacks dP_dx into the derivative of C.
     """
-    nx, nu = 2 * net.n_bus, 2 * net.n_gen
     P, dP_dx = outflow(net, state, jacobian=True)
-
-    # objective: E = sum_D y r (pg - P_act); P_act rows are the even rows of dP_dx
-    w_dem = y.y * net.rank
-    dE = np.empty(net.n_cols)
-    dE[:nx] = -(w_dem[:, None] * dP_dx[2 * net.dem_pos, :]).sum(axis=0)
-    has_gen = net.dem_pg_col >= 0
-    dE[nx:nx + nu] = np.bincount(net.dem_pg_col[has_gen], weights=w_dem[has_gen], minlength=nu)
-    dE[nx + nu:] = net.rank * _delivery(net, P, input)
+    dE = np.concatenate([objective_gradient(net, y, dP_dx[2 * net.dem_pos]),
+                         net.rank * _delivery(net, P, input)])
     return P, dP_dx, dE
 
 

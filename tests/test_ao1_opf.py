@@ -286,8 +286,8 @@ def test_balanced_warm_start_returns_after_one_evaluation(case5, monkeypatch):
     y = SwitchVector(np.ones(3))
     first = solve_ao1(case5, y)
     passes = []
-    evaluate = ao1_opf.jacobians
-    monkeypatch.setattr(ao1_opf, "jacobians", lambda *args: passes.append(1) or evaluate(*args))
+    evaluate = ao1_opf.outflow_terms
+    monkeypatch.setattr(ao1_opf, "outflow_terms", lambda *args: passes.append(1) or evaluate(*args))
     again = solve_ao1(case5, y, warm=(first.state, first.input))
     # the KKT check reuses the fit's one evaluation
     assert (again.status, again.iterations, len(passes)) == ("converged", 0, 1)
@@ -358,14 +358,18 @@ def test_duals_are_the_closed_form_at_every_end(fixture, yv, cap, status, reques
 
 @pytest.mark.parametrize("fixture", ["case5", "stressed30"])
 def test_balance_duals_are_stationary_off_balance(fixture, request):
-    # grad E = J' nu holds at every point of the box, not only balanced ones
+    # grad E = J' nu holds at every point of the box, not only balanced ones;
+    # grad E comes from jacobians, independently of the fit's J
     case = request.getfixturevalue(fixture)
     net = network(case)
     rng = np.random.default_rng(17)
     for _ in range(5):
         prob = ao1_opf._Problem(net, SwitchVector(rng.uniform(0.0, 1.0, net.n_dem)))
         z = prob.lower + rng.uniform(0.0, 1.0, prob.lower.size) * (prob.upper - prob.lower)
-        F, J, grad_E = prob.residual_jacobian(z)
+        F, J = prob.residual_jacobian(z)
+        state, u = prob.split(z)
+        cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
+        grad_E = jacobians(net, state, u, prob.y)[2][cols]
         assert float(np.abs(F).max()) > TOL_FEAS
         assert float(np.abs(J.T @ ao1_opf._balance_duals(prob) - grad_E).max()) <= 1e-10
 

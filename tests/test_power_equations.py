@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_grid_model import _random_case
 
 from gridshed import ao1_opf
 from gridshed.grid_model import (
@@ -10,6 +13,7 @@ from gridshed.grid_model import (
     DemandSpec,
     Generator,
     GridCase,
+    build_admittance,
     parse_case,
 )
 from gridshed.power_equations import (
@@ -59,6 +63,16 @@ def random_point(case, rng):
     u = InputVector.from_vector(span_l + rng.uniform(0.1, 0.9, 2 * net.n_gen) * (span_u - span_l))
     y = SwitchVector(rng.uniform(0.05, 0.95, net.n_dem))
     return state, u, y
+
+
+def random_state(case, rng):
+    n = len(case.buses)
+    return State(v=rng.uniform(0.9, 1.1, n), theta=rng.uniform(-0.4, 0.4, n))
+
+
+def kernel_cases(case5, case30):
+    """case5, case30 and the seeded random cases 0-9 of the parser tests."""
+    return [case5, case30] + [_random_case(np.random.default_rng(seed)) for seed in range(10)]
 
 
 def test_network_lookup_does_not_rehash_the_case(case30_text, monkeypatch):
@@ -114,21 +128,22 @@ def test_node_outflow_zero_at_flat_start(case30):
     np.testing.assert_allclose(P, 0.0, atol=1e-12)
 
 
-def test_node_outflow_equals_neighbor_sums(case5):
+def test_node_outflow_equals_neighbor_sums(case5, case30):
     rng = np.random.default_rng(3)
-    net = network(case5)
-    neighbors = {b.id: [] for b in case5.buses}
-    for br in case5.branches:
-        neighbors[br.from_bus].append(br.to_bus)
-        neighbors[br.to_bus].append(br.from_bus)
-    for _ in range(10):
-        state = State(v=rng.uniform(0.9, 1.1, 5), theta=rng.uniform(-0.4, 0.4, 5))
-        P = outflow(net, state)
-        for i, bus in enumerate(case5.bus_ids):
-            p_sum = sum(line_flow(case5, state, bus, l)[0] for l in neighbors[bus])
-            q_sum = sum(line_flow(case5, state, bus, l)[1] for l in neighbors[bus])
-            assert P[2 * i] == pytest.approx(p_sum, abs=1e-12)
-            assert P[2 * i + 1] == pytest.approx(q_sum, abs=1e-12)
+    for case in kernel_cases(case5, case30):
+        net = network(case)
+        neighbors = {b.id: [] for b in case.buses}
+        for br in case.branches:
+            neighbors[br.from_bus].append(br.to_bus)
+            neighbors[br.to_bus].append(br.from_bus)
+        for _ in range(10):
+            state = random_state(case, rng)
+            P = outflow(net, state)
+            for i, bus in enumerate(case.bus_ids):
+                p_sum = sum(line_flow(case, state, bus, l)[0] for l in neighbors[bus])
+                q_sum = sum(line_flow(case, state, bus, l)[1] for l in neighbors[bus])
+                assert P[2 * i] == pytest.approx(p_sum, abs=1e-12)
+                assert P[2 * i + 1] == pytest.approx(q_sum, abs=1e-12)
 
 
 def test_lossless_network_conserves_active_power():
@@ -289,36 +304,51 @@ def test_derivatives_match_finite_differences(fixture, request):
         assert np.max(np.abs(dC - fd_C) / scale) <= 1e-6
 
 
-def reference_jacobians(net, state, u, y):
-    """(P, dE, dC) as ``jacobians`` computed them when it returned the stacked
-    constraint Jacobian dC, outflow derivative included; kept verbatim as the
-    reference that the split must reproduce bit for bit."""
+def reference_jacobians(case, state, u, y):
+    """(P, dE, dC) by the branch-list formula, written out edge by edge as the
+    reference that the kernel must reproduce bit for bit.
+
+    Each branch gives the directed edges (from, to) and (to, from), in branch
+    order, with G_kl = -g and B_kl = -b.  A bus sums (G_kl cos + B_kl sin) v_l
+    over its edges in edge order, from zero, and then adds G_kk v_k, where
+    G_kk sums the g of its branches in branch order; likewise for the
+    reactive part with (G_kl sin - B_kl cos) and -B_kk v_k."""
+    net = network(case)
+    index = {b.id: i for i, b in enumerate(case.buses)}
+    edges = []
+    for br in case.branches:
+        k, l = index[br.from_bus], index[br.to_bus]
+        edges += [(k, l, br.g, br.b), (l, k, br.g, br.b)]
     v = state.v
-    th = state.theta[:, None] - state.theta[None, :]
-    c, s = np.cos(th), np.sin(th)
-    A1 = net.G * c + net.B * s
-    A2 = net.G * s - net.B * c
-    a1v = A1 @ v
-    a2v = A2 @ v
-    p = v * a1v
-    q = v * a2v
     n = v.size
+    g_kk, b_kk = [0.0] * n, [0.0] * n
+    for k, _, g, b in edges:
+        g_kk[k] += g
+        b_kk[k] += b
+    # the trig goes through numpy, like the kernel's: element by element
+    th = np.array([state.theta[k] - state.theta[l] for k, l, _, _ in edges])
+    cos, sin = np.cos(th), np.sin(th)
+    a1v, a2v = [0.0] * n, [0.0] * n
+    dP_dx = np.zeros((2 * n, 2 * n))
+    for (k, l, g, b), c, s in zip(edges, cos, sin):
+        a1 = -g * c + -b * s
+        a2 = -g * s - -b * c
+        a1v[k] += a1 * v[l]
+        a2v[k] += a2 * v[l]
+        dP_dx[2 * k, 2 * l] = v[k] * a1
+        dP_dx[2 * k, 2 * l + 1] = v[k] * v[l] * a2
+        dP_dx[2 * k + 1, 2 * l] = v[k] * a2
+        dP_dx[2 * k + 1, 2 * l + 1] = -(v[k] * v[l]) * a1
     P = np.empty(2 * n)
-    P[0::2] = p
-    P[1::2] = q
-    dP_dv = v[:, None] * A1
-    np.fill_diagonal(dP_dv, a1v + v * np.diag(net.G))
-    dP_dth = v[:, None] * v[None, :] * A2
-    np.fill_diagonal(dP_dth, -q - v * v * np.diag(net.B))
-    dQ_dv = v[:, None] * A2
-    np.fill_diagonal(dQ_dv, a2v - v * np.diag(net.B))
-    dQ_dth = -v[:, None] * v[None, :] * A1
-    np.fill_diagonal(dQ_dth, p - v * v * np.diag(net.G))
-    dP_dx = np.empty((2 * n, 2 * n))
-    dP_dx[0::2, 0::2] = dP_dv
-    dP_dx[0::2, 1::2] = dP_dth
-    dP_dx[1::2, 0::2] = dQ_dv
-    dP_dx[1::2, 1::2] = dQ_dth
+    for k in range(n):
+        a1v[k] += g_kk[k] * v[k]
+        a2v[k] -= b_kk[k] * v[k]
+        p, q = v[k] * a1v[k], v[k] * a2v[k]
+        P[2 * k], P[2 * k + 1] = p, q
+        dP_dx[2 * k, 2 * k] = a1v[k] + v[k] * g_kk[k]
+        dP_dx[2 * k, 2 * k + 1] = -q - v[k] * v[k] * b_kk[k]
+        dP_dx[2 * k + 1, 2 * k] = a2v[k] - v[k] * b_kk[k]
+        dP_dx[2 * k + 1, 2 * k + 1] = p - v[k] * v[k] * g_kk[k]
 
     ngen, ndem = net.n_gen, net.n_dem
     nx, nu = 2 * n, 2 * ngen
@@ -353,6 +383,39 @@ def reference_jacobians(net, state, u, y):
     return P, dE, dC
 
 
+def dense_outflow(case, state):
+    """(P, dP_dx) by the dense formula over the full admittance matrix: row
+    sums of the trig-weighted Laplacian, the way the outflow was once taken."""
+    Y = build_admittance(case)
+    v = state.v
+    th = state.theta[:, None] - state.theta[None, :]
+    c, s = np.cos(th), np.sin(th)
+    A1 = Y.G * c + Y.B * s
+    A2 = Y.G * s - Y.B * c
+    a1v = A1 @ v
+    a2v = A2 @ v
+    p = v * a1v
+    q = v * a2v
+    n = v.size
+    P = np.empty(2 * n)
+    P[0::2] = p
+    P[1::2] = q
+    dP_dv = v[:, None] * A1
+    np.fill_diagonal(dP_dv, a1v + v * np.diag(Y.G))
+    dP_dth = v[:, None] * v[None, :] * A2
+    np.fill_diagonal(dP_dth, -q - v * v * np.diag(Y.B))
+    dQ_dv = v[:, None] * A2
+    np.fill_diagonal(dQ_dv, a2v - v * np.diag(Y.B))
+    dQ_dth = -v[:, None] * v[None, :] * A1
+    np.fill_diagonal(dQ_dth, p - v * v * np.diag(Y.G))
+    dP_dx = np.empty((2 * n, 2 * n))
+    dP_dx[0::2, 0::2] = dP_dv
+    dP_dx[0::2, 1::2] = dP_dth
+    dP_dx[1::2, 0::2] = dQ_dv
+    dP_dx[1::2, 1::2] = dQ_dth
+    return P, dP_dx
+
+
 @pytest.mark.parametrize("fixture", ["case5", "case30"])
 def test_split_derivatives_match_the_stacked_reference(fixture, request):
     case = request.getfixturevalue(fixture)
@@ -363,7 +426,7 @@ def test_split_derivatives_match_the_stacked_reference(fixture, request):
         state, u, y = random_point(case, rng)
         P, dP_dx, dE = jacobians(net, state, u, y)
         dC = constraint_jacobian(net, dP_dx, y)
-        ref_P, ref_dE, ref_dC = reference_jacobians(net, state, u, y)
+        ref_P, ref_dE, ref_dC = reference_jacobians(case, state, u, y)
         assert np.array_equal(dC, ref_dC)
         # bytes too, so the -0.0 entries of the -gen_sel block keep their sign
         assert dC.tobytes() == ref_dC.tobytes()
@@ -374,23 +437,67 @@ def test_split_derivatives_match_the_stacked_reference(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["case5", "case30"])
 def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
-    # AO1 forms J = [dP/dx_free | -gen_sel] and grad E = dE[cols] without the
-    # stacked Jacobian; both must be the bits the stack gave, and J must stay
-    # C-contiguous, since J.T @ J rounds differently on a Fortran-ordered J
+    # AO1 scatters J = [dP/dx_free | -gen_sel] straight into its own layout and
+    # forms grad E from J once per solve; both must be the bits of the
+    # reference, and J must stay C-contiguous, since J.T @ J rounds
+    # differently on a Fortran-ordered J
     case = request.getfixturevalue(fixture)
     net = network(case)
     prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.6)))
+    cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
     rng = np.random.default_rng(23)
     for _ in range(3):
         z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
-        _, J, grad_E = prob.residual_jacobian(z)
+        _, J = prob.residual_jacobian(z)
         state, u = prob.split(z)
-        _, ref_dE, ref_dC = reference_jacobians(net, state, u, prob.y)
-        ref_J = ref_dC[: 2 * net.n_bus].take(prob.cols, axis=1)
+        _, ref_dE, ref_dC = reference_jacobians(case, state, u, prob.y)
+        ref_J = ref_dC[: 2 * net.n_bus].take(cols, axis=1)
         assert J.flags.c_contiguous
         assert J.shape == ref_J.shape
         assert J.tobytes() == ref_J.tobytes()
-        assert grad_E.tobytes() == ref_dE[prob.cols].tobytes()
+        assert ao1_opf._grad_E(prob, J).tobytes() == ref_dE[cols].tobytes()
+
+
+def test_outflow_matches_the_dense_formula(case5, case30):
+    # the branch-list sums round differently from the dense matvec, by no more
+    # than a few ulps of the largest term
+    rng = np.random.default_rng(29)
+    for case in kernel_cases(case5, case30):
+        net = network(case)
+        for _ in range(3):
+            state = random_state(case, rng)
+            P, dP_dx = outflow(net, state, jacobian=True)
+            ref_P, ref_dP_dx = dense_outflow(case, state)
+            assert np.max(np.abs(P - ref_P) / np.maximum(1.0, np.abs(ref_P))) <= 1e-12
+            assert np.max(np.abs(dP_dx - ref_dP_dx) / np.maximum(1.0, np.abs(ref_dP_dx))) <= 1e-12
+
+
+def test_network_has_two_edges_per_branch(case5, case30):
+    for case in kernel_cases(case5, case30):
+        net = network(case)
+        index = {b.id: i for i, b in enumerate(case.buses)}
+        expected = []
+        for br in case.branches:
+            k, l = index[br.from_bus], index[br.to_bus]
+            expected += [(k, l), (l, k)]
+        assert list(zip(net.edge_from.tolist(), net.edge_to.tolist())) == expected
+        assert net.edge_G.tolist() == [-br.g for br in case.branches for _ in range(2)]
+        assert net.edge_B.tolist() == [-br.b for br in case.branches for _ in range(2)]
+
+
+def test_zero_admittance_branch_contributes_nothing(case5):
+    # r and x are given, so the record builds although g = b = 0
+    dead = Branch(from_bus=2, to_bus=5, g=0.0, b=0.0, r=1.0, x=1.0)
+    with_dead = dataclasses.replace(case5, branches=(*case5.branches, dead))
+    net, net_dead = network(case5), network(with_dead)
+    assert net_dead.edge_from.size == net.edge_from.size + 2
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        state = random_state(case5, rng)
+        P, dP_dx = outflow(net, state, jacobian=True)
+        P_dead, dP_dx_dead = outflow(net_dead, state, jacobian=True)
+        assert np.array_equal(P_dead, P)
+        assert np.array_equal(dP_dx_dead, dP_dx)
 
 
 def test_bound_rows_have_zero_y_columns(case5):
