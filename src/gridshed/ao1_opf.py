@@ -9,8 +9,10 @@ the equality multipliers are -y_k r_k on the active demand rows at every
 point. The stage therefore only has to find a balanced point inside the
 bounds, or show that there is none. ``least_squares`` does both: a projected
 Levenberg-Marquardt fit (More 1978) of 0.5 |F|^2 over the bounds, started
-from the warm point or the flat point, clipped into the box. How the fit
-ends sets the status:
+from the warm point or the flat point, clipped into the box. A step that the
+box clip spoils, so that it no longer decreases the Gauss-Newton model, is
+re-solved with the coordinates that left the box held at their bounds before
+it is evaluated. How the fit ends sets the status:
 
 - balanced (max|F| <= TOL_FEAS) and the KKT check at its end point passes:
   "converged";
@@ -92,9 +94,10 @@ def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
 class _Problem:
     """Fixed-y evaluation helpers over the reduced vector z = [x_free, u].
 
-    An evaluation copies v, theta and the injections out of z into one State
-    and one InputVector that the problem owns, whose slack entries stay put,
-    so the fit builds no objects; ``split`` makes the caller's own pair.
+    An evaluation copies v and theta out of z into one State that the problem
+    owns, whose slack entries stay put, and reads the injections straight
+    from z, so the fit builds no objects; ``split`` makes the caller's own
+    (State, InputVector) pair.
     """
 
     def __init__(self, net: Network, y: SwitchVector):
@@ -115,7 +118,6 @@ class _Problem:
         v[net.slack] = net.slack_v
         theta[net.slack] = 0.0
         self.point = State(v=v, theta=theta)
-        self.inputs = InputVector(pg=np.empty(net.n_gen), qg=np.empty(net.n_gen))
 
     def split(self, z):
         net = self.net
@@ -134,8 +136,6 @@ class _Problem:
         self.point.v[self.free_bus] = z[0:nxf:2]
         self.point.theta[self.free_bus] = z[1:nxf:2]
         u = z[nxf:]
-        self.inputs.pg[:] = u[0::2]
-        self.inputs.qg[:] = u[1::2]
         P, values = outflow_terms(net, self.point)
         J = self.jac_base.copy()
         J.ravel()[net.fit_index] = values[net.fit_pick]
@@ -152,15 +152,29 @@ class FitResult:
     status: str     # "balanced", "stationary" or "cap"
 
 
+def _solve(M, b):
+    """M^-1 b, by least squares when M is singular to working precision."""
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, b, rcond=None)[0]
+
+
 def least_squares(prob: _Problem, z0) -> FitResult:
     """Projected Levenberg-Marquardt fit of 0.5 |F|^2 over [prob.lower, prob.upper].
 
     A coordinate held at a bound by a gradient pointing out of the box is
-    fixed; the rest take the damped Gauss-Newton step with damping
-    lam * diag(Jf'Jf), clipped back into the box.  lam grows fourfold on a
-    rejected step and shrinks threefold on an accepted one.  Each point costs
-    one ``residual_jacobian`` evaluation, and the result carries the one at
-    its end point.  Ends "balanced" at max|F| <=
+    fixed; the rest take the damped Gauss-Newton step, the solution of
+    M s = -g with M = Jf'Jf + lam * diag(Jf'Jf), clipped back into the box.
+    When the clip cuts the step so far that the clipped step h no longer
+    decreases the Gauss-Newton model (g'h + 0.5 |Jh|^2 >= 0), the free
+    coordinates that left the box are held at the bounds they crossed and
+    the same damped system is re-solved for the rest (projected Newton,
+    Bertsekas 1982; projected Levenberg-Marquardt, Kanzow, Yamashita and
+    Fukushima 2004); only that point, clipped, is evaluated.  lam grows
+    fourfold on a rejected step and shrinks threefold on an accepted one.
+    Each point costs one ``residual_jacobian`` evaluation, and the result
+    carries the one at its end point.  Ends "balanced" at max|F| <=
     TOL_FEAS, "stationary" when the projected gradient, the relative
     decrease or the largest lam leaves nothing to gain, and "cap" after
     FIT_MAX_ITERS steps.
@@ -186,11 +200,21 @@ def least_squares(prob: _Problem, z0) -> FitResult:
         while True:
             M = H + lam * np.diag(d)
             step = np.zeros_like(z)
-            try:
-                step[free] = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:
-                step[free] = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            z_try = np.clip(z + step, lower, upper)
+            step[free] = _solve(M, rhs)
+            z_step = z + step
+            z_try = np.clip(z_step, lower, upper)
+            out = z_try != z_step
+            if out.any():
+                h = z_try - z
+                Jh = J @ h
+                if float(g @ h) + 0.5 * float(Jh @ Jh) >= 0.0:
+                    # the clip spoiled the step: hold the leaving coordinates
+                    # at their bounds and re-solve the damped system for the
+                    # other free ones
+                    keep = free & ~out
+                    k, o = keep[free], out[free]
+                    s = _solve(M[np.ix_(k, k)], rhs[k] - M[np.ix_(k, o)] @ h[out])
+                    z_try[keep] = np.clip(z[keep] + s, lower[keep], upper[keep])
             F_try, J_try = prob.residual_jacobian(z_try)
             nfev += 1
             f_try = 0.5 * float(F_try @ F_try)

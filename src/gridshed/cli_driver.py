@@ -145,7 +145,9 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     Switch sets that a continuous solve proved infeasible are remembered by
     their live demands.  When the switching stage proposes one of them again,
     it is re-run with every remembered set as a no-good cut; a run that never
-    re-proposes a rejected set is untouched.
+    re-proposes a rejected set is untouched.  An infeasible verdict never
+    ends the loop, even when the operating point did not move, so the final
+    set is never one that a continuous solve proved infeasible.
     """
     cfg = SolverConfig() if cfg is None else cfg
     work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
@@ -171,10 +173,11 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
         t_ao1 += time.perf_counter() - tick
         outer += 1
         y_solved = y
-        if ao1.status == "infeasible":
-            rejected.setdefault(tuple(y.y[live].tolist()), y.y)
         xu = np.concatenate([ao1.state.as_vector(), ao1.input.as_vector()])
-        if prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
+        if ao1.status == "infeasible":
+            # a set proved infeasible is cut, never settled on
+            rejected.setdefault(tuple(y.y[live].tolist()), y.y)
+        elif prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
             converged = True
             break
         prev_xu = xu
@@ -203,10 +206,9 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     resid = constraints_C(work, ao1.state, ao1.input, y_solved)
     worst = int(np.argmax(resid))
     if ao1.status != "converged" or float(resid[worst]) > FEAS_TOL:
-        verdict = f"{ao1.status} by {ao1.certificate}" if ao1.certificate else ao1.status
         raise DriverError(
             "final switch set admits no feasible operating point "
-            f"(continuous stage {verdict}, worst violation {float(resid[worst]):.3e} "
+            f"(continuous stage {ao1.status}, worst violation {float(resid[worst]):.3e} "
             f"in {constraint_row(work, worst)}, row {worst})",
             "infeasible",
             best,

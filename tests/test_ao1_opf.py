@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 import gridshed
 from gridshed import ao1_opf
 from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
-from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle
+from gridshed.ao2_sbqp import Ao2Variant
+from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle, run_ao_sbqp
 from gridshed.power_equations import (SwitchVector, constraints_C, hessian_Q, jacobians, network,
                                       outflow)
 
@@ -328,6 +330,70 @@ def test_fit_keeps_every_point_inside_the_bounds(negative_g5, start):
     for z in seen + [out.x]:
         assert np.all(z >= prob.lower) and np.all(z <= prob.upper)
     assert out.status == "stationary"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_spoiled_clip_is_re_solved_on_the_free_coordinates(sign):
+    # F = A z - b from z = 0: the damped Gauss-Newton step, about
+    # sign * (17, -17), runs along the flat direction of A'A.  The box cuts
+    # its second coordinate to the bound and keeps the first, a step up the
+    # steep direction that raises the model
+    A = np.array([[1.0, 1.0], [0.0, 0.1]])
+    b = sign * np.array([0.0, -2.0])
+    seen = []
+
+    def residual_jacobian(z):
+        seen.append(z.copy())
+        return A @ z - b, A.copy()
+
+    prob = SimpleNamespace(lower=np.array([-30.0, -1.0]), upper=np.array([30.0, 1.0]),
+                           residual_jacobian=residual_jacobian)
+    z0 = np.zeros(2)
+    out = ao1_opf.least_squares(prob, z0)
+
+    # the first step as the fit forms it: every coordinate free, lam = 1e-3
+    g = A.T @ (A @ z0 - b)
+    H = A.T @ A
+    M = H + 1e-3 * np.diag(np.diag(H))
+    step = np.linalg.solve(M, -g)
+    spoiled = np.clip(z0 + step, prob.lower, prob.upper)
+    h = spoiled - z0
+    assert g @ h + 0.5 * float((A @ h) @ (A @ h)) > 0.0
+    left = spoiled != z0 + step
+    assert left.tolist() == [False, True]
+    keep = ~left
+
+    z1 = seen[1]
+    # the leaving coordinate sits at the bound it crossed
+    assert np.array_equal(z1[left], np.where(step > 0.0, prob.upper, prob.lower)[left])
+    # the kept one solves the reduced damped system
+    rhs = -g[keep] - M[np.ix_(keep, left)] @ h[left]
+    resid = M[np.ix_(keep, keep)] @ (z1[keep] - z0[keep]) - rhs
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
+    # no evaluation went to the spoiled point
+    assert not any(np.array_equal(z, spoiled) for z in seen)
+    assert out.nfev == len(seen)
+    assert out.status == "stationary"
+    assert np.allclose(out.x, sign * np.array([1.0, -1.0]), atol=1e-6)
+
+
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
+def test_pinned_stressed_fits_take_few_evaluations(stressed30, monkeypatch, tag):
+    # the all-ones fit from the flat start and the warm fit at the first
+    # proposed set: 15 and 38 evaluations (25 for relaxed-two) when every
+    # spoiled clip was evaluated, 10 and 10 (8) with the re-solve
+    nfev = []
+    fit = ao1_opf.least_squares
+
+    def counting(prob, z0):
+        out = fit(prob, z0)
+        nfev.append(out.nfev)
+        return out
+
+    monkeypatch.setattr(ao1_opf, "least_squares", counting)
+    run_ao_sbqp(stressed30, SolverConfig(variant=Ao2Variant(tag=tag)))
+    assert nfev[0] <= 12
+    assert nfev[1] <= 20
 
 
 # -- closed-form balance multipliers ---------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from gridshed.cli_driver import (
     self_check,
 )
 from gridshed.grid_model import ScenarioConfig, apply_scenario, parse_case, serialize_case
-from gridshed.power_equations import SwitchVector, network
+from gridshed.power_equations import SwitchVector, constraints_C, network
 
 
 @pytest.fixture(scope="session")
@@ -211,19 +212,56 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
     assert len(rejected) == len(set(rejected))
 
 
-def test_final_infeasible_set_names_its_certificate(case5, shortfall5, monkeypatch):
-    # AO1 faked to return the screened all-ones end point every time: the
-    # loop settles on it and the final check names how it was proved
+def test_infeasible_fixed_point_is_cut_not_settled(case5, shortfall5, monkeypatch):
+    # AO1 faked to return the screened all-ones end point every time and AO2
+    # to propose the set it started from: the point never moves, but a set
+    # proved infeasible never ends the loop, so every later switching stage
+    # runs with it cut, until the outer cap
     work = cli_driver.apply_scenario(case5, shortfall5)
     stall = cli_driver.solve_ao1(work, SwitchVector(np.ones(3)))
     assert (stall.status, stall.certificate) == ("infeasible", "screen")
+    cut_runs = []
+
+    def run_ao2(case, start, duals, schedule, variant, cuts=()):
+        cut_runs.append(len(cuts))
+        return start[2], None
+
     monkeypatch.setattr(cli_driver, "solve_ao1", lambda case, y, warm=None: stall)
+    monkeypatch.setattr(cli_driver, "run_ao2", run_ao2)
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case5, SolverConfig(scenario=shortfall5))
+    assert info.value.kind == "no-convergence"
+    assert str(info.value) == ("operating point still moving after 20 outer iterations; "
+                               "the switching stage last ran with 1 infeasible switch set cut")
+    assert cut_runs == [0, 1] * 20
+
+
+def test_capped_fixed_point_ends_infeasible(case5, shortfall5, monkeypatch):
+    # a capped fit proves nothing, so it cuts nothing: when the point stops
+    # moving the loop settles, and the final check refuses the set
+    work = cli_driver.apply_scenario(case5, shortfall5)
+    stall = cli_driver.solve_ao1(work, SwitchVector(np.ones(3)))
+    capped = dataclasses.replace(stall, status="max-iterations", certificate="")
+    monkeypatch.setattr(cli_driver, "solve_ao1", lambda case, y, warm=None: capped)
     monkeypatch.setattr(cli_driver, "run_ao2",
                         lambda case, start, duals, schedule, variant, cuts=(): (start[2], None))
     with pytest.raises(DriverError) as info:
         run_ao_sbqp(case5, SolverConfig(scenario=shortfall5))
     assert info.value.kind == "infeasible"
-    assert "(continuous stage infeasible by screen, worst violation" in str(info.value)
+    assert info.value.best.outer_iterations == 2
+    assert "(continuous stage max-iterations, worst violation" in str(info.value)
+
+
+def test_draw_whose_fit_stops_next_to_a_rejected_point_is_answered(case30):
+    # shed30 seed 23 call 7: the sixth AO1 fit proves its set infeasible at a
+    # point within outer_eps of the fifth one; settling there used to end the
+    # solve with "final switch set admits no feasible operating point"
+    scenario = ScenarioConfig(pd_shift=2.6939330806573643, rank_seed=906978376)
+    res = run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag="relaxed-one"), scenario=scenario))
+    work = cli_driver.apply_scenario(case30, scenario)
+    assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
+    assert res.objective == pytest.approx(7.773302, abs=1e-6)
+    assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
 
 
 def test_rejected_draw_is_answered_without_re_solving_it(case30, monkeypatch):
