@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -153,6 +155,12 @@ class DemandSpec:
             raise CaseError(f"demand at bus {self.bus}: pd must be non-negative")
 
 
+@cache
+def _field_getter(cls):
+    """Reads the values of a record class's dataclass fields, in field order."""
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
 @dataclass(frozen=True)
 class GridCase:
     """A grid case: buses, branches, generators, switchable demands.
@@ -210,9 +218,26 @@ class GridCase:
         # tuple of them, so the value is the same in every process.
         object.__setattr__(self, "_hash", hash(
             (self.buses, self.branches, self.generators, self.demands, self.base_mva)))
+        # every table's length, then each record's class and field values, in
+        # one flat tuple: __eq__ compares it in one pass, not record by record
+        key = []
+        for table in (self.buses, self.branches, self.generators, self.demands):
+            key.append(len(table))
+            for record in table:
+                key.append(record.__class__)
+                key.extend(_field_getter(record.__class__)(record))
+        key.append(self.base_mva)
+        object.__setattr__(self, "_key", tuple(key))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # the generated __eq__'s answer: the same values in the same order, so
+        # -0.0 == 0.0 and True == 1 as before
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     @property
     def bus_ids(self) -> tuple[int, ...]:

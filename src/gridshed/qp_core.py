@@ -53,6 +53,19 @@ numpy scalar views.  What does not change within a solve is computed once:
 every kernel run under one curvature h, and ``_probe_moves`` the parts of
 the endpoint moves that do not depend on the point.
 
+Most row work has a known answer, and the kernel skips it without moving a
+float.  ``_dual_clip`` keeps one clip z of shifted = s + A'lam and
+recomputes it only when a multiplier moves.  A row whose multiplier is 0
+and that z meets keeps it with no root search: ``_row_root`` would return
+0.0 at its first test, whose slack is the same dot product over the same
+values (its base is shifted - 0 A[i]; only signs of zeros can differ, and
+-0.0 >= 0 holds).  The end-of-sweep residual and the returned point are
+that same clip.  Under h = 1, the projection of the stationary path, no
+division by h is made, as x / 1.0 == x holds exactly, -0.0 included.  The
+stationary path's stop test checks stationarity, the first term of
+``kkt_residual``, from the iteration's own gradient, and forms the full
+residual only when that passes.
+
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
 """
@@ -169,10 +182,13 @@ class _Rows:
     kernel run and row root reuses: the box scaled by h (the values of
     s + A'lam at which a coordinate reaches a box end) and, per row, the mask
     of its nonzero entries, the scaled lower then upper ends at those
-    positions, and the entries themselves repeated to match."""
+    positions, and the entries themselves repeated to match; unit tells
+    whether h is all ones."""
 
     def __init__(self, problem: QpProblem, h: np.ndarray):
         self.h_lower, self.h_upper = h * problem.lower, h * problem.upper
+        # h = 1, the projection: x / 1.0 == x, so every division by h is skipped
+        self.unit = bool((h == 1.0).all())
         self.support = []
         for a in problem.A:
             nz = a != 0.0
@@ -207,19 +223,26 @@ def _row_root(problem: QpProblem, i: int, h: np.ndarray, base: np.ndarray, rows:
     the caller has it.
     """
     a, b_i, lower, upper = problem.A[i], problem.b[i], problem.lower, problem.upper
+    rows = _Rows(problem, h) if rows is None else rows
+    unit = rows.unit
 
     def slack(lam):
-        z = ((base + lam * a) / h).clip(lower, upper)
-        return float(b_i + a @ z)
+        x = base + lam * a
+        if not unit:
+            x /= h
+        return float(b_i + a @ x.clip(lower, upper))
 
     s0 = slack(0.0)
     if s0 >= 0.0:
         return 0.0
-    nz, ends, a2 = (_Rows(problem, h) if rows is None else rows).support[i]
+    nz, ends, a2 = rows.support[i]
     base_nz = base[nz]
     kinks = (ends - np.concatenate([base_nz, base_nz])) / a2
     lams = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < ROOT_CAP)]), [ROOT_CAP]])
-    s = b_i + ((base + lams[:, None] * a) / h).clip(lower, upper) @ a
+    x = base + lams[:, None] * a
+    if not unit:
+        x /= h
+    s = b_i + x.clip(lower, upper) @ a
     s[0] = s0
     meets = (s >= 0.0).nonzero()[0]
     k = int(meets[0]) if meets.size else lams.size - 1
@@ -264,36 +287,48 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, rows: _Rows | N
 
     The dual has one variable per row; for fixed multipliers the primal is
     the box clip of (s + A'lam) / h, and the slack of row i is nondecreasing
-    in lam_i, so each coordinate update is a scalar root find.  rows is
+    in lam_i, so each coordinate update is a scalar root find.  One clip z
+    of shifted = s + A'lam is kept and recomputed only when a multiplier
+    moves: a row with lam_i = 0 that z meets keeps lam_i = 0 without a root
+    search, and the residual and the returned point are that clip.  rows is
     _Rows(problem, h), when the caller has it.  Returns (z, lam, mu, gam,
     converged).
     """
     A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
     rows = _Rows(problem, h) if rows is None else rows
+    unit = rows.unit
+
+    def clip(shifted):
+        return (shifted if unit else shifted / h).clip(lower, upper)
+
     lam = np.zeros(A.shape[0])
-    scale = max(1.0, float(np.abs(s / h).max(initial=0.0)))
+    scale = max(1.0, float(np.abs(s if unit else s / h).max(initial=0.0)))
     tol = 1e-11 * scale
-
-    def finish(converged):
-        shifted = s + A.T @ lam
-        return ((shifted / h).clip(lower, upper), lam, *rows.bound_duals(shifted), converged)
-
+    shifted = s + A.T @ lam
+    z = clip(shifted)
+    converged = False
     for _ in range(200):
         moved = 0.0
         for i in range(A.shape[0]):
-            new = _row_root(problem, i, h, s + A.T @ lam - lam[i] * A[i], rows)
+            if lam[i] == 0.0 and b[i] + A[i] @ z >= 0.0:
+                continue
+            new = _row_root(problem, i, h, shifted - lam[i] * A[i], rows)
             if new is None:
-                return finish(False)
+                return z, lam, *rows.bound_duals(shifted), False
             moved = max(moved, abs(new - lam[i]))
-            lam[i] = new
-        resid = b + A @ ((s + A.T @ lam) / h).clip(lower, upper)
+            if new != lam[i]:
+                lam[i] = new
+                shifted = s + A.T @ lam
+                z = clip(shifted)
+        resid = b + A @ z
         # every positive-multiplier row must be active; the product form
         # lam*resid has an ulp floor of lam*eps*scale and cannot certify
         if float((-resid).max(initial=0.0)) <= tol and bool(((lam <= 0.0) | (np.abs(resid) <= tol)).all()):
-            return finish(True)
+            converged = True
+            break
         if moved <= 1e-16 * scale:
             break
-    return finish(False)
+    return z, lam, *rows.bound_duals(shifted), converged
 
 
 def _solve_exact(problem: QpProblem) -> QpSolution:
@@ -346,7 +381,9 @@ def _endpoint_probe(problem, z, value, moves=None):
     slack = problem.b + problem.A @ z
     n = problem.dim
     cols, q_cols, g_cols, neg_a = _probe_moves(problem) if moves is None else moves
-    dk = np.stack([problem.lower - z, problem.upper - z], axis=1).ravel()
+    dk = np.empty(2 * n)
+    np.subtract(problem.lower, z, out=dk[0::2])
+    np.subtract(problem.upper, z, out=dk[1::2])
     rate = neg_a * dk
     caps = np.divide(slack[:, None], rate, out=np.ones(rate.shape), where=rate > 1e-14).min(
         axis=0, initial=1.0)
@@ -359,6 +396,18 @@ def _endpoint_probe(problem, z, value, moves=None):
         if value(cand) > base + margin:
             return cand
     return None
+
+
+def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> bool:
+    """kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT, given grad = q z + g.
+
+    Stationarity is the first term of kkt_residual's max and the same float
+    expression, so it is tested first from the caller's gradient, and the
+    full residual is formed only when it passes.
+    """
+    if float(np.abs(grad + problem.A.T @ lam + mu - gam).max()) > TOL_STAT:
+        return False
+    return kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT
 
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
@@ -398,7 +447,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad, rows)
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
-        if kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT:
+        if _kkt_met(problem, grad, z, lam, mu, gam):
             probe = _endpoint_probe(problem, z, value, moves)
             if probe is None:
                 status = "optimal"

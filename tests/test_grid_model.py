@@ -448,6 +448,39 @@ def test_scenario_rank_determinism(case30):
     assert all(1 <= d.rank <= 5 for d in a.demands)
 
 
+def test_case_equality_is_field_equality(case5):
+    def fields_of(case):
+        return (case.buses, case.branches, case.generators, case.demands, case.base_mva)
+
+    slack = next(i for i, b in enumerate(case5.buses) if b.is_slack)
+    first = case5.demands[0]
+    variants = {
+        "same": case5,
+        # -0.0 == 0.0 and True == 1: equal, and equal hashes
+        "signed-zero": dataclasses.replace(case5, demands=(dataclasses.replace(first, qd=-0.0),)
+                                           + case5.demands[1:]),
+        "unsigned-zero": dataclasses.replace(case5, demands=(dataclasses.replace(first, qd=0.0),)
+                                             + case5.demands[1:]),
+        "int-slack": dataclasses.replace(case5, buses=tuple(
+            dataclasses.replace(b, is_slack=1) if i == slack else b
+            for i, b in enumerate(case5.buses))),
+        "one-ulp": dataclasses.replace(case5, demands=(dataclasses.replace(
+            first, pd=np.nextafter(first.pd, 1.0)),) + case5.demands[1:]),
+        "base-mva": dataclasses.replace(case5, base_mva=case5.base_mva + 1.0),
+        "fewer-demands": dataclasses.replace(case5, demands=case5.demands[1:]),
+    }
+    for a in variants.values():
+        for b in variants.values():
+            assert (a == b) is (fields_of(a) == fields_of(b))
+            assert (a != b) is (fields_of(a) != fields_of(b))
+            if a == b:
+                assert hash(a) == hash(b)
+    assert variants["signed-zero"] == variants["unsigned-zero"]
+    assert variants["int-slack"] == case5
+    assert variants["one-ulp"] != case5
+    assert case5 != fields_of(case5)
+
+
 def test_scenario_zero_total_demand_rejected(case30):
     # reactive shift with nothing to distribute over
     drained = GridCase(

@@ -94,6 +94,19 @@ def test_network_lookup_does_not_rehash_the_case(case30_text, monkeypatch):
     assert calls == []
 
 
+def test_network_lookup_with_an_equal_case(case30_text):
+    case = parse_case(case30_text)
+    net = network(case)
+    # an equal case built apart from the first finds its entry; one float
+    # changed in the last demand makes another entry
+    assert network(parse_case(case30_text)) is net
+    last = case.demands[-1]
+    moved = dataclasses.replace(case, demands=case.demands[:-1] + (
+        dataclasses.replace(last, pd=np.nextafter(last.pd, 1.0)),))
+    assert moved != case
+    assert network(moved) is not net
+
+
 def test_line_flow_zero_at_flat_start(case5):
     state = flat_state(case5)
     for br in case5.branches:

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridshed import qp_core
 from gridshed.qp_core import (
-    ROOT_CAP, QpProblem, _dual_clip, _endpoint_probe, _row_root, kkt_residual, solve_qp,
+    ROOT_CAP, TOL_STAT, QpProblem, _dual_clip, _endpoint_probe, _kkt_met, _row_root, kkt_residual,
+    solve_qp,
 )
 
 # optima of the three seeded problems below, from scipy.optimize.minimize
@@ -505,3 +507,114 @@ def test_dual_clip_matches_frozen_kernel(seed):
     assert got_ok == ref_ok
     for a, b in zip(got, ref):
         assert a.tobytes() == b.tobytes()
+
+
+def aggregate_rows_problem(rng, n, n_cuts, h, s):
+    """Rows shaped like an AO2 subproblem's: -pd, -qd and +qd over the
+    demands, then no-good cut rows with entries in {-1, 0, 1}, over the box
+    [-y_lin, 1 - y_lin].  A point p of the box meets every row.  A row drawn
+    to bind passes just inside p, where the clip z0 at lam = 0 often breaks
+    it; any other is placed against z0 and p: far inside both, on the nearer,
+    or a little inside it, so that it is met at lam = 0 until another row's
+    root moves the clip."""
+    pd = rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.9)
+    qd = rng.uniform(-0.2, 0.3, n) * (rng.random(n) < 0.7)
+    A = np.vstack([-pd, -qd, qd, rng.integers(-1, 2, (n_cuts, n)).astype(float)])
+    y_lin = np.where(rng.random(n) < 0.7, rng.integers(0, 2, n), rng.random(n)).astype(float)
+    lower, upper = -y_lin, 1.0 - y_lin
+    p = np.where(rng.random(n) < 0.5, rng.choice([lower, upper]), rng.uniform(lower, upper))
+    z0 = np.clip(s / h, lower, upper)
+    width = np.abs(A).sum(axis=1)
+    near = 0.05 * width * rng.random(width.size)
+    offset = np.array([rng.choice([1.0 + w, 0.0, d]) for w, d in zip(width, near)])
+    binds = rng.random(width.size) < 0.4
+    b = np.where(binds, -(A @ p) + near, -np.minimum(A @ z0, A @ p) + offset)
+    return QpProblem(q=-h, g_lin=s, A=A, b=b, lower=lower, upper=upper)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_clip_matches_frozen_kernel_on_subproblem_rows(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    # h = 1 is the stationary path's projection, h = -q the exact path's
+    h = np.ones(n) if rng.random() < 0.5 else 10.0 ** rng.uniform(-5, 1, n)
+    s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 1)
+    s[rng.random(n) < 0.2] = -0.0
+    s[rng.random(n) < 0.1] = 0.0
+    problem = aggregate_rows_problem(rng, n, int(rng.integers(0, 4)), h, s)
+    *got, got_ok = _dual_clip(problem, h, s)
+    *ref, ref_ok = frozen_dual_clip(problem, h, s)
+    assert got_ok == ref_ok
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
+
+
+def count_roots(monkeypatch):
+    calls = []
+
+    def spy(problem, i, *args):
+        calls.append(i)
+        return _row_root(problem, i, *args)
+
+    monkeypatch.setattr(qp_core, "_row_root", spy)
+    return calls
+
+
+def test_dual_clip_searches_no_root_for_rows_met_at_zero(monkeypatch):
+    calls = count_roots(monkeypatch)
+    pd, qd = np.array([0.3, 0.2, 0.4]), np.array([0.1, -0.05, 0.2])
+    problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
+                        b=np.array([1.0, 1.0, 1.0]), lower=-np.ones(3), upper=np.zeros(3))
+    s = np.array([0.5, -0.25, -0.0])
+    z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), s)
+    assert ok and calls == []
+    assert np.array_equal(lam, np.zeros(3)) and np.array_equal(z, np.clip(s, -1.0, 0.0))
+
+
+def test_dual_clip_first_sweep_searches_only_the_binding_row(monkeypatch):
+    calls = count_roots(monkeypatch)
+    pd, qd = np.array([0.3, 0.2, 0.4]), np.array([0.1, -0.05, 0.2])
+    # served power 0.9 at the clip z = 1 against a capacity of 0.6: only the
+    # active row binds, and the reactive rows stay met as it is cut back
+    problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
+                        b=np.array([0.6, 1.0, 1.0]), lower=np.zeros(3), upper=np.ones(3))
+    z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), np.full(3, 2.0))
+    assert ok and calls == [0]
+    assert lam[0] > 0.0 and lam[1] == lam[2] == 0.0
+
+
+def kkt_point(rng):
+    """A random problem and point whose KKT residual parts sit at, above or
+    below TOL_STAT: each perturbation is 0 or about 1e-10 to 1e-7."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+
+    def near(size):
+        return rng.choice([0.0, 1.0], size) * rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-10, -7, size)
+
+    lower = -rng.uniform(0.0, 1.0, n)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    ends = rng.random(n)
+    z = np.where(ends < 0.3, lower, np.where(ends > 0.7, upper, rng.uniform(lower, upper))) + near(n)
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
+    lam = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.0, 2.0, m)) + np.abs(near(m))
+    b = -(A @ z) + np.where(lam > 1e-7, 0.0, rng.uniform(0.0, 1.0, m)) + near(m)
+    mu = np.where(z <= lower, rng.uniform(0.0, 2.0, n), 0.0) + np.abs(near(n))
+    gam = np.where(z >= upper, rng.uniform(0.0, 2.0, n), 0.0) + np.abs(near(n))
+    q = rng.normal(size=n)
+    g = -(q * z + A.T @ lam + mu - gam) + near(n)
+    return QpProblem(q=q, g_lin=g, A=A, b=b, lower=lower, upper=upper), z, lam, mu, gam
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_guarded_stop_test_decides_as_the_full_residual(seed):
+    problem, z, lam, mu, gam = kkt_point(np.random.default_rng(seed))
+    grad = problem.q * z + problem.g_lin
+    assert _kkt_met(problem, grad, z, lam, mu, gam) == (kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT)
+
+
+def test_kkt_points_straddle_the_tolerance():
+    # the drawn points above are not all on one side of the stop test
+    met = [kkt_residual(*kkt_point(np.random.default_rng(seed))) <= TOL_STAT for seed in range(200)]
+    assert 20 <= sum(met) <= 180
