@@ -6,16 +6,16 @@ from the decision vector z = [x_free, u].
 
 E is affine in the balance residuals, so every feasible point is optimal and
 the equality multipliers are -y_k r_k on the active demand rows at every
-point. The stage therefore only has to find a balanced point inside the
-bounds, or show that there is none. ``least_squares`` does both: a projected
-Levenberg-Marquardt fit (More 1978) of 0.5 |F|^2 over the bounds, started
-from the warm point or the flat point, clipped into the box. A step that the
-box clip spoils, so that it no longer decreases the Gauss-Newton model, is
-re-solved with the coordinates that left the box held at their bounds before
-it is evaluated. How the fit ends sets the status:
+point, balanced or not. The stage hands these over as ``Ao1Result.duals``,
+one per demand, whatever the status, and only has to find a balanced point
+inside the bounds, or show that there is none. ``least_squares`` does both: a
+projected Levenberg-Marquardt fit (More 1978) of 0.5 |F|^2 over the bounds,
+started from the warm point or the flat point, clipped into the box. A step
+that the box clip spoils, so that it no longer decreases the Gauss-Newton
+model, is re-solved with the coordinates that left the box held at their
+bounds before it is evaluated. How the fit ends sets the status:
 
-- balanced (max|F| <= TOL_FEAS) and the KKT check at its end point passes:
-  "converged";
+- balanced (max|F| <= TOL_FEAS): "converged";
 - on a set that ``active_capacity_screen`` proves short of active capacity
   in closed form: "infeasible" with certificate "screen", however the fit
   ends;
@@ -33,9 +33,7 @@ Each point of the fit costs one ``outflow_terms`` pass over the branch
 edges. It gives the residual and the derivative values, which are scattered
 straight into the C-contiguous balance Jacobian J = [dP/dx on the free state
 columns | -gen_sel] at indices that ``network`` builds once per case; J keeps
-the -0.0 entries of -gen_sel. The fit forms no objective gradient. The KKT
-check max|J' nu - grad E| takes the closed-form nu and forms grad E once,
-from the fit's last J.
+the -0.0 entries of -gen_sel. The fit forms no objective gradient.
 """
 
 from __future__ import annotations
@@ -54,12 +52,10 @@ from .power_equations import (
     jacobians,  # not called here; bench/tracer.py wraps ao1_opf.jacobians
     network,
     objective_E,
-    objective_gradient,
     outflow_terms,
 )
 
 TOL_FEAS = 1e-8
-TOL_KKT = 1e-6
 FIT_MAX_ITERS = 200
 FIT_LAMBDA_MAX = 1e16
 
@@ -68,8 +64,8 @@ FIT_LAMBDA_MAX = 1e16
 class Ao1Result:
     state: State
     input: InputVector
-    duals: np.ndarray
-    kkt_residual: float
+    duals: np.ndarray       # the balance multiplier -y r of each demand's active row
+    residual: float         # max|F| at the end point
     objective: float
     status: str
     iterations: int = 0     # fit evaluations after the one at the start point
@@ -147,7 +143,6 @@ class _Problem:
 class FitResult:
     x: np.ndarray
     fun: np.ndarray
-    jac: np.ndarray
     nfev: int
     status: str     # "balanced", "stationary" or "cap"
 
@@ -174,7 +169,7 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     Fukushima 2004); only that point, clipped, is evaluated.  lam grows
     fourfold on a rejected step and shrinks threefold on an accepted one.
     Each point costs one ``residual_jacobian`` evaluation, and the result
-    carries the one at its end point.  Ends "balanced" at max|F| <=
+    carries the residual at its end point.  Ends "balanced" at max|F| <=
     TOL_FEAS, "stationary" when the projected gradient, the relative
     decrease or the largest lam leaves nothing to gain, and "cap" after
     FIT_MAX_ITERS steps.
@@ -187,11 +182,11 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     lam = 1e-3
     for _ in range(FIT_MAX_ITERS):
         if float(np.abs(F).max()) <= TOL_FEAS:
-            return FitResult(z, F, J, nfev, "balanced")
+            return FitResult(z, F, nfev, "balanced")
         g = J.T @ F
         free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
         if float(np.abs(g[free]).max(initial=0.0)) <= 1e-12 * max(1.0, f):
-            return FitResult(z, F, J, nfev, "stationary")
+            return FitResult(z, F, nfev, "stationary")
         Jf = J[:, free]
         H = Jf.T @ Jf
         d = np.diag(H).copy()
@@ -222,39 +217,14 @@ def least_squares(prob: _Problem, z0) -> FitResult:
                 break
             lam *= 4.0
             if lam > FIT_LAMBDA_MAX:
-                return FitResult(z, F, J, nfev, "stationary")
+                return FitResult(z, F, nfev, "stationary")
         decrease = f - f_try
         z, F, J, f = z_try, F_try, J_try, f_try
         lam /= 3.0
         if decrease <= 1e-14 * (f + decrease):
-            return FitResult(z, F, J, nfev, "stationary")
+            return FitResult(z, F, nfev, "stationary")
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"
-    return FitResult(z, F, J, nfev, status)
-
-
-def _balance_duals(prob) -> np.ndarray:
-    """-y r on each demand's active row, 0 elsewhere: pg - P_act = y^2 pd - F_act
-    on a demand bus, so grad E = J' nu at every point, balanced or not.  Demand
-    buses are unique, so each row takes one demand."""
-    net = prob.net
-    nu = np.zeros(2 * net.n_bus)
-    nu[2 * net.dem_pos] = -prob.y.y * net.rank
-    return nu
-
-
-def _grad_E(prob, J) -> np.ndarray:
-    """grad E on the z columns from the fit Jacobian J, by the formula of ``jacobians``."""
-    return objective_gradient(prob.net, prob.y, J[2 * prob.net.dem_pos, :prob.nx_free])
-
-
-def _pack_duals(prob, nu):
-    """Spread the balance multipliers over the full constraint stack; every
-    bound multiplier is 0."""
-    nx = nu.size
-    duals = np.zeros(prob.net.n_c_rows)
-    duals[:nx] = np.maximum(nu, 0.0)
-    duals[nx:2 * nx] = np.maximum(-nu, 0.0)
-    return duals
+    return FitResult(z, F, nfev, status)
 
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
@@ -272,19 +242,16 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         z0 = np.concatenate([x0[prob.free], 0.5 * (net.u_lower + net.u_upper)])
 
     fit = least_squares(prob, z0)
-    nu = _balance_duals(prob)
     feas = float(np.abs(fit.fun).max())
-    stat = float(np.abs(fit.jac.T @ nu - _grad_E(prob, fit.jac)).max())
-    if feas <= TOL_FEAS and stat <= TOL_KKT:
+    if feas <= TOL_FEAS:
         status, certificate = "converged", ""
     elif active_capacity_screen(net, y_fixed):
         status, certificate = "infeasible", "screen"
-    elif fit.status == "stationary" and feas > TOL_FEAS:
+    elif fit.status == "stationary":
         status, certificate = "infeasible", "restoration"
     else:
         # a capped fit is no proof
         status, certificate = "max-iterations", ""
     state, u = prob.split(fit.x)
     E = objective_E(net, state, u, y_fixed)
-    return Ao1Result(state, u, _pack_duals(prob, nu), max(feas, stat), E, status, fit.nfev - 1,
-                     certificate)
+    return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, status, fit.nfev - 1, certificate)

@@ -208,7 +208,7 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
         b = np.concatenate([b, np.abs(y_lin - stars) @ live - 1.0])
 
     if variant.tag == "mixed":
-        q = hessian_Q(net, state, inputs, switches, duals)
+        q = hessian_Q(net, duals)
         top = float(q.max())
         floor = CURVATURE_FLOOR * max(1.0, abs(top))
         if top > -floor:
@@ -340,7 +340,8 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     """One switching stage around the given continuous operating point.
 
     start is the (State, InputVector, SwitchVector) triple from the
-    continuous stage and duals its constraint multipliers.  Returns
+    continuous stage and duals its balance multipliers, one per demand
+    (``Ao1Result.duals``).  Returns
     (SwitchVector, SbqpTrace); coordinates within twice schedule.eps of an
     endpoint are snapped exactly to it, which the exit tolerance guarantees
     covers every coordinate.  cuts holds switch sets to exclude, one no-good

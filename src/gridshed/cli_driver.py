@@ -496,14 +496,17 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
         worst["objective-gradient"] = max(worst["objective-gradient"], _rel_err(dE, fd_e))
         fd_c = _central(lambda z: constraints_C(case, *split(z)), z0)
         worst["constraint-jacobian"] = max(worst["constraint-jacobian"], _rel_err(dC, fd_c))
-        duals = rng.uniform(-1.0, 1.0, net.n_c_rows)
+        # one multiplier per demand's active balance row, drawn at the length
+        # of the constraint stack so that every later draw stays the same
+        nu_act = rng.uniform(-1.0, 1.0, net.n_c_rows)[:net.n_dem]
 
         def grad_l0_y(yy):
             y2 = SwitchVector(yy)
             _, dP_dx2, dE2 = jacobians(net, state, u, y2)
-            return (dE2 - duals @ constraint_jacobian(net, dP_dx2, y2))[nx + nu:]
+            dC_act = constraint_jacobian(net, dP_dx2, y2)[2 * net.dem_pos]
+            return (dE2 - nu_act @ dC_act)[nx + nu:]
 
-        Qd = np.diag(hessian_Q(net, state, u, y, duals))
+        Qd = np.diag(hessian_Q(net, nu_act))
         worst["switch-curvature"] = max(worst["switch-curvature"], _rel_err(Qd, _central(grad_l0_y, y.y.copy())))
 
     checks = [

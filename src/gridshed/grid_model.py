@@ -300,8 +300,11 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise CaseError(f"{name} must lie in (0, 1]")
-        if self.rank_levels < 1:
-            raise CaseError("rank_levels must be >= 1")
+        levels, seed = self.rank_levels, self.rank_seed
+        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 1:
+            raise CaseError(f"rank_levels must be an integer >= 1, got {levels!r}")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+            raise CaseError(f"rank_seed must be None or an integer >= 0, got {seed!r}")
 
 
 _ASSIGN_RE = re.compile(r"^\s*(?:mpc\.)?(\w+)\s*=\s*(.*)$")
@@ -312,16 +315,15 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_matrix_rows(name, lines, start_idx):
-    """Collect the numeric rows of ``name = [ ... ];`` starting at start_idx."""
+    """Collect the numeric rows of ``name = [ ... ];`` starting at start_idx.
+
+    The table ends at the first ``]``, with or without a ``;`` after it, so
+    the last row may close it: ``... 0.9]``."""
     rows = []
     i = start_idx
     while i < len(lines):
-        raw = _strip_comment(lines[i][1]).strip()
+        raw, bracket, _ = _strip_comment(lines[i][1]).partition("]")
         i += 1
-        if not raw:
-            continue
-        done = raw.endswith("];") or raw == "]"
-        raw = raw.replace("];", " ").replace("]", " ").strip()
         for chunk in raw.split(";"):
             chunk = chunk.strip()
             if not chunk:
@@ -333,7 +335,7 @@ def _parse_matrix_rows(name, lines, start_idx):
             if not all(map(math.isfinite, row)):
                 raise MalformedRowError(f"non-finite value in {name}", lines[i - 1][0])
             rows.append((row, lines[i - 1][0]))
-        if done:
+        if bracket:
             return rows, i
     raise MalformedRowError(f"unterminated matrix {name}", lines[start_idx - 1][0])
 

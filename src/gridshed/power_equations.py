@@ -1,6 +1,7 @@
 """AC power flow quantities and their derivatives.
 
-Layout conventions, frozen because dual variables index into them:
+Layout conventions, frozen because ``constraint_row``, ``constraints_C`` and
+``constraint_jacobian`` index by them:
 
 * state vector x: per-bus (v, theta) pairs in ascending bus id,
   ``x = [v_1, th_1, v_2, th_2, ...]``, length 2N including the slack bus
@@ -34,8 +35,8 @@ and every evaluation routine here goes through it; the continuous stage
 scatters the same values straight into its fit Jacobian, the dP/dx columns off
 the slack next to the constant -gen_sel block.  ``jacobians`` returns (P,
 dP_dx, dE), so a caller that needs the outflow and its derivatives takes
-the trig once; ``objective_gradient`` is its formula for dE over the state
-and input columns, which the continuous stage applies to its own Jacobian.
+the trig once.  ``hessian_Q`` is the switch curvature that the balance
+multipliers give, one per demand.
 ``constraint_jacobian`` stacks dP_dx into the full (8N + 4G)-row derivative
 of C, whose leading block ``dC[:2N, :2N]`` is dP/dx; only the self-check and
 the tests need it, and no solver stage builds it.  ``line_flow`` is a
@@ -378,21 +379,6 @@ def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVec
     ])
 
 
-def objective_gradient(net: Network, y: SwitchVector, dP_act: np.ndarray) -> np.ndarray:
-    """Objective gradient over the state columns of dP_act, then over u.
-
-    dP_act holds the demand buses' active-outflow rows of dP/dx (rows
-    2 * dem_pos), on whichever state columns the caller keeps.  E = sum_D y r
-    (pg - P_act), so those rows weigh in at -y r and each demand bus's pg
-    column takes its y r."""
-    w_dem = y.y * net.rank
-    has_gen = net.dem_pg_col >= 0
-    return np.concatenate([
-        -(w_dem[:, None] * dP_act).sum(axis=0),
-        np.bincount(net.dem_pg_col[has_gen], weights=w_dem[has_gen], minlength=2 * net.n_gen),
-    ])
-
-
 def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     """Outflow and analytic first derivatives from one trig evaluation.
 
@@ -401,8 +387,15 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     (x, u, y).  ``constraint_jacobian`` stacks dP_dx into the derivative of C.
     """
     P, dP_dx = outflow(net, state, jacobian=True)
-    dE = np.concatenate([objective_gradient(net, y, dP_dx[2 * net.dem_pos]),
-                         net.rank * _delivery(net, P, input)])
+    # E = sum_D y r (pg - P_act): the demand buses' active rows of dP/dx weigh
+    # in at -y r, and each demand bus's pg column takes its y r
+    w_dem = y.y * net.rank
+    has_gen = net.dem_pg_col >= 0
+    dE = np.concatenate([
+        -(w_dem[:, None] * dP_dx[2 * net.dem_pos]).sum(axis=0),
+        np.bincount(net.dem_pg_col[has_gen], weights=w_dem[has_gen], minlength=2 * net.n_gen),
+        net.rank * _delivery(net, P, input),
+    ])
     return P, dP_dx, dE
 
 
@@ -438,17 +431,14 @@ def constraint_jacobian(net: Network, dP_dx: np.ndarray, y: SwitchVector) -> np.
     return dC
 
 
-def hessian_Q(net: Network, state: State, input: InputVector, y: SwitchVector,
-              duals: np.ndarray) -> np.ndarray:
-    """Diagonal of the y-Hessian of E - duals @ C, which is diagonal since only
-    the y^2 demand terms curve."""
-    duals = np.asarray(duals, dtype=float)
-    if duals.shape != (net.n_c_rows,):
-        raise ValueError(f"duals must have length {net.n_c_rows}")
-    nx = 2 * net.n_bus
-    lam_p = duals[2 * net.dem_pos] - duals[nx + 2 * net.dem_pos]
-    lam_q = duals[2 * net.dem_pos + 1] - duals[nx + 2 * net.dem_pos + 1]
-    return -2.0 * (lam_p * net.pd + lam_q * net.qd)
+def hessian_Q(net: Network, nu: np.ndarray) -> np.ndarray:
+    """Diagonal of the y-Hessian of E - sum_k nu_k (P - S)_act,k, with nu_k the
+    multiplier of demand k's active balance row.  Only the y^2 pd draw in S
+    curves, and E is linear in y."""
+    nu = np.asarray(nu, dtype=float)
+    if nu.shape != (net.n_dem,):
+        raise ValueError(f"nu must have length {net.n_dem}")
+    return -2.0 * (nu * net.pd)
 
 
 def phi(y: np.ndarray) -> float:

@@ -15,8 +15,8 @@ from gridshed import ao1_opf
 from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
 from gridshed.ao2_sbqp import Ao2Variant
 from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle, run_ao_sbqp
-from gridshed.power_equations import (SwitchVector, constraints_C, hessian_Q, jacobians, network,
-                                      outflow)
+from gridshed.power_equations import (SwitchVector, constraints_C, demand_draw, hessian_Q, jacobians,
+                                      network, outflow)
 
 
 def test_all_switches_open_is_trivial(case5):
@@ -36,8 +36,10 @@ def test_full_supply_on_adequate_case(case5):
     assert C.max() <= 1e-8
     # everything delivered: E = sum r pd = 10
     assert r.objective == pytest.approx(10.0, abs=1e-6)
-    assert r.duals.min() >= -1e-8
-    assert np.abs(r.duals * C).max() <= 1e-6
+    # one multiplier per demand, on a balance row that holds
+    net = network(case5)
+    assert np.array_equal(r.duals, -net.rank)
+    assert np.abs(r.duals * C[2 * net.dem_pos]).max() <= 1e-6
 
 
 def test_balance_identity_at_fractional_switches(case5):
@@ -58,18 +60,22 @@ def test_warm_restart_is_immediate(case5):
 
 def test_balance_duals_take_analytic_values(case5):
     # E depends on (x, u) only through the balance residuals, so the active
-    # balance duals equal -y r at any interior solution and the switch
-    # Hessian comes out positive semi-definite
+    # balance duals equal -y r at the balanced end point, grad E = J' nu holds
+    # there, and the switch Hessian comes out positive semi-definite
     yv = np.array([1.0, 0.7, 0.4])
-    r = solve_ao1(case5, SwitchVector(yv))
+    y = SwitchVector(yv)
+    r = solve_ao1(case5, y)
     assert r.status == "converged"
     net = network(case5)
-    nx = 2 * net.n_bus
-    nu_p = r.duals[2 * net.dem_pos] - r.duals[nx + 2 * net.dem_pos]
-    nu_q = r.duals[2 * net.dem_pos + 1] - r.duals[nx + 2 * net.dem_pos + 1]
-    np.testing.assert_allclose(nu_p, -yv * net.rank, atol=1e-6)
-    np.testing.assert_allclose(nu_q, 0.0, atol=1e-6)
-    q = hessian_Q(net, r.state, r.input, SwitchVector(yv), r.duals)
+    np.testing.assert_array_equal(r.duals, -yv * net.rank)
+    prob = ao1_opf._Problem(net, y)
+    z = np.concatenate([r.state.as_vector()[prob.free], r.input.as_vector()])
+    F, J = prob.residual_jacobian(z)
+    cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
+    grad_E = jacobians(net, r.state, r.input, y)[2][cols]
+    assert float(np.abs(F).max()) <= TOL_FEAS
+    assert float(np.abs(J[2 * net.dem_pos].T @ r.duals - grad_E).max()) <= 1e-10
+    q = hessian_Q(net, r.duals)
     np.testing.assert_allclose(q, 2.0 * yv * net.rank * net.pd, atol=1e-5)
     assert q.min() >= -1e-8
 
@@ -218,12 +224,16 @@ def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
 
 
 @pytest.mark.parametrize("yv", [(1.0, 1.0, 1.0), (0.3, 0.9, 0.5), (1.0, 0.0, 1.0)])
-def test_converged_result_reports_the_final_kkt_residual(case5, yv):
-    # the reported residual is the end point's, not the start's
-    r = solve_ao1(case5, SwitchVector(np.array(yv)))
+def test_converged_result_reports_the_final_residual(case5, yv):
+    # the reported residual is max|F| at the end point, not at the start
+    y = SwitchVector(np.array(yv))
+    r = solve_ao1(case5, y)
     assert r.status == "converged"
     assert r.iterations > 0
-    assert 0.0 <= r.kkt_residual <= ao1_opf.TOL_KKT
+    net = network(case5)
+    F = outflow(net, r.state) - net.gen_sel @ r.input.as_vector() + demand_draw(net, y)
+    assert r.residual == float(np.abs(F).max())
+    assert 0.0 <= r.residual <= TOL_FEAS
 
 
 # -- the least-squares fit and how its end maps to a status ------------------------
@@ -405,8 +415,8 @@ def test_pinned_stressed_fits_take_few_evaluations(stressed30, monkeypatch, tag)
     ("negative_g5", None, 1, "max-iterations"),
 ])
 def test_duals_are_the_closed_form_at_every_end(fixture, yv, cap, status, request, monkeypatch):
-    # however the fit ends, the hand-off carries nu = -y r on the active demand
-    # rows and nothing else, so the mixed curvature is 2 y r pd exactly
+    # however the fit ends, the hand-off carries nu = -y r, one multiplier per
+    # demand's active row, so the mixed curvature is 2 y r pd exactly
     case = request.getfixturevalue(fixture)
     if cap is not None:
         monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", cap)
@@ -414,11 +424,9 @@ def test_duals_are_the_closed_form_at_every_end(fixture, yv, cap, status, reques
     y = SwitchVector(np.ones(net.n_dem) if yv is None else np.array(yv))
     r = solve_ao1(case, y)
     assert r.status == status
-    nx = 2 * net.n_bus
-    expected = np.zeros(net.n_c_rows)
-    expected[nx + 2 * net.dem_pos] = y.y * net.rank
-    assert np.array_equal(r.duals, expected)
-    q = hessian_Q(net, r.state, r.input, y, r.duals)
+    assert r.duals.shape == (net.n_dem,)
+    assert np.array_equal(r.duals, -y.y * net.rank)
+    q = hessian_Q(net, r.duals)
     assert np.array_equal(q, 2.0 * y.y * net.rank * net.pd)
 
 
@@ -437,7 +445,29 @@ def test_balance_duals_are_stationary_off_balance(fixture, request):
         cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
         grad_E = jacobians(net, state, u, prob.y)[2][cols]
         assert float(np.abs(F).max()) > TOL_FEAS
-        assert float(np.abs(J.T @ ao1_opf._balance_duals(prob) - grad_E).max()) <= 1e-10
+        nu = -prob.y.y * net.rank
+        assert float(np.abs(J[2 * net.dem_pos].T @ nu - grad_E).max()) <= 1e-10
+
+
+def _ranks_scaled(case, factor):
+    return dataclasses.replace(case, demands=tuple(
+        dataclasses.replace(d, rank=d.rank * factor) for d in case.demands))
+
+
+def test_large_ranks_keep_full_service(case30):
+    # the status reads the balance residual alone, so the rank scale cannot
+    # turn a balanced fit into a failed one; at 1e9 the rounding of a
+    # run-time check of grad E = J' nu once did
+    plain = run_ao_sbqp(case30, SolverConfig())
+    big = run_ao_sbqp(_ranks_scaled(case30, 1e9), SolverConfig())
+    assert int(np.sum(big.switches.y < 0.5)) == 0
+    assert big.objective / 1e9 == pytest.approx(plain.objective, rel=1e-9)
+
+
+def test_balanced_fit_converges_at_any_rank_scale(case30):
+    r = solve_ao1(_ranks_scaled(case30, 1e10), SwitchVector(np.ones(20)))
+    assert r.residual <= TOL_FEAS
+    assert r.status == "converged"
 
 
 def test_converged_solve_runs_no_lstsq(case30, monkeypatch):

@@ -519,6 +519,12 @@ def test_cli_scenario_explicit_seed_moves_the_rank_draw(case30_path, case30, tmp
     assert capsys.readouterr().out == serialize_case(apply_scenario(case30, ScenarioConfig(rank_seed=11)))
 
 
+def test_cli_scenario_negative_seed_names_the_key(case30_path, capsys):
+    # it used to print numpy's "expected non-negative integer", naming no key
+    assert main(["scenario", "--case", str(case30_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: rank_seed must be None or an integer >= 0, got -1\n"
+
+
 def test_cli_missing_case_exits_two(tmp_path, capsys):
     rc = main(["solve", "--case", str(tmp_path / "nope.m"), "--out-dir", str(tmp_path)])
     assert rc == 2

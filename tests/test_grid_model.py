@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ def test_parse_malformed_row_reports_line():
     with pytest.raises(MalformedRowError) as exc:
         parse_case(bad)
     assert exc.value.line_no is not None
+
+
+@pytest.mark.parametrize("close", ["]", "];", " ] ;"])
+def test_parse_last_row_may_close_its_table(case5_text, case5, close):
+    # "... 0.9]" with no ";" used to leave the table open, so the next
+    # table's opener failed as a bad numeric row
+    text, n = re.subn(r";[ \t]*\n\];", close, case5_text)
+    assert n >= 3
+    assert parse_case(text) == case5
+
+
+def test_parse_unterminated_matrix_reports_its_opener():
+    lines = TWO_BUS.splitlines()
+    assert lines[-1] == "];"
+    with pytest.raises(MalformedRowError, match="unterminated matrix branch") as exc:
+        parse_case("\n".join(lines[:-1]))
+    assert exc.value.line_no == lines.index("mpc.branch = [") + 1
 
 
 @pytest.mark.parametrize("table, row, col, value", [
@@ -479,6 +497,24 @@ def test_case_equality_is_field_equality(case5):
     assert variants["int-slack"] == case5
     assert variants["one-ulp"] != case5
     assert case5 != fields_of(case5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank_levels", 2.5), ("rank_levels", True), ("rank_levels", 0), ("rank_levels", None),
+    ("rank_seed", 2.5), ("rank_seed", True), ("rank_seed", -1), ("rank_seed", "6"),
+])
+def test_scenario_rejects_a_bad_integer_field(field, value):
+    # rank_levels = 2.5 used to draw ranks from {1, 2}, and rank_seed = 2.5
+    # failed inside numpy with a bare TypeError
+    with pytest.raises(CaseError, match=f"^{field} must be "):
+        ScenarioConfig(**{field: value})
+
+
+def test_scenario_integer_fields_take_their_edge_values(case30):
+    assert ScenarioConfig(rank_levels=1, rank_seed=0).rank_seed == 0
+    assert ScenarioConfig(rank_seed=None).rank_seed is None
+    ranks = {d.rank for d in apply_scenario(case30, ScenarioConfig(rank_levels=1)).demands}
+    assert ranks == {1.0}
 
 
 def test_scenario_zero_total_demand_rejected(case30):

@@ -450,10 +450,10 @@ def test_split_derivatives_match_the_stacked_reference(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["case5", "case30"])
 def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
-    # AO1 scatters J = [dP/dx_free | -gen_sel] straight into its own layout and
-    # forms grad E from J once per solve; both must be the bits of the
-    # reference, and J must stay C-contiguous, since J.T @ J rounds
-    # differently on a Fortran-ordered J
+    # AO1 scatters J = [dP/dx_free | -gen_sel] straight into its own layout;
+    # it must be the bits of the reference, and it must stay C-contiguous,
+    # since J.T @ J rounds differently on a Fortran-ordered J.  With the
+    # closed-form multipliers nu = -y r, J' nu is the reference grad E
     case = request.getfixturevalue(fixture)
     net = network(case)
     prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.6)))
@@ -468,7 +468,8 @@ def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
         assert J.flags.c_contiguous
         assert J.shape == ref_J.shape
         assert J.tobytes() == ref_J.tobytes()
-        assert ao1_opf._grad_E(prob, J).tobytes() == ref_dE[cols].tobytes()
+        nu = -prob.y.y * net.rank
+        assert float(np.abs(J[2 * net.dem_pos].T @ nu - ref_dE[cols]).max()) <= 1e-10
 
 
 def test_outflow_matches_the_dense_formula(case5, case30):
@@ -541,40 +542,44 @@ def test_flat_lossless_voltage_block_is_zero():
 
 
 def test_hessian_zero_for_zero_duals(case5):
-    rng = np.random.default_rng(2)
-    state, u, y = random_point(case5, rng)
     net = network(case5)
-    q = hessian_Q(net, state, u, y, np.zeros(net.n_c_rows))
+    q = hessian_Q(net, np.zeros(net.n_dem))
     assert q.shape == (net.n_dem,)
     np.testing.assert_array_equal(q, 0.0)
 
 
 def test_hessian_single_dual(case5):
-    rng = np.random.default_rng(4)
-    state, u, y = random_point(case5, rng)
     net = network(case5)
-    duals = np.zeros(net.n_c_rows)
-    # demand index 0 lives at bus 2 (bus position 1): its active balance row is 2
-    duals[2] = 1.7
-    q = hessian_Q(net, state, u, y, duals)
+    nu = np.zeros(net.n_dem)
+    # demand index 0 lives at bus 2, with pd 3.0
+    nu[0] = 1.7
+    q = hessian_Q(net, nu)
     assert q[0] == pytest.approx(-2.0 * 1.7 * 3.0)
     assert np.count_nonzero(q) == 1
 
 
+def test_hessian_rejects_a_nu_of_the_wrong_length(case5):
+    net = network(case5)
+    for size in (net.n_dem - 1, net.n_dem + 1, net.n_c_rows):
+        with pytest.raises(ValueError, match=f"length {net.n_dem}"):
+            hessian_Q(net, np.zeros(size))
+
+
 def test_hessian_matches_finite_difference(case5):
+    # nu_k weighs demand k's active balance row of C = [P - S, ...]
     rng = np.random.default_rng(5)
     state, u, y = random_point(case5, rng)
     net = network(case5)
-    duals = rng.uniform(-1.0, 1.0, net.n_c_rows)
+    nu = rng.uniform(-1.0, 1.0, net.n_dem)
 
     def grad_L0_y(yy):
         y2 = SwitchVector(yy)
         _, dP_dx, dE = jacobians(net, state, u, y2)
         dC = constraint_jacobian(net, dP_dx, y2)
-        g = dE - duals @ dC
+        g = dE - nu @ dC[2 * net.dem_pos]
         return g[2 * net.n_bus + 2 * net.n_gen:]
 
-    q = hessian_Q(net, state, u, y, duals)
+    q = hessian_Q(net, nu)
     fd = central_diff(grad_L0_y, y.y.copy())
     # the full difference matrix against diag(q) also checks that the
     # off-diagonal curvature is zero

@@ -13,7 +13,8 @@ The digest covers the bytes of everything the call returns:
 * an answer: the switch set, the objective, the state (v, theta) and input
   (pg, qg) arrays and every AO2 trace row, plus, on oracle5, every
   enumerated entry; a bare AO2 call (switch30) gives its switch set and
-  trace, and its AO1 start from set-up is digested too;
+  trace, and the state and input of its AO1 start from set-up are digested
+  too (its multipliers, -rank by construction, are not);
 * a failure: the error type and text, and the best iterate (a
   ``DriverError``'s partial result, or an ``Ao2Error``'s trace and switches).
 
@@ -97,8 +98,10 @@ class _Digest:
 def call_digest(call: dict, inst, answer) -> str:
     d = _Digest()
     if call["kind"] == "switch":
-        (state, inputs, ones), duals = inst.start
-        for values in (state.v, state.theta, inputs.pg, inputs.qg, ones.y, duals):
+        # the start's multipliers are -rank by construction; its state and
+        # input pin it
+        (state, inputs, ones), _duals = inst.start
+        for values in (state.v, state.theta, inputs.pg, inputs.qg, ones.y):
             d.floats(values)
     if isinstance(answer, (DriverError, Ao2Error)):
         d.text(type(answer).__name__)
