@@ -4,9 +4,11 @@ The continuous stage hands over an operating point plus its closed-form
 balance multipliers (-y r on each demand's active row); this module builds
 small quadratic subproblems in the switch step, drives them under a growing
 complementarity penalty, and returns a binary switch vector once
-phi(y) = sum y(1 - y) is inside tolerance.  Every subproblem has the same
-rows: three aggregate capacity rows (served active demand within the active
-dispatch, served reactive demand within the reactive capability range) plus
+phi(y) = sum y(1 - y) is inside tolerance, one QP solve per subproblem.
+Every subproblem has the same rows: three aggregate capacity rows (served
+active demand within the active dispatch less the network losses at the
+continuous point, as DC loss factors charge them (Stott, Jardim & Alsac
+2009); served reactive demand within the reactive capability range) plus
 one cut per rejected switch set.
 
 Switch sets that the continuous stage proved infeasible can be passed in as
@@ -188,10 +190,14 @@ def live_demands(net) -> np.ndarray:
 def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) -> dict:
     """The parts of every subproblem around lin_point that do not depend on
     rho or the anchor: the box, the rows, the curvature (relaxed-one adds
-    2 rho to it) and the linear term before the penalty gradient."""
+    2 rho to it) and the linear term before the penalty gradient.  The active
+    row's right side sum pg - sum y_lin pd - L charges the network losses
+    L = sum_k P_act,k at lin_point: on a binary y_lin it is the summed active
+    balance residual there, so the step must shed at least its shortfall."""
     state, inputs, switches = lin_point
     net = network(case)
     y_lin = switches.y
+    flow = outflow(net, state)
 
     served_p = float(y_lin @ net.pd)
     served_q = float(y_lin @ net.qd)
@@ -200,6 +206,7 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
         float(net.u_upper[1::2].sum()) - served_q,
         served_q - float(net.u_lower[1::2].sum()),
     ])
+    b[0] -= float(flow[0::2].sum())
     A = np.vstack([-net.pd, -net.qd, net.qd])
     if len(cuts):
         stars = np.array([_switch_array(c) for c in cuts], dtype=float)
@@ -216,7 +223,7 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
             # curvature strictly below zero before handing it to the QP
             q = q - (top + floor)
         # E's y-gradient, rank (pg - P_act): the outflow alone, no derivative
-        g0 = net.rank * _delivery(net, outflow(net, state), inputs)
+        g0 = net.rank * _delivery(net, flow, inputs)
     else:
         q = 2.0 * (net.rank * net.pd)
         g0 = q * y_lin
@@ -230,8 +237,9 @@ def build_subproblem(case: GridCase, lin_point, duals, rho: float,
     The decision variable is the step d = y - y_lin from the linearization
     switches, so the unit box becomes [-y_lin, 1 - y_lin] and the penalty
     gradient lands directly in the linear term.  Three aggregate rows keep
-    the served demand inside what the current active dispatch and the
-    reactive capability range admit.  Each rejected switch set y* in cuts
+    the served demand inside what the current active dispatch, less the
+    network losses at lin_point, and the reactive capability range admit
+    (see _fixed_parts).  Each rejected switch set y* in cuts
     adds the row sum_live |y - y*| >= 1, which is linear over the unit box:
     coefficient 1 - 2 y* on a live demand, 0 on a zero-load one.
 
@@ -345,7 +353,8 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     (SwitchVector, SbqpTrace); coordinates within twice schedule.eps of an
     endpoint are snapped exactly to it, which the exit tolerance guarantees
     covers every coordinate.  cuts holds switch sets to exclude, one no-good
-    row each in every subproblem.
+    row each in every subproblem.  Each subproblem gets one QP solve, warm
+    started from the incumbent once there is one.
     """
     schedule = PenaltySchedule() if schedule is None else schedule
     variant = Ao2Variant() if variant is None else variant
@@ -363,17 +372,7 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
 
     def solve_sub(rho, anchor, warm):
         prob = build_subproblem(case, start, duals, rho, variant, anchor, cuts, parts)
-        warm_step = None if warm is None else warm - y_lin
-        sol = solve_qp(prob, start=warm_step)
-        if variant.tag != "mixed" and warm_step is not None:
-            # a stationary solve from the incumbent can sit in a fractional
-            # basin the penalty cannot tilt; a second start from the all-off
-            # corner reaches repacked configurations, keep the better value
-            alt = solve_qp(prob, start=prob.lower)
-            def val(s):
-                return 0.5 * float(s.primal * prob.q @ s.primal) + float(prob.g_lin @ s.primal)
-            if sol.status != "infeasible" and alt.status != "infeasible" and val(alt) > val(sol) + 1e-12:
-                sol = alt
+        sol = solve_qp(prob, start=None if warm is None else warm - y_lin)
         return y_lin + sol.primal, sol.status
 
     def psi_of(y, rho):

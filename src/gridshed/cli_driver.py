@@ -84,12 +84,12 @@ class SolverConfig:
             raise ValueError("outer_eps must be finite")
         if self.outer_eps <= 0.0:
             raise ValueError("outer_eps must be positive")
-        for name in ("outer_max_iters", "seed"):
+        for name, least in (("outer_max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.outer_max_iters < 1:
-            raise ValueError("outer_max_iters must be at least 1")
+            if value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridshed import ao2_sbqp
-from gridshed.ao1_opf import solve_ao1
+from gridshed.ao1_opf import TOL_FEAS, solve_ao1
 from gridshed.ao2_sbqp import (
     Ao2Error,
     Ao2Variant,
@@ -23,6 +23,7 @@ from gridshed.power_equations import (
     grad_phi,
     jacobians,
     network,
+    outflow,
     phi,
 )
 from gridshed.qp_core import QpProblem, solve_qp
@@ -125,9 +126,24 @@ def test_aggregate_rows_and_box(stressed30, stressed30_start):
     np.testing.assert_array_equal(prob.A[0], -net.pd)
     np.testing.assert_array_equal(prob.A[1], -net.qd)
     np.testing.assert_array_equal(prob.A[2], net.qd)
-    assert prob.b[0] == pytest.approx(float(res.input.pg.sum() - net.pd.sum()))
+    # the active row charges the network losses at the AO1 point
+    losses = float(outflow(net, res.state)[0::2].sum())
+    assert prob.b[0] == pytest.approx(float(res.input.pg.sum() - net.pd.sum()) - losses)
     assert prob.b[1] == pytest.approx(float(net.u_upper[1::2].sum() - net.qd.sum()))
     assert prob.b[2] == pytest.approx(float(net.qd.sum() - net.u_lower[1::2].sum()))
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_active_row_is_the_balance_residual_at_a_balanced_point(tag, case30):
+    # at a balanced all-ones AO1 point the active row's right side sums the
+    # active balance residuals, each within TOL_FEAS: the row has no slack
+    # for the losses to hide in
+    net = network(case30)
+    ones = SwitchVector(np.ones(net.n_dem))
+    res = solve_ao1(case30, ones)
+    assert res.status == "converged"
+    prob = build_subproblem(case30, (res.state, res.input, ones), res.duals, 0.0, Ao2Variant(tag=tag))
+    assert abs(prob.b[0]) <= net.n_bus * TOL_FEAS
 
 
 def test_mixed_zero_penalty_linear_term_is_objective_gradient(stressed30, stressed30_start):
@@ -412,3 +428,30 @@ def test_parts_built_once_give_the_problems_a_fresh_build_gives(tag, stressed30,
             for name in ("q", "g_lin", "A", "b", "lower", "upper"):
                 got, want = getattr(prob, name), getattr(fresh, name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, rho)
+
+
+@pytest.mark.parametrize("tag", ["relaxed-one", "relaxed-two"])
+def test_each_subproblem_gets_one_qp_solve(tag, stressed30, stressed30_start, monkeypatch):
+    # run_ao2's first build is the row check's reference problem; every later
+    # build is one subproblem, solved once from the incumbent, with no second
+    # start from the all-off corner
+    res, start = stressed30_start
+    variant = Ao2Variant(tag=tag)
+    y0, _ = run_ao2(stressed30, start, res.duals, None, variant)
+    calls = []
+
+    def spy_build(*args, **kwargs):
+        calls.append("build")
+        return build_subproblem(*args, **kwargs)
+
+    def spy_solve(problem, start=None):
+        calls.append("solve")
+        return solve_qp(problem, start=start)
+
+    monkeypatch.setattr(ao2_sbqp, "build_subproblem", spy_build)
+    monkeypatch.setattr(ao2_sbqp, "solve_qp", spy_solve)
+    for cuts in ((), (y0.y,)):
+        calls.clear()
+        _, trace = run_ao2(stressed30, start, res.duals, None, variant, cuts=cuts)
+        assert calls[0] == "build"
+        assert calls[1:] == ["build", "solve"] * len(trace.rows)

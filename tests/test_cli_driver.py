@@ -26,7 +26,14 @@ from gridshed.cli_driver import (
     run_ao_sbqp,
     self_check,
 )
-from gridshed.grid_model import ScenarioConfig, apply_scenario, parse_case, serialize_case
+from gridshed.grid_model import (
+    Branch,
+    GridCase,
+    ScenarioConfig,
+    apply_scenario,
+    parse_case,
+    serialize_case,
+)
 from gridshed.power_equations import SwitchVector, constraints_C, network
 
 
@@ -123,6 +130,14 @@ def test_solver_config_validation():
 def test_solver_config_integer_fields_reject_non_int(field, bad):
     # caught at construction, not as a bare TypeError from range() or SeedSequence
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SolverConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad, least", [("outer_max_iters", 0, 1), ("seed", -1, 0)])
+def test_solver_config_integer_fields_reject_values_below_their_floor(field, bad, least):
+    # a negative seed used to reach np.random.default_rng, whose message
+    # names no key
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, got {bad}$"):
         SolverConfig(**{field: bad})
 
 
@@ -253,20 +268,22 @@ def test_capped_fixed_point_ends_infeasible(case5, shortfall5, monkeypatch):
 
 
 def test_draw_whose_fit_stops_next_to_a_rejected_point_is_answered(case30):
-    # shed30 seed 23 call 7: the sixth AO1 fit proves its set infeasible at a
-    # point within outer_eps of the fifth one; settling there used to end the
-    # solve with "final switch set admits no feasible operating point"
+    # shed30 seed 23 call 7: under a switching row blind to the network
+    # losses, the sixth AO1 fit proved its set infeasible at a point within
+    # outer_eps of the fifth one, and settling there ended the solve with
+    # "final switch set admits no feasible operating point"
     scenario = ScenarioConfig(pd_shift=2.6939330806573643, rank_seed=906978376)
     res = run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag="relaxed-one"), scenario=scenario))
     work = cli_driver.apply_scenario(case30, scenario)
     assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
-    assert res.objective == pytest.approx(7.773302, abs=1e-6)
+    assert res.objective == pytest.approx(8.590141, abs=1e-6)
     assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
 
 
 def test_rejected_draw_is_answered_without_re_solving_it(case30, monkeypatch):
-    # the shed30 draw (seed 5, call 8) whose switching stage re-proposes a
-    # set AO1 rejected: it used to re-solve that set until the outer cap
+    # the shed30 draw of seed 5, call 8, with a switching stage whose first
+    # run re-proposes the set AO1 just rejected, all-ones: the driver must
+    # re-run the real stage with that set cut, and never solve it again
     scenario = ScenarioConfig(pd_shift=2.80500292374538, rank_seed=48647418)
     live = live_demands(network(cli_driver.apply_scenario(case30, scenario)))
     solved = []
@@ -278,18 +295,56 @@ def test_rejected_draw_is_answered_without_re_solving_it(case30, monkeypatch):
         solved.append((tuple(y.y[live]), res.status))
         return res
 
-    def recording_ao2(*args, **kwargs):
-        cut_runs.append(len(kwargs.get("cuts", ())))
-        return switch(*args, **kwargs)
+    def re_proposing_ao2(case, start, duals, schedule, variant, cuts=()):
+        cut_runs.append(len(cuts))
+        if len(cut_runs) == 1:
+            return start[2], None
+        return switch(case, start, duals, schedule, variant, cuts=cuts)
 
     monkeypatch.setattr(cli_driver, "solve_ao1", recording_ao1)
-    monkeypatch.setattr(cli_driver, "run_ao2", recording_ao2)
+    monkeypatch.setattr(cli_driver, "run_ao2", re_proposing_ao2)
     res = run_ao_sbqp(case30, SolverConfig(variant=Ao2Variant(tag="relaxed-two"), scenario=scenario))
     assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
-    assert any(cut_runs)
+    assert solved[0] == ((1.0,) * int(live.sum()), "infeasible")
+    assert cut_runs[:2] == [0, 1]
     rejected = [key for key, status in solved if status == "infeasible"]
-    assert rejected
     assert all(sum(key == r for key, _ in solved) == 1 for r in rejected)
+
+
+def _tiled_case30(case30, offset=100):
+    """Two copies of case30, bus 2 of each joined by a tie branch (r 0.02,
+    x 0.06); the second copy's buses are renumbered by offset and only the
+    first copy keeps its slack bus."""
+    def shifted(record, *names):
+        return dataclasses.replace(record, **{n: getattr(record, n) + offset for n in names})
+
+    r, x = 0.02, 0.06
+    den = r * r + x * x
+    tie = Branch(from_bus=2, to_bus=2 + offset, g=r / den, b=-x / den, r=r, x=x)
+    return GridCase(
+        buses=case30.buses + tuple(dataclasses.replace(shifted(b, "id"), is_slack=False)
+                                   for b in case30.buses),
+        branches=(case30.branches + tuple(shifted(b, "from_bus", "to_bus") for b in case30.branches)
+                  + (tie,)),
+        generators=case30.generators + tuple(shifted(g, "bus") for g in case30.generators),
+        demands=case30.demands + tuple(shifted(d, "bus") for d in case30.demands),
+        base_mva=case30.base_mva,
+    )
+
+
+@pytest.mark.parametrize("tag, objective", [
+    ("mixed", 14.675399), ("relaxed-one", 17.847291), ("relaxed-two", 17.847291),
+])
+def test_stressed_tiled_case_is_answered(case30, tag, objective):
+    # 60 buses under the default scenario: with a switching row blind to the
+    # network losses, relaxed-one ran to the outer cap and relaxed-two to the
+    # penalty cap
+    tiled = _tiled_case30(case30)
+    res = run_ao_sbqp(tiled, SolverConfig(variant=Ao2Variant(tag=tag), scenario=ScenarioConfig()))
+    work = cli_driver.apply_scenario(tiled, ScenarioConfig())
+    assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
+    assert res.objective == pytest.approx(objective, abs=1e-6)
+    assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -523,6 +578,18 @@ def test_cli_scenario_negative_seed_names_the_key(case30_path, capsys):
     # it used to print numpy's "expected non-negative integer", naming no key
     assert main(["scenario", "--case", str(case30_path), "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: rank_seed must be None or an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_cli_negative_seed_names_the_key(case5_path, tmp_path, capsys, command):
+    # check used to print numpy's "expected non-negative integer", and solve
+    # on a case with no scenario ran with seed = -1
+    argv = [command, "--case", str(case5_path), "--seed", "-1"]
+    if command == "solve":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_case_exits_two(tmp_path, capsys):

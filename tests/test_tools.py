@@ -21,10 +21,12 @@ def tool(monkeypatch):
     return module
 
 
-def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, tool):
+def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, tool, capsys):
     out = tmp_path / "oracle5.json"
     assert tool.main([str(out), "--workload", "oracle5", "--seeds", "1", "--outcomes"]) == 0
+    printed = capsys.readouterr().out.splitlines()
     doc = json.loads(out.read_text())
+    tally = {}
     assert doc["seeds"] == [1]
     assert len(doc["calls"]) == doc["distinct_calls"] > 0
     every_set = sorted("".join(bits) for bits in product("01", repeat=3))
@@ -32,6 +34,8 @@ def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, tool):
         assert "digest" not in entry
         where, _, outcome = entry["outcome"].partition(": ")
         assert where == f"seed 1 call {index} {entry['call']['variant']}"
+        objectives = tally.setdefault(entry["call"]["variant"], [])
+        objectives.append(None)
         if entry["error"]:
             assert outcome.startswith("failed ")
             continue
@@ -39,9 +43,19 @@ def test_outcomes_name_each_oracle5_call_in_place_of_a_digest(tmp_path, tool):
         assert outcome.startswith("answered ")
         assert len(fields["switches"]) == 3 and set(fields["switches"]) <= {"0", "1"}
         assert repr(float(fields["objective"])) == fields["objective"]
+        objectives[-1] = float(fields["objective"])
         # the oracle labels split all eight switch sets between them
         labelled = [s for key in ("feasible", "infeasible") for s in fields[key].split(",") if s]
         assert sorted(labelled) == every_set
+    # one tally line per variant, after the summary line: distinct calls,
+    # answered calls and their mean served objective
+    expected = []
+    for variant, objs in sorted(tally.items()):
+        served = [o for o in objs if o is not None]
+        expected.append(f"{variant}: {len(objs)} distinct calls, {len(served)} answered, "
+                        f"mean served objective {sum(served) / len(served):.6f}")
+    assert len(expected) == 3
+    assert printed[-3:] == expected
 
 
 def test_compare_names_each_call_that_differs(tmp_path, tool, capsys):

@@ -32,7 +32,10 @@ digest, led by the seed and call index where it first appears:
 * a failure: the error type and, for a ``DriverError``, its kind.
 
 So when a change moves float bits, ``cmp`` on two outcome files shows whether
-it also moved an answer, and ``diff`` names each call that moved.
+it also moved an answer, and ``diff`` names each call that moved.  The run
+also prints one line per variant: its distinct calls, how many were answered
+and their mean served objective, a quality figure for a change that moves
+answers on purpose.
 
 With ``--compare BASE.json`` (a file this tool wrote, say in the parent
 checkout) the run is checked against BASE after OUT is written: each call
@@ -131,11 +134,12 @@ def _bits(values) -> str:
     return "".join(str(int(v)) for v in values)
 
 
-def call_outcome(call: dict, inst, answer) -> str:
+def call_outcome(call: dict, inst, answer) -> tuple[str, float | None]:
+    """The call's outcome line, and its served objective (None on a failure)."""
     if isinstance(answer, DriverError):
-        return f"failed {type(answer).__name__} kind={answer.kind}"
+        return f"failed {type(answer).__name__} kind={answer.kind}", None
     if isinstance(answer, Ao2Error):
-        return f"failed {type(answer).__name__}"
+        return f"failed {type(answer).__name__}", None
     outcome = workloads.check(call, inst, answer)
     entries = None
     if call["kind"] == "oracle-solve":
@@ -149,7 +153,7 @@ def call_outcome(call: dict, inst, answer) -> str:
         for e in sorted(entries, key=lambda e: e.switches):
             labels[e.feasible].append(_bits(e.switches))
         text += f" feasible={','.join(labels[True])} infeasible={','.join(labels[False])}"
-    return text
+    return text, outcome.objective
 
 
 def _seeds(text: str) -> list[int]:
@@ -189,6 +193,7 @@ def main(argv: list[str]) -> int:
             return 2
 
     seen: dict[str, dict] = {}
+    tally: dict[str, list] = {}     # variant -> [distinct calls, answered, sum of served objectives]
     first: dict[str, str] = {}      # call key -> "seed S call I VARIANT" where it first appears
     for seed in _seeds(args.seeds):
         calls = workloads.call_list(args.workload, seed)
@@ -207,8 +212,13 @@ def main(argv: list[str]) -> int:
             seen[key] = {"call": call, "seeds": [seed], "error": error}
             first[key] = f"seed {seed} call {index} {call['variant']}"
             if args.outcomes:
-                seen[key]["outcome"] = (f"seed {seed} call {index} {call['variant']}: "
-                                        f"{call_outcome(call, inst, answer)}")
+                text, objective = call_outcome(call, inst, answer)
+                seen[key]["outcome"] = f"seed {seed} call {index} {call['variant']}: {text}"
+                counts = tally.setdefault(call["variant"], [0, 0, 0.0])
+                counts[0] += 1
+                if objective is not None:
+                    counts[1] += 1
+                    counts[2] += objective
             else:
                 seen[key]["digest"] = call_digest(call, inst, answer)
     doc = {
@@ -220,6 +230,9 @@ def main(argv: list[str]) -> int:
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"{args.workload}: {len(seen)} distinct calls, {doc['failed_calls']} failed, "
           f"OPENBLAS_NUM_THREADS={doc['OPENBLAS_NUM_THREADS']}, wrote {args.out}")
+    for variant, (calls, answered, total) in sorted(tally.items()):
+        mean = total / answered if answered else float("nan")
+        print(f"{variant}: {calls} distinct calls, {answered} answered, mean served objective {mean:.6f}")
     if base is None:
         return 0
     old = {json.dumps(entry["call"], sort_keys=True): entry for entry in base["calls"]}
