@@ -1,10 +1,15 @@
 """Outer alternation driver, enumeration oracle, output files, and the CLI.
 
 The driver alternates the continuous stage and the switching stage until two
-consecutive continuous solutions agree, then verifies the final binary switch
-set actually admits a feasible operating point.  Everything the CLI writes is
-deterministic for a fixed case, config, and seed; wall-clock numbers go to a
-separate report file so result and trace files can be compared byte for byte.
+consecutive continuous solutions agree, or until the continuous stage
+converges at full service, then verifies the final binary switch set actually
+admits a feasible operating point.  Full service needs no switching stage:
+every demand has rank > 0 and pd >= 0 (DemandSpec enforces both), so the
+served-priority objective sum(y * rank * pd) is largest at all ones.
+
+Everything the CLI writes is deterministic for a fixed case, config, and seed;
+wall-clock numbers go to a separate report file so result and trace files can
+be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -134,13 +139,21 @@ def _package(work, ao1, y, traces, outer, t_ao1, t_ao2, t0) -> SolveResult:
 
 
 def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
-    """Alternate both stages until consecutive continuous solutions agree.
+    """Alternate both stages until consecutive continuous solutions agree or
+    full service balances.
 
     The switch set starts at all-ones so an adequate case exits with full
-    service.  A continuous solve that cannot close its residuals mid-run is
-    tolerated (its iterate and its balance multipliers, which take their
-    closed form at every point, still steer the switching stage); only the
-    final solve at the settled binary switches must converge feasibly.
+    service.  Whenever the continuous solve converges at the all-ones set, at
+    the first outer iteration or a later one, the loop ends there without a
+    switching stage: with rank > 0 and pd >= 0 for every demand (DemandSpec
+    enforces both), sum(y * rank * pd) <= sum(rank * pd) for every y in
+    [0, 1]^n, so no set serves more.  An adequate case is thus one
+    continuous solve.
+
+    A continuous solve that cannot close its residuals mid-run is tolerated
+    (its iterate and its balance multipliers, which take their closed form at
+    every point, still steer the switching stage); only the final solve at the
+    settled binary switches must converge feasibly.
 
     Switch sets that a continuous solve proved infeasible are remembered by
     their live demands.  When the switching stage proposes one of them again,
@@ -177,6 +190,10 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
         if ao1.status == "infeasible":
             # a set proved infeasible is cut, never settled on
             rejected.setdefault(tuple(y.y[live].tolist()), y.y)
+        elif ao1.status == "converged" and bool(np.all(y.y == 1.0)):
+            # full service balances: no switch set serves more
+            converged = True
+            break
         elif prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
             converged = True
             break

@@ -136,8 +136,10 @@ def test_criterion_4_adequate_cases_keep_full_service(case5, case30):
         for tag in VARIANTS:
             res = run_ao_sbqp(case, SolverConfig(variant=Ao2Variant(tag=tag)))
             np.testing.assert_array_equal(res.switches.y, np.ones(net.n_dem))
+            assert res.outer_iterations == 1
+            assert res.ao2_traces == ()
     print("criterion 4 PASS: full service returned exactly on both adequate cases, "
-          "all variants")
+          "all variants, after one outer iteration with no switching stage")
 
 
 def test_criterion_5_derivatives_match_finite_differences(case5, case30):

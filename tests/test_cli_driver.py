@@ -7,10 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridshed
 from gridshed import cli_driver
-from gridshed.ao2_sbqp import Ao2Variant, PenaltySchedule, live_demands
+from gridshed.ao2_sbqp import Ao2Error, Ao2Variant, PenaltySchedule, live_demands
 from gridshed.cli_driver import (
     DriverError,
     SolverConfig,
@@ -28,13 +30,16 @@ from gridshed.cli_driver import (
 )
 from gridshed.grid_model import (
     Branch,
+    Bus,
+    DemandSpec,
+    Generator,
     GridCase,
     ScenarioConfig,
     apply_scenario,
     parse_case,
     serialize_case,
 )
-from gridshed.power_equations import SwitchVector, constraints_C, network
+from gridshed.power_equations import InputVector, SwitchVector, constraints_C, network
 
 
 @pytest.fixture(scope="session")
@@ -149,9 +154,78 @@ def test_adequate_case_serves_everything(case5):
     np.testing.assert_array_equal(res.switches.y, np.ones(net.n_dem))
     assert res.objective == pytest.approx(float(np.sum(net.rank * net.pd)))
     assert res.supplied_active == pytest.approx(float(np.sum(net.pd)))
+    assert res.outer_iterations == 1
+    assert res.ao2_traces == ()
+    assert res.inner_iterations == 0
+    assert res.phi_final == 0.0
+
+
+def _count_stage_calls(monkeypatch):
+    """Wrap both stages of the driver so that each call is counted."""
+    calls = {"solve_ao1": 0, "run_ao2": 0}
+    for name in calls:
+        stage = getattr(cli_driver, name)
+
+        def counted(*args, _stage=stage, _name=name, **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(cli_driver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
+@pytest.mark.parametrize("name", ["case5", "case30"])
+def test_adequate_case_runs_one_continuous_solve_and_no_switching_stage(request, monkeypatch,
+                                                                         name, tag):
+    # full service that balances is optimal: every rank is positive and every
+    # pd non-negative, so no switch set serves more
+    case = request.getfixturevalue(name)
+    calls = _count_stage_calls(monkeypatch)
+    res = run_ao_sbqp(case, SolverConfig(variant=Ao2Variant(tag=tag)))
+    np.testing.assert_array_equal(res.switches.y, np.ones(network(case).n_dem))
+    assert calls == {"solve_ao1": 1, "run_ao2": 0}
+
+
+def test_stressed_case_still_runs_the_switching_stage(case30, monkeypatch):
+    calls = _count_stage_calls(monkeypatch)
+    res = run_ao_sbqp(case30, SolverConfig(scenario=ScenarioConfig()))
+    assert calls["run_ao2"] >= 1
+    assert calls["solve_ao1"] == res.outer_iterations
+    assert len(res.ao2_traces) == calls["run_ao2"]
+
+
+@pytest.mark.parametrize("nudge", [0.0, 1e-4], ids=["same-point", "moved-point"])
+def test_full_service_ends_the_loop_at_a_later_iteration(case5, monkeypatch, nudge):
+    # the first continuous solve on adequate case5 is reported capped, so the
+    # switching stage runs once, proposes all ones, and the warm solve that
+    # converges there ends the loop.  With the first point's qg nudged, the
+    # warm solve moves by more than outer_eps: only the full-service exit
+    # stops the loop after two iterations
+    solve, switch = cli_driver.solve_ao1, cli_driver.run_ao2
+    switching = []
+
+    def first_capped(case, y, warm=None):
+        res = solve(case, y, warm=warm)
+        if warm is None:
+            u = InputVector(pg=res.input.pg, qg=res.input.qg + nudge)
+            res = dataclasses.replace(res, input=u, status="max-iterations")
+        return res
+
+    def recording_ao2(case, start, duals, schedule, variant, cuts=()):
+        y, trace = switch(case, start, duals, schedule, variant, cuts=cuts)
+        switching.append(y.y.copy())
+        return y, trace
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", first_capped)
+    monkeypatch.setattr(cli_driver, "run_ao2", recording_ao2)
+    res = run_ao_sbqp(case5)
+    ones = np.ones(network(case5).n_dem)
+    assert len(switching) == 1
+    np.testing.assert_array_equal(switching[0], ones)
+    np.testing.assert_array_equal(res.switches.y, ones)
     assert res.outer_iterations == 2
     assert len(res.ao2_traces) == 1
-    assert res.phi_final == 0.0
 
 
 @pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
@@ -345,6 +419,66 @@ def test_stressed_tiled_case_is_answered(case30, tag, objective):
     assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
     assert res.objective == pytest.approx(objective, abs=1e-6)
     assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
+
+
+def _feasible_case(rng) -> GridCase:
+    """A small case that always has an answer: 2-6 demands on 2-7 buses.
+
+    pg_min is 0, every qg range contains 0 and every voltage band contains
+    [0.95, 1.05], so the all-off set balances at the flat point.  Summed
+    pg_max is 0.5-1.5 times summed pd, so about half the cases must shed.
+    """
+    n_dem = int(rng.integers(2, 7))
+    n = int(rng.integers(max(2, n_dem), 8))
+    slack = int(rng.integers(n))
+    buses = [Bus(id=k + 1, v_min=rng.uniform(0.9, 0.95), v_max=rng.uniform(1.05, 1.1),
+                 is_slack=k == slack) for k in range(n)]
+    pairs = {(int(rng.integers(k)) + 1, k + 1) for k in range(1, n)}
+    for _ in range(int(rng.integers(0, 3))):
+        f, t = sorted(int(v) + 1 for v in rng.choice(n, 2, replace=False))
+        pairs.add((f, t))
+    branches = []
+    for f, t in sorted(pairs):
+        r, x = rng.uniform(0.005, 0.05), rng.uniform(0.02, 0.2)
+        den = r * r + x * x
+        branches.append(Branch(from_bus=f, to_bus=t, g=r / den, b=-x / den, r=r, x=x))
+    demands = [DemandSpec(bus=int(bus) + 1, pd=rng.uniform(0.1, 1.0), qd=rng.uniform(0.0, 0.3),
+                          rank=rng.uniform(0.1, 5.0))
+               for bus in rng.choice(n, n_dem, replace=False)]
+    gen_buses = rng.choice(n, int(rng.integers(1, min(3, n) + 1)), replace=False)
+    total = rng.uniform(0.5, 1.5) * sum(d.pd for d in demands)
+    generators = [Generator(bus=int(bus) + 1, pg_min=0.0, pg_max=total * share,
+                            qg_min=-rng.uniform(0.5, 2.0), qg_max=rng.uniform(0.5, 2.0))
+                  for bus, share in zip(gen_buses, rng.dirichlet(np.ones(gen_buses.size)))]
+    return GridCase(buses=tuple(buses), branches=tuple(branches), generators=tuple(generators),
+                    demands=tuple(demands))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_answers_on_feasible_random_cases_hold_the_solver_invariants(seed):
+    # every answer is binary, feasible and no better than the enumerated
+    # optimum; a failure is a DriverError or an Ao2Error, never another
+    # exception; a case whose cold all-ones solve converges is answered with
+    # full service after one outer iteration
+    case = _feasible_case(np.random.default_rng(seed))
+    net = network(case)
+    best = enumerate_oracle(case)[0]
+    assert best.feasible
+    ones = SwitchVector(np.ones(net.n_dem))
+    full = cli_driver.solve_ao1(case, ones).status == "converged"
+    for tag in ("mixed", "relaxed-one", "relaxed-two"):
+        try:
+            res = run_ao_sbqp(case, SolverConfig(variant=Ao2Variant(tag=tag)))
+        except (DriverError, Ao2Error):
+            assert not full
+            continue
+        assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
+        assert float(constraints_C(case, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
+        assert res.objective <= best.objective + 1e-9
+        if full:
+            np.testing.assert_array_equal(res.switches.y, ones.y)
+            assert res.outer_iterations == 1
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -4,9 +4,10 @@
 
 Runs, in this process and against ./src:
 
-* ``solve`` on stressed case30 (``scenario = stress``), adequate case30 and
-  the criterion-3 case5 shortfall config, once per variant, and once more on
-  stressed case30 with relaxed-one and ``single_shot = true``;
+* ``solve`` on stressed case30 (``scenario = stress``), adequate case30,
+  the criterion-3 case5 shortfall config and adequate case5, once per
+  variant, and once more on stressed case30 with relaxed-one and
+  ``single_shot = true``;
 * ``oracle`` on that case5 config;
 * ``check`` on case30;
 * ``scenario`` with the stressed30 and shortfall5 configs, whose standard
@@ -34,7 +35,8 @@ from gridshed.cli_driver import main as gridshed  # noqa: E402
 
 CASES = ROOT / "src" / "gridshed" / "cases"
 VARIANTS = ("mixed", "relaxed-one", "relaxed-two")
-# name: (case file, config text); shortfall5 is the criterion-3 scenario
+# name: (case file, config text); shortfall5 is the criterion-3 scenario, and
+# adequate30 and adequate5 are the two adequate cases of criterion 4
 INSTANCES = {
     "stressed30": ("case30.m", "scenario = stress\n"),
     "adequate30": ("case30.m", ""),
@@ -47,6 +49,7 @@ INSTANCES = {
         "scenario.rank_seed = 2\n"
         "scenario.demand_set_mode = loaded-buses\n"
     )),
+    "adequate5": ("case5.m", ""),
 }
 
 
