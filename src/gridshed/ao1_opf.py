@@ -29,11 +29,17 @@ A screened set still gets the whole fit, since the switching stage's active
 row reads the sum of pg at the point the fit ends at. A balanced warm start
 ends the fit at its first evaluation.
 
-Each point of the fit costs one ``outflow_terms`` pass over the branch
-edges. It gives the residual and the derivative values, which are scattered
-straight into the C-contiguous balance Jacobian J = [dP/dx on the free state
-columns | -gen_sel] at indices that ``network`` builds once per case; J keeps
-the -0.0 entries of -gen_sel. The fit forms no objective gradient.
+The fit takes the residual at every point, with one ``outflow_terms`` pass
+over the branch edges, and keeps that pass's terms. It forms derivatives only
+at an accepted point (or the start) that it goes on from, with one
+``outflow_derivatives`` pass over the kept terms: a rejected trial and the end
+point cost a residual alone. The derivative values are scattered straight
+into one C-contiguous balance Jacobian buffer J = [dP/dx on the free state
+columns | -gen_sel] at indices that ``network`` builds once per case, as it
+builds the fit's free entries, box and flat start; J keeps the -0.0 entries
+of -gen_sel.
+The fit forms no objective gradient, and E is read from the outflow of its
+end point's residual pass.
 """
 
 from __future__ import annotations
@@ -48,10 +54,13 @@ from .power_equations import (
     Network,
     State,
     SwitchVector,
+    check_sizes,
     demand_draw,
     jacobians,  # not called here; bench/tracer.py wraps ao1_opf.jacobians
     network,
-    objective_E,
+    objective_E,  # not called here; bench/tracer.py wraps ao1_opf.objective_E
+    objective_from_outflow,
+    outflow_derivatives,
     outflow_terms,
 )
 
@@ -90,30 +99,34 @@ def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
 class _Problem:
     """Fixed-y evaluation helpers over the reduced vector z = [x_free, u].
 
-    An evaluation copies v and theta out of z into one State that the problem
-    owns, whose slack entries stay put, and reads the injections straight
-    from z, so the fit builds no objects; ``split`` makes the caller's own
+    The y-free layout (the free entries, the box and the flat start) comes
+    from ``network``.  ``residual`` copies x_free, which is x without the
+    slack's (v, theta) pair, out of z into one x that the problem owns and
+    whose v and theta one State views, reads the injections straight from z,
+    and returns the trig pass's terms with F; ``jacobian`` forms the
+    derivatives from such terms into one J buffer that the problem owns and
+    overwrites on every call.  ``split`` makes the caller's own
     (State, InputVector) pair.
     """
 
     def __init__(self, net: Network, y: SwitchVector):
         self.net = net
         self.y = y
-        nx = 2 * net.n_bus
-        self.free = np.delete(np.arange(nx), (2 * net.slack, 2 * net.slack + 1))
-        self.lower = np.concatenate([net.x_lower[self.free], net.u_lower])
-        self.upper = np.concatenate([net.x_upper[self.free], net.u_upper])
+        self.free = net.fit_free
+        self.lower = net.fit_lower
+        self.upper = net.fit_upper
         self.nx_free = self.free.size
         self.draw = demand_draw(net, y)
         # J with its dP/dx_free columns zero and its u columns -gen_sel, the
-        # -d(generation)/du, -0.0 entries included
-        self.jac_base = np.concatenate([np.zeros((nx, self.nx_free)), -net.gen_sel], axis=1)
-        self.free_bus = self.free[0::2] // 2
-        v = np.empty(net.n_bus)
-        theta = np.empty(net.n_bus)
-        v[net.slack] = net.slack_v
-        theta[net.slack] = 0.0
-        self.point = State(v=v, theta=theta)
+        # -d(generation)/du, -0.0 entries included; built per fit, since a
+        # dense copy kept on every cached network costs more memory than
+        # the two calls save
+        self.J = np.zeros((2 * net.n_bus, self.nx_free + 2 * net.n_gen))
+        np.negative(net.gen_sel, out=self.J[:, self.nx_free:])
+        self.x = np.empty(2 * net.n_bus)
+        self.x[2 * net.slack] = net.slack_v
+        self.x[2 * net.slack + 1] = 0.0
+        self.point = State(v=self.x[0::2], theta=self.x[1::2])
 
     def split(self, z):
         net = self.net
@@ -123,20 +136,22 @@ class _Problem:
         x[self.free] = z[: self.nx_free]
         return State.from_vector(x), InputVector.from_vector(z[self.nx_free:])
 
-    def residual_jacobian(self, z):
-        """(F, J) at z: the balance residual F = P - S, formed as
-        (P - generation) + demand draw, and J = [dP/dx_free | -gen_sel], with
-        the derivative values scattered straight into a C-contiguous J."""
+    def residual(self, z):
+        """(F, terms) at z: the balance residual F = P - S, formed as
+        (P - generation) + demand draw, and the outflow terms of its trig pass."""
         net = self.net
-        nxf = self.nx_free
-        self.point.v[self.free_bus] = z[0:nxf:2]
-        self.point.theta[self.free_bus] = z[1:nxf:2]
-        u = z[nxf:]
-        P, values = outflow_terms(net, self.point)
-        J = self.jac_base.copy()
-        J.ravel()[net.fit_index] = values[net.fit_pick]
-        F = P - net.gen_sel @ u + self.draw
-        return F, J
+        s = 2 * net.slack
+        self.x[:s] = z[:s]
+        self.x[s + 2:] = z[s:self.nx_free]
+        terms = outflow_terms(net, self.point)
+        return terms.P - net.gen_sel @ z[self.nx_free:] + self.draw, terms
+
+    def jacobian(self, terms):
+        """J = [dP/dx_free | -gen_sel] at the point of terms, the derivative
+        values scattered straight into the C-contiguous J buffer."""
+        net = self.net
+        self.J.ravel()[net.fit_index] = outflow_derivatives(net, terms)[net.fit_pick]
+        return self.J
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +160,7 @@ class FitResult:
     fun: np.ndarray
     nfev: int
     status: str     # "balanced", "stationary" or "cap"
+    terms: object   # what prob.residual kept at x: the outflow terms, for _Problem
 
 
 def _solve(M, b):
@@ -168,34 +184,44 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     Bertsekas 1982; projected Levenberg-Marquardt, Kanzow, Yamashita and
     Fukushima 2004); only that point, clipped, is evaluated.  lam grows
     fourfold on a rejected step and shrinks threefold on an accepted one.
-    Each point costs one ``residual_jacobian`` evaluation, and the result
-    carries the residual at its end point.  Ends "balanced" at max|F| <=
-    TOL_FEAS, "stationary" when the projected gradient, the relative
-    decrease or the largest lam leaves nothing to gain, and "cap" after
-    FIT_MAX_ITERS steps.
+    Every point costs one ``prob.residual``; ``prob.jacobian`` runs only at
+    an accepted point (or the start) where the fit goes on, so a rejected
+    trial and the end point form no derivatives.  The result carries the
+    residual, and what ``prob.residual`` kept, at its end point.  Ends
+    "balanced" at max|F| <= TOL_FEAS, "stationary" when the projected
+    gradient, the relative decrease or the largest lam leaves nothing to
+    gain, and "cap" after FIT_MAX_ITERS steps.
     """
     lower, upper = prob.lower, prob.upper
     z = np.clip(z0, lower, upper)
-    F, J = prob.residual_jacobian(z)
+    F, terms = prob.residual(z)
     nfev = 1
     f = 0.5 * float(F @ F)
     lam = 1e-3
     for _ in range(FIT_MAX_ITERS):
         if float(np.abs(F).max()) <= TOL_FEAS:
-            return FitResult(z, F, nfev, "balanced")
+            return FitResult(z, F, nfev, "balanced", terms)
+        J = prob.jacobian(terms)
         g = J.T @ F
         free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
-        if float(np.abs(g[free]).max(initial=0.0)) <= 1e-12 * max(1.0, f):
-            return FitResult(z, F, nfev, "stationary")
-        Jf = J[:, free]
+        every = bool(free.all())
+        rhs = -g if every else -g[free]
+        if float(np.abs(rhs).max(initial=0.0)) <= 1e-12 * max(1.0, f):
+            return FitResult(z, F, nfev, "stationary", terms)
+        Jf = J if every else J[:, free]
         H = Jf.T @ Jf
-        d = np.diag(H).copy()
+        diag_H = H.diagonal()
+        d = diag_H.copy()
         np.maximum(d, 1e-12 * max(float(d.max()), 1e-300), out=d)
-        rhs = -g[free]
         while True:
-            M = H + lam * np.diag(d)
-            step = np.zeros_like(z)
-            step[free] = _solve(M, rhs)
+            # H + lam diag(d): the off-diagonals H + 0.0, the diagonal H_ii + lam d_i
+            M = H + 0.0
+            np.add(diag_H, lam * d, out=M.ravel()[:: M.shape[0] + 1])
+            if every:
+                step = _solve(M, rhs)
+            else:
+                step = np.zeros_like(z)
+                step[free] = _solve(M, rhs)
             z_step = z + step
             z_try = np.clip(z_step, lower, upper)
             out = z_try != z_step
@@ -210,36 +236,36 @@ def least_squares(prob: _Problem, z0) -> FitResult:
                     k, o = keep[free], out[free]
                     s = _solve(M[np.ix_(k, k)], rhs[k] - M[np.ix_(k, o)] @ h[out])
                     z_try[keep] = np.clip(z[keep] + s, lower[keep], upper[keep])
-            F_try, J_try = prob.residual_jacobian(z_try)
+            F_try, terms_try = prob.residual(z_try)
             nfev += 1
             f_try = 0.5 * float(F_try @ F_try)
             if f_try < f:
                 break
             lam *= 4.0
             if lam > FIT_LAMBDA_MAX:
-                return FitResult(z, F, nfev, "stationary")
+                return FitResult(z, F, nfev, "stationary", terms)
         decrease = f - f_try
-        z, F, J, f = z_try, F_try, J_try, f_try
+        z, F, terms, f = z_try, F_try, terms_try, f_try
         lam /= 3.0
         if decrease <= 1e-14 * (f + decrease):
-            return FitResult(z, F, nfev, "stationary")
+            return FitResult(z, F, nfev, "stationary", terms)
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"
-    return FitResult(z, F, nfev, status)
+    return FitResult(z, F, nfev, status, terms)
 
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     """One least-squares fit at switches y_fixed from warm = (state, input) or the
-    flat point; the module docstring says how its end sets the status."""
-    prob = _Problem(network(case), y_fixed)
-    net = prob.net
+    flat point; the module docstring says how its end sets the status.  E is
+    read from the outflow that the fit's last residual formed at its end point."""
+    net = network(case)
+    check_sizes(net, "solve_ao1", y=y_fixed)
+    prob = _Problem(net, y_fixed)
     if warm is not None:
         state0, input0 = warm
+        check_sizes(net, "solve_ao1 warm start", state=state0, input=input0)
         z0 = np.concatenate([state0.as_vector()[prob.free], input0.as_vector()])
     else:
-        x0 = np.empty(2 * net.n_bus)
-        x0[0::2] = net.slack_v
-        x0[1::2] = 0.0
-        z0 = np.concatenate([x0[prob.free], 0.5 * (net.u_lower + net.u_upper)])
+        z0 = net.fit_start
 
     fit = least_squares(prob, z0)
     feas = float(np.abs(fit.fun).max())
@@ -253,5 +279,5 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         # a capped fit is no proof
         status, certificate = "max-iterations", ""
     state, u = prob.split(fit.x)
-    E = objective_E(net, state, u, y_fixed)
+    E = objective_from_outflow(net, fit.terms.P, u, y_fixed)
     return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, status, fit.nfev - 1, certificate)

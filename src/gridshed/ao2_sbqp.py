@@ -21,6 +21,7 @@ it must not meet the cut.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .power_equations import (
     InputVector,
     State,
     SwitchVector,
+    check_sizes,
     constraints_C,  # not called here; bench/tracer.py wraps ao2_sbqp.constraints_C
     grad_phi,
     _delivery,
@@ -66,7 +68,10 @@ class PenaltySchedule:
 
     def __post_init__(self):
         for name in ("rho0", "beta", "rho_max", "eps"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if not self.rho0 > 0.0:
             raise ValueError("rho0 must be positive")
@@ -360,6 +365,7 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     variant = Ao2Variant() if variant is None else variant
     state, inputs, switches = start
     net = network(case)
+    check_sizes(net, "run_ao2 start", state=state, input=inputs, y=switches)
     y_lin = switches.y
     w = net.rank * net.pd
 

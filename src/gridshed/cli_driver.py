@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -85,6 +86,8 @@ class SolverConfig:
     scenario: ScenarioConfig | None = None
 
     def __post_init__(self):
+        if isinstance(self.outer_eps, bool) or not isinstance(self.outer_eps, numbers.Real):
+            raise ValueError(f"outer_eps must be a number, got {self.outer_eps!r}")
         if not math.isfinite(self.outer_eps):
             raise ValueError("outer_eps must be finite")
         if self.outer_eps <= 0.0:

@@ -16,7 +16,8 @@ Layout conventions, frozen because ``constraint_row``, ``constraints_C`` and
 
 Entry points (``network``, ``constraints_C``, ``constraint_row``,
 ``flat_state``, ``line_flow``) take a ``GridCase``.  The kernels
-(``outflow_terms``, ``outflow``, ``supply``, ``objective_E``, ``jacobians``,
+(``outflow_terms``, ``outflow_derivatives``, ``outflow``, ``supply``,
+``objective_E``, ``objective_from_outflow``, ``jacobians``,
 ``constraint_jacobian``, ``hessian_Q``) take the ``Network`` that their
 caller resolved once with ``network(case)``, so a solver loop does not hash
 the case on every evaluation.  ``network`` also records, once per case,
@@ -25,18 +26,29 @@ whether every branch conductance is non-negative (``branch_g_nonneg``).
 The power flow is evaluated over the branch list, not over the dense
 admittance matrix.  ``network`` records two directed edges (k, l) per
 branch, with the admittance off-diagonals G_kl = -g and B_kl = -b, plus the
-diagonals, and the flat indices at which the derivative values land.
+diagonals, stacked as the kernel reads them, and the flat indices at which
+the derivative values land.  The kernel is one stacked pass in two halves.
 ``outflow_terms`` is the one place the angle-difference trig is taken, once
-per edge: it returns the stacked bus outflow P, each bus summing its edge
-terms in edge order, and the entries of dP/dx on the edges and the
-diagonal as one flat array.  ``outflow`` scatters them into the dense,
-interleaved 2N x 2N dP/dx,
-and every evaluation routine here goes through it; the continuous stage
-scatters the same values straight into its fit Jacobian, the dP/dx columns off
-the slack next to the constant -gen_sel block.  ``jacobians`` returns (P,
-dP_dx, dE), so a caller that needs the outflow and its derivatives takes
-the trig once.  ``hessian_Q`` is the switch curvature that the balance
-multipliers give, one per demand.
+per edge: (cos, sin) share one buffer, both edge terms come from one
+product over it, and one ``bincount`` sums them per bus, in edge order,
+straight into the stacked outflow P.  It returns P with the terms that the
+derivatives reuse (``OutflowTerms``), and ``outflow_derivatives`` forms
+the entries of dP/dx on the edges and the diagonal from those terms, as
+one flat array, without taking the trig again.  ``outflow`` runs both
+halves and scatters the values into the dense, interleaved 2N x 2N dP/dx,
+and every evaluation routine here goes through it.  The continuous stage
+calls the halves itself: the trig pass at every point of its fit, the
+derivative pass only where the fit goes on, scattering the values straight
+into its fit Jacobian, the dP/dx columns off the slack next to the constant
+-gen_sel block.  ``network`` builds the rest of that fit's layout once per
+case, since none of it depends on the switches: the free entries of x
+(``fit_free``), the box (``fit_lower``, ``fit_upper``), the flat start
+(``fit_start``); these arrays are shared by every fit on the case and
+read-only.  ``jacobians``
+returns (P, dP_dx, dE), so a caller that needs the outflow and its
+derivatives takes the trig once.  ``hessian_Q`` is the switch curvature
+that the balance multipliers give, one per demand.  ``check_sizes`` names
+a state, input or switch vector that does not fit the network.
 ``constraint_jacobian`` stacks dP_dx into the full (8N + 4G)-row derivative
 of C, whose leading block ``dC[:2N, :2N]`` is dP/dx; only the self-check and
 the tests need it, and no solver stage builds it.  ``line_flow`` is a
@@ -48,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,12 +162,22 @@ class Network:
     edge_to: np.ndarray        # branch, (from, to) then (to, from), in branch order
     edge_G: np.ndarray         # admittance off-diagonals G_kl = -g, B_kl = -b per edge
     edge_B: np.ndarray
-    diag_G: np.ndarray         # admittance diagonals G_kk, B_kk: the g, b of the
-    diag_B: np.ndarray         # branches at bus k, summed in branch order
+    edge_GG: np.ndarray        # [G_kl, G_kl] and [B_kl, -B_kl]: the weights of CS and SC
+    edge_BB: np.ndarray
+    edge_lk: np.ndarray        # [l, l, k, k]: the v that outflow_terms gathers per edge
+    edge_bins: np.ndarray      # [2k, 2k + 1]: the stacked row of each edge term
+    bus_pair: np.ndarray       # (k, k) per bus k, in stacked order
+    pair_swap: np.ndarray      # (2k + 1, 2k) per bus k: P_k and Q_k swapped
+    diag_GB: np.ndarray        # (G_kk, -B_kk) and (B_kk, G_kk) per bus k, where the admittance
+    diag_BG: np.ndarray        # diagonals G_kk, B_kk sum the g, b of k's branches in branch order
     jac_index: np.ndarray      # flat index in the (2N, 2N) dP/dx of each value that
-                               # outflow_terms forms
+                               # outflow_derivatives forms
     fit_pick: np.ndarray       # the values off the slack columns, and their flat index in
     fit_index: np.ndarray      # the continuous stage's fit Jacobian [dP/dx_free | -gen_sel]
+    fit_free: np.ndarray       # the fit's x entries, every one but the slack's (v, theta)
+    fit_lower: np.ndarray      # the fit's box over z = [x_free, u]
+    fit_upper: np.ndarray
+    fit_start: np.ndarray      # the flat z: slack voltage, zero angles, mid-box injections
     slack: int                 # bus position of the slack
     slack_v: float
     dem_pos: np.ndarray        # bus position of each demand
@@ -204,14 +227,20 @@ def network(case: GridCase) -> Network:
         gs += (br.g, br.g)
         bs += (br.b, br.b)
     m = len(ks)
-    buses = list(range(n))
-    kl = np.array([ks + buses, ls + buses], dtype=int)
-    gb = np.array([gs, bs], dtype=float)
-    # outflow_terms forms dP/dv, dP/dtheta, dQ/dv and dQ/dtheta, each over the
-    # edges (k, l) and then over the diagonals (k, k): rows 2k + (0, 0, 1, 1),
-    # columns 2l + (0, 1, 0, 1); the fit Jacobian drops the slack's columns
-    rows = (2 * kl[0] + np.array([[0], [0], [1], [1]])).ravel()
-    cols = (2 * kl[1] + np.array([[0], [1], [0], [1]])).ravel()
+    k, l = np.array([ks, ls], dtype=int).reshape(2, m)
+    g, b = np.array([gs, bs], dtype=float).reshape(2, m)
+    diag_g = np.bincount(k, weights=g, minlength=n)
+    diag_b = np.bincount(k, weights=b, minlength=n)
+    edge_GG = np.concatenate([-g, -g])
+    edge_BB = np.concatenate([-b, b])
+    k2, l2 = np.tile(k, 2), np.tile(l, 2)
+    half = np.repeat([0, 1], m)
+    pair = np.repeat(np.arange(n), 2)
+    # outflow_derivatives forms d/dv over the edges (P half, then Q half) and
+    # over the diagonals (stacked), then d/dtheta over the same; the fit
+    # Jacobian drops the slack's columns
+    rows = np.concatenate([2 * k2 + half, np.arange(2 * n)] * 2)
+    cols = np.concatenate([2 * l2, 2 * pair, 2 * l2 + 1, 2 * pair + 1])
     fit_pick = np.flatnonzero(cols // 2 != slack)
     fit_cols = cols[fit_pick]
     fit_cols -= 2 * (fit_cols > 2 * slack)
@@ -228,19 +257,41 @@ def network(case: GridCase) -> Network:
     u_upper[0::2] = [g.pg_max for g in case.generators]
     u_lower[1::2] = [g.qg_min for g in case.generators]
     u_upper[1::2] = [g.qg_max for g in case.generators]
+
+    # the continuous stage's fit over z = [x_free, u]; shared by every fit on
+    # the case, so read-only
+    fit_free = np.delete(np.arange(2 * n), (2 * slack, 2 * slack + 1))
+    flat = np.empty(2 * n)
+    flat[0::2] = case.slack_voltage()
+    flat[1::2] = 0.0
+    fit = {
+        "fit_free": fit_free,
+        "fit_lower": np.concatenate([x_lower[fit_free], u_lower]),
+        "fit_upper": np.concatenate([x_upper[fit_free], u_upper]),
+        "fit_start": np.concatenate([flat[fit_free], 0.5 * (u_lower + u_upper)]),
+    }
+    for array in fit.values():
+        array.flags.writeable = False
     return Network(
         n_bus=n,
         n_gen=ngen,
         n_dem=len(case.demands),
-        edge_from=kl[0, :m],
-        edge_to=kl[1, :m],
-        edge_G=-gb[0],
-        edge_B=-gb[1],
-        diag_G=np.bincount(kl[0, :m], weights=gb[0], minlength=n),
-        diag_B=np.bincount(kl[0, :m], weights=gb[1], minlength=n),
+        edge_from=k,
+        edge_to=l,
+        edge_G=edge_GG[:m],
+        edge_B=edge_BB[:m],
+        edge_GG=edge_GG,
+        edge_BB=edge_BB,
+        edge_lk=np.concatenate([l2, k2]),
+        edge_bins=2 * k2 + half,
+        bus_pair=pair,
+        pair_swap=np.arange(2 * n) ^ 1,
+        diag_GB=np.stack([diag_g, -diag_b], axis=1).ravel(),
+        diag_BG=np.stack([diag_b, diag_g], axis=1).ravel(),
         jac_index=rows * (2 * n) + cols,
         fit_pick=fit_pick,
         fit_index=rows[fit_pick] * (2 * n - 2 + 2 * ngen) + fit_cols,
+        **fit,
         slack=slack,
         slack_v=case.slack_voltage(),
         dem_pos=dem_pos,
@@ -281,46 +332,69 @@ def line_flow(case: GridCase, state: State, k: int, l: int) -> tuple[float, floa
     return float(p), float(q)
 
 
-def outflow_terms(net: Network, state: State, derivatives: bool = True):
-    """(P, values): the stacked outflow and the entries of dP/dx in the order
-    that ``net.jac_index`` places them (None unless derivatives), from one trig
-    evaluation over the edges.
+class OutflowTerms(NamedTuple):
+    """What the trig pass of ``outflow_terms`` keeps for the derivative pass.
+    The edge arrays run over the m edges twice, for P and then for Q (v_l,
+    then v_k, in vlk); the per-bus arrays interleave like P."""
+
+    P: np.ndarray       # stacked outflow, (active, reactive) per bus
+    a: np.ndarray       # [G_kl cos + B_kl sin, G_kl sin - B_kl cos] over the edges
+    vlk: np.ndarray     # [v_l, v_l, v_k, v_k] over the edges
+    v2: np.ndarray      # (v_k, v_k) per bus
+    dv: np.ndarray      # (G_kk v_k, -B_kk v_k) per bus
+    av: np.ndarray      # per-bus sums of a v_l, dv included, so that P = v2 av
+
+
+def outflow_terms(net: Network, state: State) -> OutflowTerms:
+    """The trig pass: the stacked outflow P and the terms that its derivatives
+    reuse, from one (cos, sin) evaluation over the edges.
 
     P_k = v_k (G_kk v_k + sum over edges (k, l) of (G_kl cos + B_kl sin) v_l),
     and Q_k likewise with (G_kl sin - B_kl cos) and -B_kk; each bus sums its
-    edge terms in edge order."""
-    n, m = net.n_bus, net.edge_from.size
+    edge terms in edge order.  The buffer [cos, sin, cos] holds CS = [cos,
+    sin] and SC = [sin, cos], both edge terms are a = [G, G] CS + [B, -B] SC,
+    and one bincount over the bins [2k, 2k + 1] sums them straight into the
+    stacked order.  The terms hold no array of the caller's, so a caller may
+    overwrite its state after the pass."""
     v = state.v
-    k, l = net.edge_from, net.edge_to
-    th = state.theta[k] - state.theta[l]
-    c, s = np.cos(th), np.sin(th)
-    a1 = net.edge_G * c + net.edge_B * s
-    a2 = net.edge_G * s - net.edge_B * c
-    vl = v[l]
-    a1v = np.bincount(k, weights=a1 * vl, minlength=n) + net.diag_G * v
-    a2v = np.bincount(k, weights=a2 * vl, minlength=n) - net.diag_B * v
-    p = v * a1v
-    q = v * a2v
-    P = np.empty(2 * n)
-    P[0::2] = p
-    P[1::2] = q
-    if not derivatives:
-        return P, None
+    th = state.theta[net.edge_from] - state.theta[net.edge_to]
+    m = th.size
+    cs = np.empty(3 * m)
+    np.cos(th, out=cs[:m])
+    np.sin(th, out=cs[m:2 * m])
+    cs[2 * m:] = cs[:m]
+    a = net.edge_GG * cs[:2 * m] + net.edge_BB * cs[m:]
+    vlk = v[net.edge_lk]
+    av = np.bincount(net.edge_bins, weights=a * vlk[:2 * m], minlength=2 * net.n_bus)
+    v2 = v[net.bus_pair]
+    dv = net.diag_GB * v2
+    av += dv
+    return OutflowTerms(v2 * av, a, vlk, v2, dv, av)
 
-    vk = v[k]
-    vv = vk * vl
-    vsq = v * v
-    values = np.empty((4, m + n))
-    dP_dv, dP_dth, dQ_dv, dQ_dth = values
-    np.multiply(vk, a1, out=dP_dv[:m])
-    np.add(a1v, v * net.diag_G, out=dP_dv[m:])
-    np.multiply(vv, a2, out=dP_dth[:m])
-    np.subtract(-q, vsq * net.diag_B, out=dP_dth[m:])
-    np.multiply(vk, a2, out=dQ_dv[:m])
-    np.subtract(a2v, v * net.diag_B, out=dQ_dv[m:])
-    np.multiply(-vv, a1, out=dQ_dth[:m])
-    np.subtract(p, vsq * net.diag_G, out=dQ_dth[m:])
-    return P, values.ravel()
+
+def outflow_derivatives(net: Network, t: OutflowTerms) -> np.ndarray:
+    """The derivative pass: the entries of dP/dx in the order that
+    ``net.jac_index`` places them, formed from the terms of one trig pass.
+
+    In four blocks: d(P, Q)/dv over the edges (k, l) and over the diagonals
+    (k, k), then d(P, Q)/dtheta over the same; the edge blocks hold the P half
+    before the Q half, the diagonal blocks interleave like P."""
+    m2, n2 = t.a.size, t.P.size
+    m = m2 // 2
+    a, vk = t.a, t.vlk[m2:]
+    values = np.empty(2 * (m2 + n2))
+    dv_edge, dv_diag = values[:m2], values[m2:m2 + n2]
+    dth_edge, dth_diag = values[m2 + n2:2 * m2 + n2], values[2 * m2 + n2:]
+    np.multiply(vk, a, out=dv_edge)
+    np.add(t.av, t.dv, out=dv_diag)
+    vv = vk[:m] * t.vlk[:m]
+    np.multiply(vv, a[m:], out=dth_edge[:m])
+    np.multiply(-vv, a[:m], out=dth_edge[m:])
+    # (-Q_k - v_k^2 B_kk, P_k - v_k^2 G_kk)
+    swapped = t.P[net.pair_swap]
+    np.negative(swapped[0::2], out=swapped[0::2])
+    np.subtract(swapped, t.v2 * t.v2 * net.diag_BG, out=dth_diag)
+    return values
 
 
 def outflow(net: Network, state: State, jacobian: bool = False):
@@ -329,12 +403,12 @@ def outflow(net: Network, state: State, jacobian: bool = False):
     With jacobian=True, returns (P, dP/dx) with interleaved rows and columns,
     shape (2N, 2N); the entries off the edges and the diagonal are zero.
     """
-    P, values = outflow_terms(net, state, jacobian)
+    t = outflow_terms(net, state)
     if not jacobian:
-        return P
+        return t.P
     dP_dx = np.zeros((2 * net.n_bus, 2 * net.n_bus))
-    dP_dx.ravel()[net.jac_index] = values
-    return P, dP_dx
+    dP_dx.ravel()[net.jac_index] = outflow_derivatives(net, t)
+    return t.P, dP_dx
 
 
 def demand_draw(net: Network, y: SwitchVector) -> np.ndarray:
@@ -359,7 +433,26 @@ def _delivery(net: Network, P: np.ndarray, input: InputVector) -> np.ndarray:
 
 def objective_E(net: Network, state: State, input: InputVector, y: SwitchVector) -> float:
     """Weighted delivery objective; demand buses without a generator take pg = 0."""
-    return float(np.sum(y.y * net.rank * _delivery(net, outflow(net, state), input)))
+    return objective_from_outflow(net, outflow(net, state), input, y)
+
+
+def objective_from_outflow(net: Network, P: np.ndarray, input: InputVector, y: SwitchVector) -> float:
+    """``objective_E`` from the stacked outflow P that the state gives."""
+    return float(np.sum(y.y * net.rank * _delivery(net, P, input)))
+
+
+def check_sizes(net: Network, where: str, state: State | None = None,
+                input: InputVector | None = None, y: SwitchVector | None = None) -> None:
+    """Raise ValueError, naming where and the expected size, for a given part
+    that does not fit net: a state per bus, an input per generator, a switch
+    vector per demand."""
+    if state is not None and state.v.size != net.n_bus:
+        raise ValueError(f"{where}: the state has {state.v.size} buses, expected {net.n_bus}")
+    if input is not None and input.pg.size != net.n_gen:
+        raise ValueError(f"{where}: the input has {input.pg.size} generators, expected {net.n_gen}")
+    if y is not None and y.y.size != net.n_dem:
+        raise ValueError(f"{where}: the switch vector has {y.y.size} entries, expected "
+                         f"{net.n_dem}, one per demand")
 
 
 def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVector) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -9,14 +10,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridshed
 from gridshed import ao1_opf
 from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
 from gridshed.ao2_sbqp import Ao2Variant
 from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle, run_ao_sbqp
-from gridshed.power_equations import (SwitchVector, constraints_C, demand_draw, hessian_Q, jacobians,
-                                      network, outflow)
+from gridshed.power_equations import (State, SwitchVector, constraints_C, demand_draw, hessian_Q,
+                                      jacobians, network, outflow)
 
 
 def test_all_switches_open_is_trivial(case5):
@@ -70,7 +73,8 @@ def test_balance_duals_take_analytic_values(case5):
     np.testing.assert_array_equal(r.duals, -yv * net.rank)
     prob = ao1_opf._Problem(net, y)
     z = np.concatenate([r.state.as_vector()[prob.free], r.input.as_vector()])
-    F, J = prob.residual_jacobian(z)
+    F, terms = prob.residual(z)
+    J = prob.jacobian(terms)
     cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
     grad_E = jacobians(net, r.state, r.input, y)[2][cols]
     assert float(np.abs(F).max()) <= TOL_FEAS
@@ -95,6 +99,25 @@ def test_adequate_30_bus_full_delivery(case30):
     assert r.status == "converged"
     total = sum(d.pd for d in case30.demands)
     assert r.objective == pytest.approx(total, abs=1e-6)
+
+
+@pytest.mark.parametrize("part, message", [
+    ("y", "solve_ao1: the switch vector has 4 entries, expected 3, one per demand"),
+    ("state", "solve_ao1 warm start: the state has 4 buses, expected 5"),
+    ("input", "solve_ao1 warm start: the input has 5 generators, expected 4"),
+])
+def test_mis_sized_inputs_are_named_at_entry(case5, part, message):
+    y = SwitchVector(np.ones(3))
+    first = solve_ao1(case5, y)
+    state, u = first.state, first.input
+    if part == "y":
+        y = SwitchVector(np.ones(4))
+    elif part == "state":
+        state = State(v=state.v[:-1], theta=state.theta[:-1])
+    else:
+        u = type(u)(pg=np.append(u.pg, 0.0), qg=np.append(u.qg, 0.0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_ao1(case5, y, warm=None if part == "y" else (state, u))
 
 
 # -- active-capacity screen ----------------------------------------------------
@@ -209,8 +232,8 @@ def test_oracle_labels_match_direct_solves(shortfall5_case):
 
 @pytest.mark.parametrize("fixture", ["stressed30", "case5"])
 def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
-    # the fit's residual is formed from the derivative pass's outflow, which
-    # must be the very bits that outflow itself gives
+    # the fit's residual is formed from the trig pass's outflow, which must
+    # be the very bits that outflow itself gives
     case = request.getfixturevalue(fixture)
     net = network(case)
     prob = ao1_opf._Problem(net, SwitchVector(np.full(net.n_dem, 0.7)))
@@ -219,7 +242,7 @@ def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
         z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
         state, u = prob.split(z)
         residual = outflow(net, state) - net.gen_sel @ u.as_vector() + prob.draw
-        assert np.array_equal(prob.residual_jacobian(z)[0], residual)
+        assert np.array_equal(prob.residual(z)[0], residual)
         assert np.array_equal(jacobians(net, state, u, prob.y)[0], outflow(net, state))
 
 
@@ -294,15 +317,32 @@ def test_fit_end_sets_the_status(fixture, cap, fit_end, status, certificate, req
     assert r.iterations == fits[0].nfev - 1
 
 
-def test_balanced_warm_start_returns_after_one_evaluation(case5, monkeypatch):
+@pytest.fixture
+def passes(monkeypatch):
+    """Count the trig passes (residuals) and derivative passes that AO1 runs."""
+    counts = {"residual": 0, "derivative": 0}
+    trig, derivatives = ao1_opf.outflow_terms, ao1_opf.outflow_derivatives
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ao1_opf, "outflow_terms", counted("residual", trig))
+    monkeypatch.setattr(ao1_opf, "outflow_derivatives", counted("derivative", derivatives))
+    return counts
+
+
+def test_balanced_warm_start_returns_after_one_evaluation(case5, passes):
     y = SwitchVector(np.ones(3))
     first = solve_ao1(case5, y)
-    passes = []
-    evaluate = ao1_opf.outflow_terms
-    monkeypatch.setattr(ao1_opf, "outflow_terms", lambda *args: passes.append(1) or evaluate(*args))
+    passes.update(residual=0, derivative=0)
     again = solve_ao1(case5, y, warm=(first.state, first.input))
-    # the KKT check reuses the fit's one evaluation
-    assert (again.status, again.iterations, len(passes)) == ("converged", 0, 1)
+    # the fit's one residual pass also gives E, and a balanced start needs no
+    # derivatives
+    assert (again.status, again.iterations) == ("converged", 0)
+    assert passes == {"residual": 1, "derivative": 0}
     assert np.array_equal(again.state.as_vector(), first.state.as_vector())
     assert np.array_equal(again.input.as_vector(), first.input.as_vector())
 
@@ -326,13 +366,13 @@ def test_fit_returns_at_once_from_a_balanced_start(case5):
 def test_fit_keeps_every_point_inside_the_bounds(negative_g5, start):
     prob = ao1_opf._Problem(network(negative_g5), SwitchVector(np.ones(3)))
     seen = []
-    evaluate = prob.residual_jacobian
+    evaluate = prob.residual
 
     def recording(z):
         seen.append(z.copy())
         return evaluate(z)
 
-    prob.residual_jacobian = recording
+    prob.residual = recording
     z0 = {"middle": 0.5 * (prob.lower + prob.upper), "lower": prob.lower - 1.0,
           "upper": prob.upper + 1.0}[start]
     out = ao1_opf.least_squares(prob, z0)
@@ -352,12 +392,12 @@ def test_spoiled_clip_is_re_solved_on_the_free_coordinates(sign):
     b = sign * np.array([0.0, -2.0])
     seen = []
 
-    def residual_jacobian(z):
+    def residual(z):
         seen.append(z.copy())
-        return A @ z - b, A.copy()
+        return A @ z - b, None
 
     prob = SimpleNamespace(lower=np.array([-30.0, -1.0]), upper=np.array([30.0, 1.0]),
-                           residual_jacobian=residual_jacobian)
+                           residual=residual, jacobian=lambda terms: A.copy())
     z0 = np.zeros(2)
     out = ao1_opf.least_squares(prob, z0)
 
@@ -440,7 +480,8 @@ def test_balance_duals_are_stationary_off_balance(fixture, request):
     for _ in range(5):
         prob = ao1_opf._Problem(net, SwitchVector(rng.uniform(0.0, 1.0, net.n_dem)))
         z = prob.lower + rng.uniform(0.0, 1.0, prob.lower.size) * (prob.upper - prob.lower)
-        F, J = prob.residual_jacobian(z)
+        F, terms = prob.residual(z)
+        J = prob.jacobian(terms)
         state, u = prob.split(z)
         cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
         grad_E = jacobians(net, state, u, prob.y)[2][cols]
@@ -489,3 +530,280 @@ def test_free_columns_skip_the_slack(fixture, request):
     listed = np.array([i for i in range(nx) if i not in (2 * net.slack, 2 * net.slack + 1)])
     assert free.dtype == listed.dtype
     assert np.array_equal(free, listed)
+
+
+@pytest.mark.parametrize("fixture, bits", [("negative_g5", (1, 1, 1)), ("shortfall5_case", (1, 1, 1)),
+                                           ("stressed30", None)])
+def test_rejected_trial_builds_no_jacobian(fixture, bits, request):
+    # derivatives are formed at the start and after each accepted step that
+    # the fit goes on from, never at a rejected trial, and each point gets at
+    # most one derivative pass
+    net = network(request.getfixturevalue(fixture))
+    prob = ao1_opf._Problem(net, SwitchVector(np.ones(net.n_dem) if bits is None else np.array(bits, float)))
+    points, derived = [], []
+    residual, jacobian = prob.residual, prob.jacobian
+
+    def recording_residual(z):
+        F, terms = residual(z)
+        points.append((0.5 * float(F @ F), terms))
+        return F, terms
+
+    def recording_jacobian(terms):
+        derived.append(terms)
+        return jacobian(terms)
+
+    prob.residual, prob.jacobian = recording_residual, recording_jacobian
+    out = ao1_opf.least_squares(prob, net.fit_start)
+    accepted, rejected = [points[0][1]], []
+    f = points[0][0]
+    for f_try, terms in points[1:]:
+        if f_try < f:
+            accepted.append(terms)
+            f = f_try
+        else:
+            rejected.append(terms)
+    assert out.nfev == len(points)
+    assert out.terms is accepted[-1]
+    # every one of these fits ends by its decrease test, at an accepted point
+    # that it does not go on from
+    assert out.status == "stationary"
+    assert len(derived) == len(accepted) - 1
+    assert all(d is a for d, a in zip(derived, accepted))
+    assert not any(d is r for d in derived for r in rejected)
+    if fixture != "stressed30":
+        assert len(rejected) > 0
+
+
+# -- the fit against a frozen copy of its last per-point Jacobian version -----------
+#
+# Until the derivative pass was split from the trig pass, each fit point formed
+# the residual and its whole Jacobian, and outflow_terms took one (cos, sin)
+# per edge into separate (4, m + N) value rows.  The copies below are that
+# code, frozen.  The fit must still return the same bits.
+
+def frozen_outflow_terms(net, state, derivatives=True):
+    n, m = net.n_bus, net.edge_from.size
+    diag_G = np.bincount(net.edge_from, weights=-net.edge_G, minlength=n)
+    diag_B = np.bincount(net.edge_from, weights=-net.edge_B, minlength=n)
+    v = state.v
+    k, l = net.edge_from, net.edge_to
+    th = state.theta[k] - state.theta[l]
+    c, s = np.cos(th), np.sin(th)
+    a1 = net.edge_G * c + net.edge_B * s
+    a2 = net.edge_G * s - net.edge_B * c
+    vl = v[l]
+    a1v = np.bincount(k, weights=a1 * vl, minlength=n) + diag_G * v
+    a2v = np.bincount(k, weights=a2 * vl, minlength=n) - diag_B * v
+    p = v * a1v
+    q = v * a2v
+    P = np.empty(2 * n)
+    P[0::2] = p
+    P[1::2] = q
+    if not derivatives:
+        return P, None
+
+    vk = v[k]
+    vv = vk * vl
+    vsq = v * v
+    values = np.empty((4, m + n))
+    dP_dv, dP_dth, dQ_dv, dQ_dth = values
+    np.multiply(vk, a1, out=dP_dv[:m])
+    np.add(a1v, v * diag_G, out=dP_dv[m:])
+    np.multiply(vv, a2, out=dP_dth[:m])
+    np.subtract(-q, vsq * diag_B, out=dP_dth[m:])
+    np.multiply(vk, a2, out=dQ_dv[:m])
+    np.subtract(a2v, v * diag_B, out=dQ_dv[m:])
+    np.multiply(-vv, a1, out=dQ_dth[:m])
+    np.subtract(p, vsq * diag_G, out=dQ_dth[m:])
+    return P, values.ravel()
+
+
+def frozen_layout(net):
+    """(jac_index, fit_pick, fit_index) for the frozen value order."""
+    n, buses = net.n_bus, np.arange(net.n_bus)
+    kl = np.array([np.concatenate([net.edge_from, buses]), np.concatenate([net.edge_to, buses])])
+    rows = (2 * kl[0] + np.array([[0], [0], [1], [1]])).ravel()
+    cols = (2 * kl[1] + np.array([[0], [1], [0], [1]])).ravel()
+    fit_pick = np.flatnonzero(cols // 2 != net.slack)
+    fit_cols = cols[fit_pick]
+    fit_cols -= 2 * (fit_cols > 2 * net.slack)
+    return rows * (2 * n) + cols, fit_pick, rows[fit_pick] * (2 * n - 2 + 2 * net.n_gen) + fit_cols
+
+
+class FrozenProblem:
+    def __init__(self, net, y):
+        self.net = net
+        self.y = y
+        nx = 2 * net.n_bus
+        self.free = np.delete(np.arange(nx), (2 * net.slack, 2 * net.slack + 1))
+        self.lower = np.concatenate([net.x_lower[self.free], net.u_lower])
+        self.upper = np.concatenate([net.x_upper[self.free], net.u_upper])
+        self.nx_free = self.free.size
+        self.draw = demand_draw(net, y)
+        self.jac_base = np.concatenate([np.zeros((nx, self.nx_free)), -net.gen_sel], axis=1)
+        self.free_bus = self.free[0::2] // 2
+        _, self.fit_pick, self.fit_index = frozen_layout(net)
+        v = np.empty(net.n_bus)
+        theta = np.empty(net.n_bus)
+        v[net.slack] = net.slack_v
+        theta[net.slack] = 0.0
+        self.point = State(v=v, theta=theta)
+
+    def cold_start(self):
+        net = self.net
+        x0 = np.empty(2 * net.n_bus)
+        x0[0::2] = net.slack_v
+        x0[1::2] = 0.0
+        return np.concatenate([x0[self.free], 0.5 * (net.u_lower + net.u_upper)])
+
+    def residual_jacobian(self, z):
+        net = self.net
+        nxf = self.nx_free
+        self.point.v[self.free_bus] = z[0:nxf:2]
+        self.point.theta[self.free_bus] = z[1:nxf:2]
+        u = z[nxf:]
+        P, values = frozen_outflow_terms(net, self.point)
+        J = self.jac_base.copy()
+        J.ravel()[self.fit_index] = values[self.fit_pick]
+        F = P - net.gen_sel @ u + self.draw
+        return F, J
+
+
+def frozen_solve(M, b):
+    try:
+        return np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, b, rcond=None)[0]
+
+
+def frozen_least_squares(prob, z0):
+    """The fit as it was, reading its constants from ao1_opf so that a
+    monkeypatched cap applies to both."""
+    TOL_FEAS, FIT_MAX_ITERS = ao1_opf.TOL_FEAS, ao1_opf.FIT_MAX_ITERS
+    FIT_LAMBDA_MAX = ao1_opf.FIT_LAMBDA_MAX
+    lower, upper = prob.lower, prob.upper
+    z = np.clip(z0, lower, upper)
+    F, J = prob.residual_jacobian(z)
+    nfev = 1
+    f = 0.5 * float(F @ F)
+    lam = 1e-3
+    for _ in range(FIT_MAX_ITERS):
+        if float(np.abs(F).max()) <= TOL_FEAS:
+            return z, F, nfev, "balanced"
+        g = J.T @ F
+        free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
+        if float(np.abs(g[free]).max(initial=0.0)) <= 1e-12 * max(1.0, f):
+            return z, F, nfev, "stationary"
+        Jf = J[:, free]
+        H = Jf.T @ Jf
+        d = np.diag(H).copy()
+        np.maximum(d, 1e-12 * max(float(d.max()), 1e-300), out=d)
+        rhs = -g[free]
+        while True:
+            M = H + lam * np.diag(d)
+            step = np.zeros_like(z)
+            step[free] = frozen_solve(M, rhs)
+            z_step = z + step
+            z_try = np.clip(z_step, lower, upper)
+            out = z_try != z_step
+            if out.any():
+                h = z_try - z
+                Jh = J @ h
+                if float(g @ h) + 0.5 * float(Jh @ Jh) >= 0.0:
+                    keep = free & ~out
+                    k, o = keep[free], out[free]
+                    s = frozen_solve(M[np.ix_(k, k)], rhs[k] - M[np.ix_(k, o)] @ h[out])
+                    z_try[keep] = np.clip(z[keep] + s, lower[keep], upper[keep])
+            F_try, J_try = prob.residual_jacobian(z_try)
+            nfev += 1
+            f_try = 0.5 * float(F_try @ F_try)
+            if f_try < f:
+                break
+            lam *= 4.0
+            if lam > FIT_LAMBDA_MAX:
+                return z, F, nfev, "stationary"
+        decrease = f - f_try
+        z, F, J, f = z_try, F_try, J_try, f_try
+        lam /= 3.0
+        if decrease <= 1e-14 * (f + decrease):
+            return z, F, nfev, "stationary"
+    status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"
+    return z, F, nfev, status
+
+
+def assert_fit_matches_frozen(net, y, z0=None):
+    """Run the fit and its frozen copy from z0 (the cold start when None);
+    returns the fit."""
+    frozen = FrozenProblem(net, y)
+    if z0 is None:
+        z0 = frozen.cold_start()
+        assert net.fit_start.tobytes() == z0.tobytes()
+    fit = ao1_opf.least_squares(ao1_opf._Problem(net, y), z0)
+    x, fun, nfev, status = frozen_least_squares(frozen, z0)
+    assert (fit.nfev, fit.status) == (nfev, status)
+    assert fit.x.tobytes() == x.tobytes()
+    assert fit.fun.tobytes() == fun.tobytes()
+    return fit
+
+
+@pytest.mark.parametrize("bits", list(itertools.product((0.0, 1.0), repeat=3)))
+def test_cold_shortfall_fits_match_the_frozen_fit(shortfall5_case, bits):
+    assert_fit_matches_frozen(network(shortfall5_case), SwitchVector(np.array(bits)))
+
+
+@pytest.mark.parametrize("fixture, cap", [("stressed30", None), ("negative_g5", None),
+                                          ("stressed30", 1), ("negative_g5", 1)])
+def test_stalled_and_capped_fits_match_the_frozen_fit(fixture, cap, request, monkeypatch):
+    # the screened stall, the unscreened stall, and both with FIT_MAX_ITERS = 1
+    if cap is not None:
+        monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", cap)
+    net = network(request.getfixturevalue(fixture))
+    fit = assert_fit_matches_frozen(net, SwitchVector(np.ones(net.n_dem)))
+    assert fit.status == ("cap" if cap else "stationary")
+
+
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
+def test_warm_fit_at_the_first_proposed_set_matches_the_frozen_fit(stressed30, tag, monkeypatch):
+    starts = []
+    fit = ao1_opf.least_squares
+
+    def recording(prob, z0):
+        starts.append((prob.y, np.array(z0)))
+        return fit(prob, z0)
+
+    monkeypatch.setattr(ao1_opf, "least_squares", recording)
+    run_ao_sbqp(stressed30, SolverConfig(variant=Ao2Variant(tag=tag)))
+    monkeypatch.setattr(ao1_opf, "least_squares", fit)
+    y, z0 = starts[1]
+    assert not np.array_equal(y.y, np.ones(y.y.size))
+    assert_fit_matches_frozen(network(stressed30), y, z0)
+
+
+def test_spoiled_clip_re_solve_matches_the_frozen_fit(shortfall5_case, monkeypatch):
+    # on the cold (1, 1, 0) fit one clipped step is re-solved: one more damped
+    # solve than trials
+    solves = []
+    solve = ao1_opf._solve
+    monkeypatch.setattr(ao1_opf, "_solve", lambda M, b: solves.append(1) or solve(M, b))
+    fit = assert_fit_matches_frozen(network(shortfall5_case), SwitchVector(np.array([1.0, 1.0, 0.0])))
+    assert len(solves) > fit.nfev - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(["case5", "case30", "negative_g5"]), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.0, 3.2))
+@example(which="case5", seed=0, spread=0.0)
+def test_outflow_kernel_matches_the_frozen_kernel(which, seed, spread, case5, case30, negative_g5):
+    # values and sign bits: the dense dP/dx is compared byte for byte, and an
+    # entry off the edges and the diagonal is +0.0 on both sides
+    case = {"case5": case5, "case30": case30, "negative_g5": negative_g5}[which]
+    net = network(case)
+    rng = np.random.default_rng(seed)
+    state = State(v=rng.uniform(0.8, 1.2, net.n_bus), theta=rng.uniform(-spread, spread, net.n_bus))
+    P, dP_dx = outflow(net, state, jacobian=True)
+    ref_P, values = frozen_outflow_terms(net, state)
+    ref = np.zeros((2 * net.n_bus, 2 * net.n_bus))
+    ref.ravel()[frozen_layout(net)[0]] = values
+    assert P.tobytes() == ref_P.tobytes()
+    assert dP_dx.tobytes() == ref.tobytes()
+    assert outflow(net, state).tobytes() == ref_P.tobytes()

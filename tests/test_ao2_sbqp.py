@@ -47,6 +47,36 @@ def test_schedule_validation():
                 PenaltySchedule(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["rho0", "beta", "rho_max", "eps"])
+@pytest.mark.parametrize("bad", [True, False, "1.0", None])
+def test_schedule_fields_reject_non_numbers(field, bad):
+    # True would pass every range check as 1 and stay a bool in the schedule
+    with pytest.raises(ValueError, match=f"{field} must be a number, got {bad!r}"):
+        PenaltySchedule(**{field: bad})
+
+
+def test_schedule_fields_keep_ints_and_floats():
+    assert PenaltySchedule(rho0=2, beta=3.0, rho_max=10, eps=1e-7).rho0 == 2
+
+
+@pytest.mark.parametrize("part, message", [
+    ("state", "run_ao2 start: the state has 4 buses, expected 5"),
+    ("input", "run_ao2 start: the input has 3 generators, expected 4"),
+    ("switches", "run_ao2 start: the switch vector has 4 entries, expected 3, one per demand"),
+])
+def test_run_ao2_rejects_a_mis_sized_start(case5, part, message):
+    res = solve_ao1(case5, SwitchVector(np.ones(3)))
+    state, inputs, switches = res.state, res.input, SwitchVector(np.ones(3))
+    if part == "state":
+        state = type(state)(v=state.v[:-1], theta=state.theta[:-1])
+    elif part == "input":
+        inputs = type(inputs)(pg=inputs.pg[:-1], qg=inputs.qg[:-1])
+    else:
+        switches = SwitchVector(np.ones(4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_ao2(case5, (state, inputs, switches), res.duals)
+
+
 def test_variant_validation():
     with pytest.raises(ValueError):
         Ao2Variant(tag="relaxed-three")

@@ -130,6 +130,12 @@ def test_solver_config_validation():
         SolverConfig(outer_max_iters=0)
 
 
+@pytest.mark.parametrize("bad", [True, False, "1e-6", None])
+def test_solver_config_outer_eps_rejects_non_numbers(bad):
+    with pytest.raises(ValueError, match=f"outer_eps must be a number, got {bad!r}"):
+        SolverConfig(outer_eps=bad)
+
+
 @pytest.mark.parametrize("field", ["outer_max_iters", "seed"])
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
 def test_solver_config_integer_fields_reject_non_int(field, bad):

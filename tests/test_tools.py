@@ -86,3 +86,35 @@ def test_compare_names_each_call_that_differs(tmp_path, tool, capsys):
     assert tool.main([str(tmp_path / "c.json"), *args, "--outcomes", "--compare", str(base)]) == 2
     assert "no outcome" in capsys.readouterr().out
     assert not (tmp_path / "c.json").exists()
+
+
+CENSUS = Path(__file__).resolve().parents[1] / "tools" / "restore_census.py"
+
+
+@pytest.fixture()
+def census(monkeypatch):
+    # run as a script, the tool finds workload_digests next to it
+    monkeypatch.setattr(sys, "path", [str(CENSUS.parent), *sys.path])
+    spec = importlib.util.spec_from_file_location("restore_census", CENSUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
+    # the fit forms derivatives only where it goes on, so every call's passes
+    # fall short of its evaluations: at least one fit per call ends balanced,
+    # and that end point costs a residual alone
+    assert census.main(["--workload", "oracle5", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[2:5] == ["fits", "nfev", "jac"]
+    calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
+    assert len(calls) == 20
+    for fields in calls:
+        fits, nfev, jac = (int(v) for v in fields[5:8])
+        assert 0 < jac < nfev
+    total = next(line for line in lines if line.startswith("AO1 fits "))
+    words = total.replace(",", "").split()
+    assert int(words[3]) == sum(int(f[6]) for f in calls)
+    assert int(words[5]) == sum(int(f[7]) for f in calls)
+    assert words[6:8] == ["derivative", "passes;"]

@@ -5,18 +5,20 @@
 Builds the calls of ``bench/workloads.py`` for each seed (the module is
 imported, never changed), runs each distinct call once, in first-seen order,
 in this process and against ./src, and wraps ``gridshed.ao1_opf.least_squares``
-(the bounded least-squares fit that every AO1 solve runs once) from outside
-the package.
+(the bounded least-squares fit that every AO1 solve runs once) and
+``gridshed.ao1_opf.outflow_derivatives`` (the derivative pass that the fit
+runs at each point it goes on from) from outside the package.
 
 One line per distinct call: the seed and index where it first appears, its
-variant, its AO1 fits, their function evaluations, how many ended balanced,
+variant, its AO1 fits, their function evaluations and derivative (Jacobian)
+passes, how many ended balanced,
 stationary and at the fit's iteration cap, the smallest and largest end
 max|F| (the balance residual each fit stopped at), their seconds, the
 slowest one in ms, and the call's outcome (answered, or the error's first
 clause).  Fits during a seed's set-up (switch30 builds its AO1 starts there)
-get a line of their own.  Totals follow: fits by exit (balanced means end
-max|F| at most ``TOL_FEAS``), the time spent, and how many took longer than
-SLOW_MS.
+get a line of their own.  Totals follow: the evaluations and derivative
+passes, fits by exit (balanced means end max|F| at most ``TOL_FEAS``), the
+time spent, and how many took longer than SLOW_MS.
 """
 
 from __future__ import annotations
@@ -47,26 +49,35 @@ SLOW_MS = 50.0
 
 
 class Census:
-    """Wraps ao1_opf.least_squares; keeps (nfev, exit, end max|F|, seconds) per fit."""
+    """Wraps ao1_opf.least_squares and ao1_opf.outflow_derivatives; keeps
+    (nfev, exit, end max|F|, seconds, derivative passes) per fit."""
 
     def __init__(self):
-        self.runs: list[tuple[int, str, float, float]] = []
-        self._original = ao1_opf.least_squares
+        self.runs: list[tuple[int, str, float, float, int]] = []
+        self.passes = 0
+        self._fit = ao1_opf.least_squares
+        self._derivatives = ao1_opf.outflow_derivatives
 
     def install(self):
         def counted(*args, **kwargs):
-            t0 = time.perf_counter()
-            out = self._original(*args, **kwargs)
+            t0, passes0 = time.perf_counter(), self.passes
+            out = self._fit(*args, **kwargs)
             self.runs.append((int(out.nfev), out.status, float(np.max(np.abs(out.fun))),
-                              time.perf_counter() - t0))
+                              time.perf_counter() - t0, self.passes - passes0))
             return out
 
+        def derivatives(*args, **kwargs):
+            self.passes += 1
+            return self._derivatives(*args, **kwargs)
+
         ao1_opf.least_squares = counted
+        ao1_opf.outflow_derivatives = derivatives
 
     def uninstall(self):
-        ao1_opf.least_squares = self._original
+        ao1_opf.least_squares = self._fit
+        ao1_opf.outflow_derivatives = self._derivatives
 
-    def take(self) -> list[tuple[int, str, float, float]]:
+    def take(self) -> list[tuple[int, str, float, float, int]]:
         runs, self.runs = self.runs, []
         return runs
 
@@ -91,7 +102,7 @@ def _line(label: str, variant: str, runs, outcome: str) -> str:
         spread = f"{'-':>9} {'-':>9}"
         slowest = f"{'-':>7}"
     return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} "
-            f"{_exits(runs):>8} {spread} {sum(r[3] for r in runs):>9.3f} {slowest}  {outcome}")
+            f"{sum(r[4] for r in runs):>6} {_exits(runs):>8} {spread} {sum(r[3] for r in runs):>9.3f} {slowest}  {outcome}")
 
 
 def main(argv: list[str]) -> int:
@@ -103,9 +114,9 @@ def main(argv: list[str]) -> int:
     census = Census()
     census.install()
     seen: set[str] = set()
-    every: list[tuple[int, str, float, float]] = []
+    every: list[tuple[int, str, float, float, int]] = []
     outcomes: list[str] = []
-    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'b/s/cap':>8} {'min|F|':>9} "
+    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'jac':>6} {'b/s/cap':>8} {'min|F|':>9} "
           f"{'max|F|':>9} {'fit_s':>9} {'max_ms':>7}  outcome")
     try:
         for seed in _seeds(args.seeds):
@@ -138,7 +149,8 @@ def main(argv: list[str]) -> int:
     ends = [r[2] for r in every]
     seconds = [r[3] for r in every]
     exits = ", ".join(f"{sum(r[1] == e for r in every)} {e}" for e in EXITS)
-    print(f"AO1 fits {len(every)}, {sum(r[0] for r in every)} evaluations; exits: {exits}")
+    print(f"AO1 fits {len(every)}, {sum(r[0] for r in every)} evaluations, "
+          f"{sum(r[4] for r in every)} derivative passes; exits: {exits}")
     print(f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(seconds):.3f} s in all, "
           f"median {1e3 * statistics.median(seconds):.1f} ms, slowest {1e3 * max(seconds):.1f} ms; "
           f"{sum(t > SLOW_MS / 1e3 for t in seconds)} took longer than {SLOW_MS:g} ms")
