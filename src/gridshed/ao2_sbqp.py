@@ -377,7 +377,9 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
         return float(np.min(slack, initial=0.0)) >= -1e-9
 
     def solve_sub(rho, anchor, warm):
-        prob = build_subproblem(case, start, duals, rho, variant, anchor, cuts, parts)
+        # the seeding solve's subproblem is base itself: at rho = 0 the anchor
+        # changes no float
+        prob = base if rho == 0.0 else build_subproblem(case, start, duals, rho, variant, anchor, cuts, parts)
         sol = solve_qp(prob, start=None if warm is None else warm - y_lin)
         return y_lin + sol.primal, sol.status
 

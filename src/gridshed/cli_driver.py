@@ -57,6 +57,7 @@ from .power_equations import (
 
 FEAS_TOL = 1e-6
 ORACLE_CAP = 20
+LOCAL_VERDICTS = "the verdicts are local: a stationary AO1 fit is no global proof"
 FORMAT_VERSION = 2
 
 
@@ -64,8 +65,9 @@ class DriverError(RuntimeError):
     """The alternation could not deliver a valid binary operating point.
 
     kind is "infeasible" when the final switch set admits no feasible
-    continuous solution and "no-convergence" when an iteration budget ran
-    out first; best carries the last complete iterate when one exists.
+    continuous solution or the rejected sets leave none to try, and
+    "no-convergence" when an iteration budget ran out first; best carries
+    the last complete iterate when one exists.
     """
 
     def __init__(self, message: str, kind: str, best=None):
@@ -161,9 +163,12 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     Switch sets that a continuous solve proved infeasible are remembered by
     their live demands.  When the switching stage proposes one of them again,
     it is re-run with every remembered set as a no-good cut; a run that never
-    re-proposes a rejected set is untouched.  An infeasible verdict never
-    ends the loop, even when the operating point did not move, so the final
-    set is never one that a continuous solve proved infeasible.
+    re-proposes a rejected set is untouched.  An infeasible verdict ends the
+    loop only through two exits, both a DriverError of kind "infeasible":
+    every live switch pattern has been rejected, or the re-run with the cuts
+    still proposes a rejected set.  So no rejected set is fitted twice, and
+    a case whose live patterns are all rejected ends within 2**live + 1 fits.
+    The final set is never one that a continuous solve proved infeasible.
     """
     cfg = SolverConfig() if cfg is None else cfg
     work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
@@ -193,6 +198,11 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
         if ao1.status == "infeasible":
             # a set proved infeasible is cut, never settled on
             rejected.setdefault(tuple(y.y[live].tolist()), y.y)
+            if len(rejected) == 2 ** int(live.sum()):
+                best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
+                patterns = "pattern" if len(rejected) == 1 else "patterns"
+                raise DriverError(f"all {len(rejected)} live switch {patterns} proved infeasible; {LOCAL_VERDICTS}",
+                                  "infeasible", best)
         elif ao1.status == "converged" and bool(np.all(y.y == 1.0)):
             # full service balances: no switch set serves more
             converged = True
@@ -215,6 +225,11 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
             raise DriverError(f"switching stage stalled: {exc}", "no-convergence", best) from exc
         t_ao2 += time.perf_counter() - tick
         traces.append(trace)
+        if tuple(y.y[live].tolist()) in rejected:
+            best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
+            sets = "set" if len(cuts) == 1 else "sets"
+            raise DriverError(f"the switching stage proposed a rejected switch set again with {len(cuts)} "
+                              f"rejected {sets} cut; {LOCAL_VERDICTS}", "infeasible", best)
 
     best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
     if not converged:

@@ -22,6 +22,7 @@ g = r/(r^2+x^2), b = -x/(r^2+x^2).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
@@ -296,6 +297,10 @@ class ScenarioConfig:
             raise CaseError(f"unknown shift_mode {self.shift_mode!r}")
         if self.demand_set_mode not in ("all-buses", "loaded-buses"):
             raise CaseError(f"unknown demand_set_mode {self.demand_set_mode!r}")
+        for name in ("pd_shift", "qd_shift", "qg_bound_scale", "pg_upper_scale"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise CaseError(f"{name} must be a number, got {v!r}")
         for name in ("qg_bound_scale", "pg_upper_scale"):
             v = getattr(self, name)
             if not 0 < v <= 1:

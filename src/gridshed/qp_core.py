@@ -2,25 +2,32 @@
 
 Problems are maximizations of 0.5 z'diag(q)z + g'z over { b + A z >= 0 }
 within a box, with q the curvature vector and A a few dense rows.  One
-kernel does the row work: coordinate ascent on the row multipliers lam, the
-primal being the closed-form clip z = clip((s + A'lam) / h) for fixed lam, as
-in separable QP with few linear rows (Brucker 1984).
+kernel does the row work: it minimizes the dual over the row multipliers
+lam >= 0, the primal being the closed-form clip z = clip((s + A'lam) / h)
+for fixed lam, as in separable QP with few linear rows (Brucker 1984).
 
-Each coordinate update is the smallest lam_i >= 0 that meets row i.  The
-slack b_i + A[i] clip((base + lam A[i]) / h) is piecewise linear in lam,
-with kinks where a coordinate reaches a box end, so the root lies on the
-segment between two consecutive kinks (breakpoint search, Kiwiel 2008).  One
-vectorised pass evaluates the slack at every positive kink and picks the
-first that meets the row; the float itself is decided by the scalar slack
-alone.  Every step of that slack is a rounded monotone operation summed in
-a fixed order, so it does not decrease as lam grows even in floating point,
-and the first float at which it turns nonnegative is unique.  The search
-gallops from the linear estimate on the segment by 1, 4, 16... ulps to a
-bracket and bisects it to adjacent floats.  That float is what a plain
-doubling-and-bisection search finds, with two edge cases: no multiplier
-beyond ROOT_CAP = 4**79 is tried (the row is then unreachable), and a root
-below about 2**-68 comes out as the exact first float, which a bisection
-capped at 120 halvings of [0, 1] cannot resolve.
+That dual is convex and piecewise quadratic.  Its gradient is the row
+slack b + A z, and its curvature is A_F diag(1/h_F) A_F' over the free
+coordinates F.  Each kernel step takes the Newton direction d on the
+working rows (those with lam_i > 0 and those z breaks) and minimizes the
+dual exactly along it.  Along lam + t d the dual's slope
+d'(b + A clip((shifted + t A'd) / h)) is piecewise linear and nondecreasing
+in t, with kinks where a coordinate reaches a box end, so one vectorised
+pass evaluates it at every kink in reach and the root is interpolated on
+the segment that holds it (breakpoint search, Kiwiel 2008); the step stops
+early where a falling multiplier reaches 0, and that row leaves the working
+set.  A row at lam_i = 0 whose Newton component would push it below 0 is
+dropped before the search, one at a time, as in the dual active-set method
+of Goldfarb & Idnani (1983).  A single working row needs no linear solve:
+its direction is its own multiplier, so a clip with one binding row costs
+one breakpoint pass.  The box is finite, so past the last kink every moving
+coordinate sits on a box end: the slope there is exact from those ends, and
+when it is negative the dual falls without bound and the rows cannot be
+met.  In the Newton system a coordinate on a box end counts as free, since
+the step may move it inward; that is what turns two contradictory cuts
+into one direction along which the dual falls.  A small multiple of each
+row's squared norm on the system's diagonal keeps it solvable when a row
+has no free coordinate or two cut rows coincide on the free ones.
 
 ``solve_qp`` picks the method from q:
 
@@ -46,25 +53,15 @@ of each step.  The kernel therefore calls the ndarray methods (``x.max()``,
 ``x.clip(lo, hi)``, ``m.all()``, ``m.nonzero()``) in place of the module
 functions ``np.max``, ``np.clip``, ``np.all`` and ``np.flatnonzero``: both
 run the same ufunc reduction or ufunc on the same operands, so every float
-is the same, and the method skips the dispatch wrapper.  The float index of
-the root search reads the same 8 bytes through ``struct`` instead of two
-numpy scalar views.  What does not change within a solve is computed once:
-``_Rows`` holds h * lower, h * upper and each row's nonzero entries for
-every kernel run under one curvature h, and ``_probe_moves`` the parts of
-the endpoint moves that do not depend on the point.
-
-Most row work has a known answer, and the kernel skips it without moving a
-float.  ``_dual_clip`` keeps one clip z of shifted = s + A'lam and
-recomputes it only when a multiplier moves.  A row whose multiplier is 0
-and that z meets keeps it with no root search: ``_row_root`` would return
-0.0 at its first test, whose slack is the same dot product over the same
-values (its base is shifted - 0 A[i]; only signs of zeros can differ, and
--0.0 >= 0 holds).  The end-of-sweep residual and the returned point are
-that same clip.  Under h = 1, the projection of the stationary path, no
-division by h is made, as x / 1.0 == x holds exactly, -0.0 included.  The
-stationary path's stop test checks stationarity, the first term of
-``kkt_residual``, from the iteration's own gradient, and forms the full
-residual only when that passes.
+is the same, and the method skips the dispatch wrapper.  What does not
+change within a solve is computed once: ``_Box`` holds h * lower and
+h * upper for every kernel run under one curvature h, and ``_probe_moves``
+the parts of the endpoint moves that do not depend on the point.  A clip whose rows z meets at lam = 0 takes no step at all.
+Under h = 1, the projection of the stationary path, no division by h is
+made, as x / 1.0 == x holds exactly.  The stationary path's stop test checks
+stationarity, the first term of ``kkt_residual``, from the iteration's own
+gradient, and forms the full residual only when that passes; the solution
+carries that same residual.
 
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
@@ -72,15 +69,16 @@ with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 TOL_STAT = 1e-8
 SLACK_TOL = 1e-7
-# the last multiplier a row may need: 4**79 was the doubling search's last probe
-ROOT_CAP = 4.0 ** 79
+# kernel steps a dual clip may take before it gives up unconverged
+DUAL_STEPS = 50
+# the Newton system's diagonal shift, relative to each row's squared norm over h
+DIAGONAL_SHIFT = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +105,8 @@ class QpProblem:
             raise ValueError("box dimensions inconsistent")
         if np.any(self.lower > self.upper):
             raise ValueError("lower > upper")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("box must be finite")
 
     @property
     def dim(self) -> int:
@@ -177,163 +177,136 @@ def _infeasible(problem: QpProblem, z: np.ndarray) -> QpSolution:
     return QpSolution(z, lam, mu, gam, "infeasible", kkt_residual(problem, z, lam, mu, gam))
 
 
-class _Rows:
-    """The rows of one problem under one curvature h > 0, with what every
-    kernel run and row root reuses: the box scaled by h (the values of
-    s + A'lam at which a coordinate reaches a box end) and, per row, the mask
-    of its nonzero entries, the scaled lower then upper ends at those
-    positions, and the entries themselves repeated to match; unit tells
+class _Box:
+    """The box of one problem under one curvature h > 0, with what every
+    kernel run reuses: the box scaled by h (the values of s + A'lam at which
+    a coordinate reaches a box end), its lower then upper ends stacked, and
     whether h is all ones."""
 
     def __init__(self, problem: QpProblem, h: np.ndarray):
+        self.h, self.lower, self.upper = h, problem.lower, problem.upper
         self.h_lower, self.h_upper = h * problem.lower, h * problem.upper
+        self.ends = np.concatenate([self.h_lower, self.h_upper])
         # h = 1, the projection: x / 1.0 == x, so every division by h is skipped
         self.unit = bool((h == 1.0).all())
-        self.support = []
-        for a in problem.A:
-            nz = a != 0.0
-            self.support.append((nz, np.concatenate([self.h_lower[nz], self.h_upper[nz]]),
-                                 np.concatenate([a[nz], a[nz]])))
+
+    def clip(self, shifted):
+        """z for the linear term shifted = s + A'lam."""
+        return (shifted if self.unit else shifted / self.h).clip(self.lower, self.upper)
 
     def bound_duals(self, shifted):
         """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam."""
         return np.maximum(0.0, self.h_lower - shifted), np.maximum(0.0, shifted - self.h_upper)
 
 
-_F64, _I64 = struct.Struct("d"), struct.Struct("q")
-
-
-def _float_index(x: float) -> int:
-    """Position of x among the nonnegative floats in increasing order; negative below 0."""
-    return _I64.unpack(_F64.pack(x))[0]
-
-
-def _float_at(n: int) -> float:
-    """The nonnegative float at position n >= 0, the inverse of _float_index."""
-    return _F64.unpack(_I64.pack(n))[0]
-
-
-def _row_root(problem: QpProblem, i: int, h: np.ndarray, base: np.ndarray, rows: _Rows | None = None):
-    """Smallest float lam > 0 at which row i of the clip (base + lam A[i]) / h
-    has slack >= 0; 0.0 when lam = 0 meets the row, None when ROOT_CAP does not.
-
-    The computed slack is nondecreasing in lam, so that float is unique.  One
-    vectorised pass over the kinks picks the segment that holds it; the
-    scalar slack alone decides the float.  rows is _Rows(problem, h), when
-    the caller has it.
-    """
-    a, b_i, lower, upper = problem.A[i], problem.b[i], problem.lower, problem.upper
-    rows = _Rows(problem, h) if rows is None else rows
-    unit = rows.unit
-
-    def slack(lam):
-        x = base + lam * a
-        if not unit:
-            x /= h
-        return float(b_i + a @ x.clip(lower, upper))
-
-    s0 = slack(0.0)
-    if s0 >= 0.0:
-        return 0.0
-    nz, ends, a2 = rows.support[i]
-    base_nz = base[nz]
-    kinks = (ends - np.concatenate([base_nz, base_nz])) / a2
-    lams = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < ROOT_CAP)]), [ROOT_CAP]])
-    x = base + lams[:, None] * a
-    if not unit:
-        x /= h
-    s = b_i + x.clip(lower, upper) @ a
-    s[0] = s0
-    meets = (s >= 0.0).nonzero()[0]
-    k = int(meets[0]) if meets.size else lams.size - 1
-    guess = lams[k]
-    if s[k] > s[k - 1]:
-        guess = lams[k - 1] + (lams[k] - lams[k - 1]) * (-s[k - 1] / (s[k] - s[k - 1]))
-    # gallop from the linear estimate by 1, 4, 16... ulps to a bracket
-    # [lo, hi] of float indices with slack(lo) < 0 <= slack(hi)
-    top = _float_index(ROOT_CAP)
-    x = min(max(_float_index(guess), 1), top)
-    step = 1
-    if slack(_float_at(x)) >= 0.0:
-        lo, hi = 0, x
-        while x - step > 0:
-            if slack(_float_at(x - step)) < 0.0:
-                lo = x - step
-                break
-            hi = x - step
-            step *= 4
+def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
+    """One kernel step from lam, where shifted = s + A'lam and slack is the
+    row slack of its clip: the Newton direction on the working rows and the
+    exact minimizer of the dual along it.  Returns the new lam, or None when
+    the step cannot lower the dual: its slope stays negative past the last
+    kink, so the rows cannot be met, or it is not negative at the start, or
+    the step moves lam by rounding alone."""
+    A, b = problem.A, problem.b
+    work = ((lam > 0.0) | (slack < 0.0)).nonzero()[0]
+    while work.size > 1:
+        rows = A[work]
+        # a coordinate on a box end counts as free: the step may move it inward
+        free = (shifted >= box.h_lower) & (shifted <= box.h_upper)
+        m = (rows * (free if box.unit else free / box.h)) @ rows.T
+        # each row's squared norm over h, or 1.0 for a zero row
+        norms = (rows * rows if box.unit else rows * rows / box.h).sum(axis=1)
+        m.flat[::work.size + 1] += np.where(norms > 0.0, DIAGONAL_SHIFT * norms, 1.0)
+        d = np.linalg.solve(m, -slack[work])
+        wrong = (lam[work] == 0.0) & (d < 0.0)
+        if not wrong.any():
+            break
+        work = np.delete(work, np.where(wrong, d, 0.0).argmin())
     else:
-        lo, hi = x, top
-        while x + step < top:
-            if slack(_float_at(x + step)) >= 0.0:
-                hi = x + step
-                break
-            lo = x + step
-            step *= 4
-        else:
-            if slack(ROOT_CAP) < 0.0:
-                return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if slack(_float_at(mid)) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return _float_at(hi)
+        # a lone row moves its own multiplier, up when z breaks the row
+        d = -np.sign(slack[work])
+    v = d @ A[work]
+    # the step at which the first falling multiplier reaches 0: a lone row's
+    # d is -1 or 1, so its cap is its own multiplier
+    lam_w = lam[work]
+    if d.size == 1:
+        j, cap = 0, float(lam_w[0]) if d[0] < 0.0 else np.inf
+    else:
+        caps = np.divide(lam_w, -d, out=np.full(d.size, np.inf), where=d < 0.0)
+        j = int(caps.argmin())
+        cap = float(caps[j])
+    # the steps at which a moving coordinate reaches its lower or upper end
+    v2 = np.concatenate([v, v])
+    kinks = np.divide(box.ends - np.concatenate([shifted, shifted]), v2, out=np.zeros(v2.size), where=v2 != 0.0)
+    kinks = np.sort(kinks[(kinks > 0.0) & (kinks < cap)])
+    capped = cap < np.inf
+    ts = np.concatenate(([0.0], kinks, (cap,)) if capped else ([0.0], kinks))
+    x = shifted + ts[:, None] * v
+    if not box.unit:
+        x /= box.h
+    c = float(d @ b[work])
+    slope = c + x.clip(box.lower, box.upper) @ v
+    if not capped and kinks.size:
+        # at the last kink every moving coordinate sits on the box end ahead
+        # of it, so the slope there, and on past it, is exact from those ends
+        slope[-1] = c + v @ np.where(v > 0.0, box.upper, box.lower)
+    k = int((slope >= 0.0).argmax())
+    if slope[k] >= 0.0:
+        if k == 0:
+            return None
+        # the zero of the slope on [ts[k-1], ts[k]], interpolated from the
+        # end nearer to it, so that a root on a kink is that kink
+        (t0, t1), (s0, s1) = ts[k - 1:k + 1].tolist(), slope[k - 1:k + 1].tolist()
+        t = t0 + (t1 - t0) * (-s0 / (s1 - s0)) if -s0 <= s1 else t1 - (t1 - t0) * (s1 / (s1 - s0))
+    elif capped:
+        t = cap
+    else:
+        return None
+    new = lam.copy()
+    new[work] = np.maximum(lam_w + t * d, 0.0)
+    # a move within a few ulps of the largest multiplier is rounding, not descent
+    if t * float(np.abs(d).max()) <= 1e-15 * float(new.max()):
+        return None
+    if t >= cap:
+        new[work[j]] = 0.0
+    return new
 
 
-def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, rows: _Rows | None = None):
+def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | None = None):
     """Maximizer of s'z - 0.5 z'diag(h)z, h > 0, over the box and the rows.
 
-    The dual has one variable per row; for fixed multipliers the primal is
-    the box clip of (s + A'lam) / h, and the slack of row i is nondecreasing
-    in lam_i, so each coordinate update is a scalar root find.  One clip z
-    of shifted = s + A'lam is kept and recomputed only when a multiplier
-    moves: a row with lam_i = 0 that z meets keeps lam_i = 0 without a root
-    search, and the residual and the returned point are that clip.  rows is
-    _Rows(problem, h), when the caller has it.  Returns (z, lam, mu, gam,
+    Runs kernel steps from lam = 0 until the clip z of s + A'lam meets every
+    row within 1e-11 of the scale of s / h and every positive multiplier's
+    row is active within it, for at most DUAL_STEPS steps.  box is
+    _Box(problem, h), when the caller has it.  Returns (z, lam, mu, gam,
     converged).
     """
-    A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
-    rows = _Rows(problem, h) if rows is None else rows
-    unit = rows.unit
-
-    def clip(shifted):
-        return (shifted if unit else shifted / h).clip(lower, upper)
-
+    A, b = problem.A, problem.b
+    box = _Box(problem, h) if box is None else box
     lam = np.zeros(A.shape[0])
-    scale = max(1.0, float(np.abs(s if unit else s / h).max(initial=0.0)))
+    scale = max(1.0, float(np.abs(s if box.unit else s / h).max(initial=0.0)))
     tol = 1e-11 * scale
-    shifted = s + A.T @ lam
-    z = clip(shifted)
-    converged = False
-    for _ in range(200):
-        moved = 0.0
-        for i in range(A.shape[0]):
-            if lam[i] == 0.0 and b[i] + A[i] @ z >= 0.0:
-                continue
-            new = _row_root(problem, i, h, shifted - lam[i] * A[i], rows)
-            if new is None:
-                return z, lam, *rows.bound_duals(shifted), False
-            moved = max(moved, abs(new - lam[i]))
-            if new != lam[i]:
-                lam[i] = new
-                shifted = s + A.T @ lam
-                z = clip(shifted)
-        resid = b + A @ z
-        # every positive-multiplier row must be active; the product form
-        # lam*resid has an ulp floor of lam*eps*scale and cannot certify
-        if float((-resid).max(initial=0.0)) <= tol and bool(((lam <= 0.0) | (np.abs(resid) <= tol)).all()):
-            converged = True
+    shifted = s
+    z = box.clip(shifted)
+    for steps in range(DUAL_STEPS + 1):
+        slack = b + A @ z
+        # every positive-multiplier row must be active (lam = 0 before the
+        # first step); the product form lam*slack has an ulp floor of
+        # lam*eps*scale and cannot certify
+        if float(slack.min(initial=0.0)) >= -tol and (
+                steps == 0 or float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol):
+            return z, lam, *box.bound_duals(shifted), True
+        new = None if steps == DUAL_STEPS else _dual_step(problem, box, lam, shifted, slack)
+        if new is None:
             break
-        if moved <= 1e-16 * scale:
-            break
-    return z, lam, *rows.bound_duals(shifted), converged
+        lam = new
+        shifted = s + A.T @ lam
+        z = box.clip(shifted)
+    return z, lam, *box.bound_duals(shifted), False
 
 
 def _solve_exact(problem: QpProblem) -> QpSolution:
     q, g, A = problem.q, problem.g_lin, problem.A
-    kernel = _Rows(problem, -q)
+    kernel = _Box(problem, -q)
     z, lam, mu, gam, converged = _dual_clip(problem, -q, g, kernel)
     if not converged and not _phase_one(problem, z)[1]:
         return _infeasible(problem, z)
@@ -398,24 +371,26 @@ def _endpoint_probe(problem, z, value, moves=None):
     return None
 
 
-def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> bool:
-    """kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT, given grad = q z + g.
+def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> float | None:
+    """kkt_residual(problem, z, lam, mu, gam) when it is at most TOL_STAT,
+    else None, given grad = q z + g.
 
     Stationarity is the first term of kkt_residual's max and the same float
     expression, so it is tested first from the caller's gradient, and the
     full residual is formed only when it passes.
     """
     if float(np.abs(grad + problem.A.T @ lam + mu - gam).max()) > TOL_STAT:
-        return False
-    return kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT
+        return None
+    res = kkt_residual(problem, z, lam, mu, gam)
+    return res if res <= TOL_STAT else None
 
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     n = problem.dim
     unit = np.ones(n)
-    rows, moves = _Rows(problem, unit), _probe_moves(problem)
+    box, moves = _Box(problem, unit), _probe_moves(problem)
     z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
-    z, *_, ok = _dual_clip(problem, unit, z0, rows)
+    z, *_, ok = _dual_clip(problem, unit, z0, box)
     if not ok and not _phase_one(problem, z0)[1]:
         return _infeasible(problem, z)
 
@@ -431,6 +406,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     t = t0
     span = max(float((problem.upper - problem.lower).max(initial=0.0)), 1.0)
     z_prev = grad_prev = None
+    res = None
     for _ in range(cap):
         grad = problem.q * z + problem.g_lin
         if z_prev is not None:
@@ -444,15 +420,16 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         gnorm = float(np.abs(grad).max(initial=0.0))
         step = t if gnorm <= 1e-300 else min(t, 10.0 * span / gnorm)
         z_prev, grad_prev = z, grad
-        w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad, rows)
+        w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad, box)
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
-        if _kkt_met(problem, grad, z, lam, mu, gam):
+        res = _kkt_met(problem, grad, z, lam, mu, gam)
+        if res is not None:
             probe = _endpoint_probe(problem, z, value, moves)
             if probe is None:
                 status = "optimal"
                 break
-            z = probe
+            z, res = probe, None
             z_prev = grad_prev = None
             continue
         # exact line search on the first segment of the projection arc
@@ -463,12 +440,15 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
                 z = probe
                 z_prev = grad_prev = None
                 continue
-            status = "optimal" if kkt_residual(problem, z, lam, mu, gam) <= 1e-6 else status
+            res = kkt_residual(problem, z, lam, mu, gam)
+            status = "optimal" if res <= 1e-6 else status
             break
         den = p * problem.q @ p
         alpha = 1.0 if den >= -1e-14 else min(1.0, (grad @ p) / -den)
         z = z + alpha * p
-    return QpSolution(z, lam, mu, gam, status, kkt_residual(problem, z, lam, mu, gam))
+    if res is None:
+        res = kkt_residual(problem, z, lam, mu, gam)
+    return QpSolution(z, lam, mu, gam, status, res)
 
 
 def solve_qp(problem: QpProblem, start: np.ndarray | None = None) -> QpSolution:

@@ -462,20 +462,21 @@ def test_parts_built_once_give_the_problems_a_fresh_build_gives(tag, stressed30,
 
 @pytest.mark.parametrize("tag", ["relaxed-one", "relaxed-two"])
 def test_each_subproblem_gets_one_qp_solve(tag, stressed30, stressed30_start, monkeypatch):
-    # run_ao2's first build is the row check's reference problem; every later
-    # build is one subproblem, solved once from the incumbent, with no second
-    # start from the all-off corner
+    # run_ao2's first build is the row check's reference problem, and the
+    # rho = 0 seeding solve (trace row 0) solves that very problem; every
+    # later build is one subproblem, solved once from the incumbent, with no
+    # second start from the all-off corner
     res, start = stressed30_start
     variant = Ao2Variant(tag=tag)
     y0, _ = run_ao2(stressed30, start, res.duals, None, variant)
     calls = []
 
     def spy_build(*args, **kwargs):
-        calls.append("build")
-        return build_subproblem(*args, **kwargs)
+        calls.append(build_subproblem(*args, **kwargs))
+        return calls[-1]
 
     def spy_solve(problem, start=None):
-        calls.append("solve")
+        calls.append(("solve", problem))
         return solve_qp(problem, start=start)
 
     monkeypatch.setattr(ao2_sbqp, "build_subproblem", spy_build)
@@ -483,5 +484,7 @@ def test_each_subproblem_gets_one_qp_solve(tag, stressed30, stressed30_start, mo
     for cuts in ((), (y0.y,)):
         calls.clear()
         _, trace = run_ao2(stressed30, start, res.duals, None, variant, cuts=cuts)
-        assert calls[0] == "build"
-        assert calls[1:] == ["build", "solve"] * len(trace.rows)
+        assert trace.rows[0].rho == 0.0 and calls[1] == ("solve", calls[0])
+        assert len(calls) == 2 * len(trace.rows)
+        for built, solved in zip(calls[2::2], calls[3::2]):
+            assert solved == ("solve", built)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridshed
-from gridshed import cli_driver
+from gridshed import cli_driver, qp_core
 from gridshed.ao2_sbqp import Ao2Error, Ao2Variant, PenaltySchedule, live_demands
 from gridshed.cli_driver import (
     DriverError,
@@ -40,6 +41,7 @@ from gridshed.grid_model import (
     serialize_case,
 )
 from gridshed.power_equations import InputVector, SwitchVector, constraints_C, network
+from test_grid_model import _random_case
 
 
 @pytest.fixture(scope="session")
@@ -309,26 +311,104 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
 
 def test_infeasible_fixed_point_is_cut_not_settled(case5, shortfall5, monkeypatch):
     # AO1 faked to return the screened all-ones end point every time and AO2
-    # to propose the set it started from: the point never moves, but a set
-    # proved infeasible never ends the loop, so every later switching stage
-    # runs with it cut, until the outer cap
+    # to propose the set it started from: the set proved infeasible is cut,
+    # and when the re-run with the cut still proposes it, the solve ends
+    # infeasible after one fit instead of fitting it again until the cap
     work = cli_driver.apply_scenario(case5, shortfall5)
     stall = cli_driver.solve_ao1(work, SwitchVector(np.ones(3)))
     assert (stall.status, stall.certificate) == ("infeasible", "screen")
-    cut_runs = []
+    fits, cut_runs = [], []
 
     def run_ao2(case, start, duals, schedule, variant, cuts=()):
         cut_runs.append(len(cuts))
         return start[2], None
 
-    monkeypatch.setattr(cli_driver, "solve_ao1", lambda case, y, warm=None: stall)
+    monkeypatch.setattr(cli_driver, "solve_ao1", lambda case, y, warm=None: fits.append(y) or stall)
     monkeypatch.setattr(cli_driver, "run_ao2", run_ao2)
     with pytest.raises(DriverError) as info:
         run_ao_sbqp(case5, SolverConfig(scenario=shortfall5))
-    assert info.value.kind == "no-convergence"
-    assert str(info.value) == ("operating point still moving after 20 outer iterations; "
-                               "the switching stage last ran with 1 infeasible switch set cut")
-    assert cut_runs == [0, 1] * 20
+    assert info.value.kind == "infeasible"
+    assert str(info.value) == ("the switching stage proposed a rejected switch set again with 1 rejected "
+                               "set cut; the verdicts are local: a stationary AO1 fit is no global proof")
+    assert len(fits) == 1 and cut_runs == [0, 1]
+    assert info.value.best.outer_iterations == 1
+    assert np.array_equal(info.value.best.switches.y, np.ones(3))
+
+
+def test_every_live_pattern_rejected_ends_infeasible(case5, shortfall5, monkeypatch):
+    # AO1 faked to reject every set and AO2 to propose each of the 2**3 sets
+    # once, in turn: the solve ends at the eighth fit, each set fitted once
+    work = cli_driver.apply_scenario(case5, shortfall5)
+    stall = cli_driver.solve_ao1(work, SwitchVector(np.ones(3)))
+    assert network(work).pd.all()
+    fits = []
+    proposals = iter(sorted(product((0.0, 1.0), repeat=3), reverse=True)[1:])
+
+    def run_ao2(case, start, duals, schedule, variant, cuts=()):
+        return SwitchVector(np.array(next(proposals))), None
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", lambda case, y, warm=None: fits.append(tuple(y.y)) or stall)
+    monkeypatch.setattr(cli_driver, "run_ao2", run_ao2)
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case5, SolverConfig(scenario=shortfall5))
+    assert info.value.kind == "infeasible"
+    assert str(info.value) == ("all 8 live switch patterns proved infeasible; "
+                               "the verdicts are local: a stationary AO1 fit is no global proof")
+    assert len(fits) == len(set(fits)) == 8
+    assert info.value.best.outer_iterations == 8
+
+
+@pytest.mark.parametrize("tag", ["relaxed-one", "relaxed-two"])
+@pytest.mark.parametrize("seed", [12, 26])
+def test_random_case_with_piled_up_cuts_ends_with_bounded_kernel_work(seed, tag, monkeypatch):
+    # _random_case seeds 12 and 26 have no feasible switch set.  Their relaxed
+    # solves pile up nearly parallel cut rows, on which a cyclic search over
+    # the row multipliers once took hundreds of thousands of row searches:
+    # each solve must end, answered or with a solver error, and every dual
+    # clip within a few kernel steps
+    steps = []
+    clip, step = qp_core._dual_clip, qp_core._dual_step
+
+    def counted_clip(*args):
+        steps.append(0)
+        return clip(*args)
+
+    def counted_step(*args):
+        steps[-1] += 1
+        return step(*args)
+
+    monkeypatch.setattr(qp_core, "_dual_clip", counted_clip)
+    monkeypatch.setattr(qp_core, "_dual_step", counted_step)
+    try:
+        run_ao_sbqp(_random_case(np.random.default_rng(seed)), SolverConfig(variant=Ao2Variant(tag=tag)))
+    except (DriverError, Ao2Error):
+        pass
+    assert steps and max(steps) <= 10 < qp_core.DUAL_STEPS
+    assert sum(steps) <= 3 * len(steps)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 13])
+def test_no_rejected_set_is_fitted_again_on_random_cases(seed, monkeypatch):
+    # mixed on these _random_case draws, which have no feasible switch set,
+    # once fitted a rejected set 16 or 17 more times before the outer cap;
+    # sets are told apart by their live demands, as the driver keys them
+    case = _random_case(np.random.default_rng(seed))
+    live = live_demands(network(case))
+    fitted = []
+    solve = cli_driver.solve_ao1
+
+    def spy(case, y, warm=None):
+        out = solve(case, y, warm=warm)
+        fitted.append((tuple(y.y[live].tolist()), out.status))
+        return out
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", spy)
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case, SolverConfig())
+    assert info.value.kind == "infeasible"
+    for k, (y, status) in enumerate(fitted):
+        if status == "infeasible":
+            assert y not in [later for later, _ in fitted[k + 1:]]
 
 
 def test_capped_fixed_point_ends_infeasible(case5, shortfall5, monkeypatch):

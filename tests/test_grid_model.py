@@ -510,6 +510,19 @@ def test_scenario_rejects_a_bad_integer_field(field, value):
         ScenarioConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["pd_shift", "qd_shift", "qg_bound_scale", "pg_upper_scale"])
+@pytest.mark.parametrize("value", [True, False, None, "0.5"], ids=["true", "false", "none", "text"])
+def test_scenario_rejects_a_bad_float_field(field, value):
+    # qg_bound_scale = True passed the (0, 1] range check and was kept as True
+    with pytest.raises(CaseError, match=f"^{field} must be a number, got {value!r}$"):
+        ScenarioConfig(**{field: value})
+
+
+def test_scenario_float_fields_keep_ints_and_floats():
+    cfg = ScenarioConfig(pd_shift=2, qd_shift=np.float64(0.5), qg_bound_scale=1, pg_upper_scale=0.5)
+    assert (cfg.pd_shift, cfg.qd_shift, cfg.qg_bound_scale, cfg.pg_upper_scale) == (2, 0.5, 1, 0.5)
+
+
 def test_scenario_integer_fields_take_their_edge_values(case30):
     assert ScenarioConfig(rank_levels=1, rank_seed=0).rank_seed == 0
     assert ScenarioConfig(rank_seed=None).rank_seed is None

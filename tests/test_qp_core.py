@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gridshed import qp_core
 from gridshed.qp_core import (
-    ROOT_CAP, TOL_STAT, QpProblem, _dual_clip, _endpoint_probe, _kkt_met, _row_root, kkt_residual,
+    TOL_STAT, QpProblem, _dual_clip, _dual_step, _endpoint_probe, _kkt_met, _phase_one, kkt_residual,
     solve_qp,
 )
 
@@ -215,17 +215,20 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         QpProblem(q=np.ones(1), g_lin=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
                   lower=np.ones(1), upper=np.zeros(1))
+    with pytest.raises(ValueError, match="box must be finite"):
+        QpProblem(q=-np.ones(1), g_lin=np.zeros(1), A=np.zeros((0, 1)), b=np.zeros(0),
+                  lower=np.zeros(1), upper=np.full(1, np.inf))
     with pytest.raises(ValueError):
         # a dense curvature matrix is not accepted, even a diagonal one
         QpProblem(q=-np.eye(2), g_lin=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0),
                   lower=np.zeros(2), upper=np.ones(2))
 
 
-# -- row roots and endpoint probes against the loops they replaced -------------
+# -- the dual clip kernel and endpoint probes, against the loops they replaced --
 
 def reference_root(problem, i, h, base):
-    """Row root by doubling and bisection, as the kernel found it before the
-    breakpoint search: the reference the exact root is held to."""
+    """Row root by doubling and bisection, the first kernel's search: the
+    least multiplier of row i at which the clip meets the row."""
     A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
 
     def slack(i, lam_i, base):
@@ -251,94 +254,6 @@ def reference_root(problem, i, h, base):
         else:
             lo = mid
     return hi
-
-
-def frozen_dual_clip(problem, h, s):
-    """The dual clip kernel as it stood with numpy's function forms, numpy
-    scalar views for the float index and no hoisted constants: the reference
-    the kernel is held to bit for bit."""
-    A, b, lower, upper = problem.A, problem.b, problem.lower, problem.upper
-
-    def float_index(x):
-        return int(np.float64(x).view(np.int64))
-
-    def float_at(n):
-        return float(np.int64(n).view(np.float64))
-
-    def row_root(i, base):
-        a, b_i = A[i], b[i]
-
-        def slack(lam):
-            z = np.clip((base + lam * a) / h, lower, upper)
-            return float(b_i + a @ z)
-
-        s0 = slack(0.0)
-        if s0 >= 0.0:
-            return 0.0
-        nz = a != 0.0
-        kinks = np.concatenate([(h * lower - base)[nz] / a[nz], (h * upper - base)[nz] / a[nz]])
-        lams = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < ROOT_CAP)]), [ROOT_CAP]])
-        s = b_i + np.clip((base + lams[:, None] * a) / h, lower, upper) @ a
-        s[0] = s0
-        meets = np.flatnonzero(s >= 0.0)
-        k = int(meets[0]) if meets.size else lams.size - 1
-        guess = lams[k]
-        if s[k] > s[k - 1]:
-            guess = lams[k - 1] + (lams[k] - lams[k - 1]) * (-s[k - 1] / (s[k] - s[k - 1]))
-        top = float_index(ROOT_CAP)
-        x = min(max(float_index(guess), 1), top)
-        step = 1
-        if slack(float_at(x)) >= 0.0:
-            lo, hi = 0, x
-            while x - step > 0:
-                if slack(float_at(x - step)) < 0.0:
-                    lo = x - step
-                    break
-                hi = x - step
-                step *= 4
-        else:
-            lo, hi = x, top
-            while x + step < top:
-                if slack(float_at(x + step)) >= 0.0:
-                    hi = x + step
-                    break
-                lo = x + step
-                step *= 4
-            else:
-                if slack(ROOT_CAP) < 0.0:
-                    return None
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if slack(float_at(mid)) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return float_at(hi)
-
-    lam = np.zeros(A.shape[0])
-    scale = max(1.0, float(np.max(np.abs(s / h), initial=0.0)))
-    tol = 1e-11 * scale
-
-    def finish(converged):
-        shifted = s + A.T @ lam
-        return (np.clip(shifted / h, lower, upper), lam,
-                np.maximum(0.0, h * lower - shifted), np.maximum(0.0, shifted - h * upper),
-                converged)
-
-    for _ in range(200):
-        moved = 0.0
-        for i in range(A.shape[0]):
-            new = row_root(i, s + A.T @ lam - lam[i] * A[i])
-            if new is None:
-                return finish(False)
-            moved = max(moved, abs(new - lam[i]))
-            lam[i] = new
-        resid = b + A @ np.clip((s + A.T @ lam) / h, lower, upper)
-        if float(np.max(-resid, initial=0.0)) <= tol and bool(np.all((lam <= 0.0) | (np.abs(resid) <= tol))):
-            return finish(True)
-        if moved <= 1e-16 * scale:
-            break
-    return finish(False)
 
 
 def reference_probe(problem, z, value):
@@ -372,28 +287,34 @@ def row_problem(a, b_i, lower=0.0, upper=1.0):
                      upper=np.broadcast_to(upper, n))
 
 
+def clip_tol(h, s):
+    """The kernel's stop tolerance for linear term s under curvature h."""
+    return 1e-11 * max(1.0, float(np.abs(s / h).max(initial=0.0)))
+
+
+def row_root(problem, h, base):
+    """The kernel's multiplier on a one-row problem, None when it cannot meet the row."""
+    _z, lam, _mu, _gam, ok = _dual_clip(problem, np.asarray(h, dtype=float), np.asarray(base, dtype=float))
+    return float(lam[0]) if ok else None
+
+
 def check_root(problem, h, base):
-    """_row_root is the first float with slack >= 0, and equals the reference
-    wherever the reference bisection reached adjacent floats."""
+    """The kernel's multiplier on a one-row problem is the least one at which
+    the clip meets the row, as the reference finds it, up to the kernel's
+    tolerance on the slack; None when the reference cannot meet the row."""
     h, base = np.asarray(h, dtype=float), np.asarray(base, dtype=float)
+    a, tol = problem.A[0], clip_tol(h, base)
 
     def slack(lam):
-        a = problem.A[0]
         return float(problem.b[0] + a @ np.clip((base + lam * a) / h, problem.lower, problem.upper))
 
-    def first(lam):
-        return lam == 0.0 or slack(np.nextafter(lam, 0.0)) < 0.0
-
-    root, ref = _row_root(problem, 0, h, base), reference_root(problem, 0, h, base)
+    root, ref = row_root(problem, h, base), reference_root(problem, 0, h, base)
     if ref is None:
         assert root is None
         return None
-    assert root is not None and slack(root) >= 0.0 and first(root)
-    if first(ref):
-        assert root.hex() == ref.hex()
-    else:
-        # 120 halvings of [0, 1] stop above a root this small
-        assert root < 2.0**-68 and root < ref
+    assert root is not None and -tol <= slack(root) and (root == 0.0 or slack(root) <= tol)
+    # the root is not well above the reference unless the slack is flat between
+    assert root <= ref * (1.0 + 1e-9) or slack(0.5 * (root + ref)) <= tol
     return root
 
 
@@ -431,25 +352,26 @@ def test_row_root_matches_bisection(seed):
     ([0.0, 0.0], -1.0, [0.3, 0.7], [1.0, 1.0], None),
 ], ids=["on-kink", "zero-entries", "flat-zero", "unreachable", "zero-row"])
 def test_row_root_fixed_cases(a, b_i, base, h, expected):
+    # a root on a kink is interpolated from that kink, so it is exact
     assert check_root(row_problem(a, b_i), h, base) == expected
 
 
-def test_row_root_cap():
-    # the last multiplier tried is 4**79: a root between 4**79 and 4**80 is
-    # out of reach, one just below 4**79 is found
-    problem = row_problem([1.0], -1.0, upper=1e60)
-    assert 4.0**79 < 1e48 < 4.0**80
-    assert check_root(problem, [1.0], [-1e48]) is None
-    root = check_root(problem, [1.0], [-3e47])
-    assert 3e47 < root < 4.0**79
+def test_row_root_far_out():
+    # no multiplier is out of reach, though doubling from 1 to 4**79 does not
+    # find this one: the root 1e60 lies on the segment that ends where d_0
+    # reaches its upper end 1e60
+    problem = row_problem([1e-30], -1.0, upper=1e60)
+    assert reference_root(problem, 0, np.ones(1), np.zeros(1)) is None
+    assert row_root(problem, [1.0], [0.0]) == pytest.approx(1e60, rel=1e-15)
 
 
 def test_row_root_below_the_bisection_cap():
-    # slack -1e-25 + lam: the root is the float 1e-25 itself, where the
-    # reference stops on a multiple of 2**-120 above it
-    problem = row_problem([1.0], -1e-25)
-    assert check_root(problem, [1.0], [0.0]) == 1e-25
-    assert reference_root(problem, 0, np.ones(1), np.zeros(1)) > 1e-25
+    # slack -1e-5 + 1e20 d_0 with d_0 = clip(1e20 lam): the root 1e-45 is
+    # interpolated from lam = 0, the nearer end of its segment, so it is
+    # exact to rounding, where the reference stops on a multiple of 2**-120
+    problem = row_problem([1e20], -1e-5)
+    assert check_root(problem, [1.0], [0.0]) == pytest.approx(1e-45, rel=1e-15)
+    assert reference_root(problem, 0, np.ones(1), np.zeros(1)) > 1e-37
 
 
 def probe_value(problem):
@@ -488,9 +410,26 @@ def test_endpoint_probe_screen_and_order():
     assert np.array_equal(got, reference_probe(problem, z, value))
 
 
+def assert_clip_kkt(problem, h, s, clip):
+    """The kernel's KKT conditions: lam >= 0, every row met within the
+    kernel's tolerance, every positive multiplier's row active within it,
+    and z the box clip of (s + A'lam) / h.  A clip that did not converge
+    must leave rows that no point of the box meets."""
+    z, lam, mu, gam, ok = clip
+    if not ok:
+        assert not _phase_one(problem, z)[1]
+        return
+    tol = clip_tol(h, s)
+    slack = problem.b + problem.A @ z
+    assert np.all(lam >= 0.0) and np.all(slack >= -tol)
+    assert np.all(np.abs(lam * slack) <= tol * np.maximum(lam, 1.0))
+    assert np.array_equal(z, np.clip((s + problem.A.T @ lam) / h, problem.lower, problem.upper))
+    assert np.array_equal(mu, np.maximum(0.0, h * problem.lower - (s + problem.A.T @ lam)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_dual_clip_matches_frozen_kernel(seed):
+def test_dual_clip_meets_kkt(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 9)), int(rng.integers(0, 6))
     lower = -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
@@ -502,24 +441,27 @@ def test_dual_clip_matches_frozen_kernel(seed):
     problem = QpProblem(q=-np.ones(n), g_lin=np.zeros(n), A=A, b=b, lower=lower, upper=upper)
     h = np.ones(n) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 3, n)
     s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
-    *got, got_ok = _dual_clip(problem, h, s)
-    *ref, ref_ok = frozen_dual_clip(problem, h, s)
-    assert got_ok == ref_ok
-    for a, b in zip(got, ref):
-        assert a.tobytes() == b.tobytes()
+    assert_clip_kkt(problem, h, s, _dual_clip(problem, h, s))
 
 
 def aggregate_rows_problem(rng, n, n_cuts, h, s):
     """Rows shaped like an AO2 subproblem's: -pd, -qd and +qd over the
     demands, then no-good cut rows with entries in {-1, 0, 1}, over the box
-    [-y_lin, 1 - y_lin].  A point p of the box meets every row.  A row drawn
-    to bind passes just inside p, where the clip z0 at lam = 0 often breaks
-    it; any other is placed against z0 and p: far inside both, on the nearer,
-    or a little inside it, so that it is met at lam = 0 until another row's
-    root moves the clip."""
+    [-y_lin, 1 - y_lin].  Each cut after the first either is drawn afresh or
+    copies the one before it with one entry changed, so that neighbouring
+    cuts are nearly parallel.  A point p of the box meets every row.  A row
+    drawn to bind passes just inside p, where the clip z0 at lam = 0 often
+    breaks it; any other is placed against z0 and p: far inside both, on the
+    nearer, or a little inside it, so that it is met at lam = 0 until another
+    row's multiplier moves the clip."""
     pd = rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.9)
     qd = rng.uniform(-0.2, 0.3, n) * (rng.random(n) < 0.7)
-    A = np.vstack([-pd, -qd, qd, rng.integers(-1, 2, (n_cuts, n)).astype(float)])
+    cuts = rng.integers(-1, 2, (n_cuts, n)).astype(float)
+    for k in range(1, n_cuts):
+        if rng.random() < 0.6:
+            cuts[k] = cuts[k - 1]
+            cuts[k, rng.integers(n)] = rng.integers(-1, 2)
+    A = np.vstack([-pd, -qd, qd, cuts])
     y_lin = np.where(rng.random(n) < 0.7, rng.integers(0, 2, n), rng.random(n)).astype(float)
     lower, upper = -y_lin, 1.0 - y_lin
     p = np.where(rng.random(n) < 0.5, rng.choice([lower, upper]), rng.uniform(lower, upper))
@@ -532,9 +474,9 @@ def aggregate_rows_problem(rng, n, n_cuts, h, s):
     return QpProblem(q=-h, g_lin=s, A=A, b=b, lower=lower, upper=upper)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_dual_clip_matches_frozen_kernel_on_subproblem_rows(seed):
+def test_dual_clip_meets_kkt_on_subproblem_rows(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 13))
     # h = 1 is the stationary path's projection, h = -q the exact path's
@@ -542,27 +484,23 @@ def test_dual_clip_matches_frozen_kernel_on_subproblem_rows(seed):
     s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 1)
     s[rng.random(n) < 0.2] = -0.0
     s[rng.random(n) < 0.1] = 0.0
-    problem = aggregate_rows_problem(rng, n, int(rng.integers(0, 4)), h, s)
-    *got, got_ok = _dual_clip(problem, h, s)
-    *ref, ref_ok = frozen_dual_clip(problem, h, s)
-    assert got_ok == ref_ok
-    for a, b in zip(got, ref):
-        assert a.tobytes() == b.tobytes()
+    problem = aggregate_rows_problem(rng, n, int(rng.integers(0, 6)), h, s)
+    assert_clip_kkt(problem, h, s, _dual_clip(problem, h, s))
 
 
-def count_roots(monkeypatch):
+def count_steps(monkeypatch):
     calls = []
 
-    def spy(problem, i, *args):
-        calls.append(i)
-        return _row_root(problem, i, *args)
+    def spy(problem, box, lam, shifted, slack):
+        calls.append(((lam > 0.0) | (slack < 0.0)).nonzero()[0].tolist())
+        return _dual_step(problem, box, lam, shifted, slack)
 
-    monkeypatch.setattr(qp_core, "_row_root", spy)
+    monkeypatch.setattr(qp_core, "_dual_step", spy)
     return calls
 
 
 def test_dual_clip_searches_no_root_for_rows_met_at_zero(monkeypatch):
-    calls = count_roots(monkeypatch)
+    calls = count_steps(monkeypatch)
     pd, qd = np.array([0.3, 0.2, 0.4]), np.array([0.1, -0.05, 0.2])
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([1.0, 1.0, 1.0]), lower=-np.ones(3), upper=np.zeros(3))
@@ -573,15 +511,70 @@ def test_dual_clip_searches_no_root_for_rows_met_at_zero(monkeypatch):
 
 
 def test_dual_clip_first_sweep_searches_only_the_binding_row(monkeypatch):
-    calls = count_roots(monkeypatch)
+    calls = count_steps(monkeypatch)
     pd, qd = np.array([0.3, 0.2, 0.4]), np.array([0.1, -0.05, 0.2])
     # served power 0.9 at the clip z = 1 against a capacity of 0.6: only the
-    # active row binds, and the reactive rows stay met as it is cut back
+    # active row binds, and the reactive rows stay met as it is cut back, so
+    # one step along the active row's multiplier alone ends the clip
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([0.6, 1.0, 1.0]), lower=np.zeros(3), upper=np.ones(3))
     z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), np.full(3, 2.0))
-    assert ok and calls == [0]
+    assert ok and calls == [[0]]
     assert lam[0] > 0.0 and lam[1] == lam[2] == 0.0
+
+
+def test_dual_clip_drops_a_row_its_neighbour_meets(monkeypatch):
+    # two nearly parallel cuts, both broken by the clip z = 0.5 at lam = 0.
+    # The Newton direction on both, (0.55, -0.525), asks the second for a
+    # negative multiplier, so it leaves the working set; one search on the
+    # first then reaches lam_0 = 0.2, where z = 0.3 meets both rows
+    calls = count_steps(monkeypatch)
+    problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3),
+                        A=np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0]]), b=np.array([0.9, 0.95]),
+                        lower=np.zeros(3), upper=np.ones(3))
+    z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), np.full(3, 0.5))
+    assert ok and calls == [[0, 1]]
+    assert lam[0] == pytest.approx(0.2, rel=1e-15) and lam[1] == 0.0
+    np.testing.assert_allclose(z, np.full(3, 0.3), rtol=1e-15)
+
+
+def test_dual_clip_ends_fast_on_contradictory_cuts(monkeypatch):
+    # the cuts of both switch sets of one demand, y <= 0 and y >= 1, as rows
+    # over the step box [-1, 0]: z <= -1 and z >= 0.  The first step meets
+    # the first cut at its last kink, where z reaches -1: the clip there
+    # rounds to -1 + 3e-11, so the slope at that kink is taken from the box
+    # end.  Both cuts then make the working set, and the Newton direction on
+    # them, about (1, 1), leaves z in place while the dual falls without
+    # bound, so the kernel stops rather than meeting the two cuts in turn
+    # until its step cap
+    calls = count_steps(monkeypatch)
+    problem = QpProblem(q=-np.full(1, 3.6e-6), g_lin=np.full(1, 3.2), A=np.array([[-1.0], [1.0]]),
+                        b=np.array([-1.0, 0.0]), lower=-np.ones(1), upper=np.zeros(1))
+    z, lam, mu, gam, ok = _dual_clip(problem, -problem.q, problem.g_lin)
+    assert not ok and calls == [[0], [0, 1]]
+    assert solve_qp(problem).status == "infeasible"
+
+
+def test_dual_clip_meets_five_cuts_in_a_few_steps(monkeypatch):
+    # a mixed subproblem of _random_case seed 7: five cuts over three live
+    # demands and a curvature spread over six decades.  A coordinate on a
+    # box end counts as free in the Newton system, so the kernel reaches the
+    # two binding cuts and the active row in five steps
+    calls = count_steps(monkeypatch)
+    A = np.array([[-0.5773904849049971, -1.2328658464713895, -0.0, -2.65217068258941],
+                  [-1.3558113694890488, 0.02102157463631027, -0.0, -0.7831434104449615],
+                  [1.3558113694890488, -0.02102157463631027, 0.0, 0.7831434104449615],
+                  [-1.0, -1.0, -0.0, -1.0], [-1.0, -1.0, -0.0, 1.0], [1.0, -1.0, -0.0, 1.0],
+                  [1.0, 1.0, -0.0, 1.0], [-1.0, 1.0, -0.0, 1.0]])
+    b = np.array([0.9330961279019552, 6.472828711555106, 4.5786017516348485, 1.0, 0.0, 1.0, 0.0, -1.0])
+    h = np.array([3.2407770707010286e-06, 3.2407803114508087, 3.2407803114508087, 3.2407803114508087])
+    s = np.array([1.8529021693538652, -5468.711689460589, 10000.69955789482, -4531.161032191066])
+    problem = QpProblem(q=-h, g_lin=s, A=A, b=b, lower=np.array([-1.0, -0.0, -1.0, -0.0]),
+                        upper=np.array([0.0, 1.0, 0.0, 1.0]))
+    clip = _dual_clip(problem, h, s)
+    assert clip[-1] and len(calls) == 5
+    assert_clip_kkt(problem, h, s, clip)
+    assert clip[1].nonzero()[0].tolist() == [0, 6, 7]
 
 
 def kkt_point(rng):
@@ -611,7 +604,9 @@ def kkt_point(rng):
 def test_guarded_stop_test_decides_as_the_full_residual(seed):
     problem, z, lam, mu, gam = kkt_point(np.random.default_rng(seed))
     grad = problem.q * z + problem.g_lin
-    assert _kkt_met(problem, grad, z, lam, mu, gam) == (kkt_residual(problem, z, lam, mu, gam) <= TOL_STAT)
+    res, full = _kkt_met(problem, grad, z, lam, mu, gam), kkt_residual(problem, z, lam, mu, gam)
+    assert (res is not None) == (full <= TOL_STAT)
+    assert res is None or res == full
 
 
 def test_kkt_points_straddle_the_tolerance():

@@ -118,3 +118,37 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     assert int(words[3]) == sum(int(f[6]) for f in calls)
     assert int(words[5]) == sum(int(f[7]) for f in calls)
     assert words[6:8] == ["derivative", "passes;"]
+
+
+QP_CENSUS = Path(__file__).resolve().parents[1] / "tools" / "qp_census.py"
+
+
+@pytest.fixture()
+def qp_census(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(QP_CENSUS.parent), *sys.path])
+    spec = importlib.util.spec_from_file_location("qp_census", QP_CENSUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_qp_census_counts_clips_and_steps_per_call_and_in_total(qp_census, capsys):
+    # switch30 seed 1 and _random_case seed 23, whose demands draw no power,
+    # so its one live pattern, the empty one, is rejected at the first fit
+    assert qp_census.main(["--workload", "switch30", "--seeds", "1", "--random", "23"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[2:6] == ["clips", "steps", "most", "cap"]
+    calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
+    assert len(calls) == 12 and all(fields[-1] == "answered" for fields in calls)
+    for fields in calls:
+        clips, steps, most, cap = (int(v) for v in fields[5:9])
+        assert clips > 0 and most <= steps and cap == 0
+    total = next(line for line in lines if line.startswith("switch30 seeds 1: "))
+    words = total.replace(",", "").replace(";", "").split()
+    assert words[3:5] == ["12", "calls"]
+    assert int(words[7]) == sum(int(f[5]) for f in calls)
+    assert int(words[10]) == sum(int(f[6]) for f in calls)
+    randoms = [line for line in lines if line.startswith("random 23 ")]
+    assert [line.split()[2] for line in randoms] == ["mixed", "relaxed-one", "relaxed-two"]
+    assert all(line.endswith("DriverError: all 1 live switch pattern proved infeasible") for line in randoms)
+    assert lines[-1].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
