@@ -261,13 +261,14 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
         t = cap
     else:
         return None
-    new = lam.copy()
-    new[work] = np.maximum(lam_w + t * d, 0.0)
-    # a move within a few ulps of the largest multiplier is rounding, not descent
-    if t * float(np.abs(d).max()) <= 1e-15 * float(new.max()):
-        return None
+    new_w = np.maximum(lam_w + t * d, 0.0)
     if t >= cap:
-        new[work[j]] = 0.0
+        new_w[j] = 0.0
+    # a step that moves no multiplier by more than a few ulps is rounding, not descent
+    if (np.abs(new_w - lam_w) <= 1e-15 * np.maximum(lam_w, new_w)).all():
+        return None
+    new = lam.copy()
+    new[work] = new_w
     return new
 
 

@@ -414,12 +414,17 @@ def assert_clip_kkt(problem, h, s, clip):
     """The kernel's KKT conditions: lam >= 0, every row met within the
     kernel's tolerance, every positive multiplier's row active within it,
     and z the box clip of (s + A'lam) / h.  A clip that did not converge
-    must leave rows that no point of the box meets."""
+    must leave rows that no point of the box meets, or have stopped at the
+    rounding floor of its slacks: each sums terms |a_j| (|s_j| + |A_j|'lam)
+    / h_j that cancel, and the tolerance grows by 1e-13 of the largest such
+    sum."""
     z, lam, mu, gam, ok = clip
-    if not ok:
-        assert not _phase_one(problem, z)[1]
-        return
     tol = clip_tol(h, s)
+    if not ok:
+        if not _phase_one(problem, z)[1]:
+            return
+        A = np.abs(problem.A)
+        tol += 1e-13 * float((A @ ((np.abs(s) + A.T @ lam) / h)).max(initial=0.0))
     slack = problem.b + problem.A @ z
     assert np.all(lam >= 0.0) and np.all(slack >= -tol)
     assert np.all(np.abs(lam * slack) <= tol * np.maximum(lam, 1.0))
