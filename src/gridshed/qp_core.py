@@ -56,9 +56,10 @@ run the same ufunc reduction or ufunc on the same operands, so every float
 is the same, and the method skips the dispatch wrapper.  What does not
 change within a solve is computed once: ``_Box`` holds h * lower and
 h * upper for every kernel run under one curvature h, and ``_probe_moves``
-the parts of the endpoint moves that do not depend on the point.  A clip whose rows z meets at lam = 0 takes no step at all.
-Under h = 1, the projection of the stationary path, no division by h is
-made, as x / 1.0 == x holds exactly.  The stationary path's stop test checks
+the parts of the endpoint moves that do not depend on the point.  A clip
+whose rows z meets at lam = 0 takes no step at all.  Under h = 1, the
+projection of the stationary path, no division by h is made, as
+x / 1.0 == x holds exactly.  The stationary path's stop test checks
 stationarity, the first term of ``kkt_residual``, from the iteration's own
 gradient, and forms the full residual only when that passes; the solution
 carries that same residual.
