@@ -25,19 +25,27 @@ bounds before it is evaluated. How the fit ends sets the status:
 - any other end, a fit capped at FIT_MAX_ITERS included, proves nothing:
   "max-iterations".
 
-A screened set still gets the whole fit, since the switching stage's active
-row reads the sum of pg at the point the fit ends at. A balanced warm start
-ends the fit at its first evaluation.
+Besides balance, the fit ends "stationary" at an evaluated trial where the
+actual reduction |f - f_try| of f = 0.5 |F|^2 and the reduction
+-(g'h + 0.5 |Jh|^2) that the Gauss-Newton model predicts for the step h
+taken both lie within tau, an estimate of f's rounding error at the current
+point (``_Problem.rounding``): neither can show progress any more.  On a
+screened set tau is at least FIT_FTOL f.  Its verdict is proved in closed
+form, and the fit only gives the point at which the switching stage
+linearises its active row (the sum of pg there), so it stops at the relative
+gain that MINPACK's ftol stops at.  On any other set the stop stays at the
+rounding level, so a "restoration" certificate still rests on a fit that
+cannot gain.  A balanced warm start ends the fit at its first evaluation.
 
 The fit takes the residual at every point, with one ``outflow_terms`` pass
-over the branch edges, and keeps that pass's terms. It forms derivatives only
-at an accepted point (or the start) that it goes on from, with one
-``outflow_derivatives`` pass over the kept terms: a rejected trial and the end
-point cost a residual alone. The derivative values are scattered straight
-into one C-contiguous balance Jacobian buffer J = [dP/dx on the free state
-columns | -gen_sel] at indices that ``network`` builds once per case, as it
-builds the fit's free entries, box and flat start; J keeps the -0.0 entries
-of -gen_sel.
+over the branch edges and the generation scattered onto its buses, and keeps
+that pass's terms. It forms derivatives only at an accepted point (or the
+start) that it goes on from, with one ``outflow_derivatives`` pass over the
+kept terms: a rejected trial and the end point cost a residual alone. The
+derivative values are scattered straight into one C-contiguous balance
+Jacobian buffer J = [dP/dx on the free state columns | -gen_sel] at indices
+that ``network`` builds once per case, as it builds the fit's free entries,
+box, flat start and generation rows; J keeps the -0.0 entries of -gen_sel.
 The fit forms no objective gradient, and E is read from the outflow of its
 end point's residual pass.
 """
@@ -67,6 +75,10 @@ from .power_equations import (
 TOL_FEAS = 1e-8
 FIT_MAX_ITERS = 200
 FIT_LAMBDA_MAX = 1e16
+# the relative reduction of 0.5 |F|^2 that ends a fit on a screened set, the
+# MINPACK ftol default (More 1978)
+FIT_FTOL = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +117,9 @@ class _Problem:
     whose v and theta one State views, reads the injections straight from z,
     and returns the trig pass's terms with F; ``jacobian`` forms the
     derivatives from such terms into one J buffer that the problem owns and
-    overwrites on every call.  ``split`` makes the caller's own
-    (State, InputVector) pair.
+    overwrites on every call.  ``rounding`` estimates the rounding error of
+    0.5 |F|^2 from such terms, and ``screened`` is ``active_capacity_screen``
+    at y.  ``split`` makes the caller's own (State, InputVector) pair.
     """
 
     def __init__(self, net: Network, y: SwitchVector):
@@ -117,6 +130,10 @@ class _Problem:
         self.upper = net.fit_upper
         self.nx_free = self.free.size
         self.draw = demand_draw(net, y)
+        self.screened = active_capacity_screen(net, y)
+        # the generation per bus, scattered from u; the rows without a
+        # generator stay +0.0
+        self.gen = np.zeros(2 * net.n_bus)
         # J with its dP/dx_free columns zero and its u columns -gen_sel, the
         # -d(generation)/du, -0.0 entries included; built per fit, since a
         # dense copy kept on every cached network costs more memory than
@@ -144,7 +161,24 @@ class _Problem:
         self.x[:s] = z[:s]
         self.x[s + 2:] = z[s:self.nx_free]
         terms = outflow_terms(net, self.point)
-        return terms.P - net.gen_sel @ z[self.nx_free:] + self.draw, terms
+        self.gen.put(net.fit_gen, z[self.nx_free:])
+        F = terms.P - self.gen
+        F += self.draw
+        return F, terms
+
+    def rounding(self, F, terms, z):
+        """An estimate of the rounding error of 0.5 |F|^2 at z, where the
+        residual pass gave F and terms: 8 eps sum_i |F_i| m_i, with m_i the
+        magnitudes summed into F_i, v_k (sum over edges |a v_l| + |dv_k|) plus
+        the generation and the demand draw."""
+        net = self.net
+        m2 = terms.a.size
+        m = np.bincount(net.edge_bins, weights=np.abs(terms.a * terms.vlk[:m2]), minlength=2 * net.n_bus)
+        m += np.abs(terms.dv)
+        m *= terms.v2
+        m[net.fit_gen] += np.abs(z[self.nx_free:])
+        m += np.abs(self.draw)
+        return 8.0 * EPS * float(np.abs(F) @ m)
 
     def jacobian(self, terms):
         """J = [dP/dx_free | -gen_sel] at the point of terms, the derivative
@@ -190,10 +224,16 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     residual, and what ``prob.residual`` kept, at its end point.  Ends
     "balanced" at max|F| <= TOL_FEAS, "stationary" when the projected
     gradient, the relative decrease or the largest lam leaves nothing to
-    gain, and "cap" after FIT_MAX_ITERS steps.
+    gain, or at the first trial whose actual and predicted reductions of f
+    both lie within tau, and "cap" after FIT_MAX_ITERS steps.  tau is
+    ``prob.rounding`` at the current point, at least FIT_FTOL f when
+    ``prob.screened``; it and the predicted reduction are formed only once
+    the actual reduction is within FIT_FTOL f, so a fit that gains more on
+    every trial, as a balancing fit does, forms neither.  A trial that lowers
+    f is taken before the fit ends.
     """
     lower, upper = prob.lower, prob.upper
-    z = np.clip(z0, lower, upper)
+    z = z0.clip(lower, upper)
     F, terms = prob.residual(z)
     nfev = 1
     f = 0.5 * float(F @ F)
@@ -211,8 +251,8 @@ def least_squares(prob: _Problem, z0) -> FitResult:
         Jf = J if every else J[:, free]
         H = Jf.T @ Jf
         diag_H = H.diagonal()
-        d = diag_H.copy()
-        np.maximum(d, 1e-12 * max(float(d.max()), 1e-300), out=d)
+        d = np.maximum(diag_H, 1e-12 * max(float(diag_H.max()), 1e-300))
+        tau = None  # f's rounding error here, formed when a trial first needs it
         while True:
             # H + lam diag(d): the off-diagonals H + 0.0, the diagonal H_ii + lam d_i
             M = H + 0.0
@@ -220,10 +260,10 @@ def least_squares(prob: _Problem, z0) -> FitResult:
             if every:
                 step = _solve(M, rhs)
             else:
-                step = np.zeros_like(z)
+                step = np.zeros(z.size)
                 step[free] = _solve(M, rhs)
             z_step = z + step
-            z_try = np.clip(z_step, lower, upper)
+            z_try = z_step.clip(lower, upper)
             out = z_try != z_step
             if out.any():
                 h = z_try - z
@@ -235,19 +275,33 @@ def least_squares(prob: _Problem, z0) -> FitResult:
                     keep = free & ~out
                     k, o = keep[free], out[free]
                     s = _solve(M[np.ix_(k, k)], rhs[k] - M[np.ix_(k, o)] @ h[out])
-                    z_try[keep] = np.clip(z[keep] + s, lower[keep], upper[keep])
+                    z_try[keep] = (z[keep] + s).clip(lower[keep], upper[keep])
             F_try, terms_try = prob.residual(z_try)
             nfev += 1
             f_try = 0.5 * float(F_try @ F_try)
-            if f_try < f:
+            decrease = f - f_try
+            # noise: the actual and the predicted reduction of the step taken
+            # both lie within tau; neither is formed before the actual one is
+            # down to FIT_FTOL f
+            noise = False
+            if abs(decrease) <= FIT_FTOL * f:
+                if tau is None:
+                    tau = prob.rounding(F, terms, z)
+                    if prob.screened:
+                        tau = max(tau, FIT_FTOL * f)
+                h = z_try - z
+                Jh = J @ h
+                noise = abs(decrease) <= tau and abs(float(g @ h) + 0.5 * float(Jh @ Jh)) <= tau
+            if decrease > 0.0:
                 break
+            if noise:
+                return FitResult(z, F, nfev, "stationary", terms)
             lam *= 4.0
             if lam > FIT_LAMBDA_MAX:
                 return FitResult(z, F, nfev, "stationary", terms)
-        decrease = f - f_try
         z, F, terms, f = z_try, F_try, terms_try, f_try
         lam /= 3.0
-        if decrease <= 1e-14 * (f + decrease):
+        if noise or decrease <= 1e-14 * (f + decrease):
             return FitResult(z, F, nfev, "stationary", terms)
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"
     return FitResult(z, F, nfev, status, terms)
@@ -271,7 +325,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     feas = float(np.abs(fit.fun).max())
     if feas <= TOL_FEAS:
         status, certificate = "converged", ""
-    elif active_capacity_screen(net, y_fixed):
+    elif prob.screened:
         status, certificate = "infeasible", "screen"
     elif fit.status == "stationary":
         status, certificate = "infeasible", "restoration"

@@ -43,12 +43,13 @@ into its fit Jacobian, the dP/dx columns off the slack next to the constant
 -gen_sel block.  ``network`` builds the rest of that fit's layout once per
 case, since none of it depends on the switches: the free entries of x
 (``fit_free``), the box (``fit_lower``, ``fit_upper``), the flat start
-(``fit_start``); these arrays are shared by every fit on the case and
-read-only.  ``jacobians``
-returns (P, dP_dx, dE), so a caller that needs the outflow and its
-derivatives takes the trig once.  ``hessian_Q`` is the switch curvature
-that the balance multipliers give, one per demand.  ``check_sizes`` names
-a state, input or switch vector that does not fit the network.
+(``fit_start``) and the rows that the generation lands on (``fit_gen``);
+these arrays are shared by every fit on the case and read-only.
+``jacobians`` returns (P, dP_dx, dE), so a caller that needs the outflow
+and its derivatives takes the trig once.  ``hessian_Q`` is the switch
+curvature that the balance multipliers give, one per demand.
+``check_sizes`` names a state, input or switch vector that does not fit the
+network.
 ``constraint_jacobian`` stacks dP_dx into the full (8N + 4G)-row derivative
 of C, whose leading block ``dC[:2N, :2N]`` is dP/dx; only the self-check and
 the tests need it, and no solver stage builds it.  ``line_flow`` is a
@@ -178,6 +179,7 @@ class Network:
     fit_lower: np.ndarray      # the fit's box over z = [x_free, u]
     fit_upper: np.ndarray
     fit_start: np.ndarray      # the flat z: slack voltage, zero angles, mid-box injections
+    fit_gen: np.ndarray        # the stacked row of each u entry, where its generation lands
     slack: int                 # bus position of the slack
     slack_v: float
     dem_pos: np.ndarray        # bus position of each demand
@@ -269,6 +271,7 @@ def network(case: GridCase) -> Network:
         "fit_lower": np.concatenate([x_lower[fit_free], u_lower]),
         "fit_upper": np.concatenate([x_upper[fit_free], u_upper]),
         "fit_start": np.concatenate([flat[fit_free], 0.5 * (u_lower + u_upper)]),
+        "fit_gen": (2 * gen_pos[:, None] + np.array([0, 1])).ravel(),
     }
     for array in fit.values():
         array.flags.writeable = False

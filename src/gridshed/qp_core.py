@@ -44,8 +44,9 @@ has no free coordinate or two cut rows coincide on the free ones.
   gains less than half the acceptance margin; the rest are confirmed in
   order by the objective itself.  Returns a KKT point, no global claim.
 
-When the kernel does not converge, a projected-gradient phase one on the
-squared row violation decides whether the rows are infeasible.
+When the kernel does not converge, even at the rounding floor of its row
+slacks, a projected-gradient phase one on the squared row violation decides
+whether the rows are infeasible.
 
 The problems are tiny (at most a few dozen coordinates and a handful of
 rows), so numpy's per-call Python dispatch, not the arithmetic, sets the cost
@@ -80,6 +81,8 @@ SLACK_TOL = 1e-7
 DUAL_STEPS = 50
 # the Newton system's diagonal shift, relative to each row's squared norm over h
 DIAGONAL_SHIFT = 1e-13
+# the rounding floor of a row slack, in eps of the magnitudes summed into it
+SLACK_FLOOR_EPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +206,10 @@ class _Box:
 def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
     """One kernel step from lam, where shifted = s + A'lam and slack is the
     row slack of its clip: the Newton direction on the working rows and the
-    exact minimizer of the dual along it.  Returns the new lam, or None when
-    the step cannot lower the dual: its slope stays negative past the last
-    kink, so the rows cannot be met, or it is not negative at the start, or
-    the step moves lam by rounding alone."""
+    exact minimizer of the dual along it.  Returns the new lam; lam itself
+    when the step moves no multiplier beyond rounding; or None when the step
+    cannot lower the dual: its slope stays negative past the last kink, so
+    the rows cannot be met, or it is not negative at the start."""
     A, b = problem.A, problem.b
     work = ((lam > 0.0) | (slack < 0.0)).nonzero()[0]
     while work.size > 1:
@@ -267,7 +270,7 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
         new_w[j] = 0.0
     # a step that moves no multiplier by more than a few ulps is rounding, not descent
     if (np.abs(new_w - lam_w) <= 1e-15 * np.maximum(lam_w, new_w)).all():
-        return None
+        return lam
     new = lam.copy()
     new[work] = new_w
     return new
@@ -278,7 +281,12 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
 
     Runs kernel steps from lam = 0 until the clip z of s + A'lam meets every
     row within 1e-11 of the scale of s / h and every positive multiplier's
-    row is active within it, for at most DUAL_STEPS steps.  box is
+    row is active within it, for at most DUAL_STEPS steps.  When a step
+    would move no multiplier beyond rounding, the rows are tested once more,
+    with the tolerance grown by the slacks' rounding floor: over the
+    coordinates j inside the box (one on a box end is exact), row i sums
+    terms |a_ij| (|s_j| + |A_j|'lam) / h_j that large multipliers make
+    cancel, and a few eps of the largest such sum is noise.  box is
     _Box(problem, h), when the caller has it.  Returns (z, lam, mu, gam,
     converged).
     """
@@ -298,6 +306,16 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
                 steps == 0 or float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol):
             return z, lam, *box.bound_duals(shifted), True
         new = None if steps == DUAL_STEPS else _dual_step(problem, box, lam, shifted, slack)
+        if new is lam:
+            # no multiplier moves beyond rounding: the same test once more,
+            # at the slacks' rounding floor
+            absA = np.abs(A)
+            inside = (z > box.lower) & (z < box.upper)
+            terms = np.where(inside, (np.abs(s) + absA.T @ lam) / h, 0.0)
+            tol += SLACK_FLOOR_EPS * float((absA @ terms).max(initial=0.0))
+            met = float(slack.min(initial=0.0)) >= -tol and (
+                float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol)
+            return z, lam, *box.bound_duals(shifted), met
         if new is None:
             break
         lam = new

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridshed
-from gridshed import ao1_opf
+from gridshed import ao1_opf, cli_driver
 from gridshed.ao1_opf import TOL_FEAS, active_capacity_screen, solve_ao1
 from gridshed.ao2_sbqp import Ao2Variant
 from gridshed.cli_driver import FEAS_TOL, SolverConfig, enumerate_oracle, run_ao_sbqp
+from gridshed.grid_model import ScenarioConfig, apply_scenario
 from gridshed.power_equations import (State, SwitchVector, constraints_C, demand_draw, hessian_Q,
                                       jacobians, network, outflow)
 
@@ -275,6 +276,9 @@ def test_unscreened_stall_ends_stationary_and_infeasible(negative_g5, monkeypatc
     assert float(np.max(np.abs(fits[0].fun))) > TOL_FEAS
     assert r.status == "infeasible"
     assert r.certificate == "restoration"
+    # 23 evaluations under the relative-decrease test alone; the stop at the
+    # rounding floor may only shorten the fit
+    assert fits[0].nfev <= 23
 
 
 def test_capped_fit_is_no_proof(negative_g5, restorations, monkeypatch):
@@ -285,9 +289,31 @@ def test_capped_fit_is_no_proof(negative_g5, restorations, monkeypatch):
     assert (r.status, r.certificate) == ("max-iterations", "")
 
 
-def test_screened_stall_carries_the_screen_certificate(stressed30):
-    r = solve_ao1(stressed30, SwitchVector(np.ones(30)))
-    assert (r.status, r.certificate) == ("infeasible", "screen")
+def test_screened_stall_carries_the_screen_certificate(stressed30, shortfall5_case):
+    # the screen proves the set infeasible in closed form, so the fit ends once
+    # a step gains no more than FIT_FTOL f: 10 and 25 evaluations without that
+    for case, most in ((stressed30, 8), (shortfall5_case, 16)):
+        r = solve_ao1(case, SwitchVector(np.ones(len(case.demands))))
+        assert (r.status, r.certificate) == ("infeasible", "screen")
+        assert r.iterations + 1 <= most
+
+
+def test_restoration_fit_ends_at_the_rounding_floor(case30, monkeypatch):
+    # a shed30 draw (seed 3), relaxed-one: its second fit, on a set the screen
+    # passes, took 74 evaluations when only the lam backstop could end it
+    case = apply_scenario(case30, ScenarioConfig(pd_shift=2.0856491671436244, rank_seed=385346042))
+    results = []
+    solve = cli_driver.solve_ao1
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", recording)
+    run_ao_sbqp(case, SolverConfig(variant=Ao2Variant(tag="relaxed-one")))
+    second = results[1]
+    assert (second.status, second.certificate) == ("infeasible", "restoration")
+    assert second.iterations + 1 <= 35
 
 
 @pytest.mark.parametrize("fixture, cap, fit_end, status, certificate", [
@@ -396,8 +422,13 @@ def test_spoiled_clip_is_re_solved_on_the_free_coordinates(sign):
         seen.append(z.copy())
         return A @ z - b, None
 
+    def rounding(F, terms, z):
+        # 8 eps sum_i |F_i| m_i, m_i the magnitudes summed into F_i
+        return 8.0 * ao1_opf.EPS * float(np.abs(F) @ (np.abs(A) @ np.abs(z) + np.abs(b)))
+
     prob = SimpleNamespace(lower=np.array([-30.0, -1.0]), upper=np.array([30.0, 1.0]),
-                           residual=residual, jacobian=lambda terms: A.copy())
+                           residual=residual, jacobian=lambda terms: A.copy(),
+                           screened=False, rounding=rounding)
     z0 = np.zeros(2)
     out = ao1_opf.least_squares(prob, z0)
 
@@ -579,7 +610,9 @@ def test_rejected_trial_builds_no_jacobian(fixture, bits, request):
 # Until the derivative pass was split from the trig pass, each fit point formed
 # the residual and its whole Jacobian, and outflow_terms took one (cos, sin)
 # per edge into separate (4, m + N) value rows.  The copies below are that
-# code, frozen.  The fit must still return the same bits.
+# code, frozen, with one later change to the fit: its stop at the rounding
+# floor, whose estimate the frozen problem forms from its own trig.  The fit
+# must still return the same bits.
 
 def frozen_outflow_terms(net, state, derivatives=True):
     n, m = net.n_bus, net.edge_from.size
@@ -640,6 +673,7 @@ class FrozenProblem:
         self.upper = np.concatenate([net.x_upper[self.free], net.u_upper])
         self.nx_free = self.free.size
         self.draw = demand_draw(net, y)
+        self.screened = active_capacity_screen(net, y)
         self.jac_base = np.concatenate([np.zeros((nx, self.nx_free)), -net.gen_sel], axis=1)
         self.free_bus = self.free[0::2] // 2
         _, self.fit_pick, self.fit_index = frozen_layout(net)
@@ -668,6 +702,32 @@ class FrozenProblem:
         F = P - net.gen_sel @ u + self.draw
         return F, J
 
+    def rounding(self, F, z):
+        """8 eps sum_i |F_i| m_i at z, with m_i the magnitudes summed into F_i:
+        v_k (sum over edges |a v_l| + |diagonal v_k|), generation and draw."""
+        net = self.net
+        n, nxf = net.n_bus, self.nx_free
+        v = np.empty(n)
+        theta = np.empty(n)
+        v[net.slack], theta[net.slack] = net.slack_v, 0.0
+        v[self.free_bus], theta[self.free_bus] = z[0:nxf:2], z[1:nxf:2]
+        k, l = net.edge_from, net.edge_to
+        th = theta[k] - theta[l]
+        c, s = np.cos(th), np.sin(th)
+        vl = v[l]
+        diag_G = np.bincount(k, weights=-net.edge_G, minlength=n)
+        diag_B = np.bincount(k, weights=-net.edge_B, minlength=n)
+        m = np.empty(2 * n)
+        m[0::2] = np.bincount(k, weights=np.abs((net.edge_G * c + net.edge_B * s) * vl), minlength=n)
+        m[1::2] = np.bincount(k, weights=np.abs((net.edge_G * s - net.edge_B * c) * vl), minlength=n)
+        m[0::2] += np.abs(diag_G * v)
+        m[1::2] += np.abs(-diag_B * v)
+        m[0::2] *= v
+        m[1::2] *= v
+        m += np.abs(net.gen_sel @ z[nxf:])
+        m += np.abs(self.draw)
+        return 8.0 * np.finfo(float).eps * float(np.abs(F) @ m)
+
 
 def frozen_solve(M, b):
     try:
@@ -680,7 +740,7 @@ def frozen_least_squares(prob, z0):
     """The fit as it was, reading its constants from ao1_opf so that a
     monkeypatched cap applies to both."""
     TOL_FEAS, FIT_MAX_ITERS = ao1_opf.TOL_FEAS, ao1_opf.FIT_MAX_ITERS
-    FIT_LAMBDA_MAX = ao1_opf.FIT_LAMBDA_MAX
+    FIT_LAMBDA_MAX, FIT_FTOL = ao1_opf.FIT_LAMBDA_MAX, ao1_opf.FIT_FTOL
     lower, upper = prob.lower, prob.upper
     z = np.clip(z0, lower, upper)
     F, J = prob.residual_jacobian(z)
@@ -699,6 +759,7 @@ def frozen_least_squares(prob, z0):
         d = np.diag(H).copy()
         np.maximum(d, 1e-12 * max(float(d.max()), 1e-300), out=d)
         rhs = -g[free]
+        tau = None
         while True:
             M = H + lam * np.diag(d)
             step = np.zeros_like(z)
@@ -717,15 +778,26 @@ def frozen_least_squares(prob, z0):
             F_try, J_try = prob.residual_jacobian(z_try)
             nfev += 1
             f_try = 0.5 * float(F_try @ F_try)
+            noise = False
+            if abs(f - f_try) <= FIT_FTOL * f:
+                if tau is None:
+                    tau = prob.rounding(F, z)
+                    if prob.screened:
+                        tau = max(tau, FIT_FTOL * f)
+                h = z_try - z
+                Jh = J @ h
+                noise = abs(f - f_try) <= tau and abs(float(g @ h) + 0.5 * float(Jh @ Jh)) <= tau
             if f_try < f:
                 break
+            if noise:
+                return z, F, nfev, "stationary"
             lam *= 4.0
             if lam > FIT_LAMBDA_MAX:
                 return z, F, nfev, "stationary"
         decrease = f - f_try
         z, F, J, f = z_try, F_try, J_try, f_try
         lam /= 3.0
-        if decrease <= 1e-14 * (f + decrease):
+        if noise or decrease <= 1e-14 * (f + decrease):
             return z, F, nfev, "stationary"
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"
     return z, F, nfev, status

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from gridshed import qp_core
 from gridshed.qp_core import (
-    TOL_STAT, QpProblem, _dual_clip, _dual_step, _endpoint_probe, _kkt_met, _phase_one, kkt_residual,
-    solve_qp,
+    SLACK_FLOOR_EPS, TOL_STAT, QpProblem, _dual_clip, _dual_step, _endpoint_probe, _kkt_met, _phase_one,
+    kkt_residual, solve_qp,
 )
 
 # optima of the three seeded problems below, from scipy.optimize.minimize
@@ -413,18 +413,24 @@ def test_endpoint_probe_screen_and_order():
 def assert_clip_kkt(problem, h, s, clip):
     """The kernel's KKT conditions: lam >= 0, every row met within the
     kernel's tolerance, every positive multiplier's row active within it,
-    and z the box clip of (s + A'lam) / h.  A clip that did not converge
-    must leave rows that no point of the box meets, or have stopped at the
-    rounding floor of its slacks: each sums terms |a_j| (|s_j| + |A_j|'lam)
-    / h_j that cancel, and the tolerance grows by 1e-13 of the largest such
-    sum."""
+    and z the box clip of (s + A'lam) / h.  Each slack sums terms
+    |a_j| (|s_j| + |A_j|'lam) / h_j that cancel.  A clip that converged may
+    have done so at its slacks' rounding floor, so the tolerance grows by
+    SLACK_FLOOR_EPS of the largest such sum over the coordinates inside the
+    box.  A clip that did not converge must leave rows that no point of the
+    box meets, or have stopped at that floor, and the tolerance grows by
+    1e-13 of the largest such sum over every coordinate."""
     z, lam, mu, gam, ok = clip
     tol = clip_tol(h, s)
-    if not ok:
+    A = np.abs(problem.A)
+    terms = (np.abs(s) + A.T @ lam) / h
+    if ok:
+        inside = (z > problem.lower) & (z < problem.upper)
+        tol += SLACK_FLOOR_EPS * float((A @ np.where(inside, terms, 0.0)).max(initial=0.0))
+    else:
         if not _phase_one(problem, z)[1]:
             return
-        A = np.abs(problem.A)
-        tol += 1e-13 * float((A @ ((np.abs(s) + A.T @ lam) / h)).max(initial=0.0))
+        tol += 1e-13 * float((A @ terms).max(initial=0.0))
     slack = problem.b + problem.A @ z
     assert np.all(lam >= 0.0) and np.all(slack >= -tol)
     assert np.all(np.abs(lam * slack) <= tol * np.maximum(lam, 1.0))
@@ -432,9 +438,8 @@ def assert_clip_kkt(problem, h, s, clip):
     assert np.array_equal(mu, np.maximum(0.0, h * problem.lower - (s + problem.A.T @ lam)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_dual_clip_meets_kkt(seed):
+def kkt_clip(seed):
+    """(problem, h, s) of a random clip: rows, box, curvature and linear term."""
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 9)), int(rng.integers(0, 6))
     lower = -rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
@@ -446,6 +451,13 @@ def test_dual_clip_meets_kkt(seed):
     problem = QpProblem(q=-np.ones(n), g_lin=np.zeros(n), A=A, b=b, lower=lower, upper=upper)
     h = np.ones(n) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 3, n)
     s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+    return problem, h, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_clip_meets_kkt(seed):
+    problem, h, s = kkt_clip(seed)
     assert_clip_kkt(problem, h, s, _dual_clip(problem, h, s))
 
 
@@ -479,9 +491,8 @@ def aggregate_rows_problem(rng, n, n_cuts, h, s):
     return QpProblem(q=-h, g_lin=s, A=A, b=b, lower=lower, upper=upper)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_dual_clip_meets_kkt_on_subproblem_rows(seed):
+def subproblem_clip(seed):
+    """(problem, h, s) of a random clip over subproblem-shaped rows."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 13))
     # h = 1 is the stationary path's projection, h = -q the exact path's
@@ -489,8 +500,29 @@ def test_dual_clip_meets_kkt_on_subproblem_rows(seed):
     s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 1)
     s[rng.random(n) < 0.2] = -0.0
     s[rng.random(n) < 0.1] = 0.0
-    problem = aggregate_rows_problem(rng, n, int(rng.integers(0, 6)), h, s)
+    return aggregate_rows_problem(rng, n, int(rng.integers(0, 6)), h, s), h, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_clip_meets_kkt_on_subproblem_rows(seed):
+    problem, h, s = subproblem_clip(seed)
     assert_clip_kkt(problem, h, s, _dual_clip(problem, h, s))
+
+
+@pytest.mark.parametrize("clip, seed", [(kkt_clip, 90759672), (subproblem_clip, 114413725)])
+def test_dual_clip_ends_converged_at_the_slack_rounding_floor(clip, seed, monkeypatch):
+    # multipliers near 450 and 10 cancel in s + A'lam, and the steps end with a
+    # slack 2.6e-11 from zero, past 1e-11 of the scale but within a few eps of
+    # the terms summed into it: the rows are met, and the exact path runs no
+    # phase one to learn that
+    problem, h, s = clip(seed)
+    assert _dual_clip(problem, h, s)[4]
+    calls = []
+    monkeypatch.setattr(qp_core, "_phase_one", lambda *args: calls.append(args) or _phase_one(*args))
+    exact = QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower, upper=problem.upper)
+    assert solve_qp(exact).status != "infeasible"
+    assert calls == []
 
 
 def count_steps(monkeypatch):

@@ -105,19 +105,23 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     # the fit forms derivatives only where it goes on, so every call's passes
     # fall short of its evaluations: at least one fit per call ends balanced,
     # and that end point costs a residual alone
+    # and its most evaluations in one fit fall short of its evaluations (an
+    # oracle5 call runs several fits) but bound them from above, fits x most
     assert census.main(["--workload", "oracle5", "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[2:5] == ["fits", "nfev", "jac"]
+    assert lines[0].split()[2:6] == ["fits", "nfev", "most", "jac"]
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
     assert len(calls) == 20
     for fields in calls:
-        fits, nfev, jac = (int(v) for v in fields[5:8])
+        fits, nfev, most, jac = (int(v) for v in fields[5:9])
         assert 0 < jac < nfev
+        assert nfev <= fits * most and most < nfev
     total = next(line for line in lines if line.startswith("AO1 fits "))
     words = total.replace(",", "").split()
     assert int(words[3]) == sum(int(f[6]) for f in calls)
-    assert int(words[5]) == sum(int(f[7]) for f in calls)
+    assert int(words[5]) == sum(int(f[8]) for f in calls)
     assert words[6:8] == ["derivative", "passes;"]
+    assert total.endswith(f"; at most {max(int(f[7]) for f in calls)} evaluations in one fit")
 
 
 QP_CENSUS = Path(__file__).resolve().parents[1] / "tools" / "qp_census.py"

@@ -10,15 +10,16 @@ in this process and against ./src, and wraps ``gridshed.ao1_opf.least_squares``
 runs at each point it goes on from) from outside the package.
 
 One line per distinct call: the seed and index where it first appears, its
-variant, its AO1 fits, their function evaluations and derivative (Jacobian)
-passes, how many ended balanced,
+variant, its AO1 fits, their function evaluations, the most evaluations in
+one fit, their derivative (Jacobian) passes, how many ended balanced,
 stationary and at the fit's iteration cap, the smallest and largest end
 max|F| (the balance residual each fit stopped at), their seconds, the
 slowest one in ms, and the call's outcome (answered, or the error's first
 clause).  Fits during a seed's set-up (switch30 builds its AO1 starts there)
-get a line of their own.  Totals follow: the evaluations and derivative
+get a line of their own.  Totals follow: the evaluations, the derivative
 passes, fits by exit (balanced means end max|F| at most ``TOL_FEAS``), the
-time spent, and how many took longer than SLOW_MS.
+most evaluations in one fit, the time spent, and how many took longer than
+SLOW_MS.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def _line(label: str, variant: str, runs, outcome: str) -> str:
     else:
         spread = f"{'-':>9} {'-':>9}"
         slowest = f"{'-':>7}"
-    return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} "
+    most = max((r[0] for r in runs), default=0)
+    return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} {most:>5} "
             f"{sum(r[4] for r in runs):>6} {_exits(runs):>8} {spread} {sum(r[3] for r in runs):>9.3f} {slowest}  {outcome}")
 
 
@@ -116,7 +118,7 @@ def main(argv: list[str]) -> int:
     seen: set[str] = set()
     every: list[tuple[int, str, float, float, int]] = []
     outcomes: list[str] = []
-    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'jac':>6} {'b/s/cap':>8} {'min|F|':>9} "
+    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'most':>5} {'jac':>6} {'b/s/cap':>8} {'min|F|':>9} "
           f"{'max|F|':>9} {'fit_s':>9} {'max_ms':>7}  outcome")
     try:
         for seed in _seeds(args.seeds):
@@ -150,7 +152,8 @@ def main(argv: list[str]) -> int:
     seconds = [r[3] for r in every]
     exits = ", ".join(f"{sum(r[1] == e for r in every)} {e}" for e in EXITS)
     print(f"AO1 fits {len(every)}, {sum(r[0] for r in every)} evaluations, "
-          f"{sum(r[4] for r in every)} derivative passes; exits: {exits}")
+          f"{sum(r[4] for r in every)} derivative passes; exits: {exits}; "
+          f"at most {max(r[0] for r in every)} evaluations in one fit")
     print(f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(seconds):.3f} s in all, "
           f"median {1e3 * statistics.median(seconds):.1f} ms, slowest {1e3 * max(seconds):.1f} ms; "
           f"{sum(t > SLOW_MS / 1e3 for t in seconds)} took longer than {SLOW_MS:g} ms")
