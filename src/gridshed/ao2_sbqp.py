@@ -49,12 +49,16 @@ DEGENERATE_DEN = 1e-12
 
 
 class Ao2Error(RuntimeError):
-    """Penalty cap reached before complementarity; carries the partial trace."""
+    """The switching stage ended without a binary point; carries the partial
+    trace.  kind is "penalty-cap" when the penalty cap came before
+    complementarity, and "infeasible" when a subproblem's rows admit no
+    point of the box."""
 
-    def __init__(self, message: str, trace: "SbqpTrace", y: np.ndarray):
+    def __init__(self, message: str, trace: "SbqpTrace", y: np.ndarray, kind: str = "penalty-cap"):
         super().__init__(message)
         self.trace = trace
         self.y = y
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,9 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     subproblem solution, so a feasible(y) predicate, when given, gates it.
     With single_shot the seeding pass and the blend are skipped and each
     solution is taken directly.  Returns (y, SbqpTrace); raises Ao2Error when
-    rho would pass schedule.rho_max first.
+    rho would pass schedule.rho_max first, and, of kind "infeasible", at the
+    first subproblem whose status is "infeasible": its rows admit no point of
+    the box, and every later subproblem has the same rows.
     """
     if feasible is None:
         feasible = lambda _y: True
@@ -292,6 +298,9 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     def record(it, y, rho_val, alpha, status, kind):
         val = float("nan") if psi_of is None else float(psi_of(y, rho_val))
         rows.append(SbqpTraceRow(it, y.copy(), phi(y), rho_val, alpha, status, kind, val))
+        if status == "infeasible":
+            raise Ao2Error("the switching rows admit no point of the box", SbqpTrace(tuple(rows)), y,
+                           kind="infeasible")
 
     y_hat = None
     if not single_shot:
@@ -359,7 +368,9 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     endpoint are snapped exactly to it, which the exit tolerance guarantees
     covers every coordinate.  cuts holds switch sets to exclude, one no-good
     row each in every subproblem.  Each subproblem gets one QP solve, warm
-    started from the incumbent once there is one.
+    started from the incumbent once there is one.  Raises Ao2Error at the
+    penalty cap, and, of kind "infeasible", when a QP reports "infeasible":
+    the aggregate rows and the cuts admit no point of the box.
     """
     schedule = PenaltySchedule() if schedule is None else schedule
     variant = Ao2Variant() if variant is None else variant

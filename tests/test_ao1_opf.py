@@ -879,3 +879,76 @@ def test_outflow_kernel_matches_the_frozen_kernel(which, seed, spread, case5, ca
     assert P.tobytes() == ref_P.tobytes()
     assert dP_dx.tobytes() == ref.tobytes()
     assert outflow(net, state).tobytes() == ref_P.tobytes()
+
+
+# -- the lockstep batch against the fit alone ------------------------------------
+
+def assert_stack_matches_solo(net, ys):
+    """Fit ys in one lockstep batch from the flat start; each member must
+    return the bytes of its fit alone.  Returns the batch's fits."""
+    fits = ao1_opf._lockstep(ao1_opf._Stack(net, ys), [net.fit_start] * len(ys))
+    assert len(fits) == len(ys)
+    for y, fit in zip(ys, fits):
+        alone = ao1_opf.least_squares(ao1_opf._Problem(net, y), net.fit_start)
+        assert (fit.nfev, fit.njev, fit.status) == (alone.nfev, alone.njev, alone.status)
+        assert fit.x.tobytes() == alone.x.tobytes()
+        assert fit.fun.tobytes() == alone.fun.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fit.terms, alone.terms))
+    return fits
+
+
+def _stressed_draws(net, seeds=range(12)):
+    return [SwitchVector((np.random.default_rng(s).uniform(size=net.n_dem) < 0.7).astype(float)) for s in seeds]
+
+
+@pytest.mark.parametrize("fixture", ["shortfall5_case", "negative_g5"])
+def test_batch_members_match_their_fits_alone_on_case5(fixture, request):
+    # every set of the shortfall case (some balance, (1, 1, 1) stalls on the
+    # screen) and of the case with a negative conductance (no screen)
+    net = network(request.getfixturevalue(fixture))
+    ys = [SwitchVector(np.array(b, dtype=float)) for b in itertools.product((0.0, 1.0), repeat=3)]
+    fits = assert_stack_matches_solo(net, ys)
+    assert {f.status for f in fits} >= {"balanced", "stationary"}
+
+
+def test_batch_members_match_their_fits_alone_on_stressed30(stressed30, monkeypatch):
+    # draws that balance, stall on the screen and stall without it, most of
+    # them with a step that the clip spoils and that is re-solved
+    solves = []
+    solve = ao1_opf._solve
+    monkeypatch.setattr(ao1_opf, "_solve", lambda M, b: solves.append(1) or solve(M, b))
+    net = network(stressed30)
+    ys = _stressed_draws(net)
+    fits = ao1_opf._lockstep(ao1_opf._Stack(net, ys), [net.fit_start] * len(ys))
+    assert len(solves) > sum(f.nfev - 1 for f in fits)
+    screened = [active_capacity_screen(net, y) for y in ys]
+    assert {(f.status, s) for f, s in zip(fits, screened)} == {
+        ("balanced", False), ("stationary", False), ("stationary", True)}
+    assert_stack_matches_solo(net, ys)
+
+
+@pytest.mark.parametrize("fixture", ["shortfall5_case", "stressed30"])
+def test_batch_members_match_their_fits_alone_at_one_iteration(fixture, request, monkeypatch):
+    monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", 1)
+    net = network(request.getfixturevalue(fixture))
+    ys = ([SwitchVector(np.array(b, dtype=float)) for b in itertools.product((0.0, 1.0), repeat=3)]
+          if net.n_dem == 3 else _stressed_draws(net, range(6)))
+    fits = assert_stack_matches_solo(net, ys)
+    assert "cap" in {f.status for f in fits}
+
+
+def test_stacked_solves_equal_solve_ao1(shortfall5_case, stressed30):
+    for case in (shortfall5_case, stressed30):
+        net = network(case)
+        ys = ([SwitchVector(np.array(b, dtype=float)) for b in itertools.product((0.0, 1.0), repeat=3)]
+              if net.n_dem == 3 else _stressed_draws(net, range(4)))
+        for y, got in zip(ys, ao1_opf.solve_ao1_stack(case, ys)):
+            want = solve_ao1(case, y)
+            assert (got.status, got.certificate, got.iterations) == (want.status, want.certificate, want.iterations)
+            assert (got.residual, got.objective) == (want.residual, want.objective)
+            assert got.state.as_vector().tobytes() == want.state.as_vector().tobytes()
+            assert got.input.as_vector().tobytes() == want.input.as_vector().tobytes()
+            assert got.duals.tobytes() == want.duals.tobytes()
+    assert ao1_opf.solve_ao1_stack(shortfall5_case, []) == []
+    with pytest.raises(ValueError, match="^solve_ao1_stack: the switch vector has 4 entries"):
+        ao1_opf.solve_ao1_stack(shortfall5_case, [SwitchVector(np.ones(3)), SwitchVector(np.ones(4))])

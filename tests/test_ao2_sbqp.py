@@ -290,6 +290,34 @@ def test_penalty_cap_raises_with_trace():
     assert math.isnan(err.trace.rows[0].psi)
 
 
+@pytest.mark.parametrize("single_shot", [False, True])
+def test_infeasible_subproblem_ends_the_stage(single_shot):
+    # the second subproblem reports that its rows admit no point of the box:
+    # every later one has the same rows, so the stage stops there, with that
+    # subproblem's row in the trace, and does not carry on from its point
+    statuses = iter(["optimal", "infeasible", "optimal"])
+    solved = []
+
+    def solve_sub(rho, anchor, warm):
+        solved.append(rho)
+        return np.array([0.5]), next(statuses)
+
+    with pytest.raises(Ao2Error) as info:
+        penalty_loop(solve_sub, PenaltySchedule(rho0=1.0, beta=10.0, rho_max=1e6), single_shot=single_shot)
+    err = info.value
+    assert (err.kind, str(err)) == ("infeasible", "the switching rows admit no point of the box")
+    assert len(solved) == 2
+    assert [row.status for row in err.trace.rows] == ["optimal", "infeasible"]
+    assert np.array_equal(err.y, err.trace.rows[-1].y)
+
+
+def test_penalty_cap_is_the_default_kind():
+    with pytest.raises(Ao2Error) as info:
+        penalty_loop(lambda rho, anchor, warm: (np.array([0.5]), "optimal"),
+                     PenaltySchedule(rho0=1.0, beta=10.0, rho_max=100.0))
+    assert info.value.kind == "penalty-cap"
+
+
 def _battery_loop(seed, n, schedule):
     """Box-only concave battery: random diagonal negative-definite model."""
     rng = np.random.default_rng(seed)

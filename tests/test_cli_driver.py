@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gridshed
 from gridshed import cli_driver, qp_core
+from gridshed.ao1_opf import active_capacity_screen
 from gridshed.ao2_sbqp import Ao2Error, Ao2Variant, PenaltySchedule, live_demands
 from gridshed.cli_driver import (
     DriverError,
@@ -387,6 +388,22 @@ def test_random_case_with_piled_up_cuts_ends_with_bounded_kernel_work(seed, tag,
     assert sum(steps) <= 3 * len(steps)
 
 
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
+def test_switching_rows_without_a_point_end_infeasible(tag):
+    # _random_case seed 14: the aggregate reactive row admits no point of the
+    # box even with every demand off, so the first QP reports infeasible and
+    # the solve ends there, where it once ran on to the re-proposal exit
+    case = _random_case(np.random.default_rng(14))
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case, SolverConfig(variant=Ao2Variant(tag=tag)))
+    assert info.value.kind == "infeasible"
+    assert str(info.value) == ("the switching rows admit no point of the box; "
+                               "the verdicts are local: a stationary AO1 fit is no global proof")
+    best = info.value.best
+    assert best.outer_iterations == 1
+    assert [row.status for row in best.ao2_traces[-1].rows] == ["infeasible"]
+
+
 @pytest.mark.parametrize("seed", [1, 5, 13])
 def test_no_rejected_set_is_fitted_again_on_random_cases(seed, monkeypatch):
     # mixed on these _random_case draws, which have no feasible switch set,
@@ -507,15 +524,16 @@ def test_stressed_tiled_case_is_answered(case30, tag, objective):
     assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
 
 
-def _feasible_case(rng) -> GridCase:
-    """A small case that always has an answer: 2-6 demands on 2-7 buses.
+def _feasible_case(rng, demands=(2, 7)) -> GridCase:
+    """A small case that always has an answer: 2-6 demands on 2-7 buses, or
+    demands[0] to demands[1] - 1 demands on as many buses or more.
 
     pg_min is 0, every qg range contains 0 and every voltage band contains
     [0.95, 1.05], so the all-off set balances at the flat point.  Summed
     pg_max is 0.5-1.5 times summed pd, so about half the cases must shed.
     """
-    n_dem = int(rng.integers(2, 7))
-    n = int(rng.integers(max(2, n_dem), 8))
+    n_dem = int(rng.integers(*demands))
+    n = int(rng.integers(max(2, n_dem), max(8, n_dem + 1)))
     slack = int(rng.integers(n))
     buses = [Bus(id=k + 1, v_min=rng.uniform(0.9, 0.95), v_max=rng.uniform(1.05, 1.1),
                  is_slack=k == slack) for k in range(n)]
@@ -607,6 +625,27 @@ def test_oracle_matches_solver_on_shortfall(case5, shortfall5):
     res = run_ao_sbqp(case5, cfg)
     assert any(e.feasible and abs(e.objective - res.objective) <= 1e-4 for e in entries)
     assert res.objective <= best.objective + 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_oracle_entries_equal_a_per_set_loop_across_blocks(seed):
+    # 7 or 8 demands: more sets pass the screen than one lockstep block holds,
+    # and each entry is what a solve_ao1 call on its set alone gives
+    case = _feasible_case(np.random.default_rng(seed), demands=(7, 9))
+    net = network(case)
+    entries = enumerate_oracle(case)
+    assert len(entries) == 2 ** net.n_dem
+    assert sum(not e.screened for e in entries) > cli_driver.ORACLE_BLOCK
+    for e in entries:
+        y = SwitchVector(np.array(e.switches, dtype=float))
+        assert e.screened == active_capacity_screen(net, y)
+        assert e.objective == float(np.sum(y.y * net.rank * net.pd))
+        feasible = False
+        if not e.screened:
+            res = cli_driver.solve_ao1(case, y)
+            feasible = res.status == "converged" and float(
+                np.max(constraints_C(case, res.state, res.input, y), initial=0.0)) <= cli_driver.FEAS_TOL
+        assert e.feasible == feasible, e.switches
 
 
 def test_oracle_refuses_wide_cases(case30):

@@ -31,7 +31,10 @@ from gridshed.power_equations import (
     network,
     objective_E,
     outflow,
+    outflow_derivatives,
+    outflow_terms,
     phi,
+    stacked_network,
     supply,
 )
 
@@ -603,3 +606,31 @@ def test_phi_box_properties(ys):
         assert np.max(np.minimum(y, 1.0 - y)) <= 2e-12
     if np.max(np.minimum(y, 1.0 - y)) <= 1e-13:
         assert val <= 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["case5", "stressed30", "negative_g5"])
+def test_stacked_network_gives_each_copy_the_bits_of_its_own_pass(fixture, request):
+    # k states laid end to end run through the kernels as one state of the
+    # stacked network: each copy's outflow is the bytes of a pass over the
+    # network alone, and the fit fields take its derivatives to the fit
+    # Jacobian that _Problem forms at that state
+    net = network(request.getfixturevalue(fixture))
+    rng = np.random.default_rng(3)
+    k = 5
+    whole = stacked_network(net, k)
+    assert stacked_network(net, k) is whole
+    states = [State(v=rng.uniform(0.8, 1.2, net.n_bus), theta=rng.uniform(-0.8, 0.8, net.n_bus))
+              for _ in range(k)]
+    for state in states:
+        # the fit holds the slack at its voltage and zero angle
+        state.v[net.slack], state.theta[net.slack] = net.slack_v, 0.0
+    stacked = State(v=np.concatenate([s.v for s in states]), theta=np.concatenate([s.theta for s in states]))
+    terms = outflow_terms(whole, stacked)
+    J = np.repeat(ao1_opf._fit_jacobian(net)[None], k, axis=0)
+    J.ravel()[whole.fit_index] = outflow_derivatives(whole, terms)[whole.fit_pick]
+    prob = ao1_opf._Problem(net, SwitchVector(np.ones(net.n_dem)))
+    for j, state in enumerate(states):
+        alone = outflow_terms(net, state)
+        assert terms.P[2 * net.n_bus * j:2 * net.n_bus * (j + 1)].tobytes() == alone.P.tobytes()
+        z = np.concatenate([state.as_vector()[net.fit_free], net.fit_start[net.fit_free.size:]])
+        assert J[j].tobytes() == prob.jacobian(prob.residual(z)[1]).tobytes()

@@ -6,6 +6,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "workload_digests.py"
@@ -109,19 +110,45 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     # oracle5 call runs several fits) but bound them from above, fits x most
     assert census.main(["--workload", "oracle5", "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[2:6] == ["fits", "nfev", "most", "jac"]
+    assert lines[0].split()[2:7] == ["fits", "nfev", "most", "jac", "rounds"]
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
     assert len(calls) == 20
     for fields in calls:
-        fits, nfev, most, jac = (int(v) for v in fields[5:9])
+        fits, nfev, most, jac, rounds = (int(v) for v in fields[5:10])
         assert 0 < jac < nfev
         assert nfev <= fits * most and most < nfev
+        # the oracle's batch runs one round per evaluation of its longest fit
+        assert 0 < rounds <= most
     total = next(line for line in lines if line.startswith("AO1 fits "))
     words = total.replace(",", "").split()
     assert int(words[3]) == sum(int(f[6]) for f in calls)
     assert int(words[5]) == sum(int(f[8]) for f in calls)
-    assert words[6:8] == ["derivative", "passes;"]
+    assert words[6:8] == ["derivative", "passes"]
+    assert words[8:14] == ["20", "lockstep", "batches", "in", str(sum(int(f[9]) for f in calls)), "rounds;"]
     assert total.endswith(f"; at most {max(int(f[7]) for f in calls)} evaluations in one fit")
+
+
+def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
+    # the oracle's sets are fitted in one batch, outside least_squares: the
+    # census counts each member as the fit that solve_ao1 runs on its set
+    from gridshed import ao1_opf, cli_driver
+    from gridshed.power_equations import SwitchVector
+
+    tally = census.Census()
+    tally.install()
+    try:
+        entries = cli_driver.enumerate_oracle(shortfall5_case)
+        batched, rounds = tally.take()
+        fitted = [e for e in entries if not e.screened]
+        for e in fitted:
+            ao1_opf.solve_ao1(shortfall5_case, SwitchVector(np.array(e.switches, dtype=float)))
+        alone, none = tally.take()
+    finally:
+        tally.uninstall()
+    assert len(batched) == len(alone) == len(fitted) > 1 and none == []
+    assert sorted(r[0] for r in batched) == sorted(r[0] for r in alone)
+    assert sorted(r[4] for r in batched) == sorted(r[4] for r in alone)
+    assert rounds == [max(r[0] for r in batched)]
 
 
 QP_CENSUS = Path(__file__).resolve().parents[1] / "tools" / "qp_census.py"
@@ -156,3 +183,25 @@ def test_qp_census_counts_clips_and_steps_per_call_and_in_total(qp_census, capsy
     assert [line.split()[2] for line in randoms] == ["mixed", "relaxed-one", "relaxed-two"]
     assert all(line.endswith("DriverError: all 1 live switch pattern proved infeasible") for line in randoms)
     assert lines[-1].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
+
+
+def test_qp_census_counts_solves_by_status_per_call_and_in_total(qp_census, capsys):
+    # every switch30 solve of seed 1 has a status, and the totals add them
+    # up; on _random_case seed 14 the aggregate reactive row admits no point
+    # of the box, so each variant's first QP reports infeasible and the
+    # switching stage stops there
+    assert qp_census.main(["--workload", "switch30", "--seeds", "1", "--random", "14"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[6] == "o/m/i"
+    calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
+    counts = [[int(v) for v in fields[9].split("/")] for fields in calls]
+    assert all(sum(c) > 0 for c in counts)
+    total = next(line for line in lines if line.startswith("switch30 seeds 1: "))
+    solves = total.split("; ")[2]
+    expected = [sum(c[k] for c in counts) for k in range(3)]
+    assert solves == (f"{sum(expected)} QP solves: {expected[0]} optimal, {expected[1]} max-iterations, "
+                      f"{expected[2]} infeasible")
+    randoms = [line for line in lines if line.startswith("random 14 ")]
+    assert [line.split()[7] for line in randoms] == ["0/0/1"] * 3
+    assert all(line.endswith("DriverError: the switching rows admit no point of the box") for line in randoms)
+    assert "; 3 QP solves: 0 optimal, 0 max-iterations, 3 infeasible; " in lines[-1]
