@@ -52,7 +52,8 @@ class Ao2Error(RuntimeError):
     """The switching stage ended without a binary point; carries the partial
     trace.  kind is "penalty-cap" when the penalty cap came before
     complementarity, and "infeasible" when a subproblem's rows admit no
-    point of the box."""
+    point of the box, by its QP's Farkas certificate of margin
+    qp_core.SLACK_TOL."""
 
     def __init__(self, message: str, trace: "SbqpTrace", y: np.ndarray, kind: str = "penalty-cap"):
         super().__init__(message)
@@ -289,7 +290,8 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     solution is taken directly.  Returns (y, SbqpTrace); raises Ao2Error when
     rho would pass schedule.rho_max first, and, of kind "infeasible", at the
     first subproblem whose status is "infeasible": its rows admit no point of
-    the box, and every later subproblem has the same rows.
+    the box, by the QP's Farkas certificate of margin SLACK_TOL, and every
+    later subproblem has the same rows.
     """
     if feasible is None:
         feasible = lambda _y: True
@@ -370,7 +372,8 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     row each in every subproblem.  Each subproblem gets one QP solve, warm
     started from the incumbent once there is one.  Raises Ao2Error at the
     penalty cap, and, of kind "infeasible", when a QP reports "infeasible":
-    the aggregate rows and the cuts admit no point of the box.
+    the aggregate rows and the cuts admit no point of the box, by the QP's
+    Farkas certificate of margin SLACK_TOL.
     """
     schedule = PenaltySchedule() if schedule is None else schedule
     variant = Ao2Variant() if variant is None else variant

@@ -172,8 +172,9 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     a case whose live patterns are all rejected ends within 2**live + 1 fits.
     The final set is never one that a continuous solve proved infeasible.
     A switching stage whose subproblem rows admit no point of the box (an
-    Ao2Error of kind "infeasible") ends the loop with a DriverError of kind
-    "infeasible" too; the second exit stays as the guard.
+    Ao2Error of kind "infeasible", by a QP's Farkas certificate of margin
+    qp_core.SLACK_TOL) ends the loop with a DriverError of kind "infeasible"
+    too; the second exit stays as the guard.
     """
     cfg = SolverConfig() if cfg is None else cfg
     work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case

@@ -45,8 +45,15 @@ has no free coordinate or two cut rows coincide on the free ones.
   order by the objective itself.  Returns a KKT point, no global claim.
 
 When the kernel does not converge, even at the rounding floor of its row
-slacks, a projected-gradient phase one on the squared row violation decides
-whether the rows are infeasible.
+slacks, one closed-form test decides whether the rows are infeasible.  Row
+multipliers w >= 0 with w'(b + A z) < 0 at every point of the box are a
+Farkas certificate (Farkas 1902).  With v = A'w the largest such value is
+w'b + sum_j max(v_j lower_j, v_j upper_j); when its negative over
+sum(w) exceeds SLACK_TOL, every point of the box misses some row by more
+than SLACK_TOL, and the solve reports "infeasible" with w as its row
+multipliers.  w is the ray of a kernel step along which the dual falls
+without bound (Goldfarb & Idnani's infeasibility exit), else the kernel's
+last multipliers.  A failed test lets the solve go on from the kernel's end.
 
 The problems are tiny (at most a few dozen coordinates and a handful of
 rows), so numpy's per-call Python dispatch, not the arithmetic, sets the cost
@@ -147,38 +154,19 @@ def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
     return max(float(np.abs(stat).max()), feas, comp)
 
 
-def _phase_one(problem: QpProblem, z0: np.ndarray):
-    """Row-feasible point inside the box, or a violation minimizer.
-
-    Runs projected gradient with Barzilai-Borwein steps on the squared row
-    violation 0.5 ||max(0, -(b + A z))||^2; the minimum is zero exactly when
-    the rows are consistent with the box. Returns (z, feasible).
-    """
-    A, b = problem.A, problem.b
-    z = np.clip(z0, problem.lower, problem.upper)
-    t = 1.0 / max(1e-12, float(np.linalg.norm(A, 2)) ** 2)
-    z_prev = g_prev = None
-    for _ in range(2000):
-        viol = np.maximum(0.0, -(b + A @ z))
-        if float(viol.max(initial=0.0)) <= 1e-11:
-            return z, True
-        g = -(A.T @ viol)
-        if z_prev is not None:
-            dz, dg = z - z_prev, g - g_prev
-            den = float(dz @ dg)
-            if den > 1e-300:
-                t = float(dz @ dz) / den
-        z_prev, g_prev = z, g
-        z = np.clip(z - t * g, problem.lower, problem.upper)
-        if np.array_equal(z, z_prev):
-            break  # stationary over the box: the violation cannot improve
-    viol = np.maximum(0.0, -(b + A @ z))
-    return z, bool(viol.max(initial=0.0) <= SLACK_TOL)
+def _farkas_margin(problem: QpProblem, w: np.ndarray) -> float:
+    """-max over the box of w'(b + A z), over sum(w): the depth by which row
+    multipliers w >= 0 prove that every point of the box misses some row."""
+    v = w @ problem.A
+    worst = float(w @ problem.b + np.maximum(v * problem.lower, v * problem.upper).sum())
+    total = float(w.sum())
+    return -worst / total if total > 0.0 else -np.inf
 
 
-def _infeasible(problem: QpProblem, z: np.ndarray) -> QpSolution:
+def _infeasible(problem: QpProblem, z: np.ndarray, w: np.ndarray) -> QpSolution:
+    """z with the Farkas multipliers w; the residual is z's with no multipliers."""
     lam, mu, gam = np.zeros(problem.A.shape[0]), np.zeros(problem.dim), np.zeros(problem.dim)
-    return QpSolution(z, lam, mu, gam, "infeasible", kkt_residual(problem, z, lam, mu, gam))
+    return QpSolution(z, w, mu, gam, "infeasible", kkt_residual(problem, z, lam, mu, gam))
 
 
 class _Box:
@@ -207,9 +195,11 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
     """One kernel step from lam, where shifted = s + A'lam and slack is the
     row slack of its clip: the Newton direction on the working rows and the
     exact minimizer of the dual along it.  Returns the new lam; lam itself
-    when the step moves no multiplier beyond rounding; or None when the step
-    cannot lower the dual: its slope stays negative past the last kink, so
-    the rows cannot be met, or it is not negative at the start."""
+    when the step moves no multiplier beyond rounding, as when the dual's
+    slope along the direction d is not negative at the start; or, when that
+    slope stays negative past the last kink, so that the dual falls without
+    bound, the 1-tuple (w,) of that ray: d on the working rows and 0
+    elsewhere, w >= 0 (a row that d would take below 0 caps the step)."""
     A, b = problem.A, problem.b
     work = ((lam > 0.0) | (slack < 0.0)).nonzero()[0]
     while work.size > 1:
@@ -256,7 +246,7 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
     k = int((slope >= 0.0).argmax())
     if slope[k] >= 0.0:
         if k == 0:
-            return None
+            return lam
         # the zero of the slope on [ts[k-1], ts[k]], interpolated from the
         # end nearer to it, so that a root on a kink is that kink
         (t0, t1), (s0, s1) = ts[k - 1:k + 1].tolist(), slope[k - 1:k + 1].tolist()
@@ -264,7 +254,9 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
     elif capped:
         t = cap
     else:
-        return None
+        ray = np.zeros(lam.size)
+        ray[work] = d
+        return (ray,)
     new_w = np.maximum(lam_w + t * d, 0.0)
     if t >= cap:
         new_w[j] = 0.0
@@ -287,8 +279,10 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
     coordinates j inside the box (one on a box end is exact), row i sums
     terms |a_ij| (|s_j| + |A_j|'lam) / h_j that large multipliers make
     cancel, and a few eps of the largest such sum is noise.  box is
-    _Box(problem, h), when the caller has it.  Returns (z, lam, mu, gam,
-    converged).
+    _Box(problem, h), when the caller has it.  Returns (z, lam, mu, gam, w):
+    w is None when the clip converged, and otherwise the row multipliers the
+    Farkas test reads: the ray of a step along which the dual falls without
+    bound, or else lam itself, at the step cap or the rounding stop.
     """
     A, b = problem.A, problem.b
     box = _Box(problem, h) if box is None else box
@@ -304,8 +298,10 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
         # lam*eps*scale and cannot certify
         if float(slack.min(initial=0.0)) >= -tol and (
                 steps == 0 or float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol):
-            return z, lam, *box.bound_duals(shifted), True
-        new = None if steps == DUAL_STEPS else _dual_step(problem, box, lam, shifted, slack)
+            return z, lam, *box.bound_duals(shifted), None
+        if steps == DUAL_STEPS:
+            break
+        new = _dual_step(problem, box, lam, shifted, slack)
         if new is lam:
             # no multiplier moves beyond rounding: the same test once more,
             # at the slacks' rounding floor
@@ -315,21 +311,21 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
             tol += SLACK_FLOOR_EPS * float((absA @ terms).max(initial=0.0))
             met = float(slack.min(initial=0.0)) >= -tol and (
                 float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol)
-            return z, lam, *box.bound_duals(shifted), met
-        if new is None:
-            break
+            return z, lam, *box.bound_duals(shifted), None if met else lam
+        if type(new) is tuple:
+            return z, lam, *box.bound_duals(shifted), new[0]
         lam = new
         shifted = s + A.T @ lam
         z = box.clip(shifted)
-    return z, lam, *box.bound_duals(shifted), False
+    return z, lam, *box.bound_duals(shifted), lam
 
 
 def _solve_exact(problem: QpProblem) -> QpSolution:
     q, g, A = problem.q, problem.g_lin, problem.A
     kernel = _Box(problem, -q)
-    z, lam, mu, gam, converged = _dual_clip(problem, -q, g, kernel)
-    if not converged and not _phase_one(problem, z)[1]:
-        return _infeasible(problem, z)
+    z, lam, mu, gam, w = _dual_clip(problem, -q, g, kernel)
+    if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
+        return _infeasible(problem, z, w)
     best = (z, lam, mu, gam, kkt_residual(problem, z, lam, mu, gam))
     # the clip fixes each free coordinate only as well as lam is known, so a
     # curvature near 1e-5 leaves a residual near 1e-9; one KKT solve on the
@@ -410,9 +406,9 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     unit = np.ones(n)
     box, moves = _Box(problem, unit), _probe_moves(problem)
     z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
-    z, *_, ok = _dual_clip(problem, unit, z0, box)
-    if not ok and not _phase_one(problem, z0)[1]:
-        return _infeasible(problem, z)
+    z, *_, w = _dual_clip(problem, unit, z0, box)
+    if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
+        return _infeasible(problem, z, w)
 
     def value(w):
         return 0.5 * w * problem.q @ w + problem.g_lin @ w

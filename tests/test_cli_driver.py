@@ -585,6 +585,20 @@ def test_answers_on_feasible_random_cases_hold_the_solver_invariants(seed):
             assert res.outer_iterations == 1
 
 
+def test_a_ray_the_box_meets_within_rounding_certifies_nothing(monkeypatch):
+    # _feasible_case seed 118, mixed: one subproblem's kernel ends on a ray
+    # whose Farkas margin is about 1e-15, far below SLACK_TOL, since the
+    # all-off point meets its rows within rounding.  The ray certifies
+    # nothing, and the solve goes on to an answer that sheds every demand
+    margins = []
+    margin = qp_core._farkas_margin
+    monkeypatch.setattr(qp_core, "_farkas_margin", lambda *args: margins.append(margin(*args)) or margins[-1])
+    res = run_ao_sbqp(_feasible_case(np.random.default_rng(118)), SolverConfig(variant=Ao2Variant(tag="mixed")))
+    assert len(margins) == 1 and abs(margins[0]) < 1e-12
+    np.testing.assert_array_equal(res.switches.y, np.zeros(3))
+    assert res.objective == 0.0 and res.outer_iterations == 4
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(preset, expected):
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}

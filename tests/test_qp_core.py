@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gridshed import qp_core
 from gridshed.qp_core import (
-    SLACK_FLOOR_EPS, TOL_STAT, QpProblem, _dual_clip, _dual_step, _endpoint_probe, _kkt_met, _phase_one,
+    SLACK_FLOOR_EPS, SLACK_TOL, TOL_STAT, QpProblem, _dual_clip, _dual_step, _endpoint_probe, _kkt_met,
     kkt_residual, solve_qp,
 )
 
@@ -124,10 +124,22 @@ def test_general_rows_respected():
     assert_kkt(problem, sol)
 
 
+def assert_certified(problem, sol):
+    """sol's row multipliers w prove that every point of the box misses some
+    row by more than SLACK_TOL: w >= 0, and w'(b + A z) at the box point z
+    that maximizes it, each coordinate at the end its coefficient in w'A
+    favours, is below -SLACK_TOL sum(w)."""
+    w = sol.dual_ineq
+    assert np.all(w >= 0.0) and w.sum() > 0.0
+    z = np.where(problem.A.T @ w > 0.0, problem.upper, problem.lower)
+    assert w @ (problem.b + problem.A @ z) < -SLACK_TOL * w.sum()
+
+
 @pytest.mark.parametrize("curvature", [-1.0, 1.0])
 def test_infeasible_rows_detected(curvature):
-    # q < 0 takes the exact solve and q > 0 the stationary ascent; both must
-    # reach the phase-one certificate once the row multipliers diverge
+    # q < 0 takes the exact solve and q > 0 the stationary ascent; the kernel
+    # of both ends on a ray along which the dual falls without bound, and its
+    # multipliers certify the rows infeasible
     problem = QpProblem(
         q=[curvature], g_lin=np.zeros(1),
         A=np.array([[1.0], [-1.0]]), b=np.array([-0.8, 0.2]),  # y >= 0.8 and y <= 0.2
@@ -135,6 +147,7 @@ def test_infeasible_rows_detected(curvature):
     )
     sol = solve_qp(problem)
     assert sol.status == "infeasible"
+    assert_certified(problem, sol)
 
 
 def test_start_outside_rows_recovers():
@@ -294,8 +307,8 @@ def clip_tol(h, s):
 
 def row_root(problem, h, base):
     """The kernel's multiplier on a one-row problem, None when it cannot meet the row."""
-    _z, lam, _mu, _gam, ok = _dual_clip(problem, np.asarray(h, dtype=float), np.asarray(base, dtype=float))
-    return float(lam[0]) if ok else None
+    _z, lam, _mu, _gam, w = _dual_clip(problem, np.asarray(h, dtype=float), np.asarray(base, dtype=float))
+    return float(lam[0]) if w is None else None
 
 
 def check_root(problem, h, base):
@@ -410,6 +423,35 @@ def test_endpoint_probe_screen_and_order():
     assert np.array_equal(got, reference_probe(problem, z, value))
 
 
+def reference_phase_one(problem, z0):
+    """Row-feasible point inside the box, or a violation minimizer.
+
+    Runs projected gradient with Barzilai-Borwein steps on the squared row
+    violation 0.5 ||max(0, -(b + A z))||^2; the minimum is zero exactly when
+    the rows are consistent with the box. Returns (z, feasible).
+    """
+    A, b = problem.A, problem.b
+    z = np.clip(z0, problem.lower, problem.upper)
+    t = 1.0 / max(1e-12, float(np.linalg.norm(A, 2)) ** 2)
+    z_prev = g_prev = None
+    for _ in range(2000):
+        viol = np.maximum(0.0, -(b + A @ z))
+        if float(viol.max(initial=0.0)) <= 1e-11:
+            return z, True
+        g = -(A.T @ viol)
+        if z_prev is not None:
+            dz, dg = z - z_prev, g - g_prev
+            den = float(dz @ dg)
+            if den > 1e-300:
+                t = float(dz @ dz) / den
+        z_prev, g_prev = z, g
+        z = np.clip(z - t * g, problem.lower, problem.upper)
+        if np.array_equal(z, z_prev):
+            break  # stationary over the box: the violation cannot improve
+    viol = np.maximum(0.0, -(b + A @ z))
+    return z, bool(viol.max(initial=0.0) <= SLACK_TOL)
+
+
 def assert_clip_kkt(problem, h, s, clip):
     """The kernel's KKT conditions: lam >= 0, every row met within the
     kernel's tolerance, every positive multiplier's row active within it,
@@ -419,16 +461,18 @@ def assert_clip_kkt(problem, h, s, clip):
     SLACK_FLOOR_EPS of the largest such sum over the coordinates inside the
     box.  A clip that did not converge must leave rows that no point of the
     box meets, or have stopped at that floor, and the tolerance grows by
-    1e-13 of the largest such sum over every coordinate."""
-    z, lam, mu, gam, ok = clip
+    1e-13 of the largest such sum over every coordinate.  Infeasibility is
+    judged by reference_phase_one, the projected-gradient solver that the
+    kernel's closed-form Farkas test replaced."""
+    z, lam, mu, gam, w = clip
     tol = clip_tol(h, s)
     A = np.abs(problem.A)
     terms = (np.abs(s) + A.T @ lam) / h
-    if ok:
+    if w is None:
         inside = (z > problem.lower) & (z < problem.upper)
         tol += SLACK_FLOOR_EPS * float((A @ np.where(inside, terms, 0.0)).max(initial=0.0))
     else:
-        if not _phase_one(problem, z)[1]:
+        if not reference_phase_one(problem, z)[1]:
             return
         tol += 1e-13 * float((A @ terms).max(initial=0.0))
     slack = problem.b + problem.A @ z
@@ -511,18 +555,42 @@ def test_dual_clip_meets_kkt_on_subproblem_rows(seed):
 
 
 @pytest.mark.parametrize("clip, seed", [(kkt_clip, 90759672), (subproblem_clip, 114413725)])
-def test_dual_clip_ends_converged_at_the_slack_rounding_floor(clip, seed, monkeypatch):
+def test_dual_clip_ends_converged_at_the_slack_rounding_floor(clip, seed):
     # multipliers near 450 and 10 cancel in s + A'lam, and the steps end with a
     # slack 2.6e-11 from zero, past 1e-11 of the scale but within a few eps of
-    # the terms summed into it: the rows are met, and the exact path runs no
-    # phase one to learn that
+    # the terms summed into it: the rows are met, so the clip leaves no
+    # multipliers for the Farkas test
     problem, h, s = clip(seed)
-    assert _dual_clip(problem, h, s)[4]
-    calls = []
-    monkeypatch.setattr(qp_core, "_phase_one", lambda *args: calls.append(args) or _phase_one(*args))
+    assert _dual_clip(problem, h, s)[4] is None
     exact = QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower, upper=problem.upper)
     assert solve_qp(exact).status != "infeasible"
-    assert calls == []
+
+
+@pytest.mark.parametrize("clip", [kkt_clip, subproblem_clip])
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_infeasible_solves_carry_a_farkas_certificate(clip, seed):
+    # solved as the exact path (q = -h) and as the stationary path (q = +h),
+    # every "infeasible" verdict carries row multipliers that prove it
+    problem, h, s = clip(seed)
+    for q in (-h, h):
+        sol = solve_qp(QpProblem(q=q, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
+                                 upper=problem.upper))
+        if sol.status == "infeasible":
+            assert_certified(problem, sol)
+
+
+def test_capped_clip_whose_multipliers_certify_nothing_reports_no_infeasibility():
+    # kkt_clip seed 2398: four rows over one coordinate that no point of the
+    # box meets, yet the clip spends its DUAL_STEPS without a ray, and its
+    # last multipliers give a negative Farkas margin.  An infeasibility that
+    # is not certified is not reported: the exact solve ends at max-iterations
+    problem, h, s = kkt_clip(2398)
+    z, lam, mu, gam, w = _dual_clip(problem, h, s)
+    assert w is lam and not reference_phase_one(problem, z)[1]
+    sol = solve_qp(QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
+                             upper=problem.upper))
+    assert sol.status == "max-iterations"
 
 
 def count_steps(monkeypatch):
@@ -542,8 +610,8 @@ def test_dual_clip_searches_no_root_for_rows_met_at_zero(monkeypatch):
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([1.0, 1.0, 1.0]), lower=-np.ones(3), upper=np.zeros(3))
     s = np.array([0.5, -0.25, -0.0])
-    z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), s)
-    assert ok and calls == []
+    z, lam, mu, gam, w = _dual_clip(problem, np.ones(3), s)
+    assert w is None and calls == []
     assert np.array_equal(lam, np.zeros(3)) and np.array_equal(z, np.clip(s, -1.0, 0.0))
 
 
@@ -555,8 +623,8 @@ def test_dual_clip_first_sweep_searches_only_the_binding_row(monkeypatch):
     # one step along the active row's multiplier alone ends the clip
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([0.6, 1.0, 1.0]), lower=np.zeros(3), upper=np.ones(3))
-    z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), np.full(3, 2.0))
-    assert ok and calls == [[0]]
+    z, lam, mu, gam, w = _dual_clip(problem, np.ones(3), np.full(3, 2.0))
+    assert w is None and calls == [[0]]
     assert lam[0] > 0.0 and lam[1] == lam[2] == 0.0
 
 
@@ -569,8 +637,8 @@ def test_dual_clip_drops_a_row_its_neighbour_meets(monkeypatch):
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3),
                         A=np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0]]), b=np.array([0.9, 0.95]),
                         lower=np.zeros(3), upper=np.ones(3))
-    z, lam, mu, gam, ok = _dual_clip(problem, np.ones(3), np.full(3, 0.5))
-    assert ok and calls == [[0, 1]]
+    z, lam, mu, gam, w = _dual_clip(problem, np.ones(3), np.full(3, 0.5))
+    assert w is None and calls == [[0, 1]]
     assert lam[0] == pytest.approx(0.2, rel=1e-15) and lam[1] == 0.0
     np.testing.assert_allclose(z, np.full(3, 0.3), rtol=1e-15)
 
@@ -587,9 +655,14 @@ def test_dual_clip_ends_fast_on_contradictory_cuts(monkeypatch):
     calls = count_steps(monkeypatch)
     problem = QpProblem(q=-np.full(1, 3.6e-6), g_lin=np.full(1, 3.2), A=np.array([[-1.0], [1.0]]),
                         b=np.array([-1.0, 0.0]), lower=-np.ones(1), upper=np.zeros(1))
-    z, lam, mu, gam, ok = _dual_clip(problem, -problem.q, problem.g_lin)
-    assert not ok and calls == [[0], [0, 1]]
-    assert solve_qp(problem).status == "infeasible"
+    z, lam, mu, gam, w = _dual_clip(problem, -problem.q, problem.g_lin)
+    assert calls == [[0], [0, 1]]
+    # the clip ends on that ray, and its multipliers certify the cuts
+    # infeasible: the sum of both rows is -1 at every point of the box
+    assert w is not None and w is not lam and w[0] == pytest.approx(w[1], rel=1e-6)
+    sol = solve_qp(problem)
+    assert sol.status == "infeasible" and np.array_equal(sol.dual_ineq, w)
+    assert_certified(problem, sol)
 
 
 def test_dual_clip_meets_five_cuts_in_a_few_steps(monkeypatch):
@@ -609,7 +682,7 @@ def test_dual_clip_meets_five_cuts_in_a_few_steps(monkeypatch):
     problem = QpProblem(q=-h, g_lin=s, A=A, b=b, lower=np.array([-1.0, -0.0, -1.0, -0.0]),
                         upper=np.array([0.0, 1.0, 0.0, 1.0]))
     clip = _dual_clip(problem, h, s)
-    assert clip[-1] and len(calls) == 5
+    assert clip[-1] is None and len(calls) == 5
     assert_clip_kkt(problem, h, s, clip)
     assert clip[1].nonzero()[0].tolist() == [0, 6, 7]
 

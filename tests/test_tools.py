@@ -205,3 +205,15 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(qp_census, caps
     assert [line.split()[7] for line in randoms] == ["0/0/1"] * 3
     assert all(line.endswith("DriverError: the switching rows admit no point of the box") for line in randoms)
     assert "; 3 QP solves: 0 optimal, 0 max-iterations, 3 infeasible; " in lines[-1]
+    # switch30 seed 1 ends no clip unconverged, so it tests no certificate;
+    # on seed 14 each variant's infeasible verdict rests on the ray of a
+    # kernel step, with a margin well above SLACK_TOL
+    assert lines[0].split()[7:9] == ["ray/last/none", "margin"]
+    assert all(fields[10:12] == ["0/0/0", "-"] for fields in calls)
+    assert ("; infeasible by 0 ray and 0 last-multiplier certificates, 0 unconverged clips certify "
+            "nothing, smallest margin -; ") in total
+    assert [line.split()[8] for line in randoms] == ["1/0/0"] * 3
+    margins = [float(line.split()[9]) for line in randoms]
+    assert min(margins) > 1e3 * qp_census.qp_core.SLACK_TOL
+    assert ("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged clips certify "
+            f"nothing, smallest margin {min(margins):.2e}; ") in lines[-1]

@@ -7,14 +7,20 @@ imported, never changed), runs each distinct call once, in first-seen order,
 in this process and against ./src, and wraps ``gridshed.qp_core._dual_clip``
 (one run of the kernel: the row multipliers for one linear term),
 ``gridshed.qp_core._dual_step`` (one kernel step: a Newton direction and the
-line search along it) and ``gridshed.ao2_sbqp.solve_qp`` (one QP solve of the
-switching stage) from outside the package.
+line search along it), ``gridshed.qp_core._farkas_margin`` (the closed-form
+infeasibility test of an unconverged clip's multipliers) and
+``gridshed.ao2_sbqp.solve_qp`` (one QP solve of the switching stage) from
+outside the package.
 
 One line per distinct call: the seed and index where it first appears, its
 variant, its dual clips, their kernel steps, the most steps one clip took,
 how many clips ended at the step cap ``DUAL_STEPS``, its QP solves by status
-(optimal/max-iterations/infeasible), the call's seconds, and its outcome
-(answered, or the error's first clause).  Kernel work during a
+(optimal/max-iterations/infeasible), the unconverged clips that a solve
+tested, by test result (ray/last/none: certified by the ray of a step along
+which the dual falls without bound, certified by the clip's last
+multipliers, or certifying nothing), the smallest margin of a certificate
+(``-`` for none), the call's seconds, and its outcome (answered, or the
+error's first clause).  Kernel work during a
 seed's set-up gets a line of its own.  Then the same figures for
 ``run_ao_sbqp`` with each variant on the ``_random_case`` draws of the given
 ``--random`` seeds (the parser tests' generator in tests/test_grid_model.py,
@@ -24,7 +30,6 @@ off the workloads, where cut rows pile up).  Totals follow each part.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -43,31 +48,45 @@ from gridshed.ao2_sbqp import VARIANT_TAGS, Ao2Variant  # noqa: E402
 from gridshed.cli_driver import SolverConfig, run_ao_sbqp  # noqa: E402
 from restore_census import _outcome  # noqa: E402
 from test_grid_model import _random_case  # noqa: E402
-from workload_digests import _seeds  # noqa: E402
+from workload_digests import _seeds, walk  # noqa: E402
 
 
 STATUSES = ("optimal", "max-iterations", "infeasible")
+CERTIFICATES = ("ray", "last", "none")
 
 
 class Census:
-    """Wraps qp_core._dual_clip, qp_core._dual_step and ao2_sbqp.solve_qp;
-    keeps the steps of each clip and the status of each QP solve."""
+    """Wraps qp_core._dual_clip, qp_core._dual_step, qp_core._farkas_margin
+    and ao2_sbqp.solve_qp; keeps the steps of each clip, the status of each
+    QP solve, and per infeasibility test its certificate (CERTIFICATES) and
+    margin."""
 
     def __init__(self):
         self.clips: list[int] = []
         self.solves: list[str] = []
+        self.tests: list[tuple[str, float]] = []
+        self._lam = None    # the last clip's multipliers: a test of them is a test of "last"
         self._clip = qp_core._dual_clip
         self._step = qp_core._dual_step
+        self._margin = qp_core._farkas_margin
         self._solve = ao2_sbqp.solve_qp
 
     def install(self):
         def clip(*args, **kwargs):
             self.clips.append(0)
-            return self._clip(*args, **kwargs)
+            out = self._clip(*args, **kwargs)
+            self._lam = out[1]
+            return out
 
         def step(*args, **kwargs):
             self.clips[-1] += 1
             return self._step(*args, **kwargs)
+
+        def margin(problem, w):
+            out = self._margin(problem, w)
+            kind = "none" if out <= qp_core.SLACK_TOL else "last" if w is self._lam else "ray"
+            self.tests.append((kind, out))
+            return out
 
         def solve(*args, **kwargs):
             out = self._solve(*args, **kwargs)
@@ -76,17 +95,20 @@ class Census:
 
         qp_core._dual_clip = clip
         qp_core._dual_step = step
+        qp_core._farkas_margin = margin
         ao2_sbqp.solve_qp = solve
 
     def uninstall(self):
         qp_core._dual_clip = self._clip
         qp_core._dual_step = self._step
+        qp_core._farkas_margin = self._margin
         ao2_sbqp.solve_qp = self._solve
 
-    def take(self) -> tuple[list[int], list[str]]:
+    def take(self) -> tuple[list[int], list[str], list[tuple[str, float]]]:
         clips, self.clips = self.clips, []
         solves, self.solves = self.solves, []
-        return clips, solves
+        tests, self.tests = self.tests, []
+        return clips, solves, tests
 
 
 def _statuses(solves) -> str:
@@ -94,23 +116,35 @@ def _statuses(solves) -> str:
     return "/".join(str(solves.count(s)) for s in STATUSES)
 
 
-def _figures(clips, solves) -> str:
+def _certificates(tests) -> tuple[list[int], str]:
+    """Tests per result, in CERTIFICATES order, and the smallest margin of a
+    certificate ("-" when none certified)."""
+    counts = [sum(kind == k for kind, _ in tests) for k in CERTIFICATES]
+    least = min((m for kind, m in tests if kind != "none"), default=None)
+    return counts, "-" if least is None else f"{least:.2e}"
+
+
+def _figures(clips, solves, tests) -> str:
     capped = sum(c >= qp_core.DUAL_STEPS for c in clips)
-    return f"{len(clips):>6} {sum(clips):>7} {max(clips, default=0):>5} {capped:>4} {_statuses(solves):>9}"
+    counts, least = _certificates(tests)
+    return (f"{len(clips):>6} {sum(clips):>7} {max(clips, default=0):>5} {capped:>4} {_statuses(solves):>9} "
+            f"{'/'.join(map(str, counts)):>13} {least:>8}")
 
 
 HEADER = (f"{'call':<16} {'variant':<11} {'clips':>6} {'steps':>7} {'most':>5} {'cap':>4} {'o/m/i':>9} "
-          f"{'s':>8}  outcome")
+          f"{'ray/last/none':>13} {'margin':>8} {'s':>8}  outcome")
 
 
-def _total(label: str, clips, solves, seconds: float, outcomes) -> str:
+def _total(label: str, clips, solves, tests, seconds: float, outcomes) -> str:
     failed = sum(o != "answered" for o in outcomes)
     capped = sum(c >= qp_core.DUAL_STEPS for c in clips)
     by_status = ", ".join(f"{solves.count(s)} {s}" for s in STATUSES)
+    (ray, last, none), least = _certificates(tests)
     return (f"{label}: {len(outcomes)} calls, {failed} failed; {len(clips)} dual clips, "
             f"{sum(clips)} kernel steps, at most {max(clips, default=0)} in one clip, "
             f"{capped} at the cap of {qp_core.DUAL_STEPS}; {len(solves)} QP solves: {by_status}; "
-            f"{seconds:.3f} s")
+            f"infeasible by {ray} ray and {last} last-multiplier certificates, "
+            f"{none} unconverged clips certify nothing, smallest margin {least}; {seconds:.3f} s")
 
 
 def main(argv: list[str]) -> int:
@@ -122,41 +156,37 @@ def main(argv: list[str]) -> int:
 
     census = Census()
     census.install()
-    seen: set[str] = set()
     every: list[int] = []
     solved: list[str] = []
+    tested: list[tuple[str, float]] = []
     outcomes: list[str] = []
     spent = 0.0
     print(HEADER)
     try:
-        for seed in _seeds(args.seeds):
-            calls = workloads.call_list(args.workload, seed)
-            built = None
-            for k, call in enumerate(calls):
-                key = json.dumps(call, sort_keys=True)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if built is None:
-                    built = workloads.build(calls)
-                    clips, solves = census.take()
-                    if clips or solves:
-                        every += clips
-                        solved += solves
-                        print(f"{f'seed {seed} setup':<16} {'':<11} {_figures(clips, solves)}")
-                t0 = time.perf_counter()
-                answer = workloads.run(call, built[workloads.instance_key(call)])
-                seconds = time.perf_counter() - t0
-                spent += seconds
-                clips, solves = census.take()
+        for seed, k, call, _key, inst in walk(args.workload, _seeds(args.seeds)):
+            if inst is None:
+                continue
+            # all the census holds here is set-up: the seed's build, if walk just ran it
+            clips, solves, tests = census.take()
+            if clips or solves:
                 every += clips
                 solved += solves
-                outcomes.append(_outcome(answer))
-                print(f"{f'seed {seed} call {k}':<16} {call['variant']:<11} {_figures(clips, solves)} "
-                      f"{seconds:>8.3f}  {outcomes[-1]}", flush=True)
-        print(_total(f"{args.workload} seeds {args.seeds}", every, solved, spent, outcomes))
+                tested += tests
+                print(f"{f'seed {seed} setup':<16} {'':<11} {_figures(clips, solves, tests)}")
+            t0 = time.perf_counter()
+            answer = workloads.run(call, inst)
+            seconds = time.perf_counter() - t0
+            spent += seconds
+            clips, solves, tests = census.take()
+            every += clips
+            solved += solves
+            tested += tests
+            outcomes.append(_outcome(answer))
+            print(f"{f'seed {seed} call {k}':<16} {call['variant']:<11} {_figures(clips, solves, tests)} "
+                  f"{seconds:>8.3f}  {outcomes[-1]}", flush=True)
+        print(_total(f"{args.workload} seeds {args.seeds}", every, solved, tested, spent, outcomes))
 
-        every, solved, outcomes, spent = [], [], [], 0.0
+        every, solved, tested, outcomes, spent = [], [], [], [], 0.0
         for seed in _seeds(args.random):
             case = _random_case(np.random.default_rng(seed))
             for tag in VARIANT_TAGS:
@@ -167,14 +197,15 @@ def main(argv: list[str]) -> int:
                     answer = exc
                 seconds = time.perf_counter() - t0
                 spent += seconds
-                clips, solves = census.take()
+                clips, solves, tests = census.take()
                 every += clips
                 solved += solves
+                tested += tests
                 outcomes.append(_outcome(answer))
-                print(f"{f'random {seed}':<16} {tag:<11} {_figures(clips, solves)} {seconds:>8.3f}  "
+                print(f"{f'random {seed}':<16} {tag:<11} {_figures(clips, solves, tests)} {seconds:>8.3f}  "
                       f"{outcomes[-1]}", flush=True)
         if outcomes:
-            print(_total(f"_random_case seeds {args.random}", every, solved, spent, outcomes))
+            print(_total(f"_random_case seeds {args.random}", every, solved, tested, spent, outcomes))
     finally:
         census.uninstall()
     return 0

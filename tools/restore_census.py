@@ -30,7 +30,6 @@ time spent, and how many took longer than SLOW_MS.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import statistics
 import sys
@@ -48,7 +47,7 @@ import workloads  # noqa: E402
 from gridshed import ao1_opf  # noqa: E402
 from gridshed.ao2_sbqp import Ao2Error  # noqa: E402
 from gridshed.cli_driver import DriverError  # noqa: E402
-from workload_digests import _seeds  # noqa: E402
+from workload_digests import _seeds, walk  # noqa: E402
 
 EXITS = ("balanced", "stationary", "cap")
 SLOW_MS = 50.0
@@ -130,34 +129,27 @@ def main(argv: list[str]) -> int:
 
     census = Census()
     census.install()
-    seen: set[str] = set()
     every: list[tuple[int, str, float, float, int]] = []
     batches: list[int] = []
     outcomes: list[str] = []
     print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'most':>5} {'jac':>6} {'rounds':>6} "
           f"{'b/s/cap':>8} {'min|F|':>9} {'max|F|':>9} {'fit_s':>9} {'max_ms':>7}  outcome")
     try:
-        for seed in _seeds(args.seeds):
-            calls = workloads.call_list(args.workload, seed)
-            built = None
-            for k, call in enumerate(calls):
-                key = json.dumps(call, sort_keys=True)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if built is None:
-                    built = workloads.build(calls)
-                    runs, rounds = census.take()
-                    if runs:
-                        every += runs
-                        batches += rounds
-                        print(_line(f"seed {seed} setup", "", runs, rounds, ""))
-                answer = workloads.run(call, built[workloads.instance_key(call)])
-                runs, rounds = census.take()
+        for seed, k, call, _key, inst in walk(args.workload, _seeds(args.seeds)):
+            if inst is None:
+                continue
+            # all the census holds here is set-up: the seed's build, if walk just ran it
+            runs, rounds = census.take()
+            if runs:
                 every += runs
                 batches += rounds
-                outcomes.append(_outcome(answer))
-                print(_line(f"seed {seed} call {k}", call["variant"], runs, rounds, outcomes[-1]), flush=True)
+                print(_line(f"seed {seed} setup", "", runs, rounds, ""))
+            answer = workloads.run(call, inst)
+            runs, rounds = census.take()
+            every += runs
+            batches += rounds
+            outcomes.append(_outcome(answer))
+            print(_line(f"seed {seed} call {k}", call["variant"], runs, rounds, outcomes[-1]), flush=True)
     finally:
         census.uninstall()
 

@@ -164,6 +164,27 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
+def walk(workload: str, seeds: list[int]):
+    """Every call of the workload's call lists over seeds, in order, as
+    (seed, index, call, key, inst): key is the call's JSON key, and inst the
+    instance it runs on, or None for a call seen before.  A seed's calls are
+    built once, before its first new call is yielded; running the call is
+    left to the caller."""
+    seen: set[str] = set()
+    for seed in seeds:
+        calls = workloads.call_list(workload, seed)
+        built = None
+        for index, call in enumerate(calls):
+            key = json.dumps(call, sort_keys=True)
+            if key in seen:
+                yield seed, index, call, key, None
+                continue
+            seen.add(key)
+            if built is None:
+                built = workloads.build(calls)
+            yield seed, index, call, key, built[workloads.instance_key(call)]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="JSON file to write")
@@ -195,32 +216,25 @@ def main(argv: list[str]) -> int:
     seen: dict[str, dict] = {}
     tally: dict[str, list] = {}     # variant -> [distinct calls, answered, sum of served objectives]
     first: dict[str, str] = {}      # call key -> "seed S call I VARIANT" where it first appears
-    for seed in _seeds(args.seeds):
-        calls = workloads.call_list(args.workload, seed)
-        built = None
-        for index, call in enumerate(calls):
-            key = json.dumps(call, sort_keys=True)
-            if key in seen:
-                if seed not in seen[key]["seeds"]:
-                    seen[key]["seeds"].append(seed)
-                continue
-            if built is None:
-                built = workloads.build(calls)
-            inst = built[workloads.instance_key(call)]
-            answer = workloads.run(call, inst)
-            error = "" if not isinstance(answer, (DriverError, Ao2Error)) else f"{type(answer).__name__}: {answer}"
-            seen[key] = {"call": call, "seeds": [seed], "error": error}
-            first[key] = f"seed {seed} call {index} {call['variant']}"
-            if args.outcomes:
-                text, objective = call_outcome(call, inst, answer)
-                seen[key]["outcome"] = f"seed {seed} call {index} {call['variant']}: {text}"
-                counts = tally.setdefault(call["variant"], [0, 0, 0.0])
-                counts[0] += 1
-                if objective is not None:
-                    counts[1] += 1
-                    counts[2] += objective
-            else:
-                seen[key]["digest"] = call_digest(call, inst, answer)
+    for seed, index, call, key, inst in walk(args.workload, settings["seeds"]):
+        if inst is None:
+            if seed not in seen[key]["seeds"]:
+                seen[key]["seeds"].append(seed)
+            continue
+        answer = workloads.run(call, inst)
+        error = "" if not isinstance(answer, (DriverError, Ao2Error)) else f"{type(answer).__name__}: {answer}"
+        seen[key] = {"call": call, "seeds": [seed], "error": error}
+        first[key] = f"seed {seed} call {index} {call['variant']}"
+        if args.outcomes:
+            text, objective = call_outcome(call, inst, answer)
+            seen[key]["outcome"] = f"seed {seed} call {index} {call['variant']}: {text}"
+            counts = tally.setdefault(call["variant"], [0, 0, 0.0])
+            counts[0] += 1
+            if objective is not None:
+                counts[1] += 1
+                counts[2] += objective
+        else:
+            seen[key]["digest"] = call_digest(call, inst, answer)
     doc = {
         **settings,
         "distinct_calls": len(seen),
