@@ -10,6 +10,11 @@ served-priority objective sum(y * rank * pd) is largest at all ones.
 Everything the CLI writes is deterministic for a fixed case, config, and seed;
 wall-clock numbers go to a separate report file so result and trace files can
 be compared byte for byte.
+
+This module owns all config text: ``parse_kv`` reads the ``key = value``
+lines of config files and kv result documents, ``render_kv`` writes
+result.kv and report.kv, and ``_CONFIG_FIELDS`` holds every config key, the
+``scenario.*`` ones included.
 """
 
 from __future__ import annotations
@@ -34,10 +39,7 @@ from .grid_model import (
     GridCase,
     ScenarioConfig,
     apply_scenario,
-    config_value,
     parse_case,
-    parse_kv_config,
-    scenario_from_mapping,
     serialize_case,
 )
 from .power_equations import (
@@ -319,11 +321,87 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     return entries
 
 
+# -- key = value text ----------------------------------------------------------
+
+def _one_of(**values):
+    """Converter that maps each allowed text to its value and rejects any other."""
+    def convert(text: str):
+        if text not in values:
+            raise ValueError(text)
+        return values[text]
+    return convert
+
+
+def _list_of(conv):
+    """Converter of comma-separated values, each read by conv; '' is ()."""
+    return lambda text: tuple(map(conv, text.split(","))) if text else ()
+
+
+# value kind: (converter of the value text, expected type as named in errors);
+# the config key table and _RESULT_SCHEMA give every key one of these kinds
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_one_of(true=True, false=False), "true or false"),
+    "str": (str, "text"),
+    "int-list": (_list_of(int), "comma-separated integers"),
+    "float-list": (_list_of(float), "comma-separated numbers"),
+    "int-or-none": (lambda text: None if text.lower() == "none" else int(text), "an integer or none"),
+    "none-or-stress": (_one_of(none="none", stress="stress"), "none or stress"),
+}
+
+
+def _value(key: str, text: str, kind: str):
+    """text read as kind; a text the kind rejects raises a ValueError naming
+    the key and the expected type."""
+    conv, expected = _KINDS[kind]
+    try:
+        return conv(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
+
+
+def parse_kv(text: str, what: str) -> dict[str, str]:
+    """The ``key = value`` lines of a config file or a kv result document, as
+    {key: value text} in file order.
+
+    '#' starts a comment and blank lines are skipped.  A line without '=' and
+    a key given twice raise a ValueError that names the document (what, such
+    as "config" or "result") and the line, and for a repeat the first line too.
+    """
+    out: dict[str, str] = {}
+    seen: dict[str, int] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{what} line {line_no}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ValueError(f"{what} line {line_no}: {key} already set on line {seen[key]}")
+        seen[key] = line_no
+        out[key] = value
+    return out
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_text, value))
+    return str(value)
+
+
+def render_kv(doc: dict) -> str:
+    """One ``key = value`` line per entry of doc, in its order: true or false,
+    a float's repr, a list comma-joined; parse_kv reads it back."""
+    return "".join(f"{key} = {_text(value)}\n" for key, value in doc.items())
+
+
 # -- output documents --------------------------------------------------------
-
-def _render_floats(values) -> str:
-    return ",".join(repr(float(v)) for v in np.asarray(values, dtype=float))
-
 
 def result_document(result: SolveResult, config: SolverConfig | None = None) -> dict:
     """Flat mapping of everything a result file records, in file order."""
@@ -346,6 +424,7 @@ def result_document(result: SolveResult, config: SolverConfig | None = None) -> 
     return doc
 
 
+# result key: kind
 _RESULT_SCHEMA = {
     "format": "int",
     "variant": "str",
@@ -370,24 +449,7 @@ def render_result_document(doc: dict, format: str = "kv") -> str:
         return json.dumps(doc, indent=2) + "\n"
     if format != "kv":
         raise ValueError(f"unknown format {format!r}")
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, int):
-            text = str(value)
-        elif isinstance(value, float):
-            text = repr(value)
-        elif isinstance(value, str):
-            text = value
-        else:
-            kind = _RESULT_SCHEMA.get(key, "float-list")
-            if kind == "int-list":
-                text = ",".join(str(int(v)) for v in value)
-            else:
-                text = _render_floats(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return render_kv(doc)
 
 
 def parse_result_document(text: str) -> dict:
@@ -397,29 +459,10 @@ def parse_result_document(text: str) -> dict:
         doc = json.loads(stripped)
         return {k: (tuple(v) if isinstance(v, list) else v) for k, v in doc.items()}
     out: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        kind = _RESULT_SCHEMA.get(key)
-        if kind is None:
+    for key, value in parse_kv(text, "result").items():
+        if key not in _RESULT_SCHEMA:
             raise ValueError(f"unknown result key {key!r}")
-        if kind == "int":
-            out[key] = int(value)
-        elif kind == "float":
-            out[key] = float(value)
-        elif kind == "bool":
-            if value not in ("true", "false"):
-                raise ValueError(f"{key}: expected true or false, got {value!r}")
-            out[key] = value == "true"
-        elif kind == "str":
-            out[key] = value
-        elif kind == "int-list":
-            out[key] = tuple(int(v) for v in value.split(",")) if value else ()
-        else:
-            out[key] = tuple(float(v) for v in value.split(",")) if value else ()
+        out[key] = _value(key, value, _RESULT_SCHEMA[key])
     return out
 
 
@@ -480,15 +523,15 @@ def emit_outputs(result: SolveResult, out_dir, format: str = "kv",
     }
     paths["result"].write_bytes(render_result_document(result_document(result, config), format).encode())
     paths["trace"].write_bytes(render_trace_table(result).encode())
-    report = [
-        f"outer_iterations = {result.outer_iterations}",
-        f"inner_iterations = {result.inner_iterations}",
-        f"phi_final = {repr(float(result.phi_final))}",
-        f"wall_ao1_s = {repr(float(result.timings.get('ao1_s', 0.0)))}",
-        f"wall_ao2_s = {repr(float(result.timings.get('ao2_s', 0.0)))}",
-        f"wall_total_s = {repr(float(result.timings.get('total_s', 0.0)))}",
-    ]
-    paths["report"].write_bytes(("\n".join(report) + "\n").encode())
+    report = {
+        "outer_iterations": result.outer_iterations,
+        "inner_iterations": result.inner_iterations,
+        "phi_final": float(result.phi_final),
+        "wall_ao1_s": float(result.timings.get("ao1_s", 0.0)),
+        "wall_ao2_s": float(result.timings.get("ao2_s", 0.0)),
+        "wall_total_s": float(result.timings.get("total_s", 0.0)),
+    }
+    paths["report"].write_bytes(render_kv(report).encode())
     return paths
 
 
@@ -586,29 +629,28 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
 
 # -- config files and the command line ----------------------------------------
 
-def _one_of(**values):
-    """Converter that maps each allowed text to its value and rejects any other."""
-    def convert(text: str):
-        if text not in values:
-            raise ValueError(text)
-        return values[text]
-    return convert
-
-
-# config key: (record, field, converter, expected type as named in errors); a
-# key left out keeps the record's default.  scenario is read into the solver
-# record as its mode and replaced there by the ScenarioConfig it selects
+# config key: (record, field, kind); a key left out keeps the record's default.
+# scenario is read into the solver record as its mode and replaced there by
+# the ScenarioConfig that the mode and the scenario record select
 _CONFIG_FIELDS = {
-    "variant": ("variant", "tag", str, "text"),
-    "single_shot": ("variant", "single_shot", _one_of(true=True, false=False), "true or false"),
-    "rho0": ("schedule", "rho0", float, "a number"),
-    "beta": ("schedule", "beta", float, "a number"),
-    "rho_max": ("schedule", "rho_max", float, "a number"),
-    "eps": ("schedule", "eps", float, "a number"),
-    "outer_eps": ("solver", "outer_eps", float, "a number"),
-    "outer_max_iters": ("solver", "outer_max_iters", int, "an integer"),
-    "seed": ("solver", "seed", int, "an integer"),
-    "scenario": ("solver", "scenario", _one_of(none="none", stress="stress"), "none or stress"),
+    "variant": ("variant", "tag", "str"),
+    "single_shot": ("variant", "single_shot", "bool"),
+    "rho0": ("schedule", "rho0", "float"),
+    "beta": ("schedule", "beta", "float"),
+    "rho_max": ("schedule", "rho_max", "float"),
+    "eps": ("schedule", "eps", "float"),
+    "outer_eps": ("solver", "outer_eps", "float"),
+    "outer_max_iters": ("solver", "outer_max_iters", "int"),
+    "seed": ("solver", "seed", "int"),
+    "scenario": ("solver", "scenario", "none-or-stress"),
+    "scenario.pd_shift": ("scenario", "pd_shift", "float"),
+    "scenario.qd_shift": ("scenario", "qd_shift", "float"),
+    "scenario.shift_mode": ("scenario", "shift_mode", "str"),
+    "scenario.qg_bound_scale": ("scenario", "qg_bound_scale", "float"),
+    "scenario.pg_upper_scale": ("scenario", "pg_upper_scale", "float"),
+    "scenario.rank_levels": ("scenario", "rank_levels", "int"),
+    "scenario.rank_seed": ("scenario", "rank_seed", "int-or-none"),
+    "scenario.demand_set_mode": ("scenario", "demand_set_mode", "str"),
 }
 
 
@@ -621,28 +663,27 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
     an explicit seed (flag or config key) also drives the scenario rank draw
     unless scenario.rank_seed pins it, so one --seed flag controls the run.
     """
-    scen_over = {k.split(".", 1)[1]: v for k, v in mapping.items() if k.startswith("scenario.")}
-    unknown = set(mapping) - set(_CONFIG_FIELDS) - {f"scenario.{k}" for k in scen_over}
+    unknown = set(mapping) - set(_CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    records: dict[str, dict] = {"variant": {}, "schedule": {}, "solver": {}}
-    for key, (record, name, conv, expected) in _CONFIG_FIELDS.items():
+    records: dict[str, dict] = {"variant": {}, "schedule": {}, "solver": {}, "scenario": {}}
+    for key, (record, name, kind) in _CONFIG_FIELDS.items():
         if key in mapping:
-            records[record][name] = config_value(mapping, key, None, conv, expected)
+            records[record][name] = _value(key, mapping[key], kind)
     if variant is not None:
         records["variant"]["tag"] = variant
-    solver = records["solver"]
+    solver, scenario = records["solver"], records["scenario"]
     if seed is not None:
         solver["seed"] = seed
 
-    mode = solver.pop("scenario", "stress" if scen_over else "none")
-    if mode == "none" and scen_over:
-        keys = ", ".join(sorted(f"scenario.{k}" for k in scen_over))
+    mode = solver.pop("scenario", "stress" if scenario else "none")
+    if mode == "none" and scenario:
+        keys = ", ".join(sorted(f"scenario.{k}" for k in scenario))
         raise ValueError(f"scenario = none leaves these keys unused: {keys}")
     if mode == "stress":
-        solver["scenario"] = scenario_from_mapping(scen_over, prefix="scenario.")
-        if "seed" in solver and "rank_seed" not in scen_over:
-            solver["scenario"] = replace(solver["scenario"], rank_seed=solver["seed"])
+        if "seed" in solver:
+            scenario.setdefault("rank_seed", solver["seed"])
+        solver["scenario"] = ScenarioConfig(**scenario)
 
     return SolverConfig(
         schedule=PenaltySchedule(**records["schedule"]),
@@ -653,7 +694,7 @@ def config_from_mapping(mapping: dict[str, str], variant: str | None = None,
 
 def _load(args, stress: bool = False) -> tuple[GridCase, SolverConfig]:
     case = parse_case(Path(args.case).read_text())
-    mapping = parse_kv_config(Path(args.config).read_text()) if args.config else {}
+    mapping = parse_kv(Path(args.config).read_text(), "config") if args.config else {}
     if stress:
         mapping["scenario"] = "stress"
     cfg = config_from_mapping(mapping, variant=getattr(args, "variant", None), seed=args.seed)

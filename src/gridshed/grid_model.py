@@ -17,6 +17,9 @@ order. A row that breaks a rule, or makes its record invalid, fails at its
 own line. Demands and generator limits are normalized to per unit at parse
 time; branch series impedance r + jx is converted to the series admittance
 g = r/(r^2+x^2), b = -x/(r^2+x^2).
+
+Config text is not read here: ``cli_driver`` owns the ``key = value`` files
+and the ``scenario.*`` keys that build a ScenarioConfig.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ class Bus:
             raise CaseError(f"bus {self.id}: v_min > v_max")
         if self.theta_min > self.theta_max:
             raise CaseError(f"bus {self.id}: theta_min > theta_max")
+        if self.is_slack and not self.theta_min <= 0.0 <= self.theta_max:
+            raise CaseError(f"bus {self.id}: the slack angle band must contain 0")
 
 
 @dataclass(frozen=True)
@@ -637,59 +642,3 @@ def apply_scenario(case: GridCase, cfg: ScenarioConfig) -> GridCase:
     except CaseError as exc:
         raise ScenarioError(str(exc)) from exc
 
-
-def parse_kv_config(text: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` config file; '#' starts a comment.
-
-    A key given twice is an error naming both lines, not a silent override.
-    """
-    out: dict[str, str] = {}
-    seen: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CaseError(f"config line {line_no}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in seen:
-            raise CaseError(f"config line {line_no}: {key} already set on line {seen[key]}")
-        seen[key] = line_no
-        out[key] = value
-    return out
-
-
-def config_value(mapping: dict[str, str], key: str, default, conv, expected: str, name: str | None = None):
-    """conv(mapping[key]), or default when the key is absent.
-
-    A value that conv rejects raises a CaseError naming the key (as ``name``
-    when given) and the expected type.
-    """
-    if key not in mapping:
-        return default
-    try:
-        return conv(mapping[key])
-    except ValueError:
-        raise CaseError(f"{name or key}: expected {expected}, got {mapping[key]!r}") from None
-
-
-# key: (converter, expected type as named in errors)
-_SCENARIO_FIELDS = {
-    "pd_shift": (float, "a number"),
-    "qd_shift": (float, "a number"),
-    "shift_mode": (str, "text"),
-    "qg_bound_scale": (float, "a number"),
-    "pg_upper_scale": (float, "a number"),
-    "rank_levels": (int, "an integer"),
-    "rank_seed": (lambda s: None if s.lower() == "none" else int(s), "an integer or none"),
-    "demand_set_mode": (str, "text"),
-}
-
-
-def scenario_from_mapping(mapping: dict[str, str], prefix: str = "") -> ScenarioConfig:
-    """ScenarioConfig from text values; errors name each key as prefix + key."""
-    kwargs = {}
-    for key, (conv, expected) in _SCENARIO_FIELDS.items():
-        if key in mapping:
-            kwargs[key] = config_value(mapping, key, None, conv, expected, prefix + key)
-    return ScenarioConfig(**kwargs)

@@ -22,6 +22,7 @@ from gridshed.cli_driver import (
     emit_outputs,
     enumerate_oracle,
     main,
+    parse_kv,
     parse_result_document,
     parse_trace_table,
     render_result_document,
@@ -116,6 +117,35 @@ def test_config_scenario_none_rejects_scenario_keys():
                                          "scenario.pd_shift, scenario.rank_seed"):
         config_from_mapping({"scenario": "none", "scenario.rank_seed": "3",
                              "scenario.pd_shift": "3.0"})
+
+
+def test_kv_config_parsing():
+    mapping = parse_kv("# comment\nscenario.pd_shift = 1.5\nscenario.rank_seed = none\n\n"
+                       "scenario.shift_mode=multiplicative\n", "config")
+    assert mapping == {"scenario.pd_shift": "1.5", "scenario.rank_seed": "none",
+                       "scenario.shift_mode": "multiplicative"}
+    sc = config_from_mapping(mapping).scenario
+    assert sc.pd_shift == 1.5
+    assert sc.rank_seed is None
+    assert sc.shift_mode == "multiplicative"
+    with pytest.raises(ValueError, match="^config line 1: expected key = value$"):
+        parse_kv("not an assignment\n", "config")
+
+
+def test_config_scenario_keys_are_the_scenario_fields():
+    # a misspelled scenario.* key used to be dropped, leaving the default
+    keys = [key for key in cli_driver._CONFIG_FIELDS if key.startswith("scenario.")]
+    assert keys == [f"scenario.{f.name}" for f in dataclasses.fields(ScenarioConfig)]
+    valid = {
+        "pd_shift": ("1.5", 1.5), "qd_shift": ("0.3", 0.3), "shift_mode": ("multiplicative",) * 2,
+        "qg_bound_scale": ("0.25", 0.25), "pg_upper_scale": ("0.9", 0.9), "rank_levels": ("3", 3),
+        "rank_seed": ("none", None), "demand_set_mode": ("loaded-buses",) * 2,
+    }
+    for key in keys:
+        name = key.split(".", 1)[1]
+        text, value = valid[name]
+        assert config_from_mapping({key: text}).scenario == dataclasses.replace(
+            ScenarioConfig(), **{name: value}), key
 
 
 def test_config_variant_override_wins():
@@ -690,6 +720,16 @@ def test_result_document_round_trip_kv(solved5):
             assert parsed[key] == value
 
 
+@pytest.mark.parametrize("text, message", [
+    ("objective = 1.5\nobjective = 2.5\n", "result line 2: objective already set on line 1"),
+    ("# run 1\nobjective = 1.5\nseed 3\n", "result line 3: expected key = value"),
+], ids=["repeat", "no-assignment"])
+def test_result_document_kv_is_read_strictly(text, message):
+    # a repeated key used to let the later value win without a word
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_result_document(text)
+
+
 def test_result_document_round_trip_json(solved5):
     res, cfg = solved5
     doc = result_document(res, cfg)
@@ -719,7 +759,13 @@ def test_emit_outputs_bytes_are_stable(solved5, tmp_path):
     b = emit_outputs(res, tmp_path / "b", "kv", cfg)
     assert a["result"].read_bytes() == b["result"].read_bytes()
     assert a["trace"].read_bytes() == b["trace"].read_bytes()
-    assert a["report"].exists()
+    report = parse_kv(a["report"].read_text(), "report")
+    assert list(report) == ["outer_iterations", "inner_iterations", "phi_final",
+                            "wall_ao1_s", "wall_ao2_s", "wall_total_s"]
+    assert report["outer_iterations"] == str(res.outer_iterations)
+    assert report["inner_iterations"] == str(res.inner_iterations)
+    assert float(report["phi_final"]) == res.phi_final
+    assert float(report["wall_total_s"]) == res.timings["total_s"]
 
 
 # -- self checks --------------------------------------------------------------
@@ -901,12 +947,14 @@ def test_cli_non_finite_config_value_exits_two(case5_path, tmp_path, capsys, lin
     ("rho0 = 1.0\n# comment\nbeta = 5\nrho0 = 2.0\n", "config line 4: rho0 already set on line 1"),
     ("scenario = none\nscenario.pd_shift = 3.0\n", "scenario = none leaves these keys unused: scenario.pd_shift"),
     ("full_rows = true\n", "unknown config keys: full_rows"),
+    ("scenario.pd_shfit = 3.0\n", "unknown config keys: scenario.pd_shfit"),
 ], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate", "scenario-none",
-        "removed-key"])
+        "removed-key", "scenario-typo"])
 def test_cli_bad_config_value_names_its_key(case5_path, tmp_path, capsys, text, message):
     # a bare "could not convert string to float" used to leave the key unnamed,
-    # a repeated key used to let the later value win silently, and
-    # scenario = none used to drop the scenario.* keys without a word
+    # a repeated key used to let the later value win silently,
+    # scenario = none used to drop the scenario.* keys without a word, and a
+    # misspelled scenario.* key was dropped the same way
     cfgfile = tmp_path / "cfg.kv"
     cfgfile.write_text(text)
     rc = main(["solve", "--case", str(case5_path), "--config", str(cfgfile),

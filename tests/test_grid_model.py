@@ -25,8 +25,6 @@ from gridshed.grid_model import (
     apply_scenario,
     build_admittance,
     parse_case,
-    parse_kv_config,
-    scenario_from_mapping,
     serialize_case,
 )
 
@@ -147,13 +145,16 @@ def test_parse_rejects_non_finite_values(case5_text, table, row, col, value):
     ("mpc.bus", 1, 12, "0"),      # Vmin of bus 2 at zero
     ("mpc.bus", 1, 2, "-300"),    # negative Pd at bus 2
     ("mpc.gen", 0, 9, "300"),     # Pmin of the bus-1 generator above its Pmax 210
+    ("mpc.theta_bound", None, None, "[ 1 0.1 0.2; ]"),    # slack bus 1's band leaves out 0;
+    # it used to parse, and every switch set then failed late
 ], ids=["baseMVA-0", "baseMVA-negative", "baseMVA-inf", "baseMVA-nan", "bus-vmin-above-vmax",
-        "bus-vmin-zero", "bus-negative-pd", "gen-pmin-above-pmax"])
+        "bus-vmin-zero", "bus-negative-pd", "gen-pmin-above-pmax", "theta_bound-slack-off-zero"])
 def test_parse_reports_invalid_records_at_their_line(case5_text, tmp_path, table, row, col, value):
     lines = case5_text.splitlines()
     if row is None:
-        at = next(k for k, ln in enumerate(lines) if ln.startswith(f"{table} ="))
-        lines[at] = f"{table} = {value};"
+        # the line that sets table, or a new last line when the case has none
+        at = next((k for k, ln in enumerate(lines) if ln.startswith(f"{table} =")), len(lines))
+        lines[at:at + 1] = [f"{table} = {value};"]
     else:
         at = lines.index(f"{table} = [") + 1 + row
         tokens = lines[at].split()
@@ -542,13 +543,3 @@ def test_scenario_zero_total_demand_rejected(case30):
     with pytest.raises(ScenarioError):
         apply_scenario(drained, ScenarioConfig(qd_shift=0.7))
 
-
-def test_kv_config_parsing():
-    cfg = parse_kv_config("# comment\npd_shift = 1.5\nrank_seed = none\n\nshift_mode=multiplicative\n")
-    assert cfg == {"pd_shift": "1.5", "rank_seed": "none", "shift_mode": "multiplicative"}
-    sc = scenario_from_mapping(cfg)
-    assert sc.pd_shift == 1.5
-    assert sc.rank_seed is None
-    assert sc.shift_mode == "multiplicative"
-    with pytest.raises(CaseError):
-        parse_kv_config("not an assignment\n")
