@@ -281,10 +281,10 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     """Drive solve_sub under the growing penalty until |phi(y)| <= eps.
 
     solve_sub(rho, anchor, warm) solves one subproblem and returns a
-    (y_candidate, status) pair in unit-box coordinates.  A zero-penalty pass
-    seeds the incumbent; each penalty level then re-anchors the linearized
-    complementarity term at the incumbent, solves, and blends the result
-    through step_length.  The blended point can extrapolate past the
+    (y_candidate, status) pair, y_candidate an array in unit-box
+    coordinates.  A zero-penalty pass seeds the incumbent; each penalty
+    level then re-anchors the linearized complementarity term at the
+    incumbent, solves, and blends the result through step_length.  The blended point can extrapolate past the
     subproblem solution, so a feasible(y) predicate, when given, gates it.
     With single_shot the seeding pass and the blend are skipped and each
     solution is taken directly.  Returns (y, SbqpTrace); raises Ao2Error when
@@ -307,9 +307,9 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     y_hat = None
     if not single_shot:
         y_cand, status = solve_sub(0.0, None, None)
-        y_hat = np.clip(y_cand, 0.0, 1.0)
+        y_hat = y_cand.clip(0.0, 1.0)
         record(0, y_hat, 0.0, 1.0, status, "global")
-        if phi(y_hat) <= schedule.eps:
+        if rows[-1].phi <= schedule.eps:
             return y_hat, SbqpTrace(tuple(rows))
 
     rho = schedule.rho0
@@ -323,13 +323,13 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
         else:
             anchor = y_hat.copy()
         y_new, status = solve_sub(rho, anchor, y_hat)
-        y_new = np.clip(y_new, 0.0, 1.0)
+        y_new = y_new.clip(0.0, 1.0)
         y_before = None if y_hat is None else y_hat.copy()
         if anchor is None or single_shot:
             y_hat, alpha, kind = y_new, 1.0, "single-shot"
         else:
             alpha, kind = step_length(y_hat, y_new - y_hat, anchor)
-            y_step = np.clip(y_hat + alpha * (y_new - y_hat), 0.0, 1.0)
+            y_step = (y_hat + alpha * (y_new - y_hat)).clip(0.0, 1.0)
             # the zeroing step is only trustworthy near a binary point: far
             # away it can throw the incumbent backwards, and with alpha
             # outside [0, 1] it can leave the subproblem rows entirely.  Keep
@@ -340,7 +340,7 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
             else:
                 y_hat, alpha, kind = y_new, 1.0, "unit"
         record(iteration, y_hat, rho, alpha, status, kind)
-        if phi(y_hat) <= schedule.eps:
+        if rows[-1].phi <= schedule.eps:
             return y_hat, SbqpTrace(tuple(rows))
         if rho * schedule.beta > schedule.rho_max:
             raise Ao2Error("penalty cap reached before complementarity",
@@ -350,7 +350,7 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
         # the next pass at the floored incumbent rewards only the loads that
         # already fit, so the solve can confirm that binary point and exit.
         stalled = (y_before is not None
-                   and float(np.max(np.abs(y_hat - y_before), initial=0.0)) <= 1e-14)
+                   and float(np.abs(y_hat - y_before).max(initial=0.0)) <= 1e-14)
         if stalled and anchor_override is None:
             anchor_override = np.where(y_hat >= 1.0 - 2.0 * schedule.eps, 1.0, 0.0)
         else:
@@ -388,7 +388,7 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
 
     def row_feasible(y):
         slack = base.b + base.A @ (y - y_lin)
-        return float(np.min(slack, initial=0.0)) >= -1e-9
+        return float(slack.min(initial=0.0)) >= -1e-9
 
     def solve_sub(rho, anchor, warm):
         # the seeding solve's subproblem is base itself: at rho = 0 the anchor

@@ -452,17 +452,37 @@ def render_result_document(doc: dict, format: str = "kv") -> str:
     return render_kv(doc)
 
 
-def parse_result_document(text: str) -> dict:
-    """Inverse of render_result_document for both formats; values are typed."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(stripped)
-        return {k: (tuple(v) if isinstance(v, list) else v) for k, v in doc.items()}
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook of the JSON result reader: a key given twice raises
+    the kv reader's ValueError, without line numbers."""
     out: dict = {}
-    for key, value in parse_kv(text, "result").items():
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"result: {key} already set")
+        out[key] = value
+    return out
+
+
+def parse_result_document(text: str) -> dict:
+    """Inverse of render_result_document for both formats; values are typed.
+
+    Both formats are read by _RESULT_SCHEMA, with the kv reader's errors for
+    a key given twice, a key it does not hold and a value not of its key's
+    kind.  A JSON value is read from its kv text, and must be written as the
+    JSON writer writes the value read: "3" is text, not an integer, and 2 is
+    not a float key's value, which the writer gives as 2.0.
+    """
+    stripped = text.lstrip()
+    is_json = stripped.startswith("{")
+    entries = json.loads(stripped, object_pairs_hook=_unique_keys) if is_json else parse_kv(text, "result")
+    out: dict = {}
+    for key, value in entries.items():
         if key not in _RESULT_SCHEMA:
             raise ValueError(f"unknown result key {key!r}")
-        out[key] = _value(key, value, _RESULT_SCHEMA[key])
+        kind = _RESULT_SCHEMA[key]
+        out[key] = _value(key, _text(value), kind)
+        if is_json and json.dumps(out[key]) != json.dumps(value):
+            raise ValueError(f"{key}: expected {_KINDS[kind][1]}, got {value!r}")
     return out
 
 

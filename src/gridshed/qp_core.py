@@ -18,16 +18,24 @@ the segment that holds it (breakpoint search, Kiwiel 2008); the step stops
 early where a falling multiplier reaches 0, and that row leaves the working
 set.  A row at lam_i = 0 whose Newton component would push it below 0 is
 dropped before the search, one at a time, as in the dual active-set method
-of Goldfarb & Idnani (1983).  A single working row needs no linear solve:
-its direction is its own multiplier, so a clip with one binding row costs
-one breakpoint pass.  The box is finite, so past the last kink every moving
-coordinate sits on a box end: the slope there is exact from those ends, and
-when it is negative the dual falls without bound and the rows cannot be
-met.  In the Newton system a coordinate on a box end counts as free, since
-the step may move it inward; that is what turns two contradictory cuts
-into one direction along which the dual falls.  A small multiple of each
-row's squared norm on the system's diagonal keeps it solvable when a row
-has no free coordinate or two cut rows coincide on the free ones.
+of Goldfarb & Idnani (1983).
+
+A single working row i needs no linear solve: its step is the projection
+onto one row, which the breakpoint search solves in closed form (Kiwiel
+2008).  Its direction d is -sign(slack_i), up when z breaks the row, and
+the step's scalars are Python floats: d, c = d b_i, the step cap (its own
+multiplier when d falls) and the new multiplier.  Every kernel step of the
+benchmark workloads has one working row.  Two or more rows keep the Newton
+solve, and every working set shares one search, whose kinks come from the
+box ends as one (2, n) array.  The box is finite, so past the last kink
+every moving coordinate sits on a box end: the slope there is exact from
+those ends, and when it is negative the dual falls without bound and the
+rows cannot be met.  In the Newton system a coordinate on a box end
+counts as free, since the step may move it inward; that is what turns two
+contradictory cuts into one direction along which the dual falls.  A small
+multiple of each row's squared norm on the system's diagonal keeps it
+solvable when a row has no free coordinate or two cut rows coincide on the
+free ones.
 
 ``solve_qp`` picks the method from q:
 
@@ -66,11 +74,11 @@ change within a solve is computed once: ``_Box`` holds h * lower and
 h * upper for every kernel run under one curvature h, and ``_probe_moves``
 the parts of the endpoint moves that do not depend on the point.  A clip
 whose rows z meets at lam = 0 takes no step at all.  Under h = 1, the
-projection of the stationary path, no division by h is made, as
-x / 1.0 == x holds exactly.  The stationary path's stop test checks
-stationarity, the first term of ``kkt_residual``, from the iteration's own
-gradient, and forms the full residual only when that passes; the solution
-carries that same residual.
+projection of the stationary path, the box is its own scaled box and no
+division by h is made, as 1.0 * x == x and x / 1.0 == x hold exactly.  The
+stationary path's stop test forms stationarity, the first term of
+``kkt_residual``, from the iteration's own gradient, and the other terms
+only when that passes; the solution carries the residual so formed.
 
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
@@ -114,7 +122,7 @@ class QpProblem:
             raise ValueError("A/b dimensions inconsistent")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("box dimensions inconsistent")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("lower > upper")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("box must be finite")
@@ -134,8 +142,14 @@ class QpSolution:
     kkt_residual: float
 
 
-def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
-    stat = problem.q * z + problem.g_lin + problem.A.T @ lam + mu - gam
+def _stationarity(problem: QpProblem, grad, lam, mu, gam) -> float:
+    """The stationarity term of kkt_residual, given grad = q z + g."""
+    return float(np.abs(grad + problem.A.T @ lam + mu - gam).max())
+
+
+def _feasibility_complementarity(problem: QpProblem, z, lam, mu, gam) -> float:
+    """The terms of kkt_residual other than stationarity: the largest
+    violation of a row or box end, and of complementarity."""
     slack_a = problem.b + problem.A @ z
     feas = max(
         0.0,
@@ -151,7 +165,12 @@ def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
         float(np.abs(mu * (z - problem.lower)).max()),
         float(np.abs(gam * (problem.upper - z)).max()),
     )
-    return max(float(np.abs(stat).max()), feas, comp)
+    return max(feas, comp)
+
+
+def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
+    return max(_stationarity(problem, problem.q * z + problem.g_lin, lam, mu, gam),
+               _feasibility_complementarity(problem, z, lam, mu, gam))
 
 
 def _farkas_margin(problem: QpProblem, w: np.ndarray) -> float:
@@ -171,16 +190,20 @@ def _infeasible(problem: QpProblem, z: np.ndarray, w: np.ndarray) -> QpSolution:
 
 class _Box:
     """The box of one problem under one curvature h > 0, with what every
-    kernel run reuses: the box scaled by h (the values of s + A'lam at which
-    a coordinate reaches a box end), its lower then upper ends stacked, and
-    whether h is all ones."""
+    kernel run reuses: whether h is all ones, the box scaled by h (the values
+    of s + A'lam at which a coordinate reaches a box end) and those lower and
+    upper ends stacked as the rows of one (2, n) array."""
 
     def __init__(self, problem: QpProblem, h: np.ndarray):
         self.h, self.lower, self.upper = h, problem.lower, problem.upper
-        self.h_lower, self.h_upper = h * problem.lower, h * problem.upper
-        self.ends = np.concatenate([self.h_lower, self.h_upper])
-        # h = 1, the projection: x / 1.0 == x, so every division by h is skipped
+        # h = 1, the projection: 1.0 * x == x and x / 1.0 == x, so the box is
+        # its own scaled box and every division by h is skipped
         self.unit = bool((h == 1.0).all())
+        if self.unit:
+            self.h_lower, self.h_upper = problem.lower, problem.upper
+        else:
+            self.h_lower, self.h_upper = h * problem.lower, h * problem.upper
+        self.ends = np.concatenate([self.h_lower, self.h_upper]).reshape(2, -1)
 
     def clip(self, shifted):
         """z for the linear term shifted = s + A'lam."""
@@ -213,31 +236,32 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
         d = np.linalg.solve(m, -slack[work])
         wrong = (lam[work] == 0.0) & (d < 0.0)
         if not wrong.any():
+            lam_w = lam[work]
+            # the step at which the first falling multiplier reaches 0
+            caps = np.divide(lam_w, -d, out=np.full(d.size, np.inf), where=d < 0.0)
+            j = int(caps.argmin())
+            cap, v, c = float(caps[j]), d @ rows, float(d @ b[work])
             break
         work = np.delete(work, np.where(wrong, d, 0.0).argmin())
     else:
-        # a lone row moves its own multiplier, up when z breaks the row
-        d = -np.sign(slack[work])
-    v = d @ A[work]
-    # the step at which the first falling multiplier reaches 0: a lone row's
-    # d is -1 or 1, so its cap is its own multiplier
-    lam_w = lam[work]
-    if d.size == 1:
-        j, cap = 0, float(lam_w[0]) if d[0] < 0.0 else np.inf
-    else:
-        caps = np.divide(lam_w, -d, out=np.full(d.size, np.inf), where=d < 0.0)
-        j = int(caps.argmin())
-        cap = float(caps[j])
-    # the steps at which a moving coordinate reaches its lower or upper end
-    v2 = np.concatenate([v, v])
-    kinks = np.divide(box.ends - np.concatenate([shifted, shifted]), v2, out=np.zeros(v2.size), where=v2 != 0.0)
+        # a lone row moves its own multiplier, up when z breaks the row, and
+        # work becomes its index.  d = -sign(slack) is 1 or -1: a lone row
+        # met exactly ends the clip before any step, and drops never leave
+        # one.  d, c and the step cap, its multiplier when d falls, are
+        # Python floats; + 0.0 gives v the zero signs of the 1 x n product
+        # d @ A[[i]]
+        work = int(work[0])
+        lam_w, d = float(lam[work]), 1.0 if slack[work] < 0.0 else -1.0
+        cap, v, c = lam_w if d < 0.0 else np.inf, A[work] * d + 0.0, d * float(b[work])
+    # the steps at which a moving coordinate reaches its lower (row 0) or
+    # upper (row 1) end
+    kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=v != 0.0)
     kinks = np.sort(kinks[(kinks > 0.0) & (kinks < cap)])
     capped = cap < np.inf
     ts = np.concatenate(([0.0], kinks, (cap,)) if capped else ([0.0], kinks))
     x = shifted + ts[:, None] * v
     if not box.unit:
         x /= box.h
-    c = float(d @ b[work])
     slope = c + x.clip(box.lower, box.upper) @ v
     if not capped and kinks.size:
         # at the last kink every moving coordinate sits on the box end ahead
@@ -257,12 +281,18 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
         ray = np.zeros(lam.size)
         ray[work] = d
         return (ray,)
-    new_w = np.maximum(lam_w + t * d, 0.0)
-    if t >= cap:
-        new_w[j] = 0.0
-    # a step that moves no multiplier by more than a few ulps is rounding, not descent
-    if (np.abs(new_w - lam_w) <= 1e-15 * np.maximum(lam_w, new_w)).all():
-        return lam
+    # a step that moves no multiplier by more than a few ulps is rounding,
+    # not descent; a lone row's new multiplier is one float
+    if type(work) is int:
+        new_w = 0.0 if t >= cap else max(lam_w + t * d, 0.0)
+        if abs(new_w - lam_w) <= 1e-15 * max(lam_w, new_w):
+            return lam
+    else:
+        new_w = np.maximum(lam_w + t * d, 0.0)
+        if t >= cap:
+            new_w[j] = 0.0
+        if (np.abs(new_w - lam_w) <= 1e-15 * np.maximum(lam_w, new_w)).all():
+            return lam
     new = lam.copy()
     new[work] = new_w
     return new
@@ -332,15 +362,18 @@ def _solve_exact(problem: QpProblem) -> QpSolution:
     # free coordinates and the active rows recovers full precision
     free, rows = (z > problem.lower) & (z < problem.upper), lam > 0.0
     A_rf = A[np.ix_(rows, free)]
-    kkt = np.block([[np.diag(q[free]), A_rf.T], [A_rf, np.zeros((A_rf.shape[0],) * 2)]])
+    nf = int(free.sum())
+    kkt = np.zeros((nf + A_rf.shape[0],) * 2)
+    kkt[:nf, :nf].flat[::nf + 1] = q[free]
+    kkt[:nf, nf:], kkt[nf:, :nf] = A_rf.T, A_rf
     rhs = np.concatenate([-g[free], -(problem.b[rows] + A[rows][:, ~free] @ z[~free])])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         sol = np.full(rhs.size, np.nan)  # fails the acceptance test below
     zp, lp = z.copy(), lam.copy()
-    zp[free], lp[rows] = np.split(sol, [int(free.sum())])
-    if np.all((zp >= problem.lower) & (zp <= problem.upper)) and np.all(lp >= 0.0):
+    zp[free], lp[rows] = sol[:nf], sol[nf:]
+    if ((zp >= problem.lower) & (zp <= problem.upper)).all() and (lp >= 0.0).all():
         mp, gp = kernel.bound_duals(g + A.T @ lp)
         res = kkt_residual(problem, zp, lp, mp, gp)
         if res <= best[4]:
@@ -391,13 +424,14 @@ def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> float | None:
     """kkt_residual(problem, z, lam, mu, gam) when it is at most TOL_STAT,
     else None, given grad = q z + g.
 
-    Stationarity is the first term of kkt_residual's max and the same float
-    expression, so it is tested first from the caller's gradient, and the
-    full residual is formed only when it passes.
+    Stationarity is kkt_residual's first term, so it is tested first from
+    the caller's gradient, and the other terms are formed only when it
+    passes.
     """
-    if float(np.abs(grad + problem.A.T @ lam + mu - gam).max()) > TOL_STAT:
+    stat = _stationarity(problem, grad, lam, mu, gam)
+    if stat > TOL_STAT:
         return None
-    res = kkt_residual(problem, z, lam, mu, gam)
+    res = max(stat, _feasibility_complementarity(problem, z, lam, mu, gam))
     return res if res <= TOL_STAT else None
 
 

@@ -730,6 +730,20 @@ def test_result_document_kv_is_read_strictly(text, message):
         parse_result_document(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"objective": 1.5, "objective": 2.5}', "result: objective already set"),
+    ('{"objectve": 1.5}', "unknown result key 'objectve'"),
+    ('{"seed": "x"}', "seed: expected an integer, got 'x'"),
+    ('{"seed": "3"}', "seed: expected an integer, got '3'"),
+    ('{"switches": [[1, 0]]}', r"switches: expected comma-separated integers, got \[\[1, 0\]\]"),
+], ids=["repeat", "unknown-key", "text-seed", "numeric-text-seed", "nested-list"])
+def test_result_document_json_is_read_strictly(text, message):
+    # the JSON reader used to keep the last of a repeated key and return
+    # every entry untyped; it now gives the kv reader's errors
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_result_document(text)
+
+
 def test_result_document_round_trip_json(solved5):
     res, cfg = solved5
     doc = result_document(res, cfg)

@@ -687,6 +687,135 @@ def test_dual_clip_meets_five_cuts_in_a_few_steps(monkeypatch):
     assert clip[1].nonzero()[0].tolist() == [0, 6, 7]
 
 
+def frozen_dual_step(problem, box, lam, shifted, slack):
+    """qp_core._dual_step as it was before its single-row step took Python
+    floats, kept to check that the new step returns the same bits.  Its box
+    ends are concatenated here, as the old _Box did.
+
+    One kernel step from lam, where shifted = s + A'lam and slack is the
+    row slack of its clip: the Newton direction on the working rows and the
+    exact minimizer of the dual along it.  Returns the new lam; lam itself
+    when the step moves no multiplier beyond rounding, as when the dual's
+    slope along the direction d is not negative at the start; or, when that
+    slope stays negative past the last kink, so that the dual falls without
+    bound, the 1-tuple (w,) of that ray: d on the working rows and 0
+    elsewhere, w >= 0 (a row that d would take below 0 caps the step)."""
+    A, b = problem.A, problem.b
+    work = ((lam > 0.0) | (slack < 0.0)).nonzero()[0]
+    while work.size > 1:
+        rows = A[work]
+        # a coordinate on a box end counts as free: the step may move it inward
+        free = (shifted >= box.h_lower) & (shifted <= box.h_upper)
+        m = (rows * (free if box.unit else free / box.h)) @ rows.T
+        # each row's squared norm over h, or 1.0 for a zero row
+        norms = (rows * rows if box.unit else rows * rows / box.h).sum(axis=1)
+        m.flat[::work.size + 1] += np.where(norms > 0.0, qp_core.DIAGONAL_SHIFT * norms, 1.0)
+        d = np.linalg.solve(m, -slack[work])
+        wrong = (lam[work] == 0.0) & (d < 0.0)
+        if not wrong.any():
+            break
+        work = np.delete(work, np.where(wrong, d, 0.0).argmin())
+    else:
+        # a lone row moves its own multiplier, up when z breaks the row
+        d = -np.sign(slack[work])
+    v = d @ A[work]
+    # the step at which the first falling multiplier reaches 0: a lone row's
+    # d is -1 or 1, so its cap is its own multiplier
+    lam_w = lam[work]
+    if d.size == 1:
+        j, cap = 0, float(lam_w[0]) if d[0] < 0.0 else np.inf
+    else:
+        caps = np.divide(lam_w, -d, out=np.full(d.size, np.inf), where=d < 0.0)
+        j = int(caps.argmin())
+        cap = float(caps[j])
+    # the steps at which a moving coordinate reaches its lower or upper end
+    v2 = np.concatenate([v, v])
+    ends = np.concatenate([box.h_lower, box.h_upper])
+    kinks = np.divide(ends - np.concatenate([shifted, shifted]), v2, out=np.zeros(v2.size), where=v2 != 0.0)
+    kinks = np.sort(kinks[(kinks > 0.0) & (kinks < cap)])
+    capped = cap < np.inf
+    ts = np.concatenate(([0.0], kinks, (cap,)) if capped else ([0.0], kinks))
+    x = shifted + ts[:, None] * v
+    if not box.unit:
+        x /= box.h
+    c = float(d @ b[work])
+    slope = c + x.clip(box.lower, box.upper) @ v
+    if not capped and kinks.size:
+        # at the last kink every moving coordinate sits on the box end ahead
+        # of it, so the slope there, and on past it, is exact from those ends
+        slope[-1] = c + v @ np.where(v > 0.0, box.upper, box.lower)
+    k = int((slope >= 0.0).argmax())
+    if slope[k] >= 0.0:
+        if k == 0:
+            return lam
+        # the zero of the slope on [ts[k-1], ts[k]], interpolated from the
+        # end nearer to it, so that a root on a kink is that kink
+        (t0, t1), (s0, s1) = ts[k - 1:k + 1].tolist(), slope[k - 1:k + 1].tolist()
+        t = t0 + (t1 - t0) * (-s0 / (s1 - s0)) if -s0 <= s1 else t1 - (t1 - t0) * (s1 / (s1 - s0))
+    elif capped:
+        t = cap
+    else:
+        ray = np.zeros(lam.size)
+        ray[work] = d
+        return (ray,)
+    new_w = np.maximum(lam_w + t * d, 0.0)
+    if t >= cap:
+        new_w[j] = 0.0
+    # a step that moves no multiplier by more than a few ulps is rounding, not descent
+    if (np.abs(new_w - lam_w) <= 1e-15 * np.maximum(lam_w, new_w)).all():
+        return lam
+    new = lam.copy()
+    new[work] = new_w
+    return new
+
+
+def test_dual_step_returns_the_bits_of_its_frozen_copy(monkeypatch):
+    # every kernel step of 2,000 draws of each clip generator, solved as the
+    # exact path (q = -h) and as the stationary path (q = +h), returns what
+    # the step before the single-row float path returned: lam itself, or the
+    # same bytes of new multipliers or of a ray
+    step, paths = qp_core._dual_step, {"single": 0, "newton": 0}
+
+    def both(problem, box, lam, shifted, slack):
+        new, old = step(problem, box, lam, shifted, slack), frozen_dual_step(problem, box, lam, shifted, slack)
+        if old is lam:
+            assert new is lam
+        elif type(old) is tuple:
+            assert type(new) is tuple and new[0].tobytes() == old[0].tobytes()
+        else:
+            assert new is not lam and type(new) is not tuple and new.tobytes() == old.tobytes()
+        paths["single" if ((lam > 0.0) | (slack < 0.0)).sum() == 1 else "newton"] += 1
+        return new
+
+    monkeypatch.setattr(qp_core, "_dual_step", both)
+    for clip in (kkt_clip, subproblem_clip):
+        for seed in range(2000):
+            problem, h, s = clip(seed)
+            for q in (-h, h):
+                solve_qp(QpProblem(q=q, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
+                                   upper=problem.upper))
+    # both kinds of step are exercised
+    assert min(paths.values()) > 1000, paths
+
+
+def test_dual_step_solves_the_newton_system_for_two_working_rows_only(monkeypatch):
+    # the contradictory cuts of test_dual_clip_ends_fast_on_contradictory_cuts:
+    # the first step has one working row and takes no linear solve, the second
+    # has both cuts and solves the Newton system on them once
+    calls, solves = count_steps(monkeypatch), []
+    solve = np.linalg.solve
+
+    def spy(m, rhs):
+        solves.append((len(calls), m.shape))
+        return solve(m, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    problem = QpProblem(q=-np.full(1, 3.6e-6), g_lin=np.full(1, 3.2), A=np.array([[-1.0], [1.0]]),
+                        b=np.array([-1.0, 0.0]), lower=-np.ones(1), upper=np.zeros(1))
+    _dual_clip(problem, -problem.q, problem.g_lin)
+    assert calls == [[0], [0, 1]] and solves == [(2, (2, 2))]
+
+
 def kkt_point(rng):
     """A random problem and point whose KKT residual parts sit at, above or
     below TOL_STAT: each perturbation is 0 or about 1e-10 to 1e-7."""

@@ -168,17 +168,21 @@ def test_qp_census_counts_clips_and_steps_per_call_and_in_total(qp_census, capsy
     # so its one live pattern, the empty one, is rejected at the first fit
     assert qp_census.main(["--workload", "switch30", "--seeds", "1", "--random", "23"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[2:6] == ["clips", "steps", "most", "cap"]
+    assert lines[0].split()[2:7] == ["clips", "steps", "single/newton", "most", "cap"]
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
     assert len(calls) == 12 and all(fields[-1] == "answered" for fields in calls)
     for fields in calls:
-        clips, steps, most, cap = (int(v) for v in fields[5:9])
+        clips, steps, most, cap = (int(v) for v in fields[5:7] + fields[8:10])
+        single, newton = (int(v) for v in fields[7].split("/"))
         assert clips > 0 and most <= steps and cap == 0
+        # every switch30 step of seed 1 has one working row
+        assert (single, newton) == (steps, 0)
     total = next(line for line in lines if line.startswith("switch30 seeds 1: "))
     words = total.replace(",", "").replace(";", "").split()
     assert words[3:5] == ["12", "calls"]
     assert int(words[7]) == sum(int(f[5]) for f in calls)
     assert int(words[10]) == sum(int(f[6]) for f in calls)
+    assert words[13:17] == [f"({words[10]}", "single-row", "0", "Newton)"]
     randoms = [line for line in lines if line.startswith("random 23 ")]
     assert [line.split()[2] for line in randoms] == ["mixed", "relaxed-one", "relaxed-two"]
     assert all(line.endswith("DriverError: all 1 live switch pattern proved infeasible") for line in randoms)
@@ -192,9 +196,9 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(qp_census, caps
     # switching stage stops there
     assert qp_census.main(["--workload", "switch30", "--seeds", "1", "--random", "14"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[6] == "o/m/i"
+    assert lines[0].split()[7] == "o/m/i"
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
-    counts = [[int(v) for v in fields[9].split("/")] for fields in calls]
+    counts = [[int(v) for v in fields[10].split("/")] for fields in calls]
     assert all(sum(c) > 0 for c in counts)
     total = next(line for line in lines if line.startswith("switch30 seeds 1: "))
     solves = total.split("; ")[2]
@@ -202,18 +206,20 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(qp_census, caps
     assert solves == (f"{sum(expected)} QP solves: {expected[0]} optimal, {expected[1]} max-iterations, "
                       f"{expected[2]} infeasible")
     randoms = [line for line in lines if line.startswith("random 14 ")]
-    assert [line.split()[7] for line in randoms] == ["0/0/1"] * 3
+    assert [line.split()[8] for line in randoms] == ["0/0/1"] * 3
     assert all(line.endswith("DriverError: the switching rows admit no point of the box") for line in randoms)
     assert "; 3 QP solves: 0 optimal, 0 max-iterations, 3 infeasible; " in lines[-1]
     # switch30 seed 1 ends no clip unconverged, so it tests no certificate;
     # on seed 14 each variant's infeasible verdict rests on the ray of a
     # kernel step, with a margin well above SLACK_TOL
-    assert lines[0].split()[7:9] == ["ray/last/none", "margin"]
-    assert all(fields[10:12] == ["0/0/0", "-"] for fields in calls)
+    assert lines[0].split()[8:10] == ["ray/last/none", "margin"]
+    assert all(fields[11:13] == ["0/0/0", "-"] for fields in calls)
     assert ("; infeasible by 0 ray and 0 last-multiplier certificates, 0 unconverged clips certify "
             "nothing, smallest margin -; ") in total
-    assert [line.split()[8] for line in randoms] == ["1/0/0"] * 3
-    margins = [float(line.split()[9]) for line in randoms]
+    assert [line.split()[9] for line in randoms] == ["1/0/0"] * 3
+    # that ray comes from each clip's one step, a Newton step on two rows
+    assert [line.split()[5] for line in randoms] == ["0/1"] * 3
+    margins = [float(line.split()[10]) for line in randoms]
     assert min(margins) > 1e3 * qp_census.qp_core.SLACK_TOL
     assert ("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged clips certify "
             f"nothing, smallest margin {min(margins):.2e}; ") in lines[-1]

@@ -13,7 +13,10 @@ infeasibility test of an unconverged clip's multipliers) and
 outside the package.
 
 One line per distinct call: the seed and index where it first appears, its
-variant, its dual clips, their kernel steps, the most steps one clip took,
+variant, its dual clips, their kernel steps, those steps by the size of their
+working set (single/newton: one working row, whose step is closed form, or
+two or more, whose step solves the Newton system; a Newton step may drop rows
+down to one before it searches), the most steps one clip took,
 how many clips ended at the step cap ``DUAL_STEPS``, its QP solves by status
 (optimal/max-iterations/infeasible), the unconverged clips that a solve
 tested, by test result (ray/last/none: certified by the ray of a step along
@@ -57,12 +60,13 @@ CERTIFICATES = ("ray", "last", "none")
 
 class Census:
     """Wraps qp_core._dual_clip, qp_core._dual_step, qp_core._farkas_margin
-    and ao2_sbqp.solve_qp; keeps the steps of each clip, the status of each
-    QP solve, and per infeasibility test its certificate (CERTIFICATES) and
-    margin."""
+    and ao2_sbqp.solve_qp; keeps the steps of each clip, the working rows of
+    each step, the status of each QP solve, and per infeasibility test its
+    certificate (CERTIFICATES) and margin."""
 
     def __init__(self):
         self.clips: list[int] = []
+        self.rows: list[int] = []
         self.solves: list[str] = []
         self.tests: list[tuple[str, float]] = []
         self._lam = None    # the last clip's multipliers: a test of them is a test of "last"
@@ -78,9 +82,10 @@ class Census:
             self._lam = out[1]
             return out
 
-        def step(*args, **kwargs):
+        def step(problem, box, lam, shifted, slack):
             self.clips[-1] += 1
-            return self._step(*args, **kwargs)
+            self.rows.append(int(((lam > 0.0) | (slack < 0.0)).sum()))
+            return self._step(problem, box, lam, shifted, slack)
 
         def margin(problem, w):
             out = self._margin(problem, w)
@@ -104,11 +109,12 @@ class Census:
         qp_core._farkas_margin = self._margin
         ao2_sbqp.solve_qp = self._solve
 
-    def take(self) -> tuple[list[int], list[str], list[tuple[str, float]]]:
+    def take(self) -> tuple[list[int], list[int], list[str], list[tuple[str, float]]]:
         clips, self.clips = self.clips, []
+        rows, self.rows = self.rows, []
         solves, self.solves = self.solves, []
         tests, self.tests = self.tests, []
-        return clips, solves, tests
+        return clips, rows, solves, tests
 
 
 def _statuses(solves) -> str:
@@ -124,24 +130,31 @@ def _certificates(tests) -> tuple[list[int], str]:
     return counts, "-" if least is None else f"{least:.2e}"
 
 
-def _figures(clips, solves, tests) -> str:
+def _single(rows) -> int:
+    """Kernel steps with one working row."""
+    return sum(r == 1 for r in rows)
+
+
+def _figures(clips, rows, solves, tests) -> str:
     capped = sum(c >= qp_core.DUAL_STEPS for c in clips)
     counts, least = _certificates(tests)
-    return (f"{len(clips):>6} {sum(clips):>7} {max(clips, default=0):>5} {capped:>4} {_statuses(solves):>9} "
-            f"{'/'.join(map(str, counts)):>13} {least:>8}")
+    split = f"{_single(rows)}/{len(rows) - _single(rows)}"
+    return (f"{len(clips):>6} {sum(clips):>7} {split:>13} {max(clips, default=0):>5} {capped:>4} "
+            f"{_statuses(solves):>9} {'/'.join(map(str, counts)):>13} {least:>8}")
 
 
-HEADER = (f"{'call':<16} {'variant':<11} {'clips':>6} {'steps':>7} {'most':>5} {'cap':>4} {'o/m/i':>9} "
-          f"{'ray/last/none':>13} {'margin':>8} {'s':>8}  outcome")
+HEADER = (f"{'call':<16} {'variant':<11} {'clips':>6} {'steps':>7} {'single/newton':>13} {'most':>5} {'cap':>4} "
+          f"{'o/m/i':>9} {'ray/last/none':>13} {'margin':>8} {'s':>8}  outcome")
 
 
-def _total(label: str, clips, solves, tests, seconds: float, outcomes) -> str:
+def _total(label: str, clips, rows, solves, tests, seconds: float, outcomes) -> str:
     failed = sum(o != "answered" for o in outcomes)
     capped = sum(c >= qp_core.DUAL_STEPS for c in clips)
     by_status = ", ".join(f"{solves.count(s)} {s}" for s in STATUSES)
     (ray, last, none), least = _certificates(tests)
     return (f"{label}: {len(outcomes)} calls, {failed} failed; {len(clips)} dual clips, "
-            f"{sum(clips)} kernel steps, at most {max(clips, default=0)} in one clip, "
+            f"{sum(clips)} kernel steps ({_single(rows)} single-row, {len(rows) - _single(rows)} Newton), "
+            f"at most {max(clips, default=0)} in one clip, "
             f"{capped} at the cap of {qp_core.DUAL_STEPS}; {len(solves)} QP solves: {by_status}; "
             f"infeasible by {ray} ray and {last} last-multiplier certificates, "
             f"{none} unconverged clips certify nothing, smallest margin {least}; {seconds:.3f} s")
@@ -156,9 +169,8 @@ def main(argv: list[str]) -> int:
 
     census = Census()
     census.install()
-    every: list[int] = []
-    solved: list[str] = []
-    tested: list[tuple[str, float]] = []
+    # the census figures of a part: clips, their steps' working rows, solves, tests
+    part: tuple[list, ...] = ([], [], [], [])
     outcomes: list[str] = []
     spent = 0.0
     print(HEADER)
@@ -167,26 +179,24 @@ def main(argv: list[str]) -> int:
             if inst is None:
                 continue
             # all the census holds here is set-up: the seed's build, if walk just ran it
-            clips, solves, tests = census.take()
-            if clips or solves:
-                every += clips
-                solved += solves
-                tested += tests
-                print(f"{f'seed {seed} setup':<16} {'':<11} {_figures(clips, solves, tests)}")
+            taken = census.take()
+            if taken[0] or taken[2]:
+                for acc, new in zip(part, taken):
+                    acc += new
+                print(f"{f'seed {seed} setup':<16} {'':<11} {_figures(*taken)}")
             t0 = time.perf_counter()
             answer = workloads.run(call, inst)
             seconds = time.perf_counter() - t0
             spent += seconds
-            clips, solves, tests = census.take()
-            every += clips
-            solved += solves
-            tested += tests
+            taken = census.take()
+            for acc, new in zip(part, taken):
+                acc += new
             outcomes.append(_outcome(answer))
-            print(f"{f'seed {seed} call {k}':<16} {call['variant']:<11} {_figures(clips, solves, tests)} "
+            print(f"{f'seed {seed} call {k}':<16} {call['variant']:<11} {_figures(*taken)} "
                   f"{seconds:>8.3f}  {outcomes[-1]}", flush=True)
-        print(_total(f"{args.workload} seeds {args.seeds}", every, solved, tested, spent, outcomes))
+        print(_total(f"{args.workload} seeds {args.seeds}", *part, spent, outcomes))
 
-        every, solved, tested, outcomes, spent = [], [], [], [], 0.0
+        part, outcomes, spent = ([], [], [], []), [], 0.0
         for seed in _seeds(args.random):
             case = _random_case(np.random.default_rng(seed))
             for tag in VARIANT_TAGS:
@@ -197,15 +207,14 @@ def main(argv: list[str]) -> int:
                     answer = exc
                 seconds = time.perf_counter() - t0
                 spent += seconds
-                clips, solves, tests = census.take()
-                every += clips
-                solved += solves
-                tested += tests
+                taken = census.take()
+                for acc, new in zip(part, taken):
+                    acc += new
                 outcomes.append(_outcome(answer))
-                print(f"{f'random {seed}':<16} {tag:<11} {_figures(clips, solves, tests)} {seconds:>8.3f}  "
+                print(f"{f'random {seed}':<16} {tag:<11} {_figures(*taken)} {seconds:>8.3f}  "
                       f"{outcomes[-1]}", flush=True)
         if outcomes:
-            print(_total(f"_random_case seeds {args.random}", every, solved, tested, spent, outcomes))
+            print(_total(f"_random_case seeds {args.random}", *part, spent, outcomes))
     finally:
         census.uninstall()
     return 0
