@@ -8,7 +8,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .ao1_opf import Ao1Result, solve_ao1, solve_ao1_stack  # noqa: E402
+from .ao1_opf import Ao1Result, solve_ao1  # noqa: E402
 from .ao2_sbqp import (  # noqa: E402
     Ao2Error,
     Ao2Variant,
@@ -102,6 +102,5 @@ __all__ = [
     "self_check",
     "serialize_case",
     "solve_ao1",
-    "solve_ao1_stack",
     "solve_qp",
 ]

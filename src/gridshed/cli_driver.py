@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao1_opf import active_capacity_screen, solve_ao1, solve_ao1_stack
+from .ao1_opf import active_capacity_screen, solve_ao1
 from .ao2_sbqp import (VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, live_demands,
                        run_ao2)
 from .grid_model import (
@@ -59,8 +59,6 @@ from .power_equations import (
 
 FEAS_TOL = 1e-6
 ORACLE_CAP = 20
-# the most switch sets that enumerate_oracle fits in one lockstep block
-ORACLE_BLOCK = 64
 LOCAL_VERDICTS = "the verdicts are local: a stationary AO1 fit is no global proof"
 FORMAT_VERSION = 2
 
@@ -276,10 +274,9 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     entries first, best objective first; ties break on the switch pattern so
     the order is reproducible.  A configuration that the active-capacity
     screen proves infeasible is labelled without a solve, since the
-    continuous stage could not converge on it.  The others are fitted cold,
-    in lockstep blocks of at most ORACLE_BLOCK sets (``solve_ao1_stack``,
-    each set's fit the bits of ``solve_ao1`` on it alone), so the stacked
-    arrays stay small whatever the number of sets.  Refuses cases with more
+    continuous stage could not converge on it.  Each of the others gets one
+    cold ``solve_ao1`` and is feasible when that fit converges and no
+    constraint of C exceeds FEAS_TOL at its point.  Refuses cases with more
     than ORACLE_CAP switchable demands.
     """
     cfg = SolverConfig() if cfg is None else cfg
@@ -290,33 +287,22 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
             f"enumeration needs 2^{net.n_dem} continuous solves; the cap is 2^{ORACLE_CAP}"
         )
     entries = []
-    block: list[tuple[np.ndarray, SwitchVector]] = []
-
-    def add(bits, feasible, screened):
+    for code in range(2 ** net.n_dem):
+        bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
+        y = SwitchVector(bits)
+        screened = active_capacity_screen(net, y)
+        feasible = False
+        if not screened:
+            res = solve_ao1(work, y)
+            feasible = res.status == "converged" and float(
+                np.max(constraints_C(work, res.state, res.input, y), initial=0.0)
+            ) <= FEAS_TOL
         entries.append(OracleEntry(
             switches=tuple(int(b) for b in bits),
             feasible=bool(feasible),
             objective=float(np.sum(bits * net.rank * net.pd)),
             screened=screened,
         ))
-
-    def fit_block():
-        for (bits, y), res in zip(block, solve_ao1_stack(work, [y for _, y in block])):
-            add(bits, res.status == "converged" and float(
-                np.max(constraints_C(work, res.state, res.input, y), initial=0.0)
-            ) <= FEAS_TOL, False)
-        block.clear()
-
-    for code in range(2 ** net.n_dem):
-        bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
-        y = SwitchVector(bits)
-        if active_capacity_screen(net, y):
-            add(bits, False, True)
-            continue
-        block.append((bits, y))
-        if len(block) == ORACLE_BLOCK:
-            fit_block()
-    fit_block()
     entries.sort(key=lambda e: (not e.feasible, -e.objective, e.switches))
     return entries
 

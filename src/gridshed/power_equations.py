@@ -45,12 +45,6 @@ case, since none of it depends on the switches: the free entries of x
 (``fit_free``), the box (``fit_lower``, ``fit_upper``), the flat start
 (``fit_start``) and the rows that the generation lands on (``fit_gen``);
 these arrays are shared by every fit on the case and read-only.
-``stacked_network(net, k)`` lays k copies of a network side by side as one
-network with no branch between them, so the kernels take k states laid end
-to end in one pass, with one bincount whose bins are copy j's offset by
-j 2N, and each copy gets the bits of a pass over the network alone; its fit
-fields place each copy's fit vector and Jacobian, for the continuous stage's
-lockstep fits.
 ``jacobians`` returns (P, dP_dx, dE), so a caller that needs the outflow
 and its derivatives takes the trig once.  ``hessian_Q`` is the switch
 curvature that the balance multipliers give, one per demand.
@@ -65,7 +59,7 @@ separate per-branch evaluation, kept as the reference that the tests compare
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -167,10 +161,8 @@ class Network:
     n_dem: int
     edge_from: np.ndarray      # bus position k of each directed edge (k, l): two per
     edge_to: np.ndarray        # branch, (from, to) then (to, from), in branch order
-    edge_G: np.ndarray         # admittance off-diagonals G_kl = -g, B_kl = -b per edge
-    edge_B: np.ndarray
-    edge_GG: np.ndarray        # [G_kl, G_kl] and [B_kl, -B_kl]: the weights of CS and SC
-    edge_BB: np.ndarray
+    edge_GG: np.ndarray        # [G_kl, G_kl] and [B_kl, -B_kl]: the weights of CS and SC, with
+    edge_BB: np.ndarray        # the admittance off-diagonals G_kl = -g, B_kl = -b per edge
     edge_lk: np.ndarray        # [l, l, k, k]: the v that outflow_terms gathers per edge
     edge_bins: np.ndarray      # [2k, 2k + 1]: the stacked row of each edge term
     bus_pair: np.ndarray       # (k, k) per bus k, in stacked order
@@ -287,8 +279,6 @@ def network(case: GridCase) -> Network:
         n_dem=len(case.demands),
         edge_from=k,
         edge_to=l,
-        edge_G=edge_GG[:m],
-        edge_B=edge_BB[:m],
         edge_GG=edge_GG,
         edge_BB=edge_BB,
         edge_lk=np.concatenate([l2, k2]),
@@ -315,72 +305,6 @@ def network(case: GridCase) -> Network:
         u_upper=u_upper,
         branch_g_nonneg=all(br.g >= 0.0 for br in case.branches),
     )
-
-
-@lru_cache(maxsize=256)
-def stacked_network(net: Network, k: int) -> Network:
-    """k copies of net as one network of k N buses, with no branch between
-    the copies, for the kernels and the continuous stage's fit.
-
-    Copy j's bus b is bus j N + b, so a flat stack of k states, state j at
-    buses [j N, (j + 1) N), runs through ``outflow_terms`` and
-    ``outflow_derivatives`` as one state: one trig pass over every copy's
-    edges, and one bincount whose bins are copy j's offset by j 2N.  Each bin
-    still sums its edge terms in the edge order of net, so copy j's slice of
-    every per-bus array has the bits of a pass over net at state j.  The
-    edge arrays hold the P half of every copy before the Q half, and each
-    block of the derivative values holds copy 0's entries, then copy 1's.
-    The fit fields index k fit vectors laid end to end and a (k, 2N, nz)
-    stack of fit Jacobians: fit_free and fit_gen place copy j's x_free and
-    generation in its own rows, fit_pick and fit_index take copy j's
-    derivative values to its own Jacobian.  Every other field is net's.
-    """
-    n, m = net.n_bus, net.edge_from.size
-    copy = np.arange(k)
-    bus = n * copy[:, None]
-
-    def edges(array, blocks, offset=None):
-        # blocks of m entries per copy, each block stacked over the copies;
-        # the weights are copied as they are, so a -0.0 stays one
-        shaped = array.reshape(blocks, 1, m)
-        if offset is None:
-            return np.broadcast_to(shaped, (blocks, k, m)).ravel()
-        return (shaped + offset * copy[:, None]).ravel()
-
-    edge_GG, edge_BB = edges(net.edge_GG, 2), edges(net.edge_BB, 2)
-    # the derivative values of one copy run in six blocks: d/dv on the P and
-    # Q halves of the edges and on the diagonals, then d/dtheta on the same
-    size = np.array([m, m, 2 * n, m, m, 2 * n])
-    end = np.cumsum(size)
-    block = np.searchsorted(end, net.fit_pick, side="right")
-    first = end[block] - size[block]
-    nz = net.fit_free.size + 2 * net.n_gen
-    fit_pick = (k * first + (net.fit_pick - first)) + copy[:, None] * size[block]
-    stacked = replace(
-        net,
-        n_bus=k * n,
-        edge_from=(net.edge_from + bus).ravel(),
-        edge_to=(net.edge_to + bus).ravel(),
-        edge_G=edge_GG[:k * m],
-        edge_B=edge_BB[:k * m],
-        edge_GG=edge_GG,
-        edge_BB=edge_BB,
-        edge_lk=edges(net.edge_lk, 4, n),
-        edge_bins=edges(net.edge_bins, 2, 2 * n),
-        bus_pair=np.repeat(np.arange(k * n), 2),
-        pair_swap=np.arange(2 * k * n) ^ 1,
-        diag_GB=np.tile(net.diag_GB, k),
-        diag_BG=np.tile(net.diag_BG, k),
-        fit_pick=fit_pick.ravel(),
-        fit_index=(net.fit_index + 2 * n * nz * copy[:, None]).ravel(),
-        fit_free=(net.fit_free + 2 * n * copy[:, None]).ravel(),
-        fit_gen=(net.fit_gen + 2 * n * copy[:, None]).ravel(),
-    )
-    # shared by every caller that asks for k copies of net, so read-only
-    for field in ("edge_from", "edge_to", "edge_GG", "edge_BB", "edge_lk", "edge_bins", "bus_pair",
-                  "pair_swap", "diag_GB", "diag_BG", "fit_pick", "fit_index", "fit_free", "fit_gen"):
-        getattr(stacked, field).flags.writeable = False
-    return stacked
 
 
 def flat_state(case: GridCase) -> State:

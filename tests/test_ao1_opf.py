@@ -241,7 +241,7 @@ def test_residual_jacobian_reuses_the_outflow_bitwise(fixture, request):
     rng = np.random.default_rng(8)
     for _ in range(3):
         z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
-        state, u = prob.split(z)
+        state, u = ao1_opf._split(net, z)
         residual = outflow(net, state) - net.gen_sel @ u.as_vector() + prob.draw
         assert np.array_equal(prob.residual(z)[0], residual)
         assert np.array_equal(jacobians(net, state, u, prob.y)[0], outflow(net, state))
@@ -513,7 +513,7 @@ def test_balance_duals_are_stationary_off_balance(fixture, request):
         z = prob.lower + rng.uniform(0.0, 1.0, prob.lower.size) * (prob.upper - prob.lower)
         F, terms = prob.residual(z)
         J = prob.jacobian(terms)
-        state, u = prob.split(z)
+        state, u = ao1_opf._split(net, z)
         cols = np.concatenate([prob.free, 2 * net.n_bus + np.arange(2 * net.n_gen)])
         grad_E = jacobians(net, state, u, prob.y)[2][cols]
         assert float(np.abs(F).max()) > TOL_FEAS
@@ -616,14 +616,15 @@ def test_rejected_trial_builds_no_jacobian(fixture, bits, request):
 
 def frozen_outflow_terms(net, state, derivatives=True):
     n, m = net.n_bus, net.edge_from.size
-    diag_G = np.bincount(net.edge_from, weights=-net.edge_G, minlength=n)
-    diag_B = np.bincount(net.edge_from, weights=-net.edge_B, minlength=n)
+    G, B = net.edge_GG[:m], net.edge_BB[:m]
+    diag_G = np.bincount(net.edge_from, weights=-G, minlength=n)
+    diag_B = np.bincount(net.edge_from, weights=-B, minlength=n)
     v = state.v
     k, l = net.edge_from, net.edge_to
     th = state.theta[k] - state.theta[l]
     c, s = np.cos(th), np.sin(th)
-    a1 = net.edge_G * c + net.edge_B * s
-    a2 = net.edge_G * s - net.edge_B * c
+    a1 = G * c + B * s
+    a2 = G * s - B * c
     vl = v[l]
     a1v = np.bincount(k, weights=a1 * vl, minlength=n) + diag_G * v
     a2v = np.bincount(k, weights=a2 * vl, minlength=n) - diag_B * v
@@ -715,11 +716,12 @@ class FrozenProblem:
         th = theta[k] - theta[l]
         c, s = np.cos(th), np.sin(th)
         vl = v[l]
-        diag_G = np.bincount(k, weights=-net.edge_G, minlength=n)
-        diag_B = np.bincount(k, weights=-net.edge_B, minlength=n)
+        G, B = net.edge_GG[:k.size], net.edge_BB[:k.size]
+        diag_G = np.bincount(k, weights=-G, minlength=n)
+        diag_B = np.bincount(k, weights=-B, minlength=n)
         m = np.empty(2 * n)
-        m[0::2] = np.bincount(k, weights=np.abs((net.edge_G * c + net.edge_B * s) * vl), minlength=n)
-        m[1::2] = np.bincount(k, weights=np.abs((net.edge_G * s - net.edge_B * c) * vl), minlength=n)
+        m[0::2] = np.bincount(k, weights=np.abs((G * c + B * s) * vl), minlength=n)
+        m[1::2] = np.bincount(k, weights=np.abs((G * s - B * c) * vl), minlength=n)
         m[0::2] += np.abs(diag_G * v)
         m[1::2] += np.abs(-diag_B * v)
         m[0::2] *= v
@@ -879,76 +881,3 @@ def test_outflow_kernel_matches_the_frozen_kernel(which, seed, spread, case5, ca
     assert P.tobytes() == ref_P.tobytes()
     assert dP_dx.tobytes() == ref.tobytes()
     assert outflow(net, state).tobytes() == ref_P.tobytes()
-
-
-# -- the lockstep batch against the fit alone ------------------------------------
-
-def assert_stack_matches_solo(net, ys):
-    """Fit ys in one lockstep batch from the flat start; each member must
-    return the bytes of its fit alone.  Returns the batch's fits."""
-    fits = ao1_opf._lockstep(ao1_opf._Stack(net, ys), [net.fit_start] * len(ys))
-    assert len(fits) == len(ys)
-    for y, fit in zip(ys, fits):
-        alone = ao1_opf.least_squares(ao1_opf._Problem(net, y), net.fit_start)
-        assert (fit.nfev, fit.njev, fit.status) == (alone.nfev, alone.njev, alone.status)
-        assert fit.x.tobytes() == alone.x.tobytes()
-        assert fit.fun.tobytes() == alone.fun.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(fit.terms, alone.terms))
-    return fits
-
-
-def _stressed_draws(net, seeds=range(12)):
-    return [SwitchVector((np.random.default_rng(s).uniform(size=net.n_dem) < 0.7).astype(float)) for s in seeds]
-
-
-@pytest.mark.parametrize("fixture", ["shortfall5_case", "negative_g5"])
-def test_batch_members_match_their_fits_alone_on_case5(fixture, request):
-    # every set of the shortfall case (some balance, (1, 1, 1) stalls on the
-    # screen) and of the case with a negative conductance (no screen)
-    net = network(request.getfixturevalue(fixture))
-    ys = [SwitchVector(np.array(b, dtype=float)) for b in itertools.product((0.0, 1.0), repeat=3)]
-    fits = assert_stack_matches_solo(net, ys)
-    assert {f.status for f in fits} >= {"balanced", "stationary"}
-
-
-def test_batch_members_match_their_fits_alone_on_stressed30(stressed30, monkeypatch):
-    # draws that balance, stall on the screen and stall without it, most of
-    # them with a step that the clip spoils and that is re-solved
-    solves = []
-    solve = ao1_opf._solve
-    monkeypatch.setattr(ao1_opf, "_solve", lambda M, b: solves.append(1) or solve(M, b))
-    net = network(stressed30)
-    ys = _stressed_draws(net)
-    fits = ao1_opf._lockstep(ao1_opf._Stack(net, ys), [net.fit_start] * len(ys))
-    assert len(solves) > sum(f.nfev - 1 for f in fits)
-    screened = [active_capacity_screen(net, y) for y in ys]
-    assert {(f.status, s) for f, s in zip(fits, screened)} == {
-        ("balanced", False), ("stationary", False), ("stationary", True)}
-    assert_stack_matches_solo(net, ys)
-
-
-@pytest.mark.parametrize("fixture", ["shortfall5_case", "stressed30"])
-def test_batch_members_match_their_fits_alone_at_one_iteration(fixture, request, monkeypatch):
-    monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", 1)
-    net = network(request.getfixturevalue(fixture))
-    ys = ([SwitchVector(np.array(b, dtype=float)) for b in itertools.product((0.0, 1.0), repeat=3)]
-          if net.n_dem == 3 else _stressed_draws(net, range(6)))
-    fits = assert_stack_matches_solo(net, ys)
-    assert "cap" in {f.status for f in fits}
-
-
-def test_stacked_solves_equal_solve_ao1(shortfall5_case, stressed30):
-    for case in (shortfall5_case, stressed30):
-        net = network(case)
-        ys = ([SwitchVector(np.array(b, dtype=float)) for b in itertools.product((0.0, 1.0), repeat=3)]
-              if net.n_dem == 3 else _stressed_draws(net, range(4)))
-        for y, got in zip(ys, ao1_opf.solve_ao1_stack(case, ys)):
-            want = solve_ao1(case, y)
-            assert (got.status, got.certificate, got.iterations) == (want.status, want.certificate, want.iterations)
-            assert (got.residual, got.objective) == (want.residual, want.objective)
-            assert got.state.as_vector().tobytes() == want.state.as_vector().tobytes()
-            assert got.input.as_vector().tobytes() == want.input.as_vector().tobytes()
-            assert got.duals.tobytes() == want.duals.tobytes()
-    assert ao1_opf.solve_ao1_stack(shortfall5_case, []) == []
-    with pytest.raises(ValueError, match="^solve_ao1_stack: the switch vector has 4 entries"):
-        ao1_opf.solve_ao1_stack(shortfall5_case, [SwitchVector(np.ones(3)), SwitchVector(np.ones(4))])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridshed import ao2_sbqp
+from gridshed import ao2_sbqp, cli_driver
 from gridshed.ao1_opf import solve_ao1
 from gridshed.ao2_sbqp import Ao2Variant
 from gridshed.grid_model import ScenarioConfig, apply_scenario
@@ -67,3 +67,25 @@ def test_traced_restore_span_carries_nfev(negative_g5):
     restore = [span[6] for span in tracer.spans if span[3] == "ao1_opf.restore"]
     assert restore
     assert all(isinstance(attrs["nfev"], int) for attrs in restore)
+
+
+def test_traced_oracle_records_one_fit_per_unscreened_set(shortfall5_case):
+    # enumerate_oracle fits each set that the screen leaves through
+    # cli_driver.solve_ao1, so every such set shows one AO1 span under the
+    # oracle's span and one restore span under that
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.call = 0
+        entries = cli_driver.enumerate_oracle(shortfall5_case)
+    finally:
+        tracer.uninstall()
+    fitted = sum(not e.screened for e in entries)
+    assert 0 < fitted < len(entries)
+    oracle = [span[0] for span in tracer.spans if span[3] == "cli_driver.enumerate_oracle"]
+    ao1 = [span for span in tracer.spans if span[3] == "ao1_opf.solve_ao1"]
+    restore = [span for span in tracer.spans if span[3] == "ao1_opf.restore"]
+    assert len(oracle) == 1
+    assert len(ao1) == len(restore) == fitted
+    assert all(span[1] == oracle[0] for span in ao1)
+    assert sorted(span[1] for span in restore) == sorted(span[0] for span in ao1)

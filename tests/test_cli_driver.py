@@ -672,14 +672,12 @@ def test_oracle_matches_solver_on_shortfall(case5, shortfall5):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_oracle_entries_equal_a_per_set_loop_across_blocks(seed):
-    # 7 or 8 demands: more sets pass the screen than one lockstep block holds,
-    # and each entry is what a solve_ao1 call on its set alone gives
+def test_oracle_entries_equal_a_per_set_loop(seed):
+    # 7 or 8 demands: each entry is what a solve_ao1 call on its set alone gives
     case = _feasible_case(np.random.default_rng(seed), demands=(7, 9))
     net = network(case)
     entries = enumerate_oracle(case)
     assert len(entries) == 2 ** net.n_dem
-    assert sum(not e.screened for e in entries) > cli_driver.ORACLE_BLOCK
     for e in entries:
         y = SwitchVector(np.array(e.switches, dtype=float))
         assert e.screened == active_capacity_screen(net, y)

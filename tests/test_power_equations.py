@@ -31,10 +31,7 @@ from gridshed.power_equations import (
     network,
     objective_E,
     outflow,
-    outflow_derivatives,
-    outflow_terms,
     phi,
-    stacked_network,
     supply,
 )
 
@@ -465,7 +462,7 @@ def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
     for _ in range(3):
         z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
         J = prob.jacobian(prob.residual(z)[1])
-        state, u = prob.split(z)
+        state, u = ao1_opf._split(net, z)
         _, ref_dE, ref_dC = reference_jacobians(case, state, u, prob.y)
         ref_J = ref_dC[: 2 * net.n_bus].take(cols, axis=1)
         assert J.flags.c_contiguous
@@ -498,8 +495,9 @@ def test_network_has_two_edges_per_branch(case5, case30):
             k, l = index[br.from_bus], index[br.to_bus]
             expected += [(k, l), (l, k)]
         assert list(zip(net.edge_from.tolist(), net.edge_to.tolist())) == expected
-        assert net.edge_G.tolist() == [-br.g for br in case.branches for _ in range(2)]
-        assert net.edge_B.tolist() == [-br.b for br in case.branches for _ in range(2)]
+        m = net.edge_from.size
+        assert net.edge_GG[:m].tolist() == [-br.g for br in case.branches for _ in range(2)]
+        assert net.edge_BB[:m].tolist() == [-br.b for br in case.branches for _ in range(2)]
 
 
 def test_zero_admittance_branch_contributes_nothing(case5):
@@ -606,31 +604,3 @@ def test_phi_box_properties(ys):
         assert np.max(np.minimum(y, 1.0 - y)) <= 2e-12
     if np.max(np.minimum(y, 1.0 - y)) <= 1e-13:
         assert val <= 1e-12
-
-
-@pytest.mark.parametrize("fixture", ["case5", "stressed30", "negative_g5"])
-def test_stacked_network_gives_each_copy_the_bits_of_its_own_pass(fixture, request):
-    # k states laid end to end run through the kernels as one state of the
-    # stacked network: each copy's outflow is the bytes of a pass over the
-    # network alone, and the fit fields take its derivatives to the fit
-    # Jacobian that _Problem forms at that state
-    net = network(request.getfixturevalue(fixture))
-    rng = np.random.default_rng(3)
-    k = 5
-    whole = stacked_network(net, k)
-    assert stacked_network(net, k) is whole
-    states = [State(v=rng.uniform(0.8, 1.2, net.n_bus), theta=rng.uniform(-0.8, 0.8, net.n_bus))
-              for _ in range(k)]
-    for state in states:
-        # the fit holds the slack at its voltage and zero angle
-        state.v[net.slack], state.theta[net.slack] = net.slack_v, 0.0
-    stacked = State(v=np.concatenate([s.v for s in states]), theta=np.concatenate([s.theta for s in states]))
-    terms = outflow_terms(whole, stacked)
-    J = np.repeat(ao1_opf._fit_jacobian(net)[None], k, axis=0)
-    J.ravel()[whole.fit_index] = outflow_derivatives(whole, terms)[whole.fit_pick]
-    prob = ao1_opf._Problem(net, SwitchVector(np.ones(net.n_dem)))
-    for j, state in enumerate(states):
-        alone = outflow_terms(net, state)
-        assert terms.P[2 * net.n_bus * j:2 * net.n_bus * (j + 1)].tobytes() == alone.P.tobytes()
-        z = np.concatenate([state.as_vector()[net.fit_free], net.fit_start[net.fit_free.size:]])
-        assert J[j].tobytes() == prob.jacobian(prob.residual(z)[1]).tobytes()

@@ -105,32 +105,31 @@ def census(monkeypatch):
 def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     # the fit forms derivatives only where it goes on, so every call's passes
     # fall short of its evaluations: at least one fit per call ends balanced,
-    # and that end point costs a residual alone
-    # and its most evaluations in one fit fall short of its evaluations (an
-    # oracle5 call runs several fits) but bound them from above, fits x most
+    # and that end point costs a residual alone; and its most evaluations in
+    # one fit fall short of its evaluations (an oracle5 call runs several
+    # fits) but bound them from above, fits x most
     assert census.main(["--workload", "oracle5", "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[2:7] == ["fits", "nfev", "most", "jac", "rounds"]
+    assert lines[0].split()[2:7] == ["fits", "nfev", "most", "jac", "b/s/cap"]
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
     assert len(calls) == 20
     for fields in calls:
-        fits, nfev, most, jac, rounds = (int(v) for v in fields[5:10])
+        fits, nfev, most, jac = (int(v) for v in fields[5:9])
         assert 0 < jac < nfev
         assert nfev <= fits * most and most < nfev
-        # the oracle's batch runs one round per evaluation of its longest fit
-        assert 0 < rounds <= most
     total = next(line for line in lines if line.startswith("AO1 fits "))
     words = total.replace(",", "").split()
+    assert int(words[2]) == sum(int(f[5]) for f in calls)
     assert int(words[3]) == sum(int(f[6]) for f in calls)
     assert int(words[5]) == sum(int(f[8]) for f in calls)
-    assert words[6:8] == ["derivative", "passes"]
-    assert words[8:14] == ["20", "lockstep", "batches", "in", str(sum(int(f[9]) for f in calls)), "rounds;"]
+    assert words[6:9] == ["derivative", "passes;", "exits:"]
     assert total.endswith(f"; at most {max(int(f[7]) for f in calls)} evaluations in one fit")
 
 
 def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
-    # the oracle's sets are fitted in one batch, outside least_squares: the
-    # census counts each member as the fit that solve_ao1 runs on its set
+    # the oracle fits each set that the screen leaves through least_squares:
+    # the census counts one fit per such set, with the evaluations and
+    # derivative passes of a solve_ao1 loop over those sets
     from gridshed import ao1_opf, cli_driver
     from gridshed.power_equations import SwitchVector
 
@@ -138,17 +137,16 @@ def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
     tally.install()
     try:
         entries = cli_driver.enumerate_oracle(shortfall5_case)
-        batched, rounds = tally.take()
+        oracle = tally.take()
         fitted = [e for e in entries if not e.screened]
         for e in fitted:
             ao1_opf.solve_ao1(shortfall5_case, SwitchVector(np.array(e.switches, dtype=float)))
-        alone, none = tally.take()
+        alone = tally.take()
     finally:
         tally.uninstall()
-    assert len(batched) == len(alone) == len(fitted) > 1 and none == []
-    assert sorted(r[0] for r in batched) == sorted(r[0] for r in alone)
-    assert sorted(r[4] for r in batched) == sorted(r[4] for r in alone)
-    assert rounds == [max(r[0] for r in batched)]
+    assert len(oracle) == len(alone) == len(fitted) > 1
+    assert sorted(r[0] for r in oracle) == sorted(r[0] for r in alone)
+    assert sorted(r[4] for r in oracle) == sorted(r[4] for r in alone)
 
 
 QP_CENSUS = Path(__file__).resolve().parents[1] / "tools" / "qp_census.py"

@@ -4,27 +4,22 @@
 
 Builds the calls of ``bench/workloads.py`` for each seed (the module is
 imported, never changed), runs each distinct call once, in first-seen order,
-in this process and against ./src, and wraps, from outside the package,
-``gridshed.ao1_opf.least_squares`` (the bounded least-squares fit that every
-AO1 solve runs once) and ``gridshed.ao1_opf._lockstep`` (the batch that fits
-several switch sets in lockstep, as ``enumerate_oracle`` fits its sets).
-Each member of a batch counts as one fit, with its own evaluations,
-derivative passes (``FitResult.njev``) and exit, and a share of the batch's
-seconds equal to the batch's seconds over its size; a batch also counts its
-lockstep rounds, its stacked evaluations, which are the most evaluations of
-one member.
+in this process and against ./src, and wraps ``gridshed.ao1_opf.least_squares``
+(the bounded least-squares fit that every AO1 solve runs once, the
+oracle's included) from outside the package.  Each fit reports its
+evaluations and derivative passes (``FitResult.nfev`` and ``njev``).
 
 One line per distinct call: the seed and index where it first appears, its
 variant, its AO1 fits, their function evaluations, the most evaluations in
-one fit, their derivative (Jacobian) passes, the lockstep rounds, how many
-fits ended balanced, stationary and at the fit's iteration cap, the smallest
-and largest end max|F| (the balance residual each fit stopped at), their
-seconds, the slowest one in ms, and the call's outcome (answered, or the
-error's first clause).  Fits during a seed's set-up (switch30 builds its AO1
-starts there) get a line of their own.  Totals follow: the evaluations, the
-derivative passes, the batches and their rounds, fits by exit (balanced
-means end max|F| at most ``TOL_FEAS``), the most evaluations in one fit, the
-time spent, and how many took longer than SLOW_MS.
+one fit, their derivative (Jacobian) passes, how many ended balanced,
+stationary and at the fit's iteration cap, the smallest and largest end
+max|F| (the balance residual each fit stopped at), their seconds, the
+slowest one in ms, and the call's outcome (answered, or the error's first
+clause).  Fits during a seed's set-up (switch30 builds its AO1 starts there)
+get a line of their own.  Totals follow: the evaluations, the derivative
+passes, fits by exit (balanced means end max|F| at most ``TOL_FEAS``), the
+most evaluations in one fit, the time spent, and how many took longer than
+SLOW_MS.
 """
 
 from __future__ import annotations
@@ -54,46 +49,29 @@ SLOW_MS = 50.0
 
 
 class Census:
-    """Wraps ao1_opf.least_squares and ao1_opf._lockstep; keeps (nfev, exit,
-    end max|F|, seconds, derivative passes) per fit and the rounds of each
-    batch."""
+    """Wraps ao1_opf.least_squares; keeps (nfev, exit, end max|F|, seconds,
+    derivative passes) per fit."""
 
     def __init__(self):
         self.runs: list[tuple[int, str, float, float, int]] = []
-        self.rounds: list[int] = []
         self._fit = ao1_opf.least_squares
-        self._lockstep = ao1_opf._lockstep
-
-    def _keep(self, fits, seconds):
-        for out in fits:
-            self.runs.append((int(out.nfev), out.status, float(np.max(np.abs(out.fun))),
-                              seconds / len(fits), int(out.njev)))
 
     def install(self):
         def counted(*args, **kwargs):
             t0 = time.perf_counter()
             out = self._fit(*args, **kwargs)
-            self._keep([out], time.perf_counter() - t0)
+            self.runs.append((int(out.nfev), out.status, float(np.max(np.abs(out.fun))),
+                              time.perf_counter() - t0, int(out.njev)))
             return out
 
-        def lockstep(*args, **kwargs):
-            t0 = time.perf_counter()
-            fits = self._lockstep(*args, **kwargs)
-            self._keep(fits, time.perf_counter() - t0)
-            self.rounds.append(max((out.nfev for out in fits), default=0))
-            return fits
-
         ao1_opf.least_squares = counted
-        ao1_opf._lockstep = lockstep
 
     def uninstall(self):
         ao1_opf.least_squares = self._fit
-        ao1_opf._lockstep = self._lockstep
 
-    def take(self) -> tuple[list[tuple[int, str, float, float, int]], list[int]]:
+    def take(self) -> list[tuple[int, str, float, float, int]]:
         runs, self.runs = self.runs, []
-        rounds, self.rounds = self.rounds, []
-        return runs, rounds
+        return runs
 
 
 def _outcome(answer) -> str:
@@ -107,7 +85,7 @@ def _exits(runs) -> str:
     return "/".join(str(sum(r[1] == e for r in runs)) for e in EXITS)
 
 
-def _line(label: str, variant: str, runs, rounds, outcome: str) -> str:
+def _line(label: str, variant: str, runs, outcome: str) -> str:
     if runs:
         ends = [r[2] for r in runs]
         spread = f"{min(ends):>9.2e} {max(ends):>9.2e}"
@@ -117,7 +95,7 @@ def _line(label: str, variant: str, runs, rounds, outcome: str) -> str:
         slowest = f"{'-':>7}"
     most = max((r[0] for r in runs), default=0)
     return (f"{label:<14} {variant:<11} {len(runs):>5} {sum(r[0] for r in runs):>6} {most:>5} "
-            f"{sum(r[4] for r in runs):>6} {sum(rounds):>6} {_exits(runs):>8} {spread} "
+            f"{sum(r[4] for r in runs):>6} {_exits(runs):>8} {spread} "
             f"{sum(r[3] for r in runs):>9.3f} {slowest}  {outcome}")
 
 
@@ -130,26 +108,23 @@ def main(argv: list[str]) -> int:
     census = Census()
     census.install()
     every: list[tuple[int, str, float, float, int]] = []
-    batches: list[int] = []
     outcomes: list[str] = []
-    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'most':>5} {'jac':>6} {'rounds':>6} "
+    print(f"{'call':<14} {'variant':<11} {'fits':>5} {'nfev':>6} {'most':>5} {'jac':>6} "
           f"{'b/s/cap':>8} {'min|F|':>9} {'max|F|':>9} {'fit_s':>9} {'max_ms':>7}  outcome")
     try:
         for seed, k, call, _key, inst in walk(args.workload, _seeds(args.seeds)):
             if inst is None:
                 continue
             # all the census holds here is set-up: the seed's build, if walk just ran it
-            runs, rounds = census.take()
+            runs = census.take()
             if runs:
                 every += runs
-                batches += rounds
-                print(_line(f"seed {seed} setup", "", runs, rounds, ""))
+                print(_line(f"seed {seed} setup", "", runs, ""))
             answer = workloads.run(call, inst)
-            runs, rounds = census.take()
+            runs = census.take()
             every += runs
-            batches += rounds
             outcomes.append(_outcome(answer))
-            print(_line(f"seed {seed} call {k}", call["variant"], runs, rounds, outcomes[-1]), flush=True)
+            print(_line(f"seed {seed} call {k}", call["variant"], runs, outcomes[-1]), flush=True)
     finally:
         census.uninstall()
 
@@ -162,8 +137,7 @@ def main(argv: list[str]) -> int:
     seconds = [r[3] for r in every]
     exits = ", ".join(f"{sum(r[1] == e for r in every)} {e}" for e in EXITS)
     print(f"AO1 fits {len(every)}, {sum(r[0] for r in every)} evaluations, "
-          f"{sum(r[4] for r in every)} derivative passes, {len(batches)} lockstep batches in "
-          f"{sum(batches)} rounds; exits: {exits}; "
+          f"{sum(r[4] for r in every)} derivative passes; exits: {exits}; "
           f"at most {max(r[0] for r in every)} evaluations in one fit")
     print(f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(seconds):.3f} s in all, "
           f"median {1e3 * statistics.median(seconds):.1f} ms, slowest {1e3 * max(seconds):.1f} ms; "
