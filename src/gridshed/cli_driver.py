@@ -125,138 +125,137 @@ class SolveResult:
         return phi(self.switches.y)
 
 
-def _package(work, ao1, y, traces, outer, t_ao1, t_ao2, t0) -> SolveResult:
-    net = network(work)
-    yv = y.y
-    return SolveResult(
-        state=ao1.state,
-        input=ao1.input,
-        switches=y,
-        objective=float(np.sum(yv * net.rank * net.pd)),
-        supplied_active=float(np.sum(yv * net.pd)),
-        supplied_reactive=float(np.sum(yv * net.qd)),
-        outer_iterations=outer,
-        ao2_traces=tuple(traces),
-        timings={
-            "ao1_s": t_ao1,
-            "ao2_s": t_ao2,
-            "total_s": time.perf_counter() - t0,
-        },
-    )
+def _setup(case: GridCase, cfg: SolverConfig | None):
+    """The config (defaults when None), the case its scenario runs on, and its network."""
+    cfg = SolverConfig() if cfg is None else cfg
+    work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
+    return cfg, work, network(work)
+
+
+def _verdict(work: GridCase, fit, y: SwitchVector) -> tuple[bool, int, float]:
+    """Whether fit is a feasible operating point at switch set y: it converged
+    and the worst row of constraints_C, returned with its value, is at most FEAS_TOL."""
+    resid = constraints_C(work, fit.state, fit.input, y)
+    worst = int(np.argmax(resid))
+    value = float(resid[worst])
+    return fit.status == "converged" and value <= FEAS_TOL, worst, value
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
 def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     """Alternate both stages until consecutive continuous solutions agree or
-    full service balances.
+    full service balances, then accept the settled set by the rule that
+    enumerate_oracle judges a set by.
 
-    The switch set starts at all-ones so an adequate case exits with full
-    service.  Whenever the continuous solve converges at the all-ones set, at
-    the first outer iteration or a later one, the loop ends there without a
-    switching stage: with rank > 0 and pd >= 0 for every demand (DemandSpec
-    enforces both), sum(y * rank * pd) <= sum(rank * pd) for every y in
-    [0, 1]^n, so no set serves more.  An adequate case is thus one
-    continuous solve.
+    The switch set starts at all-ones, and a continuous solve that converges
+    at all-ones ends the loop without a switching stage: with rank > 0 and
+    pd >= 0 for every demand (DemandSpec enforces both), no y in [0, 1]^n
+    serves more, so an adequate case is one continuous solve.  A solve that
+    cannot close its residuals mid-run still steers the switching stage with
+    its iterate and its balance multipliers, closed-form at every point.
 
-    A continuous solve that cannot close its residuals mid-run is tolerated
-    (its iterate and its balance multipliers, which take their closed form at
-    every point, still steer the switching stage); only the final solve at the
-    settled binary switches must converge feasibly.
+    A set that a continuous solve proved infeasible is remembered by its live
+    demands, and a switching stage that proposes one again is re-run with
+    every remembered set as a no-good cut.  So no rejected set is fitted
+    twice or settled on, and a case whose live patterns are all rejected
+    ends within 2**live + 1 fits.
 
-    Switch sets that a continuous solve proved infeasible are remembered by
-    their live demands.  When the switching stage proposes one of them again,
-    it is re-run with every remembered set as a no-good cut; a run that never
-    re-proposes a rejected set is untouched.  An infeasible verdict ends the
-    loop only through two exits, both a DriverError of kind "infeasible":
-    every live switch pattern has been rejected, or the re-run with the cuts
-    still proposes a rejected set.  So no rejected set is fitted twice, and
-    a case whose live patterns are all rejected ends within 2**live + 1 fits.
-    The final set is never one that a continuous solve proved infeasible.
-    A switching stage whose subproblem rows admit no point of the box (an
-    Ao2Error of kind "infeasible", by a QP's Farkas certificate of margin
-    qp_core.SLACK_TOL) ends the loop with a DriverError of kind "infeasible"
-    too; the second exit stays as the guard.
+    Every other ending raises a DriverError whose best is the last iterate:
+    the last fit at the set it was fitted at, the fits made as
+    outer_iterations, and every switching stage's trace, a failed stage's
+    partial trace last.  By kind and message head (the infeasible verdicts
+    of a fit or a QP end with LOCAL_VERDICTS):
+
+    * infeasible, "all N live switch patterns proved infeasible";
+    * infeasible, "the switching rows admit no point of the box": an
+      Ao2Error of kind "infeasible", by a QP's Farkas test;
+    * no-convergence, "switching stage stalled: ...": an Ao2Error of kind
+      "penalty-cap";
+    * infeasible, "the switching stage proposed a rejected switch set again
+      with N rejected sets cut": the guard behind the Farkas exit;
+    * no-convergence, "operating point still moving after N outer
+      iterations", naming the cuts the last switching stage ran with;
+    * infeasible, "final switch set admits no feasible operating point": the
+      settled fit is unconverged or violates a row of constraints_C by more
+      than FEAS_TOL; the message names its status, worst value and row.
     """
-    cfg = SolverConfig() if cfg is None else cfg
-    work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
-    net = network(work)
+    cfg, work, net = _setup(case, cfg)
     t0 = time.perf_counter()
-    t_ao1 = t_ao2 = 0.0
-
-    y = SwitchVector(np.ones(net.n_dem))
-    warm = None
-    prev_xu = None
-    traces: list[SbqpTrace] = []
-    ao1 = None
-    y_solved = y
-    outer = 0
-    converged = False
+    wall = {"ao1_s": 0.0, "ao2_s": 0.0}
     live = live_demands(net)
     rejected: dict = {}     # live switch pattern -> a switch set AO1 proved infeasible
     cuts: tuple = ()
+    traces: list[SbqpTrace] = []
+    proposal = SwitchVector(np.ones(net.n_dem))
+    warm = prev_xu = None
 
-    for _ in range(cfg.outer_max_iters):
+    def pattern(switches: SwitchVector) -> tuple:
+        return tuple(switches.y[live].tolist())
+
+    def timed(key: str, stage, *args, **kwargs):
         tick = time.perf_counter()
-        ao1 = solve_ao1(work, y, warm=warm)
-        t_ao1 += time.perf_counter() - tick
-        outer += 1
-        y_solved = y
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            wall[key] += time.perf_counter() - tick
+
+    def best() -> SolveResult:
+        # the last fit, ao1, at the set y it was fitted at
+        return SolveResult(state=ao1.state, input=ao1.input, switches=y,
+                           objective=float(np.sum(y.y * net.rank * net.pd)),
+                           supplied_active=float(np.sum(y.y * net.pd)),
+                           supplied_reactive=float(np.sum(y.y * net.qd)),
+                           outer_iterations=outer, ao2_traces=tuple(traces),
+                           timings={**wall, "total_s": time.perf_counter() - t0})
+
+    def infeasible(message: str) -> DriverError:
+        return DriverError(f"{message}; {LOCAL_VERDICTS}", "infeasible", best())
+
+    for outer in range(1, cfg.outer_max_iters + 1):
+        y = proposal
+        ao1 = timed("ao1_s", solve_ao1, work, y, warm=warm)
         xu = np.concatenate([ao1.state.as_vector(), ao1.input.as_vector()])
         if ao1.status == "infeasible":
             # a set proved infeasible is cut, never settled on
-            rejected.setdefault(tuple(y.y[live].tolist()), y.y)
+            rejected.setdefault(pattern(y), y.y)
             if len(rejected) == 2 ** int(live.sum()):
-                best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
-                patterns = "pattern" if len(rejected) == 1 else "patterns"
-                raise DriverError(f"all {len(rejected)} live switch {patterns} proved infeasible; {LOCAL_VERDICTS}",
-                                  "infeasible", best)
+                raise infeasible(f"all {_count(len(rejected), 'live switch pattern')} proved infeasible")
         elif ao1.status == "converged" and bool(np.all(y.y == 1.0)):
-            # full service balances: no switch set serves more
-            converged = True
-            break
+            break   # full service balances: no switch set serves more
         elif prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
-            converged = True
             break
         prev_xu = xu
         warm = (ao1.state, ao1.input)
-        tick = time.perf_counter()
+        ao2_args = (work, (ao1.state, ao1.input, y), ao1.duals, cfg.schedule, cfg.variant)
         try:
-            start = (ao1.state, ao1.input, y)
-            y, trace = run_ao2(work, start, ao1.duals, cfg.schedule, cfg.variant)
-            if tuple(y.y[live].tolist()) in rejected:
+            proposal, trace = timed("ao2_s", run_ao2, *ao2_args)
+            if pattern(proposal) in rejected:
                 cuts = tuple(rejected.values())
-                y, trace = run_ao2(work, start, ao1.duals, cfg.schedule, cfg.variant, cuts=cuts)
+                proposal, trace = timed("ao2_s", run_ao2, *ao2_args, cuts=cuts)
         except Ao2Error as exc:
-            t_ao2 += time.perf_counter() - tick
-            best = _package(work, ao1, y_solved, traces + [exc.trace], outer, t_ao1, t_ao2, t0)
+            traces.append(exc.trace)
             if exc.kind == "infeasible":
-                raise DriverError(f"{exc}; {LOCAL_VERDICTS}", "infeasible", best) from exc
-            raise DriverError(f"switching stage stalled: {exc}", "no-convergence", best) from exc
-        t_ao2 += time.perf_counter() - tick
+                raise infeasible(str(exc)) from exc
+            raise DriverError(f"switching stage stalled: {exc}", "no-convergence", best()) from exc
         traces.append(trace)
-        if tuple(y.y[live].tolist()) in rejected:
-            best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
-            sets = "set" if len(cuts) == 1 else "sets"
-            raise DriverError(f"the switching stage proposed a rejected switch set again with {len(cuts)} "
-                              f"rejected {sets} cut; {LOCAL_VERDICTS}", "infeasible", best)
-
-    best = _package(work, ao1, y_solved, traces, outer, t_ao1, t_ao2, t0)
-    if not converged:
+        if pattern(proposal) in rejected:
+            raise infeasible(f"the switching stage proposed a rejected switch set again with "
+                             f"{_count(len(cuts), 'rejected set')} cut")
+    else:
         message = f"operating point still moving after {outer} outer iterations"
         if cuts:
-            sets = "set" if len(cuts) == 1 else "sets"
-            message += f"; the switching stage last ran with {len(cuts)} infeasible switch {sets} cut"
-        raise DriverError(message, "no-convergence", best)
-    resid = constraints_C(work, ao1.state, ao1.input, y_solved)
-    worst = int(np.argmax(resid))
-    if ao1.status != "converged" or float(resid[worst]) > FEAS_TOL:
-        raise DriverError(
-            "final switch set admits no feasible operating point "
-            f"(continuous stage {ao1.status}, worst violation {float(resid[worst]):.3e} "
-            f"in {constraint_row(work, worst)}, row {worst})",
-            "infeasible",
-            best,
-        )
-    return best
+            message += f"; the switching stage last ran with {_count(len(cuts), 'infeasible switch set')} cut"
+        raise DriverError(message, "no-convergence", best())
+
+    feasible, worst, value = _verdict(work, ao1, y)
+    if not feasible:
+        raise DriverError("final switch set admits no feasible operating point (continuous stage "
+                          f"{ao1.status}, worst violation {value:.3e} in {constraint_row(work, worst)}, "
+                          f"row {worst})", "infeasible", best())
+    return best()
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,13 +274,11 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     the order is reproducible.  A configuration that the active-capacity
     screen proves infeasible is labelled without a solve, since the
     continuous stage could not converge on it.  Each of the others gets one
-    cold ``solve_ao1`` and is feasible when that fit converges and no
-    constraint of C exceeds FEAS_TOL at its point.  Refuses cases with more
-    than ORACLE_CAP switchable demands.
+    cold ``solve_ao1`` and is feasible by the rule that accepts the driver's
+    final set: the fit converges and no constraint of C exceeds FEAS_TOL at
+    its point.  Refuses cases with more than ORACLE_CAP switchable demands.
     """
-    cfg = SolverConfig() if cfg is None else cfg
-    work = apply_scenario(case, cfg.scenario) if cfg.scenario is not None else case
-    net = network(work)
+    _, work, net = _setup(case, cfg)
     if net.n_dem > ORACLE_CAP:
         raise ValueError(
             f"enumeration needs 2^{net.n_dem} continuous solves; the cap is 2^{ORACLE_CAP}"
@@ -291,12 +288,7 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
         bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
         y = SwitchVector(bits)
         screened = active_capacity_screen(net, y)
-        feasible = False
-        if not screened:
-            res = solve_ao1(work, y)
-            feasible = res.status == "converged" and float(
-                np.max(constraints_C(work, res.state, res.input, y), initial=0.0)
-            ) <= FEAS_TOL
+        feasible = not screened and _verdict(work, solve_ao1(work, y), y)[0]
         entries.append(OracleEntry(
             switches=tuple(int(b) for b in bits),
             feasible=bool(feasible),

@@ -434,6 +434,47 @@ def test_switching_rows_without_a_point_end_infeasible(tag):
     assert [row.status for row in best.ao2_traces[-1].rows] == ["infeasible"]
 
 
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
+def test_penalty_cap_ends_no_convergence_with_the_partial_trace(case30, tag, monkeypatch):
+    # a penalty cap at the first penalty level stops the switching stage
+    # before complementarity: the solve ends with the fits made so far and
+    # the stalled stage's partial trace as the last one
+    fits = []
+    solve = cli_driver.solve_ao1
+    monkeypatch.setattr(cli_driver, "solve_ao1",
+                        lambda case, y, warm=None: fits.append(y) or solve(case, y, warm=warm))
+    cfg = dataclasses.replace(config_from_mapping({"scenario": "stress", "variant": tag}),
+                              schedule=PenaltySchedule(rho0=1.0, rho_max=1.0))
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case30, cfg)
+    assert info.value.kind == "no-convergence"
+    assert str(info.value) == "switching stage stalled: penalty cap reached before complementarity"
+    stall = info.value.__cause__
+    assert isinstance(stall, Ao2Error) and stall.kind == "penalty-cap"
+    best = info.value.best
+    assert best.outer_iterations == len(fits) == len(best.ao2_traces)
+    assert best.ao2_traces[-1] is stall.trace
+    assert np.array_equal(best.switches.y, fits[-1].y)
+
+
+def test_cut_rerun_that_stops_on_a_cut_row_ends_at_the_guard():
+    # _random_case seed 6, mixed: the cut re-run's last QP stops at
+    # max-iterations on the binary set just rejected, one full unit outside
+    # its cut row, and the penalty loop takes that point as it is, so the
+    # re-proposal guard ends the solve
+    case = _random_case(np.random.default_rng(6))
+    with pytest.raises(DriverError) as info:
+        run_ao_sbqp(case, SolverConfig())
+    assert info.value.kind == "infeasible"
+    assert str(info.value) == ("the switching stage proposed a rejected switch set again with 3 rejected "
+                               "sets cut; the verdicts are local: a stationary AO1 fit is no global proof")
+    best = info.value.best
+    assert best.outer_iterations == len(best.ao2_traces) == 3
+    last = best.ao2_traces[-1].rows[-1]
+    assert (last.status, last.kind, last.phi) == ("max-iterations", "unit", 0.0)
+    assert np.array_equal(last.y, best.switches.y)
+
+
 @pytest.mark.parametrize("seed", [1, 5, 13])
 def test_no_rejected_set_is_fitted_again_on_random_cases(seed, monkeypatch):
     # mixed on these _random_case draws, which have no feasible switch set,

@@ -8,7 +8,13 @@ Runs, in this process and against ./src:
   the criterion-3 case5 shortfall config and adequate case5, once per
   variant, and once more on stressed case30 with relaxed-one and
   ``single_shot = true``;
-* ``oracle`` on that case5 config;
+* two ``solve`` runs that end in a ``DriverError``, so that the exit text
+  and the best-iterate line are compared too: stressed case30 with mixed and
+  ``outer_max_iters = 1`` (exit 3, the outer cap), and mixed on the
+  ``_random_case`` draw of seed 6 (the generator of tests/test_grid_model.py),
+  written out by ``serialize_case`` as configs/random6.m (exit 2, the
+  switching stage proposes a rejected set again);
+* ``oracle`` on the case5 shortfall config;
 * ``check`` on case30;
 * ``scenario`` with the stressed30 and shortfall5 configs, whose standard
   output is the ``serialize_case`` text of the case each ``solve`` runs.
@@ -30,8 +36,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from gridshed.cli_driver import main as gridshed  # noqa: E402
+from gridshed.cli_driver import main as gridshed  # noqa: E402  (first: it pins the BLAS threads)
+from gridshed.grid_model import serialize_case  # noqa: E402
+import numpy as np  # noqa: E402
+from test_grid_model import _random_case  # noqa: E402
 
 CASES = ROOT / "src" / "gridshed" / "cases"
 VARIANTS = ("mixed", "relaxed-one", "relaxed-two")
@@ -63,10 +73,10 @@ def _run(target: Path, argv: list[str]) -> None:
     (target / "stdout.txt").write_text(f"exit {code}\n" + "".join(kept) + stderr.getvalue())
 
 
-def _solve(out: Path, name: str, case: str, config: Path, tag: str) -> None:
+def _solve(out: Path, name: str, case: Path, config: Path | None, tag: str) -> None:
     target = out / f"solve-{name}"
-    _run(target, ["solve", "--case", str(CASES / case), "--config", str(config),
-                  "--variant", tag, "--out-dir", str(target)])
+    options = ["--config", str(config)] if config else []
+    _run(target, ["solve", "--case", str(case), *options, "--variant", tag, "--out-dir", str(target)])
 
 
 def main(argv: list[str]) -> int:
@@ -79,10 +89,16 @@ def main(argv: list[str]) -> int:
     for name, (case, text) in INSTANCES.items():
         (configs / f"{name}.kv").write_text(text)
         for tag in VARIANTS:
-            _solve(out, f"{name}-{tag}", case, configs / f"{name}.kv", tag)
+            _solve(out, f"{name}-{tag}", CASES / case, configs / f"{name}.kv", tag)
     single_shot = configs / "stressed30-single-shot.kv"
     single_shot.write_text(INSTANCES["stressed30"][1] + "single_shot = true\n")
-    _solve(out, "stressed30-relaxed-one-single-shot", "case30.m", single_shot, "relaxed-one")
+    _solve(out, "stressed30-relaxed-one-single-shot", CASES / "case30.m", single_shot, "relaxed-one")
+    capped = configs / "stressed30-outer-cap.kv"
+    capped.write_text(INSTANCES["stressed30"][1] + "outer_max_iters = 1\n")
+    _solve(out, "stressed30-mixed-outer-cap", CASES / "case30.m", capped, "mixed")
+    random6 = configs / "random6.m"
+    random6.write_text(serialize_case(_random_case(np.random.default_rng(6))))
+    _solve(out, "random6-mixed", random6, None, "mixed")
     target = out / "oracle-shortfall5"
     _run(target, ["oracle", "--case", str(CASES / "case5.m"),
                   "--config", str(configs / "shortfall5.kv"), "--out-dir", str(target)])
