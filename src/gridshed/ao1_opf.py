@@ -150,7 +150,7 @@ class _Problem:
         self.gen = np.zeros(2 * net.n_bus)
         # J with its dP/dx_free columns zero and its u columns -gen_sel, the
         # -d(generation)/du, -0.0 entries included; built per fit, since a
-        # dense copy kept on every cached network costs more memory than it
+        # dense copy kept on every case's network costs more memory than it
         # saves
         self.J = np.zeros((2 * net.n_bus, self.nx_free + 2 * net.n_gen))
         np.negative(net.gen_sel, out=self.J[:, self.nx_free:])

@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field, fields, replace
-from functools import cache
-from operator import attrgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,18 +159,14 @@ class DemandSpec:
             raise CaseError(f"demand at bus {self.bus}: pd must be non-negative")
 
 
-@cache
-def _field_getter(cls):
-    """Reads the values of a record class's dataclass fields, in field order."""
-    return attrgetter(*(f.name for f in fields(cls)))
-
-
 @dataclass(frozen=True)
 class GridCase:
     """A grid case: buses, branches, generators, switchable demands.
 
     Collections are kept sorted by bus id; all quantities are per unit on
-    ``base_mva``.
+    ``base_mva``.  ``power_equations.network`` keeps the case's Network on
+    the object, outside the fields, so equality, hash, repr and ``replace``
+    read the fields alone.
     """
 
     buses: tuple[Bus, ...]
@@ -219,31 +213,6 @@ class GridCase:
                 raise CaseError(f"demand at bus {d.bus}: unknown bus reference")
         if not self.base_mva > 0:
             raise CaseError("base_mva must be positive")
-        # the dataclass hash of the fields, computed once: network() looks the
-        # case up by hash on every call.  Every field is an int, float, bool or
-        # tuple of them, so the value is the same in every process.
-        object.__setattr__(self, "_hash", hash(
-            (self.buses, self.branches, self.generators, self.demands, self.base_mva)))
-        # every table's length, then each record's class and field values, in
-        # one flat tuple: __eq__ compares it in one pass, not record by record
-        key = []
-        for table in (self.buses, self.branches, self.generators, self.demands):
-            key.append(len(table))
-            for record in table:
-                key.append(record.__class__)
-                key.extend(_field_getter(record.__class__)(record))
-        key.append(self.base_mva)
-        object.__setattr__(self, "_key", tuple(key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        # the generated __eq__'s answer: the same values in the same order, so
-        # -0.0 == 0.0 and True == 1 as before
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
 
     @property
     def bus_ids(self) -> tuple[int, ...]:

@@ -19,8 +19,10 @@ Entry points (``network``, ``constraints_C``, ``constraint_row``,
 (``outflow_terms``, ``outflow_derivatives``, ``outflow``, ``supply``,
 ``objective_E``, ``objective_from_outflow``, ``jacobians``,
 ``constraint_jacobian``, ``hessian_Q``) take the ``Network`` that their
-caller resolved once with ``network(case)``, so a solver loop does not hash
-the case on every evaluation.  ``network`` also records, once per case,
+caller resolved once with ``network(case)``.  ``network`` builds it on the
+first call with a case object and keeps it on that object, outside the
+dataclass fields, so later calls with the object return it and it is freed
+with the case; an equal case built apart gets its own.  It also records
 whether every branch conductance is non-negative (``branch_g_nonneg``).
 
 The power flow is evaluated over the branch list, not over the dense
@@ -49,7 +51,7 @@ these arrays are shared by every fit on the case and read-only.
 and its derivatives takes the trig once.  ``hessian_Q`` is the switch
 curvature that the balance multipliers give, one per demand.
 ``check_sizes`` names a state, input or switch vector that does not fit the
-network.
+network; ``constraints_C``, ``objective_E`` and ``jacobians`` call it first.
 ``constraint_jacobian`` stacks dP_dx into the full (8N + 4G)-row derivative
 of C, whose leading block ``dC[:2N, :2N]`` is dP/dx; only the self-check and
 the tests need it, and no solver stage builds it.  ``line_flow`` is a
@@ -60,7 +62,6 @@ separate per-branch evaluation, kept as the reference that the tests compare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +149,8 @@ class SwitchVector:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.y.ndim != 1:
             raise ValueError("y must be a 1-d array")
-        if self.y.size and (self.y.min() < -Y_BOX_TOL or self.y.max() > 1.0 + Y_BOX_TOL):
+        # written so that NaN, which fails every comparison, is rejected too
+        if self.y.size and not (self.y.min() >= -Y_BOX_TOL and self.y.max() <= 1.0 + Y_BOX_TOL):
             raise ValueError("switch values must lie in [0, 1]")
 
 
@@ -202,8 +204,17 @@ class Network:
         return 2 * self.n_bus + 2 * self.n_gen + self.n_dem
 
 
-@lru_cache(maxsize=32)
 def network(case: GridCase) -> Network:
+    """The case's Network, built on the first call and kept on the case object."""
+    try:
+        return case._network
+    except AttributeError:
+        net = _build_network(case)
+        object.__setattr__(case, "_network", net)
+        return net
+
+
+def _build_network(case: GridCase) -> Network:
     index = {b.id: i for i, b in enumerate(case.buses)}
     n = len(case.buses)
     ngen = len(case.generators)
@@ -432,6 +443,7 @@ def _delivery(net: Network, P: np.ndarray, input: InputVector) -> np.ndarray:
 
 def objective_E(net: Network, state: State, input: InputVector, y: SwitchVector) -> float:
     """Weighted delivery objective; demand buses without a generator take pg = 0."""
+    check_sizes(net, "objective_E", state, input, y)
     return objective_from_outflow(net, outflow(net, state), input, y)
 
 
@@ -457,6 +469,7 @@ def check_sizes(net: Network, where: str, state: State | None = None,
 def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVector) -> np.ndarray:
     """Inequality stack, feasible iff every entry is <= 0."""
     net = network(case)
+    check_sizes(net, "constraints_C", state, input, y)
     P = outflow(net, state)
     S = supply(net, input, y)
     x = state.as_vector()
@@ -478,6 +491,7 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
     (2N x 2N, interleaved as in ``outflow``), and the objective gradient over
     (x, u, y).  ``constraint_jacobian`` stacks dP_dx into the derivative of C.
     """
+    check_sizes(net, "jacobians", state, input, y)
     P, dP_dx = outflow(net, state, jacobian=True)
     # E = sum_D y r (pg - P_act): the demand buses' active rows of dP/dx weigh
     # in at -y r, and each demand bus's pg column takes its y r

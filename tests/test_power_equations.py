@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_grid_model import _random_case
 
-from gridshed import ao1_opf
+from gridshed import ao1_opf, power_equations
+from gridshed.cli_driver import SolverConfig, run_ao_sbqp
 from gridshed.grid_model import (
     Branch,
     Bus,
     DemandSpec,
     Generator,
     GridCase,
+    ScenarioConfig,
+    apply_scenario,
     build_admittance,
     parse_case,
 )
 from gridshed.power_equations import (
     InputVector,
+    Network,
     State,
     SwitchVector,
     constraint_jacobian,
@@ -75,36 +81,47 @@ def kernel_cases(case5, case30):
     return [case5, case30] + [_random_case(np.random.default_rng(seed)) for seed in range(10)]
 
 
-def test_network_lookup_does_not_rehash_the_case(case30_text, monkeypatch):
+def test_network_is_kept_on_its_case(case30_text):
     case = parse_case(case30_text)
-    twin = parse_case(case30_text)
-    assert twin is not case and twin == case
     net = network(case)
-    calls = []
-    original = Bus.__hash__
-
-    def counting(self):
-        calls.append(self.id)
-        return original(self)
-
-    monkeypatch.setattr(Bus, "__hash__", counting)
-    # equal cases still share one cache entry, and the lookups hash no bus
-    assert network(twin) is net
     assert network(case) is net
-    assert calls == []
+    # an equal case built apart gets a Network of its own, equal field by field
+    twin = parse_case(case30_text)
+    assert twin == case and hash(twin) == hash(case)
+    other = network(twin)
+    assert other is not net
+    for f in dataclasses.fields(Network):
+        mine, theirs = getattr(net, f.name), getattr(other, f.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
+        else:
+            assert mine == theirs
+    # the Network is not a field: repr and replace leave it out
+    assert "Network" not in repr(case)
+    assert network(dataclasses.replace(case)) is not net
 
 
-def test_network_lookup_with_an_equal_case(case30_text):
+def test_network_is_freed_with_its_case(case30_text):
     case = parse_case(case30_text)
-    net = network(case)
-    # an equal case built apart from the first finds its entry; one float
-    # changed in the last demand makes another entry
-    assert network(parse_case(case30_text)) is net
-    last = case.demands[-1]
-    moved = dataclasses.replace(case, demands=case.demands[:-1] + (
-        dataclasses.replace(last, pd=np.nextafter(last.pd, 1.0)),))
-    assert moved != case
-    assert network(moved) is not net
+    ref = weakref.ref(network(case))
+    del case
+    gc.collect()
+    assert ref() is None
+
+
+def test_one_solve_builds_one_network(case30_text, monkeypatch):
+    stressed = apply_scenario(parse_case(case30_text), ScenarioConfig())
+    builds = []
+    build = power_equations._build_network
+
+    def counting(case):
+        builds.append(case)
+        return build(case)
+
+    monkeypatch.setattr(power_equations, "_build_network", counting)
+    run_ao_sbqp(stressed, SolverConfig())
+    assert len(builds) == 1 and builds[0] is stressed
 
 
 def test_line_flow_zero_at_flat_start(case5):
@@ -209,7 +226,21 @@ def test_switch_vector_rejects_out_of_box():
         SwitchVector(np.array([0.5, 1.2]))
     with pytest.raises(ValueError):
         SwitchVector(np.array([-0.1]))
+    with pytest.raises(ValueError, match=r"switch values must lie in \[0, 1\]"):
+        SwitchVector(np.array([np.nan, 0.5]))
     SwitchVector(np.array([0.0, 1.0, 1.0 + 1e-12]))  # solver-level roundoff passes
+
+
+@pytest.mark.parametrize("name", ["constraints_C", "objective_E", "jacobians"])
+def test_mis_sized_switch_vector_is_named(case5, name):
+    # one entry where case5 has three demands; broadcasting it would read as
+    # all three demands at that value
+    evaluate = getattr(power_equations, name)
+    on = case5 if name == "constraints_C" else network(case5)
+    state, u = State(v=BAL_V, theta=BAL_TH), InputVector(pg=BAL_PG, qg=BAL_QG)
+    message = f"^{name}: the switch vector has 1 entries, expected 3, one per demand$"
+    with pytest.raises(ValueError, match=message):
+        evaluate(on, state, u, SwitchVector(np.ones(1)))
 
 
 def test_vector_round_trips():
