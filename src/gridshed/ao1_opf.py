@@ -51,7 +51,9 @@ end point's residual pass.
 
 The fit is one plain loop, ``least_squares``, over one switch set: the
 switching stage fits one set at a time, warm from the last, and
-``enumerate_oracle`` fits each of its sets cold through ``solve_ao1``.
+``enumerate_oracle`` fits each of its sets through ``solve_ao1`` from the
+start that ``dispatch_start`` gives it: a generation dispatch that covers the
+set's load, with the DC power-flow angles of that dispatch.
 """
 
 from __future__ import annotations
@@ -110,6 +112,62 @@ def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
         return False
     shortfall = float((y.y * y.y) @ net.pd) - float(net.u_upper[0::2].sum())
     return shortfall > net.n_bus * TOL_FEAS
+
+
+def dispatch_start(net: Network):
+    """start(y): a fit start for switch set y on net, as the (State,
+    InputVector) pair that ``solve_ao1`` takes as warm.  Built once per
+    network; start(y) is then a few small products.
+
+    Every voltage is at the slack voltage.  Every generator's pg is
+    lower + s (upper - lower) with one share s, clipped to [0, 1], at which
+    the summed pg covers sum y^2 pd, and qg likewise against sum y^2 qd.  The
+    angles are the DC power flow of those injections (Stott, Jardim & Alsac
+    2009): at v = 1 with sin t = t and the conductances dropped, the active
+    outflow of bus k is the sum over its edges (k, l) of B_kl (theta_k -
+    theta_l), so L theta = p on the Laplacian L of the edge weights B_kl
+    (``edge_BB``).  Without the slack's row and column, with its angle at 0,
+    L is inverted here; when it is singular (a bus reached only through
+    zero-susceptance branches) every angle is 0.  The injections are linear
+    in s and y^2, so start(y) adds the angles of the pg lower bounds, s times
+    those of the pg ranges, and those of the demands times -y^2.
+    """
+    n = net.n_bus
+    weight = net.edge_BB[:net.edge_from.size]
+    # each directed edge is one off-diagonal (GridCase rejects repeated pairs)
+    L = np.zeros((n, n))
+    L[net.edge_from, net.edge_to] = -weight
+    L.ravel()[:: n + 1] = np.bincount(net.edge_from, weights=weight, minlength=n)
+    keep = np.arange(n) != net.slack
+    try:
+        L_inv = np.linalg.inv(L[np.ix_(keep, keep)])
+    except np.linalg.LinAlgError:
+        L_inv = np.zeros((n - 1, n - 1))
+    # rows pg and qg: each generator's lower bound and range, their sums, and
+    # the (pd, qd) of each demand
+    lower = np.stack([net.u_lower[0::2], net.u_lower[1::2]])
+    span = np.stack([net.u_upper[0::2], net.u_upper[1::2]]) - lower
+    floor = lower.sum(axis=1)
+    width = span.sum(axis=1)
+    width[width <= 0.0] = np.inf    # no range: share 0
+    demand = np.stack([net.pd, net.qd], axis=1)
+    # the angles of the pg bounds and of the demands, 0 at the slack
+    gen_angles = np.zeros((n, net.n_gen))
+    gen_angles[keep] = L_inv @ net.gen_sel[0::2, 0::2][keep]
+    theta_floor, theta_span = gen_angles @ lower[0], gen_angles @ span[0]
+    dem_draw = np.zeros((n, net.n_dem))
+    dem_draw[net.dem_pos, np.arange(net.n_dem)] = net.pd
+    dem_angles = np.zeros((n, net.n_dem))
+    dem_angles[keep] = L_inv @ dem_draw[keep]
+
+    def start(y: SwitchVector) -> tuple[State, InputVector]:
+        y2 = y.y * y.y
+        share = np.minimum(np.maximum((y2 @ demand - floor) / width, 0.0), 1.0)
+        pg, qg = lower + share[:, None] * span
+        theta = theta_floor + share[0] * theta_span - dem_angles @ y2
+        return State(v=np.full(n, net.slack_v), theta=theta), InputVector(pg=pg, qg=qg)
+
+    return start
 
 
 def _split(net: Network, z):

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao1_opf import active_capacity_screen, solve_ao1
+from .ao1_opf import active_capacity_screen, dispatch_start, solve_ao1
 from .ao2_sbqp import (VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, live_demands,
                        run_ao2)
 from .grid_model import (
@@ -264,6 +264,7 @@ class OracleEntry:
     feasible: bool
     objective: float
     screened: bool     # infeasible by the active-capacity screen, without a solve
+    evaluations: int   # the set's fit evaluations (iterations + 1); 0 when screened
 
 
 def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[OracleEntry]:
@@ -274,26 +275,35 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     the order is reproducible.  A configuration that the active-capacity
     screen proves infeasible is labelled without a solve, since the
     continuous stage could not converge on it.  Each of the others gets one
-    cold ``solve_ao1`` and is feasible by the rule that accepts the driver's
-    final set: the fit converges and no constraint of C exceeds FEAS_TOL at
-    its point.  Refuses cases with more than ORACLE_CAP switchable demands.
+    ``solve_ao1``, started from ``dispatch_start``'s point for its set (a
+    dispatch that covers its load, at the DC power-flow angles), and is
+    feasible by the rule that accepts the driver's final set: the fit
+    converges and no constraint of C exceeds FEAS_TOL at its point.  Only the
+    labels are reported, so where a fit starts is free; the verdicts stay
+    local, one fit per set.  Refuses cases with more than ORACLE_CAP
+    switchable demands.
     """
     _, work, net = _setup(case, cfg)
     if net.n_dem > ORACLE_CAP:
         raise ValueError(
             f"enumeration needs 2^{net.n_dem} continuous solves; the cap is 2^{ORACLE_CAP}"
         )
+    start = dispatch_start(net)
     entries = []
     for code in range(2 ** net.n_dem):
         bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
         y = SwitchVector(bits)
         screened = active_capacity_screen(net, y)
-        feasible = not screened and _verdict(work, solve_ao1(work, y), y)[0]
+        feasible, evaluations = False, 0
+        if not screened:
+            fit = solve_ao1(work, y, warm=start(y))
+            feasible, evaluations = _verdict(work, fit, y)[0], fit.iterations + 1
         entries.append(OracleEntry(
             switches=tuple(int(b) for b in bits),
             feasible=bool(feasible),
             objective=float(np.sum(bits * net.rank * net.pd)),
             screened=screened,
+            evaluations=evaluations,
         ))
     entries.sort(key=lambda e: (not e.feasible, -e.objective, e.switches))
     return entries
@@ -464,12 +474,15 @@ def parse_result_document(text: str) -> dict:
     return out
 
 
+def _trace_header(n: int) -> list[str]:
+    """The trace table's columns for n demands."""
+    return (["stage", "iteration"] + [f"y_{k}" for k in range(n)]
+            + ["phi", "rho", "alpha", "kind", "status", "psi"])
+
+
 def render_trace_table(result: SolveResult) -> str:
     """CSV of every switching-stage iteration across all outer passes."""
-    n = result.switches.y.size
-    header = ["stage", "iteration"] + [f"y_{k}" for k in range(n)] + [
-        "phi", "rho", "alpha", "kind", "status", "psi",
-    ]
+    header = _trace_header(result.switches.y.size)
     lines = [",".join(header)]
     for stage, trace in enumerate(result.ao2_traces):
         for row in trace.rows:
@@ -482,25 +495,39 @@ def render_trace_table(result: SolveResult) -> str:
 
 
 def parse_trace_table(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    """Inverse of render_trace_table.  A missing or unexpected header, a row
+    whose cell count differs from the header's and a number cell that does
+    not read as its column's number raise a ValueError that names the line,
+    as parse_kv does ("trace line 3: ...")."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ValueError("trace line 1: expected a header line")
+    header_no, header_line = lines[0]
+    header = header_line.split(",")
     n = sum(1 for h in header if h.startswith("y_"))
+    if header != _trace_header(n):
+        raise ValueError(f"trace line {header_no}: unexpected header {header_line!r}")
     rows = []
-    for line in lines[1:]:
+    for line_no, line in lines[1:]:
         cells = line.split(",")
-        rows.append(
-            {
-                "stage": int(cells[0]),
-                "iteration": int(cells[1]),
-                "y": np.array([float(c) for c in cells[2:2 + n]]),
-                "phi": float(cells[2 + n]),
-                "rho": float(cells[3 + n]),
-                "alpha": float(cells[4 + n]),
-                "kind": cells[5 + n],
-                "status": cells[6 + n],
-                "psi": float(cells[7 + n]),
-            }
-        )
+        if len(cells) != len(header):
+            raise ValueError(f"trace line {line_no}: expected {len(header)} cells, got {len(cells)}")
+        try:
+            rows.append(
+                {
+                    "stage": _value("stage", cells[0], "int"),
+                    "iteration": _value("iteration", cells[1], "int"),
+                    "y": np.array([_value(f"y_{k}", cells[2 + k], "float") for k in range(n)]),
+                    "phi": _value("phi", cells[2 + n], "float"),
+                    "rho": _value("rho", cells[3 + n], "float"),
+                    "alpha": _value("alpha", cells[4 + n], "float"),
+                    "kind": cells[5 + n],
+                    "status": cells[6 + n],
+                    "psi": _value("psi", cells[7 + n], "float"),
+                }
+            )
+        except ValueError as exc:
+            raise ValueError(f"trace line {line_no}: {exc}") from None
     return rows
 
 
@@ -744,8 +771,10 @@ def _cmd_oracle(args) -> int:
     path.write_bytes(("\n".join(lines) + "\n").encode())
     feasible = [e for e in entries if e.feasible]
     screened = sum(e.screened for e in entries)
+    evaluations = sum(e.evaluations for e in entries)
     print(f"{len(entries)} configurations, {len(feasible)} feasible, "
-          f"{screened} infeasible by the active-capacity screen")
+          f"{screened} infeasible by the active-capacity screen, "
+          f"{_count(len(entries) - screened, 'fit')}, {_count(evaluations, 'evaluation')}")
     for e in feasible[:5]:
         print(f"  y={''.join(str(b) for b in e.switches)}  objective {e.objective:.6f}")
     print(f"wrote {path}")

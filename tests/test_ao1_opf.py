@@ -563,6 +563,78 @@ def test_free_columns_skip_the_slack(fixture, request):
     assert np.array_equal(free, listed)
 
 
+def _draws(net, rng, count=8):
+    """All-ones, all-off and count switch sets drawn from [0, 1]^n."""
+    return [np.ones(net.n_dem), np.zeros(net.n_dem)] + [rng.uniform(0.0, 1.0, net.n_dem) for _ in range(count)]
+
+
+@pytest.mark.parametrize("fixture", ["case5", "shortfall5_case", "stressed30"])
+def test_dispatch_start_covers_the_load_when_the_range_allows(fixture, request):
+    # one share of each generator's range: the summed pg equals sum y^2 pd
+    # whenever the summed bounds bracket it, and otherwise sits at the bound
+    # nearer to it; qg likewise against sum y^2 qd; voltages flat at the slack
+    net = network(request.getfixturevalue(fixture))
+    start = ao1_opf.dispatch_start(net)
+    covered = 0
+    for yv in _draws(net, np.random.default_rng(3)):
+        state, u = start(SwitchVector(yv))
+        assert np.array_equal(state.v, np.full(net.n_bus, net.slack_v))
+        for got, need, lo, hi in ((u.pg, yv**2 @ net.pd, net.u_lower[0::2], net.u_upper[0::2]),
+                                  (u.qg, yv**2 @ net.qd, net.u_lower[1::2], net.u_upper[1::2])):
+            assert np.all(got >= lo - 1e-12) and np.all(got <= hi + 1e-12)
+            share = (got - lo) / (hi - lo)
+            assert np.allclose(share, share[0], rtol=0.0, atol=1e-12)
+            if lo.sum() <= need <= hi.sum():
+                assert got.sum() == pytest.approx(need, rel=1e-12, abs=1e-12)
+                covered += 1
+            else:
+                assert np.allclose(got, lo if need < lo.sum() else hi, rtol=0.0, atol=1e-12)
+    assert covered > 0
+
+
+@pytest.mark.parametrize("fixture", ["case5", "shortfall5_case", "stressed30"])
+def test_dispatch_start_angles_solve_the_reduced_dc_equations(fixture, request):
+    # the DC power flow, built here from the branch list: bus k's injection
+    # pg - y^2 pd equals sum over its branches (k, l) of -b (theta_k -
+    # theta_l) at every bus but the slack, whose angle is 0
+    case = request.getfixturevalue(fixture)
+    net = network(case)
+    index = {b.id: i for i, b in enumerate(case.buses)}
+    L = np.zeros((net.n_bus, net.n_bus))
+    for br in case.branches:
+        k, l = index[br.from_bus], index[br.to_bus]
+        L[[k, l], [k, l]] -= br.b
+        L[[k, l], [l, k]] += br.b
+    start = ao1_opf.dispatch_start(net)
+    keep = np.arange(net.n_bus) != net.slack
+    turned = 0
+    for yv in _draws(net, np.random.default_rng(4)):
+        y = SwitchVector(yv)
+        state, u = start(y)
+        p = (net.gen_sel @ u.as_vector() - demand_draw(net, y))[0::2]
+        assert state.theta[net.slack] == 0.0
+        np.testing.assert_allclose((L @ state.theta)[keep], p[keep], rtol=0.0, atol=1e-9 * max(1.0, np.abs(p).max()))
+        turned += bool(np.any(state.theta != 0.0))
+    assert turned > 0
+
+
+def test_dispatch_start_gives_zero_angles_on_a_singular_laplacian(shortfall5_case):
+    # bus 2 is reached only through branches of zero susceptance, so the
+    # reduced Laplacian is singular: every angle starts at 0, and a fit from
+    # there runs as from any other start
+    branches = tuple(dataclasses.replace(br, b=0.0) if 2 in (br.from_bus, br.to_bus) else br
+                     for br in shortfall5_case.branches)
+    case = dataclasses.replace(shortfall5_case, branches=branches)
+    net = network(case)
+    start = ao1_opf.dispatch_start(net)
+    for yv in _draws(net, np.random.default_rng(5), count=2):
+        y = SwitchVector(yv)
+        state, u = start(y)
+        assert np.array_equal(state.theta, np.zeros(net.n_bus))
+        assert u.pg.sum() == pytest.approx(min(yv**2 @ net.pd, net.u_upper[0::2].sum()), rel=1e-12, abs=1e-12)
+        assert solve_ao1(case, y, warm=(state, u)).status in ("converged", "infeasible", "max-iterations")
+
+
 @pytest.mark.parametrize("fixture, bits", [("negative_g5", (1, 1, 1)), ("shortfall5_case", (1, 1, 1)),
                                            ("stressed30", None)])
 def test_rejected_trial_builds_no_jacobian(fixture, bits, request):

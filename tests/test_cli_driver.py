@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gridshed
 from gridshed import cli_driver, qp_core
 from gridshed.ao1_opf import active_capacity_screen
-from gridshed.ao2_sbqp import Ao2Error, Ao2Variant, PenaltySchedule, live_demands
+from gridshed.ao2_sbqp import VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, live_demands
 from gridshed.cli_driver import (
     DriverError,
     SolverConfig,
@@ -656,6 +656,61 @@ def test_answers_on_feasible_random_cases_hold_the_solver_invariants(seed):
             assert res.outer_iterations == 1
 
 
+def _outcome_texts(case, cfg):
+    """The rendered result and trace of a solve, or the DriverError's text."""
+    try:
+        res = run_ao_sbqp(case, cfg)
+    except DriverError as exc:
+        return "DriverError", str(exc)
+    return render_result_document(result_document(res, cfg)), render_trace_table(res)
+
+
+def test_reruns_on_feasible_random_cases_are_byte_equal():
+    # _feasible_case seeds 0-19, every variant: a second run on the same case
+    # object writes the same result and trace bytes, or fails with the same
+    # text.  Those draws are all answered, so _random_case seeds 6 and 23,
+    # whose runs end in a DriverError, cover the failing exits
+    cases = [(f"feasible {seed}", _feasible_case(np.random.default_rng(seed))) for seed in range(20)]
+    cases += [(f"random {seed}", _random_case(np.random.default_rng(seed))) for seed in (6, 23)]
+    failed = 0
+    for name, case in cases:
+        for tag in VARIANT_TAGS:
+            cfg = SolverConfig(variant=Ao2Variant(tag=tag))
+            first = _outcome_texts(case, cfg)
+            assert _outcome_texts(case, cfg) == first, (name, tag)
+            failed += first[0] == "DriverError"
+    assert 0 < failed < 3 * len(cases)
+
+
+def test_no_live_pattern_is_fitted_again_after_it_is_proved_infeasible(monkeypatch):
+    # _feasible_case seeds 0-19, every variant: once a fit proves a live
+    # pattern infeasible, no later fit of the run is at that pattern
+    fits = []
+    solve = cli_driver.solve_ao1
+
+    def spy(case, y, warm=None):
+        out = solve(case, y, warm=warm)
+        fits.append((tuple(y.y[live].tolist()), out.status))
+        return out
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", spy)
+    rejected = 0
+    for seed in range(20):
+        case = _feasible_case(np.random.default_rng(seed))
+        live = live_demands(network(case))
+        for tag in VARIANT_TAGS:
+            fits.clear()
+            try:
+                run_ao_sbqp(case, SolverConfig(variant=Ao2Variant(tag=tag)))
+            except DriverError:
+                pass
+            for k, (pattern, status) in enumerate(fits):
+                if status == "infeasible":
+                    rejected += 1
+                    assert pattern not in [p for p, _ in fits[k + 1:]], (seed, tag, pattern)
+    assert rejected > 0
+
+
 def test_a_ray_the_box_meets_within_rounding_certifies_nothing(monkeypatch):
     # _feasible_case seed 118, mixed: one subproblem's kernel ends on a ray
     # whose Farkas margin is about 1e-15, far below SLACK_TOL, since the
@@ -731,6 +786,36 @@ def test_oracle_entries_equal_a_per_set_loop(seed):
         assert e.feasible == feasible, e.switches
 
 
+def test_oracle_fits_each_unscreened_set_once_from_the_dispatch_start(shortfall5_case, monkeypatch):
+    # every set that the screen leaves reaches cli_driver.solve_ao1 once,
+    # with dispatch_start's point for the set as its warm start, and its
+    # entry counts that fit's evaluations; a screened entry counts none
+    net = network(shortfall5_case)
+    start = cli_driver.dispatch_start(net)
+    calls = []
+    solve = cli_driver.solve_ao1
+
+    def spy(case, y, warm=None):
+        out = solve(case, y, warm=warm)
+        calls.append((tuple(int(b) for b in y.y), warm, out.iterations + 1))
+        return out
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", spy)
+    entries = enumerate_oracle(shortfall5_case)
+    seen = {bits: rest for bits, *rest in calls}
+    assert len(seen) == len(calls)
+    assert sorted(seen) == sorted(e.switches for e in entries if not e.screened)
+    for e in entries:
+        if e.screened:
+            assert e.evaluations == 0
+            continue
+        (state, u), evaluations = seen[e.switches]
+        want_state, want_u = start(SwitchVector(np.array(e.switches, dtype=float)))
+        np.testing.assert_array_equal(state.as_vector(), want_state.as_vector())
+        np.testing.assert_array_equal(u.as_vector(), want_u.as_vector())
+        assert e.evaluations == evaluations > 0
+
+
 def test_oracle_refuses_wide_cases(case30):
     cfg = config_from_mapping({"scenario": "stress"})
     with pytest.raises(ValueError, match="cap"):
@@ -804,6 +889,22 @@ def test_trace_table_round_trip(solved5):
         assert parsed["phi"] == row.phi
         assert parsed["rho"] == row.rho
         assert parsed["kind"] == row.kind
+
+
+_TRACE_HEADER = "stage,iteration,y_0,y_1,phi,rho,alpha,kind,status,psi"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "trace line 1: expected a header line"),
+    (f"{_TRACE_HEADER}\n0,1,1.0,0.0,0.5\n", "trace line 2: expected 10 cells, got 5"),
+    (f"{_TRACE_HEADER}\n\n0,1,1.0,0.0,x,1.0,0.0,penalty,optimal,0.0\n",
+     "trace line 3: phi: expected a number, got 'x'"),
+    ("stage,iteration,y_0\n", "trace line 1: unexpected header 'stage,iteration,y_0'"),
+], ids=["empty", "short-row", "non-number", "header"])
+def test_trace_table_is_read_strictly(text, message):
+    # these raised a bare IndexError, or float's own message without a line
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_trace_table(text)
 
 
 def test_emit_outputs_bytes_are_stable(solved5, tmp_path):
@@ -902,6 +1003,22 @@ def test_cli_oracle_writes_table(case5_path, tmp_path):
     lines = (out / "oracle.csv").read_text().splitlines()
     assert lines[0] == "y_0,y_1,y_2,feasible,objective"
     assert len(lines) == 9
+
+
+def test_cli_oracle_summary_counts_fits_and_evaluations(case5_path, shortfall5_case, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text(
+        "scenario.shift_mode = multiplicative\nscenario.pd_shift = 1.0\n"
+        "scenario.qd_shift = 1.0\nscenario.pg_upper_scale = 0.5\n"
+        "scenario.qg_bound_scale = 0.5\nscenario.rank_seed = 2\n"
+        "scenario.demand_set_mode = loaded-buses\n"
+    )
+    assert main(["oracle", "--case", str(case5_path), "--config", str(cfgfile),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    evaluations = sum(e.evaluations for e in enumerate_oracle(shortfall5_case))
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "8 configurations, 7 feasible, 1 infeasible by the active-capacity screen, "
+        f"7 fits, {evaluations} evaluations")
 
 
 def test_cli_check_passes(case5_path):

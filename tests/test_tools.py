@@ -127,26 +127,31 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
 
 
 def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
-    # the oracle fits each set that the screen leaves through least_squares:
-    # the census counts one fit per such set, with the evaluations and
-    # derivative passes of a solve_ao1 loop over those sets
+    # the oracle fits each set that the screen leaves through least_squares,
+    # from dispatch_start's point for the set: the census counts one fit per
+    # such set, in the oracle's set order, with the evaluations, exit, end
+    # residual and derivative passes of a solve_ao1 loop over those sets from
+    # the same starts, and each entry carries its fit's evaluations
     from gridshed import ao1_opf, cli_driver
-    from gridshed.power_equations import SwitchVector
+    from gridshed.power_equations import SwitchVector, network
 
+    start = ao1_opf.dispatch_start(network(shortfall5_case))
     tally = census.Census()
     tally.install()
     try:
         entries = cli_driver.enumerate_oracle(shortfall5_case)
         oracle = tally.take()
-        fitted = [e for e in entries if not e.screened]
+        fitted = sorted((e for e in entries if not e.screened),
+                        key=lambda e: sum(b << k for k, b in enumerate(e.switches)))
         for e in fitted:
-            ao1_opf.solve_ao1(shortfall5_case, SwitchVector(np.array(e.switches, dtype=float)))
+            y = SwitchVector(np.array(e.switches, dtype=float))
+            ao1_opf.solve_ao1(shortfall5_case, y, warm=start(y))
         alone = tally.take()
     finally:
         tally.uninstall()
     assert len(oracle) == len(alone) == len(fitted) > 1
-    assert sorted(r[0] for r in oracle) == sorted(r[0] for r in alone)
-    assert sorted(r[4] for r in oracle) == sorted(r[4] for r in alone)
+    assert [(r[0], r[1], r[2], r[4]) for r in oracle] == [(r[0], r[1], r[2], r[4]) for r in alone]
+    assert [e.evaluations for e in fitted] == [r[0] for r in oracle]
 
 
 QP_CENSUS = Path(__file__).resolve().parents[1] / "tools" / "qp_census.py"
