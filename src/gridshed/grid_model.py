@@ -275,6 +275,9 @@ class ScenarioConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise CaseError(f"{name} must be a number, got {v!r}")
+        for name in ("pd_shift", "qd_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise CaseError(f"{name} must be finite")
         for name in ("qg_bound_scale", "pg_upper_scale"):
             v = getattr(self, name)
             if not 0 < v <= 1:
@@ -559,7 +562,19 @@ def build_admittance(case: GridCase) -> AdmittanceMatrix:
 
 
 def apply_scenario(case: GridCase, cfg: ScenarioConfig) -> GridCase:
-    """Apply the mismatch transform; deterministic for a given (case, cfg)."""
+    """Apply the mismatch transform; deterministic for a given (case, cfg).
+
+    Every fault of the transform, in either shift mode, leaves as a
+    ScenarioError."""
+    try:
+        return _apply_scenario(case, cfg)
+    except ScenarioError:
+        raise
+    except CaseError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def _apply_scenario(case: GridCase, cfg: ScenarioConfig) -> GridCase:
     demands = list(case.demands)
     if cfg.demand_set_mode == "loaded-buses":
         demands = [d for d in demands if d.pd != 0.0 or d.qd != 0.0]
@@ -579,10 +594,7 @@ def apply_scenario(case: GridCase, cfg: ScenarioConfig) -> GridCase:
             for d in demands
         ]
     else:
-        try:
-            demands = [replace(d, pd=d.pd * cfg.pd_shift, qd=d.qd * cfg.qd_shift) for d in demands]
-        except CaseError as exc:
-            raise ScenarioError(str(exc)) from exc
+        demands = [replace(d, pd=d.pd * cfg.pd_shift, qd=d.qd * cfg.qd_shift) for d in demands]
     if cfg.demand_set_mode == "all-buses":
         have = {d.bus for d in demands}
         demands += [DemandSpec(bus=b.id, pd=0.0, qd=0.0) for b in case.buses if b.id not in have]
@@ -600,14 +612,11 @@ def apply_scenario(case: GridCase, cfg: ScenarioConfig) -> GridCase:
         )
         for g in case.generators
     ]
-    try:
-        return GridCase(
-            buses=case.buses,
-            branches=case.branches,
-            generators=tuple(gens),
-            demands=tuple(demands),
-            base_mva=case.base_mva,
-        )
-    except CaseError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return GridCase(
+        buses=case.buses,
+        branches=case.branches,
+        generators=tuple(gens),
+        demands=tuple(demands),
+        base_mva=case.base_mva,
+    )
 

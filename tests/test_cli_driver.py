@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import runpy
 import subprocess
 import sys
 from itertools import product
@@ -33,9 +34,6 @@ from gridshed.cli_driver import (
 )
 from gridshed.grid_model import (
     Branch,
-    Bus,
-    DemandSpec,
-    Generator,
     GridCase,
     ScenarioConfig,
     apply_scenario,
@@ -43,7 +41,7 @@ from gridshed.grid_model import (
     serialize_case,
 )
 from gridshed.power_equations import InputVector, SwitchVector, constraints_C, network
-from test_grid_model import _random_case
+from seeded_cases import _feasible_case, _random_case
 
 
 @pytest.fixture(scope="session")
@@ -595,40 +593,6 @@ def test_stressed_tiled_case_is_answered(case30, tag, objective):
     assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
 
 
-def _feasible_case(rng, demands=(2, 7)) -> GridCase:
-    """A small case that always has an answer: 2-6 demands on 2-7 buses, or
-    demands[0] to demands[1] - 1 demands on as many buses or more.
-
-    pg_min is 0, every qg range contains 0 and every voltage band contains
-    [0.95, 1.05], so the all-off set balances at the flat point.  Summed
-    pg_max is 0.5-1.5 times summed pd, so about half the cases must shed.
-    """
-    n_dem = int(rng.integers(*demands))
-    n = int(rng.integers(max(2, n_dem), max(8, n_dem + 1)))
-    slack = int(rng.integers(n))
-    buses = [Bus(id=k + 1, v_min=rng.uniform(0.9, 0.95), v_max=rng.uniform(1.05, 1.1),
-                 is_slack=k == slack) for k in range(n)]
-    pairs = {(int(rng.integers(k)) + 1, k + 1) for k in range(1, n)}
-    for _ in range(int(rng.integers(0, 3))):
-        f, t = sorted(int(v) + 1 for v in rng.choice(n, 2, replace=False))
-        pairs.add((f, t))
-    branches = []
-    for f, t in sorted(pairs):
-        r, x = rng.uniform(0.005, 0.05), rng.uniform(0.02, 0.2)
-        den = r * r + x * x
-        branches.append(Branch(from_bus=f, to_bus=t, g=r / den, b=-x / den, r=r, x=x))
-    demands = [DemandSpec(bus=int(bus) + 1, pd=rng.uniform(0.1, 1.0), qd=rng.uniform(0.0, 0.3),
-                          rank=rng.uniform(0.1, 5.0))
-               for bus in rng.choice(n, n_dem, replace=False)]
-    gen_buses = rng.choice(n, int(rng.integers(1, min(3, n) + 1)), replace=False)
-    total = rng.uniform(0.5, 1.5) * sum(d.pd for d in demands)
-    generators = [Generator(bus=int(bus) + 1, pg_min=0.0, pg_max=total * share,
-                            qg_min=-rng.uniform(0.5, 2.0), qg_max=rng.uniform(0.5, 2.0))
-                  for bus, share in zip(gen_buses, rng.dirichlet(np.ones(gen_buses.size)))]
-    return GridCase(buses=tuple(buses), branches=tuple(branches), generators=tuple(generators),
-                    demands=tuple(demands))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_answers_on_feasible_random_cases_hold_the_solver_invariants(seed):
@@ -1035,6 +999,32 @@ def test_python_m_gridshed_runs_the_command_without_warnings(case5_path):
     assert "RuntimeWarning" not in out.stderr
     assert "PASS" in out.stdout and "FAIL" not in out.stdout
 
+
+
+def test_gridshed_main_module_runs_the_command_in_process(case5_path, monkeypatch, capsys):
+    # runpy runs __main__.py here, as python -m does in a process of its own
+    monkeypatch.setattr(sys, "argv", ["gridshed", "check", "--case", str(case5_path)])
+    monkeypatch.delitem(sys.modules, "gridshed.__main__", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("gridshed", run_name="__main__")
+    assert exc.value.code == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, case, config, message", [
+    ("oracle", "case30", "scenario = stress\n",
+     "enumeration needs 2^30 continuous solves; the cap is 2^20"),
+    ("solve", "case5", "scenario.pd_shift = nan\n", "pd_shift must be finite"),
+], ids=["oracle-cap", "solve-pd_shift-nan"])
+def test_cli_refuses_a_run_it_cannot_do_with_exit_two(request, tmp_path, capsys, command, case, config,
+                                                     message):
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text(config)
+    path = request.getfixturevalue(f"{case}_path")
+    out = tmp_path / "out"
+    assert main([command, "--case", str(path), "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 def test_cli_scenario_prints_modified_case(case30_path, capsys):
     assert main(["scenario", "--case", str(case30_path)]) == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gridshed.cli_driver import main
 from gridshed.grid_model import (
-    DEFAULT_THETA_BOUND,
     Branch,
     Bus,
     CaseError,
@@ -27,6 +26,7 @@ from gridshed.grid_model import (
     parse_case,
     serialize_case,
 )
+from seeded_cases import _random_case
 
 TWO_BUS = """
 function mpc = two_bus
@@ -268,45 +268,6 @@ def test_parse_branch_pu_row_applies_in_either_order(case5_lines):
     assert (branch.from_bus, branch.to_bus, branch.g, branch.b) == (1, 2, 7.5, -20.0)
 
 
-def _random_case(rng) -> GridCase:
-    """A small valid case: 2-8 buses with gapped ids, a random spanning tree
-    of branches plus a few more, 1-3 generators, random loads and ranks, and
-    non-default angle bounds on at least one bus."""
-    n = int(rng.integers(2, 9))
-    ids = [int(v) for v in np.cumsum(rng.integers(2, 40, n))]
-    slack = rng.integers(n)
-    bounded = rng.random(n) < 0.4
-    bounded[rng.integers(n)] = True
-    buses = []
-    for k, bus in enumerate(ids):
-        v_min = rng.uniform(0.8, 1.0)
-        lo, hi = (-rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)) if bounded[k] else \
-            (-DEFAULT_THETA_BOUND, DEFAULT_THETA_BOUND)
-        buses.append(Bus(id=bus, v_min=v_min, v_max=v_min + rng.uniform(0.0, 0.3),
-                         theta_min=lo, theta_max=hi, is_slack=bool(k == slack)))
-    pairs = {frozenset((ids[k], ids[rng.integers(k)])) for k in range(1, n)}
-    for _ in range(rng.integers(0, 4)):
-        pairs.add(frozenset(int(v) for v in rng.choice(ids, 2, replace=False)))
-    branches = []
-    for pair in sorted(pairs, key=sorted):
-        f, t = rng.permutation(sorted(pair))
-        branches.append(Branch(from_bus=int(f), to_bus=int(t), g=rng.uniform(0.0, 20.0),
-                               b=-rng.uniform(0.1, 50.0)))
-    generators = []
-    for bus in rng.choice(ids, int(rng.integers(1, min(3, n) + 1)), replace=False):
-        pg_min, qg_min = rng.uniform(0.0, 1.0), -rng.uniform(0.0, 3.0)
-        generators.append(Generator(bus=int(bus), pg_min=pg_min, pg_max=pg_min + rng.uniform(0.0, 4.0),
-                                    qg_min=qg_min, qg_max=qg_min + rng.uniform(0.0, 6.0)))
-    demands = []
-    for bus in rng.choice(ids, int(rng.integers(1, n + 1)), replace=False):
-        loaded = rng.random() < 0.8
-        demands.append(DemandSpec(bus=int(bus), pd=rng.uniform(0.0, 3.0) if loaded else 0.0,
-                                  qd=rng.uniform(-0.5, 1.5) if loaded else 0.0,
-                                  rank=rng.uniform(0.1, 5.0)))
-    return GridCase(buses=tuple(buses), branches=tuple(branches), generators=tuple(generators),
-                    demands=tuple(demands), base_mva=rng.uniform(10.0, 1000.0))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_serialize_round_trips_random_cases(seed):
@@ -370,6 +331,54 @@ def test_case_validation_rejects_bad_structures():
     with pytest.raises(CaseError, match="rank"):
         DemandSpec(bus=1, pd=0.1, qd=0.0, rank=0.0)
 
+
+
+def _two_bus_case(**fields) -> GridCase:
+    """A valid two-bus case with the given fields replaced."""
+    parts = dict(buses=(Bus(id=1, v_min=0.9, v_max=1.1, is_slack=True), Bus(id=2, v_min=0.9, v_max=1.1)),
+                 branches=(Branch(from_bus=1, to_bus=2, g=1.0, b=-5.0),),
+                 generators=(Generator(bus=1, pg_min=0.0, pg_max=1.0, qg_min=-1.0, qg_max=1.0),),
+                 demands=(DemandSpec(bus=2, pd=0.5, qd=0.1),))
+    return GridCase(**{**parts, **fields})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Bus(id=1, v_min=0.9, v_max=1.1, theta_min=0.5, theta_max=0.1), "bus 1: theta_min > theta_max"),
+    (lambda: Branch(from_bus=1, to_bus=1, g=1.0, b=-5.0), "branch 1-1: self loop"),
+    (lambda: Branch(from_bus=1, to_bus=2, g=0.0, b=0.0), "branch 1-2: zero admittance"),
+    (lambda: _two_bus_case(buses=(Bus(id=1, v_min=0.9, v_max=1.1, is_slack=True),
+                                  Bus(id=2, v_min=0.9, v_max=1.1), Bus(id=2, v_min=0.9, v_max=1.0))),
+     "duplicate bus ids"),
+    (lambda: _two_bus_case(branches=(Branch(from_bus=1, to_bus=3, g=1.0, b=-5.0),)),
+     "branch 1-3: unknown bus reference"),
+    (lambda: _two_bus_case(branches=(Branch(from_bus=1, to_bus=2, g=1.0, b=-5.0),
+                                     Branch(from_bus=2, to_bus=1, g=2.0, b=-4.0))),
+     "branch 2-1: duplicate branch"),
+    (lambda: _two_bus_case(generators=(Generator(bus=3, pg_min=0.0, pg_max=1.0, qg_min=-1.0, qg_max=1.0),)),
+     "generator at bus 3: unknown bus reference"),
+    (lambda: _two_bus_case(demands=(DemandSpec(bus=3, pd=0.5, qd=0.1),)),
+     "demand at bus 3: unknown bus reference"),
+    (lambda: _two_bus_case(demands=(DemandSpec(bus=2, pd=0.5, qd=0.1), DemandSpec(bus=2, pd=0.2, qd=0.0))),
+     "duplicate demand bus"),
+    (lambda: _two_bus_case(base_mva=0.0), "base_mva must be positive"),
+    (lambda: _two_bus_case(base_mva=-100.0), "base_mva must be positive"),
+], ids=["bus-theta-order", "branch-self-loop", "branch-zero-admittance", "duplicate-bus",
+        "branch-unknown-bus", "duplicate-branch", "generator-unknown-bus", "demand-unknown-bus",
+        "duplicate-demand", "base_mva-zero", "base_mva-negative"])
+def test_records_reject_a_bad_field_or_structure(build, message):
+    assert _two_bus_case().bus_ids == (1, 2)
+    with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("bus_type", ["1", "2"], ids=["pq", "pv"])
+def test_parse_reraises_a_case_error_of_the_whole_case_as_a_parse_error(bus_type):
+    # a case text whose only slack row becomes a load or generator bus row:
+    # every row is valid alone, so the fault belongs to no line
+    text = TWO_BUS.replace("    1  3  0", f"    1  {bus_type}  0")
+    with pytest.raises(ParseError, match="^expected exactly one slack bus, found 0$") as exc:
+        parse_case(text)
+    assert exc.value.line_no is None
 
 def test_build_admittance_two_bus():
     Y = build_admittance(parse_case(TWO_BUS))
@@ -519,6 +528,39 @@ def test_scenario_rejects_a_bad_float_field(field, value):
         ScenarioConfig(**{field: value})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"pd_shift": NAN}, "pd_shift must be finite"),
+    ({"pd_shift": -INF}, "pd_shift must be finite"),
+    ({"qd_shift": INF}, "qd_shift must be finite"),
+    ({"shift_mode": "additive"}, "unknown shift_mode 'additive'"),
+    ({"demand_set_mode": "some-buses"}, "unknown demand_set_mode 'some-buses'"),
+    ({"qg_bound_scale": 0.0}, "qg_bound_scale must lie in (0, 1]"),
+    ({"pg_upper_scale": 1.5}, "pg_upper_scale must lie in (0, 1]"),
+    ({"pg_upper_scale": NAN}, "pg_upper_scale must lie in (0, 1]"),
+], ids=["pd_shift-nan", "pd_shift-inf", "qd_shift-inf", "shift_mode", "demand_set_mode",
+        "qg_bound_scale-zero", "pg_upper_scale-above-one", "pg_upper_scale-nan"])
+def test_scenario_rejects_a_field_out_of_its_range(fields, message):
+    # pd_shift = nan used to build, and the transform then failed naming a
+    # demand's pd instead of the field
+    with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [{"pd_shift": -100.0}, {"shift_mode": "multiplicative", "pd_shift": -1.0}],
+                         ids=["additive", "multiplicative"])
+def test_scenario_faults_are_scenario_errors_in_either_shift_mode(case5, fields):
+    # the additive mode used to let the demand's own CaseError through
+    with pytest.raises(ScenarioError, match="^demand at bus 2: pd must be non-negative$"):
+        apply_scenario(case5, ScenarioConfig(**fields))
+
+
+def test_scenario_that_cuts_a_generator_below_its_floor_is_a_scenario_error(case5):
+    floored = dataclasses.replace(
+        case5, generators=tuple(dataclasses.replace(g, pg_min=1.0) for g in case5.generators))
+    with pytest.raises(ScenarioError, match="^generator at bus 1: empty bound interval$"):
+        apply_scenario(floored, ScenarioConfig(pg_upper_scale=0.1))
+
+
 def test_scenario_float_fields_keep_ints_and_floats():
     cfg = ScenarioConfig(pd_shift=2, qd_shift=np.float64(0.5), qg_bound_scale=1, pg_upper_scale=0.5)
     assert (cfg.pd_shift, cfg.qd_shift, cfg.qg_bound_scale, cfg.pg_upper_scale) == (2, 0.5, 1, 0.5)
@@ -542,4 +584,9 @@ def test_scenario_zero_total_demand_rejected(case30):
     )
     with pytest.raises(ScenarioError):
         apply_scenario(drained, ScenarioConfig(qd_shift=0.7))
+    # active shift with nothing to distribute over
+    unloaded = dataclasses.replace(
+        drained, demands=tuple(dataclasses.replace(d, pd=0.0) for d in case30.demands))
+    with pytest.raises(ScenarioError, match="^additive pd_shift requires positive total active demand$"):
+        apply_scenario(unloaded, ScenarioConfig(qd_shift=0.0))
 

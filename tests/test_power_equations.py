@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_grid_model import _random_case
+from seeded_cases import _random_case
 
 from gridshed import ao1_opf, power_equations
 from gridshed.cli_driver import SolverConfig, run_ao_sbqp

@@ -89,14 +89,14 @@ def test_compare_names_each_call_that_differs(tmp_path, tool, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-CENSUS = Path(__file__).resolve().parents[1] / "tools" / "restore_census.py"
+CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 
 
 @pytest.fixture()
 def census(monkeypatch):
     # run as a script, the tool finds workload_digests next to it
     monkeypatch.setattr(sys, "path", [str(CENSUS.parent), *sys.path])
-    spec = importlib.util.spec_from_file_location("restore_census", CENSUS)
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -108,9 +108,9 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     # and that end point costs a residual alone; and its most evaluations in
     # one fit fall short of its evaluations (an oracle5 call runs several
     # fits) but bound them from above, fits x most
-    assert census.main(["--workload", "oracle5", "--seeds", "1"]) == 0
+    assert census.main(["--workload", "oracle5", "--seeds", "1", "--random", "23"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[2:7] == ["fits", "nfev", "most", "jac", "b/s/cap"]
+    assert lines[0].split()[2:7] == ["fits", "nfev", "max_nfev", "jac", "b/s/cap"]
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
     assert len(calls) == 20
     for fields in calls:
@@ -124,6 +124,12 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     assert int(words[5]) == sum(int(f[8]) for f in calls)
     assert words[6:9] == ["derivative", "passes;", "exits:"]
     assert total.endswith(f"; at most {max(int(f[7]) for f in calls)} evaluations in one fit")
+    # the random part counts its fits too: _random_case seed 23 runs one
+    # stationary fit per variant
+    randoms = [line.split() for line in lines if line.startswith("random 23 ")]
+    assert [fields[3] for fields in randoms] == ["1"] * 3
+    assert [fields[7] for fields in randoms] == ["0/1/0"] * 3
+    assert lines[-3].startswith(f"AO1 fits 3, {sum(int(f[4]) for f in randoms)} evaluations, ")
 
 
 def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
@@ -136,93 +142,83 @@ def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
     from gridshed.power_equations import SwitchVector, network
 
     start = ao1_opf.dispatch_start(network(shortfall5_case))
-    tally = census.Census()
-    tally.install()
-    try:
+    with census.Census() as tally:
         entries = cli_driver.enumerate_oracle(shortfall5_case)
-        oracle = tally.take()
+        oracle = tally.take()["fits"]
         fitted = sorted((e for e in entries if not e.screened),
                         key=lambda e: sum(b << k for k, b in enumerate(e.switches)))
         for e in fitted:
             y = SwitchVector(np.array(e.switches, dtype=float))
             ao1_opf.solve_ao1(shortfall5_case, y, warm=start(y))
-        alone = tally.take()
-    finally:
-        tally.uninstall()
+        alone = tally.take()["fits"]
+    assert ao1_opf.least_squares is tally._saved[0]
     assert len(oracle) == len(alone) == len(fitted) > 1
     assert [(r[0], r[1], r[2], r[4]) for r in oracle] == [(r[0], r[1], r[2], r[4]) for r in alone]
     assert [e.evaluations for e in fitted] == [r[0] for r in oracle]
 
 
-QP_CENSUS = Path(__file__).resolve().parents[1] / "tools" / "qp_census.py"
-
-
-@pytest.fixture()
-def qp_census(monkeypatch):
-    monkeypatch.setattr(sys, "path", [str(QP_CENSUS.parent), *sys.path])
-    spec = importlib.util.spec_from_file_location("qp_census", QP_CENSUS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_qp_census_counts_clips_and_steps_per_call_and_in_total(qp_census, capsys):
+def test_qp_census_counts_clips_and_steps_per_call_and_in_total(census, capsys):
     # switch30 seed 1 and _random_case seed 23, whose demands draw no power,
     # so its one live pattern, the empty one, is rejected at the first fit
-    assert qp_census.main(["--workload", "switch30", "--seeds", "1", "--random", "23"]) == 0
+    assert census.main(["--workload", "switch30", "--seeds", "1", "--random", "23"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[2:7] == ["clips", "steps", "single/newton", "most", "cap"]
+    assert lines[0].split()[11:16] == ["clips", "steps", "single/newton", "max_steps", "cap"]
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
     assert len(calls) == 12 and all(fields[-1] == "answered" for fields in calls)
     for fields in calls:
-        clips, steps, most, cap = (int(v) for v in fields[5:7] + fields[8:10])
-        single, newton = (int(v) for v in fields[7].split("/"))
+        clips, steps, most, cap = (int(v) for v in fields[14:16] + fields[17:19])
+        single, newton = (int(v) for v in fields[16].split("/"))
         assert clips > 0 and most <= steps and cap == 0
         # every switch30 step of seed 1 has one working row
         assert (single, newton) == (steps, 0)
-    total = next(line for line in lines if line.startswith("switch30 seeds 1: "))
-    words = total.replace(",", "").replace(";", "").split()
-    assert words[3:5] == ["12", "calls"]
-    assert int(words[7]) == sum(int(f[5]) for f in calls)
-    assert int(words[10]) == sum(int(f[6]) for f in calls)
-    assert words[13:17] == [f"({words[10]}", "single-row", "0", "Newton)"]
+    # switch30 builds its AO1 starts in set-up, so the fits fall there
+    setup = next(line.split() for line in lines if line.startswith("seed 1 setup "))
+    assert int(setup[3]) > 0 and setup[12:14] == ["0", "0"]
+    assert all(fields[5] == "0" for fields in calls)
+    head = lines.index(next(line for line in lines if line.startswith("switch30 seeds 1: ")))
+    assert lines[head].startswith("switch30 seeds 1: 12 calls, 0 failed; ")
+    words = lines[head + 3].replace(",", "").replace(";", "").split()
+    assert words[:2] == ["QP", "kernel:"]
+    assert int(words[2]) == sum(int(f[14]) for f in calls)
+    assert int(words[5]) == sum(int(f[15]) for f in calls)
+    assert words[8:12] == [f"({words[5]}", "single-row", "0", "Newton)"]
     randoms = [line for line in lines if line.startswith("random 23 ")]
     assert [line.split()[2] for line in randoms] == ["mixed", "relaxed-one", "relaxed-two"]
     assert all(line.endswith("DriverError: all 1 live switch pattern proved infeasible") for line in randoms)
-    assert lines[-1].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
+    assert lines[-4].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
 
 
-def test_qp_census_counts_solves_by_status_per_call_and_in_total(qp_census, capsys):
+def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys):
     # every switch30 solve of seed 1 has a status, and the totals add them
     # up; on _random_case seed 14 the aggregate reactive row admits no point
     # of the box, so each variant's first QP reports infeasible and the
     # switching stage stops there
-    assert qp_census.main(["--workload", "switch30", "--seeds", "1", "--random", "14"]) == 0
+    assert census.main(["--workload", "switch30", "--seeds", "1", "--random", "14"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[7] == "o/m/i"
+    assert lines[0].split()[16] == "o/m/i"
     calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
-    counts = [[int(v) for v in fields[10].split("/")] for fields in calls]
+    counts = [[int(v) for v in fields[19].split("/")] for fields in calls]
     assert all(sum(c) > 0 for c in counts)
-    total = next(line for line in lines if line.startswith("switch30 seeds 1: "))
-    solves = total.split("; ")[2]
+    total = next(line for line in lines if line.startswith("QP kernel: "))
+    solves = total.split("; ")[1]
     expected = [sum(c[k] for c in counts) for k in range(3)]
     assert solves == (f"{sum(expected)} QP solves: {expected[0]} optimal, {expected[1]} max-iterations, "
                       f"{expected[2]} infeasible")
     randoms = [line for line in lines if line.startswith("random 14 ")]
-    assert [line.split()[8] for line in randoms] == ["0/0/1"] * 3
+    assert [line.split()[17] for line in randoms] == ["0/0/1"] * 3
     assert all(line.endswith("DriverError: the switching rows admit no point of the box") for line in randoms)
     assert "; 3 QP solves: 0 optimal, 0 max-iterations, 3 infeasible; " in lines[-1]
     # switch30 seed 1 ends no clip unconverged, so it tests no certificate;
     # on seed 14 each variant's infeasible verdict rests on the ray of a
     # kernel step, with a margin well above SLACK_TOL
-    assert lines[0].split()[8:10] == ["ray/last/none", "margin"]
-    assert all(fields[11:13] == ["0/0/0", "-"] for fields in calls)
-    assert ("; infeasible by 0 ray and 0 last-multiplier certificates, 0 unconverged clips certify "
-            "nothing, smallest margin -; ") in total
-    assert [line.split()[9] for line in randoms] == ["1/0/0"] * 3
+    assert lines[0].split()[17:19] == ["ray/last/none", "margin"]
+    assert all(fields[20:22] == ["0/0/0", "-"] for fields in calls)
+    assert total.endswith("; infeasible by 0 ray and 0 last-multiplier certificates, 0 unconverged "
+                          "clips certify nothing, smallest margin -")
+    assert [line.split()[18] for line in randoms] == ["1/0/0"] * 3
     # that ray comes from each clip's one step, a Newton step on two rows
-    assert [line.split()[5] for line in randoms] == ["0/1"] * 3
-    margins = [float(line.split()[10]) for line in randoms]
-    assert min(margins) > 1e3 * qp_census.qp_core.SLACK_TOL
-    assert ("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged clips certify "
-            f"nothing, smallest margin {min(margins):.2e}; ") in lines[-1]
+    assert [line.split()[14] for line in randoms] == ["0/1"] * 3
+    margins = [float(line.split()[19]) for line in randoms]
+    assert min(margins) > 1e3 * census.qp_core.SLACK_TOL
+    assert lines[-1].endswith("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged "
+                              f"clips certify nothing, smallest margin {min(margins):.2e}")

@@ -11,7 +11,7 @@ Runs, in this process and against ./src:
 * two ``solve`` runs that end in a ``DriverError``, so that the exit text
   and the best-iterate line are compared too: stressed case30 with mixed and
   ``outer_max_iters = 1`` (exit 3, the outer cap), and mixed on the
-  ``_random_case`` draw of seed 6 (the generator of tests/test_grid_model.py),
+  ``_random_case`` draw of seed 6 (the generator of tests/seeded_cases.py),
   written out by ``serialize_case`` as configs/random6.m (exit 2, the
   switching stage proposes a rejected set again);
 * ``oracle`` on the case5 shortfall config;
@@ -41,7 +41,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from gridshed.cli_driver import main as gridshed  # noqa: E402  (first: it pins the BLAS threads)
 from gridshed.grid_model import serialize_case  # noqa: E402
 import numpy as np  # noqa: E402
-from test_grid_model import _random_case  # noqa: E402
+from seeded_cases import _random_case  # noqa: E402
 
 CASES = ROOT / "src" / "gridshed" / "cases"
 VARIANTS = ("mixed", "relaxed-one", "relaxed-two")
