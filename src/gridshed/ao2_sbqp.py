@@ -150,12 +150,6 @@ class SbqpTrace:
         return np.array([row.phi for row in self.rows])
 
 
-def _switch_array(y) -> np.ndarray:
-    if isinstance(y, SwitchVector):
-        return y.y
-    return np.asarray(y, dtype=float)
-
-
 def snap_binary(y: np.ndarray, tol: float) -> np.ndarray:
     """Replace coordinates within tol of 0 or 1 by the exact endpoint."""
     out = np.asarray(y, dtype=float).copy()
@@ -172,18 +166,17 @@ def step_length(y_hat, direction, anchor) -> tuple[float, str]:
     unit step ("fallback").  Either way alpha is clipped so the update stays
     inside [0, 1]; clipping appends "-clipped" to the kind.
     """
-    y = _switch_array(y_hat)
-    d = _switch_array(direction)
-    g = grad_phi(_switch_array(anchor))
-    den = float(d @ g)
+    g = grad_phi(anchor)
+    den = float(direction @ g)
     if abs(den) > DEGENERATE_DEN:
-        alpha, kind = -float(y @ g) / den, "exact"
+        alpha, kind = -float(y_hat @ g) / den, "exact"
     else:
         alpha, kind = 1.0, "fallback"
-    moving = d != 0.0
+    moving = direction != 0.0
     if moving.any():
-        r0 = (0.0 - y[moving]) / d[moving]
-        r1 = (1.0 - y[moving]) / d[moving]
+        y, d = y_hat[moving], direction[moving]
+        r0 = (0.0 - y) / d
+        r1 = (1.0 - y) / d
         lo = float(np.minimum(r0, r1).max())
         hi = float(np.maximum(r0, r1).min())
         clipped = min(max(alpha, lo), hi)
@@ -197,13 +190,20 @@ def live_demands(net) -> np.ndarray:
     return (net.pd != 0.0) | (net.qd != 0.0)
 
 
-def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) -> dict:
-    """The parts of every subproblem around lin_point that do not depend on
-    rho or the anchor: the box, the rows, the curvature (relaxed-one adds
-    2 rho to it) and the linear term before the penalty gradient.  The active
-    row's right side sum pg - sum y_lin pd - L charges the network losses
-    L = sum_k P_act,k at lin_point: on a binary y_lin it is the summed active
-    balance residual there, so the step must shed at least its shortfall."""
+def subproblem_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts=()) -> dict:
+    """The parts of every switching subproblem around lin_point that do not
+    depend on rho or the anchor, as one value for build_subproblem: the
+    variant's tag, y_lin, the box, the rows A and b, the curvature q and the
+    linear term g0 before the penalty gradient.
+
+    The variable is the step d = y - y_lin, so the box is [-y_lin, 1 - y_lin].
+    The active row's right side sum pg - sum y_lin pd - L charges the network
+    losses L = sum_k P_act,k at lin_point: on a binary y_lin it is the summed
+    active balance residual there, so the step must shed at least its
+    shortfall.  Each rejected switch set y* in cuts, a 0/1 array, adds the row
+    sum_live |y - y*| >= 1, linear over the unit box: coefficient 1 - 2 y* on
+    a live demand, 0 on a zero-load one.
+    """
     state, inputs, switches = lin_point
     net = network(case)
     y_lin = switches.y
@@ -219,7 +219,7 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
     b[0] -= float(flow[0::2].sum())
     A = np.vstack([-net.pd, -net.qd, net.qd])
     if len(cuts):
-        stars = np.array([_switch_array(c) for c in cuts], dtype=float)
+        stars = np.array(cuts, dtype=float)
         live = live_demands(net)
         A = np.vstack([A, (1.0 - 2.0 * stars) * live])
         b = np.concatenate([b, np.abs(y_lin - stars) @ live - 1.0])
@@ -237,38 +237,23 @@ def _fixed_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts) ->
     else:
         q = 2.0 * (net.rank * net.pd)
         g0 = q * y_lin
-    return {"y_lin": y_lin, "lower": -y_lin, "upper": 1.0 - y_lin, "A": A, "b": b, "q": q, "g0": g0}
+    return {"tag": variant.tag, "y_lin": y_lin, "lower": -y_lin, "upper": 1.0 - y_lin,
+            "A": A, "b": b, "q": q, "g0": g0}
 
 
-def build_subproblem(case: GridCase, lin_point, duals, rho: float,
-                     variant: Ao2Variant, phi_anchor=None, cuts=(), parts=None) -> QpProblem:
-    """Quadratic switching subproblem around a continuous-stage point.
-
-    The decision variable is the step d = y - y_lin from the linearization
-    switches, so the unit box becomes [-y_lin, 1 - y_lin] and the penalty
-    gradient lands directly in the linear term.  Three aggregate rows keep
-    the served demand inside what the current active dispatch, less the
-    network losses at lin_point, and the reactive capability range admit
-    (see _fixed_parts).  Each rejected switch set y* in cuts
-    adds the row sum_live |y - y*| >= 1, which is linear over the unit box:
-    coefficient 1 - 2 y* on a live demand, 0 on a zero-load one.
+def build_subproblem(parts: dict, rho: float, phi_anchor=None) -> QpProblem:
+    """The switching subproblem at penalty rho, from subproblem_parts.
 
     Only the linear term, and relaxed-one's curvature, depend on rho and the
-    anchor.  A caller that builds many subproblems around one (lin_point,
-    duals, variant, cuts) passes the same dict as parts to each: the first
-    call fills it with the other pieces and later calls reuse them, so the
-    outflow and the dual Hessian are evaluated once.
+    anchor: the penalty gradient at phi_anchor (y_lin when None) times rho
+    comes off g0.  relaxed-one keeps the exact penalty expanded around y_lin
+    instead, its gradient there and curvature 2 rho, whatever the anchor.
     """
-    if parts is None:
-        parts = {}
-    if not parts:
-        parts.update(_fixed_parts(case, lin_point, duals, variant, cuts))
     y_lin = parts["y_lin"]
-    anchor = y_lin if phi_anchor is None else _switch_array(phi_anchor)
+    anchor = y_lin if phi_anchor is None else phi_anchor
     rho = float(rho)
     q = parts["q"]
-    if variant.tag == "relaxed-one":
-        # the exact penalty expanded around y_lin: its gradient there and curvature 2 rho
+    if parts["tag"] == "relaxed-one":
         q = q + 2.0 * rho
         anchor = y_lin
     g = parts["g0"] - rho * grad_phi(anchor)
@@ -383,8 +368,8 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     y_lin = switches.y
     w = net.rank * net.pd
 
-    parts = {}
-    base = build_subproblem(case, start, duals, 0.0, variant, switches, cuts, parts)
+    parts = subproblem_parts(case, start, duals, variant, cuts)
+    base = build_subproblem(parts, 0.0, y_lin)
 
     def row_feasible(y):
         slack = base.b + base.A @ (y - y_lin)
@@ -393,7 +378,7 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     def solve_sub(rho, anchor, warm):
         # the seeding solve's subproblem is base itself: at rho = 0 the anchor
         # changes no float
-        prob = base if rho == 0.0 else build_subproblem(case, start, duals, rho, variant, anchor, cuts, parts)
+        prob = base if rho == 0.0 else build_subproblem(parts, rho, anchor)
         sol = solve_qp(prob, start=None if warm is None else warm - y_lin)
         return y_lin + sol.primal, sol.status
 

@@ -474,25 +474,18 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
         res = _kkt_met(problem, grad, z, lam, mu, gam)
-        if res is not None:
-            probe = _endpoint_probe(problem, z, value, moves)
-            if probe is None:
-                status = "optimal"
-                break
-            z, res = probe, None
-            z_prev = grad_prev = None
-            continue
-        # exact line search on the first segment of the projection arc
         p = w - z
-        if np.abs(p).max(initial=0.0) <= 1e-14:
+        if res is not None or np.abs(p).max(initial=0.0) <= 1e-14:
             probe = _endpoint_probe(problem, z, value, moves)
             if probe is not None:
-                z = probe
+                z, res = probe, None
                 z_prev = grad_prev = None
                 continue
-            res = kkt_residual(problem, z, lam, mu, gam)
+            if res is None:
+                res = kkt_residual(problem, z, lam, mu, gam)
             status = "optimal" if res <= 1e-6 else status
             break
+        # exact line search on the first segment of the projection arc
         den = p * problem.q @ p
         alpha = 1.0 if den >= -1e-14 else min(1.0, (grad @ p) / -den)
         z = z + alpha * p

@@ -409,6 +409,18 @@ def test_fit_keeps_every_point_inside_the_bounds(negative_g5, start):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fit_held_at_a_bound_by_its_gradient_ends_stationary(sign):
+    # F = z - 2 sign from z0 = sign on the box [-1, 1]: the gradient pushes
+    # the one coordinate out through the bound it sits on, so no coordinate
+    # is free and the projected gradient is empty
+    prob = SimpleNamespace(lower=np.array([-1.0]), upper=np.array([1.0]),
+                           residual=lambda z: (z - 2.0 * sign, None), jacobian=lambda terms: np.ones((1, 1)))
+    out = ao1_opf.least_squares(prob, np.array([sign]))
+    assert (out.status, out.nfev, out.njev) == ("stationary", 1, 1)
+    assert out.x.tolist() == [sign] and out.fun.tolist() == [-sign]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_spoiled_clip_is_re_solved_on_the_free_coordinates(sign):
     # F = A z - b from z = 0: the damped Gauss-Newton step, about
     # sign * (17, -17), runs along the flat direction of A'A.  The box cuts

@@ -11,12 +11,14 @@ from gridshed.ao2_sbqp import (
     Ao2Error,
     Ao2Variant,
     PenaltySchedule,
+    SbqpTrace,
     build_subproblem,
     live_demands,
     penalty_loop,
     run_ao2,
     snap_binary,
     step_length,
+    subproblem_parts,
 )
 from gridshed.power_equations import (
     SwitchVector,
@@ -94,6 +96,11 @@ def test_variant_rejects_non_bool_single_shot(tag, value):
         Ao2Variant(tag=tag, single_shot=value)
 
 
+def test_trace_must_be_nonempty():
+    with pytest.raises(ValueError, match="^trace must be nonempty$"):
+        SbqpTrace(())
+
+
 def test_snap_binary_only_touches_near_endpoints():
     y = np.array([0.0, 1e-7, 0.3, 1.0 - 1e-7, 1.0])
     out = snap_binary(y, 1e-6)
@@ -148,7 +155,7 @@ def test_step_length_exact_zeroes_linearized_residual(seed):
 def test_aggregate_rows_and_box(stressed30, stressed30_start):
     res, start = stressed30_start
     net = network(stressed30)
-    prob = build_subproblem(stressed30, start, res.duals, 1.0, Ao2Variant(tag="relaxed-two"))
+    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two")), 1.0)
     n = net.n_dem
     assert prob.A.shape == (3, n)
     np.testing.assert_array_equal(prob.lower, -np.ones(n))
@@ -172,14 +179,15 @@ def test_active_row_is_the_balance_residual_at_a_balanced_point(tag, case30):
     ones = SwitchVector(np.ones(net.n_dem))
     res = solve_ao1(case30, ones)
     assert res.status == "converged"
-    prob = build_subproblem(case30, (res.state, res.input, ones), res.duals, 0.0, Ao2Variant(tag=tag))
+    prob = build_subproblem(subproblem_parts(case30, (res.state, res.input, ones), res.duals, Ao2Variant(tag=tag)),
+                            0.0)
     assert abs(prob.b[0]) <= net.n_bus * TOL_FEAS
 
 
 def test_mixed_zero_penalty_linear_term_is_objective_gradient(stressed30, stressed30_start):
     res, start = stressed30_start
     net = network(stressed30)
-    prob = build_subproblem(stressed30, start, res.duals, 0.0, Ao2Variant(tag="mixed"))
+    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed")), 0.0)
     _, _, dE = jacobians(net, *start)
     nxu = 2 * net.n_bus + 2 * net.n_gen
     np.testing.assert_array_equal(prob.g_lin, dE[nxu:])
@@ -187,7 +195,7 @@ def test_mixed_zero_penalty_linear_term_is_objective_gradient(stressed30, stress
 
 def test_mixed_curvature_pushed_strictly_concave(stressed30, stressed30_start):
     res, start = stressed30_start
-    prob = build_subproblem(stressed30, start, res.duals, 10.0, Ao2Variant(tag="mixed"))
+    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed")), 10.0)
     assert prob.q.shape == (network(stressed30).n_dem,)
     assert float(prob.q.max()) < 0.0
 
@@ -195,11 +203,9 @@ def test_mixed_curvature_pushed_strictly_concave(stressed30, stressed30_start):
 def test_relaxed_one_ignores_the_anchor(stressed30, stressed30_start):
     res, start = stressed30_start
     net = network(stressed30)
-    v = Ao2Variant(tag="relaxed-one")
-    a = build_subproblem(stressed30, start, res.duals, 3.0, v,
-                         phi_anchor=np.zeros(net.n_dem))
-    b = build_subproblem(stressed30, start, res.duals, 3.0, v,
-                         phi_anchor=np.full(net.n_dem, 0.37))
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-one"))
+    a = build_subproblem(parts, 3.0, phi_anchor=np.zeros(net.n_dem))
+    b = build_subproblem(parts, 3.0, phi_anchor=np.full(net.n_dem, 0.37))
     np.testing.assert_array_equal(a.g_lin, b.g_lin)
     np.testing.assert_array_equal(a.q, b.q)
     w = net.rank * net.pd
@@ -210,8 +216,8 @@ def test_relaxed_two_linearizes_at_the_anchor(stressed30, stressed30_start):
     res, start = stressed30_start
     net = network(stressed30)
     anchor = np.full(net.n_dem, 0.25)
-    prob = build_subproblem(stressed30, start, res.duals, 2.0,
-                            Ao2Variant(tag="relaxed-two"), phi_anchor=anchor)
+    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two")), 2.0,
+                            phi_anchor=anchor)
     w = net.rank * net.pd
     np.testing.assert_allclose(prob.g_lin, 2.0 * w - 2.0 * grad_phi(anchor), atol=1e-12)
     np.testing.assert_array_equal(prob.q, 2.0 * w)
@@ -225,7 +231,7 @@ def test_converges_binary_on_stressed_case(tag, stressed30, stressed30_start):
     assert trace.final_phi <= schedule.eps
     assert set(np.unique(y.y)) <= {0.0, 1.0}
     # the aggregates still hold at the returned point
-    base = build_subproblem(stressed30, start, res.duals, 0.0, Ao2Variant(tag=tag))
+    base = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag=tag)), 0.0)
     slack = base.b + base.A @ (y.y - start[2].y)
     assert slack.min() >= -1e-8
     assert np.isfinite(trace.phis()).all()
@@ -385,7 +391,7 @@ def test_blend_never_leaves_the_rows(stressed30, stressed30_start):
     # the exact step may extrapolate past the subproblem solution; the loop
     # must not keep a blend that breaks the feasibility rows
     res, start = stressed30_start
-    base = build_subproblem(stressed30, start, res.duals, 0.0, Ao2Variant(tag="relaxed-two"))
+    base = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two")), 0.0)
     for tag in ALL_TAGS:
         y, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(), Ao2Variant(tag=tag))
         for row in trace.rows:
@@ -407,8 +413,8 @@ def test_cut_row_excludes_the_rejected_set(stressed30, stressed30_start):
     lin = _fractional_start(start)
     y_lin = lin[2].y
     star = (np.arange(net.n_dem) % 3 == 0).astype(float)
-    prob = build_subproblem(stressed30, lin, res.duals, 1.0, Ao2Variant(tag="relaxed-two"),
-                            cuts=(star,))
+    prob = build_subproblem(subproblem_parts(stressed30, lin, res.duals, Ao2Variant(tag="relaxed-two"),
+                                             cuts=(star,)), 1.0)
     assert prob.A.shape == (4, net.n_dem)
 
     def cut_slack(y):
@@ -421,7 +427,7 @@ def test_cut_row_excludes_the_rejected_set(stressed30, stressed30_start):
         flipped[k] = 1.0 - flipped[k]
         assert cut_slack(flipped) == pytest.approx(0.0, abs=1e-12)
     # the three aggregate rows are the ones built without cuts
-    plain = build_subproblem(stressed30, lin, res.duals, 1.0, Ao2Variant(tag="relaxed-two"))
+    plain = build_subproblem(subproblem_parts(stressed30, lin, res.duals, Ao2Variant(tag="relaxed-two")), 1.0)
     np.testing.assert_array_equal(prob.A[:3], plain.A)
     np.testing.assert_array_equal(prob.b[:3], plain.b)
 
@@ -432,8 +438,8 @@ def test_cut_gives_zero_load_demands_zero_coefficients(stressed30, stressed30_st
     live = live_demands(net)
     assert int((~live).sum()) == 10
     star = np.ones(net.n_dem)
-    prob = build_subproblem(stressed30, start, res.duals, 0.0, Ao2Variant(tag="mixed"),
-                            cuts=(star, np.zeros(net.n_dem)))
+    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed"),
+                                             cuts=(star, np.zeros(net.n_dem))), 0.0)
     assert prob.A.shape == (5, net.n_dem)
     for row in prob.A[3:]:
         assert np.all(row[~live] == 0.0)
@@ -458,13 +464,17 @@ def test_run_ao2_never_returns_a_cut_set(tag, stressed30, stressed30_start):
 def test_parts_built_once_give_the_problems_a_fresh_build_gives(tag, stressed30, stressed30_start,
                                                                  monkeypatch):
     # run_ao2 builds the rho-independent parts once; every problem it hands
-    # the QP must be, bit for bit, what a fresh build_subproblem call makes
+    # the QP must be, bit for bit, what a build from fresh parts makes
     res, start = stressed30_start
     variant = Ao2Variant(tag=tag)
-    built, solved = {}, []
+    parts_calls, built, solved = [], {}, []
 
-    def spy_build(case, lin_point, duals, rho, variant, phi_anchor=None, cuts=(), parts=None):
-        prob = build_subproblem(case, lin_point, duals, rho, variant, phi_anchor, cuts, parts)
+    def spy_parts(*args, **kwargs):
+        parts_calls.append(args)
+        return subproblem_parts(*args, **kwargs)
+
+    def spy_build(parts, rho, phi_anchor=None):
+        prob = build_subproblem(parts, rho, phi_anchor)
         built[id(prob)] = (prob, rho, phi_anchor)
         return prob
 
@@ -472,17 +482,19 @@ def test_parts_built_once_give_the_problems_a_fresh_build_gives(tag, stressed30,
         solved.append(problem)
         return solve_qp(problem, start=start)
 
+    monkeypatch.setattr(ao2_sbqp, "subproblem_parts", spy_parts)
     monkeypatch.setattr(ao2_sbqp, "build_subproblem", spy_build)
     monkeypatch.setattr(ao2_sbqp, "solve_qp", spy_solve)
     y0, _ = run_ao2(stressed30, start, res.duals, None, variant)
     for cuts in ((), (y0.y,)):
+        parts_calls.clear()
         built.clear()
         solved.clear()
         run_ao2(stressed30, start, res.duals, None, variant, cuts=cuts)
-        assert solved
+        assert len(parts_calls) == 1 and solved
         for prob in solved:
             _, rho, anchor = built[id(prob)]
-            fresh = build_subproblem(stressed30, start, res.duals, rho, variant, anchor, cuts)
+            fresh = build_subproblem(subproblem_parts(stressed30, start, res.duals, variant, cuts), rho, anchor)
             for name in ("q", "g_lin", "A", "b", "lower", "upper"):
                 got, want = getattr(prob, name), getattr(fresh, name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, rho)

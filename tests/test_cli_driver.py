@@ -832,6 +832,12 @@ def test_result_document_json_is_read_strictly(text, message):
         parse_result_document(text)
 
 
+def test_result_document_has_no_third_format(solved5):
+    res, cfg = solved5
+    with pytest.raises(ValueError, match="^unknown format 'yaml'$"):
+        render_result_document(result_document(res, cfg), "yaml")
+
+
 def test_result_document_round_trip_json(solved5):
     res, cfg = solved5
     doc = result_document(res, cfg)

@@ -103,6 +103,23 @@ def test_parse_malformed_row_reports_line():
     assert exc.value.line_no is not None
 
 
+@pytest.mark.parametrize("old, new, message, line_no", [
+    ("2  1  50  10 0 0 1 1 0 0 1 1.1 0.9;", "2  1  50  10 0 0 1 1 0 0 1 1.1;",
+     "bus row needs at least 13 columns, got 12", 6),
+    ("1  0 0 30 -30 1 100 1 80 0;", "1  0 0 30 -30 1 100 1 80;", "gen row needs at least 10 columns, got 9", 9),
+    ("0.038461538461538464  0.19230769230769232;", "0.038461538461538464;",
+     "branch row needs at least 4 columns, got 3", 12),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = hundred;", "baseMVA is not numeric", 3),
+    ("mpc.bus = [", "mpc.buses = [", "missing bus table", None),
+], ids=["short-bus-row", "short-gen-row", "short-branch-row", "text-baseMVA", "no-bus-table"])
+def test_parse_rejects_a_short_row_a_text_base_or_no_bus_table(old, new, message, line_no):
+    text = TWO_BUS.replace(old, new)
+    assert text != TWO_BUS
+    with pytest.raises(MalformedRowError, match=f"{re.escape(message)}$") as exc:
+        parse_case(text)
+    assert exc.value.line_no == line_no
+
+
 @pytest.mark.parametrize("close", ["]", "];", " ] ;"])
 def test_parse_last_row_may_close_its_table(case5_text, case5, close):
     # "... 0.9]" with no ";" used to leave the table open, so the next

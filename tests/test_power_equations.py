@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -229,6 +230,18 @@ def test_switch_vector_rejects_out_of_box():
     with pytest.raises(ValueError, match=r"switch values must lie in \[0, 1\]"):
         SwitchVector(np.array([np.nan, 0.5]))
     SwitchVector(np.array([0.0, 1.0, 1.0 + 1e-12]))  # solver-level roundoff passes
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: State(v=np.ones(2), theta=np.zeros(3)), "v and theta must be 1-d arrays of equal length"),
+    (lambda: State(v=np.ones((2, 2)), theta=np.zeros((2, 2))), "v and theta must be 1-d arrays of equal length"),
+    (lambda: InputVector(pg=np.ones(2), qg=np.zeros(1)), "pg and qg must be 1-d arrays of equal length"),
+    (lambda: InputVector(pg=np.ones((1, 2)), qg=np.zeros((1, 2))), "pg and qg must be 1-d arrays of equal length"),
+    (lambda: SwitchVector(np.ones((2, 3))), "y must be a 1-d array"),
+], ids=["state-lengths", "state-2d", "input-lengths", "input-2d", "switches-2d"])
+def test_vectors_reject_a_bad_shape(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("name", ["constraints_C", "objective_E", "jacobians"])

@@ -237,6 +237,20 @@ def test_problem_validation():
                   lower=np.zeros(2), upper=np.ones(2))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"A": np.zeros((1, 3))}, "A/b dimensions inconsistent"),
+    ({"b": np.zeros(2)}, "A/b dimensions inconsistent"),
+    ({"lower": -np.ones(3)}, "box dimensions inconsistent"),
+    ({"upper": np.ones((2, 1))}, "box dimensions inconsistent"),
+], ids=["A-columns", "b-length", "lower-length", "upper-shape"])
+def test_problem_rejects_inconsistent_dimensions(fields, message):
+    # two variables under one row
+    base = {"q": -np.ones(2), "g_lin": np.zeros(2), "A": np.ones((1, 2)), "b": np.ones(1),
+            "lower": np.zeros(2), "upper": np.ones(2)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QpProblem(**{**base, **fields})
+
+
 # -- the dual clip kernel and endpoint probes, against the loops they replaced --
 
 def reference_root(problem, i, h, base):

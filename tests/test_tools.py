@@ -222,3 +222,21 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys)
     assert min(margins) > 1e3 * census.qp_core.SLACK_TOL
     assert lines[-1].endswith("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged "
                               f"clips certify nothing, smallest margin {min(margins):.2e}")
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("", "'' in '' is not a seed or a range of seeds"),
+    ("1,,2", "'' in '1,,2' is not a seed or a range of seeds"),
+    ("5-1", "'5-1' in '5-1' is an empty range"),
+], ids=["empty", "doubled-comma", "reversed"])
+def test_bad_seeds_are_a_usage_error_in_either_tool(tmp_path, tool, census, capsys, seeds, message):
+    # the first two used to end in a bare ValueError traceback, and a
+    # reversed range wrote a file of 0 distinct calls
+    out = tmp_path / "out.json"
+    for main, args in ((tool.main, [str(out), "--workload", "switch30", "--seeds", seeds]),
+                       (census.main, ["--workload", "switch30", "--random", seeds])):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: argument {args[-2]}: {message}")
+    assert not out.exists()

@@ -250,17 +250,17 @@ def _random_calls(seeds: list[int]):
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    parser.add_argument("--seeds", default="1-10", help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
-    parser.add_argument("--random", default="0-39", help="_random_case seeds, as ranges")
+    parser.add_argument("--seeds", default="1-10", type=_seeds, help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
+    parser.add_argument("--random", default="0-39", type=_seeds, help="_random_case seeds, as ranges")
     args = parser.parse_args(argv)
 
     calls = ((f"seed {seed}", f"call {k}", call["variant"], partial(workloads.run, call, inst))
-             for seed, k, call, _key, inst in walk(args.workload, _seeds(args.seeds))
+             for seed, k, call, _key, inst in walk(args.workload, args.seeds)
              if inst is not None)
     print(HEADER)
     with Census() as census:
         for label, part in ((f"{args.workload} seeds {args.seeds}", calls),
-                            (f"_random_case seeds {args.random}", _random_calls(_seeds(args.random)))):
+                            (f"_random_case seeds {args.random}", _random_calls(args.random))):
             print("\n".join(_totals(label, *_tally(census, part))))
     return 0
 

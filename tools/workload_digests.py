@@ -43,7 +43,8 @@ whose digest, or outcome, differs is printed by the seed and call index where
 it first appears and its variant, and the exit status is 1 if any differs,
 0 if none does.  A BASE taken for another workload, other seeds or other BLAS
 thread settings, or one holding outcomes where this run writes digests or
-the other way round, cannot be compared: that exits 2 before any call runs.
+the other way round, cannot be compared: that exits 2 before any call runs,
+as a ``--seeds`` part that is no integer range, or runs backwards, does.
 """
 
 from __future__ import annotations
@@ -156,12 +157,31 @@ def call_outcome(call: dict, inst, answer) -> tuple[str, float | None]:
     return text, outcome.objective
 
 
-def _seeds(text: str) -> list[int]:
+class Seeds(list):
+    """Seeds read from ranges such as 1-10 or 1,3,5-7; str() gives the text back."""
+
+    def __init__(self, seeds, text: str):
+        super().__init__(seeds)
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _seeds(text: str) -> Seeds:
+    """The argparse type of a seeds option: a part that is no integer range,
+    or a range that runs backwards, is a usage error naming the part."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+        try:
+            first, last = int(lo), int(hi or lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is not a seed or a range of seeds") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is an empty range")
+        seeds.extend(range(first, last + 1))
+    return Seeds(seeds, text)
 
 
 def walk(workload: str, seeds: list[int]):
@@ -189,7 +209,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="JSON file to write")
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    parser.add_argument("--seeds", default="1-10", help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
+    parser.add_argument("--seeds", default="1-10", type=_seeds, help="seeds as ranges, e.g. 1-10 or 1,3,5-7")
     parser.add_argument("--outcomes", action="store_true",
                         help="write each call's switch set and objective, or its error, in place of a digest")
     parser.add_argument("--compare", metavar="BASE.json",
@@ -198,7 +218,7 @@ def main(argv: list[str]) -> int:
     field = "outcome" if args.outcomes else "digest"
     settings = {
         "workload": args.workload,
-        "seeds": _seeds(args.seeds),
+        "seeds": args.seeds,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }
