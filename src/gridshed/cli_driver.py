@@ -134,8 +134,9 @@ def _setup(case: GridCase, cfg: SolverConfig | None):
 
 def _verdict(work: GridCase, fit, y: SwitchVector) -> tuple[bool, int, float]:
     """Whether fit is a feasible operating point at switch set y: it converged
-    and the worst row of constraints_C, returned with its value, is at most FEAS_TOL."""
-    resid = constraints_C(work, fit.state, fit.input, y)
+    and the worst row of constraints_C, returned with its value, is at most
+    FEAS_TOL.  The stack takes the outflow that the fit formed at its point."""
+    resid = constraints_C(work, fit.state, fit.input, y, P=fit.outflow)
     worst = int(np.argmax(resid))
     value = float(resid[worst])
     return fit.status == "converged" and value <= FEAS_TOL, worst, value

@@ -647,6 +647,88 @@ def test_dispatch_start_gives_zero_angles_on_a_singular_laplacian(shortfall5_cas
         assert solve_ao1(case, y, warm=(state, u)).status in ("converged", "infeasible", "max-iterations")
 
 
+def test_dispatch_start_is_built_once_and_kept_on_the_network(case5, shortfall5_case):
+    # a copy of the case gets its own network, so the builder made here is
+    # the first on that network
+    case = dataclasses.replace(shortfall5_case)
+    net = network(case)
+    assert "_dispatch_start" not in vars(net)
+    start = ao1_opf.dispatch_start(net)
+    assert vars(net)["_dispatch_start"] is start
+    assert ao1_opf.dispatch_start(net) is start
+    assert ao1_opf.dispatch_start(network(case5)) is not start
+    assert ao1_opf.dispatch_start(network(shortfall5_case)) is not start
+    # nothing outside the network holds it: without the attribute the next
+    # call builds again
+    assert not any(isinstance(value, dict) and any(v is start for v in value.values())
+                   for value in vars(ao1_opf).values())
+    object.__delattr__(net, "_dispatch_start")
+    fresh = ao1_opf.dispatch_start(net)
+    assert fresh is not start
+    for yv in _draws(net, np.random.default_rng(6)):
+        y = SwitchVector(yv)
+        (state, u), (want_state, want_u) = start(y), fresh(y)
+        assert state.as_vector().tobytes() == want_state.as_vector().tobytes()
+        assert u.as_vector().tobytes() == want_u.as_vector().tobytes()
+
+
+def test_oracle_entries_are_equal_on_a_second_enumeration(shortfall5_case):
+    # the second enumeration takes the kept start tables, after a solve on
+    # the same case, and gives the entries of the first and of a fresh case
+    case = dataclasses.replace(shortfall5_case)
+
+    def fields(entries):
+        return [(e.switches, e.feasible, e.objective, e.screened, e.evaluations) for e in entries]
+
+    first = fields(enumerate_oracle(case))
+    run_ao_sbqp(case)
+    assert fields(enumerate_oracle(case)) == first
+    assert fields(enumerate_oracle(dataclasses.replace(shortfall5_case))) == first
+
+
+def _fits_to_check(which, request):
+    """{label: [(case, y), ...]}: on case5, its shortfall scenario and the
+    negative-conductance copy, fits that end converged, by the screen and by
+    the fit's own stationary end; on stressed case30, seeded draws that end
+    all three ways; or every switch set of _feasible_case seeds 0-19."""
+    if which == "feasible cases":
+        from seeded_cases import _feasible_case
+        pairs = []
+        for seed in range(20):
+            case = _feasible_case(np.random.default_rng(seed))
+            pairs += [(case, SwitchVector(np.array(bits, dtype=float)))
+                      for bits in itertools.product((0.0, 1.0), repeat=network(case).n_dem)]
+        return {which: pairs}
+    ones = SwitchVector(np.ones(3))
+    stressed30 = request.getfixturevalue("stressed30")
+    rng = np.random.default_rng(0)
+    draws = [rng.random(30) < rng.uniform(0.2, 0.9) for _ in range(12)]
+    return {"case5": [(request.getfixturevalue(name), ones)
+                      for name in ("case5", "shortfall5_case", "negative_g5")],
+            "stressed30": [(stressed30, SwitchVector(bits.astype(float))) for bits in draws]}
+
+
+@pytest.mark.parametrize("which", ["case5 and stressed30", "feasible cases"])
+def test_verdict_stack_from_the_fit_outflow_equals_a_fresh_stack(which, request):
+    # the verdict's constraint stack reads the outflow of the fit's last trig
+    # pass; recomputed from the returned state it is the same, signed zeros
+    # included, and so is the verdict
+    for label, pairs in _fits_to_check(which, request).items():
+        ends = set()
+        for case, y in pairs:
+            r = solve_ao1(case, y)
+            ends.add((r.status, r.certificate))
+            assert r.outflow.tobytes() == outflow(network(case), r.state).tobytes()
+            fresh = constraints_C(case, r.state, r.input, y)
+            assert constraints_C(case, r.state, r.input, y, P=r.outflow).tobytes() == fresh.tobytes()
+            worst = int(np.argmax(fresh))
+            assert cli_driver._verdict(case, r, y) == (
+                r.status == "converged" and float(fresh[worst]) <= FEAS_TOL, worst, float(fresh[worst]))
+        assert {("converged", ""), ("infeasible", "screen")} <= ends, label
+        if label != "feasible cases":
+            assert ("infeasible", "restoration") in ends, label
+
+
 @pytest.mark.parametrize("fixture, bits", [("negative_g5", (1, 1, 1)), ("shortfall5_case", (1, 1, 1)),
                                            ("stressed30", None)])
 def test_rejected_trial_builds_no_jacobian(fixture, bits, request):
@@ -945,6 +1027,55 @@ def test_spoiled_clip_re_solve_matches_the_frozen_fit(shortfall5_case, monkeypat
     monkeypatch.setattr(ao1_opf, "_solve", lambda M, b: solves.append(1) or solve(M, b))
     fit = assert_fit_matches_frozen(network(shortfall5_case), SwitchVector(np.array([1.0, 1.0, 0.0])))
     assert len(solves) > fit.nfev - 1
+
+
+@pytest.mark.parametrize("start", ["lower", "upper", "alternate"])
+@pytest.mark.parametrize("fixture, bits", [("shortfall5_case", (1, 1, 0)), ("negative_g5", (1, 1, 1)),
+                                           ("stressed30", None)])
+def test_fits_started_on_the_box_match_the_frozen_fit(fixture, bits, start, request):
+    # every coordinate of the start on a bound, so the fit forms its
+    # bound-hold mask from the first step on
+    net = network(request.getfixturevalue(fixture))
+    y = SwitchVector(np.ones(net.n_dem) if bits is None else np.array(bits, dtype=float))
+    z0 = {"lower": net.fit_lower - 1.0, "upper": net.fit_upper + 1.0,
+          "alternate": np.where(np.arange(net.fit_lower.size) % 2 == 0, net.fit_lower, net.fit_upper)}[start]
+    assert_fit_matches_frozen(net, y, z0)
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_fit_at_the_balanced_level_matches_the_frozen_fit(shortfall5_case, side, monkeypatch):
+    # TOL_FEAS set so that f = 0.5 |F|^2 at the cold start lies above
+    # 0.5 n TOL_FEAS^2 by less than the rounding of F'F (side -1), or one or
+    # two float steps of TOL_FEAS below it (sides 0 and 1): the fit must take
+    # max|F| wherever f does not rule balance out
+    net = network(shortfall5_case)
+    y = SwitchVector(np.ones(3))
+    F, _ = ao1_opf._Problem(net, y).residual(net.fit_start)
+    f, n = 0.5 * float(F @ F), F.size
+    tol = float(np.sqrt(2.0 * f / n))
+    while 0.5 * n * tol * tol >= f:
+        tol = float(np.nextafter(tol, 0.0))
+    assert f <= 0.5 * n * tol * tol * (1.0 + 2.0 * n * ao1_opf.EPS)
+    tol = {-1: tol, 0: float(np.nextafter(tol, 1.0)), 1: float(np.nextafter(np.nextafter(tol, 1.0), 1.0))}[side]
+    monkeypatch.setattr(ao1_opf, "TOL_FEAS", tol)
+    assert_fit_matches_frozen(net, y)
+
+
+@pytest.mark.parametrize("n", [10, 15])
+def test_residual_at_the_tolerance_in_every_row_is_balanced(n):
+    # F = +-TOL_FEAS in every row, so max|F| <= TOL_FEAS, though 0.5 F'F
+    # rounds above 0.5 n TOL_FEAS^2: the fit ends balanced at its start, as
+    # the frozen fit does
+    F = TOL_FEAS * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    assert 0.5 * float(F @ F) > 0.5 * n * TOL_FEAS * TOL_FEAS
+    J = np.eye(n)
+    prob = SimpleNamespace(lower=np.full(n, -1.0), upper=np.full(n, 1.0), residual=lambda z: (F, None),
+                           jacobian=lambda terms: J, residual_jacobian=lambda z: (F, J))
+    out = ao1_opf.least_squares(prob, np.zeros(n))
+    assert (out.status, out.nfev, out.njev) == ("balanced", 1, 0)
+    x, fun, nfev, status = frozen_least_squares(prob, np.zeros(n))
+    assert (nfev, status) == (1, "balanced")
+    assert out.x.tobytes() == x.tobytes() and out.fun.tobytes() == fun.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

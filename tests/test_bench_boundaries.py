@@ -72,7 +72,9 @@ def test_traced_restore_span_carries_nfev(negative_g5):
 def test_traced_oracle_records_one_fit_per_unscreened_set(shortfall5_case):
     # enumerate_oracle fits each set that the screen leaves through
     # cli_driver.solve_ao1, so every such set shows one AO1 span under the
-    # oracle's span and one restore span under that
+    # oracle's span and one restore span under that; its verdict builds the
+    # constraint stack from the fit's outflow, still through
+    # cli_driver.constraints_C, so one constraints span under the oracle's
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -89,3 +91,7 @@ def test_traced_oracle_records_one_fit_per_unscreened_set(shortfall5_case):
     assert len(ao1) == len(restore) == fitted
     assert all(span[1] == oracle[0] for span in ao1)
     assert sorted(span[1] for span in restore) == sorted(span[0] for span in ao1)
+    stacks = [span for span in tracer.spans if span[3] == "power_equations.constraints_C"]
+    assert len(stacks) == fitted
+    assert all(span[1] == oracle[0] for span in stacks)
+
