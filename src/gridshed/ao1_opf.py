@@ -25,6 +25,15 @@ bounds before it is evaluated. How the fit ends sets the status:
 - any other end, a fit capped at FIT_MAX_ITERS included, proves nothing:
   "max-iterations".
 
+"converged" is the feasibility verdict that the driver and
+``enumerate_oracle`` take, with no second test against ``constraints_C``.
+Every fit point is clipped into the box, the x bounds of the free entries
+and the u bounds, and the slack's v and angle lie in its band (the slack
+voltage is clipped into it, and its angle band holds 0), so every bound row
+of C is <= 0 exactly.  The balance rows P - S and S - P are F and -F up to
+the rounding of forming them apart, so at a converged point no row of C is
+more than TOL_FEAS plus that rounding above 0.
+
 Besides balance, the fit ends "stationary" at an evaluated trial where the
 actual reduction |f - f_try| of f = 0.5 |F|^2 and the reduction
 -(g'h + 0.5 |Jh|^2) that the Gauss-Newton model predicts for the step h
@@ -47,11 +56,9 @@ Jacobian buffer J = [dP/dx on the free state columns | -gen_sel] at indices
 that ``network`` builds once per case, as it builds the fit's free entries,
 box, flat start and generation rows; J keeps the -0.0 entries of -gen_sel.
 The fit forms no objective gradient, and E is read from the outflow of its
-end point's residual pass; ``Ao1Result.outflow`` hands that outflow on, so
-the driver's verdict (``cli_driver._verdict``) builds its constraint stack
-from it without a second trig pass at the same point.  The fit tests max|F|
-against TOL_FEAS only where f is low enough to allow it, and forms its
-bound-hold mask only when some coordinate sits on the box.
+end point's residual pass.  The fit tests max|F| against TOL_FEAS only where
+f is low enough to allow it, and forms its bound-hold mask only when some
+coordinate sits on the box.
 
 The fit is one plain loop, ``least_squares``, over one switch set: the
 switching stage fits one set at a time, warm from the last, and
@@ -65,6 +72,7 @@ every later enumeration on the case takes them as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +108,6 @@ class Ao1Result:
     duals: np.ndarray       # the balance multiplier -y r of each demand's active row
     residual: float         # max|F| at the end point
     objective: float
-    outflow: np.ndarray     # the stacked outflow P at state, from the fit's last trig pass
     status: str
     iterations: int = 0     # fit evaluations after the one at the start point
     certificate: str = ""   # what proves an "infeasible" status: "screen" or "restoration"
@@ -210,7 +217,8 @@ class _Problem:
     derivatives from such terms into one J buffer that the problem owns and
     overwrites on every call.  ``rounding`` estimates the rounding error of
     0.5 |F|^2 from such terms, and ``screened`` is ``active_capacity_screen``
-    at y.
+    at y, taken on first read: only an unconverged fit's status and a fit's
+    first tau read it.
     """
 
     def __init__(self, net: Network, y: SwitchVector):
@@ -221,7 +229,6 @@ class _Problem:
         self.upper = net.fit_upper
         self.nx_free = self.free.size
         self.draw = demand_draw(net, y)
-        self.screened = active_capacity_screen(net, y)
         # the generation per bus, scattered from u; the rows without a
         # generator stay +0.0
         self.gen = np.zeros(2 * net.n_bus)
@@ -236,6 +243,10 @@ class _Problem:
         self.x[2 * net.slack] = net.slack_v
         self.x[2 * net.slack + 1] = 0.0
         self.point = State(v=self.x[0::2], theta=self.x[1::2])
+
+    @cached_property
+    def screened(self) -> bool:
+        return active_capacity_screen(self.net, self.y)
 
     def residual(self, z):
         """(F, terms) at z: the balance residual F = P - S, formed as
@@ -406,7 +417,7 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     """One least-squares fit at switches y_fixed from warm = (state, input) or the
     flat point; the module docstring says how its end sets the status.  E is
     read from the outflow that the fit's last residual pass formed at its end
-    point, and that outflow is returned too."""
+    point."""
     net = network(case)
     check_sizes(net, "solve_ao1", y=y_fixed)
     prob = _Problem(net, y_fixed)
@@ -429,6 +440,5 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
         # a capped fit is no proof
         status, certificate = "max-iterations", ""
     state, u = _split(net, fit.x)
-    P = fit.terms.P
-    E = objective_from_outflow(net, P, u, y_fixed)
-    return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, P, status, fit.nfev - 1, certificate)
+    E = objective_from_outflow(net, fit.terms.P, u, y_fixed)
+    return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, status, fit.nfev - 1, certificate)

@@ -2,8 +2,8 @@
 
 The driver alternates the continuous stage and the switching stage until two
 consecutive continuous solutions agree, or until the continuous stage
-converges at full service, then verifies the final binary switch set actually
-admits a feasible operating point.  Full service needs no switching stage:
+converges at full service, then accepts the final binary switch set when its
+continuous fit converged there.  Full service needs no switching stage:
 every demand has rank > 0 and pd >= 0 (DemandSpec enforces both), so the
 served-priority objective sum(y * rank * pd) is largest at all ones.
 
@@ -57,7 +57,6 @@ from .power_equations import (
     phi,
 )
 
-FEAS_TOL = 1e-6
 ORACLE_CAP = 20
 LOCAL_VERDICTS = "the verdicts are local: a stationary AO1 fit is no global proof"
 FORMAT_VERSION = 2
@@ -132,24 +131,14 @@ def _setup(case: GridCase, cfg: SolverConfig | None):
     return cfg, work, network(work)
 
 
-def _verdict(work: GridCase, fit, y: SwitchVector) -> tuple[bool, int, float]:
-    """Whether fit is a feasible operating point at switch set y: it converged
-    and the worst row of constraints_C, returned with its value, is at most
-    FEAS_TOL.  The stack takes the outflow that the fit formed at its point."""
-    resid = constraints_C(work, fit.state, fit.input, y, P=fit.outflow)
-    worst = int(np.argmax(resid))
-    value = float(resid[worst])
-    return fit.status == "converged" and value <= FEAS_TOL, worst, value
-
-
 def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
 def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     """Alternate both stages until consecutive continuous solutions agree or
-    full service balances, then accept the settled set by the rule that
-    enumerate_oracle judges a set by.
+    full service balances, then accept the settled set when its fit
+    converged, the rule that enumerate_oracle judges a set by.
 
     The switch set starts at all-ones, and a continuous solve that converges
     at all-ones ends the loop without a switching stage: with rank > 0 and
@@ -180,8 +169,8 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     * no-convergence, "operating point still moving after N outer
       iterations", naming the cuts the last switching stage ran with;
     * infeasible, "final switch set admits no feasible operating point": the
-      settled fit is unconverged or violates a row of constraints_C by more
-      than FEAS_TOL; the message names its status, worst value and row.
+      settled fit did not converge; the message names its status and the
+      worst row of constraints_C at its point, with the row's value.
     """
     cfg, work, net = _setup(case, cfg)
     t0 = time.perf_counter()
@@ -251,8 +240,10 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
             message += f"; the switching stage last ran with {_count(len(cuts), 'infeasible switch set')} cut"
         raise DriverError(message, "no-convergence", best())
 
-    feasible, worst, value = _verdict(work, ao1, y)
-    if not feasible:
+    if ao1.status != "converged":
+        resid = constraints_C(work, ao1.state, ao1.input, y)
+        worst = int(np.argmax(resid))
+        value = float(resid[worst])
         raise DriverError("final switch set admits no feasible operating point (continuous stage "
                           f"{ao1.status}, worst violation {value:.3e} in {constraint_row(work, worst)}, "
                           f"row {worst})", "infeasible", best())
@@ -278,11 +269,11 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     continuous stage could not converge on it.  Each of the others gets one
     ``solve_ao1``, started from ``dispatch_start``'s point for its set (a
     dispatch that covers its load, at the DC power-flow angles), and is
-    feasible by the rule that accepts the driver's final set: the fit
-    converges and no constraint of C exceeds FEAS_TOL at its point.  Only the
-    labels are reported, so where a fit starts is free; the verdicts stay
-    local, one fit per set.  Refuses cases with more than ORACLE_CAP
-    switchable demands.
+    feasible by the rule that accepts the driver's final set: its fit
+    converges, which puts its point within every row of constraints_C (the
+    ao1_opf module docstring says why).  Only the labels are reported, so
+    where a fit starts is free; the verdicts stay local, one fit per set.
+    Refuses cases with more than ORACLE_CAP switchable demands.
     """
     _, work, net = _setup(case, cfg)
     if net.n_dem > ORACLE_CAP:
@@ -298,10 +289,10 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
         feasible, evaluations = False, 0
         if not screened:
             fit = solve_ao1(work, y, warm=start(y))
-            feasible, evaluations = _verdict(work, fit, y)[0], fit.iterations + 1
+            feasible, evaluations = fit.status == "converged", fit.iterations + 1
         entries.append(OracleEntry(
             switches=tuple(int(b) for b in bits),
-            feasible=bool(feasible),
+            feasible=feasible,
             objective=float(np.sum(bits * net.rank * net.pd)),
             screened=screened,
             evaluations=evaluations,

@@ -466,15 +466,11 @@ def check_sizes(net: Network, where: str, state: State | None = None,
                          f"{net.n_dem}, one per demand")
 
 
-def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVector,
-                  P: np.ndarray | None = None) -> np.ndarray:
-    """Inequality stack, feasible iff every entry is <= 0.  P is the stacked
-    outflow at state when the caller has it (a fit's last trig pass), which
-    gives the same floats as taking it again."""
+def constraints_C(case: GridCase, state: State, input: InputVector, y: SwitchVector) -> np.ndarray:
+    """Inequality stack, feasible iff every entry is <= 0."""
     net = network(case)
     check_sizes(net, "constraints_C", state, input, y)
-    if P is None:
-        P = outflow(net, state)
+    P = outflow(net, state)
     S = supply(net, input, y)
     x = state.as_vector()
     u = input.as_vector()

@@ -298,8 +298,8 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
     return new
 
 
-def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | None = None):
-    """Maximizer of s'z - 0.5 z'diag(h)z, h > 0, over the box and the rows.
+def _dual_clip(problem: QpProblem, box: _Box, s: np.ndarray):
+    """Maximizer of s'z - 0.5 z'diag(h)z, h = box.h > 0, over the box and the rows.
 
     Runs kernel steps from lam = 0 until the clip z of s + A'lam meets every
     row within 1e-11 of the scale of s / h and every positive multiplier's
@@ -308,14 +308,13 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
     with the tolerance grown by the slacks' rounding floor: over the
     coordinates j inside the box (one on a box end is exact), row i sums
     terms |a_ij| (|s_j| + |A_j|'lam) / h_j that large multipliers make
-    cancel, and a few eps of the largest such sum is noise.  box is
-    _Box(problem, h), when the caller has it.  Returns (z, lam, mu, gam, w):
-    w is None when the clip converged, and otherwise the row multipliers the
-    Farkas test reads: the ray of a step along which the dual falls without
-    bound, or else lam itself, at the step cap or the rounding stop.
+    cancel, and a few eps of the largest such sum is noise.  Returns
+    (z, lam, mu, gam, w): w is None when the clip converged, and otherwise
+    the row multipliers the Farkas test reads: the ray of a step along which
+    the dual falls without bound, or else lam itself, at the step cap or the
+    rounding stop.
     """
-    A, b = problem.A, problem.b
-    box = _Box(problem, h) if box is None else box
+    A, b, h = problem.A, problem.b, box.h
     lam = np.zeros(A.shape[0])
     scale = max(1.0, float(np.abs(s if box.unit else s / h).max(initial=0.0)))
     tol = 1e-11 * scale
@@ -353,7 +352,7 @@ def _dual_clip(problem: QpProblem, h: np.ndarray, s: np.ndarray, box: _Box | Non
 def _solve_exact(problem: QpProblem) -> QpSolution:
     q, g, A = problem.q, problem.g_lin, problem.A
     kernel = _Box(problem, -q)
-    z, lam, mu, gam, w = _dual_clip(problem, -q, g, kernel)
+    z, lam, mu, gam, w = _dual_clip(problem, kernel, g)
     if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
         return _infeasible(problem, z, w)
     best = (z, lam, mu, gam, kkt_residual(problem, z, lam, mu, gam))
@@ -390,19 +389,19 @@ def _probe_moves(problem: QpProblem):
     return cols, problem.q[cols], problem.g_lin[cols], -problem.A[:, cols]
 
 
-def _endpoint_probe(problem, z, value, moves=None):
+def _endpoint_probe(problem, z, value, moves):
     """One coordinate pushed toward a box endpoint when that strictly improves.
 
     First-order points of an indefinite objective can sit inside a face where
     positive curvature along a coordinate makes an endpoint strictly better;
     the probe finds the first such move (lowest coordinate, lower end first).
-    moves is _probe_moves(problem), when the caller has it.
+    moves is _probe_moves(problem).
     """
     base = value(z)
     margin = 1e-10 * max(1.0, abs(base))
     slack = problem.b + problem.A @ z
     n = problem.dim
-    cols, q_cols, g_cols, neg_a = _probe_moves(problem) if moves is None else moves
+    cols, q_cols, g_cols, neg_a = moves
     dk = np.empty(2 * n)
     np.subtract(problem.lower, z, out=dk[0::2])
     np.subtract(problem.upper, z, out=dk[1::2])
@@ -437,10 +436,9 @@ def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> float | None:
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     n = problem.dim
-    unit = np.ones(n)
-    box, moves = _Box(problem, unit), _probe_moves(problem)
+    box, moves = _Box(problem, np.ones(n)), _probe_moves(problem)
     z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
-    z, *_, w = _dual_clip(problem, unit, z0, box)
+    z, *_, w = _dual_clip(problem, box, z0)
     if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
         return _infeasible(problem, z, w)
 
@@ -470,7 +468,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         gnorm = float(np.abs(grad).max(initial=0.0))
         step = t if gnorm <= 1e-300 else min(t, 10.0 * span / gnorm)
         z_prev, grad_prev = z, grad
-        w, plam, pmu, pgam, _ = _dual_clip(problem, unit, z + step * grad, box)
+        w, plam, pmu, pgam, _ = _dual_clip(problem, box, z + step * grad)
         t = step
         lam, mu, gam = plam / t, pmu / t, pgam / t
         res = _kkt_met(problem, grad, z, lam, mu, gam)

@@ -43,6 +43,9 @@ from gridshed.grid_model import (
 from gridshed.power_equations import InputVector, SwitchVector, constraints_C, network
 from seeded_cases import _feasible_case, _random_case
 
+# the bound that a reported answer meets on every row of C
+FEAS_TOL = 1e-6
+
 
 @pytest.fixture(scope="session")
 def shortfall5():
@@ -523,7 +526,7 @@ def test_draw_whose_fit_stops_next_to_a_rejected_point_is_answered(case30):
     work = cli_driver.apply_scenario(case30, scenario)
     assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
     assert res.objective == pytest.approx(8.590141, abs=1e-6)
-    assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
+    assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= FEAS_TOL
 
 
 def test_rejected_draw_is_answered_without_re_solving_it(case30, monkeypatch):
@@ -590,7 +593,7 @@ def test_stressed_tiled_case_is_answered(case30, tag, objective):
     work = cli_driver.apply_scenario(tiled, ScenarioConfig())
     assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
     assert res.objective == pytest.approx(objective, abs=1e-6)
-    assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
+    assert float(constraints_C(work, res.state, res.input, res.switches).max()) <= FEAS_TOL
 
 
 @settings(max_examples=20, deadline=None)
@@ -613,7 +616,7 @@ def test_answers_on_feasible_random_cases_hold_the_solver_invariants(seed):
             assert not full
             continue
         assert set(np.unique(res.switches.y)) <= {0.0, 1.0}
-        assert float(constraints_C(case, res.state, res.input, res.switches).max()) <= cli_driver.FEAS_TOL
+        assert float(constraints_C(case, res.state, res.input, res.switches).max()) <= FEAS_TOL
         assert res.objective <= best.objective + 1e-9
         if full:
             np.testing.assert_array_equal(res.switches.y, ones.y)
@@ -746,7 +749,7 @@ def test_oracle_entries_equal_a_per_set_loop(seed):
         if not e.screened:
             res = cli_driver.solve_ao1(case, y)
             feasible = res.status == "converged" and float(
-                np.max(constraints_C(case, res.state, res.input, y), initial=0.0)) <= cli_driver.FEAS_TOL
+                np.max(constraints_C(case, res.state, res.input, y), initial=0.0)) <= FEAS_TOL
         assert e.feasible == feasible, e.switches
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from gridshed import qp_core
 from gridshed.qp_core import (
-    SLACK_FLOOR_EPS, SLACK_TOL, TOL_STAT, QpProblem, _dual_clip, _dual_step, _endpoint_probe, _kkt_met,
-    kkt_residual, solve_qp,
+    SLACK_FLOOR_EPS, SLACK_TOL, TOL_STAT, QpProblem, _Box, _dual_clip, _dual_step, _endpoint_probe, _kkt_met,
+    _probe_moves, kkt_residual, solve_qp,
 )
 
 # optima of the three seeded problems below, from scipy.optimize.minimize
@@ -321,7 +321,8 @@ def clip_tol(h, s):
 
 def row_root(problem, h, base):
     """The kernel's multiplier on a one-row problem, None when it cannot meet the row."""
-    _z, lam, _mu, _gam, w = _dual_clip(problem, np.asarray(h, dtype=float), np.asarray(base, dtype=float))
+    box = _Box(problem, np.asarray(h, dtype=float))
+    _z, lam, _mu, _gam, w = _dual_clip(problem, box, np.asarray(base, dtype=float))
     return float(lam[0]) if w is None else None
 
 
@@ -421,7 +422,7 @@ def test_endpoint_probe_matches_loop(seed):
     problem = QpProblem(q=rng.normal(size=n), g_lin=0.5 * rng.normal(size=n), A=A,
                         b=-(A @ z) + rng.uniform(-0.1, 1.0, m), lower=lower, upper=upper)
     value = probe_value(problem)
-    got, ref = _endpoint_probe(problem, z, value), reference_probe(problem, z, value)
+    got, ref = _endpoint_probe(problem, z, value, _probe_moves(problem)), reference_probe(problem, z, value)
     assert (got is None and ref is None) or np.array_equal(got, ref)
 
 
@@ -432,7 +433,7 @@ def test_endpoint_probe_screen_and_order():
     problem = box_problem([0.0, 0.0, 0.0], [-1.8e-10, 2.2e-10, 4e-10])
     z = np.array([0.5, 0.5, 0.5])
     value = probe_value(problem)
-    got = _endpoint_probe(problem, z, value)
+    got = _endpoint_probe(problem, z, value, _probe_moves(problem))
     assert got.tolist() == [0.5, 1.0, 0.5]
     assert np.array_equal(got, reference_probe(problem, z, value))
 
@@ -516,7 +517,7 @@ def kkt_clip(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_dual_clip_meets_kkt(seed):
     problem, h, s = kkt_clip(seed)
-    assert_clip_kkt(problem, h, s, _dual_clip(problem, h, s))
+    assert_clip_kkt(problem, h, s, _dual_clip(problem, _Box(problem, h), s))
 
 
 def aggregate_rows_problem(rng, n, n_cuts, h, s):
@@ -565,7 +566,7 @@ def subproblem_clip(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_dual_clip_meets_kkt_on_subproblem_rows(seed):
     problem, h, s = subproblem_clip(seed)
-    assert_clip_kkt(problem, h, s, _dual_clip(problem, h, s))
+    assert_clip_kkt(problem, h, s, _dual_clip(problem, _Box(problem, h), s))
 
 
 @pytest.mark.parametrize("clip, seed", [(kkt_clip, 90759672), (subproblem_clip, 114413725)])
@@ -575,7 +576,7 @@ def test_dual_clip_ends_converged_at_the_slack_rounding_floor(clip, seed):
     # the terms summed into it: the rows are met, so the clip leaves no
     # multipliers for the Farkas test
     problem, h, s = clip(seed)
-    assert _dual_clip(problem, h, s)[4] is None
+    assert _dual_clip(problem, _Box(problem, h), s)[4] is None
     exact = QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower, upper=problem.upper)
     assert solve_qp(exact).status != "infeasible"
 
@@ -600,7 +601,7 @@ def test_capped_clip_whose_multipliers_certify_nothing_reports_no_infeasibility(
     # last multipliers give a negative Farkas margin.  An infeasibility that
     # is not certified is not reported: the exact solve ends at max-iterations
     problem, h, s = kkt_clip(2398)
-    z, lam, mu, gam, w = _dual_clip(problem, h, s)
+    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, h), s)
     assert w is lam and not reference_phase_one(problem, z)[1]
     sol = solve_qp(QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
                              upper=problem.upper))
@@ -624,7 +625,7 @@ def test_dual_clip_searches_no_root_for_rows_met_at_zero(monkeypatch):
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([1.0, 1.0, 1.0]), lower=-np.ones(3), upper=np.zeros(3))
     s = np.array([0.5, -0.25, -0.0])
-    z, lam, mu, gam, w = _dual_clip(problem, np.ones(3), s)
+    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, np.ones(3)), s)
     assert w is None and calls == []
     assert np.array_equal(lam, np.zeros(3)) and np.array_equal(z, np.clip(s, -1.0, 0.0))
 
@@ -637,7 +638,7 @@ def test_dual_clip_first_sweep_searches_only_the_binding_row(monkeypatch):
     # one step along the active row's multiplier alone ends the clip
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([0.6, 1.0, 1.0]), lower=np.zeros(3), upper=np.ones(3))
-    z, lam, mu, gam, w = _dual_clip(problem, np.ones(3), np.full(3, 2.0))
+    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, np.ones(3)), np.full(3, 2.0))
     assert w is None and calls == [[0]]
     assert lam[0] > 0.0 and lam[1] == lam[2] == 0.0
 
@@ -651,7 +652,7 @@ def test_dual_clip_drops_a_row_its_neighbour_meets(monkeypatch):
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3),
                         A=np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0]]), b=np.array([0.9, 0.95]),
                         lower=np.zeros(3), upper=np.ones(3))
-    z, lam, mu, gam, w = _dual_clip(problem, np.ones(3), np.full(3, 0.5))
+    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, np.ones(3)), np.full(3, 0.5))
     assert w is None and calls == [[0, 1]]
     assert lam[0] == pytest.approx(0.2, rel=1e-15) and lam[1] == 0.0
     np.testing.assert_allclose(z, np.full(3, 0.3), rtol=1e-15)
@@ -669,7 +670,7 @@ def test_dual_clip_ends_fast_on_contradictory_cuts(monkeypatch):
     calls = count_steps(monkeypatch)
     problem = QpProblem(q=-np.full(1, 3.6e-6), g_lin=np.full(1, 3.2), A=np.array([[-1.0], [1.0]]),
                         b=np.array([-1.0, 0.0]), lower=-np.ones(1), upper=np.zeros(1))
-    z, lam, mu, gam, w = _dual_clip(problem, -problem.q, problem.g_lin)
+    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, -problem.q), problem.g_lin)
     assert calls == [[0], [0, 1]]
     # the clip ends on that ray, and its multipliers certify the cuts
     # infeasible: the sum of both rows is -1 at every point of the box
@@ -695,7 +696,7 @@ def test_dual_clip_meets_five_cuts_in_a_few_steps(monkeypatch):
     s = np.array([1.8529021693538652, -5468.711689460589, 10000.69955789482, -4531.161032191066])
     problem = QpProblem(q=-h, g_lin=s, A=A, b=b, lower=np.array([-1.0, -0.0, -1.0, -0.0]),
                         upper=np.array([0.0, 1.0, 0.0, 1.0]))
-    clip = _dual_clip(problem, h, s)
+    clip = _dual_clip(problem, _Box(problem, h), s)
     assert clip[-1] is None and len(calls) == 5
     assert_clip_kkt(problem, h, s, clip)
     assert clip[1].nonzero()[0].tolist() == [0, 6, 7]
@@ -826,7 +827,7 @@ def test_dual_step_solves_the_newton_system_for_two_working_rows_only(monkeypatc
     monkeypatch.setattr(np.linalg, "solve", spy)
     problem = QpProblem(q=-np.full(1, 3.6e-6), g_lin=np.full(1, 3.2), A=np.array([[-1.0], [1.0]]),
                         b=np.array([-1.0, 0.0]), lower=-np.ones(1), upper=np.zeros(1))
-    _dual_clip(problem, -problem.q, problem.g_lin)
+    _dual_clip(problem, _Box(problem, -problem.q), problem.g_lin)
     assert calls == [[0], [0, 1]] and solves == [(2, (2, 2))]
 
 
