@@ -14,7 +14,10 @@ be compared byte for byte.
 This module owns all config text: ``parse_kv`` reads the ``key = value``
 lines of config files and kv result documents, ``render_kv`` writes
 result.kv and report.kv, and ``_CONFIG_FIELDS`` holds every config key, the
-``scenario.*`` ones included.
+``scenario.*`` ones included.  Each output document is stated once, and its
+writer and reader both read the one table: ``_RESULT_FIELDS`` holds every
+result key (kv and JSON) and ``_TRACE_COLUMNS`` every trace.csv column after
+the ``y_k`` ones; ``_csv`` writes trace.csv and oracle.csv.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def _list_of(conv):
 
 
 # value kind: (converter of the value text, expected type as named in errors);
-# the config key table and _RESULT_SCHEMA give every key one of these kinds
+# the config key, result key and trace column tables give each entry one
 _KINDS = {
     "int": (int, "an integer"),
     "float": (float, "a number"),
@@ -383,45 +386,38 @@ def render_kv(doc: dict) -> str:
 
 # -- output documents --------------------------------------------------------
 
-def result_document(result: SolveResult, config: SolverConfig | None = None) -> dict:
-    """Flat mapping of everything a result file records, in file order."""
-    doc: dict = {"format": FORMAT_VERSION}
-    if config is not None:
-        doc["variant"] = config.variant.tag
-        doc["single_shot"] = config.variant.single_shot
-        doc["seed"] = config.seed
-    doc["outer_iterations"] = result.outer_iterations
-    doc["inner_iterations"] = result.inner_iterations
-    doc["phi_final"] = float(result.phi_final)
-    doc["objective"] = float(result.objective)
-    doc["supplied_active"] = float(result.supplied_active)
-    doc["supplied_reactive"] = float(result.supplied_reactive)
-    doc["switches"] = [int(round(v)) for v in result.switches.y]
-    doc["state_v"] = [float(v) for v in result.state.v]
-    doc["state_theta"] = [float(v) for v in result.state.theta]
-    doc["input_pg"] = [float(v) for v in result.input.pg]
-    doc["input_qg"] = [float(v) for v in result.input.qg]
-    return doc
+def _typed(value, kind: str):
+    """value as the Python type that kind's reader returns, so that _text
+    writes a float kind's value as repr(float(v)) even when it is an int."""
+    if kind.endswith("-list"):
+        return [_typed(v, kind[:-len("-list")]) for v in value]
+    return {"int": int, "float": float, "bool": bool, "str": str}[kind](value)
 
 
-# result key: kind
-_RESULT_SCHEMA = {
-    "format": "int",
-    "variant": "str",
-    "single_shot": "bool",
-    "seed": "int",
-    "outer_iterations": "int",
-    "inner_iterations": "int",
-    "phi_final": "float",
-    "objective": "float",
-    "supplied_active": "float",
-    "supplied_reactive": "float",
-    "switches": "int-list",
-    "state_v": "float-list",
-    "state_theta": "float-list",
-    "input_pg": "float-list",
-    "input_qg": "float-list",
+# result key: (kind, its value for a result and its config), in file order;
+# the writer and the reader of both formats take every key from here
+_RESULT_FIELDS = {
+    "format": ("int", lambda r, c: FORMAT_VERSION),
+    "variant": ("str", lambda r, c: c.variant.tag),
+    "single_shot": ("bool", lambda r, c: c.variant.single_shot),
+    "seed": ("int", lambda r, c: c.seed),
+    "outer_iterations": ("int", lambda r, c: r.outer_iterations),
+    "inner_iterations": ("int", lambda r, c: r.inner_iterations),
+    "phi_final": ("float", lambda r, c: r.phi_final),
+    "objective": ("float", lambda r, c: r.objective),
+    "supplied_active": ("float", lambda r, c: r.supplied_active),
+    "supplied_reactive": ("float", lambda r, c: r.supplied_reactive),
+    "switches": ("int-list", lambda r, c: [round(v) for v in r.switches.y]),
+    "state_v": ("float-list", lambda r, c: r.state.v),
+    "state_theta": ("float-list", lambda r, c: r.state.theta),
+    "input_pg": ("float-list", lambda r, c: r.input.pg),
+    "input_qg": ("float-list", lambda r, c: r.input.qg),
 }
+
+
+def result_document(result: SolveResult, config: SolverConfig) -> dict:
+    """Flat mapping of everything a result file records, in file order."""
+    return {key: _typed(value(result, config), kind) for key, (kind, value) in _RESULT_FIELDS.items()}
 
 
 def render_result_document(doc: dict, format: str = "kv") -> str:
@@ -446,7 +442,7 @@ def _unique_keys(pairs) -> dict:
 def parse_result_document(text: str) -> dict:
     """Inverse of render_result_document for both formats; values are typed.
 
-    Both formats are read by _RESULT_SCHEMA, with the kv reader's errors for
+    Both formats are read by _RESULT_FIELDS, with the kv reader's errors for
     a key given twice, a key it does not hold and a value not of its key's
     kind.  A JSON value is read from its kv text, and must be written as the
     JSON writer writes the value read: "3" is text, not an integer, and 2 is
@@ -457,33 +453,37 @@ def parse_result_document(text: str) -> dict:
     entries = json.loads(stripped, object_pairs_hook=_unique_keys) if is_json else parse_kv(text, "result")
     out: dict = {}
     for key, value in entries.items():
-        if key not in _RESULT_SCHEMA:
+        if key not in _RESULT_FIELDS:
             raise ValueError(f"unknown result key {key!r}")
-        kind = _RESULT_SCHEMA[key]
+        kind = _RESULT_FIELDS[key][0]
         out[key] = _value(key, _text(value), kind)
         if is_json and json.dumps(out[key]) != json.dumps(value):
             raise ValueError(f"{key}: expected {_KINDS[kind][1]}, got {value!r}")
     return out
 
 
+# trace column after stage, iteration and the y_k columns: its kind, read from
+# the SbqpTraceRow field of its name
+_TRACE_COLUMNS = {"phi": "float", "rho": "float", "alpha": "float",
+                  "kind": "str", "status": "str", "psi": "float"}
+
+
+def _csv(header: list[str], rows) -> str:
+    """The header line, then one line per row of values, each cell by _text."""
+    return "".join(",".join(map(_text, cells)) + "\n" for cells in [header, *rows])
+
+
 def _trace_header(n: int) -> list[str]:
     """The trace table's columns for n demands."""
-    return (["stage", "iteration"] + [f"y_{k}" for k in range(n)]
-            + ["phi", "rho", "alpha", "kind", "status", "psi"])
+    return ["stage", "iteration", *(f"y_{k}" for k in range(n)), *_TRACE_COLUMNS]
 
 
 def render_trace_table(result: SolveResult) -> str:
     """CSV of every switching-stage iteration across all outer passes."""
-    header = _trace_header(result.switches.y.size)
-    lines = [",".join(header)]
-    for stage, trace in enumerate(result.ao2_traces):
-        for row in trace.rows:
-            cells = [str(stage), str(row.iteration)]
-            cells += [repr(float(v)) for v in row.y]
-            cells += [repr(float(row.phi)), repr(float(row.rho)), repr(float(row.alpha))]
-            cells += [row.kind, row.status, repr(float(row.psi))]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = ([stage, row.iteration, *_typed(row.y, "float-list"),
+             *(_typed(getattr(row, name), kind) for name, kind in _TRACE_COLUMNS.items())]
+            for stage, trace in enumerate(result.ao2_traces) for row in trace.rows)
+    return _csv(_trace_header(result.switches.y.size), rows)
 
 
 def parse_trace_table(text: str) -> list[dict]:
@@ -505,26 +505,18 @@ def parse_trace_table(text: str) -> list[dict]:
         if len(cells) != len(header):
             raise ValueError(f"trace line {line_no}: expected {len(header)} cells, got {len(cells)}")
         try:
-            rows.append(
-                {
-                    "stage": _value("stage", cells[0], "int"),
-                    "iteration": _value("iteration", cells[1], "int"),
-                    "y": np.array([_value(f"y_{k}", cells[2 + k], "float") for k in range(n)]),
-                    "phi": _value("phi", cells[2 + n], "float"),
-                    "rho": _value("rho", cells[3 + n], "float"),
-                    "alpha": _value("alpha", cells[4 + n], "float"),
-                    "kind": cells[5 + n],
-                    "status": cells[6 + n],
-                    "psi": _value("psi", cells[7 + n], "float"),
-                }
-            )
+            row = {"stage": _value("stage", cells[0], "int"),
+                   "iteration": _value("iteration", cells[1], "int"),
+                   "y": np.array([_value(f"y_{k}", cells[2 + k], "float") for k in range(n)])}
+            for (name, kind), cell in zip(_TRACE_COLUMNS.items(), cells[2 + n:]):
+                row[name] = _value(name, cell, kind)
         except ValueError as exc:
             raise ValueError(f"trace line {line_no}: {exc}") from None
+        rows.append(row)
     return rows
 
 
-def emit_outputs(result: SolveResult, out_dir, format: str = "kv",
-                 config: SolverConfig | None = None) -> dict[str, Path]:
+def emit_outputs(result: SolveResult, out_dir, format: str, config: SolverConfig) -> dict[str, Path]:
     """Write result, trace, and report files; returns {name: path}.
 
     The result and trace files are byte-identical across repeat runs with the
@@ -538,12 +530,11 @@ def emit_outputs(result: SolveResult, out_dir, format: str = "kv",
         "trace": out / "trace.csv",
         "report": out / "report.kv",
     }
-    paths["result"].write_bytes(render_result_document(result_document(result, config), format).encode())
+    doc = result_document(result, config)
+    paths["result"].write_bytes(render_result_document(doc, format).encode())
     paths["trace"].write_bytes(render_trace_table(result).encode())
-    report = {
-        "outer_iterations": result.outer_iterations,
-        "inner_iterations": result.inner_iterations,
-        "phi_final": float(result.phi_final),
+    report = {key: doc[key] for key in ("outer_iterations", "inner_iterations", "phi_final")}
+    report |= {
         "wall_ao1_s": float(result.timings.get("ao1_s", 0.0)),
         "wall_ao2_s": float(result.timings.get("ao2_s", 0.0)),
         "wall_total_s": float(result.timings.get("total_s", 0.0)),
@@ -755,12 +746,9 @@ def _cmd_oracle(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n = len(entries[0].switches) if entries else 0
-    lines = [",".join([f"y_{k}" for k in range(n)] + ["feasible", "objective"])]
-    for e in entries:
-        lines.append(",".join([str(b) for b in e.switches]
-                              + ["true" if e.feasible else "false", repr(e.objective)]))
     path = out / "oracle.csv"
-    path.write_bytes(("\n".join(lines) + "\n").encode())
+    path.write_bytes(_csv([*(f"y_{k}" for k in range(n)), "feasible", "objective"],
+                          ([*e.switches, e.feasible, e.objective] for e in entries)).encode())
     feasible = [e for e in entries if e.feasible]
     screened = sum(e.screened for e in entries)
     evaluations = sum(e.evaluations for e in entries)

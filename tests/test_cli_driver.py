@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import runpy
 import subprocess
@@ -852,16 +853,49 @@ def test_result_document_round_trip_json(solved5):
             assert parsed[key] == value
 
 
-def test_trace_table_round_trip(solved5):
-    res, _ = solved5
-    rows = parse_trace_table(render_trace_table(res))
-    assert len(rows) == res.inner_iterations
-    flat = [r for t in res.ao2_traces for r in t.rows]
-    for parsed, row in zip(rows, flat):
-        np.testing.assert_array_equal(parsed["y"], row.y)
-        assert parsed["phi"] == row.phi
-        assert parsed["rho"] == row.rho
-        assert parsed["kind"] == row.kind
+@pytest.fixture(scope="module")
+def solved30(case30):
+    """Stressed case30 solved per variant: several switching stages each."""
+    return {tag: run_ao_sbqp(case30, config_from_mapping({"scenario": "stress", "variant": tag}))
+            for tag in VARIANT_TAGS}
+
+
+def test_result_documents_of_both_formats_hold_the_same_keys_in_order(solved5):
+    res, cfg = solved5
+    doc = result_document(res, cfg)
+    kv = render_result_document(doc, "kv")
+    as_json = render_result_document(doc, "json")
+    assert list(parse_kv(kv, "result")) == list(json.loads(as_json)) == list(doc)
+    assert list(parse_result_document(kv)) == list(parse_result_document(as_json)) == list(doc)
+
+
+def test_trace_table_round_trip(solved5, solved30):
+    # every column of every row, over case5 and over the stressed case30
+    # solves, whose traces run across several stages
+    results = [solved5[0], *solved30.values()]
+    assert any(len(res.ao2_traces) > 1 for res in results)
+    for res in results:
+        rows = parse_trace_table(render_trace_table(res))
+        flat = [(stage, row) for stage, t in enumerate(res.ao2_traces) for row in t.rows]
+        assert len(rows) == len(flat) == res.inner_iterations
+        for parsed, (stage, row) in zip(rows, flat):
+            assert list(parsed) == ["stage", "iteration", "y", "phi", "rho", "alpha", "kind", "status", "psi"]
+            assert (parsed["stage"], parsed["iteration"]) == (stage, row.iteration)
+            np.testing.assert_array_equal(parsed["y"], row.y)
+            for name in ("phi", "rho", "alpha", "psi"):
+                np.testing.assert_equal(parsed[name], float(getattr(row, name)))
+            assert (parsed["kind"], parsed["status"]) == (row.kind, row.status)
+
+
+def test_integer_penalty_schedule_writes_the_same_trace(case30, solved30):
+    # an integer schedule leaves Python ints in SbqpTraceRow.rho; the trace
+    # writes each rho as its column's float all the same
+    for tag, res in solved30.items():
+        cfg = config_from_mapping({"scenario": "stress", "variant": tag})
+        cfg = dataclasses.replace(cfg, schedule=PenaltySchedule(rho0=1, beta=10, rho_max=10**12))
+        ints = run_ao_sbqp(case30, cfg)
+        assert any(type(row.rho) is int for t in ints.ao2_traces for row in t.rows), tag
+        assert render_trace_table(ints) == render_trace_table(res), tag
 
 
 _TRACE_HEADER = "stage,iteration,y_0,y_1,phi,rho,alpha,kind,status,psi"

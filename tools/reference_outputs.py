@@ -6,8 +6,9 @@ Runs, in this process and against ./src:
 
 * ``solve`` on stressed case30 (``scenario = stress``), adequate case30,
   the criterion-3 case5 shortfall config and adequate case5, once per
-  variant, and once more on stressed case30 with relaxed-one and
-  ``single_shot = true``;
+  variant, once more on stressed case30 with relaxed-one and
+  ``single_shot = true``, and once with mixed and ``--format json`` on
+  stressed case30, the one run that writes ``result.json``;
 * two ``solve`` runs that end in a ``DriverError``, so that the exit text
   and the best-iterate line are compared too: stressed case30 with mixed and
   ``outer_max_iters = 1`` (exit 3, the outer cap), and mixed on the
@@ -19,12 +20,13 @@ Runs, in this process and against ./src:
 * ``scenario`` with the stressed30 and shortfall5 configs, whose standard
   output is the ``serialize_case`` text of the case each ``solve`` runs.
 
-Each command writes its files (``result.kv``, ``trace.csv``, ``oracle.csv``)
-under OUT_DIR/<name>/, with ``report.kv`` dropped since it holds wall-clock
-times, plus ``stdout.txt``: the exit code, standard output without the
-``wrote ...`` lines (they name OUT_DIR) and standard error.  Every file is
-byte-stable, so ``diff -r`` between the OUT_DIRs of two checkouts shows any
-change of result, and two runs of one checkout give an empty diff.
+Each command writes its files (``result.kv`` or ``result.json``,
+``trace.csv``, ``oracle.csv``) under OUT_DIR/<name>/, with ``report.kv``
+dropped since it holds wall-clock times, plus ``stdout.txt``: the exit code,
+standard output without the ``wrote ...`` lines (they name OUT_DIR) and
+standard error.  Every file is byte-stable, so ``diff -r`` between the
+OUT_DIRs of two checkouts shows any change of result, and two runs of one
+checkout give an empty diff.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ def _run(target: Path, argv: list[str]) -> None:
     (target / "stdout.txt").write_text(f"exit {code}\n" + "".join(kept) + stderr.getvalue())
 
 
-def _solve(out: Path, name: str, case: Path, config: Path | None, tag: str) -> None:
+def _solve(out: Path, name: str, case: Path, config: Path | None, tag: str, *options: str) -> None:
     target = out / f"solve-{name}"
-    options = ["--config", str(config)] if config else []
+    if config:
+        options = ("--config", str(config), *options)
     _run(target, ["solve", "--case", str(case), *options, "--variant", tag, "--out-dir", str(target)])
 
 
@@ -93,6 +96,8 @@ def main(argv: list[str]) -> int:
     single_shot = configs / "stressed30-single-shot.kv"
     single_shot.write_text(INSTANCES["stressed30"][1] + "single_shot = true\n")
     _solve(out, "stressed30-relaxed-one-single-shot", CASES / "case30.m", single_shot, "relaxed-one")
+    _solve(out, "stressed30-mixed-json", CASES / "case30.m", configs / "stressed30.kv", "mixed",
+           "--format", "json")
     capped = configs / "stressed30-outer-cap.kv"
     capped.write_text(INSTANCES["stressed30"][1] + "outer_max_iters = 1\n")
     _solve(out, "stressed30-mixed-outer-cap", CASES / "case30.m", capped, "mixed")
