@@ -56,9 +56,9 @@ Jacobian buffer J = [dP/dx on the free state columns | -gen_sel] at indices
 that ``network`` builds once per case, as it builds the fit's free entries,
 box, flat start and generation rows; J keeps the -0.0 entries of -gen_sel.
 The fit forms no objective gradient, and E is read from the outflow of its
-end point's residual pass.  The fit tests max|F| against TOL_FEAS only where
-f is low enough to allow it, and forms its bound-hold mask only when some
-coordinate sits on the box.
+end point's residual pass when it is first read.  The fit tests max|F|
+against TOL_FEAS only where f is low enough to allow it, and forms its
+bound-hold mask only when some coordinate sits on the box.
 
 The fit is one plain loop, ``least_squares``, over one switch set: the
 switching stage fits one set at a time, warm from the last, and
@@ -67,6 +67,13 @@ start that ``dispatch_start`` gives it: a generation dispatch that covers the
 set's load, with the DC power-flow angles of that dispatch.  Its tables are
 built on the first call with a network and kept on that Network object, so
 every later enumeration on the case takes them as they are.
+
+An ``Ao1Result`` keeps the network, the switch set and the fit next to the
+verdict (residual, status, iterations, certificate), and forms the rest on
+first read: ``state`` and ``input`` (one ``_split`` of the end vector),
+``duals`` and ``objective``.  ``enumerate_oracle`` reads the verdict alone,
+so it forms none of them; the driver forms the point and the duals of each
+fit it steers by, and never E.
 """
 
 from __future__ import annotations
@@ -103,14 +110,41 @@ EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class Ao1Result:
-    state: State
-    input: InputVector
-    duals: np.ndarray       # the balance multiplier -y r of each demand's active row
+    """One fit's verdict (residual, status, iterations, certificate), the
+    only part that ``enumerate_oracle`` reads.  ``state`` and ``input`` (one
+    ``_split`` of the fit's end vector), ``duals`` and ``objective`` are
+    formed on first read and kept: the driver reads the point and the duals
+    of each fit, and never E."""
+
+    net: Network
+    switches: SwitchVector  # the set fitted at
+    fit: FitResult          # the end vector, and the outflow terms of its residual pass
     residual: float         # max|F| at the end point
-    objective: float
     status: str
     iterations: int = 0     # fit evaluations after the one at the start point
     certificate: str = ""   # what proves an "infeasible" status: "screen" or "restoration"
+
+    @cached_property
+    def _point(self) -> tuple[State, InputVector]:
+        return _split(self.net, self.fit.x)
+
+    @cached_property
+    def state(self) -> State:
+        return self._point[0]
+
+    @cached_property
+    def input(self) -> InputVector:
+        return self._point[1]
+
+    @cached_property
+    def duals(self) -> np.ndarray:
+        """The balance multiplier -y r of each demand's active row."""
+        return -self.switches.y * self.net.rank
+
+    @cached_property
+    def objective(self) -> float:
+        """E, read from the outflow of the end point's residual pass."""
+        return objective_from_outflow(self.net, self.fit.terms.P, self.input, self.switches)
 
 
 def active_capacity_screen(net: Network, y: SwitchVector) -> bool:
@@ -415,9 +449,9 @@ def least_squares(prob: _Problem, z0) -> FitResult:
 
 def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     """One least-squares fit at switches y_fixed from warm = (state, input) or the
-    flat point; the module docstring says how its end sets the status.  E is
-    read from the outflow that the fit's last residual pass formed at its end
-    point."""
+    flat point; the module docstring says how its end sets the status.  The
+    result keeps the fit, and forms the end point, the duals and E from it
+    when they are first read."""
     net = network(case)
     check_sizes(net, "solve_ao1", y=y_fixed)
     prob = _Problem(net, y_fixed)
@@ -439,6 +473,4 @@ def solve_ao1(case: GridCase, y_fixed: SwitchVector, warm=None) -> Ao1Result:
     else:
         # a capped fit is no proof
         status, certificate = "max-iterations", ""
-    state, u = _split(net, fit.x)
-    E = objective_from_outflow(net, fit.terms.P, u, y_fixed)
-    return Ao1Result(state, u, -y_fixed.y * net.rank, feas, E, status, fit.nfev - 1, certificate)
+    return Ao1Result(net, y_fixed, fit, feas, status, fit.nfev - 1, certificate)

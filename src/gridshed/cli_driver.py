@@ -284,19 +284,20 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
             f"enumeration needs 2^{net.n_dem} continuous solves; the cap is 2^{ORACLE_CAP}"
         )
     start = dispatch_start(net)
+    shifts = np.arange(net.n_dem)
     entries = []
     for code in range(2 ** net.n_dem):
-        bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
-        y = SwitchVector(bits)
+        ints = code >> shifts & 1
+        y = SwitchVector(ints)
         screened = active_capacity_screen(net, y)
         feasible, evaluations = False, 0
         if not screened:
             fit = solve_ao1(work, y, warm=start(y))
             feasible, evaluations = fit.status == "converged", fit.iterations + 1
         entries.append(OracleEntry(
-            switches=tuple(int(b) for b in bits),
+            switches=tuple(ints.tolist()),
             feasible=feasible,
-            objective=float(np.sum(bits * net.rank * net.pd)),
+            objective=float(np.sum(y.y * net.rank * net.pd)),
             screened=screened,
             evaluations=evaluations,
         ))

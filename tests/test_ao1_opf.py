@@ -713,6 +713,113 @@ def test_oracle_entries_are_equal_on_a_second_enumeration(shortfall5_case):
     assert fields(enumerate_oracle(dataclasses.replace(shortfall5_case))) == first
 
 
+# -- the result's parts formed on read ---------------------------------------------
+
+def _bytes(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("fixture, cap, status, certificate", [
+    ("case5", None, "converged", ""),
+    ("shortfall5_case", None, "infeasible", "screen"),
+    ("stressed30", None, "infeasible", "screen"),
+    ("negative_g5", None, "infeasible", "restoration"),
+    ("negative_g5", 1, "max-iterations", ""),
+])
+def test_parts_formed_on_read_equal_the_eager_formulas(fixture, cap, status, certificate, request,
+                                                        monkeypatch):
+    # state, input, duals and E are formed from the kept fit when first read,
+    # one _split for the point, and are the bytes of the eager formulas:
+    # _split at the end vector, E from the end point's outflow, and -y r
+    case = request.getfixturevalue(fixture)
+    if cap is not None:
+        monkeypatch.setattr(ao1_opf, "FIT_MAX_ITERS", cap)
+    net = network(case)
+    y = SwitchVector(np.ones(net.n_dem))
+    fits, splits = [], []
+    fit, split = ao1_opf.least_squares, ao1_opf._split
+
+    def recording(prob, z0):
+        fits.append(fit(prob, z0))
+        return fits[-1]
+
+    def counted(net, z):
+        splits.append(z)
+        return split(net, z)
+
+    monkeypatch.setattr(ao1_opf, "least_squares", recording)
+    monkeypatch.setattr(ao1_opf, "_split", counted)
+    r = solve_ao1(case, y)
+    assert (r.status, r.certificate) == (status, certificate)
+    assert splits == []
+    state, u = split(net, fits[0].x)
+    E = ao1_opf.objective_from_outflow(net, fits[0].terms.P, u, y)
+    for lazy, eager in ((r.state.v, state.v), (r.state.theta, state.theta), (r.input.pg, u.pg),
+                        (r.input.qg, u.qg), (r.duals, -y.y * net.rank)):
+        assert _bytes(lazy) == _bytes(eager)
+    assert r.objective.hex() == E.hex()
+    # each part is formed once and kept
+    assert len(splits) == 1
+    assert r.state is r.state and r.input is r.input and r.duals is r.duals
+    assert len(splits) == 1
+
+
+def test_oracle_forms_no_point_and_no_objective(shortfall5_case, monkeypatch):
+    # the oracle reads a fit's status and iterations alone
+    calls = {"_split": 0, "objective_from_outflow": 0, "solve_ao1": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ao1_opf, "_split")
+    counted(ao1_opf, "objective_from_outflow")
+    counted(cli_driver, "solve_ao1")
+    entries = enumerate_oracle(shortfall5_case)
+    assert calls["solve_ao1"] == sum(not e.screened for e in entries) > 0
+    assert (calls["_split"], calls["objective_from_outflow"]) == (0, 0)
+
+
+def _reference_oracle(case):
+    """enumerate_oracle's per-set loop with each set's bits from a list of
+    shifts and its switch tuple from int()s, as (switches, objective bytes,
+    screened, feasible, evaluations) in the oracle's order."""
+    _, work, net = cli_driver._setup(case, None)
+    start = ao1_opf.dispatch_start(net)
+    entries = []
+    for code in range(2 ** net.n_dem):
+        bits = np.array([(code >> k) & 1 for k in range(net.n_dem)], dtype=float)
+        y = SwitchVector(bits)
+        screened = active_capacity_screen(net, y)
+        feasible, evaluations = False, 0
+        if not screened:
+            fit = solve_ao1(work, y, warm=start(y))
+            feasible, evaluations = fit.status == "converged", fit.iterations + 1
+        objective = float(np.sum(bits * net.rank * net.pd))
+        entries.append((tuple(int(b) for b in bits), objective, screened, feasible, evaluations))
+    entries.sort(key=lambda e: (not e[3], -e[1], e[0]))
+    return [(switches, objective.hex(), *rest) for switches, objective, *rest in entries]
+
+
+@pytest.mark.parametrize("which", ["shortfall5_case", "feasible cases"])
+def test_oracle_entries_equal_a_per_set_reference_loop(which, request):
+    if which == "shortfall5_case":
+        cases = [request.getfixturevalue(which)]
+    else:
+        from seeded_cases import _feasible_case
+        cases = [_feasible_case(np.random.default_rng(seed)) for seed in range(20)]
+    for case in cases:
+        entries = enumerate_oracle(case)
+        assert all(type(b) is int for e in entries for b in e.switches)
+        got = [(e.switches, e.objective.hex(), e.screened, e.feasible, e.evaluations) for e in entries]
+        assert got == _reference_oracle(case)
+
+
 def _fits_to_check(which, request):
     """{label: [(case, y), ...]}: on case5, its shortfall scenario and the
     negative-conductance copy, fits that end converged, by the screen and by

@@ -249,8 +249,10 @@ def test_full_service_ends_the_loop_at_a_later_iteration(case5, monkeypatch, nud
     def first_capped(case, y, warm=None):
         res = solve(case, y, warm=warm)
         if warm is None:
+            # a stand-in for the first result: its point with qg nudged, capped
             u = InputVector(pg=res.input.pg, qg=res.input.qg + nudge)
-            res = dataclasses.replace(res, input=u, status="max-iterations")
+            res = SimpleNamespace(state=res.state, input=u, duals=res.duals, residual=res.residual,
+                                  status="max-iterations", iterations=res.iterations, certificate="")
         return res
 
     def recording_ao2(case, start, duals, schedule, variant, cuts=()):

@@ -1,5 +1,6 @@
 """The command-line tools under tools/, run in-process on small inputs."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -87,6 +88,19 @@ def test_compare_names_each_call_that_differs(tmp_path, tool, capsys):
     assert tool.main([str(tmp_path / "c.json"), *args, "--outcomes", "--compare", str(base)]) == 2
     assert "no outcome" in capsys.readouterr().out
     assert not (tmp_path / "c.json").exists()
+
+
+def test_oracle5_digest_covers_each_entrys_evaluations(tool):
+    # a change that moves one oracle fit's evaluation count, and no label,
+    # moves the call's digest
+    _seed, _index, call, _key, inst = next(tool.walk("oracle5", [1]))
+    entries, answer = tool.workloads.run(call, inst)
+    digest = tool.call_digest(call, inst, (entries, answer))
+    fitted = next(k for k, e in enumerate(entries) if e.evaluations)
+    moved = list(entries)
+    moved[fitted] = dataclasses.replace(entries[fitted], evaluations=entries[fitted].evaluations + 1)
+    assert tool.call_digest(call, inst, (moved, answer)) != digest
+    assert tool.call_digest(call, inst, (list(entries), answer)) == digest
 
 
 CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
@@ -222,6 +236,31 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys)
     assert min(margins) > 1e3 * census.qp_core.SLACK_TOL
     assert lines[-1].endswith("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged "
                               f"clips certify nothing, smallest margin {min(margins):.2e}")
+
+
+def test_census_prints_oracle_shares_per_variant(census, capsys):
+    # _random_case seed 10 has a balanced set and seed 23 none: each variant
+    # answers seed 10 and fails on seed 23, and is at the optimum on seed 10
+    # when its objective equals the oracle's best feasible one
+    assert census.main(["--workload", "switch30", "--seeds", "1", "--random", "10,23"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = lines.index("against enumerate_oracle: 1 of 2 cases have a balanced set")
+    case = census._random_case(np.random.default_rng(10))
+    optimum = max(e.objective for e in census.enumerate_oracle(case) if e.feasible)
+    optimal = []
+    for k, tag in enumerate(census.VARIANT_TAGS):
+        res = census.run_ao_sbqp(case, census.SolverConfig(variant=census.Ao2Variant(tag=tag)))
+        optimal.append(int(res.objective == optimum))
+        assert lines[head + 1 + k] == (
+            f"{tag}: 2 runs, answered 1 (0.500), at the oracle's optimum {optimal[-1]} "
+            f"({optimal[-1] / 2:.3f}), failed on a case with no balanced set 1 (0.500)")
+    assert 0 < sum(optimal) < 3
+    # the random part's totals follow and count the runs' fits alone, none
+    # of the oracle's
+    assert lines[head + 4].startswith("_random_case seeds 10,23: 6 calls, 3 failed; ")
+    randoms = [line.split() for line in lines if line.startswith("random ")]
+    assert len(randoms) == 6
+    assert lines[head + 5].startswith(f"AO1 fits {sum(int(f[3]) for f in randoms)}, ")
 
 
 @pytest.mark.parametrize("seeds, message", [

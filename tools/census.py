@@ -39,6 +39,14 @@ error's first clause).  Work during a seed's set-up (switch30 builds its AO1
 starts there) gets a line of its own.  Totals for both layers follow each
 part, with the fits' median and slowest time and how many took longer than
 SLOW_MS.
+
+Before the random part's totals come three shares per variant, over its
+runs, against ``enumerate_oracle`` on each drawn case (run before the census
+wraps anything, so its fits are not counted): the runs answered, the runs
+answered at the oracle's optimum (the largest objective of a set it labels
+feasible), and the runs that failed on a case where the oracle labels no set
+feasible.  They are printed, not asserted: a run that fails on a case with a
+balanced set, or answers below the optimum, is in none of the last two.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from gridshed import ao1_opf, ao2_sbqp, qp_core  # noqa: E402
 from gridshed.ao2_sbqp import VARIANT_TAGS, Ao2Error, Ao2Variant  # noqa: E402
-from gridshed.cli_driver import DriverError, SolverConfig, run_ao_sbqp  # noqa: E402
+from gridshed.cli_driver import DriverError, SolverConfig, enumerate_oracle, run_ao_sbqp  # noqa: E402
 from seeded_cases import _random_case  # noqa: E402
 from workload_digests import _seeds, walk  # noqa: E402
 
@@ -186,11 +194,11 @@ def _line(label: str, variant: str, work, seconds: str, outcome: str) -> str:
             f"{_least_margin(work['tests']):>8} {seconds:>8}  {outcome}")
 
 
-def _tally(census: Census, calls) -> tuple[dict[str, list], list[str], float]:
+def _tally(census: Census, calls) -> tuple[dict[str, list], list, float]:
     """Run each (where, what, variant, run) call, print its line and one for
-    any work done between calls, and return the part's work, outcomes and
-    seconds."""
-    part, outcomes, spent = _empty(), [], 0.0
+    any work done between calls, and return the part's work, answers (a
+    result or the error raised) and seconds."""
+    part, answers, spent = _empty(), [], 0.0
     for where, what, variant, run in calls:
         # all the census holds here is set-up: the seed's build, if walk just ran it
         setup = census.take()
@@ -206,16 +214,16 @@ def _tally(census: Census, calls) -> tuple[dict[str, list], list[str], float]:
         work = census.take()
         for kind in WORK:
             part[kind] += setup[kind] + work[kind]
-        outcomes.append(_outcome(answer))
-        print(_line(f"{where} {what}".strip(), variant, work, f"{seconds:.3f}", outcomes[-1]),
+        answers.append(answer)
+        print(_line(f"{where} {what}".strip(), variant, work, f"{seconds:.3f}", _outcome(answer)),
               flush=True)
-    return part, outcomes, spent
+    return part, answers, spent
 
 
-def _totals(label: str, work, outcomes, seconds: float) -> list[str]:
+def _totals(label: str, work, answers, seconds: float) -> list[str]:
     fits, clips, rows, solves, tests = (work[kind] for kind in WORK)
-    failed = sum(o != "answered" for o in outcomes)
-    lines = [f"{label}: {len(outcomes)} calls, {failed} failed; {seconds:.3f} s"]
+    failed = sum(_outcome(a) != "answered" for a in answers)
+    lines = [f"{label}: {len(answers)} calls, {failed} failed; {seconds:.3f} s"]
     if fits:
         ends, times = [f[2] for f in fits], [f[3] for f in fits]
         exits = ", ".join(f"{n} {e}" for n, e in zip(_counts(EXITS, [f[1] for f in fits]), EXITS))
@@ -239,12 +247,34 @@ def _totals(label: str, work, outcomes, seconds: float) -> list[str]:
     return lines
 
 
-def _random_calls(seeds: list[int]):
-    for seed in seeds:
-        case = _random_case(np.random.default_rng(seed))
+def _random_calls(cases: list):
+    for seed, case in cases:
         for tag in VARIANT_TAGS:
             yield f"random {seed}", "", tag, partial(
                 run_ao_sbqp, case, SolverConfig(variant=Ao2Variant(tag=tag)))
+
+
+def _optimum(case) -> float | None:
+    """The largest objective of a set that enumerate_oracle labels feasible,
+    None when it labels none."""
+    return max((e.objective for e in enumerate_oracle(case) if e.feasible), default=None)
+
+
+def _shares(optima: list, answers: list) -> list[str]:
+    """Per variant, over the runs of _random_calls (each case's runs in
+    VARIANT_TAGS order): the runs answered, answered at the oracle's optimum,
+    and failed on a case with no balanced set."""
+    balanced = sum(o is not None for o in optima)
+    lines = [f"against enumerate_oracle: {balanced} of {len(optima)} cases have a balanced set"]
+    for k, tag in enumerate(VARIANT_TAGS):
+        runs = list(zip(optima, answers[k::len(VARIANT_TAGS)]))
+        answered = [(o, a) for o, a in runs if _outcome(a) == "answered"]
+        counts = (len(answered), sum(a.objective == o for o, a in answered),
+                  sum(o is None for o, a in runs if _outcome(a) != "answered"))
+        answered, optimal, unbalanced = (f"{n} ({n / len(runs):.3f})" for n in counts)
+        lines.append(f"{tag}: {len(runs)} runs, answered {answered}, at the oracle's optimum {optimal}, "
+                     f"failed on a case with no balanced set {unbalanced}")
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -257,11 +287,14 @@ def main(argv: list[str]) -> int:
     calls = ((f"seed {seed}", f"call {k}", call["variant"], partial(workloads.run, call, inst))
              for seed, k, call, _key, inst in walk(args.workload, args.seeds)
              if inst is not None)
+    cases = [(seed, _random_case(np.random.default_rng(seed))) for seed in args.random]
+    optima = [_optimum(case) for _, case in cases]
     print(HEADER)
     with Census() as census:
-        for label, part in ((f"{args.workload} seeds {args.seeds}", calls),
-                            (f"_random_case seeds {args.random}", _random_calls(args.random))):
-            print("\n".join(_totals(label, *_tally(census, part))))
+        print("\n".join(_totals(f"{args.workload} seeds {args.seeds}", *_tally(census, calls))))
+        work, answers, seconds = _tally(census, _random_calls(cases))
+        print("\n".join(_shares(optima, answers)))
+        print("\n".join(_totals(f"_random_case seeds {args.random}", work, answers, seconds)))
     return 0
 
 

@@ -12,7 +12,8 @@ The digest covers the bytes of everything the call returns:
 
 * an answer: the switch set, the objective, the state (v, theta) and input
   (pg, qg) arrays and every AO2 trace row, plus, on oracle5, every
-  enumerated entry; a bare AO2 call (switch30) gives its switch set and
+  enumerated entry: its switches, verdict, objective, screen label and fit
+  evaluations; a bare AO2 call (switch30) gives its switch set and
   trace, and the state and input of its AO1 start from set-up are digested
   too (its multipliers, -rank by construction, are not);
 * a failure: the error type and text, and the best iterate (a
@@ -121,7 +122,7 @@ def call_digest(call: dict, inst, answer) -> str:
     if call["kind"] == "oracle-solve":
         entries, answer = answer
         for e in entries:
-            d.floats([*e.switches, e.feasible, e.objective, e.screened])
+            d.floats([*e.switches, e.feasible, e.objective, e.screened, e.evaluations])
     if call["kind"] == "switch":
         switches, trace = answer
         d.floats(switches.y)
