@@ -379,9 +379,10 @@ def least_squares(prob: _Problem, z0) -> FitResult:
         g = J.T @ F
         # only a coordinate on a bound can be held there; with none on the
         # box every one is free
-        every = not (np.count_nonzero(z <= lower) or np.count_nonzero(z >= upper))
+        at_lower, at_upper = z <= lower, z >= upper
+        every = not (np.count_nonzero(at_lower) or np.count_nonzero(at_upper))
         if not every:
-            free = ~(((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0)))
+            free = ~((at_lower & (g > 0.0)) | (at_upper & (g < 0.0)))
             every = bool(free.all())
         rhs = -g if every else -g[free]
         if float(np.abs(rhs).max(initial=0.0)) <= 1e-12 * max(1.0, f):
@@ -413,8 +414,10 @@ def least_squares(prob: _Problem, z0) -> FitResult:
                     if every:
                         free = np.ones(z.size, dtype=bool)
                     keep = free & ~out
-                    k, o = keep[free], out[free]
-                    s = _solve(M[np.ix_(k, k)], rhs[k] - M[np.ix_(k, o)] @ h[out])
+                    # M's rows and columns by integer positions among the free
+                    k, o = keep[free].nonzero()[0], out[free].nonzero()[0]
+                    M_k = M.take(k, axis=0)
+                    s = _solve(M_k.take(k, axis=1), rhs[k] - M_k.take(o, axis=1) @ h[out])
                     z_try[keep] = (z[keep] + s).clip(lower[keep], upper[keep])
             F_try, terms_try = prob.residual(z_try)
             nfev += 1

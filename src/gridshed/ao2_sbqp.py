@@ -193,8 +193,10 @@ def live_demands(net) -> np.ndarray:
 def subproblem_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts=()) -> dict:
     """The parts of every switching subproblem around lin_point that do not
     depend on rho or the anchor, as one value for build_subproblem: the
-    variant's tag, y_lin, the box, the rows A and b, the curvature q and the
-    linear term g0 before the penalty gradient.
+    variant's tag, y_lin, and "stage", the QpProblem of the curvature q and
+    the linear term g0 before the penalty gradient over the box and the rows
+    A and b.  Its checks of that box and those rows are the only ones the
+    switching stage makes.
 
     The variable is the step d = y - y_lin, so the box is [-y_lin, 1 - y_lin].
     The active row's right side sum pg - sum y_lin pd - L charges the network
@@ -237,8 +239,8 @@ def subproblem_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts
     else:
         q = 2.0 * (net.rank * net.pd)
         g0 = q * y_lin
-    return {"tag": variant.tag, "y_lin": y_lin, "lower": -y_lin, "upper": 1.0 - y_lin,
-            "A": A, "b": b, "q": q, "g0": g0}
+    stage = QpProblem(q=q, g_lin=g0, A=A, b=b, lower=-y_lin, upper=1.0 - y_lin)
+    return {"tag": variant.tag, "y_lin": y_lin, "stage": stage}
 
 
 def build_subproblem(parts: dict, rho: float, phi_anchor=None) -> QpProblem:
@@ -248,17 +250,18 @@ def build_subproblem(parts: dict, rho: float, phi_anchor=None) -> QpProblem:
     anchor: the penalty gradient at phi_anchor (y_lin when None) times rho
     comes off g0.  relaxed-one keeps the exact penalty expanded around y_lin
     instead, its gradient there and curvature 2 rho, whatever the anchor.
+    The box and rows are the stage problem's, checked once when the parts
+    were formed; each level checks only the shapes of its q and g.
     """
-    y_lin = parts["y_lin"]
+    y_lin, stage = parts["y_lin"], parts["stage"]
     anchor = y_lin if phi_anchor is None else phi_anchor
     rho = float(rho)
-    q = parts["q"]
+    q = stage.q
     if parts["tag"] == "relaxed-one":
         q = q + 2.0 * rho
         anchor = y_lin
-    g = parts["g0"] - rho * grad_phi(anchor)
-    return QpProblem(q=q, g_lin=g, A=parts["A"], b=parts["b"], lower=parts["lower"],
-                     upper=parts["upper"])
+    g = stage.g_lin - rho * grad_phi(anchor)
+    return stage.with_objective(q, g)
 
 
 def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
@@ -267,9 +270,11 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
 
     solve_sub(rho, anchor, warm) solves one subproblem and returns a
     (y_candidate, status) pair, y_candidate an array in unit-box
-    coordinates.  A zero-penalty pass seeds the incumbent; each penalty
-    level then re-anchors the linearized complementarity term at the
-    incumbent, solves, and blends the result through step_length.  The blended point can extrapolate past the
+    coordinates.  psi_of(y, rho, phi_y), when given, is each trace row's
+    diagnostic, handed the row's phi(y).  A zero-penalty pass seeds the
+    incumbent; each penalty level then re-anchors the linearized
+    complementarity term at the incumbent, solves, and blends the result
+    through step_length.  The blended point can extrapolate past the
     subproblem solution, so a feasible(y) predicate, when given, gates it.
     With single_shot the seeding pass and the blend are skipped and each
     solution is taken directly.  Returns (y, SbqpTrace); raises Ao2Error when
@@ -283,8 +288,9 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     rows: list[SbqpTraceRow] = []
 
     def record(it, y, rho_val, alpha, status, kind):
-        val = float("nan") if psi_of is None else float(psi_of(y, rho_val))
-        rows.append(SbqpTraceRow(it, y.copy(), phi(y), rho_val, alpha, status, kind, val))
+        phi_y = phi(y)
+        val = float("nan") if psi_of is None else float(psi_of(y, rho_val, phi_y))
+        rows.append(SbqpTraceRow(it, y.copy(), phi_y, rho_val, alpha, status, kind, val))
         if status == "infeasible":
             raise Ao2Error("the switching rows admit no point of the box", SbqpTrace(tuple(rows)), y,
                            kind="infeasible")
@@ -382,12 +388,12 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
         sol = solve_qp(prob, start=None if warm is None else warm - y_lin)
         return y_lin + sol.primal, sol.status
 
-    def psi_of(y, rho):
+    def psi_of(y, rho, phi_y):
         # quadratic model value minus the exact penalty, kept as a diagnostic
         if variant.tag == "mixed":
             d = y - y_lin
-            return 0.5 * float(d * base.q @ d) + float(base.g_lin @ d) - rho * phi(y)
-        return float(w @ (y * y)) - rho * phi(y)
+            return 0.5 * float(d * base.q @ d) + float(base.g_lin @ d) - rho * phi_y
+        return float(w @ (y * y)) - rho * phi_y
 
     y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of,
                             single_shot=variant.single_shot, feasible=row_feasible)

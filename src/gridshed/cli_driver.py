@@ -210,7 +210,9 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     for outer in range(1, cfg.outer_max_iters + 1):
         y = proposal
         ao1 = timed("ao1_s", solve_ao1, work, y, warm=warm)
-        xu = np.concatenate([ao1.state.as_vector(), ao1.input.as_vector()])
+        # the fit's end vector: the point but for the slack's (v, theta),
+        # which never moves, so it moves by as much as the point does
+        xu = ao1.fit.x
         if ao1.status == "infeasible":
             # a set proved infeasible is cut, never settled on
             rejected.setdefault(pattern(y), y.y)

@@ -75,10 +75,21 @@ h * upper for every kernel run under one curvature h, and ``_probe_moves``
 the parts of the endpoint moves that do not depend on the point.  A clip
 whose rows z meets at lam = 0 takes no step at all.  Under h = 1, the
 projection of the stationary path, the box is its own scaled box and no
-division by h is made, as 1.0 * x == x and x / 1.0 == x hold exactly.  The
-stationary path's stop test forms stationarity, the first term of
-``kkt_residual``, from the iteration's own gradient, and the other terms
-only when that passes; the solution carries the residual so formed.
+division by h is made, as 1.0 * x == x and x / 1.0 == x hold exactly; the
+stationary path knows its h is 1 and builds that box with no ones vector
+and no test of one, its h the scalar 1.0.  The stationary path's stop test
+forms stationarity, the first term of ``kkt_residual``, from the
+iteration's own gradient, and the other terms only when that passes; the
+solution carries the residual so formed.  A kernel step sorts its kinks in
+place and writes its breakpoints into one array, and the exact path takes
+its KKT block by integer positions.
+
+What does not change across solves is checked once: a caller that solves
+many objectives over one box and one set of rows, as the switching stage
+does at each penalty level, builds one checked ``QpProblem`` and derives
+each level's problem with ``QpProblem.with_objective``, which checks only
+the shapes of the new q and g_lin.  A problem with no coordinates is
+answered from b alone.
 
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
@@ -113,12 +124,14 @@ class QpProblem:
         for name in ("q", "g_lin", "A", "b", "lower", "upper"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.g_lin.size
+        if self.g_lin.shape != (n,):
+            raise ValueError("g_lin must be a vector")
         if self.q.shape != (n,):
             raise ValueError("q must be a vector the size of g_lin")
-        if self.A.size == 0:
+        if self.A.size == 0 and self.A.shape[0] == 0:
+            # no rows, A = [] among them; a row over no coordinates keeps its b
             object.__setattr__(self, "A", np.zeros((0, n)))
-            object.__setattr__(self, "b", np.zeros(0))
-        if self.A.shape[1] != n or self.b.shape != (self.A.shape[0],):
+        if self.A.ndim != 2 or self.A.shape[1] != n or self.b.shape != (self.A.shape[0],):
             raise ValueError("A/b dimensions inconsistent")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("box dimensions inconsistent")
@@ -130,6 +143,21 @@ class QpProblem:
     @property
     def dim(self) -> int:
         return self.g_lin.size
+
+    def with_objective(self, q, g_lin) -> "QpProblem":
+        """This problem's box and rows under curvature q and linear term g_lin.
+
+        The box and rows passed their checks when this problem was built, so
+        only the shapes of q and g_lin are checked: a stage that solves many
+        objectives over one box and one set of rows checks those once.
+        """
+        q, g_lin = np.asarray(q, dtype=float), np.asarray(g_lin, dtype=float)
+        n = self.g_lin.size
+        if q.shape != (n,) or g_lin.shape != (n,):
+            raise ValueError("q and g_lin must be vectors the size of the box")
+        new = object.__new__(QpProblem)
+        new.__dict__.update(self.__dict__, q=q, g_lin=g_lin)
+        return new
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +220,15 @@ class _Box:
     """The box of one problem under one curvature h > 0, with what every
     kernel run reuses: whether h is all ones, the box scaled by h (the values
     of s + A'lam at which a coordinate reaches a box end) and those lower and
-    upper ends stacked as the rows of one (2, n) array."""
+    upper ends stacked as the rows of one (2, n) array.  h None is the unit
+    curvature, read as the scalar 1.0."""
 
-    def __init__(self, problem: QpProblem, h: np.ndarray):
-        self.h, self.lower, self.upper = h, problem.lower, problem.upper
+    def __init__(self, problem: QpProblem, h: np.ndarray | None = None):
+        self.lower, self.upper = problem.lower, problem.upper
         # h = 1, the projection: 1.0 * x == x and x / 1.0 == x, so the box is
         # its own scaled box and every division by h is skipped
-        self.unit = bool((h == 1.0).all())
+        self.unit = h is None or bool((h == 1.0).all())
+        self.h = 1.0 if h is None else h
         if self.unit:
             self.h_lower, self.h_upper = problem.lower, problem.upper
         else:
@@ -212,6 +242,23 @@ class _Box:
     def bound_duals(self, shifted):
         """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam."""
         return np.maximum(0.0, self.h_lower - shifted), np.maximum(0.0, shifted - self.h_upper)
+
+
+def _breakpoints(box: _Box, shifted, v, cap):
+    """The steps t at which the search evaluates the dual's slope along
+    shifted + t v: 0, then in ascending order the kinks in (0, cap), the
+    steps at which a moving coordinate reaches its lower (row 0 of box.ends)
+    or upper (row 1) end, then cap when it is finite."""
+    kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=v != 0.0)
+    kinks = kinks[(kinks > 0.0) & (kinks < cap)]
+    kinks.sort()
+    capped = cap < np.inf
+    ts = np.empty(kinks.size + (2 if capped else 1))
+    ts[0] = 0.0
+    ts[1:kinks.size + 1] = kinks
+    if capped:
+        ts[-1] = cap
+    return ts
 
 
 def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
@@ -253,17 +300,13 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
         work = int(work[0])
         lam_w, d = float(lam[work]), 1.0 if slack[work] < 0.0 else -1.0
         cap, v, c = lam_w if d < 0.0 else np.inf, A[work] * d + 0.0, d * float(b[work])
-    # the steps at which a moving coordinate reaches its lower (row 0) or
-    # upper (row 1) end
-    kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=v != 0.0)
-    kinks = np.sort(kinks[(kinks > 0.0) & (kinks < cap)])
     capped = cap < np.inf
-    ts = np.concatenate(([0.0], kinks, (cap,)) if capped else ([0.0], kinks))
+    ts = _breakpoints(box, shifted, v, cap)
     x = shifted + ts[:, None] * v
     if not box.unit:
         x /= box.h
     slope = c + x.clip(box.lower, box.upper) @ v
-    if not capped and kinks.size:
+    if not capped and ts.size > 1:
         # at the last kink every moving coordinate sits on the box end ahead
         # of it, so the slope there, and on past it, is exact from those ends
         slope[-1] = c + v @ np.where(v > 0.0, box.upper, box.lower)
@@ -360,12 +403,14 @@ def _solve_exact(problem: QpProblem) -> QpSolution:
     # curvature near 1e-5 leaves a residual near 1e-9; one KKT solve on the
     # free coordinates and the active rows recovers full precision
     free, rows = (z > problem.lower) & (z < problem.upper), lam > 0.0
-    A_rf = A[np.ix_(rows, free)]
-    nf = int(free.sum())
+    # the block A[rows, free], taken by integer positions
+    A_r = A.take(rows.nonzero()[0], axis=0)
+    A_rf = A_r.take(free.nonzero()[0], axis=1)
+    nf = A_rf.shape[1]
     kkt = np.zeros((nf + A_rf.shape[0],) * 2)
     kkt[:nf, :nf].flat[::nf + 1] = q[free]
     kkt[:nf, nf:], kkt[nf:, :nf] = A_rf.T, A_rf
-    rhs = np.concatenate([-g[free], -(problem.b[rows] + A[rows][:, ~free] @ z[~free])])
+    rhs = np.concatenate([-g[free], -(problem.b[rows] + A_r[:, ~free] @ z[~free])])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
@@ -436,8 +481,9 @@ def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> float | None:
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     n = problem.dim
-    box, moves = _Box(problem, np.ones(n)), _probe_moves(problem)
-    z0 = np.clip(start if start is not None else np.zeros(n), problem.lower, problem.upper)
+    box, moves = _Box(problem), _probe_moves(problem)
+    z0 = np.zeros(n) if start is None else np.asarray(start, dtype=float)
+    z0 = z0.clip(problem.lower, problem.upper)
     z, *_, w = _dual_clip(problem, box, z0)
     if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
         return _infeasible(problem, z, w)
@@ -492,8 +538,22 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     return QpSolution(z, lam, mu, gam, status, res)
 
 
+def _solve_empty(problem: QpProblem) -> QpSolution:
+    """A problem with no coordinates: each row i reads b_i >= 0 alone.  Some
+    b_i < -SLACK_TOL is "infeasible", with the Farkas multiplier 1 on the
+    worst row; otherwise the empty point is "optimal"."""
+    b, none = problem.b, np.zeros(0)
+    lam = np.zeros(b.size)
+    res, status = max(0.0, -float(b.min(initial=0.0))), "optimal"
+    if res > SLACK_TOL:
+        lam[b.argmin()], status = 1.0, "infeasible"
+    return QpSolution(none, lam, none, none, status, res)
+
+
 def solve_qp(problem: QpProblem, start: np.ndarray | None = None) -> QpSolution:
     """Exact maximizer when every curvature is negative, else a KKT point reached from start."""
+    if not problem.g_lin.size:
+        return _solve_empty(problem)
     if float(problem.q.max()) < 0.0:
         return _solve_exact(problem)
     return _solve_stationary(problem, start)

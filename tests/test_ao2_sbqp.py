@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshed import ao2_sbqp
+from gridshed import ao2_sbqp, cli_driver
 from gridshed.ao1_opf import TOL_FEAS, solve_ao1
 from gridshed.ao2_sbqp import (
     Ao2Error,
@@ -20,6 +20,8 @@ from gridshed.ao2_sbqp import (
     step_length,
     subproblem_parts,
 )
+from gridshed.cli_driver import DriverError, SolverConfig, run_ao_sbqp
+from gridshed.grid_model import ScenarioConfig, apply_scenario
 from gridshed.power_equations import (
     SwitchVector,
     grad_phi,
@@ -528,3 +530,162 @@ def test_each_subproblem_gets_one_qp_solve(tag, stressed30, stressed30_start, mo
         assert len(calls) == 2 * len(trace.rows)
         for built, solved in zip(calls[2::2], calls[3::2]):
             assert solved == ("solve", built)
+
+
+# -- one checked stage problem per run_ao2 ---------------------------------------
+
+# the seeded (pd_shift, rank_seed) draws of bench/workloads.py's shed30, seeds 1-3
+SHED30_DRAWS = [(2.5118216247002567, 1621709875), (2.2616121342493165, 234731698),
+                (2.0856491671436244, 385346042)]
+
+
+def _checked_every_level_ao2(case, start, duals, variant, cuts=()):
+    """run_ao2 with a fully checked QpProblem built at every penalty level
+    from the curvature, linear term, rows and box of subproblem_parts' stage
+    problem, each trace row's phi taken again for its psi."""
+    schedule = PenaltySchedule()
+    y_lin = start[2].y
+    net = network(case)
+    w = net.rank * net.pd
+    parts = subproblem_parts(case, start, duals, variant, cuts)
+    stage = parts["stage"]
+
+    def build(rho, anchor):
+        q, anchor = stage.q, y_lin if anchor is None else anchor
+        if variant.tag == "relaxed-one":
+            q, anchor = q + 2.0 * rho, y_lin
+        return QpProblem(q=q, g_lin=stage.g_lin - rho * grad_phi(anchor), A=stage.A.copy(),
+                         b=stage.b.copy(), lower=stage.lower.copy(), upper=stage.upper.copy())
+
+    base = build(0.0, y_lin)
+
+    def solve_sub(rho, anchor, warm):
+        prob = base if rho == 0.0 else build(float(rho), anchor)
+        sol = solve_qp(prob, start=None if warm is None else warm - y_lin)
+        return y_lin + sol.primal, sol.status
+
+    def feasible(y):
+        return float((base.b + base.A @ (y - y_lin)).min(initial=0.0)) >= -1e-9
+
+    def psi_of(y, rho, _phi_y):
+        if variant.tag == "mixed":
+            d = y - y_lin
+            return 0.5 * float(d * base.q @ d) + float(base.g_lin @ d) - rho * phi(y)
+        return float(w @ (y * y)) - rho * phi(y)
+
+    y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of, single_shot=variant.single_shot,
+                            feasible=feasible)
+    return SwitchVector(snap_binary(y, 2.0 * schedule.eps)), trace
+
+
+def _stage_bytes(run):
+    """The bytes of a switching stage's switches, or of its Ao2Error's, and of
+    every field of every trace row; run() runs the stage."""
+    try:
+        switches, trace = run()
+        head = ("answer", switches.y.tobytes())
+    except Ao2Error as exc:
+        head, trace = (exc.kind, np.asarray(exc.y).tobytes()), exc.trace
+    return head, [(r.iteration, r.y.tobytes(), np.float64([r.phi, r.rho, r.alpha, r.psi]).tobytes(),
+                   r.status, r.kind) for r in trace.rows]
+
+
+def _assert_stage_matches_checked_levels(case, start, duals, variant, cuts=()):
+    got = _stage_bytes(lambda: run_ao2(case, start, duals, None, variant, cuts=cuts))
+    assert got == _stage_bytes(lambda: _checked_every_level_ao2(case, start, duals, variant, cuts))
+    return got
+
+
+def _stage_cases(stressed30):
+    from seeded_cases import _feasible_case
+
+    cases = [stressed30]
+    cases += [apply_scenario(stressed30, ScenarioConfig(pd_shift=shift, rank_seed=rank))
+              for shift, rank in SHED30_DRAWS]
+    cases += [_feasible_case(np.random.default_rng(seed)) for seed in range(20)]
+    return cases
+
+
+def test_run_ao2_matches_a_problem_checked_at_every_level(stressed30, monkeypatch):
+    # from each case's all-ones fit, again with the set it answers cut, and
+    # at every stage a full solve of the case runs: switches and trace rows
+    # are byte-equal to those of a loop that builds and checks a whole
+    # QpProblem at every penalty level
+    stages = 0
+    switch = cli_driver.run_ao2
+
+    def both(case, start, duals, schedule, variant, cuts=()):
+        nonlocal stages
+        assert schedule == PenaltySchedule()
+        _assert_stage_matches_checked_levels(case, start, duals, variant, cuts)
+        stages += 1
+        return switch(case, start, duals, schedule, variant, cuts=cuts)
+
+    monkeypatch.setattr(cli_driver, "run_ao2", both)
+    answered = 0
+    for case in _stage_cases(stressed30):
+        ones = SwitchVector(np.ones(len(case.demands)))
+        res = solve_ao1(case, ones)
+        start = (res.state, res.input, ones)
+        for tag in ALL_TAGS:
+            variant = Ao2Variant(tag=tag)
+            (kind, y), _ = _assert_stage_matches_checked_levels(case, start, res.duals, variant)
+            if kind == "answer":
+                answered += 1
+                _assert_stage_matches_checked_levels(case, start, res.duals, variant,
+                                                     cuts=(np.frombuffer(y),))
+            try:
+                run_ao_sbqp(case, SolverConfig(variant=variant))
+            except DriverError:
+                pass
+    # every all-ones stage answers, so each is re-run with its answer cut
+    assert answered == 3 * 24 and stages >= 150, (answered, stages)
+
+
+def test_run_ao2_checks_the_box_and_rows_once(stressed30, stressed30_start, monkeypatch):
+    # one full QpProblem check per stage, the stage problem's; every level
+    # checks only its q and g_lin, and a mis-sized one still raises
+    res, start = stressed30_start
+    checks, builds = [], []
+    check = QpProblem.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        check(self)
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[1])
+        return build_subproblem(*args, **kwargs)
+
+    monkeypatch.setattr(QpProblem, "__post_init__", counted)
+    monkeypatch.setattr(ao2_sbqp, "build_subproblem", counted_build)
+    for tag in ALL_TAGS:
+        checks.clear()
+        builds.clear()
+        _, trace = run_ao2(stressed30, start, res.duals, None, Ao2Variant(tag=tag))
+        assert len(checks) == 1 and len(builds) == len(trace.rows) >= 2
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two"))
+    stage = parts["stage"]
+    n = stage.dim
+    for q, g in ((stage.q, stage.g_lin[:-1]), (stage.q[:-1], stage.g_lin), (stage.q, np.zeros(n + 1)),
+                 (np.ones((n, 1)), stage.g_lin), (stage.q, stage.g_lin[:, None])):
+        with pytest.raises(ValueError, match="^q and g_lin must be vectors the size of the box$"):
+            stage.with_objective(q, g)
+    # an anchor of shape (n, 1) broadcasts the level's g to (n, n)
+    with pytest.raises(ValueError, match="^q and g_lin must be vectors the size of the box$"):
+        build_subproblem(parts, 10.0, phi_anchor=np.zeros((n, 1)))
+
+
+def test_penalty_loop_hands_psi_the_rows_phi():
+    seen = []
+
+    def psi_of(y, rho, phi_y):
+        seen.append((phi_y, phi(y)))
+        return rho
+
+    schedule = PenaltySchedule(rho0=1.0, beta=10.0, rho_max=1e6)
+    moves = iter([np.array([0.5, 0.25]), np.array([0.75, 0.0]), np.array([1.0, 0.0])])
+    _, trace = penalty_loop(lambda rho, anchor, warm: (next(moves), "optimal"), schedule,
+                            psi_of=psi_of, feasible=lambda y: True)
+    assert [row.phi for row in trace.rows] == [s[0] for s in seen] == [s[1] for s in seen]
+    assert len(seen) == len(trace.rows) == 3

@@ -249,10 +249,13 @@ def test_full_service_ends_the_loop_at_a_later_iteration(case5, monkeypatch, nud
     def first_capped(case, y, warm=None):
         res = solve(case, y, warm=warm)
         if warm is None:
-            # a stand-in for the first result: its point with qg nudged, capped
+            # a stand-in for the first result: its point with qg nudged, capped;
+            # its fit's end vector ends in the same (pg, qg) pairs
             u = InputVector(pg=res.input.pg, qg=res.input.qg + nudge)
+            x = np.concatenate([res.fit.x[:-u.pg.size * 2], u.as_vector()])
             res = SimpleNamespace(state=res.state, input=u, duals=res.duals, residual=res.residual,
-                                  status="max-iterations", iterations=res.iterations, certificate="")
+                                  status="max-iterations", iterations=res.iterations, certificate="",
+                                  fit=SimpleNamespace(x=x))
         return res
 
     def recording_ao2(case, start, duals, schedule, variant, cuts=()):
@@ -318,9 +321,10 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
 
     def solve_ao1(case, y, warm=None):
         solves.append(tuple(int(v) for v in y.y))
-        point = SimpleNamespace(as_vector=lambda k=len(solves): np.array([float(k)]))
+        point = np.array([float(len(solves))])
         status = "infeasible" if solves[-1] in infeasible else "max-iterations"
-        return SimpleNamespace(state=point, input=point, duals=None, status=status)
+        return SimpleNamespace(state=point, input=point, duals=None, status=status,
+                               fit=SimpleNamespace(x=point))
 
     moves = iter(proposals)
 

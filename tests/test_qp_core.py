@@ -242,13 +242,50 @@ def test_problem_validation():
     ({"b": np.zeros(2)}, "A/b dimensions inconsistent"),
     ({"lower": -np.ones(3)}, "box dimensions inconsistent"),
     ({"upper": np.ones((2, 1))}, "box dimensions inconsistent"),
-], ids=["A-columns", "b-length", "lower-length", "upper-shape"])
+    ({"g_lin": np.zeros((2, 1))}, "g_lin must be a vector"),
+], ids=["A-columns", "b-length", "lower-length", "upper-shape", "g_lin-shape"])
 def test_problem_rejects_inconsistent_dimensions(fields, message):
     # two variables under one row
     base = {"q": -np.ones(2), "g_lin": np.zeros(2), "A": np.ones((1, 2)), "b": np.ones(1),
             "lower": np.zeros(2), "upper": np.ones(2)}
     with pytest.raises(ValueError, match=f"^{message}$"):
         QpProblem(**{**base, **fields})
+
+
+def test_rows_over_no_entries_keep_their_b():
+    box = {"lower": np.zeros(2), "upper": np.ones(2)}
+    # no rows: a b with entries is rejected, not dropped
+    with pytest.raises(ValueError, match="^A/b dimensions inconsistent$"):
+        QpProblem(q=-np.ones(2), g_lin=np.zeros(2), A=np.zeros((0, 2)), b=[5.0, 1.0, 3.0], **box)
+    # A = [] with b = [] is still no rows
+    problem = QpProblem(q=-np.ones(2), g_lin=np.zeros(2), A=[], b=[], **box)
+    assert problem.A.shape == (0, 2) and problem.b.shape == (0,)
+    # rows over no coordinates are kept with their b, and need no coordinates
+    problem = QpProblem(q=[], g_lin=[], A=np.zeros((2, 0)), b=[-1.0, 2.0], lower=[], upper=[])
+    assert problem.A.shape == (2, 0) and problem.b.tolist() == [-1.0, 2.0]
+    with pytest.raises(ValueError, match="^A/b dimensions inconsistent$"):
+        QpProblem(q=-np.ones(1), g_lin=np.zeros(1), A=np.zeros((2, 0)), b=[-1.0, 2.0],
+                  lower=np.zeros(1), upper=np.ones(1))
+
+
+@pytest.mark.parametrize("b, status, lam", [
+    ([-1.0, 2.0, -3.0], "infeasible", [0.0, 0.0, 1.0]),
+    ([-2.0 * SLACK_TOL, 2.0], "infeasible", [1.0, 0.0]),
+    ([-0.5 * SLACK_TOL, 2.0], "optimal", [0.0, 0.0]),
+    ([0.0], "optimal", [0.0]),
+    ([], "optimal", []),
+])
+def test_problem_with_no_coordinates_answers_from_b(b, status, lam):
+    # with no coordinates each row reads b_i >= 0: the worst row below
+    # -SLACK_TOL is the Farkas certificate, and otherwise the empty point is
+    # the optimum
+    problem = QpProblem(q=[], g_lin=[], A=np.zeros((len(b), 0)), b=b, lower=[], upper=[])
+    sol = solve_qp(problem)
+    assert sol.status == status and sol.dual_ineq.tolist() == lam
+    assert sol.primal.shape == sol.dual_lower.shape == sol.dual_upper.shape == (0,)
+    assert sol.kkt_residual == max(0.0, -min(b, default=0.0))
+    if status == "infeasible":
+        assert_certified(problem, sol)
 
 
 # -- the dual clip kernel and endpoint probes, against the loops they replaced --
@@ -867,3 +904,55 @@ def test_kkt_points_straddle_the_tolerance():
     # the drawn points above are not all on one side of the stop test
     met = [kkt_residual(*kkt_point(np.random.default_rng(seed))) <= TOL_STAT for seed in range(200)]
     assert 20 <= sum(met) <= 180
+
+
+@pytest.mark.parametrize("clip", [kkt_clip, subproblem_clip])
+def test_unit_box_holds_what_a_ones_curvature_box_holds(clip):
+    # the stationary path builds its box knowing h = 1: its scaled ends are
+    # those of a box built from a ones vector, and a dual clip under either
+    # returns the same bytes
+    for seed in range(300):
+        problem, h, s = clip(seed)
+        unit, ones = _Box(problem), _Box(problem, np.ones(problem.dim))
+        assert unit.unit is ones.unit is True and unit.h == 1.0
+        for name in ("h_lower", "h_upper", "ends"):
+            assert getattr(unit, name).tobytes() == getattr(ones, name).tobytes()
+        for linear in (s, s / h):
+            got, want = _dual_clip(problem, unit, linear), _dual_clip(problem, ones, linear)
+            assert (got[4] is None) == (want[4] is None)
+            for a, b in zip(got, want):
+                assert a is None or a.tobytes() == b.tobytes()
+
+
+def concatenated_breakpoints(box, shifted, v, cap):
+    """The kernel step's breakpoints as it formed them before _breakpoints:
+    np.sort of the kinks, and np.concatenate with 0 and a finite cap."""
+    kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=v != 0.0)
+    kinks = np.sort(kinks[(kinks > 0.0) & (kinks < cap)])
+    return np.concatenate(([0.0], kinks, (cap,)) if cap < np.inf else ([0.0], kinks))
+
+
+def test_breakpoints_equal_the_concatenated_form(monkeypatch):
+    # at every breakpoint search of the kernel on the clip draws, solved as
+    # the exact and the stationary path, and on each search again with no
+    # cap and with a cap before every kink
+    kinds = {"capped": 0, "uncapped": 0, "no kinks": 0}
+    breakpoints = qp_core._breakpoints
+
+    def both(box, shifted, v, cap):
+        for c in (cap, np.inf, 0.0):
+            got, want = breakpoints(box, shifted, v, c), concatenated_breakpoints(box, shifted, v, c)
+            assert got.tobytes() == want.tobytes()
+        got = breakpoints(box, shifted, v, cap)
+        kinds["capped" if cap < np.inf else "uncapped"] += 1
+        kinds["no kinks"] += got.size == 1 + (cap < np.inf)
+        return got
+
+    monkeypatch.setattr(qp_core, "_breakpoints", both)
+    for clip in (kkt_clip, subproblem_clip):
+        for seed in range(300):
+            problem, h, s = clip(seed)
+            for q in (-h, h):
+                solve_qp(QpProblem(q=q, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
+                                   upper=problem.upper))
+    assert min(kinds.values()) > 50, kinds
