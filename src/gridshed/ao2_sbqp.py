@@ -287,8 +287,7 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
         feasible = lambda _y: True
     rows: list[SbqpTraceRow] = []
 
-    def record(it, y, rho_val, alpha, status, kind):
-        phi_y = phi(y)
+    def record(it, y, phi_y, rho_val, alpha, status, kind):
         val = float("nan") if psi_of is None else float(psi_of(y, rho_val, phi_y))
         rows.append(SbqpTraceRow(it, y.copy(), phi_y, rho_val, alpha, status, kind, val))
         if status == "infeasible":
@@ -299,7 +298,7 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
     if not single_shot:
         y_cand, status = solve_sub(0.0, None, None)
         y_hat = y_cand.clip(0.0, 1.0)
-        record(0, y_hat, 0.0, 1.0, status, "global")
+        record(0, y_hat, phi(y_hat), 0.0, 1.0, status, "global")
         if rows[-1].phi <= schedule.eps:
             return y_hat, SbqpTrace(tuple(rows))
 
@@ -317,7 +316,7 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
         y_new = y_new.clip(0.0, 1.0)
         y_before = None if y_hat is None else y_hat.copy()
         if anchor is None or single_shot:
-            y_hat, alpha, kind = y_new, 1.0, "single-shot"
+            y_hat, phi_hat, alpha, kind = y_new, phi(y_new), 1.0, "single-shot"
         else:
             alpha, kind = step_length(y_hat, y_new - y_hat, anchor)
             y_step = (y_hat + alpha * (y_new - y_hat)).clip(0.0, 1.0)
@@ -326,11 +325,12 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
             # outside [0, 1] it can leave the subproblem rows entirely.  Keep
             # the plain subproblem solution unless the blend is feasible and
             # at least as close to complementarity.
-            if phi(y_step) <= phi(y_new) and feasible(y_step):
-                y_hat = y_step
+            phi_step, phi_new = phi(y_step), phi(y_new)
+            if phi_step <= phi_new and feasible(y_step):
+                y_hat, phi_hat = y_step, phi_step
             else:
-                y_hat, alpha, kind = y_new, 1.0, "unit"
-        record(iteration, y_hat, rho, alpha, status, kind)
+                y_hat, phi_hat, alpha, kind = y_new, phi_new, 1.0, "unit"
+        record(iteration, y_hat, phi_hat, rho, alpha, status, kind)
         if rows[-1].phi <= schedule.eps:
             return y_hat, SbqpTrace(tuple(rows))
         if rho * schedule.beta > schedule.rho_max:

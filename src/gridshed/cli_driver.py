@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao1_opf import active_capacity_screen, dispatch_start, solve_ao1
+from .ao1_opf import Ao1Result, active_capacity_screen, dispatch_start, solve_ao1
 from .ao2_sbqp import (VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, live_demands,
                        run_ao2)
 from .grid_model import (
@@ -70,11 +70,12 @@ class DriverError(RuntimeError):
 
     kind is "infeasible" when the final switch set admits no feasible
     continuous solution or the rejected sets leave none to try, and
-    "no-convergence" when an iteration budget ran out first; best carries
-    the last complete iterate when one exists.
+    "no-convergence" when an iteration budget ran out first.  best is always
+    given: the SolveResult of the run so far, its answer fields read from
+    the last fit, with every fit made and every switching stage's trace.
     """
 
-    def __init__(self, message: str, kind: str, best=None):
+    def __init__(self, message: str, kind: str, best: SolveResult):
         super().__init__(message)
         self.kind = kind
         self.best = best
@@ -114,9 +115,13 @@ class SolveResult:
     objective: float
     supplied_active: float
     supplied_reactive: float
-    outer_iterations: int
-    ao2_traces: tuple[SbqpTrace, ...]
+    fits: tuple[Ao1Result, ...]         # every continuous fit, in order
+    ao2_traces: tuple[SbqpTrace, ...]   # trace k: the switching stage kept after fit k
     timings: dict = field(default_factory=dict)
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.fits)
 
     @property
     def inner_iterations(self) -> int:
@@ -156,11 +161,14 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     twice or settled on, and a case whose live patterns are all rejected
     ends within 2**live + 1 fits.
 
-    Every other ending raises a DriverError whose best is the last iterate:
-    the last fit at the set it was fitted at, the fits made as
-    outer_iterations, and every switching stage's trace, a failed stage's
-    partial trace last.  By kind and message head (the infeasible verdicts
-    of a fit or a QP end with LOCAL_VERDICTS):
+    The answer and every DriverError's best hold the run's history: fits,
+    every continuous fit in order, and ao2_traces, trace k of the switching
+    stage kept after fit k (its cut re-run when one ran), a failed stage's
+    partial trace last.  Their state, input and switches are the last fit's,
+    at the set it was fitted at, and outer_iterations counts the fits.
+
+    Every other ending raises a DriverError.  By kind and message head (the
+    infeasible verdicts of a fit or a QP end with LOCAL_VERDICTS):
 
     * infeasible, "all N live switch patterns proved infeasible";
     * infeasible, "the switching rows admit no point of the box": an
@@ -170,7 +178,8 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     * infeasible, "the switching stage proposed a rejected switch set again
       with N rejected sets cut": the guard behind the Farkas exit;
     * no-convergence, "operating point still moving after N outer
-      iterations", naming the cuts the last switching stage ran with;
+      iterations", and, when a switching stage was ever re-run with cuts,
+      the number of sets cut at the last such re-run;
     * infeasible, "final switch set admits no feasible operating point": the
       settled fit did not converge; the message names its status and the
       worst row of constraints_C at its point, with the row's value.
@@ -180,10 +189,10 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
     wall = {"ao1_s": 0.0, "ao2_s": 0.0}
     live = live_demands(net)
     rejected: dict = {}     # live switch pattern -> a switch set AO1 proved infeasible
-    cuts: tuple = ()
+    cuts: tuple = ()        # the sets cut at the last re-run of a switching stage
+    fits: list[Ao1Result] = []
     traces: list[SbqpTrace] = []
-    proposal = SwitchVector(np.ones(net.n_dem))
-    warm = prev_xu = None
+    y = SwitchVector(np.ones(net.n_dem))    # the set the next fit is made at
 
     def pattern(switches: SwitchVector) -> tuple:
         return tuple(switches.y[live].tolist())
@@ -196,23 +205,22 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
             wall[key] += time.perf_counter() - tick
 
     def best() -> SolveResult:
-        # the last fit, ao1, at the set y it was fitted at
-        return SolveResult(state=ao1.state, input=ao1.input, switches=y,
-                           objective=float(np.sum(y.y * net.rank * net.pd)),
-                           supplied_active=float(np.sum(y.y * net.pd)),
-                           supplied_reactive=float(np.sum(y.y * net.qd)),
-                           outer_iterations=outer, ao2_traces=tuple(traces),
+        last = fits[-1]
+        on = last.switches.y
+        return SolveResult(state=last.state, input=last.input, switches=last.switches,
+                           objective=float(np.sum(on * net.rank * net.pd)),
+                           supplied_active=float(np.sum(on * net.pd)),
+                           supplied_reactive=float(np.sum(on * net.qd)),
+                           fits=tuple(fits), ao2_traces=tuple(traces),
                            timings={**wall, "total_s": time.perf_counter() - t0})
 
     def infeasible(message: str) -> DriverError:
         return DriverError(f"{message}; {LOCAL_VERDICTS}", "infeasible", best())
 
-    for outer in range(1, cfg.outer_max_iters + 1):
-        y = proposal
-        ao1 = timed("ao1_s", solve_ao1, work, y, warm=warm)
-        # the fit's end vector: the point but for the slack's (v, theta),
-        # which never moves, so it moves by as much as the point does
-        xu = ao1.fit.x
+    for _ in range(cfg.outer_max_iters):
+        # each fit after the first starts from the one before
+        ao1 = timed("ao1_s", solve_ao1, work, y, warm=(fits[-1].state, fits[-1].input) if fits else None)
+        fits.append(ao1)
         if ao1.status == "infeasible":
             # a set proved infeasible is cut, never settled on
             rejected.setdefault(pattern(y), y.y)
@@ -220,33 +228,34 @@ def run_ao_sbqp(case: GridCase, cfg: SolverConfig | None = None) -> SolveResult:
                 raise infeasible(f"all {_count(len(rejected), 'live switch pattern')} proved infeasible")
         elif ao1.status == "converged" and bool(np.all(y.y == 1.0)):
             break   # full service balances: no switch set serves more
-        elif prev_xu is not None and float(np.max(np.abs(xu - prev_xu), initial=0.0)) <= cfg.outer_eps:
+        # a fit's end vector is its point but for the slack's (v, theta),
+        # which never moves, so it moves by as much as the point does
+        elif len(fits) > 1 and np.max(np.abs(ao1.fit.x - fits[-2].fit.x), initial=0.0) <= cfg.outer_eps:
             break
-        prev_xu = xu
-        warm = (ao1.state, ao1.input)
         ao2_args = (work, (ao1.state, ao1.input, y), ao1.duals, cfg.schedule, cfg.variant)
         try:
-            proposal, trace = timed("ao2_s", run_ao2, *ao2_args)
-            if pattern(proposal) in rejected:
+            y, trace = timed("ao2_s", run_ao2, *ao2_args)
+            if pattern(y) in rejected:
                 cuts = tuple(rejected.values())
-                proposal, trace = timed("ao2_s", run_ao2, *ao2_args, cuts=cuts)
+                y, trace = timed("ao2_s", run_ao2, *ao2_args, cuts=cuts)
         except Ao2Error as exc:
             traces.append(exc.trace)
             if exc.kind == "infeasible":
                 raise infeasible(str(exc)) from exc
             raise DriverError(f"switching stage stalled: {exc}", "no-convergence", best()) from exc
         traces.append(trace)
-        if pattern(proposal) in rejected:
+        if pattern(y) in rejected:
             raise infeasible(f"the switching stage proposed a rejected switch set again with "
                              f"{_count(len(cuts), 'rejected set')} cut")
     else:
-        message = f"operating point still moving after {outer} outer iterations"
+        message = f"operating point still moving after {_count(len(fits), 'outer iteration')}"
         if cuts:
-            message += f"; the switching stage last ran with {_count(len(cuts), 'infeasible switch set')} cut"
+            message += ("; the switching stage was last re-run with "
+                        f"{_count(len(cuts), 'infeasible switch set')} cut")
         raise DriverError(message, "no-convergence", best())
 
     if ao1.status != "converged":
-        resid = constraints_C(work, ao1.state, ao1.input, y)
+        resid = constraints_C(work, ao1.state, ao1.input, ao1.switches)
         worst = int(np.argmax(resid))
         value = float(resid[worst])
         raise DriverError("final switch set admits no feasible operating point (continuous stage "
@@ -718,14 +727,11 @@ def _cmd_solve(args) -> int:
         result = run_ao_sbqp(case, cfg)
     except DriverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.best is not None:
-            best = exc.best
-            print(
-                f"best iterate: objective {best.objective:.6f}, "
-                f"served {best.supplied_active:.4f} p.u. active, "
-                f"{int(np.sum(best.switches.y < 0.5))} of {best.switches.y.size} demands off",
-                file=sys.stderr,
-            )
+        best = exc.best
+        print(f"best iterate: objective {best.objective:.6f}, "
+              f"served {best.supplied_active:.4f} p.u. active, "
+              f"{int(np.sum(best.switches.y < 0.5))} of {best.switches.y.size} demands off",
+              file=sys.stderr)
         return 2 if exc.kind == "infeasible" else 3
     paths = emit_outputs(result, args.out_dir, args.format, cfg)
     off = int(np.sum(result.switches.y < 0.5))

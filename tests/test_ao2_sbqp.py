@@ -689,3 +689,21 @@ def test_penalty_loop_hands_psi_the_rows_phi():
                             psi_of=psi_of, feasible=lambda y: True)
     assert [row.phi for row in trace.rows] == [s[0] for s in seen] == [s[1] for s in seen]
     assert len(seen) == len(trace.rows) == 3
+
+
+@pytest.mark.parametrize("tag, single_shot", [*((tag, False) for tag in ALL_TAGS), ("relaxed-one", True)])
+def test_penalty_loop_takes_each_points_phi_once(tag, single_shot, stressed30, stressed30_start, monkeypatch):
+    # a blended level takes phi of its blended and of its plain point to
+    # choose between them, and its trace row reuses the chosen one's: two phi
+    # a level, and one at the seeding pass and at a single-shot level.  Each
+    # blended row once took its point's phi a third time
+    res, start = stressed30_start
+    calls, levels = [], []
+    phi_of, solve = ao2_sbqp.phi, ao2_sbqp.solve_qp
+    monkeypatch.setattr(ao2_sbqp, "phi", lambda y: calls.append(0) or phi_of(y))
+    monkeypatch.setattr(ao2_sbqp, "solve_qp", lambda *a, **k: levels.append(len(calls)) or solve(*a, **k))
+    _, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(),
+                       Ao2Variant(tag=tag, single_shot=single_shot))
+    per_level = np.diff([*levels, len(calls)]).tolist()
+    assert per_level == [1 if row.kind in ("global", "single-shot") else 2 for row in trace.rows]
+    assert single_shot or 2 in per_level

@@ -274,6 +274,73 @@ def test_full_service_ends_the_loop_at_a_later_iteration(case5, monkeypatch, nud
     assert len(res.ao2_traces) == 1
 
 
+def _stressed(tag, **changes):
+    return lambda case30: (case30, dataclasses.replace(
+        config_from_mapping({"scenario": "stress", "variant": tag}), **changes))
+
+
+def _random(seed):
+    return lambda case30: (_random_case(np.random.default_rng(seed)), SolverConfig())
+
+
+@pytest.mark.parametrize("make, head", [
+    (_stressed("mixed"), None),
+    (_stressed("relaxed-one"), None),
+    (_stressed("relaxed-two"), None),
+    (_random(6), "the switching stage proposed a rejected switch set again"),
+    (_random(14), "the switching rows admit no point of the box"),
+    (_random(0), "all 2 live switch patterns proved infeasible"),
+    (_stressed("mixed", schedule=PenaltySchedule(rho0=1.0, rho_max=1.0)), "switching stage stalled"),
+    (_stressed("mixed", outer_max_iters=2), "operating point still moving after 2 outer iterations"),
+], ids=["mixed", "relaxed-one", "relaxed-two", "re-proposal", "farkas", "all-patterns",
+        "penalty-cap", "outer-cap"])
+def test_run_history_is_the_calls_it_made(case30, monkeypatch, make, head):
+    # every stage call in call order, a switching call that raised by its
+    # partial trace: the fits are the continuous calls' results themselves,
+    # trace k is that of the last switching call after fit k (the cut re-run
+    # when one ran), and the answer's point and set are the last fit's
+    calls = []
+    fit, switch = cli_driver.solve_ao1, cli_driver.run_ao2
+
+    def spy_fit(*args, **kwargs):
+        calls.append(("fit", fit(*args, **kwargs)))
+        return calls[-1][1]
+
+    def spy_switch(*args, **kwargs):
+        try:
+            out = switch(*args, **kwargs)
+        except Ao2Error as exc:
+            calls.append(("stage", exc.trace))
+            raise
+        calls.append(("stage", out[1]))
+        return out
+
+    monkeypatch.setattr(cli_driver, "solve_ao1", spy_fit)
+    monkeypatch.setattr(cli_driver, "run_ao2", spy_switch)
+    case, cfg = make(case30)
+    try:
+        res = run_ao_sbqp(case, cfg)
+        assert head is None
+    except DriverError as exc:
+        assert head is not None and str(exc).startswith(head)
+        res = exc.best
+    fits, stages = [], []   # stages[k]: the traces of the switching calls after fit k
+    for stage, out in calls:
+        if stage == "fit":
+            fits.append(out)
+            stages.append([])
+        else:
+            stages[-1].append(out)
+    assert all(stages[:-1])
+    kept = [traces[-1] for traces in stages if traces]
+    assert res.outer_iterations == len(res.fits) == len(fits)
+    assert all(a is b for a, b in zip(res.fits, fits))
+    assert len(res.ao2_traces) == len(kept)
+    assert all(a is b for a, b in zip(res.ao2_traces, kept))
+    last = fits[-1]
+    assert res.state is last.state and res.input is last.input and res.switches is last.switches
+
+
 @pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
 def test_stressed_case_converges(case30, stressed30, tag):
     cfg = config_from_mapping({"scenario": "stress", "variant": tag})
@@ -293,19 +360,20 @@ def test_outer_cap_raises_with_best_iterate(case30):
         run_ao_sbqp(case30, cfg)
     err = info.value
     assert err.kind == "no-convergence"
-    assert err.best is not None
+    assert str(err) == "operating point still moving after 1 outer iteration"
     assert err.best.outer_iterations == 1
     assert set(np.unique(err.best.switches.y)) <= {0.0, 1.0}
 
 
 @pytest.mark.parametrize("infeasible, proposals, cut_calls, tail", [
     # outers 3 and 4 re-propose (1, 0, 1) and (1, 1, 1): each switching stage
-    # is re-run with both rejected sets cut
+    # is re-run with both rejected sets cut.  The last two stages run with no
+    # cut, and the tail counts the sets cut at the last re-run
     ({(1, 1, 1), (1, 0, 1)},
      [(1, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 0), (0, 1, 1), (1, 1, 0)],
-     [3, 5], "; the switching stage last ran with 2 infeasible switch sets cut"),
+     [3, 5], "; the switching stage was last re-run with 2 infeasible switch sets cut"),
     ({(1, 1, 1)}, [(0, 1, 1), (1, 1, 1), (0, 0, 1), (0, 1, 1), (0, 0, 1), (0, 1, 1), (0, 0, 1)],
-     [2], "; the switching stage last ran with 1 infeasible switch set cut"),
+     [2], "; the switching stage was last re-run with 1 infeasible switch set cut"),
     # (1, 0, 0) comes back but is not infeasible: nothing is cut
     ({(1, 1, 1), (0, 1, 1), (1, 1, 0)}, [(0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, 1)],
      [], ""),
@@ -323,7 +391,7 @@ def test_outer_cap_names_the_repeated_infeasible_set(case5, shortfall5, monkeypa
         solves.append(tuple(int(v) for v in y.y))
         point = np.array([float(len(solves))])
         status = "infeasible" if solves[-1] in infeasible else "max-iterations"
-        return SimpleNamespace(state=point, input=point, duals=None, status=status,
+        return SimpleNamespace(state=point, input=point, switches=y, duals=None, status=status,
                                fit=SimpleNamespace(x=point))
 
     moves = iter(proposals)

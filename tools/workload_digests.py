@@ -113,8 +113,7 @@ def call_digest(call: dict, inst, answer) -> str:
         d.text(answer)
         if isinstance(answer, DriverError):
             d.text(answer.kind)
-            if answer.best is not None:
-                d.result(answer.best)
+            d.result(answer.best)
         else:
             d.trace(answer.trace)
             d.floats(answer.y)
