@@ -84,12 +84,25 @@ solution carries the residual so formed.  A kernel step sorts its kinks in
 place and writes its breakpoints into one array, and the exact path takes
 its KKT block by integer positions.
 
-What does not change across solves is checked once: a caller that solves
-many objectives over one box and one set of rows, as the switching stage
-does at each penalty level, builds one checked ``QpProblem`` and derives
-each level's problem with ``QpProblem.with_objective``, which checks only
-the shapes of the new q and g_lin.  A problem with no coordinates is
-answered from b alone.
+What does not change across solves is checked and formed once: a caller
+that solves many objectives over one box and one set of rows, as the
+switching stage does at each penalty level, builds one checked
+``QpProblem`` and derives each level's problem with
+``QpProblem.with_objective``, which checks only the shapes and finiteness
+of the new q and g_lin.  The derived problems share the stage problem's
+memo, which the solves fill on first use with what depends on the box and
+rows alone, not on q, g_lin or h:
+
+* for each lone working row i and direction d, v = d A_i, c = d b_i, v's
+  nonzero mask and the slope past the last kink (``_lone_row``), read by
+  the kernel under the unit box and every scaled one;
+* the stationary path's unit ``_Box``, the box span and the endpoint moves'
+  columns and -A[:, cols] (``_stationary_parts``); q[cols] and g_lin[cols]
+  are each level's.
+
+A problem built directly, or by ``dataclasses.replace``, starts with an
+empty memo.  Each level still forms its own scaled box, as it depends on
+h = -q.  A problem with no coordinates is answered from b alone.
 
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
@@ -139,6 +152,12 @@ class QpProblem:
             raise ValueError("lower > upper")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("box must be finite")
+        for name in ("q", "g_lin", "A", "b"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        # what the solves form from the box and rows alone, filled on first
+        # use and shared with every problem with_objective derives from this one
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:
@@ -148,16 +167,38 @@ class QpProblem:
         """This problem's box and rows under curvature q and linear term g_lin.
 
         The box and rows passed their checks when this problem was built, so
-        only the shapes of q and g_lin are checked: a stage that solves many
-        objectives over one box and one set of rows checks those once.
+        only q and g_lin are checked, their shapes and that they are finite: a
+        stage that solves many objectives over one box and one set of rows
+        checks those once.  The new problem shares this one's memo, so what
+        a solve forms from the box and rows alone is formed once per stage.
         """
         q, g_lin = np.asarray(q, dtype=float), np.asarray(g_lin, dtype=float)
         n = self.g_lin.size
         if q.shape != (n,) or g_lin.shape != (n,):
             raise ValueError("q and g_lin must be vectors the size of the box")
+        if not _finite(q):
+            raise ValueError("q must be finite")
+        if not _finite(g_lin):
+            raise ValueError("g_lin must be finite")
         new = object.__new__(QpProblem)
         new.__dict__.update(self.__dict__, q=q, g_lin=g_lin)
         return new
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite.  count_nonzero is one C loop with
+    no reduction machinery, so on these small arrays it is cheaper than
+    np.isfinite(x).all(); every penalty level tests its q, g_lin and start."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
+def _memo_entry(problem: QpProblem, key, form, *args):
+    """problem's memo entry key, formed as form(problem, *args) on first use."""
+    memo = problem._memo
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = form(problem, *args)
+    return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,12 +285,12 @@ class _Box:
         return np.maximum(0.0, self.h_lower - shifted), np.maximum(0.0, shifted - self.h_upper)
 
 
-def _breakpoints(box: _Box, shifted, v, cap):
+def _breakpoints(box: _Box, shifted, v, moving, cap):
     """The steps t at which the search evaluates the dual's slope along
     shifted + t v: 0, then in ascending order the kinks in (0, cap), the
-    steps at which a moving coordinate reaches its lower (row 0 of box.ends)
-    or upper (row 1) end, then cap when it is finite."""
-    kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=v != 0.0)
+    steps at which a moving coordinate (moving is v != 0) reaches its lower
+    (row 0 of box.ends) or upper (row 1) end, then cap when it is finite."""
+    kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=moving)
     kinks = kinks[(kinks > 0.0) & (kinks < cap)]
     kinks.sort()
     capped = cap < np.inf
@@ -259,6 +300,27 @@ def _breakpoints(box: _Box, shifted, v, cap):
     if capped:
         ts[-1] = cap
     return ts
+
+
+def _direction(problem: QpProblem, v, c):
+    """What a kernel step's breakpoint search reads of its direction v = d'A
+    and offset c = d'b over the working rows: (v, v != 0, c, far), far the
+    dual's slope past the last kink, where every moving coordinate sits on
+    the box end ahead of it, so that c + v'(that end) is exact.  The arrays
+    are read-only.  None of it depends on the curvature h."""
+    v.flags.writeable = False
+    moving = v != 0.0
+    moving.flags.writeable = False
+    return v, moving, c, c + v @ np.where(v > 0.0, problem.upper, problem.lower)
+
+
+def _lone_row(problem: QpProblem, i: int, d: float):
+    """_direction of lone working row i moving its multiplier by d = 1.0 or
+    -1.0: v = d A[i], where + 0.0 gives v the zero signs of the 1 x n product
+    d @ A[[i]], and c = d b_i, a Python float.  It depends on the row and d
+    alone, so each stage forms it once and every penalty level, under either
+    box, reads it from the memo."""
+    return _direction(problem, problem.A[i] * d + 0.0, d * float(problem.b[i]))
 
 
 def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
@@ -287,29 +349,29 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
             # the step at which the first falling multiplier reaches 0
             caps = np.divide(lam_w, -d, out=np.full(d.size, np.inf), where=d < 0.0)
             j = int(caps.argmin())
-            cap, v, c = float(caps[j]), d @ rows, float(d @ b[work])
+            cap = float(caps[j])
+            v, moving, c, far = _direction(problem, d @ rows, float(d @ b[work]))
             break
         work = np.delete(work, np.where(wrong, d, 0.0).argmin())
     else:
         # a lone row moves its own multiplier, up when z breaks the row, and
         # work becomes its index.  d = -sign(slack) is 1 or -1: a lone row
         # met exactly ends the clip before any step, and drops never leave
-        # one.  d, c and the step cap, its multiplier when d falls, are
-        # Python floats; + 0.0 gives v the zero signs of the 1 x n product
-        # d @ A[[i]]
+        # one.  d and the step cap, its multiplier when d falls, are Python
+        # floats
         work = int(work[0])
         lam_w, d = float(lam[work]), 1.0 if slack[work] < 0.0 else -1.0
-        cap, v, c = lam_w if d < 0.0 else np.inf, A[work] * d + 0.0, d * float(b[work])
+        cap = lam_w if d < 0.0 else np.inf
+        v, moving, c, far = _memo_entry(problem, (work, d), _lone_row, work, d)
     capped = cap < np.inf
-    ts = _breakpoints(box, shifted, v, cap)
+    ts = _breakpoints(box, shifted, v, moving, cap)
     x = shifted + ts[:, None] * v
     if not box.unit:
         x /= box.h
     slope = c + x.clip(box.lower, box.upper) @ v
     if not capped and ts.size > 1:
-        # at the last kink every moving coordinate sits on the box end ahead
-        # of it, so the slope there, and on past it, is exact from those ends
-        slope[-1] = c + v @ np.where(v > 0.0, box.upper, box.lower)
+        # the slope at the last kink, and on past it, is exact from the box ends
+        slope[-1] = far
     k = int((slope >= 0.0).argmax())
     if slope[k] >= 0.0:
         if k == 0:
@@ -426,12 +488,25 @@ def _solve_exact(problem: QpProblem) -> QpSolution:
     return QpSolution(z, lam, mu, gam, "optimal" if res <= TOL_STAT else "max-iterations", res)
 
 
+def _stationary_parts(problem: QpProblem):
+    """What the stationary path reads of the box and rows alone: (box, span,
+    cols, -A[:, cols]), the unit _Box, the box's widest side (at least 1) and
+    the endpoint moves' columns, cols[2k + e] = k (see _probe_moves).  Each
+    stage forms it once, and every penalty level reads it from the memo."""
+    cols = np.repeat(np.arange(problem.dim), 2)
+    neg_a = -problem.A[:, cols]
+    cols.flags.writeable = neg_a.flags.writeable = False
+    span = max(float((problem.upper - problem.lower).max(initial=0.0)), 1.0)
+    return _Box(problem), span, cols, neg_a
+
+
 def _probe_moves(problem: QpProblem):
     """The parts of the 2n endpoint moves that do not depend on the point:
     move 2k + e takes coordinate k to its lower (e = 0) or upper end, and this
-    is (cols, q[cols], g_lin[cols], -A[:, cols]) with cols[2k + e] = k."""
-    cols = np.repeat(np.arange(problem.dim), 2)
-    return cols, problem.q[cols], problem.g_lin[cols], -problem.A[:, cols]
+    is (cols, q[cols], g_lin[cols], -A[:, cols]) with cols[2k + e] = k.  cols
+    and -A[:, cols] are the stage's; q[cols] and g_lin[cols] are this level's."""
+    *_, cols, neg_a = _memo_entry(problem, "stationary", _stationary_parts)
+    return cols, problem.q[cols], problem.g_lin[cols], neg_a
 
 
 def _endpoint_probe(problem, z, value, moves):
@@ -481,8 +556,9 @@ def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> float | None:
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     n = problem.dim
-    box, moves = _Box(problem), _probe_moves(problem)
-    z0 = np.zeros(n) if start is None else np.asarray(start, dtype=float)
+    box, span, *_ = _memo_entry(problem, "stationary", _stationary_parts)
+    moves = _probe_moves(problem)
+    z0 = np.zeros(n) if start is None else start
     z0 = z0.clip(problem.lower, problem.upper)
     z, *_, w = _dual_clip(problem, box, z0)
     if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
@@ -494,11 +570,7 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
     t0 = 1.0 / max(float(np.abs(problem.q).max()), 1e-6)
     cap = 50 * max(n, 1)
     status = "max-iterations"
-    lam = np.zeros(problem.A.shape[0])
-    mu = np.zeros(n)
-    gam = np.zeros(n)
     t = t0
-    span = max(float((problem.upper - problem.lower).max(initial=0.0)), 1.0)
     z_prev = grad_prev = None
     res = None
     for _ in range(cap):
@@ -551,7 +623,12 @@ def _solve_empty(problem: QpProblem) -> QpSolution:
 
 
 def solve_qp(problem: QpProblem, start: np.ndarray | None = None) -> QpSolution:
-    """Exact maximizer when every curvature is negative, else a KKT point reached from start."""
+    """Exact maximizer when every curvature is negative, else a KKT point
+    reached from start, which must be a finite vector of the box's size."""
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (problem.dim,) or not _finite(start):
+            raise ValueError("start must be a finite vector the size of the box")
     if not problem.g_lin.size:
         return _solve_empty(problem)
     if float(problem.q.max()) < 0.0:

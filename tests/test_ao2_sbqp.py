@@ -1,11 +1,13 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridshed import ao2_sbqp, cli_driver
+from gridshed import ao2_sbqp, cli_driver, qp_core
 from gridshed.ao1_opf import TOL_FEAS, solve_ao1
 from gridshed.ao2_sbqp import (
     Ao2Error,
@@ -674,6 +676,92 @@ def test_run_ao2_checks_the_box_and_rows_once(stressed30, stressed30_start, monk
     # an anchor of shape (n, 1) broadcasts the level's g to (n, n)
     with pytest.raises(ValueError, match="^q and g_lin must be vectors the size of the box$"):
         build_subproblem(parts, 10.0, phi_anchor=np.zeros((n, 1)))
+
+
+def _count_memo_entries(monkeypatch):
+    """Spies on the stage problems subproblem_parts makes and on the kernel
+    constants qp_core forms: returns (stages, formed, reads), formed holding
+    (memo, key) per formation, key (row, sign) or "stationary", and reads
+    the number of memo reads, formations included."""
+    stages, formed, reads = [], [], []
+    parts_of, memo_entry = ao2_sbqp.subproblem_parts, qp_core._memo_entry
+    lone_row, stationary = qp_core._lone_row, qp_core._stationary_parts
+
+    def spy_parts(*args, **kwargs):
+        parts = parts_of(*args, **kwargs)
+        stages.append(parts["stage"])
+        return parts
+
+    def spy_entry(problem, key, form, *args):
+        reads.append(key)
+        return memo_entry(problem, key, form, *args)
+
+    def spy_row(problem, i, d):
+        formed.append((problem._memo, (i, d)))
+        return lone_row(problem, i, d)
+
+    def spy_stationary(problem):
+        formed.append((problem._memo, "stationary"))
+        return stationary(problem)
+
+    monkeypatch.setattr(ao2_sbqp, "subproblem_parts", spy_parts)
+    monkeypatch.setattr(qp_core, "_memo_entry", spy_entry)
+    monkeypatch.setattr(qp_core, "_lone_row", spy_row)
+    monkeypatch.setattr(qp_core, "_stationary_parts", spy_stationary)
+    return stages, formed, reads
+
+
+def _assert_formed_once_per_stage(stages, formed):
+    """Every formation went into the memo of one of the stages, each key at
+    most once per memo; returns each stage's formations by key."""
+    per_stage = {id(stage._memo): Counter() for stage in stages}
+    assert len(per_stage) == len(stages)
+    for memo, key in formed:
+        per_stage[id(memo)][key] += 1
+    for counts in per_stage.values():
+        assert set(counts.values()) <= {1}, counts
+    return per_stage
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_stage_forms_its_kernel_constants_once(tag, stressed30, stressed30_start, monkeypatch):
+    # every penalty level of a run_ao2 stage shares the stage problem's memo:
+    # each lone-row entry (row, sign) and the stationary path's block are
+    # formed once per stage, whichever level needs them first, and every
+    # later level reads them.  A cut re-run is a stage of its own and forms
+    # its own; so do the stages of a whole solve
+    res, start = stressed30_start
+    variant = Ao2Variant(tag=tag)
+    stages, formed, reads = _count_memo_entries(monkeypatch)
+    y0, _ = run_ao2(stressed30, start, res.duals, None, variant)
+    run_ao2(stressed30, start, res.duals, None, variant, cuts=(y0.y,))
+    per_stage = _assert_formed_once_per_stage(stages, formed)
+    # both stages formed their own, and the levels read more than they formed
+    assert len(per_stage) == 2 and all(per_stage.values()) and len(reads) > len(formed)
+    uncut, cut = stages
+    assert cut.A.shape[0] == uncut.A.shape[0] + 1
+    stages.clear()
+    formed.clear()
+    try:
+        run_ao_sbqp(stressed30, SolverConfig(variant=variant))
+    except DriverError:
+        pass
+    assert stages
+    _assert_formed_once_per_stage(stages, formed)
+
+    # a problem built directly from a stage's arrays, and a dataclasses.replace
+    # copy of the stage, start with memos of their own and form their own
+    stage = uncut
+    filled = set(stage._memo)
+    for problem in (QpProblem(q=stage.q, g_lin=stage.g_lin, A=stage.A, b=stage.b, lower=stage.lower,
+                              upper=stage.upper), dataclasses.replace(stage)):
+        assert problem._memo == {} and problem._memo is not stage._memo
+        formed.clear()
+        for q in (-np.abs(stage.q) - 1.0, np.abs(stage.q)):
+            solve_qp(problem.with_objective(q, stage.g_lin))
+        assert formed and all(memo is problem._memo for memo, _ in formed)
+        assert Counter(key for _, key in formed) == Counter(set(problem._memo))
+        assert set(stage._memo) == filled
 
 
 def test_penalty_loop_hands_psi_the_rows_phi():

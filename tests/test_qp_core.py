@@ -268,6 +268,47 @@ def test_rows_over_no_entries_keep_their_b():
                   lower=np.zeros(1), upper=np.ones(1))
 
 
+def finite_problem(q=-1.0):
+    """Three variables under one row, every part finite."""
+    return {"q": np.full(3, q), "g_lin": np.ones(3), "A": -np.ones((1, 3)), "b": np.ones(1),
+            "lower": np.zeros(3), "upper": np.ones(3)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["q", "g_lin", "A", "b"])
+def test_problem_rejects_non_finite_data(name, bad):
+    # a NaN once ended deep in the kernel as an IndexError; the check names the part
+    fields = finite_problem()
+    fields[name] = fields[name].copy()
+    fields[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        QpProblem(**fields)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["q", "g_lin"])
+def test_with_objective_rejects_non_finite_data(name, bad):
+    stage = QpProblem(**finite_problem())
+    parts = {"q": stage.q.copy(), "g_lin": stage.g_lin.copy()}
+    parts[name][1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        stage.with_objective(**parts)
+
+
+@pytest.mark.parametrize("start", [
+    [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf], np.zeros((3, 1)), np.zeros(2), np.zeros(4),
+    0.5,
+], ids=["nan", "inf", "-inf", "column", "short", "long", "scalar"])
+@pytest.mark.parametrize("curvature", [-1.0, 1.0], ids=["exact", "stationary"])
+def test_solve_qp_rejects_a_start_that_is_not_a_finite_box_vector(curvature, start):
+    # a (3, 1) start once ended in a numpy broadcast error, a NaN one in an IndexError
+    problem = QpProblem(**finite_problem(curvature))
+    with pytest.raises(ValueError, match="^start must be a finite vector the size of the box$"):
+        solve_qp(problem, start=start)
+    # a finite start of the box's size, given as a list, is taken
+    assert solve_qp(problem, start=[0.5, 0.5, 0.5]).status == "optimal"
+
+
 @pytest.mark.parametrize("b, status, lam", [
     ([-1.0, 2.0, -3.0], "infeasible", [0.0, 0.0, 1.0]),
     ([-2.0 * SLACK_TOL, 2.0], "infeasible", [1.0, 0.0]),
@@ -821,12 +862,12 @@ def frozen_dual_step(problem, box, lam, shifted, slack):
     return new
 
 
-def test_dual_step_returns_the_bits_of_its_frozen_copy(monkeypatch):
-    # every kernel step of 2,000 draws of each clip generator, solved as the
-    # exact path (q = -h) and as the stationary path (q = +h), returns what
-    # the step before the single-row float path returned: lam itself, or the
-    # same bytes of new multipliers or of a ray
-    step, paths = qp_core._dual_step, {"single": 0, "newton": 0}
+def check_steps_against_frozen_copy(monkeypatch):
+    """Patches qp_core._dual_step so that every kernel step asserts that it
+    returns what frozen_dual_step returns: lam itself, or the same bytes of
+    new multipliers or of a ray.  Returns the counts of the steps checked,
+    by working set (one row or more) and by box (unit or scaled)."""
+    step, paths = qp_core._dual_step, {"single": 0, "newton": 0, "unit": 0, "scaled": 0}
 
     def both(problem, box, lam, shifted, slack):
         new, old = step(problem, box, lam, shifted, slack), frozen_dual_step(problem, box, lam, shifted, slack)
@@ -837,9 +878,18 @@ def test_dual_step_returns_the_bits_of_its_frozen_copy(monkeypatch):
         else:
             assert new is not lam and type(new) is not tuple and new.tobytes() == old.tobytes()
         paths["single" if ((lam > 0.0) | (slack < 0.0)).sum() == 1 else "newton"] += 1
+        paths["unit" if box.unit else "scaled"] += 1
         return new
 
     monkeypatch.setattr(qp_core, "_dual_step", both)
+    return paths
+
+
+def test_dual_step_returns_the_bits_of_its_frozen_copy(monkeypatch):
+    # every kernel step of 2,000 draws of each clip generator, solved as the
+    # exact path (q = -h) and as the stationary path (q = +h), returns what
+    # the step before the single-row float path returned
+    paths = check_steps_against_frozen_copy(monkeypatch)
     for clip in (kkt_clip, subproblem_clip):
         for seed in range(2000):
             problem, h, s = clip(seed)
@@ -848,6 +898,40 @@ def test_dual_step_returns_the_bits_of_its_frozen_copy(monkeypatch):
                                    upper=problem.upper))
     # both kinds of step are exercised
     assert min(paths.values()) > 1000, paths
+
+
+def test_dual_step_returns_the_bits_of_its_frozen_copy_at_every_level(monkeypatch):
+    # the levels of a switching stage share one memo of lone-row constants,
+    # formed by the first level that needs them.  Over a penalty schedule,
+    # each draw's levels are derived from one stage problem with
+    # with_objective, the linear term pushed further at each level and each
+    # solve warm-started from the last: under the scaled box (q = -h), the
+    # unit box (q = +h) and relaxed-one's curvature q = -h + 2 rho, which
+    # changes the scaled box at every level until the stationary path takes
+    # over.  Every kernel step returns the bits of the frozen copy, which
+    # forms everything from the level afresh
+    paths, formed = check_steps_against_frozen_copy(monkeypatch), []
+    lone_row = qp_core._lone_row
+
+    def counted(problem, i, d):
+        formed.append((i, d))
+        return lone_row(problem, i, d)
+
+    monkeypatch.setattr(qp_core, "_lone_row", counted)
+    for clip in (kkt_clip, subproblem_clip):
+        for seed in range(150):
+            problem, h, s = clip(seed)
+            push = np.random.default_rng(seed).normal(size=problem.dim)
+            for q0, per_level in ((-h, 0.0), (h, 0.0), (-h, 2.0)):
+                stage = QpProblem(q=q0, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
+                                  upper=problem.upper)
+                warm = None
+                for rho in (0.0, 0.1, 1.0, 10.0, 100.0):
+                    level = stage.with_objective(q0 + per_level * rho, s - rho * push)
+                    warm = solve_qp(level, start=warm).primal
+    assert min(paths.values()) > 300, paths
+    # most lone-row steps read constants an earlier level or step formed
+    assert len(formed) < 0.5 * paths["single"], (len(formed), paths)
 
 
 def test_dual_step_solves_the_newton_system_for_two_working_rows_only(monkeypatch):
@@ -935,15 +1019,17 @@ def concatenated_breakpoints(box, shifted, v, cap):
 def test_breakpoints_equal_the_concatenated_form(monkeypatch):
     # at every breakpoint search of the kernel on the clip draws, solved as
     # the exact and the stationary path, and on each search again with no
-    # cap and with a cap before every kink
+    # cap and with a cap before every kink; the mask the search is handed is
+    # v's nonzero entries
     kinds = {"capped": 0, "uncapped": 0, "no kinks": 0}
     breakpoints = qp_core._breakpoints
 
-    def both(box, shifted, v, cap):
+    def both(box, shifted, v, moving, cap):
+        assert moving.tobytes() == (v != 0.0).tobytes()
         for c in (cap, np.inf, 0.0):
-            got, want = breakpoints(box, shifted, v, c), concatenated_breakpoints(box, shifted, v, c)
+            got, want = breakpoints(box, shifted, v, moving, c), concatenated_breakpoints(box, shifted, v, c)
             assert got.tobytes() == want.tobytes()
-        got = breakpoints(box, shifted, v, cap)
+        got = breakpoints(box, shifted, v, moving, cap)
         kinds["capped" if cap < np.inf else "uncapped"] += 1
         kinds["no kinks"] += got.size == 1 + (cap < np.inf)
         return got
