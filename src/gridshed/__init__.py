@@ -48,7 +48,6 @@ from .power_equations import (  # noqa: E402
     InputVector,
     State,
     SwitchVector,
-    constraint_jacobian,
     constraints_C,
     jacobians,
     network,
@@ -87,7 +86,6 @@ __all__ = [
     "SwitchVector",
     "apply_scenario",
     "build_admittance",
-    "constraint_jacobian",
     "constraints_C",
     "emit_outputs",
     "enumerate_oracle",

@@ -33,11 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao1_opf import Ao1Result, active_capacity_screen, dispatch_start, solve_ao1
+from .ao1_opf import Ao1Result, _Problem, active_capacity_screen, dispatch_start, solve_ao1
 from .ao2_sbqp import (VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, live_demands,
                        run_ao2)
 from .grid_model import (
-    Branch,
     CaseError,
     GridCase,
     ScenarioConfig,
@@ -49,7 +48,6 @@ from .power_equations import (
     InputVector,
     State,
     SwitchVector,
-    constraint_jacobian,
     constraint_row,
     constraints_C,
     hessian_Q,
@@ -591,13 +589,14 @@ def _interior_point(net, rng):
 
 
 def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int = 100) -> list[CheckRow]:
-    """Compare analytic derivatives with central differences and test that a
-    lossless copy of the network conserves active power exactly."""
+    """Compare analytic derivatives with central differences, among them the
+    Jacobian that the continuous stage fits with, and test that a lossless
+    copy of the network conserves active power exactly."""
     net = network(case)
     rng = np.random.default_rng(seed)
     nx, nu = 2 * net.n_bus, 2 * net.n_gen
     worst = {"outflow-jacobian": 0.0, "objective-gradient": 0.0,
-             "constraint-jacobian": 0.0, "switch-curvature": 0.0}
+             "fit-jacobian": 0.0, "switch-curvature": 0.0}
 
     def split(z):
         return (State.from_vector(z[:nx]), InputVector.from_vector(z[nx:nx + nu]),
@@ -606,23 +605,26 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
     for _ in range(points):
         state, u, y = _interior_point(net, rng)
         _, dP_dx, dE = jacobians(net, state, u, y)
-        dC = constraint_jacobian(net, dP_dx, y)
         fd_p = _central(lambda xv: outflow(net, State.from_vector(xv)), state.as_vector())
         worst["outflow-jacobian"] = max(worst["outflow-jacobian"], _rel_err(dP_dx, fd_p))
         z0 = np.concatenate([state.as_vector(), u.as_vector(), y.y])
         fd_e = _central(lambda z: objective_E(net, *split(z)), z0)
         worst["objective-gradient"] = max(worst["objective-gradient"], _rel_err(dE, fd_e))
-        fd_c = _central(lambda z: constraints_C(case, *split(z)), z0)
-        worst["constraint-jacobian"] = max(worst["constraint-jacobian"], _rel_err(dC, fd_c))
+        # the fit's J = [dP/dx_free | -gen_sel] at the same point, with the
+        # slack's (v, theta) at the fit's fixed values
+        prob = _Problem(net, y)
+        z_fit = np.concatenate([state.as_vector()[net.fit_free], u.as_vector()])
+        J = prob.jacobian(prob.residual(z_fit)[1])
+        fd_j = _central(lambda z: prob.residual(z)[0], z_fit)
+        worst["fit-jacobian"] = max(worst["fit-jacobian"], _rel_err(J, fd_j))
         # one multiplier per demand's active balance row, drawn at the length
         # of the constraint stack so that every later draw stays the same
         nu_act = rng.uniform(-1.0, 1.0, net.n_c_rows)[:net.n_dem]
 
         def grad_l0_y(yy):
-            y2 = SwitchVector(yy)
-            _, dP_dx2, dE2 = jacobians(net, state, u, y2)
-            dC_act = constraint_jacobian(net, dP_dx2, y2)[2 * net.dem_pos]
-            return (dE2 - nu_act @ dC_act)[nx + nu:]
+            # demand k's active balance row of C = [P - S, ...] has the
+            # y-derivative 2 y_k pd_k, in column k alone
+            return jacobians(net, state, u, SwitchVector(yy))[2][nx + nu:] - nu_act * (2.0 * yy * net.pd)
 
         Qd = np.diag(hessian_Q(net, nu_act))
         worst["switch-curvature"] = max(worst["switch-curvature"], _rel_err(Qd, _central(grad_l0_y, y.y.copy())))
@@ -632,10 +634,8 @@ def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int =
         for name, err in worst.items()
     ]
 
-    twin = replace(case, branches=tuple(
-        Branch(from_bus=b.from_bus, to_bus=b.to_bus, g=0.0, b=b.b) for b in case.branches
-    ))
-    net_t = network(twin)
+    # r and x are kept, so a branch with b = 0 has a lossless twin too
+    net_t = network(replace(case, branches=tuple(replace(b, g=0.0) for b in case.branches)))
     worst_sum = 0.0
     for _ in range(states):
         state = State(v=rng.uniform(0.9, 1.1, net_t.n_bus), theta=rng.uniform(-0.6, 0.6, net_t.n_bus))

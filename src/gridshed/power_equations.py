@@ -1,7 +1,7 @@
 """AC power flow quantities and their derivatives.
 
-Layout conventions, frozen because ``constraint_row``, ``constraints_C`` and
-``constraint_jacobian`` index by them:
+Layout conventions, frozen because ``constraint_row`` and ``constraints_C``
+index by them:
 
 * state vector x: per-bus (v, theta) pairs in ascending bus id,
   ``x = [v_1, th_1, v_2, th_2, ...]``, length 2N including the slack bus
@@ -10,20 +10,20 @@ Layout conventions, frozen because ``constraint_row``, ``constraints_C`` and
 * constraint stack C, length 8N + 4G, in this fixed row order:
   P - S (2N), S - P (2N), x_lo - x (2N), x - x_hi (2N),
   u_lo - u (2G), u - u_hi (2G)
-* combined derivative column order: x, then u, then y (one column per demand)
+* objective gradient order: x, then u, then y (one entry per demand)
 
 ``constraint_row`` names a row of C by this order.
 
 Entry points (``network``, ``constraints_C``, ``constraint_row``,
 ``flat_state``, ``line_flow``) take a ``GridCase``.  The kernels
 (``outflow_terms``, ``outflow_derivatives``, ``outflow``, ``supply``,
-``objective_E``, ``objective_from_outflow``, ``jacobians``,
-``constraint_jacobian``, ``hessian_Q``) take the ``Network`` that their
-caller resolved once with ``network(case)``.  ``network`` builds it on the
-first call with a case object and keeps it on that object, outside the
-dataclass fields, so later calls with the object return it and it is freed
-with the case; an equal case built apart gets its own.  It also records
-whether every branch conductance is non-negative (``branch_g_nonneg``).
+``objective_E``, ``objective_from_outflow``, ``jacobians``, ``hessian_Q``)
+take the ``Network`` that their caller resolved once with ``network(case)``.
+``network`` builds it on the first call with a case object and keeps it on
+that object, outside the dataclass fields, so later calls with the object
+return it and it is freed with the case; an equal case built apart gets its
+own.  It also records whether every branch conductance is non-negative
+(``branch_g_nonneg``).
 
 The power flow is evaluated over the branch list, not over the dense
 admittance matrix.  ``network`` records two directed edges (k, l) per
@@ -52,11 +52,11 @@ and its derivatives takes the trig once.  ``hessian_Q`` is the switch
 curvature that the balance multipliers give, one per demand.
 ``check_sizes`` names a state, input or switch vector that does not fit the
 network; ``constraints_C``, ``objective_E`` and ``jacobians`` call it first.
-``constraint_jacobian`` stacks dP_dx into the full (8N + 4G)-row derivative
-of C, whose leading block ``dC[:2N, :2N]`` is dP/dx; only the self-check and
-the tests need it, and no solver stage builds it.  ``line_flow`` is a
-separate per-branch evaluation, kept as the reference that the tests compare
-``outflow`` against.
+No stage forms the full derivative of C: the continuous stage fits with
+dP/dx and the generator selector, and the switching stage takes its
+curvature from ``hessian_Q``.  ``line_flow`` is a separate per-branch
+evaluation, kept as the reference that the tests compare ``outflow``
+against.
 """
 
 from __future__ import annotations
@@ -198,10 +198,6 @@ class Network:
     @property
     def n_c_rows(self) -> int:
         return 8 * self.n_bus + 4 * self.n_gen
-
-    @property
-    def n_cols(self) -> int:
-        return 2 * self.n_bus + 2 * self.n_gen + self.n_dem
 
 
 def network(case: GridCase) -> Network:
@@ -489,7 +485,7 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
 
     Returns (P, dP_dx, dE): the stacked outflow (2N), its derivative over x
     (2N x 2N, interleaved as in ``outflow``), and the objective gradient over
-    (x, u, y).  ``constraint_jacobian`` stacks dP_dx into the derivative of C.
+    (x, u, y).
     """
     check_sizes(net, "jacobians", state, input, y)
     P, dP_dx = outflow(net, state, jacobian=True)
@@ -503,38 +499,6 @@ def jacobians(net: Network, state: State, input: InputVector, y: SwitchVector):
         net.rank * _delivery(net, P, input),
     ])
     return P, dP_dx, dE
-
-
-def constraint_jacobian(net: Network, dP_dx: np.ndarray, y: SwitchVector) -> np.ndarray:
-    """Derivative of the constraint stack C over (x, u, y), (8N + 4G) x (2N + 2G + D),
-    from the dP_dx that ``jacobians`` returned at the same point.
-
-    Its callers are ``cli_driver.self_check`` and the tests; both solver
-    stages work from dP_dx and dE directly."""
-    n, ngen, ndem = net.n_bus, net.n_gen, net.n_dem
-    nx, nu = 2 * n, 2 * ngen
-
-    # d(S)/du is the generator selector, d(S)/dy = -2y (pd, qd) per demand bus
-    dS_dy = np.zeros((nx, ndem))
-    dS_dy[2 * net.dem_pos, np.arange(ndem)] = -2.0 * y.y * net.pd
-    dS_dy[2 * net.dem_pos + 1, np.arange(ndem)] = -2.0 * y.y * net.qd
-
-    dC = np.zeros((net.n_c_rows, net.n_cols))
-    r = 0
-    dC[r:r + nx, :nx] = dP_dx
-    dC[r:r + nx, nx:nx + nu] = -net.gen_sel
-    dC[r:r + nx, nx + nu:] = -dS_dy
-    r += nx
-    dC[r:r + nx] = -dC[:nx]
-    r += nx
-    dC[r:r + nx, :nx] = -np.eye(nx)
-    r += nx
-    dC[r:r + nx, :nx] = np.eye(nx)
-    r += nx
-    dC[r:r + nu, nx:nx + nu] = -np.eye(nu)
-    r += nu
-    dC[r:r + nu, nx:nx + nu] = np.eye(nu)
-    return dC
 
 
 def hessian_Q(net: Network, nu: np.ndarray) -> np.ndarray:

@@ -259,16 +259,17 @@ def _infeasible(problem: QpProblem, z: np.ndarray, w: np.ndarray) -> QpSolution:
 
 class _Box:
     """The box of one problem under one curvature h > 0, with what every
-    kernel run reuses: whether h is all ones, the box scaled by h (the values
-    of s + A'lam at which a coordinate reaches a box end) and those lower and
-    upper ends stacked as the rows of one (2, n) array.  h None is the unit
-    curvature, read as the scalar 1.0."""
+    kernel run reuses: whether h is the unit curvature, the box scaled by h
+    (the values of s + A'lam at which a coordinate reaches a box end) and
+    those lower and upper ends stacked as the rows of one (2, n) array.  h
+    None is the unit curvature, read as the scalar 1.0."""
 
     def __init__(self, problem: QpProblem, h: np.ndarray | None = None):
         self.lower, self.upper = problem.lower, problem.upper
-        # h = 1, the projection: 1.0 * x == x and x / 1.0 == x, so the box is
-        # its own scaled box and every division by h is skipped
-        self.unit = h is None or bool((h == 1.0).all())
+        # h None, the projection: the box is its own scaled box and every
+        # division by h is skipped; an h of ones gives the same bits on the
+        # scaled path, since 1.0 * x == x and x / 1.0 == x
+        self.unit = h is None
         self.h = 1.0 if h is None else h
         if self.unit:
             self.h_lower, self.h_upper = problem.lower, problem.upper

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridshed
-from gridshed import cli_driver, qp_core
+from gridshed import ao1_opf, cli_driver, qp_core
 from gridshed.ao1_opf import active_capacity_screen
 from gridshed.ao2_sbqp import VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, live_demands
 from gridshed.cli_driver import (
@@ -1005,13 +1005,45 @@ def test_emit_outputs_bytes_are_stable(solved5, tmp_path):
 
 # -- self checks --------------------------------------------------------------
 
+CHECK_ROWS = ["outflow-jacobian", "objective-gradient", "fit-jacobian",
+              "switch-curvature", "lossless-active-sum"]
+
+
 def test_self_check_passes(case5):
     rows = self_check(case5, seed=0, points=3, states=20)
-    assert [r.name for r in rows] == [
-        "outflow-jacobian", "objective-gradient", "constraint-jacobian",
-        "switch-curvature", "lossless-active-sum",
-    ]
+    assert [r.name for r in rows] == CHECK_ROWS
     assert all(r.ok for r in rows), [r.detail for r in rows if not r.ok]
+
+
+def test_self_check_fails_a_fit_jacobian_with_two_columns_swapped(case5, monkeypatch):
+    # the fit-jacobian row checks the J that the continuous stage fits with:
+    # with its first two columns swapped that row fails, and it alone
+    jacobian = ao1_opf._Problem.jacobian
+
+    def swapped(self, terms):
+        J = jacobian(self, terms).copy()
+        J[:, [0, 1]] = J[:, [1, 0]]
+        return J
+
+    monkeypatch.setattr(ao1_opf._Problem, "jacobian", swapped)
+    rows = self_check(case5, seed=0, points=3, states=20)
+    assert [r.name for r in rows] == CHECK_ROWS
+    assert [r.name for r in rows if not r.ok] == ["fit-jacobian"]
+    assert float(rows[2].detail.split()[3]) > 1e-2
+
+
+def test_self_check_passes_with_a_purely_resistive_branch(case5_text, tmp_path):
+    # x = 0 on branch 1-2 gives b = 0 there: the lossless twin keeps the
+    # branch's r and x, so it builds although its g and b are both zero
+    text = case5_text.replace("1\t2\t0.00281\t0.0281\t", "1\t2\t0.00281\t0\t")
+    assert text != case5_text
+    case = parse_case(text)
+    assert case.branches[0].b == 0.0
+    rows = self_check(case, seed=0, points=3, states=20)
+    assert all(r.ok for r in rows), [r.detail for r in rows if not r.ok]
+    path = tmp_path / "resistive.m"
+    path.write_text(text)
+    assert main(["check", "--case", str(path)]) == 0
 
 
 # -- command line -------------------------------------------------------------

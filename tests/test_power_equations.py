@@ -27,7 +27,6 @@ from gridshed.power_equations import (
     Network,
     State,
     SwitchVector,
-    constraint_jacobian,
     constraint_row,
     constraints_C,
     flat_state,
@@ -346,7 +345,6 @@ def test_derivatives_match_finite_differences(fixture, request):
         state, u, y = random_point(case, rng)
         z = np.concatenate([state.as_vector(), u.as_vector(), y.y])
         _, dP_dx, dE = jacobians(net, state, u, y)
-        dC = constraint_jacobian(net, dP_dx, y)
 
         fd_P = central_diff(lambda x: outflow(net, State.from_vector(x)), state.as_vector())
         scale = np.maximum(1.0, np.abs(fd_P))
@@ -356,13 +354,9 @@ def test_derivatives_match_finite_differences(fixture, request):
         scale = np.maximum(1.0, np.abs(fd_E))
         assert np.max(np.abs(dE - fd_E) / scale) <= 1e-6
 
-        fd_C = central_diff(lambda zz: constraints_C(case, *split_z(net, zz)), z)
-        scale = np.maximum(1.0, np.abs(fd_C))
-        assert np.max(np.abs(dC - fd_C) / scale) <= 1e-6
-
 
 def reference_jacobians(case, state, u, y):
-    """(P, dE, dC) by the branch-list formula, written out edge by edge as the
+    """(P, dP_dx, dE) by the branch-list formula, written out edge by edge as the
     reference that the kernel must reproduce bit for bit.
 
     Each branch gives the directed edges (from, to) and (to, from), in branch
@@ -407,10 +401,9 @@ def reference_jacobians(case, state, u, y):
         dP_dx[2 * k + 1, 2 * k] = a2v[k] - v[k] * b_kk[k]
         dP_dx[2 * k + 1, 2 * k + 1] = p - v[k] * v[k] * g_kk[k]
 
-    ngen, ndem = net.n_gen, net.n_dem
-    nx, nu = 2 * n, 2 * ngen
+    nx, nu = 2 * n, 2 * net.n_gen
     w_dem = y.y * net.rank
-    dE = np.zeros(net.n_cols)
+    dE = np.zeros(nx + nu + net.n_dem)
     dE[:nx] = -(w_dem[:, None] * dP_dx[2 * net.dem_pos, :]).sum(axis=0)
     has_gen = net.dem_pg_col >= 0
     dE_u = np.zeros(nu)
@@ -418,26 +411,7 @@ def reference_jacobians(case, state, u, y):
     dE[nx:nx + nu] = dE_u
     pg_at_dem = np.where(net.dem_pg_col >= 0, u.pg[net.dem_pg_col // 2], 0.0)
     dE[nx + nu:] = net.rank * (pg_at_dem - P[2 * net.dem_pos])
-
-    dS_dy = np.zeros((nx, ndem))
-    dS_dy[2 * net.dem_pos, np.arange(ndem)] = -2.0 * y.y * net.pd
-    dS_dy[2 * net.dem_pos + 1, np.arange(ndem)] = -2.0 * y.y * net.qd
-    dC = np.zeros((net.n_c_rows, net.n_cols))
-    r = 0
-    dC[r:r + nx, :nx] = dP_dx
-    dC[r:r + nx, nx:nx + nu] = -net.gen_sel
-    dC[r:r + nx, nx + nu:] = -dS_dy
-    r += nx
-    dC[r:r + nx] = -dC[:nx]
-    r += nx
-    dC[r:r + nx, :nx] = -np.eye(nx)
-    r += nx
-    dC[r:r + nx, :nx] = np.eye(nx)
-    r += nx
-    dC[r:r + nu, nx:nx + nu] = -np.eye(nu)
-    r += nu
-    dC[r:r + nu, nx:nx + nu] = np.eye(nu)
-    return P, dE, dC
+    return P, dP_dx, dE
 
 
 def dense_outflow(case, state):
@@ -477,18 +451,13 @@ def dense_outflow(case, state):
 def test_split_derivatives_match_the_stacked_reference(fixture, request):
     case = request.getfixturevalue(fixture)
     net = network(case)
-    nx = 2 * net.n_bus
     rng = np.random.default_rng(17)
     for _ in range(3):
         state, u, y = random_point(case, rng)
         P, dP_dx, dE = jacobians(net, state, u, y)
-        dC = constraint_jacobian(net, dP_dx, y)
-        ref_P, ref_dE, ref_dC = reference_jacobians(case, state, u, y)
-        assert np.array_equal(dC, ref_dC)
-        # bytes too, so the -0.0 entries of the -gen_sel block keep their sign
-        assert dC.tobytes() == ref_dC.tobytes()
+        ref_P, ref_dP_dx, ref_dE = reference_jacobians(case, state, u, y)
         assert P.tobytes() == ref_P.tobytes()
-        assert dP_dx.tobytes() == ref_dC[:nx, :nx].tobytes()
+        assert dP_dx.tobytes() == ref_dP_dx.tobytes()
         assert dE.tobytes() == ref_dE.tobytes()
 
 
@@ -507,8 +476,9 @@ def test_ao1_newton_jacobian_is_the_reference_block(fixture, request):
         z = prob.lower + rng.uniform(0.1, 0.9, prob.lower.size) * (prob.upper - prob.lower)
         J = prob.jacobian(prob.residual(z)[1])
         state, u = ao1_opf._split(net, z)
-        _, ref_dE, ref_dC = reference_jacobians(case, state, u, prob.y)
-        ref_J = ref_dC[: 2 * net.n_bus].take(cols, axis=1)
+        _, ref_dP_dx, ref_dE = reference_jacobians(case, state, u, prob.y)
+        # bytes, so the -0.0 entries of the -gen_sel block keep their sign
+        ref_J = np.concatenate([ref_dP_dx, -net.gen_sel], axis=1).take(cols, axis=1)
         assert J.flags.c_contiguous
         assert J.shape == ref_J.shape
         assert J.tobytes() == ref_J.tobytes()
@@ -559,15 +529,6 @@ def test_zero_admittance_branch_contributes_nothing(case5):
         assert np.array_equal(dP_dx_dead, dP_dx)
 
 
-def test_bound_rows_have_zero_y_columns(case5):
-    rng = np.random.default_rng(1)
-    state, u, y = random_point(case5, rng)
-    net = network(case5)
-    dC = constraint_jacobian(net, jacobians(net, state, u, y)[1], y)
-    y_cols = dC[:, 2 * net.n_bus + 2 * net.n_gen:]
-    assert np.all(y_cols[4 * net.n_bus:] == 0.0)
-
-
 def test_flat_lossless_voltage_block_is_zero():
     case = GridCase(
         buses=tuple(Bus(id=i, v_min=0.9, v_max=1.1, is_slack=(i == 1)) for i in range(1, 4)),
@@ -580,9 +541,8 @@ def test_flat_lossless_voltage_block_is_zero():
     )
     state = flat_state(case)
     u = InputVector(pg=np.array([0.0]), qg=np.array([0.0]))
-    net, ones = network(case), SwitchVector(np.ones(1))
-    dC = constraint_jacobian(net, jacobians(net, state, u, ones)[1], ones)
-    dP_dx = dC[:6, :6]  # the leading 2N x 2N block, N = 3
+    net = network(case)
+    dP_dx = jacobians(net, state, u, SwitchVector(np.ones(1)))[1]
     np.testing.assert_array_equal(dP_dx[0::2, 0::2], 0.0)
 
 
@@ -611,18 +571,16 @@ def test_hessian_rejects_a_nu_of_the_wrong_length(case5):
 
 
 def test_hessian_matches_finite_difference(case5):
-    # nu_k weighs demand k's active balance row of C = [P - S, ...]
+    # nu_k weighs demand k's active balance row of C = [P - S, ...], whose
+    # y-derivative is 2 y_k pd_k, in column k alone
     rng = np.random.default_rng(5)
     state, u, y = random_point(case5, rng)
     net = network(case5)
     nu = rng.uniform(-1.0, 1.0, net.n_dem)
 
     def grad_L0_y(yy):
-        y2 = SwitchVector(yy)
-        _, dP_dx, dE = jacobians(net, state, u, y2)
-        dC = constraint_jacobian(net, dP_dx, y2)
-        g = dE - nu @ dC[2 * net.dem_pos]
-        return g[2 * net.n_bus + 2 * net.n_gen:]
+        dE = jacobians(net, state, u, SwitchVector(yy))[2]
+        return dE[2 * net.n_bus + 2 * net.n_gen:] - nu * (2.0 * yy * net.pd)
 
     q = hessian_Q(net, nu)
     fd = central_diff(grad_L0_y, y.y.copy())

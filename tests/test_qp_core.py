@@ -993,12 +993,12 @@ def test_kkt_points_straddle_the_tolerance():
 @pytest.mark.parametrize("clip", [kkt_clip, subproblem_clip])
 def test_unit_box_holds_what_a_ones_curvature_box_holds(clip):
     # the stationary path builds its box knowing h = 1: its scaled ends are
-    # those of a box built from a ones vector, and a dual clip under either
-    # returns the same bytes
+    # those of a box built from a ones vector, which takes the scaled path,
+    # and a dual clip under either returns the same bytes
     for seed in range(300):
         problem, h, s = clip(seed)
         unit, ones = _Box(problem), _Box(problem, np.ones(problem.dim))
-        assert unit.unit is ones.unit is True and unit.h == 1.0
+        assert unit.unit and not ones.unit and unit.h == 1.0
         for name in ("h_lower", "h_upper", "ends"):
             assert getattr(unit, name).tobytes() == getattr(ones, name).tobytes()
         for linear in (s, s / h):

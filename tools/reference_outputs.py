@@ -16,7 +16,7 @@ Runs, in this process and against ./src:
   written out by ``serialize_case`` as configs/random6.m (exit 2, the
   switching stage proposes a rejected set again);
 * ``oracle`` on the case5 shortfall config;
-* ``check`` on case30;
+* ``check`` on case30 and on case5;
 * ``scenario`` with the stressed30 and shortfall5 configs, whose standard
   output is the ``serialize_case`` text of the case each ``solve`` runs.
 
@@ -107,7 +107,8 @@ def main(argv: list[str]) -> int:
     target = out / "oracle-shortfall5"
     _run(target, ["oracle", "--case", str(CASES / "case5.m"),
                   "--config", str(configs / "shortfall5.kv"), "--out-dir", str(target)])
-    _run(out / "check-case30", ["check", "--case", str(CASES / "case30.m")])
+    for name in ("case30", "case5"):
+        _run(out / f"check-{name}", ["check", "--case", str(CASES / f"{name}.m")])
     for name in ("stressed30", "shortfall5"):
         case, _ = INSTANCES[name]
         _run(out / f"scenario-{name}", ["scenario", "--case", str(CASES / case),
