@@ -13,7 +13,10 @@ projected Levenberg-Marquardt fit (More 1978) of 0.5 |F|^2 over the bounds,
 started from the warm point or the flat point, clipped into the box. A step
 that the box clip spoils, so that it no longer decreases the Gauss-Newton
 model, is re-solved with the coordinates that left the box held at their
-bounds before it is evaluated. How the fit ends sets the status:
+bounds before it is evaluated. The damping shrinks with |F| once a step
+cuts |F| tenfold, so the fit's tail converges quadratically though the
+balance system has more unknowns than rows (Fan and Yuan 2005; Kanzow,
+Yamashita and Fukushima 2004). How the fit ends sets the status:
 
 - balanced (max|F| <= TOL_FEAS): "converged";
 - on a set that ``active_capacity_screen`` proves short of active capacity
@@ -78,6 +81,7 @@ fit it steers by, and never E.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -347,7 +351,13 @@ def least_squares(prob: _Problem, z0) -> FitResult:
     the same damped system is re-solved for the rest (projected Newton,
     Bertsekas 1982; projected Levenberg-Marquardt, Kanzow, Yamashita and
     Fukushima 2004); only that point, clipped, is evaluated.  lam grows
-    fourfold on a rejected step and shrinks threefold on an accepted one.
+    fourfold on a rejected step.  An accepted step that cuts |F| by the
+    factor r = |F_new| / |F_old| multiplies lam by r when r < 0.1, and
+    divides it by 3 otherwise: once the fit is fast its damping follows |F|,
+    which keeps local convergence quadratic though J, never square here, has
+    no inverse (Fan and Yuan 2005; with bounds and the projection, Kanzow,
+    Yamashita and Fukushima 2004).  lam stays positive: r is 0 only at an
+    exact zero of F, which the balance test ends first.
     Every point costs one ``prob.residual``; ``prob.jacobian`` runs only at
     an accepted point (or the start) where the fit goes on, so a rejected
     trial and the end point form no derivatives.  The result carries the
@@ -442,8 +452,9 @@ def least_squares(prob: _Problem, z0) -> FitResult:
             lam *= 4.0
             if lam > FIT_LAMBDA_MAX:
                 return FitResult(z, F, nfev, "stationary", terms, njev)
+        r = math.sqrt(f_try / f)
+        lam = lam * r if r < 0.1 else lam / 3.0
         z, F, terms, f = z_try, F_try, terms_try, f_try
-        lam /= 3.0
         if noise or decrease <= 1e-14 * (f + decrease):
             return FitResult(z, F, nfev, "stationary", terms, njev)
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"

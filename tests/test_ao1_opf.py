@@ -581,6 +581,35 @@ def test_balanced_fit_converges_at_any_rank_scale(case30):
     assert r.status == "converged"
 
 
+def test_balancing_fit_converges_quadratically_in_its_tail(case30):
+    # adequate case30, all ones, flat start: once |F| < 1e-2 every accepted
+    # step squares it, |F_k+1| <= 10 |F_k|^2, since the damping follows |F|
+    # there
+    class Recording(ao1_opf._Problem):
+        def __init__(self, net, y):
+            super().__init__(net, y)
+            self.norms, self.accepted = [], []
+
+        def residual(self, z):
+            F, terms = super().residual(z)
+            self.norms.append(float(np.linalg.norm(F)))
+            return F, terms
+
+        def jacobian(self, terms):
+            # the fit forms derivatives only at a point it goes on from
+            self.accepted.append(len(self.norms) - 1)
+            return super().jacobian(terms)
+
+    net = network(case30)
+    prob = Recording(net, SwitchVector(np.ones(net.n_dem)))
+    fit = ao1_opf.least_squares(prob, net.fit_start)
+    assert fit.status == "balanced"
+    path = [prob.norms[k] for k in prob.accepted] + [prob.norms[-1]]
+    tail = [(a, b) for a, b in zip(path, path[1:]) if a < 1e-2]
+    assert len(tail) >= 2
+    assert all(b <= 10.0 * a * a for a, b in tail)
+
+
 def test_converged_solve_runs_no_lstsq(case30, monkeypatch):
     # the multipliers come in closed form; lstsq is only the fit's fallback
     # for a singular damped system
@@ -1122,8 +1151,9 @@ def frozen_least_squares(prob, z0):
             if lam > FIT_LAMBDA_MAX:
                 return z, F, nfev, "stationary"
         decrease = f - f_try
+        r = np.sqrt(f_try / f)
+        lam = lam * r if r < 0.1 else lam / 3.0
         z, F, J, f = z_try, F_try, J_try, f_try
-        lam /= 3.0
         if noise or decrease <= 1e-14 * (f + decrease):
             return z, F, nfev, "stationary"
     status = "balanced" if float(np.abs(F).max()) <= TOL_FEAS else "cap"

@@ -754,17 +754,20 @@ def test_no_live_pattern_is_fitted_again_after_it_is_proved_infeasible(monkeypat
 
 
 def test_a_ray_the_box_meets_within_rounding_certifies_nothing(monkeypatch):
-    # _feasible_case seed 118, mixed: one subproblem's kernel ends on a ray
-    # whose Farkas margin is about 1e-15, far below SLACK_TOL, since the
+    # _feasible_case seeds 30 and 66, mixed: one subproblem's kernel ends on
+    # a ray whose Farkas margin is about 1e-15, far below SLACK_TOL, since the
     # all-off point meets its rows within rounding.  The ray certifies
-    # nothing, and the solve goes on to an answer that sheds every demand
+    # nothing, and the solve goes on to an answer that sheds every demand.
+    # Seed 118 meets no such ray and sheds every demand too
     margins = []
     margin = qp_core._farkas_margin
     monkeypatch.setattr(qp_core, "_farkas_margin", lambda *args: margins.append(margin(*args)) or margins[-1])
-    res = run_ao_sbqp(_feasible_case(np.random.default_rng(118)), SolverConfig(variant=Ao2Variant(tag="mixed")))
-    assert len(margins) == 1 and abs(margins[0]) < 1e-12
-    np.testing.assert_array_equal(res.switches.y, np.zeros(3))
-    assert res.objective == 0.0 and res.outer_iterations == 4
+    for seed, demands, outer, rays in [(30, 2, 4, 1), (66, 6, 6, 1), (118, 3, 4, 0)]:
+        margins.clear()
+        res = run_ao_sbqp(_feasible_case(np.random.default_rng(seed)), SolverConfig(variant=Ao2Variant(tag="mixed")))
+        assert len(margins) == rays and all(abs(m) < 1e-12 for m in margins)
+        np.testing.assert_array_equal(res.switches.y, np.zeros(demands))
+        assert res.objective == 0.0 and res.outer_iterations == outer
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -138,12 +138,23 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     assert int(words[5]) == sum(int(f[8]) for f in calls)
     assert words[6:9] == ["derivative", "passes;", "exits:"]
     assert total.endswith(f"; at most {max(int(f[7]) for f in calls)} evaluations in one fit")
+    # the balanced fits by derivative passes, in rising order of passes: as
+    # many as exit balanced, and no more passes than all fits take
+    balanced = int(words[words.index("balanced") - 1])
+    head = lines.index(total)
+    assert lines[head + 2].startswith("balanced fits by derivative passes: ")
+    histogram = [tuple(int(v) for v in bar.split(": "))
+                 for bar in lines[head + 2].split("passes: ")[1].split(", ")]
+    assert [k for k, _ in histogram] == sorted({k for k, _ in histogram})
+    assert sum(n for _, n in histogram) == balanced > 0
+    assert sum(k * n for k, n in histogram) <= int(words[5])
     # the random part counts its fits too: _random_case seed 23 runs one
     # stationary fit per variant
     randoms = [line.split() for line in lines if line.startswith("random 23 ")]
     assert [fields[3] for fields in randoms] == ["1"] * 3
     assert [fields[7] for fields in randoms] == ["0/1/0"] * 3
-    assert lines[-3].startswith(f"AO1 fits 3, {sum(int(f[4]) for f in randoms)} evaluations, ")
+    assert lines[-4].startswith(f"AO1 fits 3, {sum(int(f[4]) for f in randoms)} evaluations, ")
+    assert lines[-2] == "balanced fits by derivative passes: -"
 
 
 def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
@@ -191,7 +202,7 @@ def test_qp_census_counts_clips_and_steps_per_call_and_in_total(census, capsys):
     assert all(fields[5] == "0" for fields in calls)
     head = lines.index(next(line for line in lines if line.startswith("switch30 seeds 1: ")))
     assert lines[head].startswith("switch30 seeds 1: 12 calls, 0 failed; ")
-    words = lines[head + 3].replace(",", "").replace(";", "").split()
+    words = lines[head + 4].replace(",", "").replace(";", "").split()
     assert words[:2] == ["QP", "kernel:"]
     assert int(words[2]) == sum(int(f[14]) for f in calls)
     assert int(words[5]) == sum(int(f[15]) for f in calls)
@@ -199,7 +210,7 @@ def test_qp_census_counts_clips_and_steps_per_call_and_in_total(census, capsys):
     randoms = [line for line in lines if line.startswith("random 23 ")]
     assert [line.split()[2] for line in randoms] == ["mixed", "relaxed-one", "relaxed-two"]
     assert all(line.endswith("DriverError: all 1 live switch pattern proved infeasible") for line in randoms)
-    assert lines[-4].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
+    assert lines[-5].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
 
 
 def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys):

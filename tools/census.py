@@ -37,8 +37,9 @@ certifying nothing) and the smallest margin of a certificate (``-`` for
 none).  Last come the call's seconds and its outcome (answered, or the
 error's first clause).  Work during a seed's set-up (switch30 builds its AO1
 starts there) gets a line of its own.  Totals for both layers follow each
-part, with the fits' median and slowest time and how many took longer than
-SLOW_MS.
+part, with the fits' median and slowest time, how many took longer than
+SLOW_MS, and the balanced fits by their derivative passes (``4: 170, 5: 10``:
+170 balanced fits took 4 passes and 10 took 5).
 
 Before the random part's totals come three shares per variant, over its
 runs, against ``enumerate_oracle`` on each drawn case (run before the census
@@ -56,6 +57,7 @@ import re
 import statistics
 import sys
 import time
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -162,6 +164,13 @@ def _per(keys, values) -> str:
     return "/".join(map(str, _counts(keys, values)))
 
 
+def _histogram(values) -> str:
+    """How many times each value occurs, in rising order, as "4: 170, 5: 10"
+    ("-" when there are none)."""
+    counts = Counter(values)
+    return ", ".join(f"{v}: {counts[v]}" for v in sorted(counts)) or "-"
+
+
 def _least_margin(tests) -> str:
     """The smallest margin of a certificate, "-" when none certified."""
     least = min((m for kind, m in tests if kind != "none"), default=None)
@@ -232,7 +241,8 @@ def _totals(label: str, work, answers, seconds: float) -> list[str]:
                   f"at most {max(f[0] for f in fits)} evaluations in one fit",
                   f"end max|F| from {min(ends):.2e} to {max(ends):.2e}; {sum(times):.3f} s in all, "
                   f"median {1e3 * statistics.median(times):.1f} ms, slowest {1e3 * max(times):.1f} ms; "
-                  f"{sum(t > SLOW_MS / 1e3 for t in times)} took longer than {SLOW_MS:g} ms"]
+                  f"{sum(t > SLOW_MS / 1e3 for t in times)} took longer than {SLOW_MS:g} ms",
+                  f"balanced fits by derivative passes: {_histogram(f[4] for f in fits if f[1] == 'balanced')}"]
     else:
         lines.append("no AO1 fit ran")
     single = rows.count(1)
