@@ -17,17 +17,17 @@ from .ao2_sbqp import (  # noqa: E402
     SbqpTraceRow,
     run_ao2,
 )
+from .checks import self_check  # noqa: E402
 from .cli_driver import (  # noqa: E402
     DriverError,
     OracleEntry,
     SolveResult,
     SolverConfig,
-    emit_outputs,
     enumerate_oracle,
     main,
     run_ao_sbqp,
-    self_check,
 )
+from .documents import emit_outputs  # noqa: E402
 from .grid_model import (  # noqa: E402
     AdmittanceMatrix,
     Branch,

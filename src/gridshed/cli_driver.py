@@ -1,4 +1,4 @@
-"""Outer alternation driver, enumeration oracle, output files, and the CLI.
+"""Outer alternation driver, enumeration oracle, config reader, and the CLI.
 
 The driver alternates the continuous stage and the switching stage until two
 consecutive continuous solutions agree, or until the continuous stage
@@ -11,31 +11,29 @@ Everything the CLI writes is deterministic for a fixed case, config, and seed;
 wall-clock numbers go to a separate report file so result and trace files can
 be compared byte for byte.
 
-This module owns all config text: ``parse_kv`` reads the ``key = value``
-lines of config files and kv result documents, ``render_kv`` writes
-result.kv and report.kv, and ``_CONFIG_FIELDS`` holds every config key, the
-``scenario.*`` ones included.  Each output document is stated once, and its
-writer and reader both read the one table: ``_RESULT_FIELDS`` holds every
-result key (kv and JSON) and ``_TRACE_COLUMNS`` every trace.csv column after
-the ``y_k`` ones; ``_csv`` writes trace.csv and oracle.csv.
+``_CONFIG_FIELDS`` holds every config key, the ``scenario.*`` ones included,
+and ``config_from_mapping`` reads them from text that documents.parse_kv
+split into lines.  The text of every output file is the documents module's,
+and the self-checks that ``check`` prints are the checks module's.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .ao1_opf import Ao1Result, _Problem, active_capacity_screen, dispatch_start, solve_ao1
+from .ao1_opf import Ao1Result, active_capacity_screen, dispatch_start, solve_ao1
 from .ao2_sbqp import (VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, SbqpTrace, live_demands,
                        run_ao2)
+from .checks import self_check
+from .documents import _value, emit_oracle, emit_outputs, parse_kv
 from .grid_model import (
     CaseError,
     GridCase,
@@ -44,23 +42,10 @@ from .grid_model import (
     parse_case,
     serialize_case,
 )
-from .power_equations import (
-    InputVector,
-    State,
-    SwitchVector,
-    constraint_row,
-    constraints_C,
-    hessian_Q,
-    jacobians,
-    network,
-    objective_E,
-    outflow,
-    phi,
-)
+from .power_equations import InputVector, State, SwitchVector, constraint_row, constraints_C, network, phi
 
 ORACLE_CAP = 20
 LOCAL_VERDICTS = "the verdicts are local: a stationary AO1 fit is no global proof"
-FORMAT_VERSION = 2
 
 
 class DriverError(RuntimeError):
@@ -314,339 +299,6 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
     return entries
 
 
-# -- key = value text ----------------------------------------------------------
-
-def _one_of(**values):
-    """Converter that maps each allowed text to its value and rejects any other."""
-    def convert(text: str):
-        if text not in values:
-            raise ValueError(text)
-        return values[text]
-    return convert
-
-
-def _list_of(conv):
-    """Converter of comma-separated values, each read by conv; '' is ()."""
-    return lambda text: tuple(map(conv, text.split(","))) if text else ()
-
-
-# value kind: (converter of the value text, expected type as named in errors);
-# the config key, result key and trace column tables give each entry one
-_KINDS = {
-    "int": (int, "an integer"),
-    "float": (float, "a number"),
-    "bool": (_one_of(true=True, false=False), "true or false"),
-    "str": (str, "text"),
-    "int-list": (_list_of(int), "comma-separated integers"),
-    "float-list": (_list_of(float), "comma-separated numbers"),
-    "int-or-none": (lambda text: None if text.lower() == "none" else int(text), "an integer or none"),
-    "none-or-stress": (_one_of(none="none", stress="stress"), "none or stress"),
-}
-
-
-def _value(key: str, text: str, kind: str):
-    """text read as kind; a text the kind rejects raises a ValueError naming
-    the key and the expected type."""
-    conv, expected = _KINDS[kind]
-    try:
-        return conv(text)
-    except ValueError:
-        raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
-
-
-def parse_kv(text: str, what: str) -> dict[str, str]:
-    """The ``key = value`` lines of a config file or a kv result document, as
-    {key: value text} in file order.
-
-    '#' starts a comment and blank lines are skipped.  A line without '=' and
-    a key given twice raise a ValueError that names the document (what, such
-    as "config" or "result") and the line, and for a repeat the first line too.
-    """
-    out: dict[str, str] = {}
-    seen: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{what} line {line_no}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in seen:
-            raise ValueError(f"{what} line {line_no}: {key} already set on line {seen[key]}")
-        seen[key] = line_no
-        out[key] = value
-    return out
-
-
-def _text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, (list, tuple)):
-        return ",".join(map(_text, value))
-    return str(value)
-
-
-def render_kv(doc: dict) -> str:
-    """One ``key = value`` line per entry of doc, in its order: true or false,
-    a float's repr, a list comma-joined; parse_kv reads it back."""
-    return "".join(f"{key} = {_text(value)}\n" for key, value in doc.items())
-
-
-# -- output documents --------------------------------------------------------
-
-def _typed(value, kind: str):
-    """value as the Python type that kind's reader returns, so that _text
-    writes a float kind's value as repr(float(v)) even when it is an int."""
-    if kind.endswith("-list"):
-        return [_typed(v, kind[:-len("-list")]) for v in value]
-    return {"int": int, "float": float, "bool": bool, "str": str}[kind](value)
-
-
-# result key: (kind, its value for a result and its config), in file order;
-# the writer and the reader of both formats take every key from here
-_RESULT_FIELDS = {
-    "format": ("int", lambda r, c: FORMAT_VERSION),
-    "variant": ("str", lambda r, c: c.variant.tag),
-    "single_shot": ("bool", lambda r, c: c.variant.single_shot),
-    "seed": ("int", lambda r, c: c.seed),
-    "outer_iterations": ("int", lambda r, c: r.outer_iterations),
-    "inner_iterations": ("int", lambda r, c: r.inner_iterations),
-    "phi_final": ("float", lambda r, c: r.phi_final),
-    "objective": ("float", lambda r, c: r.objective),
-    "supplied_active": ("float", lambda r, c: r.supplied_active),
-    "supplied_reactive": ("float", lambda r, c: r.supplied_reactive),
-    "switches": ("int-list", lambda r, c: [round(v) for v in r.switches.y]),
-    "state_v": ("float-list", lambda r, c: r.state.v),
-    "state_theta": ("float-list", lambda r, c: r.state.theta),
-    "input_pg": ("float-list", lambda r, c: r.input.pg),
-    "input_qg": ("float-list", lambda r, c: r.input.qg),
-}
-
-
-def result_document(result: SolveResult, config: SolverConfig) -> dict:
-    """Flat mapping of everything a result file records, in file order."""
-    return {key: _typed(value(result, config), kind) for key, (kind, value) in _RESULT_FIELDS.items()}
-
-
-def render_result_document(doc: dict, format: str = "kv") -> str:
-    if format == "json":
-        return json.dumps(doc, indent=2) + "\n"
-    if format != "kv":
-        raise ValueError(f"unknown format {format!r}")
-    return render_kv(doc)
-
-
-def _unique_keys(pairs) -> dict:
-    """object_pairs_hook of the JSON result reader: a key given twice raises
-    the kv reader's ValueError, without line numbers."""
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"result: {key} already set")
-        out[key] = value
-    return out
-
-
-def parse_result_document(text: str) -> dict:
-    """Inverse of render_result_document for both formats; values are typed.
-
-    Both formats are read by _RESULT_FIELDS, with the kv reader's errors for
-    a key given twice, a key it does not hold and a value not of its key's
-    kind.  A JSON value is read from its kv text, and must be written as the
-    JSON writer writes the value read: "3" is text, not an integer, and 2 is
-    not a float key's value, which the writer gives as 2.0.
-    """
-    stripped = text.lstrip()
-    is_json = stripped.startswith("{")
-    entries = json.loads(stripped, object_pairs_hook=_unique_keys) if is_json else parse_kv(text, "result")
-    out: dict = {}
-    for key, value in entries.items():
-        if key not in _RESULT_FIELDS:
-            raise ValueError(f"unknown result key {key!r}")
-        kind = _RESULT_FIELDS[key][0]
-        out[key] = _value(key, _text(value), kind)
-        if is_json and json.dumps(out[key]) != json.dumps(value):
-            raise ValueError(f"{key}: expected {_KINDS[kind][1]}, got {value!r}")
-    return out
-
-
-# trace column after stage, iteration and the y_k columns: its kind, read from
-# the SbqpTraceRow field of its name
-_TRACE_COLUMNS = {"phi": "float", "rho": "float", "alpha": "float",
-                  "kind": "str", "status": "str", "psi": "float"}
-
-
-def _csv(header: list[str], rows) -> str:
-    """The header line, then one line per row of values, each cell by _text."""
-    return "".join(",".join(map(_text, cells)) + "\n" for cells in [header, *rows])
-
-
-def _trace_header(n: int) -> list[str]:
-    """The trace table's columns for n demands."""
-    return ["stage", "iteration", *(f"y_{k}" for k in range(n)), *_TRACE_COLUMNS]
-
-
-def render_trace_table(result: SolveResult) -> str:
-    """CSV of every switching-stage iteration across all outer passes."""
-    rows = ([stage, row.iteration, *_typed(row.y, "float-list"),
-             *(_typed(getattr(row, name), kind) for name, kind in _TRACE_COLUMNS.items())]
-            for stage, trace in enumerate(result.ao2_traces) for row in trace.rows)
-    return _csv(_trace_header(result.switches.y.size), rows)
-
-
-def parse_trace_table(text: str) -> list[dict]:
-    """Inverse of render_trace_table.  A missing or unexpected header, a row
-    whose cell count differs from the header's and a number cell that does
-    not read as its column's number raise a ValueError that names the line,
-    as parse_kv does ("trace line 3: ...")."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ValueError("trace line 1: expected a header line")
-    header_no, header_line = lines[0]
-    header = header_line.split(",")
-    n = sum(1 for h in header if h.startswith("y_"))
-    if header != _trace_header(n):
-        raise ValueError(f"trace line {header_no}: unexpected header {header_line!r}")
-    rows = []
-    for line_no, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"trace line {line_no}: expected {len(header)} cells, got {len(cells)}")
-        try:
-            row = {"stage": _value("stage", cells[0], "int"),
-                   "iteration": _value("iteration", cells[1], "int"),
-                   "y": np.array([_value(f"y_{k}", cells[2 + k], "float") for k in range(n)])}
-            for (name, kind), cell in zip(_TRACE_COLUMNS.items(), cells[2 + n:]):
-                row[name] = _value(name, cell, kind)
-        except ValueError as exc:
-            raise ValueError(f"trace line {line_no}: {exc}") from None
-        rows.append(row)
-    return rows
-
-
-def emit_outputs(result: SolveResult, out_dir, format: str, config: SolverConfig) -> dict[str, Path]:
-    """Write result, trace, and report files; returns {name: path}.
-
-    The result and trace files are byte-identical across repeat runs with the
-    same inputs; timing lives only in report.kv.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    suffix = "json" if format == "json" else "kv"
-    paths = {
-        "result": out / f"result.{suffix}",
-        "trace": out / "trace.csv",
-        "report": out / "report.kv",
-    }
-    doc = result_document(result, config)
-    paths["result"].write_bytes(render_result_document(doc, format).encode())
-    paths["trace"].write_bytes(render_trace_table(result).encode())
-    report = {key: doc[key] for key in ("outer_iterations", "inner_iterations", "phi_final")}
-    report |= {
-        "wall_ao1_s": float(result.timings.get("ao1_s", 0.0)),
-        "wall_ao2_s": float(result.timings.get("ao2_s", 0.0)),
-        "wall_total_s": float(result.timings.get("total_s", 0.0)),
-    }
-    paths["report"].write_bytes(render_kv(report).encode())
-    return paths
-
-
-# -- derivative and conservation self-checks ---------------------------------
-
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    ok: bool
-    detail: str
-
-
-def _central(f, z, h=1e-6):
-    cols = []
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        cols.append((np.asarray(f(zp)) - np.asarray(f(zm))) / (2 * h))
-    return np.stack(cols, axis=-1)
-
-
-def _rel_err(analytic, fd) -> float:
-    scale = max(1.0, float(np.max(np.abs(analytic), initial=0.0)))
-    return float(np.max(np.abs(analytic - fd), initial=0.0)) / scale
-
-
-def _interior_point(net, rng):
-    state = State(
-        v=rng.uniform(0.96, 1.04, net.n_bus),
-        theta=np.where(np.arange(net.n_bus) == net.slack, 0.0, rng.uniform(-0.25, 0.25, net.n_bus)),
-    )
-    span_l, span_u = net.u_lower, net.u_upper
-    u = InputVector.from_vector(span_l + rng.uniform(0.1, 0.9, 2 * net.n_gen) * (span_u - span_l))
-    y = SwitchVector(rng.uniform(0.05, 0.95, net.n_dem))
-    return state, u, y
-
-
-def self_check(case: GridCase, seed: int = 2025, points: int = 20, states: int = 100) -> list[CheckRow]:
-    """Compare analytic derivatives with central differences, among them the
-    Jacobian that the continuous stage fits with, and test that a lossless
-    copy of the network conserves active power exactly."""
-    net = network(case)
-    rng = np.random.default_rng(seed)
-    nx, nu = 2 * net.n_bus, 2 * net.n_gen
-    worst = {"outflow-jacobian": 0.0, "objective-gradient": 0.0,
-             "fit-jacobian": 0.0, "switch-curvature": 0.0}
-
-    def split(z):
-        return (State.from_vector(z[:nx]), InputVector.from_vector(z[nx:nx + nu]),
-                SwitchVector(z[nx + nu:]))
-
-    for _ in range(points):
-        state, u, y = _interior_point(net, rng)
-        _, dP_dx, dE = jacobians(net, state, u, y)
-        fd_p = _central(lambda xv: outflow(net, State.from_vector(xv)), state.as_vector())
-        worst["outflow-jacobian"] = max(worst["outflow-jacobian"], _rel_err(dP_dx, fd_p))
-        z0 = np.concatenate([state.as_vector(), u.as_vector(), y.y])
-        fd_e = _central(lambda z: objective_E(net, *split(z)), z0)
-        worst["objective-gradient"] = max(worst["objective-gradient"], _rel_err(dE, fd_e))
-        # the fit's J = [dP/dx_free | -gen_sel] at the same point, with the
-        # slack's (v, theta) at the fit's fixed values
-        prob = _Problem(net, y)
-        z_fit = np.concatenate([state.as_vector()[net.fit_free], u.as_vector()])
-        J = prob.jacobian(prob.residual(z_fit)[1])
-        fd_j = _central(lambda z: prob.residual(z)[0], z_fit)
-        worst["fit-jacobian"] = max(worst["fit-jacobian"], _rel_err(J, fd_j))
-        # one multiplier per demand's active balance row, drawn at the length
-        # of the constraint stack so that every later draw stays the same
-        nu_act = rng.uniform(-1.0, 1.0, net.n_c_rows)[:net.n_dem]
-
-        def grad_l0_y(yy):
-            # demand k's active balance row of C = [P - S, ...] has the
-            # y-derivative 2 y_k pd_k, in column k alone
-            return jacobians(net, state, u, SwitchVector(yy))[2][nx + nu:] - nu_act * (2.0 * yy * net.pd)
-
-        Qd = np.diag(hessian_Q(net, nu_act))
-        worst["switch-curvature"] = max(worst["switch-curvature"], _rel_err(Qd, _central(grad_l0_y, y.y.copy())))
-
-    checks = [
-        CheckRow(name, err <= 1e-6, f"max relative error {err:.3e} over {points} points")
-        for name, err in worst.items()
-    ]
-
-    # r and x are kept, so a branch with b = 0 has a lossless twin too
-    net_t = network(replace(case, branches=tuple(replace(b, g=0.0) for b in case.branches)))
-    worst_sum = 0.0
-    for _ in range(states):
-        state = State(v=rng.uniform(0.9, 1.1, net_t.n_bus), theta=rng.uniform(-0.6, 0.6, net_t.n_bus))
-        worst_sum = max(worst_sum, abs(float(outflow(net_t, state)[0::2].sum())))
-    checks.append(CheckRow(
-        "lossless-active-sum", worst_sum <= 1e-10,
-        f"max |sum| {worst_sum:.3e} over {states} states",
-    ))
-    return checks
-
-
 # -- config files and the command line ----------------------------------------
 
 # config key: (record, field, kind); a key left out keeps the record's default.
@@ -752,12 +404,7 @@ def _cmd_oracle(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n = len(entries[0].switches) if entries else 0
-    path = out / "oracle.csv"
-    path.write_bytes(_csv([*(f"y_{k}" for k in range(n)), "feasible", "objective"],
-                          ([*e.switches, e.feasible, e.objective] for e in entries)).encode())
+    path = emit_oracle(entries, args.out_dir)
     feasible = [e for e in entries if e.feasible]
     screened = sum(e.screened for e in entries)
     evaluations = sum(e.evaluations for e in entries)
@@ -772,7 +419,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     case, cfg = _load(args)
-    checks = self_check(case, seed=cfg.seed)
+    _, work, _ = _setup(case, cfg)
+    checks = self_check(work, seed=cfg.seed)
     for row in checks:
         print(f"{'PASS' if row.ok else 'FAIL'} {row.name}: {row.detail}")
     return 0 if all(row.ok for row in checks) else 2

@@ -12,16 +12,9 @@ import pytest
 
 from gridshed.ao1_opf import solve_ao1
 from gridshed.ao2_sbqp import Ao2Variant, PenaltySchedule, penalty_loop
-from gridshed.cli_driver import (
-    SolverConfig,
-    config_from_mapping,
-    emit_outputs,
-    enumerate_oracle,
-    main,
-    parse_result_document,
-    run_ao_sbqp,
-    self_check,
-)
+from gridshed.checks import self_check
+from gridshed.cli_driver import SolverConfig, config_from_mapping, enumerate_oracle, main, run_ao_sbqp
+from gridshed.documents import emit_outputs, parse_result_document
 from gridshed.grid_model import Branch, ScenarioConfig
 from gridshed.power_equations import (
     State,

@@ -17,21 +17,17 @@ import gridshed
 from gridshed import ao1_opf, cli_driver, qp_core
 from gridshed.ao1_opf import active_capacity_screen
 from gridshed.ao2_sbqp import VARIANT_TAGS, Ao2Error, Ao2Variant, PenaltySchedule, live_demands
-from gridshed.cli_driver import (
-    DriverError,
-    SolverConfig,
-    config_from_mapping,
+from gridshed.checks import self_check
+from gridshed.cli_driver import (DriverError, SolverConfig, config_from_mapping, enumerate_oracle, main,
+                                 run_ao_sbqp)
+from gridshed.documents import (
     emit_outputs,
-    enumerate_oracle,
-    main,
     parse_kv,
     parse_result_document,
-    parse_trace_table,
+    parse_table,
     render_result_document,
     render_trace_table,
     result_document,
-    run_ao_sbqp,
-    self_check,
 )
 from gridshed.grid_model import (
     Branch,
@@ -132,6 +128,16 @@ def test_kv_config_parsing():
     assert sc.shift_mode == "multiplicative"
     with pytest.raises(ValueError, match="^config line 1: expected key = value$"):
         parse_kv("not an assignment\n", "config")
+
+
+@pytest.mark.parametrize("line", ["= 5", " = ", "=5"])
+def test_kv_line_without_a_key_is_rejected(line):
+    # "= 5" used to read as {'': '5'}: a config then failed with "unknown
+    # config keys: " and a result with "unknown result key ''", naming no line
+    with pytest.raises(ValueError, match="^config line 2: expected key = value$"):
+        parse_kv(f"seed = 3\n{line}\n", "config")
+    with pytest.raises(ValueError, match="^result line 2: expected key = value$"):
+        parse_result_document(f"format = 2\n{line}\n")
 
 
 def test_config_scenario_keys_are_the_scenario_fields():
@@ -952,7 +958,7 @@ def test_trace_table_round_trip(solved5, solved30):
     results = [solved5[0], *solved30.values()]
     assert any(len(res.ao2_traces) > 1 for res in results)
     for res in results:
-        rows = parse_trace_table(render_trace_table(res))
+        rows = parse_table(render_trace_table(res), "trace")
         flat = [(stage, row) for stage, t in enumerate(res.ao2_traces) for row in t.rows]
         assert len(rows) == len(flat) == res.inner_iterations
         for parsed, (stage, row) in zip(rows, flat):
@@ -988,7 +994,7 @@ _TRACE_HEADER = "stage,iteration,y_0,y_1,phi,rho,alpha,kind,status,psi"
 def test_trace_table_is_read_strictly(text, message):
     # these raised a bare IndexError, or float's own message without a line
     with pytest.raises(ValueError, match=f"^{message}$"):
-        parse_trace_table(text)
+        parse_table(text, "trace")
 
 
 def test_emit_outputs_bytes_are_stable(solved5, tmp_path):
@@ -1105,7 +1111,7 @@ def test_cli_solve_byte_identical_reruns(case30_path, tmp_path):
     assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
 
 
-def test_cli_oracle_writes_table(case5_path, tmp_path):
+def test_cli_oracle_writes_table(case5_path, shortfall5_case, tmp_path):
     cfgfile = tmp_path / "cfg.kv"
     cfgfile.write_text(
         "scenario.shift_mode = multiplicative\nscenario.pd_shift = 1.0\n"
@@ -1116,9 +1122,31 @@ def test_cli_oracle_writes_table(case5_path, tmp_path):
     out = tmp_path / "out"
     assert main(["oracle", "--case", str(case5_path), "--config", str(cfgfile),
                  "--out-dir", str(out)]) == 0
-    lines = (out / "oracle.csv").read_text().splitlines()
+    text = (out / "oracle.csv").read_text()
+    lines = text.splitlines()
     assert lines[0] == "y_0,y_1,y_2,feasible,objective"
     assert len(lines) == 9
+    # every row, read by the reader of trace.csv, is its enumerate_oracle
+    # entry: switches, label and objective, bit for bit
+    rows = parse_table(text, "oracle")
+    entries = enumerate_oracle(shortfall5_case)
+    assert len(rows) == len(entries) == 8
+    assert {e.feasible for e in entries} == {True, False}
+    for row, entry in zip(rows, entries):
+        assert list(row) == ["y", "feasible", "objective"]
+        assert tuple(row["y"].tolist()) == entry.switches
+        assert row["feasible"] is entry.feasible
+        assert row["objective"].hex() == entry.objective.hex()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y_0,feasible\n", "oracle line 1: unexpected header 'y_0,feasible'"),
+    ("y_0,feasible,objective\n1,yes,2.0\n", "oracle line 2: feasible: expected true or false, got 'yes'"),
+    ("y_0,feasible,objective\n0.5,true,2.0\n", "oracle line 2: y_0: expected an integer, got '0.5'"),
+], ids=["header", "label", "switch"])
+def test_oracle_table_is_read_strictly(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_table(text, "oracle")
 
 
 def test_cli_oracle_summary_counts_fits_and_evaluations(case5_path, shortfall5_case, tmp_path, capsys):
@@ -1139,6 +1167,24 @@ def test_cli_oracle_summary_counts_fits_and_evaluations(case5_path, shortfall5_c
 
 def test_cli_check_passes(case5_path):
     assert main(["check", "--case", str(case5_path)]) == 0
+
+
+def test_cli_check_runs_on_the_config_scenario(case30_path, case30, tmp_path, capsys):
+    # check used to run on the raw case, dropping the config's scenario that
+    # solve, oracle and scenario all apply
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text("scenario = stress\n")
+    assert main(["check", "--case", str(case30_path), "--config", str(cfgfile)]) == 0
+    stressed = capsys.readouterr().out
+    assert main(["scenario", "--case", str(case30_path), "--config", str(cfgfile)]) == 0
+    scenario_path = tmp_path / "stressed.m"
+    scenario_path.write_text(capsys.readouterr().out)
+    assert main(["check", "--case", str(scenario_path)]) == 0
+    assert capsys.readouterr().out == stressed
+    assert main(["check", "--case", str(case30_path)]) == 0
+    raw = capsys.readouterr().out
+    assert raw == "".join(f"PASS {row.name}: {row.detail}\n" for row in self_check(case30))
+    assert raw != stressed
 
 
 def test_python_m_gridshed_runs_the_command_without_warnings(case5_path):
@@ -1260,8 +1306,9 @@ def test_cli_non_finite_config_value_exits_two(case5_path, tmp_path, capsys, lin
     ("scenario = none\nscenario.pd_shift = 3.0\n", "scenario = none leaves these keys unused: scenario.pd_shift"),
     ("full_rows = true\n", "unknown config keys: full_rows"),
     ("scenario.pd_shfit = 3.0\n", "unknown config keys: scenario.pd_shfit"),
+    ("seed = 3\n= 5\n", "config line 2: expected key = value"),
 ], ids=["float", "int", "seed", "scenario-float", "scenario-rank-seed", "duplicate", "scenario-none",
-        "removed-key", "scenario-typo"])
+        "removed-key", "scenario-typo", "empty-key"])
 def test_cli_bad_config_value_names_its_key(case5_path, tmp_path, capsys, text, message):
     # a bare "could not convert string to float" used to leave the key unnamed,
     # a repeated key used to let the later value win silently,

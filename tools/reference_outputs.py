@@ -16,7 +16,8 @@ Runs, in this process and against ./src:
   written out by ``serialize_case`` as configs/random6.m (exit 2, the
   switching stage proposes a rejected set again);
 * ``oracle`` on the case5 shortfall config;
-* ``check`` on case30 and on case5;
+* ``check`` on case30 and on case5, and on case30 with the stressed30 config,
+  whose scenario it checks as ``solve`` runs it;
 * ``scenario`` with the stressed30 and shortfall5 configs, whose standard
   output is the ``serialize_case`` text of the case each ``solve`` runs.
 
@@ -109,6 +110,8 @@ def main(argv: list[str]) -> int:
                   "--config", str(configs / "shortfall5.kv"), "--out-dir", str(target)])
     for name in ("case30", "case5"):
         _run(out / f"check-{name}", ["check", "--case", str(CASES / f"{name}.m")])
+    _run(out / "check-stressed30", ["check", "--case", str(CASES / "case30.m"),
+                                    "--config", str(configs / "stressed30.kv")])
     for name in ("stressed30", "shortfall5"):
         case, _ = INSTANCES[name]
         _run(out / f"scenario-{name}", ["scenario", "--case", str(CASES / case),
