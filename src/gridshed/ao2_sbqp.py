@@ -99,20 +99,15 @@ class Ao2Variant:
     relaxed-two  quadratic rank objective with the penalty linearized at the
                  incumbent
 
-    single_shot applies to relaxed-one: take each subproblem solution as-is
-    instead of blending it through the line search.
+    Every variant runs the same penalty loop: a zero-penalty seeding solve,
+    then levels whose solutions are blended toward complementarity.
     """
 
     tag: str = "mixed"
-    single_shot: bool = False
 
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
             raise ValueError(f"unknown variant tag {self.tag!r}")
-        if not isinstance(self.single_shot, bool):
-            raise ValueError(f"single_shot must be a bool, got {self.single_shot!r}")
-        if self.single_shot and self.tag != "relaxed-one":
-            raise ValueError("single_shot applies to relaxed-one only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,24 +259,23 @@ def build_subproblem(parts: dict, rho: float, phi_anchor=None) -> QpProblem:
     return stage.with_objective(q, g)
 
 
-def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
-                 single_shot: bool = False, feasible=None):
+def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None, feasible=None):
     """Drive solve_sub under the growing penalty until |phi(y)| <= eps.
 
     solve_sub(rho, anchor, warm) solves one subproblem and returns a
     (y_candidate, status) pair, y_candidate an array in unit-box
     coordinates.  psi_of(y, rho, phi_y), when given, is each trace row's
-    diagnostic, handed the row's phi(y).  A zero-penalty pass seeds the
-    incumbent; each penalty level then re-anchors the linearized
+    diagnostic, handed the row's phi(y).  A zero-penalty pass, solved with
+    no anchor and no warm start, seeds the incumbent and is trace row 0
+    (kind "global"); each penalty level then re-anchors the linearized
     complementarity term at the incumbent, solves, and blends the result
     through step_length.  The blended point can extrapolate past the
     subproblem solution, so a feasible(y) predicate, when given, gates it.
-    With single_shot the seeding pass and the blend are skipped and each
-    solution is taken directly.  Returns (y, SbqpTrace); raises Ao2Error when
-    rho would pass schedule.rho_max first, and, of kind "infeasible", at the
-    first subproblem whose status is "infeasible": its rows admit no point of
-    the box, by the QP's Farkas certificate of margin SLACK_TOL, and every
-    later subproblem has the same rows.
+    Returns (y, SbqpTrace); raises Ao2Error when rho would pass
+    schedule.rho_max first, and, of kind "infeasible", at the first
+    subproblem whose status is "infeasible": its rows admit no point of the
+    box, by the QP's Farkas certificate of margin SLACK_TOL, and every later
+    subproblem has the same rows.
     """
     if feasible is None:
         feasible = lambda _y: True
@@ -294,42 +288,33 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
             raise Ao2Error("the switching rows admit no point of the box", SbqpTrace(tuple(rows)), y,
                            kind="infeasible")
 
-    y_hat = None
-    if not single_shot:
-        y_cand, status = solve_sub(0.0, None, None)
-        y_hat = y_cand.clip(0.0, 1.0)
-        record(0, y_hat, phi(y_hat), 0.0, 1.0, status, "global")
-        if rows[-1].phi <= schedule.eps:
-            return y_hat, SbqpTrace(tuple(rows))
+    y_cand, status = solve_sub(0.0, None, None)
+    y_hat = y_cand.clip(0.0, 1.0)
+    record(0, y_hat, phi(y_hat), 0.0, 1.0, status, "global")
+    if rows[-1].phi <= schedule.eps:
+        return y_hat, SbqpTrace(tuple(rows))
 
     rho = schedule.rho0
-    iteration = len(rows)
+    iteration = 1
     anchor_override = None
     while True:
-        if y_hat is None:
-            anchor = None
-        elif anchor_override is not None:
-            anchor = anchor_override
-        else:
-            anchor = y_hat.copy()
+        anchor = y_hat.copy() if anchor_override is None else anchor_override
         y_new, status = solve_sub(rho, anchor, y_hat)
         y_new = y_new.clip(0.0, 1.0)
-        y_before = None if y_hat is None else y_hat.copy()
-        if anchor is None or single_shot:
-            y_hat, phi_hat, alpha, kind = y_new, phi(y_new), 1.0, "single-shot"
+        # y_hat is only ever rebound below, never written into
+        y_before = y_hat
+        alpha, kind = step_length(y_hat, y_new - y_hat, anchor)
+        y_step = (y_hat + alpha * (y_new - y_hat)).clip(0.0, 1.0)
+        # the zeroing step is only trustworthy near a binary point: far away
+        # it can throw the incumbent backwards, and with alpha outside [0, 1]
+        # it can leave the subproblem rows entirely.  Keep the plain
+        # subproblem solution unless the blend is feasible and at least as
+        # close to complementarity.
+        phi_step, phi_new = phi(y_step), phi(y_new)
+        if phi_step <= phi_new and feasible(y_step):
+            y_hat, phi_hat = y_step, phi_step
         else:
-            alpha, kind = step_length(y_hat, y_new - y_hat, anchor)
-            y_step = (y_hat + alpha * (y_new - y_hat)).clip(0.0, 1.0)
-            # the zeroing step is only trustworthy near a binary point: far
-            # away it can throw the incumbent backwards, and with alpha
-            # outside [0, 1] it can leave the subproblem rows entirely.  Keep
-            # the plain subproblem solution unless the blend is feasible and
-            # at least as close to complementarity.
-            phi_step, phi_new = phi(y_step), phi(y_new)
-            if phi_step <= phi_new and feasible(y_step):
-                y_hat, phi_hat = y_step, phi_step
-            else:
-                y_hat, phi_hat, alpha, kind = y_new, phi_new, 1.0, "unit"
+            y_hat, phi_hat, alpha, kind = y_new, phi_new, 1.0, "unit"
         record(iteration, y_hat, phi_hat, rho, alpha, status, kind)
         if rows[-1].phi <= schedule.eps:
             return y_hat, SbqpTrace(tuple(rows))
@@ -340,8 +325,7 @@ def penalty_loop(solve_sub, schedule: PenaltySchedule, psi_of=None,
         # its own support is what the linearized penalty rewards.  Anchoring
         # the next pass at the floored incumbent rewards only the loads that
         # already fit, so the solve can confirm that binary point and exit.
-        stalled = (y_before is not None
-                   and float(np.abs(y_hat - y_before).max(initial=0.0)) <= 1e-14)
+        stalled = float(np.abs(y_hat - y_before).max(initial=0.0)) <= 1e-14
         if stalled and anchor_override is None:
             anchor_override = np.where(y_hat >= 1.0 - 2.0 * schedule.eps, 1.0, 0.0)
         else:
@@ -360,11 +344,12 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
     (SwitchVector, SbqpTrace); coordinates within twice schedule.eps of an
     endpoint are snapped exactly to it, which the exit tolerance guarantees
     covers every coordinate.  cuts holds switch sets to exclude, one no-good
-    row each in every subproblem.  Each subproblem gets one QP solve, warm
-    started from the incumbent once there is one.  Raises Ao2Error at the
-    penalty cap, and, of kind "infeasible", when a QP reports "infeasible":
-    the aggregate rows and the cuts admit no point of the box, by the QP's
-    Farkas certificate of margin SLACK_TOL.
+    row each in every subproblem.  Each subproblem gets one QP solve: the
+    zero-penalty seeding solve starts cold, and every penalty level is warm
+    started from the incumbent.  Raises Ao2Error at the penalty cap, and, of
+    kind "infeasible", when a QP reports "infeasible": the aggregate rows and
+    the cuts admit no point of the box, by the QP's Farkas certificate of
+    margin SLACK_TOL.
     """
     schedule = PenaltySchedule() if schedule is None else schedule
     variant = Ao2Variant() if variant is None else variant
@@ -395,6 +380,5 @@ def run_ao2(case: GridCase, start, duals, schedule: PenaltySchedule | None = Non
             return 0.5 * float(d * base.q @ d) + float(base.g_lin @ d) - rho * phi_y
         return float(w @ (y * y)) - rho * phi_y
 
-    y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of,
-                            single_shot=variant.single_shot, feasible=row_feasible)
+    y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of, feasible=row_feasible)
     return SwitchVector(snap_binary(y, 2.0 * schedule.eps)), trace

@@ -306,7 +306,6 @@ def enumerate_oracle(case: GridCase, cfg: SolverConfig | None = None) -> list[Or
 # the ScenarioConfig that the mode and the scenario record select
 _CONFIG_FIELDS = {
     "variant": ("variant", "tag", "str"),
-    "single_shot": ("variant", "single_shot", "bool"),
     "rho0": ("schedule", "rho0", "float"),
     "beta": ("schedule", "beta", "float"),
     "rho_max": ("schedule", "rho_max", "float"),

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # -- key = value text ----------------------------------------------------------
@@ -117,7 +117,6 @@ def _typed(value, kind: str):
 _RESULT_FIELDS = {
     "format": ("int", lambda r, c: FORMAT_VERSION),
     "variant": ("str", lambda r, c: c.variant.tag),
-    "single_shot": ("bool", lambda r, c: c.variant.single_shot),
     "seed": ("int", lambda r, c: c.seed),
     "outer_iterations": ("int", lambda r, c: r.outer_iterations),
     "inner_iterations": ("int", lambda r, c: r.inner_iterations),

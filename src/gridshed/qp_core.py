@@ -89,9 +89,10 @@ that solves many objectives over one box and one set of rows, as the
 switching stage does at each penalty level, builds one checked
 ``QpProblem`` and derives each level's problem with
 ``QpProblem.with_objective``, which checks only the shapes and finiteness
-of the new q and g_lin.  The derived problems share the stage problem's
-memo, which the solves fill on first use with what depends on the box and
-rows alone, not on q, g_lin or h:
+of the new q and g_lin (a q that is the stage's own array is not tested
+again).  The derived problems share the stage problem's memo, which the
+solves fill on first use with what depends on the box and rows alone, not
+on q, g_lin or h:
 
 * for each lone working row i and direction d, v = d A_i, c = d b_i, v's
   nonzero mask and the slope past the last kink (``_lone_row``), read by
@@ -169,14 +170,16 @@ class QpProblem:
         The box and rows passed their checks when this problem was built, so
         only q and g_lin are checked, their shapes and that they are finite: a
         stage that solves many objectives over one box and one set of rows
-        checks those once.  The new problem shares this one's memo, so what
-        a solve forms from the box and rows alone is formed once per stage.
+        checks those once.  A q that is this problem's own array passed its
+        finiteness test when this problem was built and is not tested again.
+        The new problem shares this one's memo, so what a solve forms from
+        the box and rows alone is formed once per stage.
         """
         q, g_lin = np.asarray(q, dtype=float), np.asarray(g_lin, dtype=float)
         n = self.g_lin.size
         if q.shape != (n,) or g_lin.shape != (n,):
             raise ValueError("q and g_lin must be vectors the size of the box")
-        if not _finite(q):
+        if q is not self.q and not _finite(q):
             raise ValueError("q must be finite")
         if not _finite(g_lin):
             raise ValueError("g_lin must be finite")
@@ -188,7 +191,8 @@ class QpProblem:
 def _finite(x: np.ndarray) -> bool:
     """Whether every entry of x is finite.  count_nonzero is one C loop with
     no reduction machinery, so on these small arrays it is cheaper than
-    np.isfinite(x).all(); every penalty level tests its q, g_lin and start."""
+    np.isfinite(x).all(); every penalty level tests its g_lin and start, and
+    its q unless that is the stage's own."""
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 

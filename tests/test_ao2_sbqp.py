@@ -86,18 +86,6 @@ def test_run_ao2_rejects_a_mis_sized_start(case5, part, message):
 def test_variant_validation():
     with pytest.raises(ValueError):
         Ao2Variant(tag="relaxed-three")
-    with pytest.raises(ValueError):
-        Ao2Variant(tag="mixed", single_shot=True)
-    Ao2Variant(tag="relaxed-one", single_shot=True)
-
-
-@pytest.mark.parametrize("tag", ["mixed", "relaxed-one"])
-@pytest.mark.parametrize("value", ["false", 0, 1])
-def test_variant_rejects_non_bool_single_shot(tag, value):
-    # a truthy string used to switch single-shot on, and on mixed a "false"
-    # string raised the unrelated relaxed-one-only error
-    with pytest.raises(ValueError, match="single_shot must be a bool"):
-        Ao2Variant(tag=tag, single_shot=value)
 
 
 def test_trace_must_be_nonempty():
@@ -252,13 +240,51 @@ def test_homotopy_grows_by_beta_exactly(stressed30, stressed30_start):
         assert cur == prev * schedule.beta
 
 
-def test_seed_row_shape(stressed30, stressed30_start):
+def test_seed_row_shape(stressed30, stressed30_start, monkeypatch):
+    # every variant runs one penalty loop: its first QP is the cold rho = 0
+    # solve, trace row 0, and every later row is a penalty level, warm
+    # started and blended through step_length or kept as the plain "unit"
+    # solution.  A cut re-run is a stage of its own and is seeded the same way
     res, start = stressed30_start
-    _, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(),
-                       Ao2Variant(tag="relaxed-one"))
-    first = trace.rows[0]
-    assert (first.iteration, first.rho, first.alpha, first.kind) == (0, 0.0, 1.0, "global")
-    assert [r.iteration for r in trace.rows] == list(range(len(trace.rows)))
+    starts, solve = [], ao2_sbqp.solve_qp
+    monkeypatch.setattr(ao2_sbqp, "solve_qp", lambda prob, start: starts.append(start) or solve(prob, start=start))
+    levels = {"exact", "exact-clipped", "fallback", "fallback-clipped", "unit"}
+    for tag in ALL_TAGS:
+        y0, _ = run_ao2(stressed30, start, res.duals, PenaltySchedule(), Ao2Variant(tag=tag))
+        for cuts in ((), (y0.y,)):
+            starts.clear()
+            _, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(), Ao2Variant(tag=tag), cuts=cuts)
+            first, *rest = trace.rows
+            assert (first.iteration, first.rho, first.alpha, first.kind) == (0, 0.0, 1.0, "global")
+            assert [r.iteration for r in trace.rows] == list(range(len(trace.rows)))
+            assert rest and all(r.rho > 0.0 and r.kind in levels for r in rest)
+            assert len(starts) == len(trace.rows)
+            assert starts[0] is None and all(s is not None for s in starts[1:])
+
+
+def test_mixed_levels_do_not_test_the_stage_q_again(stressed30, stressed30_start, monkeypatch):
+    # mixed keeps the stage's q at every level; that array passed its
+    # finiteness test when the stage problem was built, so a level tests
+    # only its own g_lin (and the solve its start)
+    res, start = stressed30_start
+    stages, seen = [], []
+    parts_of, finite = ao2_sbqp.subproblem_parts, qp_core._finite
+
+    def spy_parts(*args, **kwargs):
+        parts = parts_of(*args, **kwargs)
+        stages.append(parts["stage"])
+        seen.clear()
+        return parts
+
+    monkeypatch.setattr(ao2_sbqp, "subproblem_parts", spy_parts)
+    monkeypatch.setattr(qp_core, "_finite", lambda x: seen.append(x) or finite(x))
+    levels, build = [], ao2_sbqp.build_subproblem
+    monkeypatch.setattr(ao2_sbqp, "build_subproblem", lambda *a: levels.append(build(*a)) or levels[-1])
+    run_ao2(stressed30, start, res.duals, None, Ao2Variant(tag="mixed"))
+    (stage,) = stages
+    assert len(levels) >= 3 and all(level.q is stage.q for level in levels)
+    assert not any(x is stage.q for x in seen)
+    assert all(any(x is level.g_lin for x in seen) for level in levels)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -270,18 +296,6 @@ def test_adequate_case_returns_exact_ones(tag, case5):
     assert len(trace.rows) == 1
     assert trace.rows[0].kind == "global"
     assert np.array_equal(y.y, np.ones(3))
-
-
-def test_single_shot_takes_solutions_directly(stressed30, stressed30_start):
-    res, start = stressed30_start
-    schedule = PenaltySchedule()
-    v = Ao2Variant(tag="relaxed-one", single_shot=True)
-    y, trace = run_ao2(stressed30, start, res.duals, schedule, v)
-    assert trace.final_phi <= schedule.eps
-    assert all(r.kind == "single-shot" for r in trace.rows)
-    assert all(r.alpha == 1.0 for r in trace.rows)
-    # no zero-penalty seeding pass
-    assert trace.rows[0].rho == schedule.rho0
 
 
 def test_penalty_cap_raises_with_trace():
@@ -300,8 +314,7 @@ def test_penalty_cap_raises_with_trace():
     assert math.isnan(err.trace.rows[0].psi)
 
 
-@pytest.mark.parametrize("single_shot", [False, True])
-def test_infeasible_subproblem_ends_the_stage(single_shot):
+def test_infeasible_subproblem_ends_the_stage():
     # the second subproblem reports that its rows admit no point of the box:
     # every later one has the same rows, so the stage stops there, with that
     # subproblem's row in the trace, and does not carry on from its point
@@ -313,7 +326,7 @@ def test_infeasible_subproblem_ends_the_stage(single_shot):
         return np.array([0.5]), next(statuses)
 
     with pytest.raises(Ao2Error) as info:
-        penalty_loop(solve_sub, PenaltySchedule(rho0=1.0, beta=10.0, rho_max=1e6), single_shot=single_shot)
+        penalty_loop(solve_sub, PenaltySchedule(rho0=1.0, beta=10.0, rho_max=1e6))
     err = info.value
     assert (err.kind, str(err)) == ("infeasible", "the switching rows admit no point of the box")
     assert len(solved) == 2
@@ -575,8 +588,7 @@ def _checked_every_level_ao2(case, start, duals, variant, cuts=()):
             return 0.5 * float(d * base.q @ d) + float(base.g_lin @ d) - rho * phi(y)
         return float(w @ (y * y)) - rho * phi(y)
 
-    y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of, single_shot=variant.single_shot,
-                            feasible=feasible)
+    y, trace = penalty_loop(solve_sub, schedule, psi_of=psi_of, feasible=feasible)
     return SwitchVector(snap_binary(y, 2.0 * schedule.eps)), trace
 
 
@@ -779,19 +791,18 @@ def test_penalty_loop_hands_psi_the_rows_phi():
     assert len(seen) == len(trace.rows) == 3
 
 
-@pytest.mark.parametrize("tag, single_shot", [*((tag, False) for tag in ALL_TAGS), ("relaxed-one", True)])
-def test_penalty_loop_takes_each_points_phi_once(tag, single_shot, stressed30, stressed30_start, monkeypatch):
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_penalty_loop_takes_each_points_phi_once(tag, stressed30, stressed30_start, monkeypatch):
     # a blended level takes phi of its blended and of its plain point to
     # choose between them, and its trace row reuses the chosen one's: two phi
-    # a level, and one at the seeding pass and at a single-shot level.  Each
-    # blended row once took its point's phi a third time
+    # a level, and one at the seeding pass.  Each blended row once took its
+    # point's phi a third time
     res, start = stressed30_start
     calls, levels = [], []
     phi_of, solve = ao2_sbqp.phi, ao2_sbqp.solve_qp
     monkeypatch.setattr(ao2_sbqp, "phi", lambda y: calls.append(0) or phi_of(y))
     monkeypatch.setattr(ao2_sbqp, "solve_qp", lambda *a, **k: levels.append(len(calls)) or solve(*a, **k))
-    _, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(),
-                       Ao2Variant(tag=tag, single_shot=single_shot))
+    _, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(), Ao2Variant(tag=tag))
     per_level = np.diff([*levels, len(calls)]).tolist()
-    assert per_level == [1 if row.kind in ("global", "single-shot") else 2 for row in trace.rows]
-    assert single_shot or 2 in per_level
+    assert per_level == [1 if row.kind == "global" else 2 for row in trace.rows]
+    assert 2 in per_level

@@ -60,7 +60,6 @@ def test_config_defaults():
     cfg = config_from_mapping({})
     assert cfg.schedule == PenaltySchedule()
     assert cfg.variant.tag == "mixed"
-    assert not cfg.variant.single_shot
     assert cfg.outer_eps == 1e-6
     assert cfg.outer_max_iters == 20
     assert cfg.seed == 2025
@@ -69,12 +68,11 @@ def test_config_defaults():
 
 def test_config_reads_every_key():
     cfg = config_from_mapping({
-        "variant": "relaxed-one", "single_shot": "true",
+        "variant": "relaxed-one",
         "rho0": "0.5", "beta": "4.0", "rho_max": "1e8", "eps": "1e-7",
         "outer_eps": "1e-5", "outer_max_iters": "7", "seed": "99",
     })
     assert cfg.variant.tag == "relaxed-one"
-    assert cfg.variant.single_shot
     assert cfg.schedule == PenaltySchedule(rho0=0.5, beta=4.0, rho_max=1e8, eps=1e-7)
     assert cfg.outer_eps == 1e-5
     assert cfg.outer_max_iters == 7
@@ -86,9 +84,15 @@ def test_config_rejects_unknown_key():
         config_from_mapping({"rho_zero": "1.0"})
 
 
-def test_config_rejects_bad_bool():
-    with pytest.raises(ValueError, match="single_shot"):
-        config_from_mapping({"single_shot": "yes"})
+def test_config_rejects_the_retired_single_shot_key(case5_path, tmp_path, capsys):
+    # single_shot was relaxed-one's unblended penalty loop; the key is gone
+    # and a config that still sets it is refused, not read as the default
+    cfgfile = tmp_path / "cfg.kv"
+    cfgfile.write_text("variant = relaxed-one\nsingle_shot = true\n")
+    rc = main(["solve", "--case", str(case5_path), "--config", str(cfgfile),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown config keys: single_shot\n"
 
 
 def test_config_scenario_keys_imply_stress():
@@ -884,8 +888,9 @@ def solved5(case5):
 def test_result_document_round_trip_kv(solved5):
     res, cfg = solved5
     doc = result_document(res, cfg)
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     assert "full_rows" not in doc
+    assert "single_shot" not in doc
     parsed = parse_result_document(render_result_document(doc, "kv"))
     assert set(parsed) == set(doc)
     for key, value in doc.items():
@@ -893,6 +898,17 @@ def test_result_document_round_trip_kv(solved5):
             assert parsed[key] == tuple(value)
         else:
             assert parsed[key] == value
+
+
+def test_format_2_result_with_single_shot_is_refused(solved5):
+    # format 2 recorded single_shot after the variant; format 3 has no such key
+    res, cfg = solved5
+    text = render_result_document(result_document(res, cfg), "kv")
+    old = text.replace("format = 3\n", "format = 2\n").replace(
+        "variant = mixed\n", "variant = mixed\nsingle_shot = false\n")
+    assert old.splitlines()[:3] == ["format = 2", "variant = mixed", "single_shot = false"]
+    with pytest.raises(ValueError, match="^unknown result key 'single_shot'$"):
+        parse_result_document(old)
 
 
 @pytest.mark.parametrize("text, message", [

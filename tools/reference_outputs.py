@@ -6,9 +6,8 @@ Runs, in this process and against ./src:
 
 * ``solve`` on stressed case30 (``scenario = stress``), adequate case30,
   the criterion-3 case5 shortfall config and adequate case5, once per
-  variant, once more on stressed case30 with relaxed-one and
-  ``single_shot = true``, and once with mixed and ``--format json`` on
-  stressed case30, the one run that writes ``result.json``;
+  variant, and once with mixed and ``--format json`` on stressed case30,
+  the one run that writes ``result.json``;
 * two ``solve`` runs that end in a ``DriverError``, so that the exit text
   and the best-iterate line are compared too: stressed case30 with mixed and
   ``outer_max_iters = 1`` (exit 3, the outer cap), and mixed on the
@@ -94,9 +93,6 @@ def main(argv: list[str]) -> int:
         (configs / f"{name}.kv").write_text(text)
         for tag in VARIANTS:
             _solve(out, f"{name}-{tag}", CASES / case, configs / f"{name}.kv", tag)
-    single_shot = configs / "stressed30-single-shot.kv"
-    single_shot.write_text(INSTANCES["stressed30"][1] + "single_shot = true\n")
-    _solve(out, "stressed30-relaxed-one-single-shot", CASES / "case30.m", single_shot, "relaxed-one")
     _solve(out, "stressed30-mixed-json", CASES / "case30.m", configs / "stressed30.kv", "mixed",
            "--format", "json")
     capped = configs / "stressed30-outer-cap.kv"
