@@ -238,24 +238,22 @@ def subproblem_parts(case: GridCase, lin_point, duals, variant: Ao2Variant, cuts
     return {"tag": variant.tag, "y_lin": y_lin, "stage": stage}
 
 
-def build_subproblem(parts: dict, rho: float, phi_anchor=None) -> QpProblem:
+def build_subproblem(parts: dict, rho: float, phi_anchor) -> QpProblem:
     """The switching subproblem at penalty rho, from subproblem_parts.
 
     Only the linear term, and relaxed-one's curvature, depend on rho and the
-    anchor: the penalty gradient at phi_anchor (y_lin when None) times rho
-    comes off g0.  relaxed-one keeps the exact penalty expanded around y_lin
-    instead, its gradient there and curvature 2 rho, whatever the anchor.
+    anchor: the penalty gradient at phi_anchor times rho comes off g0.
+    relaxed-one keeps the exact penalty expanded around y_lin instead, its
+    gradient there and curvature 2 rho, whatever the anchor.
     The box and rows are the stage problem's, checked once when the parts
     were formed; each level checks only the shapes of its q and g.
     """
-    y_lin, stage = parts["y_lin"], parts["stage"]
-    anchor = y_lin if phi_anchor is None else phi_anchor
-    rho = float(rho)
+    stage, rho = parts["stage"], float(rho)
     q = stage.q
     if parts["tag"] == "relaxed-one":
         q = q + 2.0 * rho
-        anchor = y_lin
-    g = stage.g_lin - rho * grad_phi(anchor)
+        phi_anchor = parts["y_lin"]
+    g = stage.g_lin - rho * grad_phi(phi_anchor)
     return stage.with_objective(q, g)
 
 

@@ -47,10 +47,21 @@ free ones.
   faces where positive curvature makes a box endpoint strictly better.  A
   probe moves one coordinate k to a box end, so its step cap is closed form:
   the least slack_i / (-A[i, k] dk) over the rows it pushes, and at most 1.
-  All 2n caps come from one (rows x 2n) array, and the closed-form gain
-  t (q_k z_k + g_k) + t^2 q_k / 2 of the step t screens out every move that
-  gains less than half the acceptance margin; the rest are confirmed in
-  order by the objective itself.  Returns a KKT point, no global claim.
+  All 2n caps come from one (rows x 2n) array, and the gain t grad_k +
+  t^2 q_k / 2 of the step t screens out every move that gains less than
+  half the acceptance margin; the rest are confirmed in order by the
+  objective itself.  Returns a KKT point, no global claim.
+
+A stationary iteration forms no box multipliers (mu, gam).  Its stop test
+reads stationarity off the projection w = clip(shifted) of step t: the unit
+box's two multipliers at shifted have disjoint supports and w - shifted is
+exactly their difference, so (q z + g + A'lam) + (w - shifted) / t has the
+magnitudes of the residual's first term, mu and gam being those over t, bit
+for bit; A'lam = A'0 is skipped when the clip took no step.  mu and gam are
+formed once per exact solve, and on the stationary path only at a stop test
+whose stationarity passes and at the exit.  On a convex objective, min(q)
+>= 0, p'diag(q)p >= 0, so the line search would take the whole projection
+segment p, and the iteration takes it unmeasured.
 
 When the kernel does not converge, even at the rounding floor of its row
 slacks, one closed-form test decides whether the rows are infeasible.  Row
@@ -64,25 +75,20 @@ without bound (Goldfarb & Idnani's infeasibility exit), else the kernel's
 last multipliers.  A failed test lets the solve go on from the kernel's end.
 
 The problems are tiny (at most a few dozen coordinates and a handful of
-rows), so numpy's per-call Python dispatch, not the arithmetic, sets the cost
-of each step.  The kernel therefore calls the ndarray methods (``x.max()``,
-``x.clip(lo, hi)``, ``m.all()``, ``m.nonzero()``) in place of the module
-functions ``np.max``, ``np.clip``, ``np.all`` and ``np.flatnonzero``: both
-run the same ufunc reduction or ufunc on the same operands, so every float
-is the same, and the method skips the dispatch wrapper.  What does not
-change within a solve is computed once: ``_Box`` holds h * lower and
-h * upper for every kernel run under one curvature h, and ``_probe_moves``
-the parts of the endpoint moves that do not depend on the point.  A clip
-whose rows z meets at lam = 0 takes no step at all.  Under h = 1, the
-projection of the stationary path, the box is its own scaled box and no
-division by h is made, as 1.0 * x == x and x / 1.0 == x hold exactly; the
-stationary path knows its h is 1 and builds that box with no ones vector
-and no test of one, its h the scalar 1.0.  The stationary path's stop test
-forms stationarity, the first term of ``kkt_residual``, from the
-iteration's own gradient, and the other terms only when that passes; the
-solution carries the residual so formed.  A kernel step sorts its kinks in
-place and writes its breakpoints into one array, and the exact path takes
-its KKT block by integer positions.
+rows), so numpy's per-call Python dispatch, not the arithmetic, sets the
+cost of each step.  The kernel calls the ndarray methods (``x.max()``,
+``x.clip(lo, hi)``, ``m.all()``, ``m.nonzero()``) in place of ``np.max``,
+``np.clip``, ``np.all`` and ``np.flatnonzero``, the same ufuncs on the same
+operands without the dispatch wrapper.  What does not change within a solve
+is computed once: ``_Box`` holds h * lower and h * upper for every kernel
+run under one curvature h, and ``_probe_moves`` the parts of the endpoint
+moves that do not depend on the point.  A clip whose rows z meets at lam =
+0 takes no step.  Under h = 1, the stationary path's projection, the box is
+its own scaled box and no division by h is made (1.0 * x == x and x / 1.0
+== x), its h the scalar 1.0.  A kernel step sorts its kinks in place, with
+no cap test when it has no cap, writes its breakpoints into one array and
+reads its interpolation scalars by item; the exact path takes its KKT
+block by integer positions.
 
 What does not change across solves is checked and formed once: a caller
 that solves many objectives over one box and one set of rows, as the
@@ -91,19 +97,20 @@ switching stage does at each penalty level, builds one checked
 ``QpProblem.with_objective``, which checks only the shapes and finiteness
 of the new q and g_lin (a q that is the stage's own array is not tested
 again).  The derived problems share the stage problem's memo, which the
-solves fill on first use with what depends on the box and rows alone, not
-on q, g_lin or h:
+solves fill on first use with what depends on the box and rows alone, or
+on a q the levels share:
 
 * for each lone working row i and direction d, v = d A_i, c = d b_i, v's
   nonzero mask and the slope past the last kink (``_lone_row``), read by
   the kernel under the unit box and every scaled one;
 * the stationary path's unit ``_Box``, the box span and the endpoint moves'
-  columns and -A[:, cols] (``_stationary_parts``); q[cols] and g_lin[cols]
-  are each level's.
+  columns and -A[:, cols] (``_stationary_parts``); q[cols] is each level's;
+* the exact path's scaled ``_Box`` under h = -q (``_scaled_box``), with the
+  first q it is formed for: every mixed level keeps the stage's q and reads
+  it, and a level with another q forms a box of its own.
 
 A problem built directly, or by ``dataclasses.replace``, starts with an
-empty memo.  Each level still forms its own scaled box, as it depends on
-h = -q.  A problem with no coordinates is answered from b alone.
+empty memo.  A problem with no coordinates is answered from b alone.
 
 Multiplier sign convention (maximization): q z + g + A' lam + mu - gam = 0
 with lam, mu, gam >= 0 on the A rows, lower bounds, upper bounds.
@@ -215,11 +222,6 @@ class QpSolution:
     kkt_residual: float
 
 
-def _stationarity(problem: QpProblem, grad, lam, mu, gam) -> float:
-    """The stationarity term of kkt_residual, given grad = q z + g."""
-    return float(np.abs(grad + problem.A.T @ lam + mu - gam).max())
-
-
 def _feasibility_complementarity(problem: QpProblem, z, lam, mu, gam) -> float:
     """The terms of kkt_residual other than stationarity: the largest
     violation of a row or box end, and of complementarity."""
@@ -242,8 +244,8 @@ def _feasibility_complementarity(problem: QpProblem, z, lam, mu, gam) -> float:
 
 
 def kkt_residual(problem: QpProblem, z, lam, mu, gam) -> float:
-    return max(_stationarity(problem, problem.q * z + problem.g_lin, lam, mu, gam),
-               _feasibility_complementarity(problem, z, lam, mu, gam))
+    stat = problem.q * z + problem.g_lin + problem.A.T @ lam + mu - gam
+    return max(float(np.abs(stat).max()), _feasibility_complementarity(problem, z, lam, mu, gam))
 
 
 def _farkas_margin(problem: QpProblem, w: np.ndarray) -> float:
@@ -270,24 +272,21 @@ class _Box:
 
     def __init__(self, problem: QpProblem, h: np.ndarray | None = None):
         self.lower, self.upper = problem.lower, problem.upper
-        # h None, the projection: the box is its own scaled box and every
-        # division by h is skipped; an h of ones gives the same bits on the
-        # scaled path, since 1.0 * x == x and x / 1.0 == x
-        self.unit = h is None
-        self.h = 1.0 if h is None else h
-        if self.unit:
-            self.h_lower, self.h_upper = problem.lower, problem.upper
-        else:
-            self.h_lower, self.h_upper = h * problem.lower, h * problem.upper
+        # h None, the projection: the box is its own scaled box and no division
+        # by h is made; an h of ones gives the same bits on the scaled path
+        self.unit, self.h = h is None, 1.0 if h is None else h
+        self.h_lower, self.h_upper = (self.lower, self.upper) if self.unit else (h * self.lower, h * self.upper)
         self.ends = np.concatenate([self.h_lower, self.h_upper]).reshape(2, -1)
 
     def clip(self, shifted):
         """z for the linear term shifted = s + A'lam."""
         return (shifted if self.unit else shifted / self.h).clip(self.lower, self.upper)
 
-    def bound_duals(self, shifted):
-        """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam."""
-        return np.maximum(0.0, self.h_lower - shifted), np.maximum(0.0, shifted - self.h_upper)
+    def bound_duals(self, shifted, t=None):
+        """(mu, gam) of the box for curvature -h and linear term shifted = s + A'lam,
+        over t when given: the stationary path's after a projection of step t."""
+        mu, gam = np.maximum(0.0, self.h_lower - shifted), np.maximum(0.0, shifted - self.h_upper)
+        return (mu, gam) if t is None else (mu / t, gam / t)
 
 
 def _breakpoints(box: _Box, shifted, v, moving, cap):
@@ -296,9 +295,12 @@ def _breakpoints(box: _Box, shifted, v, moving, cap):
     steps at which a moving coordinate (moving is v != 0) reaches its lower
     (row 0 of box.ends) or upper (row 1) end, then cap when it is finite."""
     kinks = np.divide(box.ends - shifted, v, out=np.zeros(box.ends.shape), where=moving)
-    kinks = kinks[(kinks > 0.0) & (kinks < cap)]
-    kinks.sort()
     capped = cap < np.inf
+    kinks = kinks[(kinks > 0.0) & (kinks < cap)] if capped else kinks[kinks > 0.0]
+    kinks.sort()
+    if not capped and kinks.size and kinks.item(-1) == np.inf:
+        # with no cap, < cap drops only the kinks that overflowed to inf, sorted last
+        kinks = kinks[:kinks.searchsorted(np.inf)]
     ts = np.empty(kinks.size + (2 if capped else 1))
     ts[0] = 0.0
     ts[1:kinks.size + 1] = kinks
@@ -383,7 +385,7 @@ def _dual_step(problem: QpProblem, box: _Box, lam, shifted, slack):
             return lam
         # the zero of the slope on [ts[k-1], ts[k]], interpolated from the
         # end nearer to it, so that a root on a kink is that kink
-        (t0, t1), (s0, s1) = ts[k - 1:k + 1].tolist(), slope[k - 1:k + 1].tolist()
+        t0, t1, s0, s1 = ts.item(k - 1), ts.item(k), slope.item(k - 1), slope.item(k)
         t = t0 + (t1 - t0) * (-s0 / (s1 - s0)) if -s0 <= s1 else t1 - (t1 - t0) * (s1 / (s1 - s0))
     elif capped:
         t = cap
@@ -419,10 +421,10 @@ def _dual_clip(problem: QpProblem, box: _Box, s: np.ndarray):
     coordinates j inside the box (one on a box end is exact), row i sums
     terms |a_ij| (|s_j| + |A_j|'lam) / h_j that large multipliers make
     cancel, and a few eps of the largest such sum is noise.  Returns
-    (z, lam, mu, gam, w): w is None when the clip converged, and otherwise
-    the row multipliers the Farkas test reads: the ray of a step along which
-    the dual falls without bound, or else lam itself, at the step cap or the
-    rounding stop.
+    (z, lam, shifted, w), shifted = s + A'lam (s itself after no step): w
+    is None when the clip converged, and otherwise the row multipliers the
+    Farkas test reads: the ray of a step along which the dual falls without
+    bound, or else lam itself, at the step cap or the rounding stop.
     """
     A, b, h = problem.A, problem.b, box.h
     lam = np.zeros(A.shape[0])
@@ -437,7 +439,7 @@ def _dual_clip(problem: QpProblem, box: _Box, s: np.ndarray):
         # lam*eps*scale and cannot certify
         if float(slack.min(initial=0.0)) >= -tol and (
                 steps == 0 or float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol):
-            return z, lam, *box.bound_duals(shifted), None
+            return z, lam, shifted, None
         if steps == DUAL_STEPS:
             break
         new = _dual_step(problem, box, lam, shifted, slack)
@@ -450,21 +452,30 @@ def _dual_clip(problem: QpProblem, box: _Box, s: np.ndarray):
             tol += SLACK_FLOOR_EPS * float((absA @ terms).max(initial=0.0))
             met = float(slack.min(initial=0.0)) >= -tol and (
                 float(np.abs(slack[lam > 0.0]).max(initial=0.0)) <= tol)
-            return z, lam, *box.bound_duals(shifted), None if met else lam
+            return z, lam, shifted, None if met else lam
         if type(new) is tuple:
-            return z, lam, *box.bound_duals(shifted), new[0]
+            return z, lam, shifted, new[0]
         lam = new
         shifted = s + A.T @ lam
         z = box.clip(shifted)
-    return z, lam, *box.bound_duals(shifted), lam
+    return z, lam, shifted, lam
+
+
+def _scaled_box(problem: QpProblem):
+    """(q, _Box(problem, -q)): the exact path's box, with the q it is for."""
+    return problem.q, _Box(problem, -problem.q)
 
 
 def _solve_exact(problem: QpProblem) -> QpSolution:
     q, g, A = problem.q, problem.g_lin, problem.A
-    kernel = _Box(problem, -q)
-    z, lam, mu, gam, w = _dual_clip(problem, kernel, g)
+    # the memo keeps the box of the first q it sees: every mixed level's
+    memo_q, kernel = _memo_entry(problem, "exact", _scaled_box)
+    if memo_q is not q:
+        kernel = _scaled_box(problem)[1]
+    z, lam, shifted, w = _dual_clip(problem, kernel, g)
     if w is not None and _farkas_margin(problem, w) > SLACK_TOL:
         return _infeasible(problem, z, w)
+    mu, gam = kernel.bound_duals(shifted)
     best = (z, lam, mu, gam, kkt_residual(problem, z, lam, mu, gam))
     # the clip fixes each free coordinate only as well as lam is known, so a
     # curvature near 1e-5 leaves a residual near 1e-9; one KKT solve on the
@@ -508,25 +519,25 @@ def _stationary_parts(problem: QpProblem):
 def _probe_moves(problem: QpProblem):
     """The parts of the 2n endpoint moves that do not depend on the point:
     move 2k + e takes coordinate k to its lower (e = 0) or upper end, and this
-    is (cols, q[cols], g_lin[cols], -A[:, cols]) with cols[2k + e] = k.  cols
-    and -A[:, cols] are the stage's; q[cols] and g_lin[cols] are this level's."""
+    is (cols, q[cols], -A[:, cols]) with cols[2k + e] = k.  cols and
+    -A[:, cols] are the stage's; q[cols] is this level's."""
     *_, cols, neg_a = _memo_entry(problem, "stationary", _stationary_parts)
-    return cols, problem.q[cols], problem.g_lin[cols], neg_a
+    return cols, problem.q[cols], neg_a
 
 
-def _endpoint_probe(problem, z, value, moves):
+def _endpoint_probe(problem, z, grad, value, moves):
     """One coordinate pushed toward a box endpoint when that strictly improves.
 
     First-order points of an indefinite objective can sit inside a face where
     positive curvature along a coordinate makes an endpoint strictly better;
     the probe finds the first such move (lowest coordinate, lower end first).
-    moves is _probe_moves(problem).
+    grad is q z + g at z and moves is _probe_moves(problem).
     """
     base = value(z)
     margin = 1e-10 * max(1.0, abs(base))
     slack = problem.b + problem.A @ z
     n = problem.dim
-    cols, q_cols, g_cols, neg_a = moves
+    cols, q_cols, neg_a = moves
     dk = np.empty(2 * n)
     np.subtract(problem.lower, z, out=dk[0::2])
     np.subtract(problem.upper, z, out=dk[1::2])
@@ -534,7 +545,7 @@ def _endpoint_probe(problem, z, value, moves):
     caps = np.divide(slack[:, None], rate, out=np.ones(rate.shape), where=rate > 1e-14).min(
         axis=0, initial=1.0)
     t = caps * dk
-    gain = t * (q_cols * z[cols] + g_cols) + 0.5 * t * t * q_cols
+    gain = t * grad[cols] + 0.5 * t * t * q_cols
     for j in ((np.abs(dk) > 1e-12) & (caps > 1e-12) & (gain > 0.5 * margin)).nonzero()[0]:
         d = np.zeros(n)
         d[cols[j]] = dk[j]
@@ -544,23 +555,23 @@ def _endpoint_probe(problem, z, value, moves):
     return None
 
 
-def _kkt_met(problem: QpProblem, grad, z, lam, mu, gam) -> float | None:
-    """kkt_residual(problem, z, lam, mu, gam) when it is at most TOL_STAT,
-    else None, given grad = q z + g.
-
-    Stationarity is kkt_residual's first term, so it is tested first from
-    the caller's gradient, and the other terms are formed only when it
-    passes.
-    """
-    stat = _stationarity(problem, grad, lam, mu, gam)
+def _stop_test(problem: QpProblem, box: _Box, lead, z, lam, w, shifted, t: float):
+    """(res, mu, gam) at z, given lead = q z + g + A'lam and the projection
+    w = box.clip(shifted) of step t: res is the kkt_residual of z, lam and
+    (mu, gam) = box.bound_duals(shifted, t), which are formed only when its
+    first term, stationarity, is at most TOL_STAT (else all three are None).
+    That term is read off the projection (see the module docstring)."""
+    stat = (w - shifted) / t
+    stat += lead
+    stat = float(np.abs(stat).max())
     if stat > TOL_STAT:
-        return None
-    res = max(stat, _feasibility_complementarity(problem, z, lam, mu, gam))
-    return res if res <= TOL_STAT else None
+        return None, None, None
+    mu, gam = box.bound_duals(shifted, t)
+    return max(stat, _feasibility_complementarity(problem, z, lam, mu, gam)), mu, gam
 
 
 def _solve_stationary(problem: QpProblem, start) -> QpSolution:
-    n = problem.dim
+    n, A = problem.dim, problem.A
     box, span, *_ = _memo_entry(problem, "stationary", _stationary_parts)
     moves = _probe_moves(problem)
     z0 = np.zeros(n) if start is None else start
@@ -574,10 +585,11 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
 
     t0 = 1.0 / max(float(np.abs(problem.q).max()), 1e-6)
     cap = 50 * max(n, 1)
+    # min(q) >= 0: p'diag(q)p >= 0, and the line search takes the whole segment
+    convex = float(problem.q.min()) >= 0.0
     status = "max-iterations"
     t = t0
     z_prev = grad_prev = None
-    res = None
     for _ in range(cap):
         grad = problem.q * z + problem.g_lin
         if z_prev is not None:
@@ -590,27 +602,32 @@ def _solve_stationary(problem: QpProblem, start) -> QpSolution:
         # projection stays in the regime where it is machine-precise
         gnorm = float(np.abs(grad).max(initial=0.0))
         step = t if gnorm <= 1e-300 else min(t, 10.0 * span / gnorm)
-        z_prev, grad_prev = z, grad
-        w, plam, pmu, pgam, _ = _dual_clip(problem, box, z + step * grad)
-        t = step
-        lam, mu, gam = plam / t, pmu / t, pgam / t
-        res = _kkt_met(problem, grad, z, lam, mu, gam)
+        z_prev, grad_prev, t = z, grad, step
+        pre = z + t * grad
+        w, lam, shifted, _ = _dual_clip(problem, box, pre)
+        lam = lam / t
+        # a clip that took no step hands back pre itself, and A'0 adds only +-0
+        lead = grad if shifted is pre else grad + A.T @ lam
+        res, mu, gam = _stop_test(problem, box, lead, z, lam, w, shifted, t)
         p = w - z
-        if res is not None or np.abs(p).max(initial=0.0) <= 1e-14:
-            probe = _endpoint_probe(problem, z, value, moves)
+        if (res is not None and res <= TOL_STAT) or np.abs(p).max(initial=0.0) <= 1e-14:
+            probe = _endpoint_probe(problem, z, grad, value, moves)
             if probe is not None:
-                z, res = probe, None
-                z_prev = grad_prev = None
+                z, z_prev, grad_prev = probe, None, None
                 continue
             if res is None:
+                mu, gam = box.bound_duals(shifted, t)
                 res = kkt_residual(problem, z, lam, mu, gam)
             status = "optimal" if res <= 1e-6 else status
             break
-        # exact line search on the first segment of the projection arc
-        den = p * problem.q @ p
-        alpha = 1.0 if den >= -1e-14 else min(1.0, (grad @ p) / -den)
-        z = z + alpha * p
-    if res is None:
+        if not convex:
+            # exact line search on the first segment of the projection arc
+            den = p * problem.q @ p
+            if den < -1e-14:
+                p = min(1.0, (grad @ p) / -den) * p
+        z = z + p
+    else:
+        mu, gam = box.bound_duals(shifted, t)
         res = kkt_residual(problem, z, lam, mu, gam)
     return QpSolution(z, lam, mu, gam, status, res)
 

@@ -147,7 +147,8 @@ def test_step_length_exact_zeroes_linearized_residual(seed):
 def test_aggregate_rows_and_box(stressed30, stressed30_start):
     res, start = stressed30_start
     net = network(stressed30)
-    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two")), 1.0)
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two"))
+    prob = build_subproblem(parts, 1.0, parts["y_lin"])
     n = net.n_dem
     assert prob.A.shape == (3, n)
     np.testing.assert_array_equal(prob.lower, -np.ones(n))
@@ -171,15 +172,16 @@ def test_active_row_is_the_balance_residual_at_a_balanced_point(tag, case30):
     ones = SwitchVector(np.ones(net.n_dem))
     res = solve_ao1(case30, ones)
     assert res.status == "converged"
-    prob = build_subproblem(subproblem_parts(case30, (res.state, res.input, ones), res.duals, Ao2Variant(tag=tag)),
-                            0.0)
+    parts = subproblem_parts(case30, (res.state, res.input, ones), res.duals, Ao2Variant(tag=tag))
+    prob = build_subproblem(parts, 0.0, parts["y_lin"])
     assert abs(prob.b[0]) <= net.n_bus * TOL_FEAS
 
 
 def test_mixed_zero_penalty_linear_term_is_objective_gradient(stressed30, stressed30_start):
     res, start = stressed30_start
     net = network(stressed30)
-    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed")), 0.0)
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed"))
+    prob = build_subproblem(parts, 0.0, parts["y_lin"])
     _, _, dE = jacobians(net, *start)
     nxu = 2 * net.n_bus + 2 * net.n_gen
     np.testing.assert_array_equal(prob.g_lin, dE[nxu:])
@@ -187,7 +189,8 @@ def test_mixed_zero_penalty_linear_term_is_objective_gradient(stressed30, stress
 
 def test_mixed_curvature_pushed_strictly_concave(stressed30, stressed30_start):
     res, start = stressed30_start
-    prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed")), 10.0)
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed"))
+    prob = build_subproblem(parts, 10.0, parts["y_lin"])
     assert prob.q.shape == (network(stressed30).n_dem,)
     assert float(prob.q.max()) < 0.0
 
@@ -223,7 +226,8 @@ def test_converges_binary_on_stressed_case(tag, stressed30, stressed30_start):
     assert trace.final_phi <= schedule.eps
     assert set(np.unique(y.y)) <= {0.0, 1.0}
     # the aggregates still hold at the returned point
-    base = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag=tag)), 0.0)
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag=tag))
+    base = build_subproblem(parts, 0.0, parts["y_lin"])
     slack = base.b + base.A @ (y.y - start[2].y)
     assert slack.min() >= -1e-8
     assert np.isfinite(trace.phis()).all()
@@ -408,7 +412,8 @@ def test_blend_never_leaves_the_rows(stressed30, stressed30_start):
     # the exact step may extrapolate past the subproblem solution; the loop
     # must not keep a blend that breaks the feasibility rows
     res, start = stressed30_start
-    base = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two")), 0.0)
+    parts = subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="relaxed-two"))
+    base = build_subproblem(parts, 0.0, parts["y_lin"])
     for tag in ALL_TAGS:
         y, trace = run_ao2(stressed30, start, res.duals, PenaltySchedule(), Ao2Variant(tag=tag))
         for row in trace.rows:
@@ -431,7 +436,7 @@ def test_cut_row_excludes_the_rejected_set(stressed30, stressed30_start):
     y_lin = lin[2].y
     star = (np.arange(net.n_dem) % 3 == 0).astype(float)
     prob = build_subproblem(subproblem_parts(stressed30, lin, res.duals, Ao2Variant(tag="relaxed-two"),
-                                             cuts=(star,)), 1.0)
+                                             cuts=(star,)), 1.0, y_lin)
     assert prob.A.shape == (4, net.n_dem)
 
     def cut_slack(y):
@@ -444,7 +449,7 @@ def test_cut_row_excludes_the_rejected_set(stressed30, stressed30_start):
         flipped[k] = 1.0 - flipped[k]
         assert cut_slack(flipped) == pytest.approx(0.0, abs=1e-12)
     # the three aggregate rows are the ones built without cuts
-    plain = build_subproblem(subproblem_parts(stressed30, lin, res.duals, Ao2Variant(tag="relaxed-two")), 1.0)
+    plain = build_subproblem(subproblem_parts(stressed30, lin, res.duals, Ao2Variant(tag="relaxed-two")), 1.0, y_lin)
     np.testing.assert_array_equal(prob.A[:3], plain.A)
     np.testing.assert_array_equal(prob.b[:3], plain.b)
 
@@ -456,7 +461,7 @@ def test_cut_gives_zero_load_demands_zero_coefficients(stressed30, stressed30_st
     assert int((~live).sum()) == 10
     star = np.ones(net.n_dem)
     prob = build_subproblem(subproblem_parts(stressed30, start, res.duals, Ao2Variant(tag="mixed"),
-                                             cuts=(star, np.zeros(net.n_dem))), 0.0)
+                                             cuts=(star, np.zeros(net.n_dem))), 0.0, start[2].y)
     assert prob.A.shape == (5, net.n_dem)
     for row in prob.A[3:]:
         assert np.all(row[~live] == 0.0)
@@ -490,7 +495,7 @@ def test_parts_built_once_give_the_problems_a_fresh_build_gives(tag, stressed30,
         parts_calls.append(args)
         return subproblem_parts(*args, **kwargs)
 
-    def spy_build(parts, rho, phi_anchor=None):
+    def spy_build(parts, rho, phi_anchor):
         prob = build_subproblem(parts, rho, phi_anchor)
         built[id(prob)] = (prob, rho, phi_anchor)
         return prob
@@ -693,11 +698,12 @@ def test_run_ao2_checks_the_box_and_rows_once(stressed30, stressed30_start, monk
 def _count_memo_entries(monkeypatch):
     """Spies on the stage problems subproblem_parts makes and on the kernel
     constants qp_core forms: returns (stages, formed, reads), formed holding
-    (memo, key) per formation, key (row, sign) or "stationary", and reads
-    the number of memo reads, formations included."""
+    (memo, key) per formation, key (row, sign), "stationary" or "exact" (the
+    exact path's scaled box, kept in the memo or not), and reads the number
+    of memo reads, formations included."""
     stages, formed, reads = [], [], []
     parts_of, memo_entry = ao2_sbqp.subproblem_parts, qp_core._memo_entry
-    lone_row, stationary = qp_core._lone_row, qp_core._stationary_parts
+    lone_row, stationary, scaled = qp_core._lone_row, qp_core._stationary_parts, qp_core._scaled_box
 
     def spy_parts(*args, **kwargs):
         parts = parts_of(*args, **kwargs)
@@ -716,10 +722,15 @@ def _count_memo_entries(monkeypatch):
         formed.append((problem._memo, "stationary"))
         return stationary(problem)
 
+    def spy_scaled(problem):
+        formed.append((problem._memo, "exact"))
+        return scaled(problem)
+
     monkeypatch.setattr(ao2_sbqp, "subproblem_parts", spy_parts)
     monkeypatch.setattr(qp_core, "_memo_entry", spy_entry)
     monkeypatch.setattr(qp_core, "_lone_row", spy_row)
     monkeypatch.setattr(qp_core, "_stationary_parts", spy_stationary)
+    monkeypatch.setattr(qp_core, "_scaled_box", spy_scaled)
     return stages, formed, reads
 
 
@@ -738,10 +749,11 @@ def _assert_formed_once_per_stage(stages, formed):
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_a_stage_forms_its_kernel_constants_once(tag, stressed30, stressed30_start, monkeypatch):
     # every penalty level of a run_ao2 stage shares the stage problem's memo:
-    # each lone-row entry (row, sign) and the stationary path's block are
-    # formed once per stage, whichever level needs them first, and every
-    # later level reads them.  A cut re-run is a stage of its own and forms
-    # its own; so do the stages of a whole solve
+    # each lone-row entry (row, sign), the stationary path's block and the
+    # exact path's scaled box are formed once per stage, whichever level
+    # needs them first, and every later level reads them; mixed levels, which
+    # keep the stage's q, all take the exact path.  A cut re-run is a stage
+    # of its own and forms its own; so do the stages of a whole solve
     res, start = stressed30_start
     variant = Ao2Variant(tag=tag)
     stages, formed, reads = _count_memo_entries(monkeypatch)
@@ -752,6 +764,7 @@ def test_a_stage_forms_its_kernel_constants_once(tag, stressed30, stressed30_sta
     assert len(per_stage) == 2 and all(per_stage.values()) and len(reads) > len(formed)
     uncut, cut = stages
     assert cut.A.shape[0] == uncut.A.shape[0] + 1
+    assert all(("exact" in counts) == (tag == "mixed") for counts in per_stage.values())
     stages.clear()
     formed.clear()
     try:
@@ -769,11 +782,26 @@ def test_a_stage_forms_its_kernel_constants_once(tag, stressed30, stressed30_sta
                               upper=stage.upper), dataclasses.replace(stage)):
         assert problem._memo == {} and problem._memo is not stage._memo
         formed.clear()
-        for q in (-np.abs(stage.q) - 1.0, np.abs(stage.q)):
+        concave = -np.abs(stage.q) - 1.0
+        for q in (concave, np.abs(stage.q)):
             solve_qp(problem.with_objective(q, stage.g_lin))
         assert formed and all(memo is problem._memo for memo, _ in formed)
         assert Counter(key for _, key in formed) == Counter(set(problem._memo))
         assert set(stage._memo) == filled
+
+        # the scaled box is kept with the q it was formed for: a level with
+        # that very array reads it, and a level with another q forms a box of
+        # its own and leaves the kept one in place
+        kept = problem._memo["exact"]
+        assert kept[0] is concave
+        formed.clear()
+        solve_qp(problem.with_objective(concave, 0.5 * stage.g_lin))
+        assert [key for _, key in formed if key == "exact"] == []
+        for q in (concave.copy(), concave - 1.0):
+            formed.clear()
+            solve_qp(problem.with_objective(q, stage.g_lin))
+            assert [key for _, key in formed if key == "exact"] == ["exact"]
+            assert problem._memo["exact"] is kept
 
 
 def test_penalty_loop_hands_psi_the_rows_phi():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from gridshed import qp_core
 from gridshed.qp_core import (
-    SLACK_FLOOR_EPS, SLACK_TOL, TOL_STAT, QpProblem, _Box, _dual_clip, _dual_step, _endpoint_probe, _kkt_met,
-    _probe_moves, kkt_residual, solve_qp,
+    SLACK_FLOOR_EPS, SLACK_TOL, TOL_STAT, QpProblem, _Box, _dual_clip, _dual_step, _endpoint_probe,
+    _probe_moves, _stop_test, kkt_residual, solve_qp,
 )
 
 # optima of the three seeded problems below, from scipy.optimize.minimize
@@ -400,7 +402,7 @@ def clip_tol(h, s):
 def row_root(problem, h, base):
     """The kernel's multiplier on a one-row problem, None when it cannot meet the row."""
     box = _Box(problem, np.asarray(h, dtype=float))
-    _z, lam, _mu, _gam, w = _dual_clip(problem, box, np.asarray(base, dtype=float))
+    _z, lam, _shifted, w = _dual_clip(problem, box, np.asarray(base, dtype=float))
     return float(lam[0]) if w is None else None
 
 
@@ -500,7 +502,8 @@ def test_endpoint_probe_matches_loop(seed):
     problem = QpProblem(q=rng.normal(size=n), g_lin=0.5 * rng.normal(size=n), A=A,
                         b=-(A @ z) + rng.uniform(-0.1, 1.0, m), lower=lower, upper=upper)
     value = probe_value(problem)
-    got, ref = _endpoint_probe(problem, z, value, _probe_moves(problem)), reference_probe(problem, z, value)
+    grad = problem.q * z + problem.g_lin
+    got, ref = _endpoint_probe(problem, z, grad, value, _probe_moves(problem)), reference_probe(problem, z, value)
     assert (got is None and ref is None) or np.array_equal(got, ref)
 
 
@@ -511,7 +514,7 @@ def test_endpoint_probe_screen_and_order():
     problem = box_problem([0.0, 0.0, 0.0], [-1.8e-10, 2.2e-10, 4e-10])
     z = np.array([0.5, 0.5, 0.5])
     value = probe_value(problem)
-    got = _endpoint_probe(problem, z, value, _probe_moves(problem))
+    got = _endpoint_probe(problem, z, problem.q * z + problem.g_lin, value, _probe_moves(problem))
     assert got.tolist() == [0.5, 1.0, 0.5]
     assert np.array_equal(got, reference_probe(problem, z, value))
 
@@ -556,8 +559,9 @@ def assert_clip_kkt(problem, h, s, clip):
     box meets, or have stopped at that floor, and the tolerance grows by
     1e-13 of the largest such sum over every coordinate.  Infeasibility is
     judged by reference_phase_one, the projected-gradient solver that the
-    kernel's closed-form Farkas test replaced."""
-    z, lam, mu, gam, w = clip
+    kernel's closed-form Farkas test replaced.  clip is _dual_clip's
+    (z, lam, shifted, w), shifted = s + A'lam."""
+    z, lam, shifted, w = clip
     tol = clip_tol(h, s)
     A = np.abs(problem.A)
     terms = (np.abs(s) + A.T @ lam) / h
@@ -572,6 +576,8 @@ def assert_clip_kkt(problem, h, s, clip):
     assert np.all(lam >= 0.0) and np.all(slack >= -tol)
     assert np.all(np.abs(lam * slack) <= tol * np.maximum(lam, 1.0))
     assert np.array_equal(z, np.clip((s + problem.A.T @ lam) / h, problem.lower, problem.upper))
+    assert np.array_equal(shifted, s + problem.A.T @ lam)
+    mu, _gam = _Box(problem, h).bound_duals(shifted)
     assert np.array_equal(mu, np.maximum(0.0, h * problem.lower - (s + problem.A.T @ lam)))
 
 
@@ -654,7 +660,7 @@ def test_dual_clip_ends_converged_at_the_slack_rounding_floor(clip, seed):
     # the terms summed into it: the rows are met, so the clip leaves no
     # multipliers for the Farkas test
     problem, h, s = clip(seed)
-    assert _dual_clip(problem, _Box(problem, h), s)[4] is None
+    assert _dual_clip(problem, _Box(problem, h), s)[3] is None
     exact = QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower, upper=problem.upper)
     assert solve_qp(exact).status != "infeasible"
 
@@ -679,7 +685,7 @@ def test_capped_clip_whose_multipliers_certify_nothing_reports_no_infeasibility(
     # last multipliers give a negative Farkas margin.  An infeasibility that
     # is not certified is not reported: the exact solve ends at max-iterations
     problem, h, s = kkt_clip(2398)
-    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, h), s)
+    z, lam, _shifted, w = _dual_clip(problem, _Box(problem, h), s)
     assert w is lam and not reference_phase_one(problem, z)[1]
     sol = solve_qp(QpProblem(q=-h, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
                              upper=problem.upper))
@@ -703,7 +709,7 @@ def test_dual_clip_searches_no_root_for_rows_met_at_zero(monkeypatch):
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([1.0, 1.0, 1.0]), lower=-np.ones(3), upper=np.zeros(3))
     s = np.array([0.5, -0.25, -0.0])
-    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, np.ones(3)), s)
+    z, lam, _shifted, w = _dual_clip(problem, _Box(problem, np.ones(3)), s)
     assert w is None and calls == []
     assert np.array_equal(lam, np.zeros(3)) and np.array_equal(z, np.clip(s, -1.0, 0.0))
 
@@ -716,7 +722,7 @@ def test_dual_clip_first_sweep_searches_only_the_binding_row(monkeypatch):
     # one step along the active row's multiplier alone ends the clip
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3), A=np.vstack([-pd, -qd, qd]),
                         b=np.array([0.6, 1.0, 1.0]), lower=np.zeros(3), upper=np.ones(3))
-    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, np.ones(3)), np.full(3, 2.0))
+    z, lam, _shifted, w = _dual_clip(problem, _Box(problem, np.ones(3)), np.full(3, 2.0))
     assert w is None and calls == [[0]]
     assert lam[0] > 0.0 and lam[1] == lam[2] == 0.0
 
@@ -730,7 +736,7 @@ def test_dual_clip_drops_a_row_its_neighbour_meets(monkeypatch):
     problem = QpProblem(q=-np.ones(3), g_lin=np.zeros(3),
                         A=np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0]]), b=np.array([0.9, 0.95]),
                         lower=np.zeros(3), upper=np.ones(3))
-    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, np.ones(3)), np.full(3, 0.5))
+    z, lam, _shifted, w = _dual_clip(problem, _Box(problem, np.ones(3)), np.full(3, 0.5))
     assert w is None and calls == [[0, 1]]
     assert lam[0] == pytest.approx(0.2, rel=1e-15) and lam[1] == 0.0
     np.testing.assert_allclose(z, np.full(3, 0.3), rtol=1e-15)
@@ -748,7 +754,7 @@ def test_dual_clip_ends_fast_on_contradictory_cuts(monkeypatch):
     calls = count_steps(monkeypatch)
     problem = QpProblem(q=-np.full(1, 3.6e-6), g_lin=np.full(1, 3.2), A=np.array([[-1.0], [1.0]]),
                         b=np.array([-1.0, 0.0]), lower=-np.ones(1), upper=np.zeros(1))
-    z, lam, mu, gam, w = _dual_clip(problem, _Box(problem, -problem.q), problem.g_lin)
+    z, lam, _shifted, w = _dual_clip(problem, _Box(problem, -problem.q), problem.g_lin)
     assert calls == [[0], [0, 1]]
     # the clip ends on that ray, and its multipliers certify the cuts
     # infeasible: the sum of both rows is -1 at every point of the box
@@ -974,27 +980,86 @@ def kkt_point(rng):
     return QpProblem(q=q, g_lin=g, A=A, b=b, lower=lower, upper=upper), z, lam, mu, gam
 
 
+def projected_point(rng):
+    """kkt_point's problem, z and lam after a projection of step t: shifted
+    lies beyond the lower end by t times its net box multiplier mu - gam where
+    that is positive, beyond the upper end where it is negative, and in the
+    box, on an end at times, where it is 0.  Returns (problem, box, z, lam, w,
+    shifted, t), w the unit box's clip of shifted."""
+    problem, z, lam, mu, gam = kkt_point(rng)
+    t = 10.0 ** rng.uniform(-2, 1)
+    net, lower, upper = mu - gam, problem.lower, problem.upper
+    inside = np.where(rng.random(problem.dim) < 0.3, rng.choice([lower, upper]), rng.uniform(lower, upper))
+    shifted = np.where(net > 0.0, lower - t * net, np.where(net < 0.0, upper - t * net, inside))
+    box = _Box(problem)
+    return problem, box, z, lam, box.clip(shifted), shifted, t
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_guarded_stop_test_decides_as_the_full_residual(seed):
-    problem, z, lam, mu, gam = kkt_point(np.random.default_rng(seed))
-    grad = problem.q * z + problem.g_lin
-    res, full = _kkt_met(problem, grad, z, lam, mu, gam), kkt_residual(problem, z, lam, mu, gam)
-    assert (res is not None) == (full <= TOL_STAT)
-    assert res is None or res == full
+    # the stationary path's stop test reads stationarity off the projection
+    # and forms the box multipliers only when it passes: it decides as the
+    # full residual with those multipliers, and returns it when it is formed
+    problem, box, z, lam, w, shifted, t = projected_point(np.random.default_rng(seed))
+    mu, gam = box.bound_duals(shifted, t)
+    lead = problem.q * z + problem.g_lin + problem.A.T @ lam
+    (res, got_mu, got_gam), full = _stop_test(problem, box, lead, z, lam, w, shifted, t), \
+        kkt_residual(problem, z, lam, mu, gam)
+    assert (res is not None and res <= TOL_STAT) == (full <= TOL_STAT)
+    if res is None:
+        assert got_mu is got_gam is None and full > TOL_STAT
+    else:
+        assert res == full and got_mu.tobytes() == mu.tobytes() and got_gam.tobytes() == gam.tobytes()
 
 
 def test_kkt_points_straddle_the_tolerance():
-    # the drawn points above are not all on one side of the stop test
-    met = [kkt_residual(*kkt_point(np.random.default_rng(seed))) <= TOL_STAT for seed in range(200)]
-    assert 20 <= sum(met) <= 180
+    # the drawn points above are not all on one side of the stop test, with
+    # their own box multipliers or with those of a projection
+    for draw in (kkt_point, projected_point):
+        met = []
+        for seed in range(200):
+            point = draw(np.random.default_rng(seed))
+            if draw is projected_point:
+                problem, box, z, lam, _w, shifted, t = point
+                point = (problem, z, lam, *box.bound_duals(shifted, t))
+            met.append(kkt_residual(*point) <= TOL_STAT)
+        assert 20 <= sum(met) <= 180, (draw.__name__, sum(met))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_unit_box_clip_step_is_the_box_multipliers(seed):
+    # under the unit box the clip moves each coordinate by mu - gam of the
+    # point it clips: clip(s) - s and mu - gam are equal, s on a box end or a
+    # signed zero included, and their bits differ at most in the sign of a
+    # zero (adding +0.0 turns -0.0 into 0.0 and keeps every other float).
+    # So the stationarity vector lead + (clip(s) - s) / t that the stop test
+    # forms has the magnitudes of lead + mu / t - gam / t, bit for bit
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    lower = np.where(rng.random(n) < 0.3, rng.choice([0.0, -0.0], n), -rng.uniform(0.0, 2.0, n))
+    upper = np.where(rng.random(n) < 0.3, lower, lower + rng.uniform(0.0, 3.0, n))
+    upper = np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n) + np.maximum(lower, 0.0), upper)
+    pick = rng.random(n)
+    s = np.where(pick < 0.2, lower, np.where(pick < 0.4, upper, rng.normal(size=n) * 2.0))
+    s = np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0], n), s)
+    problem = QpProblem(q=np.ones(n), g_lin=np.zeros(n), A=np.zeros((0, n)), b=np.zeros(0), lower=lower,
+                        upper=upper)
+    box = _Box(problem)
+    mu, gam = box.bound_duals(s)
+    step = box.clip(s) - s
+    assert np.array_equal(step, mu - gam) and (step + 0.0).tobytes() == (mu - gam + 0.0).tobytes()
+    t, lead = 10.0 ** rng.uniform(-3, 3), rng.normal(size=n) * (rng.random(n) < 0.8)
+    assert np.abs(lead + step / t).tobytes() == np.abs(lead + mu / t - gam / t).tobytes()
 
 
 @pytest.mark.parametrize("clip", [kkt_clip, subproblem_clip])
 def test_unit_box_holds_what_a_ones_curvature_box_holds(clip):
     # the stationary path builds its box knowing h = 1: its scaled ends are
     # those of a box built from a ones vector, which takes the scaled path,
-    # and a dual clip under either returns the same bytes
+    # and a dual clip under either returns the same bytes, as do the box
+    # multipliers each box forms from it
     for seed in range(300):
         problem, h, s = clip(seed)
         unit, ones = _Box(problem), _Box(problem, np.ones(problem.dim))
@@ -1003,8 +1068,8 @@ def test_unit_box_holds_what_a_ones_curvature_box_holds(clip):
             assert getattr(unit, name).tobytes() == getattr(ones, name).tobytes()
         for linear in (s, s / h):
             got, want = _dual_clip(problem, unit, linear), _dual_clip(problem, ones, linear)
-            assert (got[4] is None) == (want[4] is None)
-            for a, b in zip(got, want):
+            assert (got[3] is None) == (want[3] is None)
+            for a, b in zip(got + unit.bound_duals(got[2]), want + ones.bound_duals(want[2])):
                 assert a is None or a.tobytes() == b.tobytes()
 
 
@@ -1042,3 +1107,242 @@ def test_breakpoints_equal_the_concatenated_form(monkeypatch):
                 solve_qp(QpProblem(q=q, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
                                    upper=problem.upper))
     assert min(kinds.values()) > 50, kinds
+
+
+
+def test_breakpoints_drop_kinks_that_overflow_to_inf():
+    # with no cap the search takes no < cap test, yet kinks (end - shifted) / v
+    # that overflow to inf are dropped as that test dropped them
+    problem = row_problem([1e-300, -1.0, 1e-310, 2.0], -1.0, lower=-1e10, upper=1e10)
+    box, v = _Box(problem), problem.A[0]
+    shifted = np.array([0.0, 3.0, -0.0, 1.0])
+    with np.errstate(over="ignore"):
+        for cap in (np.inf, 5.0e9, 0.0):
+            got, want = qp_core._breakpoints(box, shifted, v, v != 0.0, cap), \
+                concatenated_breakpoints(box, shifted, v, cap)
+            assert np.isfinite(got[:-1]).all() and got.tobytes() == want.tobytes()
+        assert qp_core._breakpoints(box, shifted, v, v != 0.0, np.inf).size == 3
+
+# -- the QP paths, against frozen copies of the paths before the box
+# -- multipliers were formed only where they are read --
+
+def frozen_dual_clip(problem, box, s):
+    """qp_core._dual_clip as it was before it returned shifted = s + A'lam in
+    place of the box multipliers: it formed them at every return, as
+    box.bound_duals(shifted).  Returns (z, lam, mu, gam, w)."""
+    z, lam, shifted, w = _dual_clip(problem, box, s)
+    return (z, lam, *box.bound_duals(shifted), w)
+
+
+def frozen_residual(problem, grad, z, lam, mu, gam):
+    """kkt_residual given grad = q z + g, its stationarity term formed from
+    the box multipliers."""
+    stat = float(np.abs(grad + problem.A.T @ lam + mu - gam).max())
+    return max(stat, qp_core._feasibility_complementarity(problem, z, lam, mu, gam))
+
+
+def frozen_solve_exact(problem):
+    """qp_core._solve_exact as it was before its scaled box was kept in the
+    stage memo and its box multipliers formed once, after the Farkas test."""
+    q, g, A = problem.q, problem.g_lin, problem.A
+    kernel = _Box(problem, -q)
+    z, lam, mu, gam, w = frozen_dual_clip(problem, kernel, g)
+    if w is not None and qp_core._farkas_margin(problem, w) > SLACK_TOL:
+        return qp_core._infeasible(problem, z, w)
+    best = (z, lam, mu, gam, kkt_residual(problem, z, lam, mu, gam))
+    free, rows = (z > problem.lower) & (z < problem.upper), lam > 0.0
+    A_r = A.take(rows.nonzero()[0], axis=0)
+    A_rf = A_r.take(free.nonzero()[0], axis=1)
+    nf = A_rf.shape[1]
+    kkt = np.zeros((nf + A_rf.shape[0],) * 2)
+    kkt[:nf, :nf].flat[::nf + 1] = q[free]
+    kkt[:nf, nf:], kkt[nf:, :nf] = A_rf.T, A_rf
+    rhs = np.concatenate([-g[free], -(problem.b[rows] + A_r[:, ~free] @ z[~free])])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full(rhs.size, np.nan)
+    zp, lp = z.copy(), lam.copy()
+    zp[free], lp[rows] = sol[:nf], sol[nf:]
+    if ((zp >= problem.lower) & (zp <= problem.upper)).all() and (lp >= 0.0).all():
+        mp, gp = kernel.bound_duals(g + A.T @ lp)
+        res = kkt_residual(problem, zp, lp, mp, gp)
+        if res <= best[4]:
+            best = (zp, lp, mp, gp, res)
+    z, lam, mu, gam, res = best
+    return qp_core.QpSolution(z, lam, mu, gam, "optimal" if res <= TOL_STAT else "max-iterations", res)
+
+
+def frozen_endpoint_probe(problem, z, value, moves):
+    """qp_core._endpoint_probe as it was before it read the iteration's
+    gradient: it formed q z + g at the moves' columns again."""
+    base = value(z)
+    margin = 1e-10 * max(1.0, abs(base))
+    slack = problem.b + problem.A @ z
+    n = problem.dim
+    cols, q_cols, g_cols, neg_a = moves
+    dk = np.empty(2 * n)
+    np.subtract(problem.lower, z, out=dk[0::2])
+    np.subtract(problem.upper, z, out=dk[1::2])
+    rate = neg_a * dk
+    caps = np.divide(slack[:, None], rate, out=np.ones(rate.shape), where=rate > 1e-14).min(
+        axis=0, initial=1.0)
+    t = caps * dk
+    gain = t * (q_cols * z[cols] + g_cols) + 0.5 * t * t * q_cols
+    for j in ((np.abs(dk) > 1e-12) & (caps > 1e-12) & (gain > 0.5 * margin)).nonzero()[0]:
+        d = np.zeros(n)
+        d[cols[j]] = dk[j]
+        cand = z + caps[j] * d
+        if value(cand) > base + margin:
+            return cand
+    return None
+
+
+def frozen_solve_stationary(problem, start):
+    """qp_core._solve_stationary as it was before its box multipliers were
+    formed only at its stop test and exit, kept to check that the new path
+    returns the same bits.  Each iteration formed mu and gam, divided all
+    three multipliers by t and summed stationarity from them, and took the
+    curvature p'diag(q)p of its step; its endpoint probe formed q z + g
+    again.  The unit box, the span and the probe moves are formed here from
+    the problem afresh."""
+    n = problem.dim
+    box = _Box(problem)
+    span = max(float((problem.upper - problem.lower).max(initial=0.0)), 1.0)
+    cols = np.repeat(np.arange(n), 2)
+    moves = cols, problem.q[cols], problem.g_lin[cols], -problem.A[:, cols]
+    z0 = np.zeros(n) if start is None else start
+    z0 = z0.clip(problem.lower, problem.upper)
+    z, *_, w = frozen_dual_clip(problem, box, z0)
+    if w is not None and qp_core._farkas_margin(problem, w) > SLACK_TOL:
+        return qp_core._infeasible(problem, z, w)
+
+    def value(w):
+        return 0.5 * w * problem.q @ w + problem.g_lin @ w
+
+    def kkt_met(grad, z, lam, mu, gam):
+        res = frozen_residual(problem, grad, z, lam, mu, gam)
+        return res if res <= TOL_STAT else None
+
+    t0 = 1.0 / max(float(np.abs(problem.q).max()), 1e-6)
+    cap = 50 * max(n, 1)
+    status = "max-iterations"
+    t = t0
+    z_prev = grad_prev = None
+    res = None
+    for _ in range(cap):
+        grad = problem.q * z + problem.g_lin
+        if z_prev is not None:
+            dz, dg = z - z_prev, grad - grad_prev
+            den = abs(float(dz @ dg))
+            if den > 1e-300:
+                t = min(max(float(dz @ dz) / den, 1e-3 * t0), 1e4 * t0)
+        gnorm = float(np.abs(grad).max(initial=0.0))
+        step = t if gnorm <= 1e-300 else min(t, 10.0 * span / gnorm)
+        z_prev, grad_prev = z, grad
+        w, plam, pmu, pgam, _ = frozen_dual_clip(problem, box, z + step * grad)
+        t = step
+        lam, mu, gam = plam / t, pmu / t, pgam / t
+        res = kkt_met(grad, z, lam, mu, gam)
+        p = w - z
+        if res is not None or np.abs(p).max(initial=0.0) <= 1e-14:
+            probe = frozen_endpoint_probe(problem, z, value, moves)
+            if probe is not None:
+                z, res = probe, None
+                z_prev = grad_prev = None
+                continue
+            if res is None:
+                res = kkt_residual(problem, z, lam, mu, gam)
+            status = "optimal" if res <= 1e-6 else status
+            break
+        den = p * problem.q @ p
+        alpha = 1.0 if den >= -1e-14 else min(1.0, (grad @ p) / -den)
+        z = z + alpha * p
+    if res is None:
+        res = kkt_residual(problem, z, lam, mu, gam)
+    return qp_core.QpSolution(z, lam, mu, gam, status, res)
+
+
+def frozen_solve_qp(problem, start=None):
+    """solve_qp with the frozen paths; start is a float array or None."""
+    if not problem.g_lin.size:
+        return qp_core._solve_empty(problem)
+    if float(problem.q.max()) < 0.0:
+        return frozen_solve_exact(problem)
+    return frozen_solve_stationary(problem, start)
+
+
+def assert_same_solution(got, want):
+    """Every field of two QpSolutions, bit for bit."""
+    for name in ("primal", "dual_ineq", "dual_lower", "dual_upper"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.status == want.status
+    assert np.float64(got.kkt_residual).tobytes() == np.float64(want.kkt_residual).tobytes()
+
+
+def solve_both(problem, start, paths):
+    """solve_qp's solution, asserted equal to the frozen solve's, with the
+    solve tallied in paths by its path and, on the stationary path, by
+    whether its objective is convex and whether it ended optimal."""
+    got = solve_qp(problem, start=start)
+    assert_same_solution(got, frozen_solve_qp(problem, None if start is None else np.asarray(start, float)))
+    if problem.dim and float(problem.q.max()) >= 0.0:
+        paths["convex" if float(problem.q.min()) >= 0.0 else "indefinite"] += 1
+        paths[got.status] += 1
+        paths["rows active" if got.dual_ineq.any() else "rows slack"] += 1
+    else:
+        paths["exact"] += 1
+    return got
+
+
+def test_stationary_solves_return_the_bits_of_the_frozen_solve():
+    # over a penalty schedule, each draw's levels derived from one stage
+    # problem, the linear term pushed further at each level and each solve
+    # warm-started from the last: convex curvature q = h, relaxed-one's
+    # q = h + 2 rho and an indefinite q with some negative entries.  Every
+    # field of every solution is the frozen path's, bit for bit
+    paths = Counter()
+    for clip in (kkt_clip, subproblem_clip):
+        for seed in range(50):
+            problem, h, s = clip(seed)
+            rng = np.random.default_rng(seed)
+            push = rng.normal(size=problem.dim)
+            flip = np.where(np.arange(problem.dim) % 2 == 0, 1.0, -1.0)
+            for q0, per_level in ((h, 0.0), (h, 2.0), (flip * h, 0.0)):
+                stage = QpProblem(q=q0, g_lin=s, A=problem.A, b=problem.b, lower=problem.lower,
+                                  upper=problem.upper)
+                warm = None
+                for rho in (0.0, 1.0, 10.0, 100.0):
+                    level = stage.with_objective(q0 + per_level * rho, s - rho * push)
+                    warm = solve_both(level, warm, paths).primal
+    assert min(paths[key] for key in ("convex", "indefinite", "optimal", "rows active", "rows slack")) > 100, paths
+    assert paths["max-iterations"] + paths["infeasible"] > 0, paths
+
+
+@pytest.mark.parametrize("tag", ["mixed", "relaxed-one", "relaxed-two"])
+def test_every_switching_level_returns_the_bits_of_the_frozen_solve(tag, stressed30, stressed30_start,
+                                                                    shortfall5_case, monkeypatch):
+    # every QP of a switching stage from the stressed case30 all-ones start,
+    # again with its answer cut, and of whole solves of stressed case30 and
+    # of the criterion-3 case5, returns every field of the frozen path's
+    # solution, bit for bit: mixed levels take the exact path, the relaxed
+    # ones the stationary path
+    from gridshed import ao2_sbqp
+    from gridshed.cli_driver import DriverError, SolverConfig, run_ao_sbqp
+
+    paths, solve = Counter(), ao2_sbqp.solve_qp
+    monkeypatch.setattr(ao2_sbqp, "solve_qp", lambda problem, start=None: solve_both(problem, start, paths))
+    res, start = stressed30_start
+    variant = ao2_sbqp.Ao2Variant(tag=tag)
+    y0, _ = ao2_sbqp.run_ao2(stressed30, start, res.duals, None, variant)
+    ao2_sbqp.run_ao2(stressed30, start, res.duals, None, variant, cuts=(y0.y,))
+    for case in (stressed30, shortfall5_case):
+        try:
+            run_ao_sbqp(case, SolverConfig(variant=variant))
+        except DriverError:
+            pass
+    assert solve is solve_qp
+    if tag == "mixed":
+        assert paths["exact"] > 10 and paths["convex"] + paths["indefinite"] == 0, paths
+    else:
+        assert paths["convex"] > 10 and paths["exact"] + paths["indefinite"] == 0, paths

@@ -153,8 +153,8 @@ def test_census_counts_derivative_passes_per_call_and_in_total(census, capsys):
     randoms = [line.split() for line in lines if line.startswith("random 23 ")]
     assert [fields[3] for fields in randoms] == ["1"] * 3
     assert [fields[7] for fields in randoms] == ["0/1/0"] * 3
-    assert lines[-4].startswith(f"AO1 fits 3, {sum(int(f[4]) for f in randoms)} evaluations, ")
-    assert lines[-2] == "balanced fits by derivative passes: -"
+    assert lines[-5].startswith(f"AO1 fits 3, {sum(int(f[4]) for f in randoms)} evaluations, ")
+    assert lines[-3] == "balanced fits by derivative passes: -"
 
 
 def test_census_counts_each_member_of_the_oracle_batch(census, shortfall5_case):
@@ -210,7 +210,7 @@ def test_qp_census_counts_clips_and_steps_per_call_and_in_total(census, capsys):
     randoms = [line for line in lines if line.startswith("random 23 ")]
     assert [line.split()[2] for line in randoms] == ["mixed", "relaxed-one", "relaxed-two"]
     assert all(line.endswith("DriverError: all 1 live switch pattern proved infeasible") for line in randoms)
-    assert lines[-5].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
+    assert lines[-6].startswith("_random_case seeds 23: 3 calls, 3 failed; ")
 
 
 def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys):
@@ -232,7 +232,7 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys)
     randoms = [line for line in lines if line.startswith("random 14 ")]
     assert [line.split()[17] for line in randoms] == ["0/0/1"] * 3
     assert all(line.endswith("DriverError: the switching rows admit no point of the box") for line in randoms)
-    assert "; 3 QP solves: 0 optimal, 0 max-iterations, 3 infeasible; " in lines[-1]
+    assert "; 3 QP solves: 0 optimal, 0 max-iterations, 3 infeasible; " in lines[-2]
     # switch30 seed 1 ends no clip unconverged, so it tests no certificate;
     # on seed 14 each variant's infeasible verdict rests on the ray of a
     # kernel step, with a margin well above SLACK_TOL
@@ -245,8 +245,36 @@ def test_qp_census_counts_solves_by_status_per_call_and_in_total(census, capsys)
     assert [line.split()[14] for line in randoms] == ["0/1"] * 3
     margins = [float(line.split()[19]) for line in randoms]
     assert min(margins) > 1e3 * census.qp_core.SLACK_TOL
-    assert lines[-1].endswith("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged "
+    assert lines[-2].endswith("; infeasible by 3 ray and 0 last-multiplier certificates, 0 unconverged "
                               f"clips certify nothing, smallest margin {min(margins):.2e}")
+
+
+def test_qp_census_splits_solves_by_path_and_counts_projections(census, capsys):
+    # mixed levels take the exact path and the relaxed ones the stationary
+    # path, one solve per status counted; an exact solve runs one dual clip,
+    # so the clips beyond those are the stationary solves' projections, whose
+    # histogram follows the kernel's totals.  On _random_case seed 14 every
+    # first QP is infeasible at its first clip, the stationary path's at the
+    # projection of its start
+    assert census.main(["--workload", "switch30", "--seeds", "1", "--random", "14"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[19:21] == ["e/s", "s"]
+    calls = [line.split() for line in lines if line.startswith("seed 1 call ")]
+    paths = [[int(v) for v in fields[22].split("/")] for fields in calls]
+    for fields, (exact, stationary) in zip(calls, paths):
+        assert exact + stationary == sum(int(v) for v in fields[19].split("/")) > 0
+        assert (exact if fields[4] == "mixed" else stationary) > 0 == (stationary if fields[4] == "mixed" else exact)
+    head = lines.index(next(line for line in lines if line.startswith("switch30 seeds 1: ")))
+    kernel, split = lines[head + 4].replace(",", "").split(), lines[head + 5]
+    exact, stationary = (sum(p[k] for p in paths) for k in range(2))
+    assert split.startswith(f"QP paths: {exact} exact, {stationary} stationary; stationary solves by projections: ")
+    histogram = [tuple(int(v) for v in bar.split(": ")) for bar in split.split("projections: ")[1].split(", ")]
+    assert [k for k, _ in histogram] == sorted({k for k, _ in histogram}) and min(histogram)[0] > 1
+    assert sum(n for _, n in histogram) == stationary
+    assert sum(k * n for k, n in histogram) + exact == int(kernel[2])
+    randoms = [line.split() for line in lines if line.startswith("random 14 ")]
+    assert [fields[20] for fields in randoms] == ["1/0", "0/1", "0/1"]
+    assert lines[-1] == "QP paths: 1 exact, 2 stationary; stationary solves by projections: 1: 2"
 
 
 def test_census_prints_oracle_shares_per_variant(census, capsys):

@@ -16,8 +16,9 @@ up).  From outside the package it wraps:
   multipliers for one linear term), ``gridshed.qp_core._dual_step`` (one
   kernel step: a Newton direction and the line search along it),
   ``gridshed.qp_core._farkas_margin`` (the closed-form infeasibility test of
-  an unconverged clip's multipliers) and ``gridshed.ao2_sbqp.solve_qp`` (one
-  QP solve of the switching stage).
+  an unconverged clip's multipliers), ``gridshed.qp_core._solve_exact`` and
+  ``gridshed.qp_core._solve_stationary`` (the two paths of a QP solve) and
+  ``gridshed.ao2_sbqp.solve_qp`` (one QP solve of the switching stage).
 
 One line per call: the seed and index where it first appears (or the random
 seed), and its variant.  Then its AO1 fits, their function evaluations, the
@@ -33,13 +34,15 @@ clips ended at the step cap ``DUAL_STEPS``, its QP solves by status
 (optimal/max-iterations/infeasible), the unconverged clips that a solve
 tested, by result (ray/last/none: certified by the ray of a step along which
 the dual falls without bound, certified by the clip's last multipliers, or
-certifying nothing) and the smallest margin of a certificate (``-`` for
-none).  Last come the call's seconds and its outcome (answered, or the
-error's first clause).  Work during a seed's set-up (switch30 builds its AO1
-starts there) gets a line of its own.  Totals for both layers follow each
-part, with the fits' median and slowest time, how many took longer than
-SLOW_MS, and the balanced fits by their derivative passes (``4: 170, 5: 10``:
-170 balanced fits took 4 passes and 10 took 5).
+certifying nothing), the smallest margin of a certificate (``-`` for
+none) and its QP solves by path (exact/stationary).  Last come the call's
+seconds and its outcome (answered, or the error's first clause).  Work
+during a seed's set-up (switch30 builds its AO1 starts there) gets a line of
+its own.  Totals for both layers follow each part, with the fits' median and
+slowest time, how many took longer than SLOW_MS, the balanced fits by their
+derivative passes (``4: 170, 5: 10``: 170 balanced fits took 4 passes and 10
+took 5), and the stationary solves by their projections, the dual clips
+each runs, its start's included.
 
 Before the random part's totals come three shares per variant, over its
 runs, against ``enumerate_oracle`` on each drawn case (run before the census
@@ -80,10 +83,12 @@ EXITS = ("balanced", "stationary", "cap")
 STATUSES = ("optimal", "max-iterations", "infeasible")
 CERTIFICATES = ("ray", "last", "none")
 SLOW_MS = 50.0
+PATHS = ("exact", "stationary")
 # what the census keeps: per fit (nfev, exit, end max|F|, seconds, derivative
 # passes), per clip its steps, per step its working rows, per QP solve its
-# status, and per infeasibility test its certificate and margin
-WORK = ("fits", "clips", "rows", "solves", "tests")
+# status, per infeasibility test its certificate and margin, and per QP path
+# taken the path and the dual clips it ran
+WORK = ("fits", "clips", "rows", "solves", "tests", "paths")
 
 
 def _empty() -> dict[str, list]:
@@ -92,11 +97,12 @@ def _empty() -> dict[str, list]:
 
 class Census:
     """Wraps ao1_opf.least_squares, qp_core._dual_clip, qp_core._dual_step,
-    qp_core._farkas_margin and ao2_sbqp.solve_qp while entered, and keeps
-    their WORK until taken."""
+    qp_core._farkas_margin, qp_core._solve_exact, qp_core._solve_stationary
+    and ao2_sbqp.solve_qp while entered, and keeps their WORK until taken."""
 
     TARGETS = ((ao1_opf, "least_squares"), (qp_core, "_dual_clip"), (qp_core, "_dual_step"),
-               (qp_core, "_farkas_margin"), (ao2_sbqp, "solve_qp"))
+               (qp_core, "_farkas_margin"), (qp_core, "_solve_exact"), (qp_core, "_solve_stationary"),
+               (ao2_sbqp, "solve_qp"))
 
     def __init__(self):
         self.work = _empty()
@@ -104,7 +110,7 @@ class Census:
         self._saved = [getattr(module, name) for module, name in self.TARGETS]
 
     def __enter__(self) -> Census:
-        fit, clip, step, margin, solve = self._saved
+        fit, clip, step, margin, exact, stationary, solve = self._saved
 
         def counted_fit(*args, **kwargs):
             t0 = time.perf_counter()
@@ -130,12 +136,20 @@ class Census:
             self.work["tests"].append((kind, out))
             return out
 
+        def counted_path(path, run, *args):
+            clips = len(self.work["clips"])
+            out = run(*args)
+            self.work["paths"].append((path, len(self.work["clips"]) - clips))
+            return out
+
         def counted_solve(*args, **kwargs):
             out = solve(*args, **kwargs)
             self.work["solves"].append(out.status)
             return out
 
-        wrappers = (counted_fit, counted_clip, counted_step, counted_margin, counted_solve)
+        wrappers = (counted_fit, counted_clip, counted_step, counted_margin,
+                    partial(counted_path, "exact", exact), partial(counted_path, "stationary", stationary),
+                    counted_solve)
         for (module, name), wrapper in zip(self.TARGETS, wrappers):
             setattr(module, name, wrapper)
         return self
@@ -180,7 +194,7 @@ def _least_margin(tests) -> str:
 HEADER = (f"{'call':<16} {'variant':<11} {'fits':>5} {'nfev':>6} {'max_nfev':>8} {'jac':>6} "
           f"{'b/s/cap':>8} {'min|F|':>9} {'max|F|':>9} {'fit_s':>9} {'max_ms':>7} {'clips':>6} "
           f"{'steps':>7} {'single/newton':>13} {'max_steps':>9} {'cap':>4} {'o/m/i':>9} "
-          f"{'ray/last/none':>13} {'margin':>8} {'s':>8}  outcome")
+          f"{'ray/last/none':>13} {'margin':>8} {'e/s':>7} {'s':>8}  outcome")
 
 
 def _line(label: str, variant: str, work, seconds: str, outcome: str) -> str:
@@ -195,12 +209,13 @@ def _line(label: str, variant: str, work, seconds: str, outcome: str) -> str:
     exits = _per(EXITS, [f[1] for f in fits])
     statuses = _per(STATUSES, work["solves"])
     results = _per(CERTIFICATES, [kind for kind, _ in work["tests"]])
+    paths = _per(PATHS, [path for path, _ in work["paths"]])
     return (f"{label:<16} {variant:<11} {len(fits):>5} {sum(f[0] for f in fits):>6} "
             f"{max((f[0] for f in fits), default=0):>8} {sum(f[4] for f in fits):>6} {exits:>8} "
             f"{spread} {sum(f[3] for f in fits):>9.3f} {slowest} {len(clips):>6} {sum(clips):>7} "
             f"{f'{single}/{len(rows) - single}':>13} {max(clips, default=0):>9} "
             f"{sum(c >= qp_core.DUAL_STEPS for c in clips):>4} {statuses:>9} {results:>13} "
-            f"{_least_margin(work['tests']):>8} {seconds:>8}  {outcome}")
+            f"{_least_margin(work['tests']):>8} {paths:>7} {seconds:>8}  {outcome}")
 
 
 def _tally(census: Census, calls) -> tuple[dict[str, list], list, float]:
@@ -230,7 +245,7 @@ def _tally(census: Census, calls) -> tuple[dict[str, list], list, float]:
 
 
 def _totals(label: str, work, answers, seconds: float) -> list[str]:
-    fits, clips, rows, solves, tests = (work[kind] for kind in WORK)
+    fits, clips, rows, solves, tests, paths = (work[kind] for kind in WORK)
     failed = sum(_outcome(a) != "answered" for a in answers)
     lines = [f"{label}: {len(answers)} calls, {failed} failed; {seconds:.3f} s"]
     if fits:
@@ -254,6 +269,9 @@ def _totals(label: str, work, answers, seconds: float) -> list[str]:
                  f"{len(solves)} QP solves: {by_status}; infeasible by {ray} ray and {last} "
                  f"last-multiplier certificates, {none} unconverged clips certify nothing, "
                  f"smallest margin {_least_margin(tests)}")
+    exact, stationary = _counts(PATHS, [path for path, _ in paths])
+    lines.append(f"QP paths: {exact} exact, {stationary} stationary; stationary solves by projections: "
+                 f"{_histogram(n for path, n in paths if path == 'stationary')}")
     return lines
 
 
